@@ -16,7 +16,7 @@
 use cashmere_des::obs::prof;
 use cashmere_hwdesc::{Hierarchy, LevelId};
 use cashmere_mcl::interp::Sampling;
-use cashmere_mcl::launch::{LaunchConfig, LaunchKey, LaunchMemo};
+use cashmere_mcl::launch::{LaunchKey, LaunchMemo};
 use cashmere_mcl::stats::KernelStats;
 use cashmere_mcl::value::ArgValue;
 use cashmere_mcl::{compile, CheckError, CheckedKernel};
@@ -122,14 +122,8 @@ impl KernelRegistry {
         out
     }
 
-    /// Launch geometry for `kernel` on `device`.
-    pub fn launch_config(&self, kernel: &str, device: LevelId) -> Option<LaunchConfig> {
-        let ck = self.select(kernel, device)?;
-        Some(LaunchConfig::for_device(ck, &self.hierarchy, device))
-    }
-
-    /// Look up memoized statistics, counting the hit or miss.
-    pub fn cached_stats(&mut self, key: &StatsKey) -> Option<KernelStats> {
+    /// Look up memoized statistics.
+    pub fn cached_stats(&self, key: &StatsKey) -> Option<&KernelStats> {
         let _prof = prof::scope("mcl::memo");
         self.memo.lookup(key)
     }
@@ -138,31 +132,13 @@ impl KernelRegistry {
     pub fn cache_stats(&mut self, key: StatsKey, stats: KernelStats) {
         self.memo.insert(key, stats);
     }
-
-    pub fn cache_len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Memoized sampled launches served from the cache so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.memo.hits()
-    }
-
-    /// Sampled launches that had to be interpreted (then memoized).
-    pub fn cache_misses(&self) -> u64 {
-        self.memo.misses()
-    }
-
-    /// The memo table itself (deterministic iteration).
-    pub fn memo(&self) -> &LaunchMemo {
-        &self.memo
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cashmere_hwdesc::{standard_hierarchy, DeviceKind};
+    use cashmere_mcl::launch::LaunchConfig;
     use cashmere_mcl::value::ArrayArg;
     use cashmere_mcl::ElemTy;
 
@@ -233,17 +209,15 @@ mod tests {
     #[test]
     fn launch_config_respects_version_choice() {
         let r = registry();
-        let h = standard_hierarchy();
+        let h = r.hierarchy();
+        let cfg = |device: DeviceKind| {
+            let level = device.level(h);
+            LaunchConfig::for_device(r.select("axpy", level).unwrap(), h, level)
+        };
         // gpu version pins 256 threads.
-        let cfg = r
-            .launch_config("axpy", DeviceKind::Gtx480.level(&h))
-            .unwrap();
-        assert_eq!(cfg.group_size, 256);
+        assert_eq!(cfg(DeviceKind::Gtx480).group_size, 256);
         // perfect version on phi: class default.
-        let cfg = r
-            .launch_config("axpy", DeviceKind::XeonPhi.level(&h))
-            .unwrap();
-        assert_eq!(cfg.warp_width, 16);
+        assert_eq!(cfg(DeviceKind::XeonPhi).warp_width, 16);
     }
 
     #[test]
@@ -275,9 +249,11 @@ mod tests {
             shape: vec![1024],
         };
         assert!(r.cached_stats(&key).is_none());
-        r.cache_stats(key.clone(), KernelStats::default());
-        assert!(r.cached_stats(&key).is_some());
-        assert_eq!(r.cache_len(), 1);
-        assert_eq!((r.cache_hits(), r.cache_misses()), (1, 1));
+        let stats = KernelStats {
+            flops: 3.0,
+            ..KernelStats::default()
+        };
+        r.cache_stats(key.clone(), stats);
+        assert_eq!(r.cached_stats(&key).map(|s| s.flops), Some(3.0));
     }
 }

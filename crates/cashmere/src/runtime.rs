@@ -30,11 +30,13 @@ use cashmere_des::obs::{prof, MetricsRegistry};
 use cashmere_des::trace::{LaneId, SpanId, SpanKind, Trace};
 use cashmere_des::SimTime;
 use cashmere_devsim::{ExecMode, SimDevice};
+use cashmere_hwdesc::LevelId;
 use cashmere_mcl::cost::estimate_time;
 use cashmere_mcl::launch::LaunchConfig;
 use cashmere_mcl::value::ArgValue;
 use cashmere_satin::{ClusterApp, LeafCtx, LeafPlan, LeafRuntime, RunReport};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Description of one kernel invocation (the paper's
 /// `Cashmere.getKernel()` / `createLaunch()` / `MCL.launch(kl, a, b)`).
@@ -204,6 +206,44 @@ struct DevLanes {
     d2h: LaneId,
 }
 
+/// How one device runs one kernel (paper Sec. III-A): the most specific
+/// version's level and launch geometry, plus the modelled kernel seconds
+/// of every sampled launch shape seen so far.
+struct KernelPlan {
+    level: LevelId,
+    cfg: LaunchConfig,
+    /// `estimate_time(..).total_s` keyed by (arg shape, `extra_scale`
+    /// bits), before the device's virtual speed scale. Exact and never
+    /// invalidated: level and geometry are fixed per plan, so the key
+    /// fixes the memo's `LaunchKey`; memo entries are never replaced; and
+    /// the device parameters the cost model reads never change.
+    seconds: HashMap<(Vec<i64>, u64), f64>,
+}
+
+/// A device's kernel plans by kernel name, resolved on first sight;
+/// `None` when no version of the kernel applies to the device.
+#[derive(Default)]
+struct KernelPlans(HashMap<String, Option<KernelPlan>>);
+
+impl KernelPlans {
+    fn resolve(
+        &mut self,
+        registry: &KernelRegistry,
+        device: LevelId,
+        kernel: &str,
+    ) -> Option<&mut KernelPlan> {
+        if !self.0.contains_key(kernel) {
+            let plan = registry.select(kernel, device).map(|ck| KernelPlan {
+                level: ck.level,
+                cfg: LaunchConfig::for_device(ck, registry.hierarchy(), device),
+                seconds: HashMap::new(),
+            });
+            self.0.insert(kernel.to_string(), plan);
+        }
+        self.0.get_mut(kernel).and_then(Option::as_mut)
+    }
+}
+
 /// One device attached to a node.
 pub struct DeviceSlot {
     pub sim: SimDevice,
@@ -211,7 +251,8 @@ pub struct DeviceSlot {
     /// Live allocations expiring when their job's d2h completes.
     allocations: Vec<(SimTime, cashmere_devsim::BufferId)>,
     /// Resident (kernel-shared) buffers already on the device, by kernel.
-    resident: std::collections::HashMap<String, cashmere_devsim::BufferId>,
+    resident: HashMap<String, cashmere_devsim::BufferId>,
+    plans: KernelPlans,
     pub jobs_run: u64,
     /// Permanently failed (injected device death); never used again.
     pub dead: bool,
@@ -275,7 +316,8 @@ impl CashmereLeafRuntime {
                     sim,
                     lanes: None,
                     allocations: Vec::new(),
-                    resident: std::collections::HashMap::new(),
+                    resident: HashMap::new(),
+                    plans: KernelPlans::default(),
                     jobs_run: 0,
                     dead: false,
                 });
@@ -444,8 +486,12 @@ impl CashmereLeafRuntime {
             // Devices that actually have an applicable kernel version.
             let kernel_ok: Vec<bool> = nd
                 .devices
-                .iter()
-                .map(|d| self.registry.select(&call.kernel, d.sim.level).is_some())
+                .iter_mut()
+                .map(|d| {
+                    d.plans
+                        .resolve(&self.registry, d.sim.level, &call.kernel)
+                        .is_some()
+                })
                 .collect();
             let allowed: Vec<bool> = kernel_ok
                 .iter()
@@ -621,64 +667,69 @@ impl CashmereLeafRuntime {
             }
         }
 
-        // Interpret the kernel: fully (functional) or sampled+memoized.
-        let device_level = nd.devices[didx].sim.level;
-        let (level, cfg) = {
-            let ck = self
-                .registry
-                .select(&call.kernel, device_level)
-                .expect("allowed device has a version");
-            (
-                ck.level,
-                LaunchConfig::for_device(ck, self.registry.hierarchy(), device_level),
-            )
-        };
-        let key = StatsKey {
-            kernel: call.kernel.clone(),
-            level,
-            group_size: cfg.group_size,
-            warp_width: cfg.warp_width,
-            shape: arg_shape(&call.args),
-        };
-
-        // The memo stores *unscaled* statistics; calibration scaling is
-        // applied per call (jobs with the same shape may calibrate
-        // differently).
-        let (args_back, stats) = if !self.config.functional {
-            let mode = ExecMode::Sampled {
-                sampling: self.registry.default_sampling,
-                extra_scale: 1.0,
-            };
-            let cached = self.registry.cached_stats(&key);
-            let mut stats = match cached {
-                Some(cached) => {
+        // Interpret the kernel: fully (functional), or sampled through the
+        // slot's plan and the shared stats memo.
+        let slot = &mut nd.devices[didx];
+        let plan = slot
+            .plans
+            .resolve(&self.registry, slot.sim.level, &call.kernel)
+            .expect("allowed device has a version");
+        let (args_back, total_s) = if !self.config.functional {
+            let seconds_key = (arg_shape(&call.args), call.extra_scale.to_bits());
+            let total_s = match plan.seconds.get(&seconds_key) {
+                Some(&total_s) => {
                     report.kernel_memo_hits += 1;
-                    cached
+                    total_s
                 }
                 None => {
-                    report.kernel_memo_misses += 1;
-                    let ck = self
-                        .registry
-                        .select(&call.kernel, device_level)
-                        .expect("allowed device has a version");
-                    let run = nd.devices[didx]
-                        .sim
-                        .run_kernel(self.registry.hierarchy(), ck, call.args.clone(), mode)
-                        .unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-                    self.registry.cache_stats(key.clone(), run.stats.clone());
-                    run.stats
+                    let key = StatsKey {
+                        kernel: call.kernel.clone(),
+                        level: plan.level,
+                        group_size: plan.cfg.group_size,
+                        warp_width: plan.cfg.warp_width,
+                        shape: seconds_key.0.clone(),
+                    };
+                    // The memo stores *unscaled* statistics; calibration
+                    // scaling is applied per call (jobs with the same shape
+                    // may calibrate differently).
+                    let mut stats = match self.registry.cached_stats(&key) {
+                        Some(cached) => {
+                            report.kernel_memo_hits += 1;
+                            cached.clone()
+                        }
+                        None => {
+                            report.kernel_memo_misses += 1;
+                            let mode = ExecMode::Sampled {
+                                sampling: self.registry.default_sampling,
+                                extra_scale: 1.0,
+                            };
+                            let ck = self
+                                .registry
+                                .select(&call.kernel, slot.sim.level)
+                                .expect("allowed device has a version");
+                            let run = slot
+                                .sim
+                                .run_kernel(self.registry.hierarchy(), ck, call.args.clone(), mode)
+                                .unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
+                            self.registry.cache_stats(key, run.stats.clone());
+                            run.stats
+                        }
+                    };
+                    if call.extra_scale != 1.0 {
+                        stats.scale(call.extra_scale);
+                    }
+                    let total_s = estimate_time(&stats, &slot.sim.params, plan.cfg.class).total_s;
+                    plan.seconds.insert(seconds_key, total_s);
+                    total_s
                 }
             };
-            if call.extra_scale != 1.0 {
-                stats.scale(call.extra_scale);
-            }
-            (call.args.clone(), stats)
+            (call.args.clone(), total_s)
         } else {
             let ck = self
                 .registry
-                .select(&call.kernel, device_level)
+                .select(&call.kernel, slot.sim.level)
                 .expect("allowed device has a version");
-            let run = nd.devices[didx]
+            let run = slot
                 .sim
                 .run_kernel(
                     self.registry.hierarchy(),
@@ -687,16 +738,14 @@ impl CashmereLeafRuntime {
                     ExecMode::Full,
                 )
                 .unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-            (run.args, run.stats)
+            let total_s = estimate_time(&run.stats, &slot.sim.params, plan.cfg.class).total_s;
+            (run.args, total_s)
         };
 
-        let nd = &mut self.nodes[node];
-        let slot = &mut nd.devices[didx];
-        let cost = estimate_time(&stats, &slot.sim.params, cfg.class);
         // Costs are physical; the advisor's virtual speed scale applies at
-        // readout, same as `SimDevice::run_kernel` (this cached-stats path
-        // bypasses it).
-        let kernel_time = SimTime::from_secs_f64(cost.total_s / slot.sim.speed_scale);
+        // readout, same as `SimDevice::run_kernel` (the cached paths bypass
+        // it).
+        let kernel_time = SimTime::from_secs_f64(total_s / slot.sim.speed_scale);
 
         // Reserve memory until the job leaves the device.
         // Timelines: h2d from submission; exec after the copy; d2h after.
@@ -902,5 +951,183 @@ impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
             out.push((format!("placed.{class}"), jobs as f64));
         }
         out.push(("placed.cpu".into(), self.cpu_fallbacks as f64));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cashmere_hwdesc::standard_hierarchy;
+    use cashmere_mcl::value::ArrayArg;
+    use cashmere_mcl::ElemTy;
+    use cashmere_satin::DcStep;
+    use std::collections::BTreeSet;
+
+    /// `(n, extra_scale)`: one `double_all` launch over `n` floats.
+    type Job = (u64, f64);
+
+    struct ShapeApp;
+
+    impl ClusterApp for ShapeApp {
+        type Input = Job;
+        type Output = ();
+
+        fn step(&self, _: &Job) -> DcStep<Job> {
+            DcStep::Leaf
+        }
+
+        fn combine(&self, _: &Job, _: Vec<()>) {}
+
+        fn input_bytes(&self, &(n, _): &Job) -> u64 {
+            n * 4
+        }
+
+        fn output_bytes(&self, _: &()) -> u64 {
+            0
+        }
+    }
+
+    impl CashmereApp for ShapeApp {
+        fn device_jobs(&self, job: &Job) -> Vec<Job> {
+            vec![*job]
+        }
+
+        fn kernel_call(&self, &(n, extra_scale): &Job) -> KernelCall {
+            let args = vec![
+                ArgValue::Int(n as i64),
+                ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[n])),
+            ];
+            KernelCall {
+                extra_scale,
+                ..KernelCall::from_args("double_all", args, &[1])
+            }
+        }
+
+        fn job_output(&self, _: &Job, _: Vec<ArgValue>) {}
+
+        fn leaf_cpu(&self, _: &Job) -> (SimTime, ()) {
+            panic!("every device has a version of `double_all`")
+        }
+    }
+
+    /// One node carrying `devices`. A K20 runs the `gpu` version of the
+    /// kernel, a Xeon Phi the `perfect` one.
+    fn runtime(devices: &[&str]) -> CashmereLeafRuntime {
+        let mut registry = KernelRegistry::new(standard_hierarchy());
+        registry
+            .register(
+                "perfect void double_all(int n, float[n] y) {
+  foreach (int i in n threads) { y[i] = y[i] * 2.0; }
+}",
+            )
+            .unwrap();
+        registry
+            .register(
+                "gpu void double_all(int n, float[n] y) {
+  foreach (int b in (n + 255) / 256 blocks) {
+    foreach (int t in 256 threads) {
+      int i = b * 256 + t;
+      if (i < n) { y[i] = y[i] * 2.0; }
+    }
+  }
+}",
+            )
+            .unwrap();
+        let spec = vec![devices.iter().map(|d| d.to_string()).collect()];
+        CashmereLeafRuntime::new(registry, &spec, RuntimeConfig::default()).unwrap()
+    }
+
+    /// Submit `job` to node 0 at `at`: the device it ran on and its kernel
+    /// time.
+    fn run(
+        rt: &mut CashmereLeafRuntime,
+        job: Job,
+        at: SimTime,
+        report: &mut RunReport,
+    ) -> (usize, SimTime) {
+        let mut cpu_cursor = at;
+        rt.run_device_job(
+            &ShapeApp,
+            0,
+            &job,
+            at,
+            &mut cpu_cursor,
+            &mut Trace::new(),
+            &mut MetricsRegistry::new(),
+            SpanId::NONE,
+            &mut FaultInjector::disabled(0),
+            report,
+        );
+        let &(_, didx, kernel_time, _) = rt.nodes[0].pending.last().expect("job ran on a device");
+        (didx, kernel_time)
+    }
+
+    /// The uncached derivation: select the version, derive the geometry,
+    /// scale the memoized stats by the call, run the cost model.
+    fn uncached(rt: &CashmereLeafRuntime, didx: usize, job: Job) -> (StatsKey, SimTime) {
+        let sim = &rt.nodes[0].devices[didx].sim;
+        let call = ShapeApp.kernel_call(&job);
+        let ck = rt.registry.select(&call.kernel, sim.level).unwrap();
+        let cfg = LaunchConfig::for_device(ck, rt.registry.hierarchy(), sim.level);
+        let key = StatsKey {
+            kernel: call.kernel.clone(),
+            level: ck.level,
+            group_size: cfg.group_size,
+            warp_width: cfg.warp_width,
+            shape: arg_shape(&call.args),
+        };
+        let mut stats = rt.registry.cached_stats(&key).expect("memoized").clone();
+        stats.scale(call.extra_scale);
+        let cost = estimate_time(&stats, &sim.params, cfg.class);
+        (key, SimTime::from_secs_f64(cost.total_s / sim.speed_scale))
+    }
+
+    /// Kernel time of `job` on a fresh one-device runtime, sped up by
+    /// `speed`: every cache cold.
+    fn cold(device: &str, speed: f64, job: Job) -> SimTime {
+        let mut rt = runtime(&[device]);
+        rt.scale_device_speed("*", speed);
+        run(&mut rt, job, SimTime::ZERO, &mut RunReport::new(1)).1
+    }
+
+    #[test]
+    fn slot_cache_reproduces_the_uncached_kernel_time() {
+        let mut rt = runtime(&["k20", "xeon_phi"]);
+        let mut report = RunReport::new(1);
+        // Two shapes; one shape under two calibrations.
+        let jobs: [Job; 3] = [(4096, 2.5), (16384, 2.5), (4096, 0.75)];
+        let mut keys = BTreeSet::new();
+        let mut devices = BTreeSet::new();
+        // Submitted together, the jobs queue up and spill onto the Phi.
+        for i in 0..24 {
+            let job = jobs[i % jobs.len()];
+            let (didx, t) = run(&mut rt, job, SimTime::ZERO, &mut report);
+            let (key, expected) = uncached(&rt, didx, job);
+            assert_eq!(t, expected, "job {i} on device {didx}");
+            keys.insert(key);
+            devices.insert(didx);
+        }
+        assert_eq!(devices.len(), 2, "both kernel versions ran");
+        assert_eq!(
+            report.kernel_memo_hits + report.kernel_memo_misses,
+            rt.kernels_run
+        );
+        assert_eq!(report.kernel_memo_misses, keys.len() as u64);
+        assert!(rt.kernels_run > keys.len() as u64, "jobs repeated");
+
+        // A virtual speed-up between jobs applies at readout.
+        rt.scale_device_speed("*", 2.0);
+        let (didx, t) = run(&mut rt, jobs[0], SimTime::ZERO, &mut report);
+        let device = rt.nodes[0].devices[didx].sim.level_name.clone();
+        assert_eq!(t, cold(&device, 2.0, jobs[0]));
+
+        // A crash and rejoin reset the node's timelines and balancer; the
+        // next job still costs what a cold runtime computes.
+        let at = SimTime::from_micros(1000);
+        <CashmereLeafRuntime as LeafRuntime<ShapeApp>>::on_node_crash(&mut rt, 0, at);
+        <CashmereLeafRuntime as LeafRuntime<ShapeApp>>::on_node_join(&mut rt, 0, at);
+        let (didx, t) = run(&mut rt, jobs[1], at, &mut report);
+        let device = rt.nodes[0].devices[didx].sim.level_name.clone();
+        assert_eq!(t, cold(&device, 2.0, jobs[1]));
     }
 }

@@ -144,17 +144,15 @@ impl LaunchKey {
     }
 }
 
-/// Memo table for sampled-launch statistics with hit/miss accounting.
+/// Memo table for sampled-launch statistics.
 ///
 /// Repeated identical measurement launches are the common case in sweeps
 /// and the fig6 corpus; the memo turns every repeat into a `BTreeMap`
 /// lookup. The stored statistics are *unscaled* — calibration scaling is
-/// applied per call by the runtime.
+/// applied per call by the runtime, which also counts hits and misses.
 #[derive(Debug, Default)]
 pub struct LaunchMemo {
     map: BTreeMap<LaunchKey, KernelStats>,
-    hits: u64,
-    misses: u64,
 }
 
 impl LaunchMemo {
@@ -162,22 +160,8 @@ impl LaunchMemo {
         LaunchMemo::default()
     }
 
-    /// Look up a memoized result, counting the hit or miss.
-    pub fn lookup(&mut self, key: &LaunchKey) -> Option<KernelStats> {
-        match self.map.get(key) {
-            Some(s) => {
-                self.hits += 1;
-                Some(s.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Look up without touching the counters.
-    pub fn peek(&self, key: &LaunchKey) -> Option<&KernelStats> {
+    /// Look up a memoized result.
+    pub fn lookup(&self, key: &LaunchKey) -> Option<&KernelStats> {
         self.map.get(key)
     }
 
@@ -191,14 +175,6 @@ impl LaunchMemo {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Deterministic (key-ordered) iteration over memoized entries.
@@ -248,7 +224,7 @@ mod tests {
 
     #[test]
     fn group_size_clamped_to_unit_max() {
-        // mic `threads` has max 4; a perfect kernel on mic defaults to 16
+        // mic `threads` has max 4; a perfect kernel on mic defaults to 64
         // but a mic-level kernel with threads unit clamps to 4.
         let h = standard_hierarchy();
         let src = "mic void t(int n, float[n] a) {
@@ -262,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn launch_memo_counts_hits_and_iterates_in_key_order() {
+    fn launch_memo_looks_up_by_key_and_iterates_in_key_order() {
         use crate::ast::ElemTy;
         use crate::value::ArrayArg;
         let mut memo = LaunchMemo::new();
@@ -274,14 +250,18 @@ mod tests {
             shape: vec![n],
         };
         assert!(memo.lookup(&key("b", 8)).is_none());
-        memo.insert(key("b", 8), KernelStats::default());
-        memo.insert(key("a", 8), KernelStats::default());
-        assert!(memo.lookup(&key("b", 8)).is_some());
+        let stats = |flops| KernelStats {
+            flops,
+            ..KernelStats::default()
+        };
+        memo.insert(key("b", 8), stats(1.0));
+        memo.insert(key("a", 8), stats(2.0));
+        assert_eq!(memo.lookup(&key("b", 8)).map(|s| s.flops), Some(1.0));
+        assert_eq!(memo.lookup(&key("a", 8)).map(|s| s.flops), Some(2.0));
         assert!(
             memo.lookup(&key("b", 9)).is_none(),
             "shape is part of the key"
         );
-        assert_eq!((memo.hits(), memo.misses()), (1, 2));
         assert_eq!(memo.len(), 2);
         let order: Vec<&str> = memo.iter().map(|(k, _)| k.kernel.as_str()).collect();
         assert_eq!(order, vec!["a", "b"], "deterministic key-ordered iteration");

@@ -526,7 +526,7 @@ where
 mod tests {
     use super::*;
     use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
-    use cashmere_satin::{ClusterSim, SimConfig};
+    use cashmere_satin::{ClusterSim, Counter, SimConfig};
 
     fn small_problem() -> KmeansProblem {
         KmeansProblem {
@@ -619,7 +619,7 @@ mod tests {
         assert_eq!(out.counts.iter().sum::<u64>(), pr.n);
         let after = centroids.read().unwrap().clone();
         assert_ne!(before, after, "centroids moved");
-        assert!(cluster.report().bytes_broadcast > 0);
+        assert!(cluster.report()[Counter::BytesBroadcast] > 0);
     }
 
     #[test]
@@ -643,7 +643,7 @@ mod tests {
             )
             .unwrap();
             let (_, elapsed) = run_iterations(&mut cluster, &pr, &centroids, false);
-            (elapsed, cluster.leaf_runtime().kernels_run)
+            (elapsed, cluster.report()[Counter::KernelsRun])
         };
         let (t1, k1) = run();
         let (t2, k2) = run();

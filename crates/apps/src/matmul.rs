@@ -512,7 +512,7 @@ impl CashmereApp for MatmulApp {
 mod tests {
     use super::*;
     use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
-    use cashmere_satin::{ClusterSim, SimConfig};
+    use cashmere_satin::{ClusterSim, Counter, SimConfig};
 
     fn check_against(reference: &[f64], got: &[f64]) {
         assert_eq!(got.len(), reference.len());
@@ -653,7 +653,7 @@ mod tests {
             )
             .unwrap();
             let _ = cluster.run_root(root);
-            assert_eq!(cluster.leaf_runtime().cpu_fallbacks, 0, "fits in memory");
+            assert_eq!(cluster.report()[Counter::CpuFallbacks], 0, "fits in memory");
             cluster.report().makespan
         };
         let unopt = time_with(KernelSet::Unoptimized);
@@ -684,9 +684,9 @@ mod tests {
         )
         .unwrap();
         let _ = cluster.run_root(root);
-        let rt = cluster.leaf_runtime();
-        assert_eq!(rt.cpu_fallbacks, 0, "no job should fall back");
-        assert_eq!(rt.kernels_run, 512);
+        let r = cluster.report();
+        assert_eq!(r[Counter::CpuFallbacks], 0, "no job should fall back");
+        assert_eq!(r[Counter::KernelsRun], 512);
     }
 
     #[test]

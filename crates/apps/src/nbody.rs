@@ -525,7 +525,7 @@ where
 mod tests {
     use super::*;
     use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
-    use cashmere_satin::{ClusterSim, SimConfig};
+    use cashmere_satin::{ClusterSim, Counter, SimConfig};
 
     fn assemble(segs: &[NbSeg]) -> (Vec<f64>, Vec<f64>) {
         let mut pos = Vec::new();
@@ -675,7 +675,10 @@ mod tests {
         assert!(elapsed > SimTime::ZERO);
         let got = state.read().unwrap().clone();
         close(&got.pos, &ref_state.pos);
-        assert!(cluster.report().bytes_broadcast > 0, "positions broadcast");
+        assert!(
+            cluster.report()[Counter::BytesBroadcast] > 0,
+            "positions broadcast"
+        );
     }
 
     #[test]

@@ -160,44 +160,17 @@ pub struct ObsCapture {
 
 /// Build a [`RunFingerprint`] for the regression explainer from one
 /// captured run: makespan, critical-path kind breakdown, per-node busy
-/// time, the report's scalar counters, and the probe series if one was
-/// recorded. `makespan_s` comes from the outcome (it covers every
-/// iteration, unlike the report's last-root makespan).
+/// time, every counter of the report's table under its static name, and
+/// the probe series if one was recorded. `makespan_s` comes from the
+/// outcome (it covers every iteration, unlike the report's last-root
+/// makespan).
 pub fn fingerprint(label: &str, makespan_s: f64, cap: &ObsCapture) -> RunFingerprint {
     let cp = CriticalPath::compute(&cap.trace);
     let r = &cap.report;
-    let mut counters = std::collections::BTreeMap::new();
-    for (key, v) in [
-        ("jobs_created", r.jobs_created),
-        ("divides", r.divides),
-        ("leaves", r.leaves),
-        ("steal_attempts", r.steal_attempts),
-        ("steals_ok", r.steals_ok),
-        ("bytes_stolen", r.bytes_stolen),
-        ("bytes_results", r.bytes_results),
-        ("bytes_broadcast", r.bytes_broadcast),
-        ("crashes", r.crashes),
-        ("jobs_restarted", r.jobs_restarted),
-        ("joins", r.joins),
-        ("kernel_memo_hits", r.kernel_memo_hits),
-        ("kernel_memo_misses", r.kernel_memo_misses),
-        ("orphans_harvested", r.orphans_harvested),
-        ("orphans_reused", r.orphans_reused),
-        ("orphans_expired", r.orphans_expired),
-        ("devices_lost", r.devices_lost),
-        ("launch_retries", r.launch_retries),
-        ("fault_cpu_fallbacks", r.fault_cpu_fallbacks),
-        ("messages_lost", r.messages_lost),
-        ("steal_timeouts", r.steal_timeouts),
-        ("result_retransmits", r.result_retransmits),
-    ] {
-        counters.insert(key.to_string(), v as f64);
-    }
-    counters.insert("recovery_time_s".to_string(), r.recovery_time.as_secs_f64());
-    counters.insert(
-        "time_to_recover_s".to_string(),
-        r.time_to_recover.as_secs_f64(),
-    );
+    let counters = r
+        .counters()
+        .map(|(c, v)| (c.name().to_string(), v as f64))
+        .collect();
     RunFingerprint {
         label: label.to_string(),
         makespan: SimTime::from_secs_f64(makespan_s),
@@ -390,6 +363,41 @@ pub fn write_self_profile(stem: &str, program: &str, scenarios: &[Scenario]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_carries_every_counter_under_its_name() {
+        use cashmere_satin::Counter;
+        let mut report = RunReport::new(2);
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            report[c] = i as u64 + 1;
+        }
+        let names: std::collections::BTreeSet<&str> =
+            Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(names.len(), Counter::COUNT, "counter names must be unique");
+
+        let cap = ObsCapture {
+            trace: Trace::new(),
+            metrics: MetricsRegistry::new(),
+            audit: Vec::new(),
+            report: report.clone(),
+            probes: None,
+            horizon: SimTime::ZERO,
+        };
+        let fp = fingerprint("all", 1.0, &cap);
+        assert_eq!(fp.counters.len(), Counter::COUNT, "{:?}", fp.counters);
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(
+                fp.counters.get(c.name()),
+                Some(&(i as f64 + 1.0)),
+                "{}",
+                c.name()
+            );
+        }
+
+        let json = serde_json::to_string(&report).unwrap();
+        let back: RunReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, report, "{json}");
+    }
 
     #[test]
     fn labeled_paths() {

@@ -18,6 +18,7 @@ use cashmere_apps::{AppMode, KernelSet};
 use cashmere_devsim::{ExecMode, SimDevice};
 use cashmere_hwdesc::DeviceKind;
 use cashmere_mcl::interp::Sampling;
+use cashmere_satin::{Counter, RunReport};
 use serde::{Deserialize, Serialize};
 
 /// The four applications (Table II order).
@@ -146,16 +147,16 @@ pub struct RecoverySummary {
 }
 
 impl RecoverySummary {
-    pub fn from_report(r: &cashmere_satin::RunReport) -> RecoverySummary {
+    pub fn from_report(r: &RunReport) -> RecoverySummary {
         RecoverySummary {
-            crashes: r.crashes,
-            joins: r.joins,
-            jobs_restarted: r.jobs_restarted,
-            orphans_harvested: r.orphans_harvested,
-            orphans_reused: r.orphans_reused,
-            orphans_expired: r.orphans_expired,
-            work_lost_s: r.recovery_time.as_secs_f64(),
-            time_to_recover_s: r.time_to_recover.as_secs_f64(),
+            crashes: r[Counter::Crashes],
+            joins: r[Counter::Joins],
+            jobs_restarted: r[Counter::JobsRestarted],
+            orphans_harvested: r[Counter::OrphansHarvested],
+            orphans_reused: r[Counter::OrphansReused],
+            orphans_expired: r[Counter::OrphansExpired],
+            work_lost_s: r.time(Counter::RecoveryTime).as_secs_f64(),
+            time_to_recover_s: r.time(Counter::TimeToRecover).as_secs_f64(),
         }
     }
 }

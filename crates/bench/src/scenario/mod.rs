@@ -44,7 +44,9 @@ use cashmere_des::SimTime;
 use cashmere_hwdesc::DeviceKind;
 use cashmere_mcl::InterpEngine;
 use cashmere_netsim::NetConfig;
-use cashmere_satin::{ClusterApp, ClusterSim, LeafRuntime, RunReport, SimConfig, StealKind};
+use cashmere_satin::{
+    ClusterApp, ClusterSim, Counter, LeafRuntime, RunReport, SimConfig, StealKind,
+};
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -1078,7 +1080,7 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
         }
     }
 
-    let (makespan_s, total_flops, kernels, fallbacks, steals, bytes, failures, cap) = match sc.app {
+    let (makespan_s, total_flops, report, cap) = match sc.app {
         AppId::Raytracer => {
             let pr = match sc.problem {
                 Problem::Raytracer {
@@ -1107,15 +1109,10 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
                         },
                     );
                     let _ = cs.run_root((0, pr.pixels()));
-                    let r = cs.report();
                     (
-                        r.makespan.as_secs_f64(),
+                        cs.report().makespan.as_secs_f64(),
                         pr.flops(),
-                        0,
-                        0,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
+                        cs.report().clone(),
                         capture_of(observe, &cs, Vec::new()),
                     )
                 }
@@ -1125,16 +1122,11 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
                     let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
                     perturb_runtime(perturb, &mut cs);
                     let _ = cs.run_root((0, pr.pixels()));
-                    let (r, l) = (cs.report(), cs.leaf_runtime());
                     (
-                        r.makespan.as_secs_f64(),
+                        cs.report().makespan.as_secs_f64(),
                         pr.flops(),
-                        l.kernels_run,
-                        l.cpu_fallbacks,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, l.audit.clone()),
+                        cs.report().clone(),
+                        capture_of(observe, &cs, cs.leaf_runtime().audit.clone()),
                     )
                 }
             }
@@ -1163,15 +1155,10 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
                     cs.broadcast(pr.p * pr.m * 4);
                     let bcast = (cs.now() - start).as_secs_f64();
                     let _ = cs.run_root(root);
-                    let r = cs.report();
                     (
-                        bcast + r.makespan.as_secs_f64(),
+                        bcast + cs.report().makespan.as_secs_f64(),
                         pr.flops(),
-                        0,
-                        0,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
+                        cs.report().clone(),
                         capture_of(observe, &cs, Vec::new()),
                     )
                 }
@@ -1185,16 +1172,11 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
                     cs.broadcast(pr.p * pr.m * 4);
                     let bcast = (cs.now() - start).as_secs_f64();
                     let _ = cs.run_root(root);
-                    let (r, l) = (cs.report(), cs.leaf_runtime());
                     (
-                        bcast + r.makespan.as_secs_f64(),
+                        bcast + cs.report().makespan.as_secs_f64(),
                         pr.flops(),
-                        l.kernels_run,
-                        l.cpu_fallbacks,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, l.audit.clone()),
+                        cs.report().clone(),
+                        capture_of(observe, &cs, cs.leaf_runtime().audit.clone()),
                     )
                 }
             }
@@ -1229,15 +1211,10 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
                         },
                     );
                     let (_, elapsed) = kmeans::run_iterations(&mut cs, &pr, &cents, false);
-                    let r = cs.report();
                     (
                         elapsed.as_secs_f64(),
                         pr.total_flops(),
-                        0,
-                        0,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
+                        cs.report().clone(),
                         capture_of(observe, &cs, Vec::new()),
                     )
                 }
@@ -1248,16 +1225,11 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
                     let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
                     perturb_runtime(perturb, &mut cs);
                     let (_, elapsed) = kmeans::run_iterations(&mut cs, &pr, &cents, false);
-                    let (r, l) = (cs.report(), cs.leaf_runtime());
                     (
                         elapsed.as_secs_f64(),
                         pr.total_flops(),
-                        l.kernels_run,
-                        l.cpu_fallbacks,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, l.audit.clone()),
+                        cs.report().clone(),
+                        capture_of(observe, &cs, cs.leaf_runtime().audit.clone()),
                     )
                 }
             }
@@ -1285,15 +1257,10 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
                         },
                     );
                     let elapsed = nbody::run_iterations(&mut cs, &pr, |_| {});
-                    let r = cs.report();
                     (
                         elapsed.as_secs_f64(),
                         pr.total_flops(),
-                        0,
-                        0,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
+                        cs.report().clone(),
                         capture_of(observe, &cs, Vec::new()),
                     )
                 }
@@ -1303,34 +1270,30 @@ pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
                     let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
                     perturb_runtime(perturb, &mut cs);
                     let elapsed = nbody::run_iterations(&mut cs, &pr, |_| {});
-                    let (r, l) = (cs.report(), cs.leaf_runtime());
                     (
                         elapsed.as_secs_f64(),
                         pr.total_flops(),
-                        l.kernels_run,
-                        l.cpu_fallbacks,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, l.audit.clone()),
+                        cs.report().clone(),
+                        capture_of(observe, &cs, cs.leaf_runtime().audit.clone()),
                     )
                 }
             }
         }
     };
 
+    let (failure_summary, recovery) = failures_of(&report);
     let outcome = RunOutcome {
         app: sc.app.name().to_string(),
         series: sc.series.name().to_string(),
         nodes: spec.nodes(),
         makespan_s,
         gflops: total_flops / makespan_s / 1e9,
-        kernels_run: kernels,
-        cpu_fallbacks: fallbacks,
-        steals_ok: steals,
-        network_bytes: bytes,
-        failure_summary: failures.0,
-        recovery: failures.1,
+        kernels_run: report[Counter::KernelsRun],
+        cpu_fallbacks: report[Counter::CpuFallbacks],
+        steals_ok: report[Counter::StealsOk],
+        network_bytes: report.bytes_total(),
+        failure_summary,
+        recovery,
     };
     ScenarioRun { outcome, cap }
 }

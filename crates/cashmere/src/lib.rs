@@ -121,7 +121,7 @@ mod tests {
     use cashmere_des::SimTime;
     use cashmere_hwdesc::standard_hierarchy;
     use cashmere_mcl::value::{ArgValue, ArrayArg};
-    use cashmere_satin::{ClusterApp, DcStep, SimConfig};
+    use cashmere_satin::{ClusterApp, Counter, DcStep, SimConfig};
 
     /// Test app: double every element of `0..n`; node-level leaves expand
     /// into 8 device jobs each.
@@ -238,11 +238,11 @@ mod tests {
         let n = 64 * 1024;
         let out = cluster.run_root((0, n));
         assert_eq!(out, expected(n));
-        let rt = cluster.leaf_runtime();
+        let r = cluster.report();
         // 64k / 4k grain = 16 node leaves × 8 device jobs.
-        assert_eq!(rt.kernels_run, 128);
-        assert_eq!(rt.cpu_fallbacks, 0);
-        assert!(cluster.report().steals_ok > 0, "work distributed");
+        assert_eq!(r[Counter::KernelsRun], 128);
+        assert_eq!(r[Counter::CpuFallbacks], 0);
+        assert!(r[Counter::StealsOk] > 0, "work distributed");
     }
 
     #[test]
@@ -355,9 +355,9 @@ mod tests {
         let n = 16 * 1024;
         let out = cluster.run_root((0, n));
         assert_eq!(out, expected(n), "leafCPU produced the right answer");
-        let rt = cluster.leaf_runtime();
-        assert_eq!(rt.kernels_run, 0);
-        assert!(rt.cpu_fallbacks > 0);
+        let r = cluster.report();
+        assert_eq!(r[Counter::KernelsRun], 0);
+        assert!(r[Counter::CpuFallbacks] > 0);
     }
 
     #[test]
@@ -380,12 +380,14 @@ mod tests {
         .unwrap();
         let n = 1 << 24; // 16 node leaves, uniform shapes
         let _ = cluster.run_root((0, n));
-        let rt = cluster.leaf_runtime();
-        assert!(rt.kernels_run >= 128);
-        // All device jobs share one shape ⇒ one interpreted launch.
         let r = cluster.report();
-        assert_eq!(r.kernel_memo_misses, 1);
-        assert_eq!(r.kernel_memo_hits + r.kernel_memo_misses, rt.kernels_run);
+        assert!(r[Counter::KernelsRun] >= 128);
+        // All device jobs share one shape ⇒ one interpreted launch.
+        assert_eq!(r[Counter::KernelMemoMisses], 1);
+        assert_eq!(
+            r[Counter::KernelMemoHits] + r[Counter::KernelMemoMisses],
+            r[Counter::KernelsRun]
+        );
     }
 
     #[test]
@@ -451,16 +453,16 @@ mod tests {
         let out = cluster.run_root((0, n));
         assert_eq!(out, expected(n), "exact answer despite the dead GPU");
         let r = cluster.report().clone();
-        assert_eq!(r.devices_lost, 1);
+        assert_eq!(r[Counter::DevicesLost], 1);
         assert!(r.saw_failures());
         assert!(
-            r.fault_cpu_fallbacks > 0,
+            r[Counter::FaultCpuFallbacks] > 0,
             "jobs on node 1 after the death must run leafCPU: {}",
             r.failure_summary()
         );
         let rt = cluster.leaf_runtime();
         assert!(rt.nodes[1].devices[0].dead);
-        assert!(rt.cpu_fallbacks >= r.fault_cpu_fallbacks);
+        assert!(r[Counter::CpuFallbacks] >= r[Counter::FaultCpuFallbacks]);
     }
 
     #[test]
@@ -481,7 +483,7 @@ mod tests {
             let _ = cluster.run_root((0, 1 << 22));
             (
                 cluster.report().makespan,
-                cluster.leaf_runtime().kernels_run,
+                cluster.report()[Counter::KernelsRun],
             )
         };
         assert_eq!(run(), run());

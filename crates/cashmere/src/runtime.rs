@@ -34,7 +34,7 @@ use cashmere_hwdesc::LevelId;
 use cashmere_mcl::cost::estimate_time;
 use cashmere_mcl::launch::LaunchConfig;
 use cashmere_mcl::value::ArgValue;
-use cashmere_satin::{ClusterApp, LeafCtx, LeafPlan, LeafRuntime, RunReport};
+use cashmere_satin::{ClusterApp, Counter, LeafCtx, LeafPlan, LeafRuntime, RunReport};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -286,10 +286,6 @@ pub struct CashmereLeafRuntime {
     pub registry: KernelRegistry,
     pub nodes: Vec<NodeDevices>,
     pub config: RuntimeConfig,
-    /// Device jobs executed on devices.
-    pub kernels_run: u64,
-    /// Device jobs that fell back to the CPU.
-    pub cpu_fallbacks: u64,
     /// Balancer decision audit log (populated only when tracing is on).
     pub audit: Vec<AuditEntry>,
 }
@@ -334,8 +330,6 @@ impl CashmereLeafRuntime {
             registry,
             nodes,
             config,
-            kernels_run: 0,
-            cpu_fallbacks: 0,
             audit: Vec::new(),
         })
     }
@@ -416,7 +410,7 @@ impl CashmereLeafRuntime {
         }
         nd.pending.retain(|p| p.1 != didx);
         nd.balancer.retire_device(didx);
-        report.devices_lost += 1;
+        report[Counter::DevicesLost] += 1;
     }
 
     /// Append one decision to the audit log (tracing runs only).
@@ -515,9 +509,9 @@ impl CashmereLeafRuntime {
                     .zip(&nd.devices)
                     .any(|(ok, d)| *ok && d.dead)
                 {
-                    report.fault_cpu_fallbacks += 1;
+                    report[Counter::FaultCpuFallbacks] += 1;
                 }
-                self.cpu_fallbacks += 1;
+                report[Counter::CpuFallbacks] += 1;
                 if let Some(candidates) = candidates {
                     self.push_audit(node, &call, submit_at, candidates, None, "no-usable-device");
                 }
@@ -531,11 +525,11 @@ impl CashmereLeafRuntime {
             // MCL.launch()): pay a driver round-trip and retry; degrade to
             // the CPU leaf once the budget is spent.
             if faults.launch_fault(node, didx, submit_at) {
-                report.launch_retries += 1;
+                report[Counter::LaunchRetries] += 1;
                 launch_attempts += 1;
                 if launch_attempts >= LAUNCH_RETRY_BUDGET {
-                    report.fault_cpu_fallbacks += 1;
-                    self.cpu_fallbacks += 1;
+                    report[Counter::FaultCpuFallbacks] += 1;
+                    report[Counter::CpuFallbacks] += 1;
                     if let Some(candidates) = candidates {
                         self.push_audit(
                             node,
@@ -648,7 +642,7 @@ impl CashmereLeafRuntime {
                     Some(t) => effective_submit = effective_submit.max(t),
                     None => {
                         // Even an idle device cannot hold this job.
-                        self.cpu_fallbacks += 1;
+                        report[Counter::CpuFallbacks] += 1;
                         let (cpu, out) = app.leaf_cpu(job);
                         let done = (*cpu_cursor).max(submit_at) + cpu;
                         *cpu_cursor = done;
@@ -678,7 +672,7 @@ impl CashmereLeafRuntime {
             let seconds_key = (arg_shape(&call.args), call.extra_scale.to_bits());
             let total_s = match plan.seconds.get(&seconds_key) {
                 Some(&total_s) => {
-                    report.kernel_memo_hits += 1;
+                    report[Counter::KernelMemoHits] += 1;
                     total_s
                 }
                 None => {
@@ -694,11 +688,11 @@ impl CashmereLeafRuntime {
                     // may calibrate differently).
                     let mut stats = match self.registry.cached_stats(&key) {
                         Some(cached) => {
-                            report.kernel_memo_hits += 1;
+                            report[Counter::KernelMemoHits] += 1;
                             cached.clone()
                         }
                         None => {
-                            report.kernel_memo_misses += 1;
+                            report[Counter::KernelMemoMisses] += 1;
                             let mode = ExecMode::Sampled {
                                 sampling: self.registry.default_sampling,
                                 extra_scale: 1.0,
@@ -772,8 +766,8 @@ impl CashmereLeafRuntime {
         // the job to the survivors.
         if let Some(death) = faults.device_death(node, didx) {
             if death < dh_e {
-                report.device_aborts += 1;
-                report.recovery_time += death.saturating_sub(h2d_s);
+                report[Counter::DeviceAborts] += 1;
+                report[Counter::RecoveryTime] += death.saturating_sub(h2d_s).as_nanos();
                 Self::kill_device(nd, didx, death, report);
                 return Err(death);
             }
@@ -784,7 +778,7 @@ impl CashmereLeafRuntime {
             slot.allocations.push((dh_e, id));
         }
         slot.jobs_run += 1;
-        self.kernels_run += 1;
+        report[Counter::KernelsRun] += 1;
 
         if trace.enabled() {
             let lanes = match slot.lanes {
@@ -939,7 +933,7 @@ impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
     /// device jobs run per device class across the cluster, plus CPU
     /// fallbacks. Aggregated through a sorted map so column order is
     /// independent of node/slot enumeration order.
-    fn probe(&self, out: &mut Vec<(String, f64)>) {
+    fn probe(&self, report: &RunReport, out: &mut Vec<(String, f64)>) {
         let mut per_class: std::collections::BTreeMap<&str, u64> =
             std::collections::BTreeMap::new();
         for nd in &self.nodes {
@@ -950,7 +944,7 @@ impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
         for (class, jobs) in per_class {
             out.push((format!("placed.{class}"), jobs as f64));
         }
-        out.push(("placed.cpu".into(), self.cpu_fallbacks as f64));
+        out.push(("placed.cpu".into(), report[Counter::CpuFallbacks] as f64));
     }
 }
 
@@ -1109,11 +1103,14 @@ mod tests {
         }
         assert_eq!(devices.len(), 2, "both kernel versions ran");
         assert_eq!(
-            report.kernel_memo_hits + report.kernel_memo_misses,
-            rt.kernels_run
+            report[Counter::KernelMemoHits] + report[Counter::KernelMemoMisses],
+            report[Counter::KernelsRun]
         );
-        assert_eq!(report.kernel_memo_misses, keys.len() as u64);
-        assert!(rt.kernels_run > keys.len() as u64, "jobs repeated");
+        assert_eq!(report[Counter::KernelMemoMisses], keys.len() as u64);
+        assert!(
+            report[Counter::KernelsRun] > keys.len() as u64,
+            "jobs repeated"
+        );
 
         // A virtual speed-up between jobs applies at readout.
         rt.scale_device_speed("*", 2.0);

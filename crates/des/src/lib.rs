@@ -37,7 +37,6 @@
 pub mod engine;
 pub mod fault;
 pub mod obs;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -52,8 +51,7 @@ pub use obs::{
     ChromeTrace, CriticalPath, LatencyHistogram, MetricsRegistry, ProbeSeries, RunDiff,
     RunFingerprint,
 };
-pub use resource::Resource;
 pub use rng::StreamRng;
-pub use stats::{Counter, TimeWeighted};
+pub use stats::TimeWeighted;
 pub use time::SimTime;
 pub use trace::{Gantt, LaneId, Span, SpanId, SpanKind, Trace};

@@ -1,5 +1,5 @@
-//! Metrics registry: named counters, time-weighted gauges and log-scaled
-//! latency histograms.
+//! Metrics registry: time-weighted gauges and log-scaled latency
+//! histograms. Run counters live in the simulation's run report, not here.
 //!
 //! Everything here is deterministic: storage is `BTreeMap`-keyed, histogram
 //! buckets are powers of two of simulated nanoseconds, and no wall-clock or
@@ -146,7 +146,6 @@ impl LatencyHistogram {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     enabled: bool,
-    counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, TimeWeighted>,
     histograms: BTreeMap<String, LatencyHistogram>,
 }
@@ -165,26 +164,6 @@ impl MetricsRegistry {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Increment a counter by one.
-    #[inline]
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Increment a counter by `delta`.
-    #[inline]
-    pub fn add(&mut self, name: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        match self.counters.get_mut(name) {
-            Some(c) => *c += delta,
-            None => {
-                self.counters.insert(name.to_string(), delta);
-            }
-        }
     }
 
     /// Set a time-weighted gauge to `value` at simulated time `now`.
@@ -220,21 +199,12 @@ impl MetricsRegistry {
         }
     }
 
-    /// A counter's value (zero if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
     pub fn gauge(&self, name: &str) -> Option<&TimeWeighted> {
         self.gauges.get(name)
     }
 
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
         self.histograms.get(name)
-    }
-
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     pub fn gauges(&self) -> impl Iterator<Item = (&str, &TimeWeighted)> {
@@ -246,16 +216,13 @@ impl MetricsRegistry {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Deterministic text rendering of every metric; `now` closes out the
     /// time-weighted gauges.
     pub fn summary(&self, now: SimTime) -> String {
         let mut out = String::new();
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "counter   {name} = {v}");
-        }
         for (name, g) in self.gauges() {
             let _ = writeln!(
                 out,
@@ -280,9 +247,9 @@ impl MetricsRegistry {
 
     /// OpenMetrics / Prometheus text exposition of every metric.
     ///
-    /// Counters become `counter` families (`_total` samples), time-weighted
-    /// gauges become `gauge` families with a `stat` label (`last`, `max`,
-    /// `mean` — in that fixed order), and latency histograms become
+    /// Time-weighted gauges become `gauge` families with a `stat` label
+    /// (`last`, `max`, `mean` — in that fixed order), and latency
+    /// histograms become
     /// `summary` families with ascending `quantile` labels plus `_count` /
     /// `_sum` samples in seconds. Names are prefixed `cashmere_` with
     /// non-alphanumeric characters mapped to `_`; when that mangling makes
@@ -311,11 +278,6 @@ impl MetricsRegistry {
             }
         };
         let mut out = String::new();
-        for (name, v) in self.counters() {
-            let f = family(name);
-            meta(&mut out, &f, "counter", &format!("Counter `{name}`."));
-            let _ = writeln!(out, "{f}_total {v}");
-        }
         for (name, g) in self.gauges() {
             let f = family(name);
             meta(
@@ -474,16 +436,12 @@ mod tests {
     #[test]
     fn registry_gates_on_enabled() {
         let mut m = MetricsRegistry::new();
-        m.inc("a");
         m.observe("h", t(5));
         m.gauge_set("g", t(0), 1.0);
         assert!(m.is_empty());
         m.set_enabled(true);
-        m.inc("a");
-        m.add("a", 2);
         m.observe("h", t(5));
         m.gauge_set("g", t(0), 1.0);
-        assert_eq!(m.counter("a"), 3);
         assert_eq!(m.histogram("h").unwrap().count(), 1);
         assert!(m.gauge("g").is_some());
     }
@@ -508,16 +466,13 @@ mod tests {
     fn openmetrics_exposition_has_type_help_and_eof() {
         let mut m = MetricsRegistry::new();
         m.set_enabled(true);
-        m.add("steals.ok", 7);
         m.gauge_set("n0.dev0.queue", t(0), 2.0);
         m.gauge_set("n0.dev0.queue", t(100), 4.0);
         m.observe("pcie.h2d", t(1_000_000));
         let text = m.to_openmetrics(t(200));
         assert!(text.ends_with("# EOF\n"));
-        assert!(text.contains("# TYPE cashmere_steals_ok counter"));
-        assert!(text.contains("# HELP cashmere_steals_ok "));
-        assert!(text.contains("cashmere_steals_ok_total 7"));
         assert!(text.contains("# TYPE cashmere_n0_dev0_queue gauge"));
+        assert!(text.contains("# HELP cashmere_n0_dev0_queue "));
         assert!(text.contains("cashmere_n0_dev0_queue{stat=\"last\"} 4"));
         assert!(text.contains("# TYPE cashmere_pcie_h2d summary"));
         assert!(text.contains("cashmere_pcie_h2d{quantile=\"0.5\"} 0.001000000"));
@@ -587,7 +542,6 @@ mod tests {
     fn openmetrics_parses_line_by_line() {
         let mut m = MetricsRegistry::new();
         m.set_enabled(true);
-        m.add("steals.ok", 7);
         m.gauge_set("n0.dev0.queue", t(0), 2.0);
         m.observe("pcie.h2d", t(1_000_000));
         check_openmetrics_lines(&m.to_openmetrics(t(200)));
@@ -604,17 +558,17 @@ mod tests {
         // the exposition must carry that family's metadata exactly once.
         let mut m = MetricsRegistry::new();
         m.set_enabled(true);
-        m.add("steals.ok", 7);
-        m.add("steals_ok", 3);
+        m.gauge_set("steals.ok", t(0), 7.0);
+        m.gauge_set("steals_ok", t(0), 3.0);
         let text = m.to_openmetrics(t(0));
         let type_lines = text
             .lines()
-            .filter(|l| *l == "# TYPE cashmere_steals_ok counter")
+            .filter(|l| *l == "# TYPE cashmere_steals_ok gauge")
             .count();
         assert_eq!(type_lines, 1, "metadata must be deduped:\n{text}");
         assert_eq!(
             text.lines()
-                .filter(|l| l.starts_with("cashmere_steals_ok_total "))
+                .filter(|l| l.starts_with("cashmere_steals_ok{stat=\"last\"} "))
                 .count(),
             2,
             "both samples survive:\n{text}"
@@ -632,14 +586,14 @@ mod tests {
     fn summary_is_deterministic_and_sorted() {
         let mut m = MetricsRegistry::new();
         m.set_enabled(true);
-        m.inc("z.last");
-        m.inc("a.first");
+        m.gauge_set("z.last", t(0), 1.0);
+        m.gauge_set("a.first", t(0), 1.0);
         m.observe("lat", t(1000));
         let s1 = m.summary(t(2000));
         let s2 = m.summary(t(2000));
         assert_eq!(s1, s2);
         let a = s1.find("a.first").unwrap();
         let z = s1.find("z.last").unwrap();
-        assert!(a < z, "counters render in sorted order");
+        assert!(a < z, "gauges render in sorted order");
     }
 }

@@ -6,7 +6,7 @@
 //! [`crate::Trace`] span tree (ids + parent links, recorded by the Satin and
 //! Cashmere layers) feeds three consumers:
 //!
-//! - [`metrics`]: counters, time-weighted gauges and log-scaled latency
+//! - [`metrics`]: time-weighted gauges and log-scaled latency
 //!   histograms, owned by the simulation ([`crate::Sim::metrics`]).
 //! - [`chrome`]: `Trace::to_chrome_json()` export, openable in Perfetto or
 //!   `chrome://tracing`, with lanes as tracks and flow arrows for the causal

@@ -3,27 +3,6 @@
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
 /// Time-weighted average of a piecewise-constant quantity (queue length,
 /// number of busy cores, …). Call [`TimeWeighted::update`] whenever the value
 /// changes; the mean over `[start, now]` is then available.
@@ -95,51 +74,12 @@ impl TimeWeighted {
     }
 }
 
-/// Summary statistics over a set of `f64` samples.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct Summary {
-    pub count: u64,
-    pub sum: f64,
-    pub min: f64,
-    pub max: f64,
-}
-
-impl Summary {
-    pub fn record(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        self.sum += x;
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
-    }
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 
     #[test]
@@ -179,22 +119,5 @@ mod tests {
         let mut tw = TimeWeighted::new(t(0), 1.0);
         tw.update(t(8_000_000_000), 2.0);
         assert_eq!(tw.mean(t(5_000_000_000)), 1.6);
-    }
-
-    #[test]
-    fn summary_tracks_min_max_mean() {
-        let mut s = Summary::default();
-        for x in [3.0, 1.0, 2.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert!((s.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_summary_mean_is_zero() {
-        assert_eq!(Summary::default().mean(), 0.0);
     }
 }

@@ -21,7 +21,7 @@ pub mod sim;
 pub mod threads;
 
 pub use sim::{
-    critical_path_summary, text_table, ClusterApp, ClusterSim, CpuLeafRuntime, DcStep, LeafCtx,
-    LeafPlan, LeafRuntime, RunReport, SimConfig, StealKind, StealPolicy,
+    critical_path_summary, text_table, ClusterApp, ClusterSim, Counter, CpuLeafRuntime, DcStep,
+    LeafCtx, LeafPlan, LeafRuntime, RunReport, SimConfig, StealKind, StealPolicy,
 };
 pub use threads::{join, parallel_reduce, SatinPool};

@@ -119,8 +119,8 @@ pub trait LeafRuntime<A: ClusterApp>: 'static {
     /// mix per device class). Must be read-only — no randomness, no state
     /// mutation — and emit the same columns every call so the series stays
     /// rectangular. Default: no extra columns, correct for plain CPU leaf
-    /// runtimes.
-    fn probe(&self, _out: &mut Vec<(String, f64)>) {}
+    /// runtimes. `report` is the run's counter table so far.
+    fn probe(&self, _report: &RunReport, _out: &mut Vec<(String, f64)>) {}
 }
 
 /// Plain Satin: every leaf is a single-threaded CPU computation.

@@ -14,7 +14,7 @@
 
 use super::steal::{build_steal_policy, StealKind, StealPolicy};
 use crate::sim::app::{ClusterApp, DcStep, LeafCtx, LeafPlan, LeafRuntime};
-use crate::sim::report::RunReport;
+use crate::sim::report::{Counter, RunReport};
 use cashmere_des::fault::{FaultInjector, FaultPlan, MessageFate};
 use cashmere_des::obs::{prof, ProbeSeries};
 use cashmere_des::rng::StreamRng;
@@ -203,7 +203,7 @@ pub struct World<A: ClusterApp, L: LeafRuntime<A>> {
     /// order is never observed, so determinism holds.
     orphans: HashMap<Vec<u32>, OrphanEntry<A::Output>>,
     /// Crash-restarted subtree roots not yet re-completed; drives
-    /// `report.time_to_recover`.
+    /// `report[Counter::TimeToRecover]`.
     recovery_outstanding: Vec<usize>,
     /// When the current recovery episode (≥ 1 outstanding restart root)
     /// began.
@@ -242,7 +242,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
             origin_span: SpanId::NONE,
             divide_span: SpanId::NONE,
         });
-        self.report.jobs_created += 1;
+        self.report[Counter::JobsCreated] += 1;
         id
     }
 }
@@ -376,11 +376,11 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
     /// and crash times already in the past.
     ///
     /// Crashing a node that is already down when the event fires is a
-    /// documented **no-op**: the event is discarded and `report.crashes`
-    /// counts only real alive→dead transitions, so scheduling two crashes
-    /// for the same node never double-counts. (Plan files additionally
-    /// reject consecutive crashes without a join in between at validation
-    /// time.)
+    /// documented **no-op**: the event is discarded and
+    /// `report[Counter::Crashes]` counts only real alive→dead transitions,
+    /// so scheduling two crashes for the same node never double-counts.
+    /// (Plan files additionally reject consecutive crashes without a join
+    /// in between at validation time.)
     pub fn schedule_crash(&mut self, node: usize, at: SimTime) -> Result<(), String> {
         if node == 0 {
             return Err("the master node (0) cannot crash in this model".into());
@@ -496,7 +496,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
                 src_busy,
                 dst_busy,
             );
-            w.report.bytes_broadcast += bytes;
+            w.report[Counter::BytesBroadcast] += bytes;
             if self.sim.trace.enabled() {
                 self.sim.trace.record(
                     w.nodes[n].net_lane,
@@ -567,14 +567,16 @@ fn sample_probe<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, now: SimT
     let stealing = w.nodes.iter().filter(|n| n.stealing).count();
     let total_cores = (w.cfg.cores_per_node * w.cfg.nodes) as f64;
     cols.push(("alive".into(), alive as f64));
-    cols.push(("crashes".into(), w.report.crashes as f64));
-    cols.push(("joins".into(), w.report.joins as f64));
+    for c in [Counter::Crashes, Counter::Joins] {
+        cols.push((c.name().into(), w.report[c] as f64));
+    }
     cols.push(("busy_cores".into(), busy as f64));
     cols.push(("busy_frac".into(), busy as f64 / total_cores));
     cols.push(("queued_jobs".into(), queued as f64));
     cols.push(("stealing_nodes".into(), stealing as f64));
-    cols.push(("steal_attempts".into(), w.report.steal_attempts as f64));
-    cols.push(("steals_ok".into(), w.report.steals_ok as f64));
+    for c in [Counter::StealAttempts, Counter::StealsOk] {
+        cols.push((c.name().into(), w.report[c] as f64));
+    }
     cols.push(("steal_rate".into(), w.report.steal_success_rate()));
     let tx: u64 = w.nics.iter().map(|nic| nic.bytes_tx).sum();
     cols.push(("net_tx_bytes".into(), tx as f64));
@@ -592,7 +594,7 @@ fn sample_probe<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, now: SimT
         cols.push((format!("n{i}.queue"), n.deque.len() as f64));
     }
     // Runtime-specific gauges (Cashmere placement mix; no-op for CPU).
-    w.leaf.probe(&mut cols);
+    w.leaf.probe(&w.report, &mut cols);
     if let Some(p) = &mut w.probe {
         p.sample(now, &cols);
     }
@@ -696,7 +698,7 @@ fn stash_orphan<A: ClusterApp, L: LeafRuntime<A>>(
             bytes,
         },
     );
-    w.report.orphans_harvested += 1;
+    w.report[Counter::OrphansHarvested] += 1;
 }
 
 /// Drop every table entry held by node `n` (it just crashed and physically
@@ -704,12 +706,12 @@ fn stash_orphan<A: ClusterApp, L: LeafRuntime<A>>(
 fn expire_orphans_of<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, n: usize) {
     let before = w.orphans.len();
     w.orphans.retain(|_, e| e.holder != n);
-    w.report.orphans_expired += (before - w.orphans.len()) as u64;
+    w.report[Counter::OrphansExpired] += (before - w.orphans.len()) as u64;
 }
 
 /// A recovery episode ends when no crash-restarted subtree root is still
 /// outstanding; the elapsed episode time accumulates into
-/// `report.time_to_recover`.
+/// `report[Counter::TimeToRecover]`.
 fn note_recovery<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, now: SimTime) {
     if w.recovery_outstanding.is_empty() {
         return;
@@ -721,7 +723,7 @@ fn note_recovery<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, now: Sim
     });
     if w.recovery_outstanding.is_empty() {
         if let Some(since) = w.recovering_since.take() {
-            w.report.time_to_recover += now - since;
+            w.report[Counter::TimeToRecover] += (now - since).as_nanos();
         }
     }
 }
@@ -749,7 +751,7 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
                 holder,
                 bytes,
             } = entry;
-            w.report.orphans_reused += 1;
+            w.report[Counter::OrphansReused] += 1;
             w.jobs[j].state = JobState::Running;
             w.jobs[j].exec_node = n;
             let generation = w.jobs[j].generation;
@@ -780,7 +782,7 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
                 };
                 let tr =
                     schedule_transfer(&w.cfg.net, sim.now(), src, dst, bytes, src_busy, dst_busy);
-                w.report.bytes_orphans += bytes;
+                w.report[Counter::BytesOrphans] += bytes;
                 if sim.trace.enabled() {
                     sim.trace.record_child(
                         w.nodes[n].net_lane,
@@ -887,7 +889,7 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
             debug_assert!(is_leaf, "is_leaf must agree with step()");
             let lane = w.nodes[n].cpu_lane;
             let replay = w.jobs[j].replay;
-            w.report.leaves += 1;
+            w.report[Counter::Leaves] += 1;
             // The leaf span is recorded up front (with a provisional end) so
             // the device activity planned inside it can parent to it; the
             // real end is patched in below once the plan is known.
@@ -929,7 +931,7 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
                     LeafPlan::Cpu { compute, .. } => *compute,
                     LeafPlan::Async { done, .. } => done.saturating_sub(sim.now()),
                 };
-                w.report.recovery_time += cost;
+                w.report[Counter::RecoveryTime] += cost.as_nanos();
             }
             match plan {
                 LeafPlan::Cpu { compute, output } => {
@@ -992,7 +994,7 @@ fn finish_divide<A: ClusterApp, L: LeafRuntime<A>>(
     children: Vec<A::Input>,
 ) {
     assert!(!children.is_empty(), "divide produced no children");
-    w.report.divides += 1;
+    w.report[Counter::Divides] += 1;
     let count = children.len();
     let replay = w.jobs[j].replay;
     w.jobs[j].state = JobState::Waiting;
@@ -1052,7 +1054,7 @@ fn deliver<A: ClusterApp, L: LeafRuntime<A>>(
             w.done = true;
             // The run is over: whatever the result table still holds was
             // never needed.
-            w.report.orphans_expired += w.orphans.len() as u64;
+            w.report[Counter::OrphansExpired] += w.orphans.len() as u64;
             w.orphans.clear();
             // Cancel trailing steal polls and timeouts: the run is over and
             // their only effect would be to advance the virtual clock.
@@ -1124,7 +1126,7 @@ fn send_result<A: ClusterApp, L: LeafRuntime<A>>(
         (&mut second[0], &mut first[lo])
     };
     let tr = schedule_transfer(&w.cfg.net, sim.now(), src, dst, bytes, src_busy, dst_busy);
-    w.report.bytes_results += bytes;
+    w.report[Counter::BytesResults] += bytes;
     if sim.trace.enabled() {
         sim.trace.record_child(
             w.nodes[n].net_lane,
@@ -1142,8 +1144,8 @@ fn send_result<A: ClusterApp, L: LeafRuntime<A>>(
     sim.metrics.observe("net.transfer", tr.duration());
     match w.faults.message_fate(n, home, sim.now()) {
         MessageFate::Dropped => {
-            w.report.messages_lost += 1;
-            w.report.result_retransmits += 1;
+            w.report[Counter::MessagesLost] += 1;
+            w.report[Counter::ResultRetransmits] += 1;
             // The sender notices the missing acknowledgement and resends.
             let backoff =
                 (w.cfg.steal_retry * (1u64 << attempt.min(20))).min(w.cfg.steal_retry_max);
@@ -1157,7 +1159,7 @@ fn send_result<A: ClusterApp, L: LeafRuntime<A>>(
         }
         MessageFate::Delivered { delay } => {
             if delay > SimTime::ZERO {
-                w.report.latency_spikes += 1;
+                w.report[Counter::LatencySpikes] += 1;
             }
             sim.schedule_at_as(
                 "event::receive-child",
@@ -1299,7 +1301,7 @@ fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
         // bounded exponential backoff — each fruitless poll counts as a
         // steal failure so a mostly-dead cluster is not busy-polled at the
         // base rate forever (a rejoining node wakes everyone via its tick).
-        w.report.no_victim_polls += 1;
+        w.report[Counter::NoVictimPolls] += 1;
         w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
         let retry = steal_backoff(w, thief);
         let h = sim.schedule_in_as(
@@ -1323,7 +1325,7 @@ fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
     w.nodes[thief].steal_seq += 1;
     w.nodes[thief].steal_started = sim.now();
     let token = w.nodes[thief].steal_seq;
-    w.report.steal_attempts += 1;
+    w.report[Counter::StealAttempts] += 1;
     // Steal request: a small message, subject to CPU contention on both ends.
     let mut req_time = w.cfg.net.wire_time(64)
         + w.cfg.net.handling_time(w.busy_fraction(thief))
@@ -1331,11 +1333,11 @@ fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
     match w.faults.message_fate(thief, victim, sim.now()) {
         MessageFate::Dropped => {
             // The request vanishes; the timeout below recovers the thief.
-            w.report.messages_lost += 1;
+            w.report[Counter::MessagesLost] += 1;
         }
         MessageFate::Delivered { delay } => {
             if delay > SimTime::ZERO {
-                w.report.latency_spikes += 1;
+                w.report[Counter::LatencySpikes] += 1;
                 req_time += delay;
             }
             sim.schedule_in_as(
@@ -1365,7 +1367,7 @@ fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
                     return;
                 }
                 resolve_steal(w, sim, thief);
-                w.report.steal_timeouts += 1;
+                w.report[Counter::StealTimeouts] += 1;
                 w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
                 let retry = steal_backoff(w, thief);
                 let h = sim.schedule_in_as(
@@ -1416,7 +1418,7 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
     };
     match stolen {
         Some(Task::Job(j)) => {
-            w.report.steals_ok += 1;
+            w.report[Counter::StealsOk] += 1;
             w.steal.on_steal_ok(thief, victim);
             let input = w.jobs[j].input.as_ref().expect("queued job has input");
             let bytes = w.app.input_bytes(input);
@@ -1429,7 +1431,7 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                 (&mut second[0], &mut first[lo])
             };
             let tr = schedule_transfer(&w.cfg.net, sim.now(), src, dst, bytes, src_busy, dst_busy);
-            w.report.bytes_stolen += bytes;
+            w.report[Counter::BytesStolen] += bytes;
             if sim.trace.enabled() {
                 // The steal span becomes the job's new origin: everything
                 // the job does on the thief chains through it, which is what
@@ -1458,7 +1460,7 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                     // victim's deque, so nobody else knows about it. When the
                     // transfer window elapses unacknowledged, the victim
                     // re-queues the job on a live node.
-                    w.report.messages_lost += 1;
+                    w.report[Counter::MessagesLost] += 1;
                     sim.schedule_at_as(
                         "event::steal-transfer",
                         tr.arrival,
@@ -1490,7 +1492,7 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                 }
                 MessageFate::Delivered { delay } => {
                     if delay > SimTime::ZERO {
-                        w.report.latency_spikes += 1;
+                        w.report[Counter::LatencySpikes] += 1;
                     }
                     let arrival = tr.arrival + delay;
                     sim.schedule_at_as(
@@ -1518,7 +1520,7 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                                 w.jobs[j].exec_node = target;
                                 w.nodes[target].deque.push_back(Task::Job(j));
                                 w.jobs[j].replay = true;
-                                w.report.jobs_restarted += 1;
+                                w.report[Counter::JobsRestarted] += 1;
                                 schedule_tick(w, sim, target);
                                 return;
                             }
@@ -1542,12 +1544,12 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                 MessageFate::Dropped => {
                     // The refusal never reaches the thief; its steal timeout
                     // recovers the attempt.
-                    w.report.messages_lost += 1;
+                    w.report[Counter::MessagesLost] += 1;
                     return;
                 }
                 MessageFate::Delivered { delay } => {
                     if delay > SimTime::ZERO {
-                        w.report.latency_spikes += 1;
+                        w.report[Counter::LatencySpikes] += 1;
                         reply += delay;
                     }
                     // The refusal will arrive: disarm the timeout so a long
@@ -1616,7 +1618,7 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L
     // (e.g. recent-victim caches) invalidate here, in the one place
     // cluster membership shrinks.
     w.steal.on_crash(n);
-    w.report.crashes += 1;
+    w.report[Counter::Crashes] += 1;
     // Per-node leaf-runtime state (device timelines, pending device jobs,
     // resident buffers) dies with the node.
     w.leaf.on_node_crash(n, sim.now());
@@ -1725,7 +1727,7 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L
         w.jobs[r].state = JobState::Queued;
         w.jobs[r].exec_node = home;
         w.jobs[r].replay = true;
-        w.report.jobs_restarted += 1;
+        w.report[Counter::JobsRestarted] += 1;
         if !w.recovery_outstanding.contains(&r) {
             w.recovery_outstanding.push(r);
         }
@@ -1767,7 +1769,7 @@ fn join<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L>
     // A rebooted node has no half-open connections: reset its NIC.
     w.nics[n] = NodeNic::default();
     w.steal.on_join(n);
-    w.report.joins += 1;
+    w.report[Counter::Joins] += 1;
     note_busy_cores(w, sim, n);
     // Bring the node's leaf runtime back up (re-register devices, rebuild
     // its balancer).

@@ -7,7 +7,7 @@ pub mod steal;
 
 pub use app::{ClusterApp, CpuLeafRuntime, DcStep, LeafCtx, LeafPlan, LeafRuntime};
 pub use engine::{ClusterSim, SimConfig, World};
-pub use report::{critical_path_summary, text_table, RunReport};
+pub use report::{critical_path_summary, text_table, Counter, RunReport};
 pub use steal::{build_steal_policy, StealKind, StealPolicy};
 
 #[cfg(test)]
@@ -72,9 +72,13 @@ mod tests {
         let out = cs.run_root((0, N));
         assert_eq!(out, EXPECT);
         let r = cs.report();
-        assert_eq!(r.leaves, 64, "200k / 4k-grain halving = 64 leaves");
-        assert_eq!(r.divides, 63);
-        assert_eq!(r.steals_ok, 0, "nothing to steal with one node");
+        assert_eq!(
+            r[Counter::Leaves],
+            64,
+            "200k / 4k-grain halving = 64 leaves"
+        );
+        assert_eq!(r[Counter::Divides], 63);
+        assert_eq!(r[Counter::StealsOk], 0, "nothing to steal with one node");
         // 200k µs of work over 8 cores ⇒ at least 25 ms.
         assert!(r.makespan >= SimTime::from_millis(25), "{}", r.makespan);
     }
@@ -85,9 +89,9 @@ mod tests {
         let out = cs.run_root((0, N));
         assert_eq!(out, EXPECT);
         let r = cs.report();
-        assert!(r.steals_ok > 0, "work must have been stolen");
-        assert!(r.bytes_stolen > 0);
-        assert!(r.bytes_results > 0);
+        assert!(r[Counter::StealsOk] > 0, "work must have been stolen");
+        assert!(r[Counter::BytesStolen] > 0);
+        assert!(r[Counter::BytesResults] > 0);
     }
 
     #[test]
@@ -112,7 +116,7 @@ mod tests {
         let run = || {
             let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, cpu_leaf(), config(6, 99));
             let out = cs.run_root((0, N));
-            (out, cs.report().makespan, cs.report().steals_ok)
+            (out, cs.report().makespan, cs.report()[Counter::StealsOk])
         };
         assert_eq!(run(), run());
     }
@@ -134,8 +138,11 @@ mod tests {
         let out = cs.run_root((0, N));
         assert_eq!(out, EXPECT, "result correct despite losing a node");
         let r = cs.report();
-        assert_eq!(r.crashes, 1);
-        assert!(r.jobs_restarted > 0, "lost subtrees were re-executed");
+        assert_eq!(r[Counter::Crashes], 1);
+        assert!(
+            r[Counter::JobsRestarted] > 0,
+            "lost subtrees were re-executed"
+        );
     }
 
     #[test]
@@ -173,7 +180,11 @@ mod tests {
         let before = cs.now();
         cs.broadcast(1_000_000);
         assert!(cs.now() > before);
-        assert_eq!(cs.report().bytes_broadcast, 3_000_000, "3 slaves × 1 MB");
+        assert_eq!(
+            cs.report()[Counter::BytesBroadcast],
+            3_000_000,
+            "3 slaves × 1 MB"
+        );
     }
 
     #[test]
@@ -299,7 +310,10 @@ mod tests {
         let out = cs.run_root((0, N));
         assert_eq!(out, EXPECT);
         let r = cs.report();
-        assert!(r.steals_ok > 0, "node 1 must have stolen node-level jobs");
+        assert!(
+            r[Counter::StealsOk] > 0,
+            "node 1 must have stolen node-level jobs"
+        );
         // Two devices share 16 × 10 ms of kernels: well under the 160 ms a
         // single device would need.
         assert!(r.makespan < SimTime::from_millis(120), "{}", r.makespan);
@@ -328,11 +342,14 @@ mod tests {
             assert_eq!(out, EXPECT, "answer correct with reuse={reuse}");
             let r = cs.report().clone();
             if reuse {
-                assert!(r.orphans_harvested > 0, "crash must orphan results");
-                assert!(r.orphans_reused > 0, "orphans must be reused");
+                assert!(
+                    r[Counter::OrphansHarvested] > 0,
+                    "crash must orphan results"
+                );
+                assert!(r[Counter::OrphansReused] > 0, "orphans must be reused");
             } else {
-                assert_eq!(r.orphans_harvested, 0, "ablation harvests nothing");
-                assert_eq!(r.orphans_reused, 0);
+                assert_eq!(r[Counter::OrphansHarvested], 0, "ablation harvests nothing");
+                assert_eq!(r[Counter::OrphansReused], 0);
             }
             r
         };
@@ -345,12 +362,12 @@ mod tests {
             off.makespan
         );
         assert!(
-            on.recovery_time < off.recovery_time,
+            on[Counter::RecoveryTime] < off[Counter::RecoveryTime],
             "reuse must redo strictly less work: {} vs {}",
-            on.recovery_time,
-            off.recovery_time
+            on.time(Counter::RecoveryTime),
+            off.time(Counter::RecoveryTime)
         );
-        assert!(on.time_to_recover > SimTime::ZERO, "episode was timed");
+        assert!(on[Counter::TimeToRecover] > 0, "episode was timed");
     }
 
     #[test]
@@ -370,7 +387,7 @@ mod tests {
                 },
             );
             let out = cs.run_root((0, N));
-            (out, cs.report().makespan, cs.report().steals_ok)
+            (out, cs.report().makespan, cs.report()[Counter::StealsOk])
         };
         assert_eq!(run(true), run(false));
     }
@@ -378,13 +395,13 @@ mod tests {
     #[test]
     fn double_crash_of_a_node_is_a_counted_once_noop() {
         // Scheduling a second crash for an already-dead node must not
-        // double-count `report.crashes` (documented no-op).
+        // double-count `report[Counter::Crashes]` (documented no-op).
         let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, cpu_leaf(), config(4, 3));
         cs.schedule_crash(2, SimTime::from_millis(3)).unwrap();
         cs.schedule_crash(2, SimTime::from_millis(4)).unwrap();
         let out = cs.run_root((0, N));
         assert_eq!(out, EXPECT);
-        assert_eq!(cs.report().crashes, 1, "second crash is a no-op");
+        assert_eq!(cs.report()[Counter::Crashes], 1, "second crash is a no-op");
     }
 
     #[test]
@@ -395,8 +412,8 @@ mod tests {
         let out = cs.run_root((0, N));
         assert_eq!(out, EXPECT);
         let r = cs.report();
-        assert_eq!(r.crashes, 1);
-        assert_eq!(r.joins, 1);
+        assert_eq!(r[Counter::Crashes], 1);
+        assert_eq!(r[Counter::Joins], 1);
         // The rejoined node went back to work: it accumulated busy time
         // after the join (its pre-crash busy time was under 3 ms).
         assert!(
@@ -427,8 +444,8 @@ mod tests {
         let out = cs.run_root((0, N));
         assert_eq!(out, EXPECT);
         let r = cs.report();
-        assert_eq!(r.joins, 1, "fresh join counted");
-        assert_eq!(r.crashes, 0);
+        assert_eq!(r[Counter::Joins], 1, "fresh join counted");
+        assert_eq!(r[Counter::Crashes], 0);
         assert!(
             r.node_busy[2] > SimTime::ZERO,
             "late joiner still contributed work"
@@ -535,11 +552,14 @@ mod tests {
         let out = cs.run_root((0, N));
         assert_eq!(out, EXPECT);
         let r = cs.report();
-        assert!(r.no_victim_polls > 0, "the no-victim path must be hit");
         assert!(
-            r.no_victim_polls < 40,
+            r[Counter::NoVictimPolls] > 0,
+            "the no-victim path must be hit"
+        );
+        assert!(
+            r[Counter::NoVictimPolls] < 40,
             "{} polls — no-victim loop is busy-polling instead of backing off",
-            r.no_victim_polls
+            r[Counter::NoVictimPolls]
         );
     }
 
@@ -570,7 +590,11 @@ mod tests {
             for &(thief, victim) in &victims {
                 assert_ne!(thief, victim, "{}: self-steal", kind.name());
             }
-            (victims, cs.report().steals_ok, cs.report().crashes)
+            (
+                victims,
+                cs.report()[Counter::StealsOk],
+                cs.report()[Counter::Crashes],
+            )
         };
         let mut sequences = Vec::new();
         for kind in StealKind::ALL {
@@ -599,7 +623,7 @@ mod tests {
             let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, cpu_leaf(), cfg);
             let out = cs.run_root((0, N));
             assert_eq!(out, EXPECT);
-            (cs.report().makespan, cs.report().steals_ok)
+            (cs.report().makespan, cs.report()[Counter::StealsOk])
         };
         let implicit = run(config(6, 99));
         let explicit = run(SimConfig {

@@ -3,8 +3,9 @@
 
 use cashmere_des::obs::CriticalPath;
 use cashmere_des::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::ops::{Index, IndexMut};
 
 /// Minimal aligned label/value table used by every textual report section
 /// (failure summary, critical-path summary): labels padded to a common
@@ -54,72 +55,160 @@ pub fn critical_path_summary(cp: &CriticalPath, makespan: SimTime) -> String {
     text_table(&rows)
 }
 
-/// Counters collected over one or more root runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])* $variant:ident = $name:literal,)+) => {
+        /// One run counter: an index into [`RunReport`]'s counter table.
+        /// Each variant carries one static name, its key in the serialized
+        /// report and in run-diff fingerprints; adding a counter is one
+        /// line here.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[doc = $doc])* $variant,)+
+        }
+
+        impl Counter {
+            /// Number of counters (the table length).
+            pub const COUNT: usize = [$($name),+].len();
+
+            /// Every counter, in table (and serialization) order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant),+];
+
+            /// The counter's static name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    JobsCreated = "jobs_created",
+    Divides = "divides",
+    Leaves = "leaves",
+    StealAttempts = "steal_attempts",
+    StealsOk = "steals_ok",
+    BytesStolen = "bytes_stolen",
+    BytesResults = "bytes_results",
+    BytesBroadcast = "bytes_broadcast",
+    Crashes = "crashes",
+    JobsRestarted = "jobs_restarted",
+    /// Nodes that (re)joined the cluster mid-run.
+    Joins = "joins",
+    // --- device path ---
+    /// Device jobs executed on devices.
+    KernelsRun = "kernels_run",
+    /// Device jobs that fell back to the CPU leaf, for any reason.
+    CpuFallbacks = "cpu_fallbacks",
+    /// Sampled kernel measurements served from the launch memo table.
+    KernelMemoHits = "kernel_memo_hits",
+    /// Sampled kernel measurements actually interpreted (then memoized).
+    KernelMemoMisses = "kernel_memo_misses",
+    // --- orphan-result reuse (graceful recovery) ---
+    /// Completed subtree results salvaged into the global result table
+    /// when their subtree was orphaned by a crash.
+    OrphansHarvested = "orphans_harvested",
+    /// Salvaged results reused instead of re-executing their subtree.
+    OrphansReused = "orphans_reused",
+    /// Salvaged results dropped because their holder crashed (or the run
+    /// ended) before they could be reused.
+    OrphansExpired = "orphans_expired",
+    /// Bytes moved to fetch reused orphan results from their holders.
+    BytesOrphans = "bytes_orphans",
+    // --- failure accounting (fault-injection subsystem) ---
+    /// Devices permanently lost to injected failures.
+    DevicesLost = "devices_lost",
+    /// Transient kernel-launch faults the device runtime retried.
+    LaunchRetries = "launch_retries",
+    /// Device jobs aborted in flight by a device death.
+    DeviceAborts = "device_aborts",
+    /// Device jobs degraded to the CPU leaf because faults left no usable
+    /// device (all devices dead, or the launch-retry budget exhausted).
+    FaultCpuFallbacks = "fault_cpu_fallbacks",
+    /// Messages dropped by injected link faults.
+    MessagesLost = "messages_lost",
+    /// Latency spikes applied to delivered messages.
+    LatencySpikes = "latency_spikes",
+    /// Steal attempts abandoned by timeout (request or reply lost).
+    StealTimeouts = "steal_timeouts",
+    /// Retransmissions of result-return messages after a loss.
+    ResultRetransmits = "result_retransmits",
+    /// Steal-loop polls that found no live victim (most of the cluster
+    /// dead); these back off exponentially rather than busy-poll.
+    NoVictimPolls = "no_victim_polls",
+    // --- recovery cost, virtual nanoseconds (read with `RunReport::time`) ---
+    /// Virtual nanoseconds spent redoing work: compute of re-executed
+    /// subtrees plus device time lost in aborted jobs.
+    RecoveryTime = "recovery_time_ns",
+    /// Virtual nanoseconds during which at least one crash-restarted
+    /// subtree was still outstanding: how long the run took to return to
+    /// a fully recovered state.
+    TimeToRecover = "time_to_recover_ns",
+}
+
+/// Statistics collected over one or more root runs: the counter table,
+/// indexed by [`Counter`] (`report[Counter::StealsOk] += 1`), plus the
+/// values that are set rather than accumulated.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Wall time of the most recent root run.
     pub makespan: SimTime,
     /// Virtual time at the end of the last run (accumulates across
     /// iterations).
     pub total_time: SimTime,
-    pub jobs_created: u64,
-    pub divides: u64,
-    pub leaves: u64,
-    pub steal_attempts: u64,
-    pub steals_ok: u64,
-    pub bytes_stolen: u64,
-    pub bytes_results: u64,
-    pub bytes_broadcast: u64,
-    pub crashes: u64,
-    pub jobs_restarted: u64,
-    /// Nodes that (re)joined the cluster mid-run.
-    pub joins: u64,
-    // --- kernel measurement path ---
-    /// Sampled kernel measurements served from the launch memo table.
-    pub kernel_memo_hits: u64,
-    /// Sampled kernel measurements actually interpreted (then memoized).
-    pub kernel_memo_misses: u64,
-    // --- orphan-result reuse (graceful recovery) ---
-    /// Completed subtree results salvaged into the global result table when
-    /// their subtree was orphaned by a crash.
-    pub orphans_harvested: u64,
-    /// Salvaged results reused instead of re-executing their subtree.
-    pub orphans_reused: u64,
-    /// Salvaged results dropped because their holder crashed (or the run
-    /// ended) before they could be reused.
-    pub orphans_expired: u64,
-    /// Bytes moved to fetch reused orphan results from their holders.
-    pub bytes_orphans: u64,
-    // --- failure accounting (fault-injection subsystem) ---
-    /// Devices permanently lost to injected failures.
-    pub devices_lost: u64,
-    /// Transient kernel-launch faults the device runtime retried.
-    pub launch_retries: u64,
-    /// Device jobs aborted in flight by a device death.
-    pub device_aborts: u64,
-    /// Device jobs degraded to the CPU leaf because faults left no usable
-    /// device (all devices dead, or the launch-retry budget exhausted).
-    pub fault_cpu_fallbacks: u64,
-    /// Messages dropped by injected link faults.
-    pub messages_lost: u64,
-    /// Latency spikes applied to delivered messages.
-    pub latency_spikes: u64,
-    /// Steal attempts abandoned by timeout (request or reply lost).
-    pub steal_timeouts: u64,
-    /// Retransmissions of result-return messages after a loss.
-    pub result_retransmits: u64,
-    /// Steal-loop polls that found no live victim (most of the cluster
-    /// dead); these back off exponentially rather than busy-poll.
-    pub no_victim_polls: u64,
-    /// Virtual time spent redoing work: compute of re-executed subtrees
-    /// plus device time lost in aborted jobs.
-    pub recovery_time: SimTime,
-    /// Wall (virtual) time during which at least one crash-restarted
-    /// subtree was still outstanding: how long the run took to return to a
-    /// fully recovered state.
-    pub time_to_recover: SimTime,
     /// Accumulated compute-busy time per node.
     pub node_busy: Vec<SimTime>,
+    counters: [u64; Counter::COUNT],
+}
+
+impl Index<Counter> for RunReport {
+    type Output = u64;
+
+    #[inline]
+    fn index(&self, c: Counter) -> &u64 {
+        &self.counters[c as usize]
+    }
+}
+
+impl IndexMut<Counter> for RunReport {
+    #[inline]
+    fn index_mut(&mut self, c: Counter) -> &mut u64 {
+        &mut self.counters[c as usize]
+    }
+}
+
+// Hand-written so the JSON stays one flat object: the set fields, then
+// every counter under its static name.
+impl Serialize for RunReport {
+    fn to_content(&self) -> Content {
+        let field = |name: &str, v: Content| (Content::Str(name.to_string()), v);
+        let mut map = vec![
+            field("makespan", self.makespan.to_content()),
+            field("total_time", self.total_time.to_content()),
+        ];
+        map.extend(
+            self.counters()
+                .map(|(c, v)| field(c.name(), Content::U64(v))),
+        );
+        map.push(field("node_busy", self.node_busy.to_content()));
+        Content::Map(map)
+    }
+}
+
+impl Deserialize for RunReport {
+    fn from_content(content: &Content) -> Result<RunReport, DeError> {
+        let mut r = RunReport {
+            makespan: serde::__field(content, "makespan", "RunReport")?,
+            total_time: serde::__field(content, "total_time", "RunReport")?,
+            node_busy: serde::__field(content, "node_busy", "RunReport")?,
+            counters: [0; Counter::COUNT],
+        };
+        for c in Counter::ALL {
+            r[c] = serde::__field(content, c.name(), "RunReport")?;
+        }
+        Ok(r)
+    }
 }
 
 impl RunReport {
@@ -127,87 +216,78 @@ impl RunReport {
         RunReport {
             makespan: SimTime::ZERO,
             total_time: SimTime::ZERO,
-            jobs_created: 0,
-            divides: 0,
-            leaves: 0,
-            steal_attempts: 0,
-            steals_ok: 0,
-            bytes_stolen: 0,
-            bytes_results: 0,
-            bytes_broadcast: 0,
-            crashes: 0,
-            jobs_restarted: 0,
-            joins: 0,
-            kernel_memo_hits: 0,
-            kernel_memo_misses: 0,
-            orphans_harvested: 0,
-            orphans_reused: 0,
-            orphans_expired: 0,
-            bytes_orphans: 0,
-            devices_lost: 0,
-            launch_retries: 0,
-            device_aborts: 0,
-            fault_cpu_fallbacks: 0,
-            messages_lost: 0,
-            latency_spikes: 0,
-            steal_timeouts: 0,
-            result_retransmits: 0,
-            no_victim_polls: 0,
-            recovery_time: SimTime::ZERO,
-            time_to_recover: SimTime::ZERO,
             node_busy: vec![SimTime::ZERO; nodes],
+            counters: [0; Counter::COUNT],
         }
+    }
+
+    /// Every counter with its value, in table order.
+    pub fn counters(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
+        Counter::ALL.into_iter().map(|c| (c, self[c]))
+    }
+
+    /// A nanosecond counter ([`Counter::RecoveryTime`],
+    /// [`Counter::TimeToRecover`]) read back as virtual time.
+    pub fn time(&self, c: Counter) -> SimTime {
+        SimTime::from_nanos(self[c])
     }
 
     /// Did the run observe any injected failure at all?
     pub fn saw_failures(&self) -> bool {
-        self.crashes > 0
-            || self.joins > 0
-            || self.devices_lost > 0
-            || self.launch_retries > 0
-            || self.messages_lost > 0
-            || self.steal_timeouts > 0
+        use Counter::*;
+        [
+            Crashes,
+            Joins,
+            DevicesLost,
+            LaunchRetries,
+            MessagesLost,
+            StealTimeouts,
+        ]
+        .into_iter()
+        .any(|c| self[c] > 0)
     }
 
     /// Human-readable failure-accounting section (run-report printout).
     pub fn failure_summary(&self) -> String {
+        use Counter::*;
         text_table(&[
             (
                 "failures".to_string(),
                 format!(
                     "{} crashes, {} joins, {} devices lost, {} jobs re-executed",
-                    self.crashes, self.joins, self.devices_lost, self.jobs_restarted
+                    self[Crashes], self[Joins], self[DevicesLost], self[JobsRestarted]
                 ),
             ),
             (
                 "orphan results".to_string(),
                 format!(
                     "{} harvested, {} reused, {} expired",
-                    self.orphans_harvested, self.orphans_reused, self.orphans_expired
+                    self[OrphansHarvested], self[OrphansReused], self[OrphansExpired]
                 ),
             ),
             (
                 "device path".to_string(),
                 format!(
                     "{} launch retries, {} aborted jobs, {} CPU fallbacks",
-                    self.launch_retries, self.device_aborts, self.fault_cpu_fallbacks
+                    self[LaunchRetries], self[DeviceAborts], self[FaultCpuFallbacks]
                 ),
             ),
             (
                 "network".to_string(),
                 format!(
                     "{} messages lost, {} latency spikes, {} steal timeouts, {} retransmits",
-                    self.messages_lost,
-                    self.latency_spikes,
-                    self.steal_timeouts,
-                    self.result_retransmits
+                    self[MessagesLost],
+                    self[LatencySpikes],
+                    self[StealTimeouts],
+                    self[ResultRetransmits]
                 ),
             ),
             (
                 "recovery virtual-time cost".to_string(),
                 format!(
                     "{} redone work, {} to recover",
-                    self.recovery_time, self.time_to_recover
+                    self.time(RecoveryTime),
+                    self.time(TimeToRecover)
                 ),
             ),
         ])
@@ -215,16 +295,15 @@ impl RunReport {
 
     /// Steal success rate.
     pub fn steal_success_rate(&self) -> f64 {
-        if self.steal_attempts == 0 {
-            0.0
-        } else {
-            self.steals_ok as f64 / self.steal_attempts as f64
+        match self[Counter::StealAttempts] {
+            0 => 0.0,
+            attempts => self[Counter::StealsOk] as f64 / attempts as f64,
         }
     }
 
     /// Total bytes that crossed the interconnect.
     pub fn bytes_total(&self) -> u64 {
-        self.bytes_stolen + self.bytes_results + self.bytes_broadcast
+        self[Counter::BytesStolen] + self[Counter::BytesResults] + self[Counter::BytesBroadcast]
     }
 }
 
@@ -236,11 +315,11 @@ mod tests {
     fn rates_and_totals() {
         let mut r = RunReport::new(2);
         assert_eq!(r.steal_success_rate(), 0.0);
-        r.steal_attempts = 10;
-        r.steals_ok = 4;
-        r.bytes_stolen = 100;
-        r.bytes_results = 50;
-        r.bytes_broadcast = 25;
+        r[Counter::StealAttempts] = 10;
+        r[Counter::StealsOk] = 4;
+        r[Counter::BytesStolen] = 100;
+        r[Counter::BytesResults] = 50;
+        r[Counter::BytesBroadcast] = 25;
         assert!((r.steal_success_rate() - 0.4).abs() < 1e-12);
         assert_eq!(r.bytes_total(), 175);
         assert_eq!(r.node_busy.len(), 2);
@@ -250,8 +329,8 @@ mod tests {
     fn failure_accounting_starts_clean() {
         let mut r = RunReport::new(1);
         assert!(!r.saw_failures());
-        r.devices_lost = 1;
-        r.launch_retries = 2;
+        r[Counter::DevicesLost] = 1;
+        r[Counter::LaunchRetries] = 2;
         assert!(r.saw_failures());
         let s = r.failure_summary();
         assert!(s.contains("1 devices lost"), "{s}");

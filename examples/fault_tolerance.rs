@@ -21,7 +21,7 @@ use cashmere_apps::nbody::{NbodyApp, NbodyProblem};
 use cashmere_apps::{AppMode, KernelSet};
 use cashmere_des::fault::{DeviceFailure, FaultPlan, LinkFault};
 use cashmere_des::SimTime;
-use cashmere_satin::{ClusterSim, SimConfig};
+use cashmere_satin::{ClusterSim, Counter, SimConfig};
 use std::sync::Arc;
 
 /// Build the example's 4-node n-body cluster plus the reference positions
@@ -92,14 +92,20 @@ fn node_crash_demo() {
         "n-body step for {} bodies on 4 nodes, node 2 crashed at 2ms:",
         problem.n
     );
-    println!("  crashes observed     : {}", r.crashes);
-    println!("  jobs re-executed     : {}", r.jobs_restarted);
-    println!("  leaves run (total)   : {} (32 needed)", r.leaves);
-    println!("  recovery time cost   : {}", r.recovery_time);
+    println!("  crashes observed     : {}", r[Counter::Crashes]);
+    println!("  jobs re-executed     : {}", r[Counter::JobsRestarted]);
+    println!(
+        "  leaves run (total)   : {} (32 needed)",
+        r[Counter::Leaves]
+    );
+    println!("  recovery time cost   : {}", r.time(Counter::RecoveryTime));
     println!("  virtual makespan     : {}", r.makespan);
     println!("  max abs error vs ref : {max_err:.2e}");
-    assert_eq!(r.crashes, 1);
-    assert!(r.jobs_restarted > 0, "the crash must have cost something");
+    assert_eq!(r[Counter::Crashes], 1);
+    assert!(
+        r[Counter::JobsRestarted] > 0,
+        "the crash must have cost something"
+    );
     assert!(max_err < 1e-9, "results identical despite the failure");
     println!("ok — the computation survived the node failure\n");
 }
@@ -141,9 +147,9 @@ fn device_death_demo() {
     println!("k-means on 2 GTX480 nodes, node 1's GPU dies at 100µs:");
     println!("{}", r.failure_summary());
     println!("  virtual time: {elapsed}");
-    assert_eq!(r.devices_lost, 1);
+    assert_eq!(r[Counter::DevicesLost], 1);
     assert!(
-        r.fault_cpu_fallbacks > 0,
+        r[Counter::FaultCpuFallbacks] > 0,
         "node 1's jobs must have degraded to the CPU leaf"
     );
     let rt = cluster.leaf_runtime();
@@ -175,7 +181,7 @@ fn lossy_link_demo() {
     println!("  virtual makespan     : {}", r.makespan);
     println!("  max abs error vs ref : {max_err:.2e}");
     assert!(
-        r.messages_lost > 0,
+        r[Counter::MessagesLost] > 0,
         "the lossy window must have dropped something"
     );
     assert!(

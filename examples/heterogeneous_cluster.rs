@@ -11,7 +11,7 @@ use cashmere::{build_cluster, initialize, ClusterSpec, RuntimeConfig};
 use cashmere_apps::kmeans::{run_iterations, KmeansApp, KmeansProblem};
 use cashmere_apps::KernelSet;
 use cashmere_netsim::NetConfig;
-use cashmere_satin::SimConfig;
+use cashmere_satin::{Counter, SimConfig};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -94,8 +94,8 @@ fn main() {
     let report = cluster.report();
     println!(
         "steals: {}/{} ok, network traffic {:.1} MB",
-        report.steals_ok,
-        report.steal_attempts,
+        report[Counter::StealsOk],
+        report[Counter::StealAttempts],
         report.bytes_total() as f64 / 1e6
     );
 }

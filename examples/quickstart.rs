@@ -16,7 +16,7 @@
 use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
 use cashmere_apps::matmul::{assemble, MatmulApp, MatmulProblem};
 use cashmere_apps::KernelSet;
-use cashmere_satin::SimConfig;
+use cashmere_satin::{Counter, SimConfig};
 
 fn main() {
     // A small real problem (the paper-scale 32768² run is in the bench
@@ -64,18 +64,18 @@ fn main() {
         .fold(0.0f64, f64::max);
 
     let report = cluster.report();
-    let runtime = cluster.leaf_runtime();
     println!(
         "matmul {}x{}x{} on 2 simulated GTX480 nodes",
         problem.n, problem.m, problem.p
     );
     println!("  result matches CPU reference, max abs error = {max_err:.2e}");
     println!("  virtual makespan     : {}", report.makespan);
-    println!("  jobs created         : {}", report.jobs_created);
-    println!("  device kernels run   : {}", runtime.kernels_run);
+    println!("  jobs created         : {}", report[Counter::JobsCreated]);
+    println!("  device kernels run   : {}", report[Counter::KernelsRun]);
     println!(
         "  work steals          : {} ok / {} attempts",
-        report.steals_ok, report.steal_attempts
+        report[Counter::StealsOk],
+        report[Counter::StealAttempts]
     );
     println!("  network bytes        : {}", report.bytes_total());
     assert!(max_err < 1e-3);

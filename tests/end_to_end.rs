@@ -9,7 +9,7 @@ use cashmere_apps::nbody::{NbodyApp, NbodyProblem};
 use cashmere_apps::raytracer::{RaytracerApp, RaytracerProblem};
 use cashmere_apps::{AppMode, KernelSet};
 use cashmere_netsim::NetConfig;
-use cashmere_satin::SimConfig;
+use cashmere_satin::{Counter, SimConfig};
 
 fn functional() -> RuntimeConfig {
     RuntimeConfig {
@@ -201,8 +201,8 @@ fn whole_stack_is_deterministic() {
         let _ = cluster.run_root((0, pr.n));
         (
             cluster.report().makespan,
-            cluster.report().steals_ok,
-            cluster.leaf_runtime().kernels_run,
+            cluster.report()[Counter::StealsOk],
+            cluster.report()[Counter::KernelsRun],
         )
     };
     assert_eq!(run(), run());

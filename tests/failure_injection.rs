@@ -6,7 +6,7 @@
 
 use cashmere_des::fault::{FaultPlan, LinkFault, NodeCrash, NodeJoin};
 use cashmere_des::SimTime;
-use cashmere_satin::{ClusterApp, ClusterSim, CpuLeafRuntime, DcStep, SimConfig};
+use cashmere_satin::{ClusterApp, ClusterSim, Counter, CpuLeafRuntime, DcStep, SimConfig};
 use proptest::prelude::*;
 
 struct SumApp {
@@ -109,7 +109,7 @@ fn crash_storm_leaves_only_the_master() {
     }
     let out = cs.run_root((0, total));
     assert_eq!(out, total * (total - 1) / 2);
-    assert_eq!(cs.report().crashes, 5);
+    assert_eq!(cs.report()[Counter::Crashes], 5);
 }
 
 #[test]
@@ -196,8 +196,12 @@ fn same_plan_and_seed_replays_byte_for_byte() {
     // ... and the plan was no placebo: this seed observes real failures.
     let parsed: cashmere_satin::RunReport = serde_json::from_str(&report).unwrap();
     assert!(parsed.saw_failures(), "{}", parsed.failure_summary());
-    assert_eq!(parsed.crashes, 1);
-    assert!(parsed.messages_lost > 0, "{}", parsed.failure_summary());
+    assert_eq!(parsed[Counter::Crashes], 1);
+    assert!(
+        parsed[Counter::MessagesLost] > 0,
+        "{}",
+        parsed.failure_summary()
+    );
 }
 
 proptest! {
@@ -245,6 +249,14 @@ proptest! {
         );
         let out = cs.run_root((0, total));
         prop_assert_eq!(out, total * (total - 1) / 2);
+        // Every harvested orphan result is either reused or expires.
+        let r = cs.report();
+        prop_assert_eq!(
+            r[Counter::OrphansHarvested],
+            r[Counter::OrphansReused] + r[Counter::OrphansExpired],
+            "orphan results must be conserved: {}",
+            r.failure_summary()
+        );
     }
 
     /// Random survivable crash/join interleavings: each worker node gets an
@@ -349,11 +361,17 @@ fn fixed_chaos_seed_replays_byte_for_byte() {
         "chaos runs must replay exactly"
     );
     let parsed: cashmere_satin::RunReport = serde_json::from_str(&report).unwrap();
-    assert_eq!(parsed.crashes, 2, "{}", parsed.failure_summary());
-    assert_eq!(parsed.joins, 1, "{}", parsed.failure_summary());
+    assert_eq!(parsed[Counter::Crashes], 2, "{}", parsed.failure_summary());
+    assert_eq!(parsed[Counter::Joins], 1, "{}", parsed.failure_summary());
     assert!(
-        parsed.orphans_harvested > 0 && parsed.orphans_reused > 0,
+        parsed[Counter::OrphansHarvested] > 0 && parsed[Counter::OrphansReused] > 0,
         "this seed must exercise the orphan table: {}",
+        parsed.failure_summary()
+    );
+    assert_eq!(
+        parsed[Counter::OrphansHarvested],
+        parsed[Counter::OrphansReused] + parsed[Counter::OrphansExpired],
+        "orphan results must be conserved: {}",
         parsed.failure_summary()
     );
 }

@@ -12,9 +12,8 @@
 use cashmere::Balancer;
 use cashmere_des::{Sim, SimTime};
 use cashmere_hwdesc::standard_hierarchy;
-use cashmere_mcl::interp::{execute, ExecOptions};
 use cashmere_mcl::value::{ArgValue, ArrayArg};
-use cashmere_mcl::{compile, CheckedKernel};
+use cashmere_mcl::{compile, CheckedKernel, ExecOptions};
 use cashmere_satin::{parallel_reduce, SatinPool};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -195,7 +194,7 @@ fn bench_engines(
         b.iter_batched(
             args,
             |a| {
-                let r = execute(ck, a, units, &opts).expect("runs");
+                let r = cashmere_mcl::interp::execute(ck, a, units, &opts).expect("runs");
                 black_box(r.stats.flops)
             },
             BatchSize::SmallInput,

@@ -31,7 +31,7 @@ struct Row {
 }
 
 /// One sampled-launch measurement in the `fig6_breakdown` artifact: which
-/// kernel, how long the interpreter took, and how many kernel measurements
+/// kernel, how long the kernel VM took, and how many kernel measurements
 /// (launches) that wall time covers.
 #[derive(Serialize)]
 struct BreakdownRow {
@@ -45,7 +45,6 @@ struct BreakdownRow {
 
 #[derive(Serialize)]
 struct Breakdown {
-    engine: String,
     total_wall_ms: f64,
     total_measurements: u64,
     rows: Vec<BreakdownRow>,
@@ -124,16 +123,15 @@ fn main() {
     // provenance list is empty because these are isolated kernel runs, not
     // cluster scenarios.
     write_report("fig6_kernel_performance", &[], &json);
-    // Interpreter-cost breakdown: which kernels the wall time went to and
-    // under which engine. Wall times are machine-dependent — this artifact
-    // is diagnostic (CI uploads it), not part of the canonical result set.
+    // Kernel-execution cost breakdown: which kernels the wall time went to.
+    // Wall times are machine-dependent — this artifact is diagnostic (CI
+    // uploads it), not part of the canonical result set.
     let total_wall_ms: f64 = breakdown.iter().map(|r| r.wall_ms).sum();
     let total_measurements: u64 = breakdown.iter().map(|r| r.measurements).sum();
     write_report(
         "fig6_breakdown",
         &[],
         &Breakdown {
-            engine: cashmere_mcl::default_engine().name().to_string(),
             total_wall_ms,
             total_measurements,
             rows: breakdown,

@@ -80,12 +80,8 @@ struct BinNumbers {
 struct KernelNumbers {
     /// Sampled kernel measurements/sec over the fig6 corpus (4 apps × 7
     /// devices, optimized kernel set) on the register-bytecode VM — the
-    /// default engine and the regression-gated kernel-path floor.
+    /// regression-gated kernel-path floor.
     vm_measurements_per_sec: f64,
-    /// Same corpus on the reference tree-walking interpreter.
-    tree_measurements_per_sec: f64,
-    /// VM throughput over tree throughput.
-    vm_speedup_vs_tree: f64,
 }
 
 /// What kind of host produced the numbers, machine-readable: the "1-core
@@ -312,11 +308,7 @@ fn measure_bins(quick: bool) -> BinNumbers {
     let _ = run_scenario(&sc);
     let scaling_wall = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    for app in AppId::ALL {
-        for dev in DeviceKind::ALL {
-            black_box(kernel_gflops(app, KernelSet::Optimized, dev).unwrap_or(0.0));
-        }
-    }
+    fig6_corpus_pass();
     let fig6_wall = t0.elapsed().as_secs_f64();
     BinNumbers {
         scaling_kmeans_wall_s: scaling_wall,
@@ -325,10 +317,8 @@ fn measure_bins(quick: bool) -> BinNumbers {
 }
 
 /// One timed pass over the fig6 corpus (every app × device, optimized
-/// kernels) under `engine`; returns measurements performed.
-fn fig6_corpus_pass(engine: cashmere_mcl::InterpEngine) -> u64 {
-    let prev = cashmere_mcl::default_engine();
-    cashmere_mcl::set_default_engine(engine);
+/// kernels); returns measurements performed.
+fn fig6_corpus_pass() -> u64 {
     let mut n = 0u64;
     for app in AppId::ALL {
         for dev in DeviceKind::ALL {
@@ -336,7 +326,6 @@ fn fig6_corpus_pass(engine: cashmere_mcl::InterpEngine) -> u64 {
             n += 1;
         }
     }
-    cashmere_mcl::set_default_engine(prev);
     n
 }
 
@@ -348,7 +337,7 @@ fn measure_subsystems(quick: bool, jobs: usize, keep_profiling: bool) -> Vec<Sub
     prof::set_enabled(true);
     let _ = prof::take(); // fresh slate: only this pass is attributed
     run_sweep(&scaling_points(quick), jobs);
-    fig6_corpus_pass(cashmere_mcl::default_engine());
+    fig6_corpus_pass();
     let rows = subsystem_rows(&prof::take());
     prof::set_enabled(keep_profiling);
     rows
@@ -356,14 +345,9 @@ fn measure_subsystems(quick: bool, jobs: usize, keep_profiling: bool) -> Vec<Sub
 
 fn measure_kernels(quick: bool) -> KernelNumbers {
     let reps = kernel_reps(quick);
-    let (t_vm, n_vm) = best_of(reps, || fig6_corpus_pass(cashmere_mcl::InterpEngine::Vm));
-    let (t_tree, n_tree) = best_of(reps, || fig6_corpus_pass(cashmere_mcl::InterpEngine::Tree));
-    let vm = n_vm as f64 / t_vm;
-    let tree = n_tree as f64 / t_tree;
+    let (t, n) = best_of(reps, fig6_corpus_pass);
     KernelNumbers {
-        vm_measurements_per_sec: vm,
-        tree_measurements_per_sec: tree,
-        vm_speedup_vs_tree: vm / tree,
+        vm_measurements_per_sec: n as f64 / t,
     }
 }
 
@@ -390,12 +374,6 @@ fn perf_counters(b: &SelfBench) -> std::collections::BTreeMap<String, f64> {
             b.kernels
                 .as_ref()
                 .map_or(0.0, |k| k.vm_measurements_per_sec),
-        ),
-        (
-            "kernels.tree_measurements_per_sec",
-            b.kernels
-                .as_ref()
-                .map_or(0.0, |k| k.tree_measurements_per_sec),
         ),
     ]
     .into_iter()
@@ -499,15 +477,11 @@ fn main() {
     );
     println!("  fig6 kernel sweep:     {:.3}s", bins.fig6_kernels_wall_s);
 
-    println!("selfbench: kernel interpretation (fig6 corpus, VM vs tree)");
+    println!("selfbench: kernel execution (fig6 corpus)");
     let kernels = measure_kernels(quick);
     println!(
         "  vm:   {:>8.1} measurements/s",
         kernels.vm_measurements_per_sec
-    );
-    println!(
-        "  tree: {:>8.1} measurements/s ({:.2}x speedup)",
-        kernels.tree_measurements_per_sec, kernels.vm_speedup_vs_tree
     );
 
     println!("selfbench: per-subsystem wall shares (profiled pass)");

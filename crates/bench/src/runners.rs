@@ -10,14 +10,15 @@
 //! job creation because it needs to create 8 times more jobs to keep one
 //! node busy" (Sec. V-B).
 
+use cashmere::{KernelCall, KernelRegistry};
 use cashmere_apps::kmeans::{KmeansApp, KmeansProblem};
 use cashmere_apps::matmul::{MatmulApp, MatmulProblem};
 use cashmere_apps::nbody::{NbodyApp, NbodyProblem};
 use cashmere_apps::raytracer::{RaytracerApp, RaytracerProblem};
 use cashmere_apps::{AppMode, KernelSet};
 use cashmere_devsim::{ExecMode, SimDevice};
-use cashmere_hwdesc::DeviceKind;
-use cashmere_mcl::interp::Sampling;
+use cashmere_hwdesc::{DeviceKind, Hierarchy};
+use cashmere_mcl::Sampling;
 use cashmere_satin::{Counter, RunReport};
 use serde::{Deserialize, Serialize};
 
@@ -204,70 +205,99 @@ pub(crate) fn kernel_set(series: Series) -> KernelSet {
     }
 }
 
+/// One Fig. 6 launch: a device, the application's kernel registry, and
+/// the kernel call one representative device job of the paper-scale
+/// problem makes, with that job's flop count.
+pub struct Fig6Launch {
+    pub hierarchy: Hierarchy,
+    pub device: SimDevice,
+    pub registry: KernelRegistry,
+    pub call: KernelCall,
+    pub flops: f64,
+}
+
+impl Fig6Launch {
+    /// The launch [`kernel_gflops`] measures; `None` if the device cannot
+    /// be instantiated.
+    pub fn new(app: AppId, set: KernelSet, device: DeviceKind) -> Option<Fig6Launch> {
+        let hierarchy = cashmere_hwdesc::standard_hierarchy();
+        let device = SimDevice::new(&hierarchy, device.level(&hierarchy)).ok()?;
+        let job = (0u64, node_grain(app) / DEVICE_JOBS);
+
+        let (registry, call, flops) = match app {
+            AppId::Raytracer => {
+                let pr = RaytracerProblem::paper();
+                let a = RaytracerApp::new(pr, AppMode::Phantom, node_grain(app), DEVICE_JOBS);
+                (
+                    RaytracerApp::registry(set),
+                    cashmere::CashmereApp::kernel_call(&a, &job),
+                    pr.job_flops(job.1),
+                )
+            }
+            AppId::Matmul => {
+                let pr = MatmulProblem::paper();
+                let a = MatmulApp::phantom(pr, node_grain(app), DEVICE_JOBS);
+                // One device job exactly as the cluster runs produce them: a
+                // node-grain row stripe × one of the 8 column panels.
+                let djob =
+                    cashmere::CashmereApp::device_jobs(&a, &a.row_job(0, node_grain(app)))[0];
+                (
+                    MatmulApp::registry(set),
+                    cashmere::CashmereApp::kernel_call(&a, &djob),
+                    pr.block_flops(djob.rows(), djob.cols()),
+                )
+            }
+            AppId::Kmeans => {
+                let pr = KmeansProblem::paper();
+                let a = KmeansApp::phantom(pr, node_grain(app), DEVICE_JOBS);
+                (
+                    KmeansApp::registry(set),
+                    cashmere::CashmereApp::kernel_call(&a, &job),
+                    pr.job_flops(job.1),
+                )
+            }
+            AppId::Nbody => {
+                let pr = NbodyProblem::paper();
+                let a = NbodyApp::phantom(pr, node_grain(app), DEVICE_JOBS);
+                (
+                    NbodyApp::registry(set),
+                    cashmere::CashmereApp::kernel_call(&a, &job),
+                    pr.job_flops(job.1),
+                )
+            }
+        };
+        Some(Fig6Launch {
+            hierarchy,
+            device,
+            registry,
+            call,
+            flops,
+        })
+    }
+
+    /// Sampled execution, scaled by the call's calibration factor.
+    pub fn mode(&self) -> ExecMode {
+        ExecMode::Sampled {
+            sampling: Sampling::default(),
+            extra_scale: self.call.extra_scale,
+        }
+    }
+}
+
 /// Fig. 6 measurement: kernel execution time alone (no transfers) for one
 /// representative device job of the paper-scale problem.
 pub fn kernel_gflops(app: AppId, set: KernelSet, device: DeviceKind) -> Option<f64> {
     let _prof = cashmere_des::obs::prof::scope("kernel::measure");
-    let h = cashmere_hwdesc::standard_hierarchy();
-    let dev = SimDevice::new(&h, device.level(&h)).ok()?;
-    let job = (0u64, node_grain(app) / DEVICE_JOBS);
-
-    let (reg, call, flops) = match app {
-        AppId::Raytracer => {
-            let pr = RaytracerProblem::paper();
-            let a = RaytracerApp::new(pr, AppMode::Phantom, node_grain(app), DEVICE_JOBS);
-            (
-                RaytracerApp::registry(set),
-                cashmere::CashmereApp::kernel_call(&a, &job),
-                pr.job_flops(job.1),
-            )
-        }
-        AppId::Matmul => {
-            let pr = MatmulProblem::paper();
-            let a = MatmulApp::phantom(pr, node_grain(app), DEVICE_JOBS);
-            // One device job exactly as the cluster runs produce them: a
-            // node-grain row stripe × one of the 8 column panels.
-            let djob = cashmere::CashmereApp::device_jobs(&a, &a.row_job(0, node_grain(app)))[0];
-            (
-                MatmulApp::registry(set),
-                cashmere::CashmereApp::kernel_call(&a, &djob),
-                pr.block_flops(djob.rows(), djob.cols()),
-            )
-        }
-        AppId::Kmeans => {
-            let pr = KmeansProblem::paper();
-            let a = KmeansApp::phantom(pr, node_grain(app), DEVICE_JOBS);
-            (
-                KmeansApp::registry(set),
-                cashmere::CashmereApp::kernel_call(&a, &job),
-                pr.job_flops(job.1),
-            )
-        }
-        AppId::Nbody => {
-            let pr = NbodyProblem::paper();
-            let a = NbodyApp::phantom(pr, node_grain(app), DEVICE_JOBS);
-            (
-                NbodyApp::registry(set),
-                cashmere::CashmereApp::kernel_call(&a, &job),
-                pr.job_flops(job.1),
-            )
-        }
-    };
-
-    let kernel_name = call.kernel.clone();
-    let ck = reg.select(&kernel_name, dev.level)?;
-    let run = dev
-        .run_kernel(
-            &h,
-            ck,
-            call.args,
-            ExecMode::Sampled {
-                sampling: Sampling::default(),
-                extra_scale: call.extra_scale,
-            },
-        )
+    let launch = Fig6Launch::new(app, set, device)?;
+    let mode = launch.mode();
+    let ck = launch
+        .registry
+        .select(&launch.call.kernel, launch.device.level)?;
+    let run = launch
+        .device
+        .run_kernel(&launch.hierarchy, ck, launch.call.args, mode)
         .ok()?;
-    Some(flops / run.cost.total_s / 1e9)
+    Some(launch.flops / run.cost.total_s / 1e9)
 }
 
 #[cfg(test)]

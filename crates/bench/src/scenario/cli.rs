@@ -1,4 +1,4 @@
-//! Shared command-line front end for the eight bench bins.
+//! Shared command-line front end for the eleven bench bins.
 //!
 //! Every bin starts with the same two calls:
 //!
@@ -10,7 +10,6 @@
 //! [`common_args`] splits the flags every bin accepts out of argv in one
 //! pass — `--faults plan.json`, `--trace out.json`, `--explain`,
 //! `--metrics-out m.txt`, `--jobs N`, `--policy P`, `--steal S`,
-//! `--interp tree|vm`,
 //! `--self-profile stem`, `--scenario file.json`, `--dump-scenario` —
 //! returning the rest (argv[0] included) for bin-specific parsing.
 //! `--self-profile` enables the host self-profiler immediately (so setup
@@ -51,11 +50,6 @@ pub struct CommonArgs {
     pub scenario: Option<String>,
     /// Print resolved scenario(s) instead of running (`--dump-scenario`).
     pub dump: bool,
-    /// Kernel interpreter engine override (`--interp tree|vm`), applied to
-    /// scenarios like `--policy` and process-wide for kernel-corpus bins.
-    /// `None` leaves the scenario's own `interp` field (default: the VM)
-    /// in charge. Both engines produce bit-identical statistics.
-    pub interp: Option<cashmere_mcl::InterpEngine>,
     /// The bin's name (argv[0] basename) — the root frame of
     /// `--self-profile` collapsed stacks.
     pub program: String,
@@ -110,13 +104,6 @@ pub fn common_args() -> (CommonArgs, Vec<String>) {
             }
             "--scenario" => common.scenario = Some(value("--scenario")),
             "--dump-scenario" => common.dump = true,
-            "--interp" => {
-                let v = value("--interp");
-                common.interp = Some(
-                    cashmere_mcl::InterpEngine::parse(&v)
-                        .unwrap_or_else(|| fail(&format!("unknown interpreter `{v}` (tree|vm)"))),
-                );
-            }
             _ => rest.push(a),
         }
     }
@@ -133,12 +120,6 @@ pub fn common_args() -> (CommonArgs, Vec<String>) {
                 .unwrap_or_else(|| a.clone())
         })
         .unwrap_or_else(|| "bench".to_string());
-    // Select the engine before any sweep workers spawn: every launch in the
-    // process (including `--jobs N` workers) sees the same engine. (The
-    // scenario driver re-applies the spec's own `interp` per run.)
-    if let Some(e) = common.interp {
-        cashmere_mcl::set_default_engine(e);
-    }
     // Start profiling before any work so setup (cluster build, kernel
     // compilation) is attributed too.
     if common.obs.self_profile.is_some() {
@@ -165,9 +146,6 @@ pub fn apply_overrides(mut sc: Scenario, common: &CommonArgs) -> Scenario {
     }
     if let Some(s) = common.steal {
         sc.policy.steal = s;
-    }
-    if let Some(e) = common.interp {
-        sc.interp = e;
     }
     if common.obs.self_profile.is_some() {
         sc.outputs.self_profile.clone_from(&common.obs.self_profile);

@@ -42,7 +42,6 @@ use cashmere_des::fault::FaultPlan;
 use cashmere_des::obs::{prof, PerturbTarget};
 use cashmere_des::SimTime;
 use cashmere_hwdesc::DeviceKind;
-use cashmere_mcl::InterpEngine;
 use cashmere_netsim::NetConfig;
 use cashmere_satin::{
     ClusterApp, ClusterSim, Counter, LeafRuntime, RunReport, SimConfig, StealKind,
@@ -66,7 +65,11 @@ fn map_get<'a>(m: &'a [(Content, Content)], key: &str) -> Option<&'a Content> {
 
 /// Reject unknown (and non-string) keys so typos fail loudly instead of
 /// silently running the default.
-fn check_fields(m: &[(Content, Content)], known: &[&str], ty: &str) -> Result<(), DeError> {
+fn check_fields<'a>(
+    m: impl IntoIterator<Item = &'a (Content, Content)>,
+    known: &[&str],
+    ty: &str,
+) -> Result<(), DeError> {
     for (k, _) in m {
         let Some(k) = k.as_str() else {
             return Err(DeError::custom(format!("non-string key in `{ty}`")));
@@ -456,11 +459,6 @@ pub struct Scenario {
     /// and steal-victim selection (uniform-random default). Accepts the
     /// legacy bare-string form for placement-only specs.
     pub policy: PolicySpec,
-    /// Kernel interpreter engine (tree-walker or register VM). Both produce
-    /// bit-identical results — this is recorded so provenance captures which
-    /// engine executed the run, and overridable via `--interp` like
-    /// `--policy`.
-    pub interp: InterpEngine,
     pub cores_per_node: usize,
     /// Concurrent node-level leaves per node; `None` resolves to the series
     /// default (Satin: one per core, Cashmere: 2 so transfers of one job
@@ -490,7 +488,7 @@ pub struct Scenario {
 }
 
 /// Field names of the JSON form, in canonical (declaration) order.
-const SCENARIO_FIELDS: [&str; 22] = [
+const SCENARIO_FIELDS: [&str; 21] = [
     "name",
     "app",
     "series",
@@ -500,7 +498,6 @@ const SCENARIO_FIELDS: [&str; 22] = [
     "device_jobs",
     "seed",
     "policy",
-    "interp",
     "cores_per_node",
     "leaf_slots",
     "job_overhead",
@@ -527,7 +524,6 @@ impl Serialize for Scenario {
             (skey("device_jobs"), self.device_jobs.to_content()),
             (skey("seed"), self.seed.to_content()),
             (skey("policy"), self.policy.to_content()),
-            (skey("interp"), self.interp.to_content()),
             (skey("cores_per_node"), self.cores_per_node.to_content()),
             (skey("leaf_slots"), self.leaf_slots.to_content()),
             (skey("job_overhead"), self.job_overhead.to_content()),
@@ -550,7 +546,19 @@ impl Deserialize for Scenario {
         let m = content
             .as_map()
             .ok_or_else(|| DeError::expected("map", TY, content))?;
-        check_fields(m, &SCENARIO_FIELDS, TY)?;
+        // Scenarios written while the kernel engine was a run option carry
+        // `"interp": "vm"`; read it and drop it. Kernels only run on the VM,
+        // so any other value cannot be honoured.
+        let current = m.iter().filter(|(k, _)| k.as_str() != Some("interp"));
+        check_fields(current, &SCENARIO_FIELDS, TY)?;
+        if let Some(v) = map_get(m, "interp").filter(|v| v.as_str() != Some("vm")) {
+            let got = v
+                .as_str()
+                .map_or(v.kind().to_string(), |s| format!("\"{s}\""));
+            return Err(DeError::custom(format!(
+                "field `interp` in `{TY}`: kernels always run on the VM, so only \"vm\" is accepted, got {got}"
+            )));
+        }
         Ok(Scenario {
             name: req_field(m, "name", TY)?,
             app: req_field(m, "app", TY)?,
@@ -561,7 +569,6 @@ impl Deserialize for Scenario {
             device_jobs: opt_field(m, "device_jobs")?.unwrap_or_else(default_device_jobs),
             seed: opt_field(m, "seed")?.unwrap_or_else(default_seed),
             policy: opt_field(m, "policy")?.unwrap_or_default(),
-            interp: opt_field(m, "interp")?.unwrap_or_default(),
             cores_per_node: opt_field(m, "cores_per_node")?.unwrap_or_else(default_cores),
             leaf_slots: opt_field(m, "leaf_slots")?,
             job_overhead: opt_field(m, "job_overhead")?.unwrap_or_else(default_job_overhead),
@@ -597,7 +604,6 @@ impl Scenario {
             device_jobs: default_device_jobs(),
             seed: default_seed(),
             policy: PolicySpec::default(),
-            interp: InterpEngine::default(),
             cores_per_node: default_cores(),
             leaf_slots: None,
             job_overhead: default_job_overhead(),
@@ -654,11 +660,6 @@ impl Scenario {
     /// Set the steal-victim policy (the placement policy is untouched).
     pub fn with_steal(mut self, steal: StealKind) -> Scenario {
         self.policy.steal = steal;
-        self
-    }
-
-    pub fn with_interp(mut self, interp: InterpEngine) -> Scenario {
-        self.interp = interp;
         self
     }
 
@@ -1055,10 +1056,6 @@ fn capture_of<A: ClusterApp, L: LeafRuntime<A>>(
 /// provenance block of a report re-runnable byte-for-byte at any `--jobs`.
 pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
     let _prof = prof::scope("scenario::run");
-    // Both engines are bit-identical (CI proves it), so setting the
-    // process-wide default per run cannot change any outcome — it only
-    // selects which interpreter the wall time goes to.
-    cashmere_mcl::set_default_engine(sc.interp);
     let observe = sc.observe();
     let cfg = sc.sim_config();
     let rt_cfg = sc.runtime_config();
@@ -1409,6 +1406,22 @@ mod tests {
             r#"{"name":"t","app":"kmeans","series":"cashmere-opt","nodes":[["gtx480"]],"sede":7}"#,
         )
         .is_err());
+    }
+
+    #[test]
+    fn retired_interp_field_reads_vm_and_rejects_the_rest() {
+        const TERSE: &str =
+            r#"{"name":"t","app":"kmeans","series":"cashmere-opt","nodes":[["gtx480"]]"#;
+        let plain = Scenario::from_json(&format!("{TERSE}}}")).unwrap();
+        let vm = Scenario::from_json(&format!(r#"{TERSE},"interp":"vm"}}"#)).unwrap();
+        assert_eq!(vm, plain);
+        let canonical = vm.to_canonical_json();
+        assert!(!canonical.contains("interp"), "{canonical}");
+        assert_eq!(Scenario::from_json(&canonical).unwrap(), plain);
+        for bad in [r#""tree""#, "42"] {
+            let err = Scenario::from_json(&format!(r#"{TERSE},"interp":{bad}}}"#)).unwrap_err();
+            assert!(err.contains("`interp`"), "{err}");
+        }
     }
 
     #[test]

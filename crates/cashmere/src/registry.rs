@@ -15,11 +15,10 @@
 
 use cashmere_des::obs::prof;
 use cashmere_hwdesc::{Hierarchy, LevelId};
-use cashmere_mcl::interp::Sampling;
 use cashmere_mcl::launch::{LaunchKey, LaunchMemo};
 use cashmere_mcl::stats::KernelStats;
 use cashmere_mcl::value::ArgValue;
-use cashmere_mcl::{compile, CheckError, CheckedKernel};
+use cashmere_mcl::{compile, CheckError, CheckedKernel, Sampling};
 use std::collections::HashMap;
 
 /// One kernel's versions, ordered by registration.

@@ -8,12 +8,10 @@ use cashmere_des::SimTime;
 use cashmere_hwdesc::params::ResolvedParams;
 use cashmere_hwdesc::{Hierarchy, LevelId};
 use cashmere_mcl::cost::{estimate_time, CostBreakdown, DeviceClass};
-use cashmere_mcl::interp::{ExecError, ExecOptions, Sampling};
 use cashmere_mcl::launch::LaunchConfig;
 use cashmere_mcl::stats::KernelStats;
 use cashmere_mcl::value::ArgValue;
-use cashmere_mcl::vm::{default_engine, execute_with_engine};
-use cashmere_mcl::CheckedKernel;
+use cashmere_mcl::{CheckedKernel, ExecError, ExecOptions, Sampling};
 
 /// Device global-memory capacities in GiB (published card specs).
 fn memory_gib(level_name: &str) -> u64 {
@@ -61,6 +59,17 @@ pub struct KernelRun {
     pub cost: CostBreakdown,
     /// Virtual execution time on this device.
     pub time: SimTime,
+}
+
+/// Everything a launch of one kernel on one device needs besides its
+/// arguments: the device's launch geometry, the executor options that
+/// geometry and the [`ExecMode`] imply, and the kernel level's parallelism
+/// units.
+#[derive(Debug, Clone)]
+pub struct PreparedLaunch {
+    pub config: LaunchConfig,
+    pub opts: ExecOptions,
+    pub par_units: Vec<String>,
 }
 
 /// A simulated many-core device instance.
@@ -168,10 +177,36 @@ impl SimDevice {
         now.max(self.exec.free_at()) + kernel_time
     }
 
-    /// Execute a checked kernel on this device: functional interpretation
-    /// plus cost-model timing. The caller is responsible for scheduling the
-    /// returned `time` onto [`SimDevice::schedule_exec`] (the Cashmere
-    /// runtime does this so transfers can overlap).
+    /// Prepare a launch of `ck` on this device: what [`SimDevice::run_kernel`]
+    /// hands the kernel VM.
+    pub fn prepare_launch(
+        &self,
+        h: &Hierarchy,
+        ck: &CheckedKernel,
+        mode: ExecMode,
+    ) -> PreparedLaunch {
+        let config = LaunchConfig::for_device(ck, h, self.level);
+        let opts = match mode {
+            ExecMode::Full => config.exec_full(),
+            ExecMode::Sampled { sampling, .. } => config.exec_sampled(sampling),
+        };
+        let par_units = h
+            .effective_params(ck.level)
+            .par_units
+            .iter()
+            .map(|p| p.name.clone())
+            .collect();
+        PreparedLaunch {
+            config,
+            opts,
+            par_units,
+        }
+    }
+
+    /// Execute a checked kernel on this device: functional execution on the
+    /// kernel VM plus cost-model timing. The caller is responsible for
+    /// scheduling the returned `time` onto [`SimDevice::schedule_exec`] (the
+    /// Cashmere runtime does this so transfers can overlap).
     pub fn run_kernel(
         &self,
         h: &Hierarchy,
@@ -180,25 +215,15 @@ impl SimDevice {
         mode: ExecMode,
     ) -> Result<KernelRun, ExecError> {
         let _prof = prof::scope("mcl::execute");
-        let cfg = LaunchConfig::for_device(ck, h, self.level);
-        let opts: ExecOptions = match mode {
-            ExecMode::Full => cfg.exec_full(),
-            ExecMode::Sampled { sampling, .. } => cfg.exec_sampled(sampling),
-        };
-        let units: Vec<String> = h
-            .effective_params(ck.level)
-            .par_units
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        let result = execute_with_engine(default_engine(), ck, args, &units, &opts)?;
+        let launch = self.prepare_launch(h, ck, mode);
+        let result = cashmere_mcl::execute(ck, args, &launch.par_units, &launch.opts)?;
         let mut stats = result.stats;
         if let ExecMode::Sampled { extra_scale, .. } = mode {
             if extra_scale != 1.0 {
                 stats.scale(extra_scale);
             }
         }
-        let cost = estimate_time(&stats, &self.params, cfg.class);
+        let cost = estimate_time(&stats, &self.params, launch.config.class);
         Ok(KernelRun {
             args: result.args,
             // The cost model describes the physical device; the virtual

@@ -195,9 +195,9 @@ pub fn analyze(
 mod tests {
     use super::*;
     use crate::compile;
-    use crate::interp::execute;
     use crate::launch::LaunchConfig;
     use crate::value::{ArgValue, ArrayArg};
+    use crate::vm::execute;
     use crate::ElemTy;
     use cashmere_hwdesc::{standard_hierarchy, DeviceKind, Hierarchy};
 

@@ -1,0 +1,72 @@
+//! Types shared by the two kernel executors: the register-bytecode VM
+//! ([`crate::vm`]) that runs every launch, and the tree-walking reference
+//! interpreter ([`crate::interp`]) that tests check it against.
+
+use crate::stats::KernelStats;
+use crate::value::ArgValue;
+use std::fmt;
+
+/// Kernel runtime error (after successful checking).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExecError {
+    pub line: usize,
+    pub message: String,
+}
+
+impl fmt::Display for ExecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "MCPL runtime error at line {}: {}",
+            self.line, self.message
+        )
+    }
+}
+
+impl std::error::Error for ExecError {}
+
+/// Sampling limits for estimated runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sampling {
+    /// Max iterations interpreted per sequential-parallel `foreach`.
+    pub max_outer_iters: usize,
+    /// Max vector chunks interpreted per vectorized `foreach`.
+    pub max_chunks: usize,
+}
+
+impl Default for Sampling {
+    fn default() -> Self {
+        Sampling {
+            max_outer_iters: 2,
+            max_chunks: 2,
+        }
+    }
+}
+
+/// Execution options.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecOptions {
+    /// Warp/wavefront width used for issue and coalescing accounting.
+    pub simd_width: usize,
+    /// Lanes per vectorized chunk (work-group size).
+    pub group_size: usize,
+    /// `None` = full functional execution.
+    pub sample: Option<Sampling>,
+}
+
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            simd_width: 32,
+            group_size: 256,
+            sample: None,
+        }
+    }
+}
+
+/// Result: the (possibly mutated) arguments plus collected statistics.
+#[derive(Debug)]
+pub struct ExecResult {
+    pub args: Vec<ArgValue>,
+    pub stats: KernelStats,
+}

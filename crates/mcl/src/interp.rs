@@ -1,4 +1,13 @@
-//! Warp-synchronous (SIMT) interpreter for MCPL kernels.
+//! Warp-synchronous (SIMT) tree-walking interpreter for MCPL kernels —
+//! the reference semantics of the kernel VM.
+//!
+//! Every launch in the simulator runs on the register-bytecode VM
+//! ([`crate::vm`]). This module walks the checked AST directly and is the
+//! oracle the VM is tested against: the differential tests in
+//! [`crate::vm`] and `tests/mcl_language.rs`, the property tests in
+//! `tests/properties.rs`, the fig6-corpus equivalence test in
+//! `crates/bench/tests/kernel_engines.rs`, and the `mcl_interp/*_tree`
+//! criterion benches. It is not reachable from any run option.
 //!
 //! The interpreter executes a kernel the way a many-core device would:
 //! the *innermost* thread-level `foreach` is vectorized — all lanes of a
@@ -17,7 +26,7 @@
 //! Two modes:
 //!
 //! * **full** — every group and every lane executes; array arguments are
-//!   mutated; used for correctness tests and real application runs;
+//!   mutated;
 //! * **sampled** — only the first few outer iterations / vector chunks run
 //!   and all counters are scaled up, so paper-scale launches (billions of
 //!   threads) are measured in milliseconds. Combined with phantom buffers
@@ -25,75 +34,10 @@
 
 use crate::ast::*;
 use crate::check::CheckedKernel;
+use crate::exec::{ExecError, ExecOptions, ExecResult, Sampling};
 use crate::stats::{KernelStats, SiteKey};
 use crate::value::ArgValue;
 use std::collections::HashMap;
-use std::fmt;
-
-/// Interpreter error (runtime, after successful checking).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecError {
-    pub line: usize,
-    pub message: String,
-}
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "MCPL runtime error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-/// Sampling limits for estimated runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sampling {
-    /// Max iterations interpreted per sequential-parallel `foreach`.
-    pub max_outer_iters: usize,
-    /// Max vector chunks interpreted per vectorized `foreach`.
-    pub max_chunks: usize,
-}
-
-impl Default for Sampling {
-    fn default() -> Self {
-        Sampling {
-            max_outer_iters: 2,
-            max_chunks: 2,
-        }
-    }
-}
-
-/// Execution options.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Warp/wavefront width used for issue and coalescing accounting.
-    pub simd_width: usize,
-    /// Lanes per vectorized chunk (work-group size).
-    pub group_size: usize,
-    /// `None` = full functional execution.
-    pub sample: Option<Sampling>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            simd_width: 32,
-            group_size: 256,
-            sample: None,
-        }
-    }
-}
-
-/// Result: the (possibly mutated) arguments plus collected statistics.
-#[derive(Debug)]
-pub struct ExecResult {
-    pub args: Vec<ArgValue>,
-    pub stats: KernelStats,
-}
 
 // Instruction costs in device cycles.
 const CYCLE_BASIC: f64 = 1.0;

@@ -14,7 +14,7 @@
 use crate::ast::{walk_stmts, Expr, StmtKind};
 use crate::check::CheckedKernel;
 use crate::cost::DeviceClass;
-use crate::interp::{ExecOptions, Sampling};
+use crate::exec::{ExecOptions, Sampling};
 use crate::stats::KernelStats;
 use crate::value::ArgValue;
 use cashmere_hwdesc::{Hierarchy, LevelId};

@@ -13,8 +13,10 @@
 //!   reuse, branch divergence, occupancy hazards;
 //! * **translates** it to lower levels without optimizing ([`translate`]);
 //! * **selects launch geometry** per device ([`launch`]);
-//! * **executes** it on the SIMT interpreter ([`interp`]) — full runs for
-//!   correctness, sampled runs for paper-scale measurement; and
+//! * **executes** it on the register-bytecode VM ([`vm`]) — full runs for
+//!   correctness, sampled runs for paper-scale measurement — whose
+//!   reference semantics is the tree-walking interpreter ([`interp`]), kept
+//!   only as the oracle the VM's tests compare against; and
 //! * **estimates execution time** on a concrete device from the collected
 //!   statistics with a roofline cost model ([`cost`]).
 
@@ -24,6 +26,7 @@ pub mod check;
 pub mod codegen;
 pub mod compile;
 pub mod cost;
+pub mod exec;
 pub mod fmt;
 pub mod interp;
 pub mod launch;
@@ -37,14 +40,14 @@ pub use analyze::{analyze, Feedback, FeedbackKind};
 pub use ast::{ElemTy, Kernel};
 pub use check::{check, CheckError, CheckedKernel};
 pub use cost::{estimate_time, CostBreakdown, DeviceClass};
+pub use exec::{ExecError, ExecOptions, ExecResult, Sampling};
 pub use fmt::{expr_to_string, kernel_to_string};
-pub use interp::{execute, ExecError, ExecOptions, ExecResult, Sampling};
 pub use launch::{LaunchConfig, LaunchKey, LaunchMemo};
 pub use parse::{parse, ParseError};
 pub use stats::KernelStats;
 pub use translate::translate_to;
 pub use value::{ArgValue, ArrayArg, Buffer};
-pub use vm::{default_engine, execute_with_engine, set_default_engine, InterpEngine};
+pub use vm::execute;
 
 /// Parse + check in one step against a hierarchy.
 pub fn compile(

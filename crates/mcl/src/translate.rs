@@ -284,8 +284,9 @@ fn split_stmt(
 mod tests {
     use super::*;
     use crate::compile;
-    use crate::interp::{execute, ExecOptions};
+    use crate::exec::ExecOptions;
     use crate::value::{ArgValue, ArrayArg};
+    use crate::vm::execute;
     use cashmere_hwdesc::standard_hierarchy;
 
     const SAXPY: &str = "perfect void saxpy(int n, float alpha, float[n] y, float[n] x) {

@@ -1,4 +1,5 @@
-//! Register-bytecode VM for compiled MCPL kernels.
+//! Register-bytecode VM for compiled MCPL kernels — the engine every
+//! kernel launch runs on.
 //!
 //! Executes a [`crate::compile::Program`] with the same warp-synchronous
 //! activity-mask semantics as the tree walker ([`crate::interp`]) and
@@ -23,12 +24,11 @@
 use crate::ast::{AssignOp, BinOp, ElemTy, UnOp};
 use crate::check::CheckedKernel;
 use crate::compile::{compile_program, Builtin, Instr, Program};
-use crate::interp::{ExecError, ExecOptions, ExecResult, Sampling};
+use crate::exec::{ExecError, ExecOptions, ExecResult, Sampling};
 use crate::stats::{KernelStats, SiteStats};
 use crate::value::ArgValue;
 use std::collections::VecDeque;
 use std::mem;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 // Instruction costs — must match crate::interp exactly.
 const CYCLE_BASIC: f64 = 1.0;
@@ -1986,7 +1986,8 @@ pub fn execute_compiled(
     })
 }
 
-/// Compile and execute a checked kernel on the VM. Drop-in replacement for
+/// Compile and execute a checked kernel on the VM — the one execution
+/// route every launch takes. Observably identical to the reference
 /// [`crate::interp::execute`].
 pub fn execute(
     ck: &CheckedKernel,
@@ -1996,82 +1997,6 @@ pub fn execute(
 ) -> Result<ExecResult, ExecError> {
     let prog = compile_program(ck, par_units);
     execute_compiled(&prog, args, opts)
-}
-
-/// Which kernel interpreter executes launches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InterpEngine {
-    /// Reference tree-walking interpreter.
-    Tree,
-    /// Register-bytecode VM (default).
-    #[default]
-    Vm,
-}
-
-impl InterpEngine {
-    pub fn parse(s: &str) -> Option<InterpEngine> {
-        match s {
-            "tree" => Some(InterpEngine::Tree),
-            "vm" => Some(InterpEngine::Vm),
-            _ => None,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            InterpEngine::Tree => "tree",
-            InterpEngine::Vm => "vm",
-        }
-    }
-}
-
-// Hand-written so the JSON form is the stable CLI token (`tree`, `vm`),
-// shared by `--interp` and the scenario spec's `interp` field.
-impl serde::Serialize for InterpEngine {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Str(self.name().to_string())
-    }
-}
-
-impl serde::Deserialize for InterpEngine {
-    fn from_content(content: &serde::Content) -> Result<InterpEngine, serde::DeError> {
-        match content.as_str() {
-            Some(s) => InterpEngine::parse(s)
-                .ok_or_else(|| serde::DeError::unknown_variant(s, "InterpEngine")),
-            None => Err(serde::DeError::expected("string", "InterpEngine", content)),
-        }
-    }
-}
-
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(1);
-
-/// Set the process-wide default engine (e.g. from an `--interp` flag). Set
-/// this once before spawning worker threads; launches read it on every
-/// dispatch.
-pub fn set_default_engine(e: InterpEngine) {
-    DEFAULT_ENGINE.store(e as u8, Ordering::Relaxed);
-}
-
-pub fn default_engine() -> InterpEngine {
-    if DEFAULT_ENGINE.load(Ordering::Relaxed) == InterpEngine::Tree as u8 {
-        InterpEngine::Tree
-    } else {
-        InterpEngine::Vm
-    }
-}
-
-/// Execute with an explicit engine choice.
-pub fn execute_with_engine(
-    engine: InterpEngine,
-    ck: &CheckedKernel,
-    args: Vec<ArgValue>,
-    par_units: &[String],
-    opts: &ExecOptions,
-) -> Result<ExecResult, ExecError> {
-    match engine {
-        InterpEngine::Tree => crate::interp::execute(ck, args, par_units, opts),
-        InterpEngine::Vm => execute(ck, args, par_units, opts),
-    }
 }
 
 #[cfg(test)]
@@ -2473,16 +2398,5 @@ mod tests {
             r.stats.global_bytes.to_bits(),
             tree.stats.global_bytes.to_bits()
         );
-    }
-
-    #[test]
-    fn engine_selection_roundtrip() {
-        assert_eq!(InterpEngine::parse("tree"), Some(InterpEngine::Tree));
-        assert_eq!(InterpEngine::parse("vm"), Some(InterpEngine::Vm));
-        assert_eq!(InterpEngine::parse("x"), None);
-        let prev = default_engine();
-        set_default_engine(InterpEngine::Tree);
-        assert_eq!(default_engine(), InterpEngine::Tree);
-        set_default_engine(prev);
     }
 }

@@ -1,13 +1,22 @@
 //! Property-based tests of the MCPL toolchain: randomly generated
 //! expression kernels must (a) pretty-print → parse → check cleanly and
 //! (b) compute exactly what a direct Rust evaluation of the same expression
-//! computes, lane for lane.
+//! computes, lane for lane, on both kernel engines.
 
 use cashmere_hwdesc::standard_hierarchy;
-use cashmere_mcl::interp::{execute, ExecOptions};
 use cashmere_mcl::value::{ArgValue, ArrayArg};
-use cashmere_mcl::{compile, ElemTy};
+use cashmere_mcl::{compile, CheckedKernel, ElemTy, ExecError, ExecOptions, ExecResult};
 use proptest::prelude::*;
+
+type Execute =
+    fn(&CheckedKernel, Vec<ArgValue>, &[String], &ExecOptions) -> Result<ExecResult, ExecError>;
+
+/// Both kernel engines: the VM every run uses and the reference tree
+/// walker it must agree with.
+const ENGINES: [(&str, Execute); 2] = [
+    ("vm", cashmere_mcl::vm::execute),
+    ("tree", cashmere_mcl::interp::execute),
+];
 
 /// A small expression language over one float variable `x` and one int
 /// variable `i`, rendered to MCPL source and evaluated natively.
@@ -94,28 +103,30 @@ proptest! {
         let h = standard_hierarchy();
         let ck = compile(&src, &h).expect("generated kernel compiles");
         let xs: Vec<f64> = (0..n).map(|k| f64::from(k as f32 * 0.5 - 8.0)).collect();
-        let r = execute(
-            &ck,
-            vec![
-                ArgValue::Int(n as i64),
-                ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[n])),
-                ArgValue::Array(ArrayArg::float(&[n], xs.clone())),
-            ],
-            &["threads".to_string()],
-            &ExecOptions::default(),
-        )
-        .expect("generated kernel runs");
-        let out = r.args[1].clone().array();
-        for (k, x) in xs.iter().enumerate() {
-            let want = expr.eval(*x, k as i64);
-            let got = out.as_f64()[k];
-            if want.is_finite() && want.abs() < 1e30 {
-                let want32 = f64::from(want as f32);
-                prop_assert!(
-                    (got - want32).abs() <= 1e-3 * (1.0 + want32.abs()),
-                    "lane {k}: {got} vs {want32} for `{}`",
-                    expr.to_mcpl()
-                );
+        for (engine, execute) in ENGINES {
+            let r = execute(
+                &ck,
+                vec![
+                    ArgValue::Int(n as i64),
+                    ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[n])),
+                    ArgValue::Array(ArrayArg::float(&[n], xs.clone())),
+                ],
+                &["threads".to_string()],
+                &ExecOptions::default(),
+            )
+            .expect("generated kernel runs");
+            let out = r.args[1].clone().array();
+            for (k, x) in xs.iter().enumerate() {
+                let want = expr.eval(*x, k as i64);
+                let got = out.as_f64()[k];
+                if want.is_finite() && want.abs() < 1e30 {
+                    let want32 = f64::from(want as f32);
+                    prop_assert!(
+                        (got - want32).abs() <= 1e-3 * (1.0 + want32.abs()),
+                        "{engine}: lane {k}: {got} vs {want32} for `{}`",
+                        expr.to_mcpl()
+                    );
+                }
             }
         }
     }
@@ -133,26 +144,28 @@ proptest! {
         );
         let h = standard_hierarchy();
         let ck = compile(&src, &h).expect("compiles");
-        let run = || {
-            let xs: Vec<f64> = (0..64).map(|k| f64::from(k as f32) / 7.0).collect();
-            let r = execute(
-                &ck,
-                vec![
-                    ArgValue::Int(64),
-                    ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[64])),
-                    ArgValue::Array(ArrayArg::float(&[64], xs)),
-                ],
-                &["threads".to_string()],
-                &ExecOptions::default(),
-            )
-            .expect("runs");
-            (
-                r.args[1].clone().array().as_f64().to_vec(),
-                r.stats.issue_cycles.to_bits(),
-                r.stats.flops.to_bits(),
-            )
-        };
-        prop_assert_eq!(run(), run());
+        for (engine, execute) in ENGINES {
+            let run = || {
+                let xs: Vec<f64> = (0..64).map(|k| f64::from(k as f32) / 7.0).collect();
+                let r = execute(
+                    &ck,
+                    vec![
+                        ArgValue::Int(64),
+                        ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[64])),
+                        ArgValue::Array(ArrayArg::float(&[64], xs)),
+                    ],
+                    &["threads".to_string()],
+                    &ExecOptions::default(),
+                )
+                .expect("runs");
+                (
+                    r.args[1].clone().array().as_f64().to_vec(),
+                    r.stats.issue_cycles.to_bits(),
+                    r.stats.flops.to_bits(),
+                )
+            };
+            prop_assert_eq!(run(), run(), "{}", engine);
+        }
     }
 
     #[test]
@@ -173,23 +186,25 @@ proptest! {
         prop_assert_eq!(printed.clone(), cashmere_mcl::kernel_to_string(&k2));
         // And both versions compute the same thing.
         let h = standard_hierarchy();
-        let run = |k: &cashmere_mcl::Kernel| {
-            let ck = cashmere_mcl::check(k, &h).expect("checks");
-            let xs: Vec<f64> = (0..32).map(|v| f64::from(v as f32) * 0.5 - 8.0).collect();
-            let r = execute(
-                &ck,
-                vec![
-                    ArgValue::Int(32),
-                    ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[32])),
-                    ArgValue::Array(ArrayArg::float(&[32], xs)),
-                ],
-                &["threads".to_string()],
-                &ExecOptions::default(),
-            )
-            .expect("runs");
-            r.args[1].clone().array().as_f64().to_vec()
-        };
-        prop_assert_eq!(run(&k1), run(&k2));
+        for (engine, execute) in ENGINES {
+            let run = |k: &cashmere_mcl::Kernel| {
+                let ck = cashmere_mcl::check(k, &h).expect("checks");
+                let xs: Vec<f64> = (0..32).map(|v| f64::from(v as f32) * 0.5 - 8.0).collect();
+                let r = execute(
+                    &ck,
+                    vec![
+                        ArgValue::Int(32),
+                        ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[32])),
+                        ArgValue::Array(ArrayArg::float(&[32], xs)),
+                    ],
+                    &["threads".to_string()],
+                    &ExecOptions::default(),
+                )
+                .expect("runs");
+                r.args[1].clone().array().as_f64().to_vec()
+            };
+            prop_assert_eq!(run(&k1), run(&k2), "{}", engine);
+        }
     }
 
     #[test]
@@ -249,7 +264,7 @@ proptest! {
             ]
         };
         let units = ["threads".to_string()];
-        let tree = execute(&ck, mk_args(), &units, &opts).expect("tree runs");
+        let tree = cashmere_mcl::interp::execute(&ck, mk_args(), &units, &opts).expect("tree runs");
         let vm = cashmere_mcl::vm::execute(&ck, mk_args(), &units, &opts).expect("vm runs");
         prop_assert_eq!(format!("{:?}", tree.stats), format!("{:?}", vm.stats));
         prop_assert_eq!(
@@ -311,7 +326,7 @@ fn engines_pin_exact_counters() {
         ]
     };
     let opts = ExecOptions::default();
-    let tree = execute(&ck, mk_args(), &units, &opts).expect("tree runs");
+    let tree = cashmere_mcl::interp::execute(&ck, mk_args(), &units, &opts).expect("tree runs");
     let vm = cashmere_mcl::vm::execute(&ck, mk_args(), &units, &opts).expect("vm runs");
     for (name, r) in [("tree", &tree), ("vm", &vm)] {
         let s = &r.stats;

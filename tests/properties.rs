@@ -1,18 +1,27 @@
 //! Property-based tests over the core data structures and invariants,
 //! spanning the whole stack: virtual time, the event engine, the
-//! interconnect, the MCPL interpreter, the load balancer and the D&C
+//! interconnect, both MCPL kernel engines, the load balancer and the D&C
 //! engine.
 
 use cashmere::Balancer;
 use cashmere_des::{Sim, SimTime};
 use cashmere_hwdesc::standard_hierarchy;
-use cashmere_mcl::interp::{execute, ExecOptions, Sampling};
 use cashmere_mcl::value::{ArgValue, ArrayArg};
-use cashmere_mcl::{compile, ElemTy};
+use cashmere_mcl::{compile, CheckedKernel, ElemTy, ExecError, ExecOptions, ExecResult, Sampling};
 use cashmere_netsim::nic::{schedule_transfer, NodeNic};
 use cashmere_netsim::NetConfig;
 use cashmere_satin::{ClusterApp, ClusterSim, CpuLeafRuntime, DcStep, SimConfig};
 use proptest::prelude::*;
+
+type Execute =
+    fn(&CheckedKernel, Vec<ArgValue>, &[String], &ExecOptions) -> Result<ExecResult, ExecError>;
+
+/// Both kernel engines: the VM every run uses and the reference tree
+/// walker it must agree with.
+const ENGINES: [(&str, Execute); 2] = [
+    ("vm", cashmere_mcl::vm::execute),
+    ("tree", cashmere_mcl::interp::execute),
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -83,24 +92,26 @@ proptest! {
         ).unwrap();
         let xs: Vec<f64> = (0..n).map(|i| f64::from((i as f32) * 0.25 - 8.0)).collect();
         let ys: Vec<f64> = (0..n).map(|i| f64::from(i as f32 * 0.5)).collect();
-        let r = execute(
-            &ck,
-            vec![
-                ArgValue::Int(n as i64),
-                ArgValue::Float(alpha),
-                ArgValue::Array(ArrayArg::float(&[n], ys.clone())),
-                ArgValue::Array(ArrayArg::float(&[n], xs.clone())),
-            ],
-            &["threads".to_string()],
-            &ExecOptions { group_size: group, simd_width: 32, sample: None },
-        ).unwrap();
-        let got = r.args[2].clone().array();
-        for i in 0..n as usize {
-            let want = f64::from((ys[i] + alpha * xs[i]) as f32);
-            prop_assert!((got.as_f64()[i] - want).abs() < 1e-9, "i={i}");
+        for (engine, execute) in ENGINES {
+            let r = execute(
+                &ck,
+                vec![
+                    ArgValue::Int(n as i64),
+                    ArgValue::Float(alpha),
+                    ArgValue::Array(ArrayArg::float(&[n], ys.clone())),
+                    ArgValue::Array(ArrayArg::float(&[n], xs.clone())),
+                ],
+                &["threads".to_string()],
+                &ExecOptions { group_size: group, simd_width: 32, sample: None },
+            ).unwrap();
+            let got = r.args[2].clone().array();
+            for i in 0..n as usize {
+                let want = f64::from((ys[i] + alpha * xs[i]) as f32);
+                prop_assert!((got.as_f64()[i] - want).abs() < 1e-9, "{engine}: i={i}");
+            }
+            // flops: one fused multiply-add per element.
+            prop_assert!((r.stats.flops - 2.0 * n as f64).abs() < 1e-9, "{engine}");
         }
-        // flops: one fused multiply-add per element.
-        prop_assert!((r.stats.flops - 2.0 * n as f64).abs() < 1e-9);
     }
 
     #[test]
@@ -118,25 +129,27 @@ proptest! {
 }",
             &h,
         ).unwrap();
-        let run = |sample: Option<Sampling>| {
-            let r = execute(
-                &ck,
-                vec![
-                    ArgValue::Int(n as i64),
-                    ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
-                ],
-                &["threads".to_string()],
-                &ExecOptions { group_size: 256, simd_width: 32, sample },
-            ).unwrap();
-            r.stats
-        };
-        let full = run(None);
-        let sampled = run(Some(Sampling { max_outer_iters: chunks, max_chunks: chunks }));
-        let rel = |a: f64, b: f64| if b == 0.0 { 0.0 } else { (a - b).abs() / b };
-        prop_assert!(rel(sampled.flops, full.flops) < 1e-6);
-        prop_assert!(rel(sampled.issue_cycles, full.issue_cycles) < 1e-6);
-        prop_assert!(rel(sampled.global_bytes, full.global_bytes) < 1e-6);
-        prop_assert_eq!(sampled.total_threads, full.total_threads);
+        for (engine, execute) in ENGINES {
+            let run = |sample: Option<Sampling>| {
+                let r = execute(
+                    &ck,
+                    vec![
+                        ArgValue::Int(n as i64),
+                        ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+                    ],
+                    &["threads".to_string()],
+                    &ExecOptions { group_size: 256, simd_width: 32, sample },
+                ).unwrap();
+                r.stats
+            };
+            let full = run(None);
+            let sampled = run(Some(Sampling { max_outer_iters: chunks, max_chunks: chunks }));
+            let rel = |a: f64, b: f64| if b == 0.0 { 0.0 } else { (a - b).abs() / b };
+            prop_assert!(rel(sampled.flops, full.flops) < 1e-6, "{engine}");
+            prop_assert!(rel(sampled.issue_cycles, full.issue_cycles) < 1e-6, "{engine}");
+            prop_assert!(rel(sampled.global_bytes, full.global_bytes) < 1e-6, "{engine}");
+            prop_assert_eq!(sampled.total_threads, full.total_threads, "{}", engine);
+        }
     }
 
     #[test]

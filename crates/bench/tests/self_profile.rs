@@ -8,6 +8,7 @@ use cashmere_bench::{run_scenario, sweep, AppId, Problem, Scenario, ScenarioRepo
 use cashmere_des::fault::{FaultPlan, LinkFault, NodeCrash, NodeJoin};
 use cashmere_des::obs::{prof, ProfNode, ProfTree};
 use cashmere_des::SimTime;
+use cashmere_satin::Counter;
 use std::sync::Mutex;
 
 /// The profiler's enable flag and absorbed-tree accumulator are process
@@ -105,12 +106,15 @@ fn profiling_is_observer_pure_at_any_jobs_width() {
     assert_eq!(off, on4, "profiling must not change report bytes (jobs=4)");
 
     // The instrumented layers actually recorded: event dispatch and the
-    // scenario driver at minimum.
+    // scenario driver at minimum. The unprofiled sweeps above already ran
+    // these launches, so the process-wide launch table serves them: the
+    // memo frame records and the VM is not entered (see
+    // `vm_runs_once_per_distinct_launch_at_any_jobs_width`).
     assert!(!tree1.is_empty() && !tree4.is_empty());
     let names1 = tree1.collapsed("t");
     assert!(names1.contains("scenario::run"), "{names1}");
     assert!(names1.contains("event::"), "{names1}");
-    assert!(names1.contains("mcl::execute"), "{names1}");
+    assert!(names1.contains("mcl::memo"), "{names1}");
 
     // Merge determinism: identical structure regardless of which worker
     // ran which point when (values differ — they are host wall times).
@@ -119,6 +123,61 @@ fn profiling_is_observer_pure_at_any_jobs_width() {
         skeleton(&tree4.roots),
         "aggregated tree structure must not depend on --jobs"
     );
+}
+
+/// Visits to frame `name` anywhere in the tree.
+fn calls(nodes: &[ProfNode], name: &str) -> u64 {
+    nodes
+        .iter()
+        .map(|n| if n.name == name { n.count } else { 0 } + calls(&n.children, name))
+        .sum()
+}
+
+#[test]
+fn vm_runs_once_per_distinct_launch_at_any_jobs_width() {
+    let _guard = PROF_LOCK.lock().unwrap();
+    prof::set_enabled(false);
+    let _ = prof::take();
+    // One problem size per width, used by no other test of this process,
+    // so every launch is new to the launch table.
+    for (jobs, n) in [(1, 640_000), (4, 720_000)] {
+        let points: Vec<Scenario> = (0..4)
+            .map(|seed| {
+                Scenario::new(
+                    format!("vm-once-{jobs}-{seed}"),
+                    AppId::Kmeans,
+                    Series::CashmereOpt,
+                    &ClusterSpec::homogeneous(2, "gtx480"),
+                )
+                .with_problem(Problem::Kmeans {
+                    n,
+                    k: 256,
+                    d: 4,
+                    iterations: 1,
+                })
+                .with_grain(n / 8)
+                .with_seed(seed)
+                .with_capture(true)
+            })
+            .collect();
+        prof::set_enabled(true);
+        let misses = sweep(points, jobs, |sc| {
+            let cap = run_scenario(&sc).cap.expect("capture kept");
+            cap.report[Counter::KernelMemoMisses]
+        });
+        prof::set_enabled(false);
+        let executed = calls(&prof::take().roots, "mcl::execute");
+
+        // The points launch the same kernels at the same shapes. Each run
+        // still counts its own first sights as misses, but the VM runs once
+        // per distinct launch in the process.
+        assert!(misses[0] > 0, "jobs={jobs}");
+        assert!(
+            misses.iter().all(|&m| m == misses[0]),
+            "jobs={jobs}: {misses:?}"
+        );
+        assert_eq!(executed, misses[0], "jobs={jobs}");
+    }
 }
 
 #[test]

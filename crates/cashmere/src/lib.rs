@@ -94,7 +94,7 @@ pub use balancer::{
 pub use counterfactual::{replay_audit, CounterfactualReplay, PlacementFlip};
 pub use init::{initialize, InitReport};
 pub use paper_api::{Cashmere, KernelHandle, KernelLaunch, LaunchError, LaunchResult};
-pub use registry::{arg_shape, KernelRegistry, StatsKey};
+pub use registry::{arg_shape, KernelRegistry};
 pub use runtime::{AuditEntry, CashmereApp, CashmereLeafRuntime, KernelCall, RuntimeConfig};
 pub use spec::ClusterSpec;
 

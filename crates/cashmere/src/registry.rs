@@ -1,5 +1,5 @@
 //! The kernel registry: multiple MCPL versions per kernel, most-specific
-//! selection per device, and a statistics cache.
+//! selection per device, and sampled statistics per launch.
 //!
 //! Applying stepwise refinement leaves the programmer with several files
 //! holding versions of the same kernel at different levels (paper
@@ -8,40 +8,56 @@
 //! specific kernel version".
 //!
 //! Because leaf jobs in a divide-and-conquer application typically have the
-//! same size (the paper's own observation in Sec. III-B), the registry also
-//! caches interpreter statistics keyed by kernel version, launch geometry
-//! and argument shape, so the cost of sampled interpretation is paid once
-//! per shape instead of once per job.
+//! same size (the paper's own observation in Sec. III-B), sampled
+//! statistics come from the process-wide launch table of
+//! [`cashmere_mcl::launch`], so the cost of sampled interpretation is paid
+//! once per distinct launch instead of once per job or per run. The
+//! registry remembers only which launch shapes its run has seen, for the
+//! run's memo hit and miss counts.
 
 use cashmere_des::obs::prof;
+use cashmere_devsim::{ExecMode, PreparedLaunch, SimDevice};
 use cashmere_hwdesc::{Hierarchy, LevelId};
-use cashmere_mcl::launch::{LaunchKey, LaunchMemo};
-use cashmere_mcl::stats::KernelStats;
+pub use cashmere_mcl::launch::arg_shape;
+use cashmere_mcl::launch::{table_entry, KernelSource, LaunchKey, LaunchShape, Measured};
 use cashmere_mcl::value::ArgValue;
-use cashmere_mcl::{compile, CheckError, CheckedKernel, Sampling};
-use std::collections::HashMap;
+use cashmere_mcl::{compile, CheckError, CheckedKernel};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-/// One kernel's versions, ordered by registration.
-#[derive(Debug, Default)]
-struct KernelVersions {
-    versions: Vec<CheckedKernel>,
+/// One registered kernel version and the source it was compiled from.
+struct Version {
+    ck: CheckedKernel,
+    source: KernelSource,
 }
 
-/// Cache key: kernel identity + geometry + argument shape (the memoization
-/// key defined by the MCL launch layer).
-pub type StatsKey = LaunchKey;
+/// Most-specific version of a kernel for `device`.
+fn most_specific<'a>(
+    h: &Hierarchy,
+    versions: &'a [Arc<Version>],
+    device: LevelId,
+) -> Option<&'a Arc<Version>> {
+    let levels: Vec<LevelId> = versions.iter().map(|v| v.ck.level).collect();
+    let best = h.most_specific(&levels, device)?;
+    versions.iter().find(|v| v.ck.level == best)
+}
 
-/// Shape signature of an argument list (scalars + array dims).
-pub fn arg_shape(args: &[ArgValue]) -> Vec<i64> {
-    LaunchKey::arg_shape(args)
+/// A kernel's most specific version prepared for sampled launches on one
+/// device (paper Sec. III-A): resolved once, then every launch of the
+/// kernel on that device only adds its arguments.
+pub(crate) struct PreparedKernel {
+    version: Arc<Version>,
+    /// Geometry, executor options and parallelism units of the launch.
+    pub(crate) launch: PreparedLaunch,
 }
 
 /// Registry of compiled kernels plus the hardware hierarchy they target.
 pub struct KernelRegistry {
     hierarchy: Hierarchy,
-    kernels: HashMap<String, KernelVersions>,
-    memo: LaunchMemo,
-    pub default_sampling: Sampling,
+    kernels: HashMap<String, Vec<Arc<Version>>>,
+    /// Sampled launch shapes measured so far: a run's first sight of a
+    /// shape is its memo miss.
+    seen: HashSet<LaunchShape>,
 }
 
 impl KernelRegistry {
@@ -49,8 +65,7 @@ impl KernelRegistry {
         KernelRegistry {
             hierarchy,
             kernels: HashMap::new(),
-            memo: LaunchMemo::new(),
-            default_sampling: Sampling::default(),
+            seen: HashSet::new(),
         }
     }
 
@@ -66,8 +81,8 @@ impl KernelRegistry {
         let ck = compile(src, &self.hierarchy)?;
         let name = ck.kernel.name.clone();
         let level = ck.level;
-        let entry = self.kernels.entry(name.clone()).or_default();
-        if entry.versions.iter().any(|v| v.level == level) {
+        let versions = self.kernels.entry(name.clone()).or_default();
+        if versions.iter().any(|v| v.ck.level == level) {
             return Err(CheckError {
                 line: 1,
                 message: format!(
@@ -76,7 +91,10 @@ impl KernelRegistry {
                 ),
             });
         }
-        entry.versions.push(ck);
+        versions.push(Arc::new(Version {
+            ck,
+            source: KernelSource::new(src),
+        }));
         Ok((name, level))
     }
 
@@ -91,7 +109,7 @@ impl KernelRegistry {
     pub fn versions_of(&self, kernel: &str) -> Vec<LevelId> {
         self.kernels
             .get(kernel)
-            .map(|k| k.versions.iter().map(|v| v.level).collect())
+            .map(|k| k.iter().map(|v| v.ck.level).collect())
             .unwrap_or_default()
     }
 
@@ -99,10 +117,7 @@ impl KernelRegistry {
     /// (paper Sec. III-A). `None` when no version applies — the caller
     /// falls back to the CPU leaf.
     pub fn select(&self, kernel: &str, device: LevelId) -> Option<&CheckedKernel> {
-        let versions = self.kernels.get(kernel)?;
-        let levels: Vec<LevelId> = versions.versions.iter().map(|v| v.level).collect();
-        let best = self.hierarchy.most_specific(&levels, device)?;
-        versions.versions.iter().find(|v| v.level == best)
+        most_specific(&self.hierarchy, self.kernels.get(kernel)?, device).map(|v| &v.ck)
     }
 
     /// Paper Sec. III-B: nodes whose devices have no applicable hardware
@@ -121,15 +136,42 @@ impl KernelRegistry {
         out
     }
 
-    /// Look up memoized statistics.
-    pub fn cached_stats(&self, key: &StatsKey) -> Option<&KernelStats> {
-        let _prof = prof::scope("mcl::memo");
-        self.memo.lookup(key)
+    /// Prepare `kernel`'s most specific version for sampled launches on
+    /// `device`; `None` when no version applies.
+    pub(crate) fn prepare(&self, kernel: &str, device: &SimDevice) -> Option<PreparedKernel> {
+        let version = most_specific(&self.hierarchy, self.kernels.get(kernel)?, device.level)?;
+        Some(PreparedKernel {
+            launch: device.prepare_launch(&self.hierarchy, &version.ck, ExecMode::sampled()),
+            version: Arc::clone(version),
+        })
     }
 
-    /// Insert statistics into the memo table.
-    pub fn cache_stats(&mut self, key: StatsKey, stats: KernelStats) {
-        self.memo.insert(key, stats);
+    /// Unscaled statistics of a sampled launch of `kernel` on `args`, and
+    /// whether this is the registry's first sight of the launch's shape
+    /// (the run's memo miss). The statistics come from the process-wide
+    /// launch table; the VM runs only when the process has never seen this
+    /// exact launch.
+    pub(crate) fn sampled_stats(
+        &mut self,
+        kernel: &PreparedKernel,
+        args: &[ArgValue],
+    ) -> (Measured, bool) {
+        let PreparedKernel { version, launch } = kernel;
+        let (entry, first_sight) = {
+            let _prof = prof::scope("mcl::memo");
+            let key = LaunchKey::sampled(&version.source, &launch.par_units, &launch.opts, args);
+            let first_sight = !self.seen.contains(key.shape());
+            if first_sight {
+                self.seen.insert(key.shape().clone());
+            }
+            (table_entry(key), first_sight)
+        };
+        let measured = entry.get_or_init(|| {
+            let _prof = prof::scope("mcl::execute");
+            cashmere_mcl::execute(&version.ck, args.to_vec(), &launch.par_units, &launch.opts)
+                .map(|run| run.stats)
+        });
+        (measured.clone(), first_sight)
     }
 }
 
@@ -240,19 +282,186 @@ mod tests {
     #[test]
     fn stats_cache_roundtrip() {
         let mut r = registry();
-        let key = StatsKey {
-            kernel: "axpy".into(),
-            level: r.hierarchy().id("gpu").unwrap(),
-            group_size: 256,
-            warp_width: 32,
-            shape: vec![1024],
+        let gtx = SimDevice::by_name(r.hierarchy(), "gtx480").unwrap();
+        let args = phantom_args(1 << 20);
+        let axpy = r.prepare("axpy", &gtx).unwrap();
+        let (first, miss) = r.sampled_stats(&axpy, &args);
+        let (again, hit) = r.sampled_stats(&axpy, &args);
+        assert!(miss && !hit, "first sight misses, the repeat hits");
+        assert_eq!(bits(&first), bits(&again));
+        assert!(r.prepare("nonexistent", &gtx).is_none());
+    }
+
+    /// `n` and phantom `y`, `x` of length `n`: an `axpy` launch.
+    fn phantom_args(n: u64) -> Vec<ArgValue> {
+        vec![
+            ArgValue::Int(n as i64),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+        ]
+    }
+
+    /// Prepare `kernel` for `device` and run one sampled launch.
+    fn sampled(
+        r: &mut KernelRegistry,
+        kernel: &str,
+        device: &SimDevice,
+        args: &[ArgValue],
+    ) -> (Measured, bool) {
+        let prepared = r.prepare(kernel, device).unwrap();
+        r.sampled_stats(&prepared, args)
+    }
+
+    /// Statistics rendered so that equal strings mean equal bits.
+    fn bits(measured: &Measured) -> String {
+        format!("{:?}", measured.as_ref().expect("launch runs"))
+    }
+
+    /// Stats of the same launch run directly on the device, bypassing the
+    /// launch table.
+    fn direct(r: &KernelRegistry, kernel: &str, device: &SimDevice, args: &[ArgValue]) -> String {
+        let ck = r.select(kernel, device.level).unwrap();
+        let run = device
+            .run_kernel(r.hierarchy(), ck, args.to_vec(), ExecMode::sampled())
+            .unwrap();
+        format!("{:?}", run.stats)
+    }
+
+    #[test]
+    fn table_stats_equal_a_direct_device_run() {
+        let mut r = registry();
+        for device in ["gtx480", "k20", "hd7970", "xeon_phi", "titan"] {
+            let device = SimDevice::by_name(r.hierarchy(), device).unwrap();
+            for n in [1000, 4096] {
+                let args = phantom_args(n);
+                let (measured, _) = sampled(&mut r, "axpy", &device, &args);
+                assert_eq!(
+                    bits(&measured),
+                    direct(&r, "axpy", &device, &args),
+                    "{} n={n}",
+                    device.level_name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn different_sources_under_one_name_and_level_get_separate_entries() {
+        let scale = |body: &str| {
+            let mut r = KernelRegistry::new(standard_hierarchy());
+            r.register(&format!(
+                "perfect void table_probe(int n, float[n] y) {{
+  foreach (int i in n threads) {{ {body} }}
+}}"
+            ))
+            .unwrap();
+            r
         };
-        assert!(r.cached_stats(&key).is_none());
-        let stats = KernelStats {
-            flops: 3.0,
-            ..KernelStats::default()
+        let mut twice = scale("y[i] = y[i] * 2.0;");
+        let mut affine = scale("y[i] = y[i] * 2.0 + 1.0;");
+        let gtx = SimDevice::by_name(twice.hierarchy(), "gtx480").unwrap();
+        let args = vec![
+            ArgValue::Int(4096),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[4096])),
+        ];
+        let (a, a_miss) = sampled(&mut twice, "table_probe", &gtx, &args);
+        let (b, b_miss) = sampled(&mut affine, "table_probe", &gtx, &args);
+        assert!(a_miss && b_miss, "each run counts its own first sight");
+        assert_ne!(bits(&a), bits(&b), "same name and level, other source");
+        assert_eq!(bits(&a), direct(&twice, "table_probe", &gtx, &args));
+        assert_eq!(bits(&b), direct(&affine, "table_probe", &gtx, &args));
+    }
+
+    #[test]
+    fn real_buffer_contents_get_their_own_entry() {
+        // The branch makes the statistics depend on the data.
+        let mut r = KernelRegistry::new(standard_hierarchy());
+        r.register(
+            "perfect void table_branch(int n, float[n] y) {
+  foreach (int i in n threads) {
+    if (y[i] > 0.5) { y[i] = y[i] * y[i] * 3.0 + 1.0; }
+  }
+}",
+        )
+        .unwrap();
+        let gtx = SimDevice::by_name(r.hierarchy(), "gtx480").unwrap();
+        let args = |fill: f64| {
+            vec![
+                ArgValue::Int(512),
+                ArgValue::Array(ArrayArg::float(&[512], vec![fill; 512])),
+            ]
         };
-        r.cache_stats(key.clone(), stats);
-        assert_eq!(r.cached_stats(&key).map(|s| s.flops), Some(3.0));
+        let (zeros, miss) = sampled(&mut r, "table_branch", &gtx, &args(0.0));
+        let (ones, hit) = sampled(&mut r, "table_branch", &gtx, &args(1.0));
+        assert!(miss && !hit, "one shape: the run counts one miss");
+        assert_ne!(bits(&zeros), bits(&ones), "contents are part of the key");
+        assert_eq!(bits(&zeros), direct(&r, "table_branch", &gtx, &args(0.0)));
+        assert_eq!(bits(&ones), direct(&r, "table_branch", &gtx, &args(1.0)));
+    }
+
+    #[test]
+    fn two_threads_missing_one_key_run_the_vm_once() {
+        use cashmere_mcl::stats::KernelStats;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        use std::time::{Duration, Instant};
+
+        let source = KernelSource::new("perfect void table_race(int n) { }");
+        let opts = cashmere_mcl::ExecOptions {
+            sample: Some(cashmere_mcl::Sampling::default()),
+            ..cashmere_mcl::ExecOptions::default()
+        };
+        let key = LaunchKey::sampled(&source, &["threads".into()], &opts, &[ArgValue::Int(7)]);
+        let runs = AtomicUsize::new(0);
+        let barrier = Barrier::new(2);
+        let results: Vec<String> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let entry = table_entry(key.clone());
+                        let measured = entry.get_or_init(|| {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            // Stay in the fill until a second fill starts
+                            // (the defect this test catches) or the other
+                            // thread has long had time to arrive.
+                            let start = Instant::now();
+                            while runs.load(Ordering::SeqCst) < 2
+                                && start.elapsed() < Duration::from_millis(500)
+                            {
+                                std::thread::yield_now();
+                            }
+                            Ok(KernelStats {
+                                flops: 7.0,
+                                ..KernelStats::default()
+                            })
+                        });
+                        bits(measured)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "one VM run per key");
+        assert_eq!(results[0], results[1]);
+
+        // Through two registries (two runs) on two threads: both count a
+        // miss, both get the same statistics.
+        let results: Vec<(String, bool)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut r = registry();
+                        let k20 = SimDevice::by_name(r.hierarchy(), "k20").unwrap();
+                        barrier.wait();
+                        let (m, miss) = sampled(&mut r, "axpy", &k20, &phantom_args(3000));
+                        (bits(&m), miss)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(results[0], results[1]);
+        assert!(results[0].1, "a run's first sight is a miss");
     }
 }

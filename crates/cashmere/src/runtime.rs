@@ -24,15 +24,13 @@
 //!    memory is exhausted (the paper's try/catch → `leafCPU` pattern).
 
 use crate::balancer::{Balancer, DeviceEstimate, PolicyDesc};
-use crate::registry::{arg_shape, KernelRegistry, StatsKey};
+use crate::registry::{arg_shape, KernelRegistry, PreparedKernel};
 use cashmere_des::fault::FaultInjector;
 use cashmere_des::obs::{prof, MetricsRegistry};
 use cashmere_des::trace::{LaneId, SpanId, SpanKind, Trace};
 use cashmere_des::SimTime;
 use cashmere_devsim::{ExecMode, SimDevice};
-use cashmere_hwdesc::LevelId;
 use cashmere_mcl::cost::estimate_time;
-use cashmere_mcl::launch::LaunchConfig;
 use cashmere_mcl::value::ArgValue;
 use cashmere_satin::{ClusterApp, Counter, LeafCtx, LeafPlan, LeafRuntime, RunReport};
 use serde::{Deserialize, Serialize};
@@ -207,17 +205,16 @@ struct DevLanes {
 }
 
 /// How one device runs one kernel (paper Sec. III-A): the most specific
-/// version's level and launch geometry, plus the modelled kernel seconds
-/// of every sampled launch shape seen so far.
+/// version prepared for the device, plus the modelled kernel seconds of
+/// every sampled launch shape seen so far.
 struct KernelPlan {
-    level: LevelId,
-    cfg: LaunchConfig,
+    kernel: PreparedKernel,
     /// `estimate_time(..).total_s` keyed by (arg shape, `extra_scale`
     /// bits), before the device's virtual speed scale. Exact and never
-    /// invalidated: level and geometry are fixed per plan, so the key
-    /// fixes the memo's `LaunchKey`; memo entries are never replaced; and
-    /// the device parameters the cost model reads never change.
-    seconds: HashMap<(Vec<i64>, u64), f64>,
+    /// invalidated: version and geometry are fixed per plan, so the key
+    /// fixes the launch's shape; launch-table entries are never replaced;
+    /// and the device parameters the cost model reads never change.
+    seconds: HashMap<(Vec<u64>, u64), f64>,
 }
 
 /// A device's kernel plans by kernel name, resolved on first sight;
@@ -229,13 +226,12 @@ impl KernelPlans {
     fn resolve(
         &mut self,
         registry: &KernelRegistry,
-        device: LevelId,
+        device: &SimDevice,
         kernel: &str,
     ) -> Option<&mut KernelPlan> {
         if !self.0.contains_key(kernel) {
-            let plan = registry.select(kernel, device).map(|ck| KernelPlan {
-                level: ck.level,
-                cfg: LaunchConfig::for_device(ck, registry.hierarchy(), device),
+            let plan = registry.prepare(kernel, device).map(|kernel| KernelPlan {
+                kernel,
                 seconds: HashMap::new(),
             });
             self.0.insert(kernel.to_string(), plan);
@@ -460,7 +456,7 @@ impl CashmereLeafRuntime {
         const LAUNCH_RETRY_BUDGET: u32 = 3;
         let launch_retry_penalty = SimTime::from_micros(50);
 
-        let call = app.kernel_call(job);
+        let mut call = app.kernel_call(job);
         let mut submit_at = submit_at;
         let mut launch_attempts = 0u32;
         loop {
@@ -483,7 +479,7 @@ impl CashmereLeafRuntime {
                 .iter_mut()
                 .map(|d| {
                     d.plans
-                        .resolve(&self.registry, d.sim.level, &call.kernel)
+                        .resolve(&self.registry, &d.sim, &call.kernel)
                         .is_some()
                 })
                 .collect();
@@ -554,7 +550,7 @@ impl CashmereLeafRuntime {
                 node,
                 didx,
                 job,
-                &call,
+                &mut call,
                 submit_at,
                 cpu_cursor,
                 trace,
@@ -586,7 +582,9 @@ impl CashmereLeafRuntime {
     /// `Err(death_time)` when the device's injected death aborts the job
     /// in flight; `Ok((completion, output, placed))` otherwise, where
     /// `placed` is false when memory exhaustion degraded the job to the CPU
-    /// leaf (pre-existing model behavior).
+    /// leaf (pre-existing model behavior). A job placed in estimation mode
+    /// hands `call.args` to its output; until then they are untouched, so
+    /// a resubmission sees them intact.
     #[allow(clippy::too_many_arguments)]
     fn schedule_on_device<A: CashmereApp>(
         &mut self,
@@ -594,7 +592,7 @@ impl CashmereLeafRuntime {
         node: usize,
         didx: usize,
         job: &A::Input,
-        call: &KernelCall,
+        call: &mut KernelCall,
         submit_at: SimTime,
         cpu_cursor: &mut SimTime,
         trace: &mut Trace,
@@ -662,11 +660,11 @@ impl CashmereLeafRuntime {
         }
 
         // Interpret the kernel: fully (functional), or sampled through the
-        // slot's plan and the shared stats memo.
+        // slot's plan and the process-wide launch table.
         let slot = &mut nd.devices[didx];
         let plan = slot
             .plans
-            .resolve(&self.registry, slot.sim.level, &call.kernel)
+            .resolve(&self.registry, &slot.sim, &call.kernel)
             .expect("allowed device has a version");
         let (args_back, total_s) = if !self.config.functional {
             let seconds_key = (arg_shape(&call.args), call.extra_scale.to_bits());
@@ -676,48 +674,29 @@ impl CashmereLeafRuntime {
                     total_s
                 }
                 None => {
-                    let key = StatsKey {
-                        kernel: call.kernel.clone(),
-                        level: plan.level,
-                        group_size: plan.cfg.group_size,
-                        warp_width: plan.cfg.warp_width,
-                        shape: seconds_key.0.clone(),
-                    };
-                    // The memo stores *unscaled* statistics; calibration
-                    // scaling is applied per call (jobs with the same shape
-                    // may calibrate differently).
-                    let mut stats = match self.registry.cached_stats(&key) {
-                        Some(cached) => {
-                            report[Counter::KernelMemoHits] += 1;
-                            cached.clone()
-                        }
-                        None => {
-                            report[Counter::KernelMemoMisses] += 1;
-                            let mode = ExecMode::Sampled {
-                                sampling: self.registry.default_sampling,
-                                extra_scale: 1.0,
-                            };
-                            let ck = self
-                                .registry
-                                .select(&call.kernel, slot.sim.level)
-                                .expect("allowed device has a version");
-                            let run = slot
-                                .sim
-                                .run_kernel(self.registry.hierarchy(), ck, call.args.clone(), mode)
-                                .unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-                            self.registry.cache_stats(key, run.stats.clone());
-                            run.stats
-                        }
-                    };
+                    // The launch table holds *unscaled* statistics;
+                    // calibration scaling is applied per call (jobs with
+                    // the same shape may calibrate differently).
+                    let (measured, first_sight) =
+                        self.registry.sampled_stats(&plan.kernel, &call.args);
+                    report[if first_sight {
+                        Counter::KernelMemoMisses
+                    } else {
+                        Counter::KernelMemoHits
+                    }] += 1;
+                    let mut stats =
+                        measured.unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
                     if call.extra_scale != 1.0 {
                         stats.scale(call.extra_scale);
                     }
-                    let total_s = estimate_time(&stats, &slot.sim.params, plan.cfg.class).total_s;
+                    let total_s =
+                        estimate_time(&stats, &slot.sim.params, plan.kernel.launch.config.class)
+                            .total_s;
                     plan.seconds.insert(seconds_key, total_s);
                     total_s
                 }
             };
-            (call.args.clone(), total_s)
+            (None, total_s)
         } else {
             let ck = self
                 .registry
@@ -732,8 +711,13 @@ impl CashmereLeafRuntime {
                     ExecMode::Full,
                 )
                 .unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-            let total_s = estimate_time(&run.stats, &slot.sim.params, plan.cfg.class).total_s;
-            (run.args, total_s)
+            let total_s = estimate_time(
+                &run.stats,
+                &slot.sim.params,
+                plan.kernel.launch.config.class,
+            )
+            .total_s;
+            (Some(run.args), total_s)
         };
 
         // Costs are physical; the advisor's virtual speed scale applies at
@@ -832,7 +816,10 @@ impl CashmereLeafRuntime {
         nd.pending
             .push((call.kernel.clone(), didx, kernel_time, dh_e));
 
-        Ok((dh_e, app.job_output(job, args_back), true))
+        // Estimation mode leaves the arguments as they came: the job's
+        // output takes them over, since a placed job is never retried.
+        let args = args_back.unwrap_or_else(|| std::mem::take(&mut call.args));
+        Ok((dh_e, app.job_output(job, args), true))
     }
 }
 
@@ -953,7 +940,7 @@ mod tests {
     use super::*;
     use cashmere_hwdesc::standard_hierarchy;
     use cashmere_mcl::value::ArrayArg;
-    use cashmere_mcl::ElemTy;
+    use cashmere_mcl::{ElemTy, Sampling};
     use cashmere_satin::DcStep;
     use std::collections::BTreeSet;
 
@@ -1056,24 +1043,22 @@ mod tests {
         (didx, kernel_time)
     }
 
-    /// The uncached derivation: select the version, derive the geometry,
-    /// scale the memoized stats by the call, run the cost model.
-    fn uncached(rt: &CashmereLeafRuntime, didx: usize, job: Job) -> (StatsKey, SimTime) {
+    /// The uncached derivation: run the job's sampled launch on the device
+    /// directly, bypassing plans and the launch table. Also names the
+    /// launch shape the run's memo counts: (device, arg shape).
+    fn uncached(rt: &CashmereLeafRuntime, didx: usize, job: Job) -> ((String, Vec<u64>), SimTime) {
         let sim = &rt.nodes[0].devices[didx].sim;
         let call = ShapeApp.kernel_call(&job);
         let ck = rt.registry.select(&call.kernel, sim.level).unwrap();
-        let cfg = LaunchConfig::for_device(ck, rt.registry.hierarchy(), sim.level);
-        let key = StatsKey {
-            kernel: call.kernel.clone(),
-            level: ck.level,
-            group_size: cfg.group_size,
-            warp_width: cfg.warp_width,
-            shape: arg_shape(&call.args),
+        let shape = (sim.level_name.clone(), arg_shape(&call.args));
+        let mode = ExecMode::Sampled {
+            sampling: Sampling::default(),
+            extra_scale: call.extra_scale,
         };
-        let mut stats = rt.registry.cached_stats(&key).expect("memoized").clone();
-        stats.scale(call.extra_scale);
-        let cost = estimate_time(&stats, &sim.params, cfg.class);
-        (key, SimTime::from_secs_f64(cost.total_s / sim.speed_scale))
+        let run = sim
+            .run_kernel(rt.registry.hierarchy(), ck, call.args, mode)
+            .unwrap();
+        (shape, run.time)
     }
 
     /// Kernel time of `job` on a fresh one-device runtime, sped up by

@@ -26,7 +26,7 @@ impl fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// Sampling limits for estimated runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sampling {
     /// Max iterations interpreted per sequential-parallel `foreach`.
     pub max_outer_iters: usize,

@@ -10,16 +10,23 @@
 //! `foreach (int t in 256 threads)`), that count is the work-group size.
 //! Otherwise a class-dependent default is chosen, clamped to the level's
 //! declared maximum.
+//!
+//! The module also keeps the process-wide table of sampled launches: a
+//! sampled run's statistics depend only on what [`LaunchKey`] holds, so
+//! the VM runs once per distinct launch per process ([`table_entry`]).
 
 use crate::ast::{walk_stmts, Expr, StmtKind};
 use crate::check::CheckedKernel;
 use crate::cost::DeviceClass;
-use crate::exec::{ExecOptions, Sampling};
+use crate::exec::{ExecError, ExecOptions, Sampling};
 use crate::stats::KernelStats;
-use crate::value::ArgValue;
+use crate::value::{ArgValue, Buffer};
 use cashmere_hwdesc::{Hierarchy, LevelId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, LazyLock, Mutex, OnceLock, PoisonError};
 
 /// Geometry for one kernel launch on one device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -108,79 +115,143 @@ impl LaunchConfig {
     }
 }
 
-/// Memoization key for a sampled measurement launch: kernel identity,
-/// launch geometry, and the argument *shape signature* (scalar values and
-/// array dims — never array contents, which sampled statistics do not
-/// depend on for the supported kernel corpus).
-///
-/// `Ord` (not `Hash`) so the memo table iterates deterministically — the
-/// cache must never introduce run-order dependence into `--jobs` replays.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// Shape signature of an argument list: scalars by value (floats by bit
+/// pattern), arrays by element type, phantom or real, rank and dims.
+/// Array contents never enter.
+pub fn arg_shape(args: &[ArgValue]) -> Vec<u64> {
+    let mut shape = Vec::with_capacity(2 * args.len());
+    for a in args {
+        match a {
+            ArgValue::Int(v) => shape.extend([0, *v as u64]),
+            ArgValue::Float(v) => shape.extend([1, v.to_bits()]),
+            ArgValue::Array(arr) => {
+                let buffer = match arr.data {
+                    Buffer::F(_) => 2,
+                    Buffer::I(_) => 3,
+                    Buffer::PhantomF(_) => 4,
+                    Buffer::PhantomI(_) => 5,
+                };
+                shape.push(buffer | ((arr.rank() as u64) << 8));
+                shape.extend(&arr.dims);
+            }
+        }
+    }
+    shape
+}
+
+/// A kernel's MCPL source, hashed once: launch keys hash the stored
+/// hash and compare the text.
+#[derive(Debug, Clone)]
+pub struct KernelSource {
+    text: Arc<str>,
+    hash: u64,
+}
+
+impl KernelSource {
+    pub fn new(text: &str) -> KernelSource {
+        let mut h = DefaultHasher::new();
+        text.hash(&mut h);
+        KernelSource {
+            text: text.into(),
+            hash: h.finish(),
+        }
+    }
+}
+
+impl PartialEq for KernelSource {
+    fn eq(&self, other: &KernelSource) -> bool {
+        self.hash == other.hash && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
+    }
+}
+
+impl Eq for KernelSource {}
+
+impl Hash for KernelSource {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Everything a sampled VM run reads except the contents of real
+/// buffers: the kernel's MCPL source, the parallelism units it is
+/// compiled against, the executor options and the argument shape.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct LaunchShape {
+    source: KernelSource,
+    par_units: Box<[String]>,
+    group_size: usize,
+    simd_width: usize,
+    sampling: Sampling,
+    args: Box<[u64]>,
+}
+
+/// Key of the process-wide launch table: a [`LaunchShape`] plus the
+/// contents of its real buffers (floats by bit pattern), so two keys are
+/// equal exactly when the VM would read the same inputs.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LaunchKey {
-    pub kernel: String,
-    pub level: LevelId,
-    pub group_size: usize,
-    pub warp_width: usize,
-    /// Scalar args and array dims, flattened (see [`LaunchKey::arg_shape`]).
-    pub shape: Vec<i64>,
+    shape: LaunchShape,
+    contents: Box<[u64]>,
 }
 
 impl LaunchKey {
-    /// Shape signature of an argument list: scalar values (floats by bit
-    /// pattern) and array ranks + dims.
-    pub fn arg_shape(args: &[ArgValue]) -> Vec<i64> {
-        let mut shape = Vec::new();
+    /// Key of a sampled launch of the kernel compiled from `source`
+    /// against `par_units`, run with `opts` (which must be sampled) on
+    /// `args`.
+    pub fn sampled(
+        source: &KernelSource,
+        par_units: &[String],
+        opts: &ExecOptions,
+        args: &[ArgValue],
+    ) -> LaunchKey {
+        let mut contents = Vec::new();
         for a in args {
-            match a {
-                ArgValue::Int(v) => shape.push(*v),
-                ArgValue::Float(v) => shape.push(v.to_bits() as i64),
-                ArgValue::Array(arr) => {
-                    shape.push(-(arr.rank() as i64));
-                    shape.extend(arr.dims.iter().map(|d| *d as i64));
+            if let ArgValue::Array(arr) = a {
+                match &arr.data {
+                    Buffer::F(v) => contents.extend(v.iter().map(|x| x.to_bits())),
+                    Buffer::I(v) => contents.extend(v.iter().map(|&x| x as u64)),
+                    Buffer::PhantomF(_) | Buffer::PhantomI(_) => {}
                 }
             }
         }
-        shape
+        LaunchKey {
+            shape: LaunchShape {
+                source: source.clone(),
+                par_units: par_units.into(),
+                group_size: opts.group_size,
+                simd_width: opts.simd_width,
+                sampling: opts.sample.expect("only sampled launches are keyed"),
+                args: arg_shape(args).into(),
+            },
+            contents: contents.into(),
+        }
+    }
+
+    pub fn shape(&self) -> &LaunchShape {
+        &self.shape
     }
 }
 
-/// Memo table for sampled-launch statistics.
-///
-/// Repeated identical measurement launches are the common case in sweeps
-/// and the fig6 corpus; the memo turns every repeat into a `BTreeMap`
-/// lookup. The stored statistics are *unscaled* — calibration scaling is
-/// applied per call by the runtime, which also counts hits and misses.
-#[derive(Debug, Default)]
-pub struct LaunchMemo {
-    map: BTreeMap<LaunchKey, KernelStats>,
-}
+/// What one sampled VM run yields: its unscaled statistics, or the error
+/// it raised.
+pub type Measured = Result<KernelStats, ExecError>;
 
-impl LaunchMemo {
-    pub fn new() -> LaunchMemo {
-        LaunchMemo::default()
-    }
+/// The process-wide launch table. Leaf jobs of one size measure alike
+/// (paper Sec. III-B), so every run, sweep point and worker thread of the
+/// process shares one VM run per distinct launch.
+static TABLE: LazyLock<Mutex<HashMap<LaunchKey, Arc<OnceLock<Measured>>>>> =
+    LazyLock::new(Default::default);
 
-    /// Look up a memoized result.
-    pub fn lookup(&self, key: &LaunchKey) -> Option<&KernelStats> {
-        self.map.get(key)
-    }
-
-    pub fn insert(&mut self, key: LaunchKey, stats: KernelStats) {
-        self.map.insert(key, stats);
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Deterministic (key-ordered) iteration over memoized entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&LaunchKey, &KernelStats)> {
-        self.map.iter()
-    }
+/// The table's entry for `key`, created empty on first sight and then
+/// never replaced or evicted. The lock covers only this lookup: callers
+/// fill the entry with `get_or_init` after it is released, so a slow VM
+/// run blocks only the callers waiting for the same key, and threads that
+/// miss one key together still run the VM once.
+pub fn table_entry(key: LaunchKey) -> Arc<OnceLock<Measured>> {
+    // A panic cannot leave the map half-updated: the lock guards one
+    // `entry` call, so a poisoned table is still whole.
+    let mut table = TABLE.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(table.entry(key).or_default())
 }
 
 #[cfg(test)]
@@ -238,49 +309,87 @@ mod tests {
     }
 
     #[test]
-    fn launch_memo_looks_up_by_key_and_iterates_in_key_order() {
+    fn launch_key_covers_everything_the_vm_reads() {
         use crate::ast::ElemTy;
         use crate::value::ArrayArg;
-        let mut memo = LaunchMemo::new();
-        let key = |kernel: &str, n: i64| LaunchKey {
-            kernel: kernel.to_string(),
-            level: LevelId(0),
+        let source = KernelSource::new(PERFECT);
+        let units = ["threads".to_string()];
+        let opts = ExecOptions {
+            simd_width: 32,
             group_size: 256,
-            warp_width: 32,
-            shape: vec![n],
+            sample: Some(Sampling::default()),
         };
-        assert!(memo.lookup(&key("b", 8)).is_none());
-        let stats = |flops| KernelStats {
-            flops,
-            ..KernelStats::default()
-        };
-        memo.insert(key("b", 8), stats(1.0));
-        memo.insert(key("a", 8), stats(2.0));
-        assert_eq!(memo.lookup(&key("b", 8)).map(|s| s.flops), Some(1.0));
-        assert_eq!(memo.lookup(&key("a", 8)).map(|s| s.flops), Some(2.0));
-        assert!(
-            memo.lookup(&key("b", 9)).is_none(),
-            "shape is part of the key"
-        );
-        assert_eq!(memo.len(), 2);
-        let order: Vec<&str> = memo.iter().map(|(k, _)| k.kernel.as_str()).collect();
-        assert_eq!(order, vec!["a", "b"], "deterministic key-ordered iteration");
+        let args = |n: i64, a: ArrayArg| vec![ArgValue::Int(n), ArgValue::Array(a)];
+        let phantom = args(8, ArrayArg::phantom(ElemTy::Float, &[8]));
+        let key = LaunchKey::sampled(&source, &units, &opts, &phantom);
+        assert_eq!(key, LaunchKey::sampled(&source, &units, &opts, &phantom));
 
-        // Shape signature: contents don't matter, sizes and scalars do.
-        let s1 = LaunchKey::arg_shape(&[
-            ArgValue::Int(8),
-            ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[8])),
-        ]);
-        let s2 = LaunchKey::arg_shape(&[
-            ArgValue::Int(8),
-            ArgValue::Array(ArrayArg::float(&[8], vec![1.0; 8])),
-        ]);
-        let s3 = LaunchKey::arg_shape(&[
-            ArgValue::Int(16),
-            ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[16])),
-        ]);
-        assert_eq!(s1, s2);
-        assert_ne!(s1, s3);
+        // Each input the VM reads separates keys.
+        let other_source = KernelSource::new(TILED);
+        assert_eq!(source, KernelSource::new(PERFECT), "equal by text");
+        let mut wider = opts;
+        wider.group_size = 128;
+        let mut less = opts;
+        less.sample = Some(Sampling {
+            max_outer_iters: 1,
+            max_chunks: 2,
+        });
+        let zeros = args(8, ArrayArg::zeros(ElemTy::Float, &[8]));
+        let ones = args(8, ArrayArg::float(&[8], vec![1.0; 8]));
+        let variants = [
+            LaunchKey::sampled(&other_source, &units, &opts, &phantom),
+            LaunchKey::sampled(&source, &["cores".to_string()], &opts, &phantom),
+            LaunchKey::sampled(&source, &units, &wider, &phantom),
+            LaunchKey::sampled(&source, &units, &less, &phantom),
+            LaunchKey::sampled(
+                &source,
+                &units,
+                &opts,
+                &args(16, ArrayArg::phantom(ElemTy::Float, &[8])),
+            ),
+            LaunchKey::sampled(
+                &source,
+                &units,
+                &opts,
+                &args(8, ArrayArg::phantom(ElemTy::Int, &[8])),
+            ),
+            LaunchKey::sampled(
+                &source,
+                &units,
+                &opts,
+                &args(8, ArrayArg::phantom(ElemTy::Float, &[2, 4])),
+            ),
+            LaunchKey::sampled(&source, &units, &opts, &zeros),
+            LaunchKey::sampled(&source, &units, &opts, &ones),
+        ];
+        for (i, v) in variants.iter().enumerate() {
+            assert_ne!(&key, v, "variant {i}");
+        }
+        // Contents separate keys but not shapes.
+        assert_ne!(variants[7], variants[8]);
+        assert_eq!(variants[7].shape(), variants[8].shape());
+        assert_ne!(variants[7].shape(), key.shape(), "real vs phantom");
+
+        // The shape signature sees sizes and scalars, not contents.
+        assert_eq!(arg_shape(&zeros), arg_shape(&ones));
+        assert_ne!(arg_shape(&zeros), arg_shape(&phantom));
+        assert_ne!(
+            arg_shape(&[ArgValue::Int(1)]),
+            arg_shape(&[ArgValue::Float(f64::from_bits(1))])
+        );
+
+        // One entry per key, never replaced.
+        let entry = table_entry(variants[8].clone());
+        assert!(entry.get().is_none());
+        entry.get_or_init(|| {
+            Ok(KernelStats {
+                flops: 1.0,
+                ..KernelStats::default()
+            })
+        });
+        let again = table_entry(variants[8].clone());
+        assert!(Arc::ptr_eq(&entry, &again));
+        assert!(!Arc::ptr_eq(&entry, &table_entry(variants[7].clone())));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use check::{check, CheckError, CheckedKernel};
 pub use cost::{estimate_time, CostBreakdown, DeviceClass};
 pub use exec::{ExecError, ExecOptions, ExecResult, Sampling};
 pub use fmt::{expr_to_string, kernel_to_string};
-pub use launch::{LaunchConfig, LaunchKey, LaunchMemo};
+pub use launch::{LaunchConfig, LaunchKey};
 pub use parse::{parse, ParseError};
 pub use stats::KernelStats;
 pub use translate::translate_to;

@@ -1,6 +1,6 @@
-//! Criterion microbenchmarks of the substrate hot paths: the real
-//! work-stealing pool, the discrete-event engine, the MCPL interpreter and
-//! the device load balancer.
+//! Criterion microbenchmarks of the substrate hot paths: the
+//! discrete-event engine, the MCPL interpreter and the device load
+//! balancer.
 //!
 //! ```text
 //! cargo bench -p cashmere-bench
@@ -14,39 +14,9 @@ use cashmere_des::{Sim, SimTime};
 use cashmere_hwdesc::standard_hierarchy;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::{compile, CheckedKernel, ExecOptions};
-use cashmere_satin::{parallel_reduce, SatinPool};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-
-fn bench_satin_pool(c: &mut Criterion) {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let pool = SatinPool::new(threads);
-    c.bench_function("satin_pool/parallel_reduce_1M", |b| {
-        b.iter(|| {
-            let sum = pool.run(|| {
-                parallel_reduce(
-                    0,
-                    1_000_000,
-                    1 << 13,
-                    &|lo, hi| (lo..hi).map(|x| x.wrapping_mul(31)).sum::<u64>(),
-                    &|a, b| a.wrapping_add(b),
-                )
-            });
-            black_box(sum)
-        })
-    });
-    c.bench_function("satin_pool/fib_20_join_overhead", |b| {
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (x, y) = cashmere_satin::join(|| fib(n - 1), || fib(n - 2));
-            x + y
-        }
-        b.iter(|| black_box(pool.run(|| fib(20))))
-    });
-}
 
 fn bench_des(c: &mut Criterion) {
     c.bench_function("des/100k_events", |b| {
@@ -290,6 +260,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_satin_pool, bench_des, bench_interpreter, bench_balancer
+    targets = bench_des, bench_interpreter, bench_balancer
 }
 criterion_main!(benches);

@@ -32,7 +32,7 @@
 //! own provenance is exactly zero — and any nonzero diff is a real change,
 //! not noise.
 
-use cashmere_bench::{cli, fingerprint, run_scenario, sweep, PerturbSet, Scenario};
+use cashmere_bench::{cli, fingerprint, run_scenario, sweep, write_file, PerturbSet, Scenario};
 use cashmere_des::obs::{RunDiff, RunFingerprint};
 use cashmere_des::SimTime;
 
@@ -172,15 +172,10 @@ fn main() {
             slug(&labels[1])
         )),
     };
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
     let mut json = serde_json::to_string_pretty(&d).expect("diff serializes");
     json.push('\n');
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("\n[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    println!();
+    write_file(path, &json);
 
     // Before the assertion exits, so a failing diff still leaves a profile.
     cli::finish(&common, &[]);

@@ -39,8 +39,8 @@
 use cashmere::ClusterSpec;
 use cashmere_apps::KernelSet;
 use cashmere_bench::{
-    cli, default_jobs, kernel_gflops, run_scenario, subsystem_rows, sweep, AppId, Scenario, Series,
-    SubsystemShare,
+    cli, default_jobs, kernel_gflops, run_scenario, subsystem_rows, sweep, write_file, AppId,
+    Scenario, Series, SubsystemShare,
 };
 use cashmere_des::obs::{prof, RunDiff, RunFingerprint};
 use cashmere_des::{Sim, SimTime};
@@ -512,13 +512,7 @@ fn main() {
             .unwrap_or_default(),
     };
     let json = serde_json::to_string_pretty(&result).expect("selfbench serializes");
-    match std::fs::write(&path, json + "\n") {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_file(&path, &(json + "\n"));
 
     if check {
         match baseline {

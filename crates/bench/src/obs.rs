@@ -24,6 +24,7 @@
 //! Bins that execute several runs (scaling sweeps, ablations) derive one
 //! trace file per run by inserting the run label before the extension.
 
+use crate::output::write_file;
 use crate::scenario::Scenario;
 use cashmere::AuditEntry;
 use cashmere_des::obs::{
@@ -225,35 +226,19 @@ pub fn report_run(obs: &ObsArgs, label: &str, cap: &ObsCapture) {
     let _prof = prof::scope("obs::export");
     if let Some(base) = &obs.trace_path {
         let path = labeled_path(base, label);
-        match std::fs::write(&path, cap.trace.to_chrome_json()) {
-            Ok(()) => println!("[wrote {path}]"),
-            Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-        }
-        let audit_path = labeled_path(&path, "audit");
-        match serde_json::to_string_pretty(&cap.audit) {
-            Ok(json) => match std::fs::write(&audit_path, json) {
-                Ok(()) => println!("[wrote {audit_path}]"),
-                Err(e) => eprintln!("warning: cannot write {audit_path}: {e}"),
-            },
-            Err(e) => eprintln!("warning: cannot serialize audit log: {e}"),
-        }
+        write_file(&path, &cap.trace.to_chrome_json());
+        let audit = serde_json::to_string_pretty(&cap.audit).expect("audit log serializes");
+        write_file(labeled_path(&path, "audit"), &audit);
     }
     if let Some(base) = &obs.metrics_out {
         let path = labeled_path(base, label);
-        match std::fs::write(&path, cap.metrics.to_openmetrics(cap.horizon)) {
-            Ok(()) => println!("[wrote {path}]"),
-            Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-        }
+        write_file(path, &cap.metrics.to_openmetrics(cap.horizon));
     }
     if let (Some(base), Some(p)) = (&obs.probe_out, &cap.probes) {
         let path = labeled_path(base, label);
-        let write = |path: &str, contents: String| match std::fs::write(path, contents) {
-            Ok(()) => println!("[wrote {path}]"),
-            Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-        };
-        write(&path, p.to_csv());
-        write(&format!("{path}.om"), p.to_openmetrics());
-        write(&format!("{path}.trace.json"), p.to_chrome_json());
+        write_file(&path, &p.to_csv());
+        write_file(format!("{path}.om"), &p.to_openmetrics());
+        write_file(format!("{path}.trace.json"), &p.to_chrome_json());
     }
     if obs.explain {
         let header = if label.is_empty() {
@@ -342,16 +327,12 @@ pub fn write_self_profile(stem: &str, program: &str, scenarios: &[Scenario]) {
         subsystems: subsystem_rows(&tree),
         tree,
     };
-    let write = |path: String, contents: String| match std::fs::write(&path, contents) {
-        Ok(()) => println!("[wrote {path}]"),
-        Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-    };
-    write(format!("{stem}.collapsed"), report.tree.collapsed(program));
+    write_file(format!("{stem}.collapsed"), &report.tree.collapsed(program));
     let mut json = serde_json::to_string_pretty(&report).expect("self-profile serializes");
     json.push('\n');
-    write(format!("{stem}.json"), json);
+    write_file(format!("{stem}.json"), &json);
     let digest = report.tree.digest(12);
-    write(format!("{stem}.txt"), digest.clone());
+    write_file(format!("{stem}.txt"), &digest);
     print!("{digest}");
     println!(
         "self-profile: {:.1}% of {:.1}ms host wall attributed",

@@ -1,9 +1,10 @@
 //! Table printing and JSON output for the harness binaries.
 
+use crate::scenario::cli::out_path;
 use crate::scenario::Scenario;
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 /// A simple aligned-column text table.
 #[derive(Debug, Default)]
@@ -60,25 +61,27 @@ impl Table {
     }
 }
 
+/// Write `contents` to `path`, creating its directory, and print
+/// `[wrote <path>]`. A failed write exits 1, so a run whose artifact was
+/// never written cannot pass for one that was.
+pub fn write_file(path: impl AsRef<Path>, contents: &str) {
+    let path = path.as_ref();
+    let written = path
+        .parent()
+        .map_or(Ok(()), fs::create_dir_all)
+        .and_then(|()| fs::write(path, contents));
+    if let Err(e) = written {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    println!("[wrote {}]", path.display());
+}
+
 /// Write a serializable value as JSON under `bench/out/<name>.json`
-/// (relative to the workspace root); prints the path on success.
+/// (relative to the workspace root) with [`write_file`].
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop(); // crates/
-    dir.pop(); // workspace root
-    dir.push("bench/out");
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => match fs::write(&path, s) {
-            Ok(()) => println!("[wrote {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("warning: serialize {name}: {e}"),
-    }
+    let json = serde_json::to_string_pretty(value).expect("artifact serializes");
+    write_file(out_path(&format!("{name}.json")), &json);
 }
 
 /// The shape every provenance-bearing artifact shares: the resolved

@@ -1,11 +1,4 @@
-//! Shared command-line front end for the eleven bench bins.
-//!
-//! Every bin starts with the same two calls:
-//!
-//! ```text
-//! let (common, rest) = cli::common_args();
-//! if cli::handle_scenario(&common) { return; }
-//! ```
+//! Shared command-line front end for the six bench bins.
 //!
 //! [`common_args`] splits the flags every bin accepts out of argv in one
 //! pass — `--faults plan.json`, `--trace out.json`, `--explain`,
@@ -13,18 +6,18 @@
 //! `--self-profile stem`, `--scenario file.json`, `--dump-scenario` —
 //! returning the rest (argv[0] included) for bin-specific parsing.
 //! `--self-profile` enables the host self-profiler immediately (so setup
-//! is attributed too); preset bins call [`finish`] as their last statement
-//! to export the collapsed-stack/JSON/digest triple. [`handle_scenario`] implements the declarative
-//! entry: when `--scenario` names a spec file it is loaded, overridden by
-//! the CLI flags, validated, and either printed (`--dump-scenario`) or run
-//! through [`run_scenario`] with a provenance-bearing report written under
-//! `bench/out/`. Bins whose presets are scenario-shaped then honor a bare
-//! `--dump-scenario` by printing their resolved preset list via
-//! [`dump_scenarios`] instead of running.
+//! is attributed too); bins call [`finish`] as their last statement to
+//! export the collapsed-stack/JSON/digest triple. [`handle_scenario`]
+//! implements the declarative entry: when `--scenario` names a spec file
+//! it is loaded, overridden by the CLI flags, validated, and either
+//! printed (`--dump-scenario`) or run through [`run_scenario`] with a
+//! provenance-bearing report written under `bench/out/`. Bins with
+//! scenario-shaped presets honor a bare `--dump-scenario` by printing
+//! their resolved preset list via [`dump_scenarios`] instead of running.
 
 use super::{run_scenario, Scenario, ScenarioReport};
 use crate::obs::{obs_args, report_run, write_self_profile, ObsArgs};
-use crate::output::Table;
+use crate::output::{write_file, Table};
 use crate::sweep::jobs_from_args;
 use cashmere::balancer::Policy;
 use cashmere_des::fault::FaultPlan;
@@ -50,12 +43,13 @@ pub struct CommonArgs {
     pub scenario: Option<String>,
     /// Print resolved scenario(s) instead of running (`--dump-scenario`).
     pub dump: bool,
-    /// The bin's name (argv[0] basename) — the root frame of
-    /// `--self-profile` collapsed stacks.
+    /// The bin's name (argv[0] basename; `run` sets the figure name) —
+    /// the root frame of `--self-profile` collapsed stacks.
     pub program: String,
 }
 
-fn fail(msg: &str) -> ! {
+/// Print `msg` to stderr and exit 2 — the bins' answer to bad input.
+pub fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
 }
@@ -137,16 +131,23 @@ pub fn finish(common: &CommonArgs, scenarios: &[Scenario]) {
     }
 }
 
-/// Apply the CLI overrides to a preset (or loaded) scenario: `--policy`,
-/// `--faults`, `--probe`/`--probe-out`, and in-memory capture when any
-/// observability flag is set.
-pub fn apply_overrides(mut sc: Scenario, common: &CommonArgs) -> Scenario {
+/// Apply the policy overrides alone (`--policy`, `--steal`): for runs
+/// that must stay fault-free and unobserved, like calibration runs.
+pub fn apply_policy(mut sc: Scenario, common: &CommonArgs) -> Scenario {
     if let Some(p) = common.policy {
         sc.policy.placement = p;
     }
     if let Some(s) = common.steal {
         sc.policy.steal = s;
     }
+    sc
+}
+
+/// Apply the CLI overrides to a preset (or loaded) scenario: the policy
+/// overrides, `--faults`, `--probe`/`--probe-out`, and in-memory capture
+/// when any observability flag is set.
+pub fn apply_overrides(sc: Scenario, common: &CommonArgs) -> Scenario {
+    let mut sc = apply_policy(sc, common);
     if common.obs.self_profile.is_some() {
         sc.outputs.self_profile.clone_from(&common.obs.self_profile);
     }
@@ -250,13 +251,7 @@ pub fn handle_scenario(common: &CommonArgs) -> bool {
         Some(p) => PathBuf::from(p),
         None => out_path(&format!("scenario_{}.json", sc.name)),
     };
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&path, report.to_canonical_json()) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    write_file(path, &report.to_canonical_json());
     if let Some(stem) = &sc.outputs.self_profile {
         write_self_profile(stem, &common.program, std::slice::from_ref(&sc));
     }

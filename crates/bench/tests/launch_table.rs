@@ -1,7 +1,7 @@
 //! The process-wide launch table is exact. Every catalog scenario
 //! (`bench/scenarios/*.json`) is run twice in this process, the second
 //! time against a table warm with its own launches and those of the whole
-//! catalog, and once in a fresh process by the `tables` bin, whose table
+//! catalog, and once in a fresh process by the `run` bin, whose table
 //! starts empty. All three canonical reports must be identical. An input
 //! the VM reads but the launch key leaves out would let a scenario reuse
 //! statistics measured for another one's launch and show here.
@@ -22,21 +22,21 @@ fn report(sc: &Scenario) -> String {
     ScenarioReport::new(sc, run_scenario(sc).outcome).to_canonical_json()
 }
 
-/// The report of `file` run by the `tables` bin in a process of its own.
+/// The report of `file` run by the `run` bin in a process of its own.
 /// The bin writes it to `bench/out/scenario_<name>.json`; the working
 /// directory is a scratch one, so a spec's relative output paths land
 /// there.
 fn cold_report(file: &Path, sc: &Scenario) -> String {
     let scratch = Path::new(env!("CARGO_TARGET_TMPDIR")).join("launch_table");
     std::fs::create_dir_all(scratch.join("bench/out")).unwrap();
-    let status = Command::new(env!("CARGO_BIN_EXE_tables"))
+    let status = Command::new(env!("CARGO_BIN_EXE_run"))
         .arg("--scenario")
         .arg(file)
         .current_dir(&scratch)
         .stdout(Stdio::null())
         .status()
-        .expect("tables runs");
-    assert!(status.success(), "{}: tables failed", file.display());
+        .expect("run runs");
+    assert!(status.success(), "{}: run failed", file.display());
     let path = out_path(&format!("scenario_{}.json", sc.name));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }

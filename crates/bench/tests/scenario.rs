@@ -1,11 +1,14 @@
 //! The declarative scenario layer, end to end: the checked-in catalog
 //! parses and validates, canonical JSON round-trips, invalid specs are
-//! rejected with a real exit code, and the provenance block embedded in
-//! every report re-runs byte-identically at any `--jobs`.
+//! rejected with a real exit code, the figure presets equal the provenance
+//! of the committed artifacts, an unwritable report fails the run, and the
+//! provenance block embedded in every report re-runs byte-identically at
+//! any `--jobs`.
 
 use cashmere_bench::{run_scenario, Scenario, ScenarioReport};
+use serde::Deserialize;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn repo_root() -> PathBuf {
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -34,6 +37,105 @@ fn catalog() -> Vec<(PathBuf, Scenario)> {
             (p, sc)
         })
         .collect()
+}
+
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_run"))
+        .args(args)
+        .output()
+        .expect("run binary runs")
+}
+
+/// What one `run … --dump-scenario` invocation must do.
+enum Expect {
+    /// Print exactly the scenarios in the `provenance` block of this
+    /// committed `bench/out` artifact, this many of them.
+    Provenance(&'static str, usize),
+    /// Exit 2 naming the problem.
+    Exit2(&'static str),
+}
+
+/// The part of a committed artifact the presets must reproduce.
+#[derive(Deserialize)]
+struct Artifact {
+    provenance: Vec<Scenario>,
+}
+
+/// Preset drift shows here without running a simulation: each figure's
+/// resolved scenario list, stripped to provenance form, must equal the one
+/// its committed artifact was generated from.
+#[test]
+fn figure_presets_match_committed_provenance() {
+    let smoke = repo_root().join("bench/scenarios/smoke.json");
+    let cases: [(&[&str], Expect); 7] = [
+        (&["scaling"], Expect::Provenance("fig7_14_scaling.json", 60)),
+        (
+            &["hetero"],
+            Expect::Provenance("table3_fig15_hetero.json", 36),
+        ),
+        (&["ablation"], Expect::Provenance("ablation.json", 13)),
+        (&["fig7"], Expect::Exit2("unknown figure `fig7`")),
+        (
+            &["scaling", "quicksort"],
+            Expect::Exit2("unknown app `quicksort`"),
+        ),
+        (&[], Expect::Exit2("usage: run <figure>")),
+        (
+            &["scaling", "--scenario", smoke.to_str().unwrap()],
+            Expect::Exit2("drop `scaling`"),
+        ),
+    ];
+    for (args, expect) in cases {
+        let out = run(&[args, &["--dump-scenario"]].concat());
+        match expect {
+            Expect::Provenance(file, count) => {
+                assert!(out.status.success(), "{args:?} failed");
+                let dumped: Vec<Scenario> =
+                    serde_json::from_slice(&out.stdout).expect("dump is a scenario list");
+                let dumped: Vec<Scenario> = dumped.iter().map(Scenario::provenance_form).collect();
+                let path = repo_root().join("bench/out").join(file);
+                let text = std::fs::read_to_string(&path).expect("committed artifact");
+                let committed: Artifact = serde_json::from_str(&text).expect("artifact parses");
+                assert_eq!(committed.provenance.len(), count, "{file}");
+                assert!(
+                    dumped == committed.provenance,
+                    "{args:?}: presets differ from the provenance of {file}"
+                );
+            }
+            Expect::Exit2(msg) => {
+                assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert!(err.contains(msg), "{args:?}: expected `{msg}`, got: {err}");
+            }
+        }
+    }
+}
+
+/// A report that cannot be written fails the run instead of warning.
+#[test]
+fn unwritable_report_exits_nonzero() {
+    let dir = std::env::temp_dir().join("cashmere-scenario-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    // A regular file where the report's directory should be.
+    let blocker = dir.join("not_a_dir");
+    std::fs::write(&blocker, "").unwrap();
+    let mut sc = Scenario::load(
+        repo_root()
+            .join("bench/scenarios/smoke.json")
+            .to_str()
+            .unwrap(),
+    )
+    .expect("smoke scenario loads");
+    sc.outputs.report = Some(blocker.join("report.json").to_str().unwrap().to_string());
+    let spec = dir.join("unwritable.spec.json");
+    std::fs::write(&spec, sc.to_canonical_json()).unwrap();
+    let out = run(&["--scenario", spec.to_str().unwrap()]);
+    assert!(
+        !out.status.success(),
+        "an unwritten report must fail the run"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cannot write"), "got: {err}");
 }
 
 #[test]
@@ -77,10 +179,7 @@ fn invalid_scenario_fails_with_exit_2() {
         r#"{"name":"bad","app":"kmeans","series":"cashmere-opt","nodes":[["gtx9999"]]}"#,
     )
     .unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
-        .args(["--scenario", bad.to_str().unwrap()])
-        .output()
-        .expect("tables binary runs");
+    let out = run(&["--scenario", bad.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "invalid spec must exit 2");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -116,10 +215,7 @@ fn scenario_run_is_byte_identical_at_any_jobs() {
         sc.outputs.report = Some(report.to_str().unwrap().to_string());
         let patched = report.with_extension("spec.json");
         std::fs::write(&patched, sc.to_canonical_json()).unwrap();
-        let out = Command::new(env!("CARGO_BIN_EXE_tables"))
-            .args(["--scenario", patched.to_str().unwrap(), "--jobs", jobs])
-            .output()
-            .expect("tables binary runs");
+        let out = run(&["--scenario", patched.to_str().unwrap(), "--jobs", jobs]);
         assert!(
             out.status.success(),
             "--jobs {jobs} failed: {}",

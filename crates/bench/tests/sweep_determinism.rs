@@ -1,18 +1,17 @@
 //! Parallel sweeps must be invisible: `--jobs 4` and `--jobs 1` produce
 //! byte-identical stdout (tables) and JSON output for the same invocation.
 //!
-//! Runs the real `scaling` binary (one app to keep CI fast) twice and
+//! Runs the real `run scaling` figure (one app to keep CI fast) twice and
 //! compares both channels byte-for-byte.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 fn run_scaling(jobs: &str) -> (Vec<u8>, Vec<u8>) {
-    let exe = env!("CARGO_BIN_EXE_scaling");
-    let out = Command::new(exe)
-        .args(["kmeans", "--jobs", jobs])
+    let out = Command::new(env!("CARGO_BIN_EXE_run"))
+        .args(["scaling", "kmeans", "--jobs", jobs])
         .output()
-        .expect("scaling binary runs");
+        .expect("run binary runs");
     assert!(
         out.status.success(),
         "scaling --jobs {jobs} failed: {}",

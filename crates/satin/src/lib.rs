@@ -6,22 +6,15 @@
 //! the resulting job tree with random work stealing, hides network latency,
 //! and recovers from node failures.
 //!
-//! Two backends:
-//!
-//! * [`threads`] — a real shared-memory work-stealing pool implementing
-//!   `join` (spawn/sync in its structured binary form) on this machine's
-//!   cores; used by examples and as the intra-node execution vehicle.
-//! * [`sim`] — the simulated cluster used for every paper experiment:
-//!   nodes, cores, random work stealing over the modelled interconnect,
-//!   CPU-contention-coupled message handling, fault tolerance, and
-//!   pluggable leaf execution (plain CPU leaves here; Cashmere's many-core
-//!   leaves in the `cashmere` crate).
+//! [`sim`] is the simulated cluster used for every paper experiment:
+//! nodes, cores, random work stealing over the modelled interconnect,
+//! CPU-contention-coupled message handling, fault tolerance, and pluggable
+//! leaf execution (plain CPU leaves here; Cashmere's many-core leaves in
+//! the `cashmere` crate).
 
 pub mod sim;
-pub mod threads;
 
 pub use sim::{
     critical_path_summary, text_table, ClusterApp, ClusterSim, Counter, CpuLeafRuntime, DcStep,
     LeafCtx, LeafPlan, LeafRuntime, RunReport, SimConfig, StealKind, StealPolicy,
 };
-pub use threads::{join, parallel_reduce, SatinPool};

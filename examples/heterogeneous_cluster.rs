@@ -23,7 +23,7 @@ fn main() {
     );
 
     // A scaled-down problem so the example finishes instantly; the paper's
-    // full 268M-point run is `cargo run --release -p cashmere-bench --bin hetero`.
+    // full 268M-point run is `cargo run --release -p cashmere-bench --bin run -- hetero`.
     let problem = KmeansProblem {
         n: 50_000_000,
         k: 4096,

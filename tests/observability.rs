@@ -23,7 +23,7 @@ struct Observed {
     horizon: SimTime,
 }
 
-/// One traced heterogeneous K-means run (the gantt bin's `--small` shape).
+/// One traced heterogeneous K-means run (the shape of `run gantt --small`).
 fn observed_run(seed: u64) -> Observed {
     let spec = ClusterSpec {
         node_devices: vec![

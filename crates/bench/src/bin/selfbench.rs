@@ -31,10 +31,13 @@
 //!
 //! With `--check`, the previously committed `BENCH_sim.json` is read
 //! *before* being overwritten and the run fails (exit 1) if engine
-//! events/sec regressed more than 30% against it — the CI smoke gate. A
-//! failure prints a counters-only [`RunDiff`] digest ranking which measured
-//! quantity moved the most, so the log explains the regression instead of
-//! just flagging it. `--quick` shrinks repetition counts for CI.
+//! events/sec or kernel measurements/sec regressed more than 30% against
+//! it — the CI smoke gate. Both are compared per unit of a host reference
+//! loop timed in the same process (when the baseline recorded one), so a
+//! slower or busier host does not read as a regression. A failure prints
+//! a counters-only [`RunDiff`] digest ranking which measured quantity
+//! moved the most, so the log explains the regression instead of just
+//! flagging it. `--quick` shrinks repetition counts for CI.
 
 use cashmere::ClusterSpec;
 use cashmere_apps::KernelSet;
@@ -102,6 +105,10 @@ struct HostProvenance {
     kernel_reps: usize,
     /// Un-timed warm-up sweeps before the jobs=1 / jobs=N measurements.
     sweep_warmup_runs: usize,
+    /// Speed of the host reference loop ([`reference_work`]), units/sec:
+    /// the best of the samples taken before every gated repetition. The
+    /// `--check` gates divide by it. `None` in baselines that predate it.
+    reference_per_sec: Option<f64>,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -190,11 +197,71 @@ fn schedule_cancel(n: u64) -> u64 {
     2 * n
 }
 
-/// Best-of-`reps` wall time for `f`, returning (best_seconds, payload).
-fn best_of<F: FnMut() -> u64>(reps: usize, mut f: F) -> (f64, u64) {
+/// Host speed reference: a fixed mix of branchy register-machine
+/// dispatch (integer and float arithmetic, like the kernel VM) and a hash
+/// map of short vectors that grow and are freed (like the engine's
+/// tables). No simulator change touches it, so its speed measures only
+/// the host. Returns work units done.
+fn reference_work() -> u64 {
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+    const STEPS: u64 = 1_000_000;
+    let mut x = 0x1234_5678_9ABC_DEF1;
+    let program: Vec<u8> = (0..64).map(|_| (xorshift(&mut x) % 6) as u8).collect();
+    let mut r = [1u64, 2, 3, 4, 5, 6, 7, 8];
+    let mut pc = 0usize;
+    for _ in 0..STEPS {
+        let (a, b) = ((pc * 3) & 7, (pc * 5 + 1) & 7);
+        match program[pc] {
+            0 => r[a] = r[a].wrapping_add(r[b]),
+            1 => r[a] = r[a].wrapping_mul(r[b] | 1),
+            2 => r[a] ^= r[b].rotate_left(7),
+            3 if r[a] & 1 == 1 => pc = (pc + 1) & 63,
+            4 => r[a] = (r[a] as f64 * 1.000001 + r[b] as f64).to_bits() >> 12,
+            _ => r[b] = r[a].min(r[b]).wrapping_add(3),
+        }
+        pc = (pc + 1) & 63;
+    }
+    black_box(r);
+    let mut map: std::collections::HashMap<u64, Vec<u64>> = Default::default();
+    for i in 0..STEPS / 20 {
+        let k = xorshift(&mut x) % 4096;
+        let v = map.entry(k).or_default();
+        v.push(i);
+        if v.len() > 8 {
+            map.remove(&k);
+        }
+    }
+    black_box(map.len());
+    STEPS + STEPS / 20
+}
+
+/// The host's best speed on [`reference_work`] seen so far, sampled next
+/// to every gated repetition so that it sees the host as those did.
+#[derive(Default)]
+struct HostReference {
+    per_sec: f64,
+}
+
+impl HostReference {
+    fn sample(&mut self) {
+        let t0 = Instant::now();
+        let units = reference_work();
+        self.per_sec = self.per_sec.max(units as f64 / t0.elapsed().as_secs_f64());
+    }
+}
+
+/// Best-of-`reps` wall time for `f`, returning (best_seconds, payload);
+/// samples the host reference before each repetition.
+fn best_of<F: FnMut() -> u64>(reps: usize, host: &mut HostReference, mut f: F) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut units = 0;
     for _ in 0..reps {
+        host.sample();
         let t0 = Instant::now();
         units = f();
         best = best.min(t0.elapsed().as_secs_f64());
@@ -229,12 +296,12 @@ fn kernel_reps(quick: bool) -> usize {
     }
 }
 
-fn measure_engine(quick: bool) -> EngineNumbers {
+fn measure_engine(quick: bool, host: &mut HostReference) -> EngineNumbers {
     let reps = engine_reps(quick);
     let n: u64 = engine_events(quick);
-    let (t_sr, ev_sr) = best_of(reps, || schedule_run(n));
-    let (t_ch, ev_ch) = best_of(reps, || churn(1_000, n));
-    let (t_sc, ops_sc) = best_of(reps, || schedule_cancel(n));
+    let (t_sr, ev_sr) = best_of(reps, host, || schedule_run(n));
+    let (t_ch, ev_ch) = best_of(reps, host, || churn(1_000, n));
+    let (t_sc, ops_sc) = best_of(reps, host, || schedule_cancel(n));
     EngineNumbers {
         // Headline: total events (cancel pairs count as one event's worth
         // of queue work) over total best-case time across the mix.
@@ -343,9 +410,9 @@ fn measure_subsystems(quick: bool, jobs: usize, keep_profiling: bool) -> Vec<Sub
     rows
 }
 
-fn measure_kernels(quick: bool) -> KernelNumbers {
+fn measure_kernels(quick: bool, host: &mut HostReference) -> KernelNumbers {
     let reps = kernel_reps(quick);
-    let (t, n) = best_of(reps, fig6_corpus_pass);
+    let (t, n) = best_of(reps, host, fig6_corpus_pass);
     KernelNumbers {
         vm_measurements_per_sec: n as f64 / t,
     }
@@ -438,11 +505,12 @@ fn main() {
         .ok()
         .and_then(|s| serde_json::from_str(&s).ok());
 
+    let mut host = HostReference::default();
     println!(
         "selfbench: measuring engine throughput ({} mode)",
         if quick { "quick" } else { "full" }
     );
-    let engine = measure_engine(quick);
+    let engine = measure_engine(quick, &mut host);
     println!("  events/sec (mix):      {:>12.0}", engine.events_per_sec);
     println!(
         "  schedule+run:          {:>12.0} ev/s",
@@ -478,10 +546,15 @@ fn main() {
     println!("  fig6 kernel sweep:     {:.3}s", bins.fig6_kernels_wall_s);
 
     println!("selfbench: kernel execution (fig6 corpus)");
-    let kernels = measure_kernels(quick);
+    let kernels = measure_kernels(quick, &mut host);
     println!(
         "  vm:   {:>8.1} measurements/s",
         kernels.vm_measurements_per_sec
+    );
+
+    let reference_per_sec = host.per_sec;
+    println!(
+        "  host reference: {reference_per_sec:>10.0} units/s (best of the samples before each rep)"
     );
 
     println!("selfbench: per-subsystem wall shares (profiled pass)");
@@ -504,6 +577,7 @@ fn main() {
             engine_events: engine_events(quick),
             kernel_reps: kernel_reps(quick),
             sweep_warmup_runs: 1,
+            reference_per_sec: Some(reference_per_sec),
         }),
         subsystems: Some(subsystems),
         provenance: baseline
@@ -517,12 +591,25 @@ fn main() {
     if check {
         match baseline {
             Some(base) => {
+                // Throughput ratios are divided by the host's speed ratio
+                // on the reference loop, so they compare the code, not the
+                // machines (raw ratios against a baseline without one).
+                let base_ref = base.host.as_ref().and_then(|h| h.reference_per_sec);
+                let (host, unit) = match base_ref {
+                    Some(b) if b > 0.0 => {
+                        let host = reference_per_sec / b;
+                        println!(
+                            "check: host reference {reference_per_sec:.0} vs committed baseline {b:.0} ({host:.2}x); gated ratios are divided by it"
+                        );
+                        (host, "x host-normalized")
+                    }
+                    _ => (1.0, "x"),
+                };
                 let old = base.engine.events_per_sec;
                 let new = result.engine.events_per_sec;
-                let ratio = new / old;
+                let ratio = new / old / host;
                 println!(
-                    "check: events/sec {:.0} vs committed baseline {:.0} ({:.2}x)",
-                    new, old, ratio
+                    "check: events/sec {new:.0} vs committed baseline {old:.0} ({ratio:.2}{unit})"
                 );
                 // The kernel path is gated like the engine: the VM floor
                 // must not regress more than 30% against the committed
@@ -537,13 +624,13 @@ fn main() {
                     .as_ref()
                     .map_or(0.0, |k| k.vm_measurements_per_sec);
                 let kernel_ratio = if base_kernels > 0.0 {
-                    new_kernels / base_kernels
+                    new_kernels / base_kernels / host
                 } else {
                     1.0
                 };
                 if base_kernels > 0.0 {
                     println!(
-                        "check: kernel measurements/sec {new_kernels:.1} vs committed baseline {base_kernels:.1} ({kernel_ratio:.2}x)"
+                        "check: kernel measurements/sec {new_kernels:.1} vs committed baseline {base_kernels:.1} ({kernel_ratio:.2}{unit})"
                     );
                 }
                 // >30% regression fails the build. Headroom below that is

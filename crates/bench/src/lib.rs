@@ -31,4 +31,4 @@ pub use output::{write_file, write_json, write_report, Table};
 pub use runners::{kernel_gflops, AppId, Fig6Launch, RecoverySummary, RunOutcome, Series};
 pub use scenario::cli::{self, load_fault_plan, CommonArgs};
 pub use scenario::{run_scenario, PolicySpec, Problem, Scenario, ScenarioReport, ScenarioRun};
-pub use sweep::{default_jobs, jobs_from_args, sweep, sweep_fns};
+pub use sweep::{default_jobs, jobs_from_args, sweep};

@@ -115,13 +115,6 @@ where
         .collect()
 }
 
-/// [`sweep`] over heterogeneous work items: each task is an independent
-/// boxed closure. Useful when the points of one sweep don't share a type
-/// (e.g. the ablation studies).
-pub fn sweep_fns<O: Send>(tasks: Vec<Box<dyn FnOnce() -> O + Send>>, jobs: usize) -> Vec<O> {
-    sweep(tasks, jobs, |t| t())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,16 +154,6 @@ mod tests {
         let empty: Vec<u64> = sweep(Vec::new(), 4, |i| i);
         assert!(empty.is_empty());
         assert_eq!(sweep(vec![7u64], 4, |i| i + 1), vec![8]);
-    }
-
-    #[test]
-    fn sweep_fns_runs_heterogeneous_tasks() {
-        let tasks: Vec<Box<dyn FnOnce() -> String + Send>> = vec![
-            Box::new(|| "a".to_string()),
-            Box::new(|| format!("{}", 6 * 7)),
-            Box::new(|| "c".repeat(3)),
-        ];
-        assert_eq!(sweep_fns(tasks, 2), vec!["a", "42", "ccc"]);
     }
 
     #[test]

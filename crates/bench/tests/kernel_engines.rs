@@ -14,6 +14,7 @@
 use cashmere_apps::KernelSet;
 use cashmere_bench::{AppId, Fig6Launch};
 use cashmere_hwdesc::DeviceKind;
+use cashmere_mcl::compile::compile_program;
 use cashmere_mcl::{interp, vm, ExecError, ExecResult};
 
 /// What the two engines are compared on: statistics and argument buffers
@@ -52,4 +53,24 @@ fn fig6_corpus_is_identical_on_vm_and_tree_walker() {
         }
     }
     assert_eq!(launches, 4 * 7 * 2);
+}
+
+/// The matmul-optimized launch on the Xeon Phi is the corpus's largest.
+/// Its VM dispatch count is pinned so that a change to the compiler's
+/// fusions shows up as a count, not only as host time (12,457,280
+/// dispatches before the fusions).
+#[test]
+#[ignore = "interprets the corpus's largest launch, tens of seconds in a debug build; run with --release -- --ignored"]
+fn matmul_mic_dispatch_count_is_pinned() {
+    let l = Fig6Launch::new(AppId::Matmul, KernelSet::Optimized, DeviceKind::XeonPhi)
+        .expect("the Xeon Phi instantiates");
+    let ck = l
+        .registry
+        .select(&l.call.kernel, l.device.level)
+        .expect("matmul has a mic version");
+    let p = l.device.prepare_launch(&l.hierarchy, ck, l.mode());
+    let prog = compile_program(ck, &p.par_units);
+    let (_, counts) =
+        vm::execute_counted(&prog, l.call.args.clone(), &p.opts).expect("the launch runs");
+    assert_eq!(counts.iter().sum::<u64>(), 5_962_282);
 }

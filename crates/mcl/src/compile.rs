@@ -16,6 +16,21 @@
 //! body is emitted; a side table maps every instruction back to its source
 //! line for `ExecError` reporting.
 //!
+//! Peephole fusions cut the dispatch count of hot loops; each fused
+//! instruction performs the statistics additions of the instructions it
+//! replaces, in the same order (see DESIGN.md, "Kernel VM"):
+//!
+//! * literals live in constant registers loaded once at VM entry, so a
+//!   literal operand costs no instruction (an immediate);
+//! * a `Bin` feeding `IfCond`/`ForCond` becomes `IfTest`/`ForTest`
+//!   (compare-and-branch; `ForTest` also carries the runaway guard);
+//! * a loop's trailing `Assign` plus its back `Jump` is one `AssignJump`;
+//! * an `if` without `else` emits no `IfElse`;
+//! * a declaration whose initializer ends in a fresh `Bin`, `Cast` or
+//!   `ScratchLoad` result writes straight into the variable's slot;
+//! * `arr[i] op= e` on a scratch array with plain-slot indices is one
+//!   `ScratchRmw`.
+//!
 //! Also resolved statically (all verified equivalent to the tree walker's
 //! runtime decisions):
 //!
@@ -33,8 +48,18 @@ use crate::stats::SiteKey;
 use std::collections::HashMap;
 
 /// Temp-register flag: slots with this bit set index the temp region and are
-/// rebased after the variable count is known.
+/// rebased after the variable and constant counts are known.
 const TMP: u32 = 1 << 31;
+/// Constant-register flag: slots with this bit set index the literal pool,
+/// which sits between the variables and the temps.
+const CONST: u32 = 1 << 30;
+
+/// A literal held in a constant register.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Lit {
+    I(i64),
+    F(f64),
+}
 
 /// Builtin functions, pre-resolved from call names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,25 +130,11 @@ impl Builtin {
 /// expression temps. `site`/`cache` index interned instrumentation tables.
 #[derive(Debug, Clone)]
 pub enum Instr {
-    /// Uniform int literal → `dst`. No issue (literals are free).
-    LitI {
-        dst: u32,
-        v: i64,
-    },
-    /// Uniform float literal → `dst`. No issue.
-    LitF {
-        dst: u32,
-        v: f64,
-    },
-    /// `int x = src;` — coerce to int (or default 0) into the var slot.
-    DeclI {
+    /// `ty x = src;` — coerce to `ty` (or default 0) into the var slot.
+    Decl {
         dst: u32,
         src: Option<u32>,
-    },
-    /// `float x = src;` — coerce to float (or default 0.0).
-    DeclF {
-        dst: u32,
-        src: Option<u32>,
+        ty: ElemTy,
     },
     /// Unary op. Issues `CYCLE_BASIC`; float negate counts one flop.
     Un {
@@ -131,12 +142,15 @@ pub enum Instr {
         src: u32,
         op: UnOp,
     },
-    /// Binary op with the tree walker's dynamic int/float dispatch.
+    /// Binary op with the tree walker's dynamic int/float dispatch. `cvt`
+    /// is set when `dst` is a declared variable: the result is coerced like
+    /// `Decl` would coerce it.
     Bin {
         dst: u32,
         a: u32,
         b: u32,
         op: BinOp,
+        cvt: Option<ElemTy>,
     },
     /// The multiply of a fusable `x += a*b`: float operands issue once for
     /// two flops (FMA); int operands behave exactly like `Bin` `Mul`.
@@ -169,6 +183,15 @@ pub enum Instr {
         src: u32,
         op: AssignOp,
         fused: bool,
+    },
+    /// `Assign` followed by a jump to `to`: a loop's step (or trailing
+    /// assignment) fused with its back edge.
+    AssignJump {
+        slot: u32,
+        src: u32,
+        op: AssignOp,
+        fused: bool,
+        to: u32,
     },
     /// Global-memory load: compute per-lane addresses from `idx` slots,
     /// account coalescing at `site` (L1 model entry `cache`), load.
@@ -215,6 +238,14 @@ pub enum Instr {
         idx: Box<[u32]>,
         src: u32,
     },
+    /// `arr[idx] op= src` with plain-slot indices: `ScratchLoad` + `Bin` +
+    /// `ScratchStore` in one instruction, same statistics in the same order.
+    ScratchRmw {
+        arr: u32,
+        idx: Box<[u32]>,
+        src: u32,
+        op: BinOp,
+    },
     /// Head of an `if`: computes the condition mask, records divergence
     /// (unless predicated), runs the then-branch masked or jumps to
     /// `else_at`.
@@ -224,10 +255,20 @@ pub enum Instr {
         then_empty: bool,
         else_at: u32,
     },
+    /// `Bin` + `IfCond`: compares `a op b` and branches on the result
+    /// without materializing it.
+    IfTest {
+        a: u32,
+        b: u32,
+        op: BinOp,
+        predicated: bool,
+        then_empty: bool,
+        else_at: u32,
+    },
     /// Between the branches: flips to the complement mask or jumps to the
-    /// matching `IfEnd`.
+    /// matching `IfEnd`. Not emitted for an `if` without `else`: `IfCond`
+    /// then targets `IfEnd` directly.
     IfElse {
-        else_empty: bool,
         end_at: u32,
     },
     /// Restores the pre-branch mask.
@@ -240,6 +281,16 @@ pub enum Instr {
     /// mask (loop-carried), exits to `exit` when no lane remains.
     ForCond {
         src: u32,
+        exit: u32,
+    },
+    /// `[ForGuard +] Bin + ForCond`: the loop test `a op b` as one
+    /// compare-and-branch. `guard` folds the runaway check in (set when the
+    /// condition's operands needed no fallible instruction before it).
+    ForTest {
+        a: u32,
+        b: u32,
+        op: BinOp,
+        guard: bool,
         exit: u32,
     },
     /// `for` exit: restores the saved mask.
@@ -315,8 +366,10 @@ pub struct Program {
     pub instrs: Vec<Instr>,
     /// Source line per instruction (for `ExecError` and site keys).
     pub lines: Vec<u32>,
-    /// Register pool size: variables then expression temps.
+    /// Register pool size: variables, then constants, then expression temps.
     pub n_slots: usize,
+    /// Constant registers and their literal values, loaded at VM entry.
+    pub consts: Vec<(u32, Lit)>,
     /// Scratch (local/private) array storage count.
     pub n_arrays: usize,
     /// Interned global-access sites in first-use order.
@@ -339,7 +392,10 @@ struct Compiler {
     n_vars: u32,
     sp: u32,
     max_sp: u32,
-    n_arrays: u32,
+    consts: Vec<Lit>,
+    const_ids: HashMap<(bool, u64), u32>,
+    /// Element type of each scratch array, by array id.
+    scratch_ty: Vec<ElemTy>,
     sites: Vec<SiteKey>,
     site_ids: HashMap<(usize, String, bool), u32>,
     cache_ids: HashMap<(usize, String), u32>,
@@ -367,6 +423,77 @@ impl Compiler {
         self.sp += 1;
         self.max_sp = self.max_sp.max(self.sp);
         TMP | s
+    }
+
+    /// The constant register holding literal `v` (one per distinct value).
+    fn konst(&mut self, v: Lit) -> u32 {
+        let key = match v {
+            Lit::I(x) => (false, x as u64),
+            Lit::F(x) => (true, x.to_bits()),
+        };
+        let next = self.consts.len() as u32;
+        let id = *self.const_ids.entry(key).or_insert(next);
+        if id == next {
+            self.consts.push(v);
+        }
+        CONST | id
+    }
+
+    fn insert(&mut self, at: usize, line: usize, i: Instr) {
+        self.instrs.insert(at, i);
+        self.lines.insert(at, line as u32);
+    }
+
+    /// If the instructions from `from` on end in the `Bin` that produced
+    /// the fresh temp `src`, remove it and return its operands, so that
+    /// the caller can fuse the operation into its consumer.
+    fn take_bin(&mut self, from: usize, src: u32) -> Option<(u32, u32, BinOp)> {
+        if src & TMP == 0 || self.instrs.len() <= from {
+            return None;
+        }
+        match self.instrs.last() {
+            Some(&Instr::Bin {
+                dst,
+                a,
+                b,
+                op,
+                cvt: None,
+            }) if dst == src => {
+                self.instrs.pop();
+                self.lines.pop();
+                Some((a, b, op))
+            }
+            _ => None,
+        }
+    }
+
+    /// Make the instruction that produced the fresh temp `src` write the
+    /// declared variable `dst` directly, in place of a `Decl` copy. `Bin`
+    /// takes the declaration's coercion along; `Cast` and `ScratchLoad`
+    /// qualify only when their result type is statically `ty`.
+    fn retarget(&mut self, from: usize, src: u32, dst: u32, ty: ElemTy) -> bool {
+        if src & TMP == 0 || self.instrs.len() <= from {
+            return false;
+        }
+        let scratch_ty = &self.scratch_ty;
+        match self.instrs.last_mut() {
+            Some(Instr::Bin { dst: d, cvt, .. }) if *d == src => {
+                *d = dst;
+                *cvt = Some(ty);
+                true
+            }
+            Some(Instr::Cast { dst: d, to, .. }) if *d == src && *to == ty => {
+                *d = dst;
+                true
+            }
+            Some(Instr::ScratchLoad { dst: d, arr, .. })
+                if *d == src && scratch_ty[*arr as usize] == ty =>
+            {
+                *d = dst;
+                true
+            }
+            _ => false,
+        }
     }
 
     fn bind(&mut self, name: &str, b: Binding) {
@@ -415,16 +542,8 @@ impl Compiler {
     /// operand values are dead.
     fn expr(&mut self, e: &Expr, line: usize) -> u32 {
         match e {
-            Expr::IntLit(v) => {
-                let dst = self.alloc_tmp();
-                self.emit(line, Instr::LitI { dst, v: *v });
-                dst
-            }
-            Expr::FloatLit(v) => {
-                let dst = self.alloc_tmp();
-                self.emit(line, Instr::LitF { dst, v: *v });
-                dst
-            }
+            Expr::IntLit(v) => self.konst(Lit::I(*v)),
+            Expr::FloatLit(v) => self.konst(Lit::F(*v)),
             Expr::Var(name) => match self.resolve(name) {
                 Some(Binding::Scalar { slot, .. }) => *slot,
                 Some(Binding::Scratch { .. }) => {
@@ -493,7 +612,16 @@ impl Compiler {
                 let b = self.expr(rhs, line);
                 self.sp = sp0;
                 let dst = self.alloc_tmp();
-                self.emit(line, Instr::Bin { dst, a, b, op: *op });
+                self.emit(
+                    line,
+                    Instr::Bin {
+                        dst,
+                        a,
+                        b,
+                        op: *op,
+                        cvt: None,
+                    },
+                );
                 dst
             }
             Expr::Call { name, args } => {
@@ -543,12 +671,12 @@ impl Compiler {
         match &s.kind {
             StmtKind::DeclScalar { ty, name, init } => {
                 let sp0 = self.sp;
+                let from = self.instrs.len();
                 let src = init.as_ref().map(|e| self.expr(e, line));
                 let dst = self.alloc_var();
-                match ty {
-                    ElemTy::Int => self.emit(line, Instr::DeclI { dst, src }),
-                    ElemTy::Float => self.emit(line, Instr::DeclF { dst, src }),
-                };
+                if !src.is_some_and(|s| self.retarget(from, s, dst, *ty)) {
+                    self.emit(line, Instr::Decl { dst, src, ty: *ty });
+                }
                 self.sp = sp0;
                 self.bind(
                     name,
@@ -564,8 +692,8 @@ impl Compiler {
                 name,
                 dims,
             } => {
-                let arr = self.n_arrays;
-                self.n_arrays += 1;
+                let arr = self.scratch_ty.len() as u32;
+                self.scratch_ty.push(*ty);
                 for d in dims {
                     let sp0 = self.sp;
                     let src = self.expr(d, line);
@@ -597,36 +725,45 @@ impl Compiler {
                 else_branch,
             } => {
                 let sp0 = self.sp;
+                let from = self.instrs.len();
                 let src = self.expr(cond, line);
                 self.sp = sp0;
                 let predicated = is_predicatable(then_branch) && is_predicatable(else_branch);
-                let if_at = self.emit(
-                    line,
-                    Instr::IfCond {
-                        src,
+                let then_empty = then_branch.is_empty();
+                let test = match self.take_bin(from, src) {
+                    Some((a, b, op)) => Instr::IfTest {
+                        a,
+                        b,
+                        op,
                         predicated,
-                        then_empty: then_branch.is_empty(),
+                        then_empty,
                         else_at: 0,
                     },
-                );
-                self.block(then_branch);
-                let else_at = self.emit(
-                    line,
-                    Instr::IfElse {
-                        else_empty: else_branch.is_empty(),
-                        end_at: 0,
+                    None => Instr::IfCond {
+                        src,
+                        predicated,
+                        then_empty,
+                        else_at: 0,
                     },
-                );
+                };
+                let if_at = self.emit(line, test);
+                self.block(then_branch);
+                let else_at =
+                    (!else_branch.is_empty()).then(|| self.emit(line, Instr::IfElse { end_at: 0 }));
                 self.block(else_branch);
                 let end_at = self.emit(line, Instr::IfEnd);
-                let Instr::IfCond { else_at: t, .. } = &mut self.instrs[if_at as usize] else {
-                    unreachable!()
-                };
-                *t = else_at;
-                let Instr::IfElse { end_at: t, .. } = &mut self.instrs[else_at as usize] else {
-                    unreachable!()
-                };
-                *t = end_at;
+                match &mut self.instrs[if_at as usize] {
+                    Instr::IfCond { else_at: t, .. } | Instr::IfTest { else_at: t, .. } => {
+                        *t = else_at.unwrap_or(end_at);
+                    }
+                    _ => unreachable!(),
+                }
+                if let Some(at) = else_at {
+                    let Instr::IfElse { end_at: t } = &mut self.instrs[at as usize] else {
+                        unreachable!()
+                    };
+                    *t = end_at;
+                }
             }
             StmtKind::For {
                 init,
@@ -639,29 +776,79 @@ impl Compiler {
                 if let Some(i) = init {
                     self.stmt(i);
                 }
-                let head = self.instrs.len() as u32;
-                self.emit(line, Instr::ForGuard);
-                let cond_at = cond.as_ref().map(|c| {
-                    let sp0 = self.sp;
-                    let src = self.expr(c, line);
-                    self.sp = sp0;
-                    self.emit(line, Instr::ForCond { src, exit: 0 })
-                });
+                let head = self.instrs.len();
+                let cond_at = match cond {
+                    None => {
+                        self.emit(line, Instr::ForGuard);
+                        None
+                    }
+                    Some(c) => {
+                        let sp0 = self.sp;
+                        let src = self.expr(c, line);
+                        self.sp = sp0;
+                        let test = match self.take_bin(head, src) {
+                            Some((a, b, op)) => {
+                                // The guard may move past operand code that
+                                // cannot fail: it then precedes every error.
+                                let guard = self.instrs[head..].iter().all(infallible);
+                                if !guard {
+                                    self.insert(head, line, Instr::ForGuard);
+                                }
+                                Instr::ForTest {
+                                    a,
+                                    b,
+                                    op,
+                                    guard,
+                                    exit: 0,
+                                }
+                            }
+                            None => {
+                                self.insert(head, line, Instr::ForGuard);
+                                Instr::ForCond { src, exit: 0 }
+                            }
+                        };
+                        Some(self.emit(line, test))
+                    }
+                };
                 self.block(body);
                 if let Some(st) = step {
                     self.stmt(st);
                 }
                 if cond.is_some() {
-                    self.emit(line, Instr::Jump { to: head });
+                    let to = head as u32;
+                    // Nothing targets the back edge itself, so a trailing
+                    // `Assign` can take the jump over.
+                    match self.instrs.last_mut() {
+                        Some(Instr::Assign {
+                            slot,
+                            src,
+                            op,
+                            fused,
+                        }) => {
+                            let (slot, src, op, fused) = (*slot, *src, *op, *fused);
+                            *self.instrs.last_mut().expect("just matched") = Instr::AssignJump {
+                                slot,
+                                src,
+                                op,
+                                fused,
+                                to,
+                            };
+                        }
+                        _ => {
+                            self.emit(line, Instr::Jump { to });
+                        }
+                    }
                 } else {
                     self.emit(line, Instr::FailNoCond);
                 }
                 let exit = self.emit(line, Instr::ForExit);
                 if let Some(at) = cond_at {
-                    let Instr::ForCond { exit: t, .. } = &mut self.instrs[at as usize] else {
-                        unreachable!()
-                    };
-                    *t = exit;
+                    match &mut self.instrs[at as usize] {
+                        Instr::ForCond { exit: t, .. } | Instr::ForTest { exit: t, .. } => {
+                            *t = exit;
+                        }
+                        _ => unreachable!(),
+                    }
                 }
                 self.scopes.pop();
             }
@@ -811,19 +998,20 @@ impl Compiler {
                         Some(s) => s,
                         None => self.expr(value, line),
                     };
+                    let from = self.instrs.len();
+                    let idx: Box<[u32]> = target
+                        .indices
+                        .iter()
+                        .map(|ix| self.expr(ix, line))
+                        .collect();
                     if op == AssignOp::Set && !was_fused {
-                        let idx: Box<[u32]> = target
-                            .indices
-                            .iter()
-                            .map(|ix| self.expr(ix, line))
-                            .collect();
                         self.emit(line, Instr::ScratchStore { arr, idx, src });
+                    } else if self.instrs.len() == from {
+                        // Plain-slot indices: the second index evaluation
+                        // would emit nothing, so load and store fuse.
+                        let op = combine_op(op);
+                        self.emit(line, Instr::ScratchRmw { arr, idx, src, op });
                     } else {
-                        let idx: Box<[u32]> = target
-                            .indices
-                            .iter()
-                            .map(|ix| self.expr(ix, line))
-                            .collect();
                         let old = self.alloc_tmp();
                         self.emit(line, Instr::ScratchLoad { dst: old, arr, idx });
                         let combined = self.alloc_tmp();
@@ -834,6 +1022,7 @@ impl Compiler {
                                 a: old,
                                 b: src,
                                 op: combine_op(op),
+                                cvt: None,
                             },
                         );
                         let idx2: Box<[u32]> = target
@@ -921,18 +1110,28 @@ fn is_predicatable(body: &[Stmt]) -> bool {
         })
 }
 
-/// Rebase temp-flagged slots after `n_vars` is known.
-fn fixup_slot(s: &mut u32, n_vars: u32) {
+/// Expression instructions that cannot raise an `ExecError`.
+fn infallible(i: &Instr) -> bool {
+    matches!(
+        i,
+        Instr::Bin { .. } | Instr::Cast { .. } | Instr::Call { .. }
+    )
+}
+
+/// Rebase constant- and temp-flagged slots once the variable count
+/// (`n_vars`) and the constant count (`n_consts`) are known.
+fn fixup_slot(s: &mut u32, n_vars: u32, n_consts: u32) {
     if *s & TMP != 0 {
-        *s = n_vars + (*s & !TMP);
+        *s = n_vars + n_consts + (*s & !TMP);
+    } else if *s & CONST != 0 {
+        *s = n_vars + (*s & !CONST);
     }
 }
 
-fn fixup(i: &mut Instr, n_vars: u32) {
-    let f = |s: &mut u32| fixup_slot(s, n_vars);
+fn fixup(i: &mut Instr, n_vars: u32, n_consts: u32) {
+    let f = |s: &mut u32| fixup_slot(s, n_vars, n_consts);
     match i {
-        Instr::LitI { dst, .. } | Instr::LitF { dst, .. } => f(dst),
-        Instr::DeclI { dst, src } | Instr::DeclF { dst, src } => {
+        Instr::Decl { dst, src, .. } => {
             f(dst);
             if let Some(s) = src {
                 f(s);
@@ -947,13 +1146,17 @@ fn fixup(i: &mut Instr, n_vars: u32) {
             f(a);
             f(b);
         }
+        Instr::IfTest { a, b, .. } | Instr::ForTest { a, b, .. } => {
+            f(a);
+            f(b);
+        }
         Instr::Call { dst, args, .. } => {
             f(dst);
             for a in args.iter_mut() {
                 f(a);
             }
         }
-        Instr::Assign { slot, src, .. } => {
+        Instr::Assign { slot, src, .. } | Instr::AssignJump { slot, src, .. } => {
             f(slot);
             f(src);
         }
@@ -976,7 +1179,7 @@ fn fixup(i: &mut Instr, n_vars: u32) {
                 f(s);
             }
         }
-        Instr::ScratchStore { idx, src, .. } => {
+        Instr::ScratchStore { idx, src, .. } | Instr::ScratchRmw { idx, src, .. } => {
             f(src);
             for s in idx.iter_mut() {
                 f(s);
@@ -1002,7 +1205,9 @@ pub fn compile_program(ck: &CheckedKernel, par_units: &[String]) -> Program {
         n_vars: 0,
         sp: 0,
         max_sp: 0,
-        n_arrays: 0,
+        consts: Vec::new(),
+        const_ids: HashMap::new(),
+        scratch_ty: Vec::new(),
         sites: Vec::new(),
         site_ids: HashMap::new(),
         cache_ids: HashMap::new(),
@@ -1064,17 +1269,20 @@ pub fn compile_program(ck: &CheckedKernel, par_units: &[String]) -> Program {
     c.emit(ck.kernel.body.last().map_or(1, |s| s.line), Instr::Halt);
 
     let n_vars = c.n_vars;
+    let n_consts = c.consts.len() as u32;
     for i in &mut c.instrs {
-        fixup(i, n_vars);
+        fixup(i, n_vars, n_consts);
     }
+    let consts = (n_vars..).zip(c.consts).collect();
 
     Program {
         kernel_name: ck.kernel.name.clone(),
         params,
         instrs: c.instrs,
         lines: c.lines,
-        n_slots: (n_vars + c.max_sp) as usize,
-        n_arrays: c.n_arrays as usize,
+        n_slots: (n_vars + n_consts + c.max_sp) as usize,
+        consts,
+        n_arrays: c.scratch_ty.len(),
         sites: c.sites,
         n_caches: c.cache_ids.len(),
     }

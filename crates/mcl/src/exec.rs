@@ -25,6 +25,11 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// Iterations one `for` loop may run before both engines report a runaway
+/// ("loop exceeded 1e9 iterations"). The crate's unit tests lower it so
+/// that the differential tests can reach that error in both engines.
+pub(crate) const LOOP_LIMIT: u64 = if cfg!(test) { 100_000 } else { 1_000_000_000 };
+
 /// Sampling limits for estimated runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sampling {

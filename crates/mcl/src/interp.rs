@@ -1160,7 +1160,7 @@ impl Interp {
             let mut guard: u64 = 0;
             loop {
                 guard += 1;
-                if guard > 1_000_000_000 {
+                if guard > crate::exec::LOOP_LIMIT {
                     return Err(self.err(line, "loop exceeded 1e9 iterations (runaway?)"));
                 }
                 if let Some(c) = cond {

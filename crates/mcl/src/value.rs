@@ -82,6 +82,22 @@ impl Buffer {
         }
     }
 
+    /// `load_f` of every address in `addrs`, appended to `out`.
+    pub fn gather_f(&self, addrs: &[u64], out: &mut Vec<f64>) {
+        match self {
+            Buffer::F(v) => out.extend(addrs.iter().map(|&a| v[a as usize])),
+            _ => out.extend(addrs.iter().map(|&a| self.load_f(a))),
+        }
+    }
+
+    /// `load_i` of every address in `addrs`, appended to `out`.
+    pub fn gather_i(&self, addrs: &[u64], out: &mut Vec<i64>) {
+        match self {
+            Buffer::I(v) => out.extend(addrs.iter().map(|&a| v[a as usize])),
+            _ => out.extend(addrs.iter().map(|&a| self.load_i(a))),
+        }
+    }
+
     /// Store a float (rounded through `f32`, matching 32-bit devices).
     #[inline]
     pub fn store_f(&mut self, addr: u64, v: f64) {

@@ -215,10 +215,11 @@ proptest! {
 
     /// Differential test of the register-bytecode VM against the tree
     /// walker: random expressions, lane counts, group sizes and argument
-    /// values, through divergent branches and lane-varying loop trip
-    /// counts, in both full and sampled modes. Statistics must be
-    /// bit-identical (f64 `to_bits` via the Debug rendering) and every
-    /// output buffer byte-identical.
+    /// values, through divergent branches, lane-varying loop trip counts
+    /// and counted loops whose bodies read-modify-write a private array
+    /// (fused to one instruction by the compiler), in both full and
+    /// sampled modes. Statistics must be bit-identical (f64 `to_bits` via
+    /// the Debug rendering) and every output buffer byte-identical.
     #[test]
     fn vm_matches_tree_walker(
         expr in arb_expr(),
@@ -227,23 +228,35 @@ proptest! {
         simd in prop::sample::select(vec![8usize, 16, 32]),
         seed in 0i64..1000,
         sampled in prop::sample::select(vec![false, true]),
+        rmw in prop::sample::select(vec!["+=", "-=", "*=", "/="]),
+        trip in prop::sample::select(vec!["4", "seed % 4 + 1", "i % 4 + 1"]),
     ) {
         let src = format!(
             "perfect void gen(int n, int seed, float[n] out, float[n] xs) {{
   foreach (int i in n threads) {{
     float x = xs[i];
     float acc = 0.0;
+    float part[4];
     for (int k = 0; k < i % 5 + 1; k = k + 1) {{
       acc = acc + x * (float) k;
     }}
+    for (int r = 0; r < 4; r++) {{
+      part[r] = x;
+    }}
+    for (int r = 0; r < {trip}; r++) {{
+      if ((i + r + seed) % 2 == 0) {{
+        part[r] {rmw} {expr};
+      }}
+      part[r] {rmw} x * 0.3 + 2;
+    }}
     if ((i + seed) % 3 == 0) {{
-      out[i] = {};
+      out[i] = {expr};
     }} else {{
-      out[i] = acc - x;
+      out[i] = acc - x + part[(i + seed) % 4];
     }}
   }}
 }}",
-            expr.to_mcpl()
+            expr = expr.to_mcpl()
         );
         let h = standard_hierarchy();
         let ck = compile(&src, &h).expect("generated kernel compiles");

@@ -246,7 +246,7 @@ fn bench_balancer(c: &mut Criterion) {
         for _ in 0..5 {
             bal.on_submit(0);
         }
-        b.iter(|| black_box(bal.choose("k")))
+        b.iter(|| black_box(bal.choose_among("k", &[true; 4])))
     });
 }
 

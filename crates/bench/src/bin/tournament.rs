@@ -133,7 +133,7 @@ fn main() {
                     "--placements",
                     &value("--placements"),
                     Policy::parse,
-                    "scenario|round-robin|fastest-only|heft|dynamic-chunk|static-table",
+                    &cli::policy_names(),
                 );
             }
             "--steals" => {
@@ -141,7 +141,7 @@ fn main() {
                     "--steals",
                     &value("--steals"),
                     StealKind::parse,
-                    "uniform-random|recent-victim|round-robin-scan",
+                    &cli::steal_names(),
                 );
             }
             "--no-advise" => advisor_loop = false,

@@ -25,6 +25,18 @@ use cashmere_des::obs::prof;
 use cashmere_satin::StealKind;
 use std::path::PathBuf;
 
+/// The placement policies' canonical names, `|`-joined in [`Policy::ALL`]
+/// order (for error texts).
+pub fn policy_names() -> String {
+    Policy::ALL.map(Policy::name).join("|")
+}
+
+/// The steal policies' canonical names, `|`-joined in [`StealKind::ALL`]
+/// order (for error texts).
+pub fn steal_names() -> String {
+    StealKind::ALL.map(StealKind::name).join("|")
+}
+
 /// Flags shared by all bench bins, split out of argv by [`common_args`].
 #[derive(Debug, Clone, Default)]
 pub struct CommonArgs {
@@ -83,17 +95,13 @@ pub fn common_args() -> (CommonArgs, Vec<String>) {
             "--policy" => {
                 let v = value("--policy");
                 common.policy = Some(Policy::parse(&v).unwrap_or_else(|| {
-                    fail(&format!(
-                        "unknown policy `{v}` (scenario|round-robin|fastest-only|heft|dynamic-chunk|static-table)"
-                    ))
+                    fail(&format!("unknown policy `{v}` ({})", policy_names()))
                 }));
             }
             "--steal" => {
                 let v = value("--steal");
                 common.steal = Some(StealKind::parse(&v).unwrap_or_else(|| {
-                    fail(&format!(
-                        "unknown steal policy `{v}` (uniform-random|recent-victim|round-robin-scan)"
-                    ))
+                    fail(&format!("unknown steal policy `{v}` ({})", steal_names()))
                 }));
             }
             "--scenario" => common.scenario = Some(value("--scenario")),

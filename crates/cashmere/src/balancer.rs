@@ -1,5 +1,6 @@
-//! Cashmere's device load balancer: shared bookkeeping + pluggable
-//! placement policies (the "policy arena").
+//! Cashmere's per-node device load balancer: the bookkeeping a placement
+//! reads, plus the placement decision itself — one `match` over the
+//! configured [`Policy`] (the placement half of the policy arena).
 //!
 //! The paper's two-phase algorithm (Sec. III-B) is the default policy:
 //!
@@ -15,14 +16,13 @@
 //! a new job; `scenario1 = max(4·100, 1·125)`, `scenario2 = max(3·100,
 //! 2·125)`, and since `scenario2` is smaller the job goes to the GTX480.
 //!
-//! [`Balancer`] owns what every policy needs — the static speed table,
-//! per-device queue depths, retired devices, and measured kernel times —
-//! and exposes it to a boxed [`PlacementPolicy`] as a read-only
-//! [`BalancerView`]. A policy's `decide` must be a deterministic function
-//! of the view and its own internal state; a stochastic policy must draw
-//! exclusively from a `StreamRng` it owns (seeded via `StreamRng::named`
-//! from the run seed) so it never perturbs any other component's stream.
-//! None of the built-in policies consume randomness at all.
+//! [`Balancer`] owns everything a decision reads — the static speed table,
+//! per-device queue depths, retired devices and measured kernel times —
+//! and the little state the stateful policies keep: the `round-robin`
+//! cursor and the `dynamic-chunk` grant. A placement picks a *device
+//! within one node*; it is a deterministic function of that state and
+//! draws no randomness. A new contender is one more [`Policy`] variant and
+//! one more arm in [`Balancer::choose_among`].
 
 use cashmere_des::SimTime;
 use serde::{Content, DeError, Deserialize, Serialize};
@@ -36,19 +36,27 @@ pub enum Policy {
     /// estimates (static table until measured).
     #[default]
     Scenario,
-    /// Ignore speeds entirely: rotate over the devices.
+    /// Ignore speeds entirely: rotate over the devices, skipping retired
+    /// and excluded ones.
     RoundRobin,
     /// Greedy: always the device with the best time estimate, ignoring
     /// queue depths.
     FastestOnly,
     /// HEFT-style lookahead: minimize this job's estimated finish time
-    /// `(queued_d + 1) · t_d` over the outstanding estimates.
+    /// `(queued_d + 1) · t_d` over the outstanding estimates. Unlike the
+    /// scenario rule it ignores the *other* queues, so a long queue
+    /// elsewhere never masks the local choice.
     Heft,
-    /// EngineCL-style dynamic chunking: devices claim consecutive runs of
-    /// jobs whose length adapts to their current relative speed.
+    /// EngineCL-style dynamic chunking: the device with the least
+    /// outstanding backlog claims a run ("chunk") of consecutive jobs,
+    /// `round(4 · t_min / t_d)` long (1 to 16), so fast devices get long
+    /// runs and slow devices short ones. A completion on the chunk's
+    /// device ends the chunk early, so lengths follow the estimates as
+    /// they migrate from the static table to measured times.
     DynamicChunk,
-    /// Ablation baseline: the scenario rule frozen on the static speed
-    /// table — it never switches to measured times.
+    /// Ablation baseline: the scenario rule on the static-table
+    /// reciprocals — the paper's first phase made permanent, never
+    /// switching to measured times.
     StaticTable,
 }
 
@@ -198,385 +206,6 @@ impl Deserialize for PolicyDesc {
     }
 }
 
-/// Read-only snapshot of the balancer's bookkeeping at decision time: what
-/// a [`PlacementPolicy`] reasons about.
-pub struct BalancerView<'a> {
-    /// The kernel being placed.
-    pub kernel: &'a str,
-    /// Static relative speed table (paper: K20 = 40, GTX480 = 20).
-    pub speeds: &'a [f64],
-    /// Jobs currently queued or running per device.
-    pub queued: &'a [usize],
-    /// Devices permanently retired (failed).
-    pub dead: &'a [bool],
-    /// Per-device time estimate for `kernel` in seconds (measured wins,
-    /// then extrapolation, then the static reciprocal) — see
-    /// [`Balancer::estimates`].
-    pub estimates: &'a [f64],
-    /// Which devices have a measured time for `kernel`.
-    pub measured: &'a [bool],
-}
-
-impl BalancerView<'_> {
-    fn devices(&self) -> usize {
-        self.speeds.len()
-    }
-}
-
-/// A placement policy: the decision layer of the balancer, behind a trait
-/// object so contenders can be added without touching the runtime.
-///
-/// Contract: `decide` must be deterministic given the view, the mask and
-/// the policy's own state. A policy that wants randomness must own a
-/// `StreamRng` (seeded via `StreamRng::named` from the run seed) — it must
-/// never share another component's stream. `observe_completion` fires once
-/// per finished device job, before the next decision for that node.
-pub trait PlacementPolicy: Send {
-    /// The spec tag this policy was built from.
-    fn kind(&self) -> Policy;
-
-    /// Name + parameters, for the audit log. Defaults to the kind's
-    /// canonical name with no parameters.
-    fn describe(&self) -> PolicyDesc {
-        PolicyDesc::named(self.kind().name())
-    }
-
-    /// Pick a device for the next job among `allowed` candidates, or
-    /// `None` when no live allowed device exists.
-    fn decide(&mut self, view: &BalancerView<'_>, allowed: &[bool]) -> Option<usize>;
-
-    /// Candidate table for the audit log. Defaults to the scenario table
-    /// (one row per device, `scenario_s` as the Sec. III-B rule computes
-    /// it); policies whose decision inputs differ should override so the
-    /// audit reflects what they actually saw.
-    fn explain(&self, view: &BalancerView<'_>, allowed: &[bool]) -> Vec<DeviceEstimate> {
-        scenario_table(view, allowed)
-    }
-
-    /// A job of `kernel` finished on `device` taking `time`.
-    fn observe_completion(&mut self, _kernel: &str, _device: usize, _time: SimTime) {}
-
-    fn clone_box(&self) -> Box<dyn PlacementPolicy>;
-}
-
-/// Build the built-in policy for a spec tag.
-pub fn build_policy(kind: Policy) -> Box<dyn PlacementPolicy> {
-    match kind {
-        Policy::Scenario => Box::new(ScenarioPolicy),
-        Policy::RoundRobin => Box::new(RoundRobinPolicy { next: 0 }),
-        Policy::FastestOnly => Box::new(FastestOnlyPolicy),
-        Policy::Heft => Box::new(HeftPolicy),
-        Policy::DynamicChunk => Box::new(DynamicChunkPolicy::default()),
-        Policy::StaticTable => Box::new(StaticTablePolicy),
-    }
-}
-
-/// The Sec. III-B rule over a set of per-device times: minimize
-/// `max_e (queued_e + [e == d]) · t_e` over allowed live devices. Ties
-/// break toward the lower device index (deterministic).
-fn scenario_pick(
-    view: &BalancerView<'_>,
-    times: &[f64],
-    allowed: Option<&[bool]>,
-) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for d in 0..view.devices() {
-        if view.dead[d] {
-            continue;
-        }
-        if let Some(mask) = allowed {
-            if !mask[d] {
-                continue;
-            }
-        }
-        let mut scenario: f64 = 0.0;
-        for (e, t) in times.iter().enumerate() {
-            if view.dead[e] {
-                continue;
-            }
-            let q = view.queued[e] + usize::from(e == d);
-            scenario = scenario.max(q as f64 * t);
-        }
-        match best {
-            Some((_, v)) if v <= scenario => {}
-            _ => best = Some((d, scenario)),
-        }
-    }
-    best.map(|(d, _)| d)
-}
-
-/// Candidate table over a set of per-device times: one row per device,
-/// `scenario_s` populated exactly as [`scenario_pick`] computes it, so the
-/// row with the smallest `scenario_s` (lowest index on ties) is the device
-/// that rule picks.
-fn scenario_rows(view: &BalancerView<'_>, times: &[f64], allowed: &[bool]) -> Vec<DeviceEstimate> {
-    (0..view.devices())
-        .map(|d| {
-            let candidate = allowed[d] && !view.dead[d];
-            let scenario_s = candidate.then(|| {
-                let mut scenario: f64 = 0.0;
-                for (e, t) in times.iter().enumerate() {
-                    if view.dead[e] {
-                        continue;
-                    }
-                    let q = view.queued[e] + usize::from(e == d);
-                    scenario = scenario.max(q as f64 * t);
-                }
-                scenario
-            });
-            DeviceEstimate {
-                device: d,
-                queued: view.queued[d],
-                estimate_s: times[d],
-                measured: view.measured[d],
-                dead: view.dead[d],
-                allowed: allowed[d],
-                scenario_s,
-            }
-        })
-        .collect()
-}
-
-fn scenario_table(view: &BalancerView<'_>, allowed: &[bool]) -> Vec<DeviceEstimate> {
-    scenario_rows(view, view.estimates, allowed)
-}
-
-/// Static-table reciprocals: the first-phase times, never measured.
-fn static_times(view: &BalancerView<'_>) -> Vec<f64> {
-    view.speeds.iter().map(|s| 1.0 / s).collect()
-}
-
-/// The paper's two-phase algorithm (Sec. III-B).
-#[derive(Debug, Clone)]
-struct ScenarioPolicy;
-
-impl PlacementPolicy for ScenarioPolicy {
-    fn kind(&self) -> Policy {
-        Policy::Scenario
-    }
-
-    fn decide(&mut self, view: &BalancerView<'_>, allowed: &[bool]) -> Option<usize> {
-        scenario_pick(view, view.estimates, Some(allowed))
-    }
-
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Rotate over the devices, skipping retired/excluded ones.
-#[derive(Debug, Clone)]
-struct RoundRobinPolicy {
-    next: usize,
-}
-
-impl PlacementPolicy for RoundRobinPolicy {
-    fn kind(&self) -> Policy {
-        Policy::RoundRobin
-    }
-
-    fn decide(&mut self, view: &BalancerView<'_>, allowed: &[bool]) -> Option<usize> {
-        let n = view.devices();
-        for k in 0..n {
-            let d = (self.next + k) % n;
-            if allowed[d] && !view.dead[d] {
-                self.next = (d + 1) % n;
-                return Some(d);
-            }
-        }
-        None
-    }
-
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Always the best time estimate, ignoring queue depths.
-#[derive(Debug, Clone)]
-struct FastestOnlyPolicy;
-
-impl PlacementPolicy for FastestOnlyPolicy {
-    fn kind(&self) -> Policy {
-        Policy::FastestOnly
-    }
-
-    fn decide(&mut self, view: &BalancerView<'_>, allowed: &[bool]) -> Option<usize> {
-        (0..view.devices())
-            .filter(|&d| allowed[d] && !view.dead[d])
-            .min_by(|&a, &b| view.estimates[a].total_cmp(&view.estimates[b]))
-    }
-
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// HEFT-style earliest-finish-time lookahead: this job would finish on
-/// device `d` after the backlog ahead of it, at `(queued_d + 1) · t_d`.
-/// Unlike the scenario rule it ignores the makespan contribution of the
-/// *other* queues, so a long queue elsewhere never masks the local choice.
-#[derive(Debug, Clone)]
-struct HeftPolicy;
-
-impl PlacementPolicy for HeftPolicy {
-    fn kind(&self) -> Policy {
-        Policy::Heft
-    }
-
-    fn decide(&mut self, view: &BalancerView<'_>, allowed: &[bool]) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (d, &ok) in allowed.iter().enumerate().take(view.devices()) {
-            if !ok || view.dead[d] {
-                continue;
-            }
-            let finish = (view.queued[d] + 1) as f64 * view.estimates[d];
-            match best {
-                Some((_, v)) if v <= finish => {}
-                _ => best = Some((d, finish)),
-            }
-        }
-        best.map(|(d, _)| d)
-    }
-
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// EngineCL-style dynamic chunking: a device claims a run ("chunk") of
-/// consecutive jobs, sized to its current relative speed, so fast devices
-/// get long runs and slow devices short ones. When a chunk is exhausted
-/// the policy re-reads the estimates — which migrate from the static table
-/// to measured times as completions arrive — and starts a new chunk on the
-/// device with the least outstanding backlog; chunk lengths therefore
-/// adapt over the run without an explicit feedback controller.
-#[derive(Debug, Clone)]
-struct DynamicChunkPolicy {
-    /// Device currently consuming a chunk, and how many jobs remain in it.
-    current: Option<usize>,
-    left: usize,
-    /// Chunk length granted to a device at relative speed 1.0.
-    base: usize,
-    /// Cap on any single chunk.
-    max: usize,
-}
-
-impl Default for DynamicChunkPolicy {
-    fn default() -> DynamicChunkPolicy {
-        DynamicChunkPolicy {
-            current: None,
-            left: 0,
-            base: 4,
-            max: 16,
-        }
-    }
-}
-
-impl PlacementPolicy for DynamicChunkPolicy {
-    fn kind(&self) -> Policy {
-        Policy::DynamicChunk
-    }
-
-    fn describe(&self) -> PolicyDesc {
-        PolicyDesc {
-            name: self.kind().name().to_string(),
-            params: vec![
-                ("base".to_string(), self.base as f64),
-                ("max".to_string(), self.max as f64),
-            ],
-        }
-    }
-
-    fn decide(&mut self, view: &BalancerView<'_>, allowed: &[bool]) -> Option<usize> {
-        if let Some(c) = self.current {
-            if self.left > 0 && allowed[c] && !view.dead[c] {
-                self.left -= 1;
-                return Some(c);
-            }
-        }
-        // Start a new chunk: least outstanding backlog wins (ties toward
-        // the lower index), sized by the winner's speed relative to the
-        // fastest candidate.
-        let mut best: Option<(usize, f64)> = None;
-        let mut t_min = f64::INFINITY;
-        for (d, &ok) in allowed.iter().enumerate().take(view.devices()) {
-            if !ok || view.dead[d] {
-                continue;
-            }
-            t_min = t_min.min(view.estimates[d]);
-            let backlog = view.queued[d] as f64 * view.estimates[d];
-            match best {
-                Some((_, v)) if v <= backlog => {}
-                _ => best = Some((d, backlog)),
-            }
-        }
-        let (d, _) = best?;
-        let ratio = if view.estimates[d] > 0.0 {
-            t_min / view.estimates[d]
-        } else {
-            1.0
-        };
-        let chunk = ((self.base as f64 * ratio).round() as usize).clamp(1, self.max);
-        self.current = Some(d);
-        self.left = chunk - 1;
-        Some(d)
-    }
-
-    fn observe_completion(&mut self, _kernel: &str, device: usize, _time: SimTime) {
-        // A completion means fresh measurements may have landed: end the
-        // completing device's chunk early so the next decision re-reads
-        // the estimates instead of riding a stale grant.
-        if self.current == Some(device) {
-            self.left = 0;
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// The scenario rule frozen on the static speed table: never switches to
-/// measured times (the paper's first phase, made permanent — the baseline
-/// the two-phase design is measured against).
-#[derive(Debug, Clone)]
-struct StaticTablePolicy;
-
-impl PlacementPolicy for StaticTablePolicy {
-    fn kind(&self) -> Policy {
-        Policy::StaticTable
-    }
-
-    fn decide(&mut self, view: &BalancerView<'_>, allowed: &[bool]) -> Option<usize> {
-        scenario_pick(view, &static_times(view), Some(allowed))
-    }
-
-    fn explain(&self, view: &BalancerView<'_>, allowed: &[bool]) -> Vec<DeviceEstimate> {
-        // The audit must show the inputs this policy actually used: the
-        // static reciprocals, never flagged as measured.
-        let times = static_times(view);
-        let mut rows = scenario_rows(view, &times, allowed);
-        for r in &mut rows {
-            r.measured = false;
-        }
-        rows
-    }
-
-    fn clone_box(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Per-device queue state the balancer reasons about.
-#[derive(Debug, Clone)]
-pub struct QueueView {
-    /// Static relative speed (paper: K20 = 40, GTX480 = 20).
-    pub relative_speed: f64,
-    /// Jobs currently queued or running on the device.
-    pub queued: usize,
-}
-
 /// One device's candidacy for a kernel call, as seen by the balancer at
 /// decision time. Rows of the audit log's candidate tables.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -599,41 +228,28 @@ pub struct DeviceEstimate {
     pub scenario_s: Option<f64>,
 }
 
+/// `dynamic-chunk`: chunk length granted to a device at relative speed 1.0.
+const CHUNK_BASE: usize = 4;
+/// `dynamic-chunk`: cap on any single chunk.
+const CHUNK_MAX: usize = 16;
+
 /// The per-node balancer: static speed table seeding + measured kernel
-/// times per device, with decisions delegated to a [`PlacementPolicy`].
+/// times per device, deciding by the configured [`Policy`].
+#[derive(Debug, Clone)]
 pub struct Balancer {
     speeds: Vec<f64>,
     queued: Vec<usize>,
     /// Devices permanently retired (failed); never chosen again.
     dead: Vec<bool>,
-    /// Measured execution time per (kernel, device index).
-    measured: HashMap<(String, usize), SimTime>,
-    /// Selection policy (`Option` only so decisions can temporarily take
-    /// it out past the borrow on the view; always `Some` between calls).
-    policy: Option<Box<dyn PlacementPolicy>>,
-}
-
-impl Clone for Balancer {
-    fn clone(&self) -> Balancer {
-        Balancer {
-            speeds: self.speeds.clone(),
-            queued: self.queued.clone(),
-            dead: self.dead.clone(),
-            measured: self.measured.clone(),
-            policy: self.policy.as_ref().map(|p| p.clone_box()),
-        }
-    }
-}
-
-impl std::fmt::Debug for Balancer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Balancer")
-            .field("speeds", &self.speeds)
-            .field("queued", &self.queued)
-            .field("dead", &self.dead)
-            .field("policy", &self.policy_kind().name())
-            .finish_non_exhaustive()
-    }
+    /// Measured execution time per kernel: one slot per device.
+    measured: HashMap<String, Vec<Option<SimTime>>>,
+    policy: Policy,
+    /// `round-robin`: the device the rotation tries next.
+    rr_next: usize,
+    /// `dynamic-chunk`: the device consuming the current chunk, and how
+    /// many jobs remain in it.
+    chunk_device: Option<usize>,
+    chunk_left: usize,
 }
 
 impl Balancer {
@@ -646,28 +262,36 @@ impl Balancer {
             queued: vec![0; relative_speeds.len()],
             dead: vec![false; relative_speeds.len()],
             measured: HashMap::new(),
-            policy: Some(build_policy(Policy::Scenario)),
+            policy: Policy::Scenario,
+            rr_next: 0,
+            chunk_device: None,
+            chunk_left: 0,
         }
     }
 
-    /// Swap in the built-in policy for `kind` (fresh internal state).
+    /// Switch to `kind`, starting from fresh policy state.
     pub fn set_policy(&mut self, kind: Policy) {
-        self.policy = Some(build_policy(kind));
+        self.policy = kind;
+        self.rr_next = 0;
+        self.chunk_device = None;
+        self.chunk_left = 0;
     }
 
-    /// Swap in an arbitrary policy instance (arena extension point).
-    pub fn set_placement(&mut self, policy: Box<dyn PlacementPolicy>) {
-        self.policy = Some(policy);
-    }
-
-    /// The spec tag of the active policy.
+    /// The active policy.
     pub fn policy_kind(&self) -> Policy {
-        self.policy.as_ref().expect("policy present").kind()
+        self.policy
     }
 
     /// Name + parameters of the active policy, for the audit log.
     pub fn describe_policy(&self) -> PolicyDesc {
-        self.policy.as_ref().expect("policy present").describe()
+        let mut desc = PolicyDesc::named(self.policy.name());
+        if self.policy == Policy::DynamicChunk {
+            desc.params = vec![
+                ("base".to_string(), CHUNK_BASE as f64),
+                ("max".to_string(), CHUNK_MAX as f64),
+            ];
+        }
+        desc
     }
 
     /// Permanently retire a failed device: it is never chosen again, its
@@ -677,7 +301,9 @@ impl Balancer {
     pub fn retire_device(&mut self, device: usize) {
         self.dead[device] = true;
         self.queued[device] = 0;
-        self.measured.retain(|(_, d), _| *d != device);
+        for row in self.measured.values_mut() {
+            row[device] = None;
+        }
     }
 
     /// Is `device` retired?
@@ -720,130 +346,174 @@ impl Balancer {
 
     /// Record that a job completed on `device` with the given kernel time —
     /// from now on the balancer knows this kernel's speed on this device.
-    /// The active policy observes the completion too.
     pub fn on_complete(&mut self, kernel: &str, device: usize, time: SimTime) {
         debug_assert!(self.queued[device] > 0);
         self.queued[device] -= 1;
-        self.measured.insert((kernel.to_string(), device), time);
-        if let Some(p) = self.policy.as_mut() {
-            p.observe_completion(kernel, device, time);
+        match self.measured.get_mut(kernel) {
+            Some(row) => row[device] = Some(time),
+            None => {
+                let mut row = vec![None; self.speeds.len()];
+                row[device] = Some(time);
+                self.measured.insert(kernel.to_string(), row);
+            }
+        }
+        // `dynamic-chunk`: fresh measurements may have landed, so end the
+        // completing device's chunk early and let the next decision
+        // re-read the estimates instead of riding a stale grant.
+        if self.chunk_device == Some(device) {
+            self.chunk_left = 0;
         }
     }
 
     /// Has any device measured this kernel yet?
     pub fn has_measurement(&self, kernel: &str) -> bool {
-        self.measured.keys().any(|(k, _)| k == kernel)
+        self.measured
+            .get(kernel)
+            .is_some_and(|row| row.iter().any(Option::is_some))
     }
 
     /// Per-device time estimate for `kernel`, in seconds. Measured times
-    /// win; unmeasured devices are extrapolated from a measured one via the
-    /// static speed ratio; with no measurements at all, times are the pure
-    /// reciprocal of the static speeds (arbitrary unit — only ratios
-    /// matter for the choice).
+    /// win; unmeasured devices are extrapolated from the lowest-index
+    /// measured one via the static speed ratio; with no measurements at
+    /// all, times are the pure reciprocal of the static speeds (arbitrary
+    /// unit — only ratios matter for the choice).
     pub fn estimates(&self, kernel: &str) -> Vec<f64> {
-        let n = self.speeds.len();
-        let mut out = vec![f64::NAN; n];
-        let mut reference: Option<(usize, f64)> = None;
-        // Single pass over the measurement map: no per-device String keys on
-        // this hot path (called for every device-job submission).
-        for ((k, d), t) in &self.measured {
-            if k == kernel {
-                out[*d] = t.as_secs_f64();
+        let row = self.measured.get(kernel);
+        let measured = |d: usize| row.and_then(|r| r[d]).map(SimTime::as_secs_f64);
+        let reference = (0..self.speeds.len()).find_map(|d| measured(d).map(|t| (d, t)));
+        (0..self.speeds.len())
+            .map(|d| match (measured(d), reference) {
+                (Some(t), _) => t,
+                (None, Some((rd, rt))) => rt * self.speeds[rd] / self.speeds[d],
+                (None, None) => 1.0 / self.speeds[d],
+            })
+            .collect()
+    }
+
+    /// The per-device times the scenario rule and the audit table read:
+    /// for `static-table`, which never learns, the static reciprocals (the
+    /// first-phase times); [`Balancer::estimates`] for every other policy.
+    fn policy_times(&self, kernel: &str) -> Vec<f64> {
+        if self.policy == Policy::StaticTable {
+            self.speeds.iter().map(|s| 1.0 / s).collect()
+        } else {
+            self.estimates(kernel)
+        }
+    }
+
+    fn is_candidate(&self, allowed: &[bool], d: usize) -> bool {
+        allowed[d] && !self.dead[d]
+    }
+
+    /// The Sec. III-B scenario makespan `max_e (queued_e + [e == d]) · t_e`
+    /// over live devices, if the next job went to `d`.
+    fn scenario_s(&self, times: &[f64], d: usize) -> f64 {
+        let mut scenario: f64 = 0.0;
+        for (e, t) in times.iter().enumerate() {
+            if !self.dead[e] {
+                let q = self.queued[e] + usize::from(e == d);
+                scenario = scenario.max(q as f64 * t);
             }
         }
-        for (d, slot) in out.iter().enumerate() {
-            if !slot.is_nan() && reference.is_none() {
-                reference = Some((d, *slot));
+        scenario
+    }
+
+    /// The candidate minimizing `cost`; ties break toward the lower index.
+    fn argmin(&self, allowed: &[bool], cost: impl Fn(usize) -> f64) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for d in (0..self.speeds.len()).filter(|&d| self.is_candidate(allowed, d)) {
+            let c = cost(d);
+            match best {
+                Some((_, v)) if v <= c => {}
+                _ => best = Some((d, c)),
             }
         }
-        for (d, slot) in out.iter_mut().enumerate() {
-            if slot.is_nan() {
-                *slot = match reference {
-                    Some((rd, rt)) => rt * self.speeds[rd] / self.speeds[d],
-                    None => 1.0 / self.speeds[d],
-                };
-            }
-        }
-        out
+        best.map(|(d, _)| d)
     }
 
-    /// Which devices have a measured time for `kernel`.
-    fn measured_mask(&self, kernel: &str) -> Vec<bool> {
-        let mut out = vec![false; self.speeds.len()];
-        for (k, d) in self.measured.keys() {
-            if k == kernel {
-                out[*d] = true;
-            }
-        }
-        out
-    }
-
-    /// Choose the device for the next job of `kernel` by the Sec. III-B
-    /// rule — always the paper's algorithm, independent of the configured
-    /// policy (documented API for the worked examples and the master's
-    /// broadcast placement). Ties break toward the lower device index.
-    pub fn choose(&self, kernel: &str) -> usize {
-        let estimates = self.estimates(kernel);
-        let measured = self.measured_mask(kernel);
-        let view = self.view(kernel, &estimates, &measured);
-        scenario_pick(&view, &estimates, None).expect("at least one device is always allowed")
-    }
-
-    /// Convenience: choose + submit in one step.
-    pub fn submit(&mut self, kernel: &str) -> usize {
-        let d = self.choose(kernel);
-        self.on_submit(d);
-        d
-    }
-
-    fn view<'a>(
-        &'a self,
-        kernel: &'a str,
-        estimates: &'a [f64],
-        measured: &'a [bool],
-    ) -> BalancerView<'a> {
-        BalancerView {
-            kernel,
-            speeds: &self.speeds,
-            queued: &self.queued,
-            dead: &self.dead,
-            estimates,
-            measured,
-        }
-    }
-
-    /// Like [`Balancer::choose`] but restricted to devices where `allowed`
-    /// holds (devices without an applicable kernel version are excluded)
-    /// and delegated to the configured [`PlacementPolicy`]. Returns `None`
-    /// when no device qualifies.
+    /// Choose the device for the next job of `kernel` by the active policy,
+    /// among live devices where `allowed` holds (devices without an
+    /// applicable kernel version are excluded). Returns `None` when no
+    /// device qualifies. Ties break toward the lower device index.
     pub fn choose_among(&mut self, kernel: &str, allowed: &[bool]) -> Option<usize> {
         assert_eq!(allowed.len(), self.speeds.len());
-        let estimates = self.estimates(kernel);
-        let measured = self.measured_mask(kernel);
-        // Take the policy out for the call: the view borrows `self`
-        // immutably while the policy mutates its own state.
-        let mut policy = self.policy.take().expect("policy present");
-        let choice = policy.decide(&self.view(kernel, &estimates, &measured), allowed);
-        self.policy = Some(policy);
-        choice
+        match self.policy {
+            Policy::Scenario | Policy::StaticTable => {
+                let times = self.policy_times(kernel);
+                self.argmin(allowed, |d| self.scenario_s(&times, d))
+            }
+            Policy::RoundRobin => {
+                let n = self.speeds.len();
+                let d = (0..n)
+                    .map(|k| (self.rr_next + k) % n)
+                    .find(|&d| self.is_candidate(allowed, d))?;
+                self.rr_next = (d + 1) % n;
+                Some(d)
+            }
+            Policy::FastestOnly => {
+                let times = self.estimates(kernel);
+                self.argmin(allowed, |d| times[d])
+            }
+            Policy::Heft => {
+                let times = self.estimates(kernel);
+                self.argmin(allowed, |d| (self.queued[d] + 1) as f64 * times[d])
+            }
+            Policy::DynamicChunk => {
+                if let Some(c) = self.chunk_device {
+                    if self.chunk_left > 0 && self.is_candidate(allowed, c) {
+                        self.chunk_left -= 1;
+                        return Some(c);
+                    }
+                }
+                // Start a new chunk: least outstanding backlog wins, sized
+                // by the winner's speed relative to the fastest candidate.
+                let times = self.estimates(kernel);
+                let d = self.argmin(allowed, |d| self.queued[d] as f64 * times[d])?;
+                let t_min = (0..times.len())
+                    .filter(|&e| self.is_candidate(allowed, e))
+                    .map(|e| times[e])
+                    .fold(f64::INFINITY, f64::min);
+                let ratio = if times[d] > 0.0 {
+                    t_min / times[d]
+                } else {
+                    1.0
+                };
+                let chunk = ((CHUNK_BASE as f64 * ratio).round() as usize).clamp(1, CHUNK_MAX);
+                self.chunk_device = Some(d);
+                self.chunk_left = chunk - 1;
+                Some(d)
+            }
+        }
     }
 
-    /// Explain a decision for the audit log: the active policy's candidate
-    /// table (one row per device, including excluded ones). For the
-    /// scenario policy — and every policy that keeps the default table —
-    /// `scenario_s` is populated exactly as [`Balancer::choose_among`]
-    /// under [`Policy::Scenario`] would compute it, so the row with the
-    /// smallest `scenario_s` (lowest index on ties) is the device that
-    /// rule picks.
+    /// Explain a decision for the audit log: the candidate table (one row
+    /// per device, including excluded ones) over the times the active
+    /// policy reads — the static reciprocals, never flagged as measured,
+    /// for `static-table`; the estimates for every other policy.
+    /// `scenario_s` is the Sec. III-B makespan over those times, so under
+    /// `scenario` and `static-table` the row with the smallest `scenario_s`
+    /// (lowest index on ties) is the device [`Balancer::choose_among`]
+    /// picks.
     pub fn explain(&self, kernel: &str, allowed: &[bool]) -> Vec<DeviceEstimate> {
         assert_eq!(allowed.len(), self.speeds.len());
-        let estimates = self.estimates(kernel);
-        let measured = self.measured_mask(kernel);
-        let view = self.view(kernel, &estimates, &measured);
-        self.policy
-            .as_ref()
-            .expect("policy present")
-            .explain(&view, allowed)
+        let times = self.policy_times(kernel);
+        let row = self
+            .measured
+            .get(kernel)
+            .filter(|_| self.policy != Policy::StaticTable);
+        (0..self.speeds.len())
+            .map(|d| DeviceEstimate {
+                device: d,
+                queued: self.queued[d],
+                estimate_s: times[d],
+                measured: row.is_some_and(|r| r[d].is_some()),
+                dead: self.dead[d],
+                allowed: allowed[d],
+                scenario_s: self
+                    .is_candidate(allowed, d)
+                    .then(|| self.scenario_s(&times, d)),
+            })
+            .collect()
     }
 }
 
@@ -853,6 +523,15 @@ mod tests {
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
+    }
+
+    /// Choose among all devices and submit there.
+    fn submit(b: &mut Balancer, kernel: &str) -> usize {
+        let d = b
+            .choose_among(kernel, &vec![true; b.device_count()])
+            .expect("a live device");
+        b.on_submit(d);
+        d
     }
 
     /// The verbatim example from Sec. III-B.
@@ -873,8 +552,8 @@ mod tests {
         // scenario1 = max(4·100, 1·125) = 400; scenario2 = max(3·100, 2·125)
         // = 300 ⇒ GTX480 wins.
         assert_eq!(
-            b.choose("k"),
-            1,
+            b.choose_among("k", &[true, true]),
+            Some(1),
             "the paper's example submits to the GTX480"
         );
     }
@@ -886,7 +565,7 @@ mod tests {
         let mut b = Balancer::new(&[40.0, 20.0]);
         let mut counts = [0usize; 2];
         for _ in 0..12 {
-            let d = b.submit("k");
+            let d = submit(&mut b, "k");
             counts[d] += 1;
         }
         assert_eq!(counts[0] + counts[1], 12);
@@ -917,7 +596,7 @@ mod tests {
         b.on_complete("k", 1, ms(1000));
         let mut counts = [0usize; 2];
         for _ in 0..20 {
-            counts[b.submit("k")] += 1;
+            counts[submit(&mut b, "k")] += 1;
         }
         assert_eq!(counts[1], 0, "slow device would dominate the makespan");
         assert_eq!(counts[0], 20);
@@ -934,7 +613,7 @@ mod tests {
         b.on_complete("kmeans", 1, ms(400));
         let mut counts = [0usize; 2];
         for _ in 0..8 {
-            counts[b.submit("kmeans")] += 1;
+            counts[submit(&mut b, "kmeans")] += 1;
         }
         assert_eq!(counts, [7, 1], "paper: 7 on the K20, 1 on the Xeon Phi");
     }
@@ -967,7 +646,7 @@ mod tests {
         assert_eq!(b.speed(0), 80.0);
         let mut counts = [0usize; 2];
         for _ in 0..12 {
-            counts[b.submit("k")] += 1;
+            counts[submit(&mut b, "k")] += 1;
         }
         assert_eq!(counts, [10, 2]);
         // Once measured, real times win over the (mis)scaled table.
@@ -979,7 +658,7 @@ mod tests {
         b.on_complete("k", 1, ms(1000));
         let mut counts = [0usize; 2];
         for _ in 0..20 {
-            counts[b.submit("k")] += 1;
+            counts[submit(&mut b, "k")] += 1;
         }
         assert_eq!(counts[1], 0, "measured 1000ms beats a flattering table");
     }
@@ -1205,6 +884,50 @@ mod tests {
             }
             picks
         };
+        // Literal picks: any decision drift fails here, not only in the
+        // committed tournament artifact.
+        let expected: [(Policy, [usize; 24]); 6] = [
+            (
+                Policy::Scenario,
+                [
+                    0, 0, 2, 0, 0, 0, 1, 2, 0, 0, 0, 2, 0, 0, 1, 1, 1, 2, 0, 1, 1, 1, 0, 2,
+                ],
+            ),
+            (
+                Policy::RoundRobin,
+                [
+                    0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2,
+                ],
+            ),
+            (Policy::FastestOnly, [0; 24]),
+            (
+                Policy::Heft,
+                [
+                    0, 0, 2, 0, 0, 0, 1, 2, 0, 0, 0, 2, 0, 0, 1, 1, 1, 2, 0, 1, 1, 1, 0, 2,
+                ],
+            ),
+            (
+                Policy::DynamicChunk,
+                [
+                    0, 0, 0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                ],
+            ),
+            (
+                Policy::StaticTable,
+                [
+                    0, 0, 2, 0, 0, 0, 1, 2, 0, 0, 0, 2, 0, 0, 1, 1, 2, 0, 0, 2, 2, 0, 0, 1,
+                ],
+            ),
+        ];
+        for (kind, picks) in expected {
+            assert_eq!(script(kind), picks, "{} picks drifted", kind.name());
+        }
+        let mut chunk = Balancer::new(&[1.0]);
+        chunk.set_policy(Policy::DynamicChunk);
+        assert_eq!(
+            chunk.describe_policy().params,
+            vec![("base".to_string(), 4.0), ("max".to_string(), 16.0)]
+        );
         for kind in Policy::ALL {
             assert_eq!(script(kind), script(kind), "{} must be pure", kind.name());
             assert_eq!(Balancer::new(&[1.0]).describe_policy().name, "scenario");

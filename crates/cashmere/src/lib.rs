@@ -88,9 +88,7 @@ pub mod registry;
 pub mod runtime;
 pub mod spec;
 
-pub use balancer::{
-    build_policy, Balancer, BalancerView, DeviceEstimate, PlacementPolicy, PolicyDesc,
-};
+pub use balancer::{Balancer, DeviceEstimate, PolicyDesc};
 pub use counterfactual::{replay_audit, CounterfactualReplay, PlacementFlip};
 pub use init::{initialize, InitReport};
 pub use paper_api::{Cashmere, KernelHandle, KernelLaunch, LaunchError, LaunchResult};

@@ -12,7 +12,7 @@
 //! Leaf execution is delegated to a [`LeafRuntime`]: one CPU core for plain
 //! Satin, the Cashmere device path in the `cashmere` crate.
 
-use super::steal::{build_steal_policy, StealKind, StealPolicy};
+use super::steal::StealKind;
 use crate::sim::app::{ClusterApp, DcStep, LeafCtx, LeafPlan, LeafRuntime};
 use crate::sim::report::{Counter, RunReport};
 use cashmere_des::fault::{FaultInjector, FaultPlan, MessageFate};
@@ -185,8 +185,10 @@ pub struct World<A: ClusterApp, L: LeafRuntime<A>> {
     jobs: Vec<JobRec<A>>,
     nics: Vec<NodeNic>,
     rng: StreamRng,
-    /// Steal-victim selection (the work-stealing half of the policy arena).
-    steal: Box<dyn StealPolicy>,
+    /// Per-thief steal-policy state: the node that last fed each thief
+    /// (`recent-victim`) and each thief's scan offset (`round-robin-scan`).
+    recent_victim: Vec<Option<usize>>,
+    scan_cursor: Vec<usize>,
     /// `(thief, victim)` per initiated steal attempt, recorded only when
     /// `cfg.trace` is set (determinism tests read it back via
     /// [`ClusterSim::steal_victims`]).
@@ -297,7 +299,8 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
             nodes,
             jobs: Vec::new(),
             rng: StreamRng::new(cfg.seed, 0x57EA1),
-            steal: build_steal_policy(cfg.steal),
+            recent_victim: vec![None; cfg.nodes],
+            scan_cursor: vec![0; cfg.nodes],
             victim_log: Vec::new(),
             faults: FaultInjector::new(cfg.faults.clone(), cfg.seed),
             root_job: 0,
@@ -1283,18 +1286,25 @@ fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
     thief: usize,
 ) {
     // Ask the configured steal policy for a live victim. Field borrows are
-    // split so the policy can read liveness while drawing from the steal
-    // rng stream.
+    // split so the pick can read liveness while drawing from the steal rng
+    // stream and updating the thief's policy state.
     let victim = {
         let World {
-            steal,
             rng,
             nodes,
             cfg,
+            recent_victim,
+            scan_cursor,
             ..
         } = w;
-        let alive = |v: usize| nodes[v].alive;
-        steal.pick_victim(thief, cfg.nodes, &alive, rng)
+        cfg.steal.pick_victim(
+            thief,
+            cfg.nodes,
+            |v| nodes[v].alive,
+            rng,
+            &mut recent_victim[thief],
+            &mut scan_cursor[thief],
+        )
     };
     let Some(victim) = victim else {
         // No live victim found (most nodes crashed): poll again later with
@@ -1419,7 +1429,7 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
     match stolen {
         Some(Task::Job(j)) => {
             w.report[Counter::StealsOk] += 1;
-            w.steal.on_steal_ok(thief, victim);
+            w.recent_victim[thief] = Some(victim);
             let input = w.jobs[j].input.as_ref().expect("queued job has input");
             let bytes = w.app.input_bytes(input);
             let (src_busy, dst_busy) = (w.busy_fraction(victim), w.busy_fraction(thief));
@@ -1533,7 +1543,9 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
             }
         }
         _ => {
-            w.steal.on_steal_fail(thief, victim);
+            if w.recent_victim[thief] == Some(victim) {
+                w.recent_victim[thief] = None;
+            }
             // Nothing to steal: small refusal message, then retry. The first
             // few consecutive failures retry at the base rate (responsive
             // during normal imbalance); sustained failure — the idle tail of
@@ -1614,10 +1626,13 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L
     w.nodes[n].steal_failures = 0;
     w.nodes[n].steal_seq += 1;
     w.nodes[n].incarnation += 1;
-    // The crashed node leaves every victim set; stateful steal policies
-    // (e.g. recent-victim caches) invalidate here, in the one place
-    // cluster membership shrinks.
-    w.steal.on_crash(n);
+    // The crashed node leaves every victim set: no thief keeps it as its
+    // recent victim. This is the one place cluster membership shrinks.
+    for r in &mut w.recent_victim {
+        if *r == Some(n) {
+            *r = None;
+        }
+    }
     w.report[Counter::Crashes] += 1;
     // Per-node leaf-runtime state (device timelines, pending device jobs,
     // resident buffers) dies with the node.
@@ -1768,7 +1783,6 @@ fn join<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L>
     w.nodes[n].steal_started = SimTime::ZERO;
     // A rebooted node has no half-open connections: reset its NIC.
     w.nics[n] = NodeNic::default();
-    w.steal.on_join(n);
     w.report[Counter::Joins] += 1;
     note_busy_cores(w, sim, n);
     // Bring the node's leaf runtime back up (re-register devices, rebuild

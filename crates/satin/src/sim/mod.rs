@@ -8,7 +8,7 @@ pub mod steal;
 pub use app::{ClusterApp, CpuLeafRuntime, DcStep, LeafCtx, LeafPlan, LeafRuntime};
 pub use engine::{ClusterSim, SimConfig, World};
 pub use report::{critical_path_summary, text_table, Counter, RunReport};
-pub use steal::{build_steal_policy, StealKind, StealPolicy};
+pub use steal::StealKind;
 
 #[cfg(test)]
 mod tests {
@@ -596,8 +596,87 @@ mod tests {
                 cs.report()[Counter::Crashes],
             )
         };
+        // Literal victim count, `StealsOk`, an order-sensitive digest of
+        // the whole victim sequence and its first 16 `(thief, victim)` pairs
+        // per policy: any decision drift fails here, not only in the
+        // committed tournament artifact.
+        let expected = [
+            (
+                StealKind::UniformRandom,
+                128,
+                69,
+                739149594165250547,
+                [
+                    (0, 3),
+                    (1, 2),
+                    (2, 3),
+                    (3, 0),
+                    (4, 2),
+                    (5, 2),
+                    (1, 5),
+                    (2, 4),
+                    (4, 0),
+                    (5, 1),
+                    (3, 5),
+                    (4, 0),
+                    (4, 3),
+                    (1, 2),
+                    (2, 4),
+                    (5, 1),
+                ],
+            ),
+            (
+                StealKind::RecentVictim,
+                94,
+                59,
+                2927324594701315422,
+                [
+                    (0, 3),
+                    (1, 2),
+                    (2, 3),
+                    (3, 0),
+                    (4, 2),
+                    (5, 2),
+                    (1, 5),
+                    (2, 4),
+                    (4, 0),
+                    (5, 1),
+                    (3, 5),
+                    (4, 0),
+                    (4, 0),
+                    (4, 0),
+                    (1, 0),
+                    (2, 3),
+                ],
+            ),
+            (
+                StealKind::RoundRobinScan,
+                131,
+                62,
+                6792431849766938645,
+                [
+                    (0, 1),
+                    (1, 2),
+                    (2, 3),
+                    (3, 4),
+                    (4, 5),
+                    (5, 0),
+                    (1, 3),
+                    (2, 4),
+                    (3, 5),
+                    (4, 0),
+                    (5, 1),
+                    (4, 1),
+                    (1, 4),
+                    (2, 5),
+                    (3, 0),
+                    (5, 2),
+                ],
+            ),
+        ];
+        assert_eq!(expected.map(|e| e.0), StealKind::ALL);
         let mut sequences = Vec::new();
-        for kind in StealKind::ALL {
+        for (kind, count, steals_ok, seq_digest, first) in expected {
             let a = run(kind);
             let b = run(kind);
             assert_eq!(
@@ -607,6 +686,13 @@ mod tests {
                 kind.name()
             );
             assert_eq!(a.2, 1, "{}: crash did not land", kind.name());
+            assert_eq!(a.0.len(), count, "{}: victim count", kind.name());
+            assert_eq!(a.1, steals_ok, "{}: StealsOk", kind.name());
+            assert_eq!(a.0[..16], first, "{}: first victims", kind.name());
+            let digest = a.0.iter().fold(0u64, |h, &(t, v)| {
+                h.wrapping_mul(31).wrapping_add((t * 8 + v) as u64)
+            });
+            assert_eq!(digest, seq_digest, "{}: victim sequence", kind.name());
             sequences.push(a.0);
         }
         // Sanity: the policies are actually different selectors, not three

@@ -1,33 +1,28 @@
-//! Steal-victim selection policies — the work-stealing half of the policy
-//! arena.
+//! Steal-victim selection — the work-stealing half of the policy arena.
 //!
-//! The engine historically hard-coded Satin's uniform-random victim pick
-//! inside `initiate_steal`; this module extracts that decision behind a
-//! [`StealPolicy`] trait object stored in the simulation `World`, so new
-//! victim-selection strategies plug in without touching engine internals.
+//! An idle node steals from another *node*: this is Satin's inter-node
+//! victim choice (which device inside a node runs a job is the balancer's
+//! decision, in the `cashmere` crate). [`StealKind`] names the policy, and
+//! `StealKind::pick_victim` is the whole decision, one `match` on the
+//! tag. The per-thief state the stateful policies read — the
+//! `recent-victim` entry and the `round-robin-scan` cursor — lives in the
+//! engine's world, which keeps it honest in one place: a successful steal
+//! records the thief's feeder, a refusal by that feeder forgets it, and a
+//! crash forgets the crashed node as every thief's recent victim.
 //!
-//! Determinism contract: `pick_victim` must be a deterministic function of
-//! its arguments, the policy's own internal state, and the passed
-//! `StreamRng` (the engine's dedicated steal stream `0x57EA1`). A policy
-//! that needs no randomness must not touch the rng at all, and a policy
-//! that does must draw only the values it consumes on every code path —
-//! random draws are part of the byte-determinism budget, so conditional
-//! draws must be conditioned on deterministic state only. The default
-//! [`UniformRandom`] policy reproduces the engine's historical 8-try loop
-//! draw-for-draw, which keeps every committed provenance artifact
-//! byte-identical across the refactor.
-//!
-//! Crash/rejoin victim-set maintenance stays in one place: the engine calls
-//! [`StealPolicy::on_crash`] / [`StealPolicy::on_join`] from its single
-//! crash/join entry points, and policies that cache victim identities (see
-//! [`RecentVictim`]) invalidate there rather than sprinkling liveness
-//! checks through the engine.
+//! Determinism contract: a pick is a deterministic function of its
+//! arguments and the engine's dedicated steal stream `0x57EA1`. A policy
+//! that needs no randomness does not touch the rng, and one that does
+//! draws only the values it consumes — random draws are part of the
+//! byte-determinism budget. The default `uniform-random` reproduces the
+//! engine's historical 8-try loop draw for draw, and `recent-victim`
+//! falls through to that same loop when it has no usable entry.
 
 use cashmere_des::rng::StreamRng;
 use serde::{Content, DeError, Deserialize, Serialize};
 
-/// Which steal-victim policy the engine runs. The serializable spec tag —
-/// construct the live policy with [`build_steal_policy`].
+/// Which steal-victim policy the engine runs: the serializable spec tag
+/// and, through `StealKind::pick_victim`, the decision itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StealKind {
     /// Satin's classic random victim: up to 8 uniform draws, first live
@@ -88,198 +83,52 @@ impl StealKind {
             _ => None,
         }
     }
-}
-
-/// Victim selection for one steal attempt, plus the outcome/membership
-/// hooks a stateful policy needs. One instance serves the whole cluster
-/// (per-thief state is keyed by the `thief` argument).
-pub trait StealPolicy: Send {
-    /// Which [`StealKind`] this instance implements.
-    fn kind(&self) -> StealKind;
 
     /// Pick a live victim for `thief`, or `None` to give up this round
     /// (the engine then polls again with backoff). `alive(v)` reports
-    /// liveness for `v < nodes`; the returned victim must be live and
-    /// differ from `thief`.
-    fn pick_victim(
-        &mut self,
+    /// liveness for `v < nodes`; a returned victim is live and differs
+    /// from `thief`. `recent` is the thief's last feeder (read by
+    /// `recent-victim`), `cursor` its scan offset from itself (advanced by
+    /// `round-robin-scan`).
+    pub(crate) fn pick_victim(
+        self,
         thief: usize,
         nodes: usize,
-        alive: &dyn Fn(usize) -> bool,
+        alive: impl Fn(usize) -> bool,
         rng: &mut StreamRng,
-    ) -> Option<usize>;
-
-    /// `thief` received a job from `victim`.
-    fn on_steal_ok(&mut self, _thief: usize, _victim: usize) {}
-
-    /// `victim` refused `thief` (nothing stealable there right now).
-    fn on_steal_fail(&mut self, _thief: usize, _victim: usize) {}
-
-    /// `node` crashed and left every victim set.
-    fn on_crash(&mut self, _node: usize) {}
-
-    /// `node` (re)joined and is a victim candidate again.
-    fn on_join(&mut self, _node: usize) {}
-
-    fn clone_box(&self) -> Box<dyn StealPolicy>;
-}
-
-impl Clone for Box<dyn StealPolicy> {
-    fn clone(&self) -> Box<dyn StealPolicy> {
-        self.clone_box()
-    }
-}
-
-/// Construct the live policy for a spec tag.
-pub fn build_steal_policy(kind: StealKind) -> Box<dyn StealPolicy> {
-    match kind {
-        StealKind::UniformRandom => Box::new(UniformRandom),
-        StealKind::RecentVictim => Box::new(RecentVictim { last: Vec::new() }),
-        StealKind::RoundRobinScan => Box::new(RoundRobinScan { cursor: Vec::new() }),
-    }
-}
-
-/// The historical engine behaviour, preserved draw-for-draw: up to 8
-/// uniform draws from the steal stream; the first live non-self node wins.
-#[derive(Debug, Clone)]
-struct UniformRandom;
-
-impl StealPolicy for UniformRandom {
-    fn kind(&self) -> StealKind {
-        StealKind::UniformRandom
-    }
-
-    fn pick_victim(
-        &mut self,
-        thief: usize,
-        nodes: usize,
-        alive: &dyn Fn(usize) -> bool,
-        rng: &mut StreamRng,
+        recent: &mut Option<usize>,
+        cursor: &mut usize,
     ) -> Option<usize> {
-        for _ in 0..8 {
-            let v = rng.below(nodes);
-            if v != thief && alive(v) {
-                return Some(v);
+        match self {
+            StealKind::UniformRandom => {}
+            StealKind::RecentVictim => {
+                if let Some(v) = *recent {
+                    if v != thief && v < nodes && alive(v) {
+                        return Some(v);
+                    }
+                    // Defensive: the engine already forgets crashed nodes.
+                    *recent = None;
+                }
+            }
+            StealKind::RoundRobinScan => {
+                // Scan `thief+cursor+1, thief+cursor+2, …` modulo the
+                // cluster size; every attempt re-checks liveness, so
+                // crash/join need no bookkeeping.
+                let off = (1..nodes)
+                    .map(|step| (*cursor + step) % nodes)
+                    .find(|&off| {
+                        let v = (thief + off) % nodes;
+                        v != thief && alive(v)
+                    })?;
+                *cursor = off;
+                return Some((thief + off) % nodes);
             }
         }
-        None
-    }
-
-    fn clone_box(&self) -> Box<dyn StealPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Retry the last successful victim first; fall back to the uniform pick.
-/// The cache is invalidated on refusal and — via [`StealPolicy::on_crash`]
-/// — when the cached node leaves the cluster, so a stale entry can never
-/// point at a dead victim.
-#[derive(Debug, Clone)]
-struct RecentVictim {
-    /// `last[thief]` = node that most recently fed this thief.
-    last: Vec<Option<usize>>,
-}
-
-impl RecentVictim {
-    fn slot(&mut self, thief: usize) -> &mut Option<usize> {
-        if self.last.len() <= thief {
-            self.last.resize(thief + 1, None);
-        }
-        &mut self.last[thief]
-    }
-}
-
-impl StealPolicy for RecentVictim {
-    fn kind(&self) -> StealKind {
-        StealKind::RecentVictim
-    }
-
-    fn pick_victim(
-        &mut self,
-        thief: usize,
-        nodes: usize,
-        alive: &dyn Fn(usize) -> bool,
-        rng: &mut StreamRng,
-    ) -> Option<usize> {
-        if let Some(v) = *self.slot(thief) {
-            if v != thief && v < nodes && alive(v) {
-                return Some(v);
-            }
-            // Defensive: on_crash should already have cleared this.
-            *self.slot(thief) = None;
-        }
-        for _ in 0..8 {
-            let v = rng.below(nodes);
-            if v != thief && alive(v) {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn on_steal_ok(&mut self, thief: usize, victim: usize) {
-        *self.slot(thief) = Some(victim);
-    }
-
-    fn on_steal_fail(&mut self, thief: usize, victim: usize) {
-        let slot = self.slot(thief);
-        if *slot == Some(victim) {
-            *slot = None;
-        }
-    }
-
-    fn on_crash(&mut self, node: usize) {
-        for slot in &mut self.last {
-            if *slot == Some(node) {
-                *slot = None;
-            }
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn StealPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// Scan `thief+cursor+1, thief+cursor+2, …` modulo the cluster size and
-/// take the first live node. Spreads steal pressure evenly and consumes no
-/// randomness; crash/join need no bookkeeping because the scan re-checks
-/// liveness every attempt.
-#[derive(Debug, Clone)]
-struct RoundRobinScan {
-    /// `cursor[thief]` = offset (from `thief`) after the last pick.
-    cursor: Vec<usize>,
-}
-
-impl StealPolicy for RoundRobinScan {
-    fn kind(&self) -> StealKind {
-        StealKind::RoundRobinScan
-    }
-
-    fn pick_victim(
-        &mut self,
-        thief: usize,
-        nodes: usize,
-        alive: &dyn Fn(usize) -> bool,
-        _rng: &mut StreamRng,
-    ) -> Option<usize> {
-        if self.cursor.len() <= thief {
-            self.cursor.resize(thief + 1, 0);
-        }
-        let start = self.cursor[thief];
-        for step in 1..nodes {
-            let off = (start + step) % nodes;
-            let v = (thief + off) % nodes;
-            if v != thief && alive(v) {
-                self.cursor[thief] = off;
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn clone_box(&self) -> Box<dyn StealPolicy> {
-        Box::new(self.clone())
+        // Satin's classic pick: up to 8 uniform draws, the first live
+        // non-self node wins.
+        (0..8)
+            .map(|_| rng.below(nodes))
+            .find(|&v| v != thief && alive(v))
     }
 }
 
@@ -289,6 +138,26 @@ mod tests {
 
     fn rng() -> StreamRng {
         StreamRng::new(7, 0x57EA1)
+    }
+
+    /// One thief's policy state, as the engine's world keeps it.
+    #[derive(Default)]
+    struct Thief {
+        recent: Option<usize>,
+        cursor: usize,
+    }
+
+    impl Thief {
+        fn pick(
+            &mut self,
+            kind: StealKind,
+            thief: usize,
+            nodes: usize,
+            alive: impl Fn(usize) -> bool,
+            rng: &mut StreamRng,
+        ) -> Option<usize> {
+            kind.pick_victim(thief, nodes, alive, rng, &mut self.recent, &mut self.cursor)
+        }
     }
 
     #[test]
@@ -308,14 +177,21 @@ mod tests {
 
     #[test]
     fn uniform_random_matches_the_historical_inline_loop() {
-        // The extracted policy must replay the exact draw sequence of the
-        // old inline code: same stream, same number of draws per attempt.
+        // The policy must replay the exact draw sequence of the old inline
+        // code: same stream, same number of draws per attempt.
         let nodes = 4;
-        let alive = |_: usize| true;
         let mut policy_rng = rng();
-        let mut p = build_steal_policy(StealKind::UniformRandom);
+        let mut state = Thief::default();
         let picks: Vec<_> = (0..64)
-            .map(|i| p.pick_victim(i % nodes, nodes, &alive, &mut policy_rng))
+            .map(|i| {
+                state.pick(
+                    StealKind::UniformRandom,
+                    i % nodes,
+                    nodes,
+                    |_| true,
+                    &mut policy_rng,
+                )
+            })
             .collect();
         let mut inline_rng = rng();
         let inline: Vec<_> = (0..64)
@@ -339,63 +215,72 @@ mod tests {
     fn uniform_random_skips_dead_nodes_and_can_give_up() {
         let alive = |v: usize| v == 0;
         let mut r = rng();
-        let mut p = build_steal_policy(StealKind::UniformRandom);
+        let mut state = Thief::default();
         for _ in 0..32 {
             // Only node 0 is alive, so thief 1 can only ever get 0.
             assert!(matches!(
-                p.pick_victim(1, 4, &alive, &mut r),
+                state.pick(StealKind::UniformRandom, 1, 4, alive, &mut r),
                 Some(0) | None
             ));
             // Thief 0 has no live victim at all.
-            assert_eq!(p.pick_victim(0, 4, &alive, &mut r), None);
+            assert_eq!(
+                state.pick(StealKind::UniformRandom, 0, 4, alive, &mut r),
+                None
+            );
         }
     }
 
     #[test]
     fn recent_victim_prefers_cache_and_invalidates_on_crash_and_refusal() {
         let alive = |_: usize| true;
-        let mut p = build_steal_policy(StealKind::RecentVictim);
-        p.on_steal_ok(0, 3);
-        // Cached victim wins (and, as the rr check below shows for the
-        // scan policy, without consuming randomness).
+        let recent = StealKind::RecentVictim;
+        // Thief 0 was last fed by node 3: the entry wins, without
+        // consuming randomness.
+        let mut state = Thief {
+            recent: Some(3),
+            ..Thief::default()
+        };
         let mut fresh = rng();
-        assert_eq!(p.pick_victim(0, 4, &alive, &mut fresh), Some(3));
-        assert_eq!(p.pick_victim(0, 4, &alive, &mut fresh), Some(3));
-        // A refusal by the cached victim drops it.
-        p.on_steal_fail(0, 3);
-        let v = p.pick_victim(0, 4, &alive, &mut fresh);
-        assert!(v.is_some());
-        // Crash invalidation: cache 2 for two thieves, crash it, and the
-        // next pick may be anything live except 2.
-        p.on_steal_ok(0, 2);
-        p.on_steal_ok(1, 2);
-        p.on_crash(2);
-        let alive2 = |v: usize| v != 2;
-        for thief in [0usize, 1] {
-            if let Some(v) = p.pick_victim(thief, 4, &alive2, &mut fresh) {
-                assert_ne!(v, 2);
-                assert_ne!(v, thief);
-            }
+        assert_eq!(state.pick(recent, 0, 4, alive, &mut fresh), Some(3));
+        assert_eq!(state.pick(recent, 0, 4, alive, &mut fresh), Some(3));
+        assert_eq!(fresh.below(1 << 30), rng().below(1 << 30));
+        // After a refusal the engine drops the entry, and the pick falls
+        // through to the uniform draw, draw for draw.
+        state.recent = None;
+        let (mut a, mut b) = (rng(), rng());
+        for _ in 0..8 {
+            assert_eq!(
+                state.pick(recent, 0, 4, alive, &mut a),
+                Thief::default().pick(StealKind::UniformRandom, 0, 4, alive, &mut b)
+            );
         }
+        // An entry naming a crashed node is never returned, and is dropped.
+        state.recent = Some(2);
+        let alive2 = |v: usize| v != 2;
+        if let Some(v) = state.pick(recent, 0, 4, alive2, &mut a) {
+            assert_ne!(v, 2);
+            assert_ne!(v, 0);
+        }
+        assert_eq!(state.recent, None);
     }
 
     #[test]
     fn round_robin_scan_cycles_live_peers_without_randomness() {
         let alive = |_: usize| true;
         let mut r = rng();
-        let mut p = build_steal_policy(StealKind::RoundRobinScan);
+        let mut state = Thief::default();
+        let scan = StealKind::RoundRobinScan;
         let picks: Vec<_> = (0..6)
-            .map(|_| p.pick_victim(0, 4, &alive, &mut r))
+            .map(|_| state.pick(scan, 0, 4, alive, &mut r))
             .collect();
         assert_eq!(
             picks,
             vec![Some(1), Some(2), Some(3), Some(1), Some(2), Some(3)]
         );
         // Node 2 dies: the cycle closes over the survivors.
-        p.on_crash(2);
         let alive2 = |v: usize| v != 2;
         let picks: Vec<_> = (0..4)
-            .map(|_| p.pick_victim(0, 4, &alive2, &mut r))
+            .map(|_| state.pick(scan, 0, 4, alive2, &mut r))
             .collect();
         assert_eq!(picks, vec![Some(1), Some(3), Some(1), Some(3)]);
         // The untouched rng proves no randomness was consumed.

@@ -166,7 +166,7 @@ proptest! {
                 b.on_submit(d);
             }
         }
-        let choice = b.choose("k");
+        let choice = b.choose_among("k", &vec![true; k]).unwrap();
         // Brute force the scenario minimum.
         let times = b.estimates("k");
         let scenario = |d: usize| -> f64 {

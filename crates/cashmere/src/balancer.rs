@@ -26,7 +26,6 @@
 
 use cashmere_des::SimTime;
 use serde::{Content, DeError, Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Device-selection policy. [`Policy::Scenario`] is the paper's algorithm;
 /// the others are arena contenders and ablation baselines.
@@ -228,6 +227,13 @@ pub struct DeviceEstimate {
     pub scenario_s: Option<f64>,
 }
 
+/// Most devices one node's balancer can hold: a decision keeps its
+/// per-device times in a stack array of this length.
+pub const MAX_DEVICES: usize = 64;
+
+/// Per-device times of one decision; entries past the device count unused.
+type Times = [f64; MAX_DEVICES];
+
 /// `dynamic-chunk`: chunk length granted to a device at relative speed 1.0.
 const CHUNK_BASE: usize = 4;
 /// `dynamic-chunk`: cap on any single chunk.
@@ -241,8 +247,10 @@ pub struct Balancer {
     queued: Vec<usize>,
     /// Devices permanently retired (failed); never chosen again.
     dead: Vec<bool>,
-    /// Measured execution time per kernel: one slot per device.
-    measured: HashMap<String, Vec<Option<SimTime>>>,
+    /// Measured execution time per kernel: one slot per device, rows in
+    /// first-completion order. A node runs a few kernels, so rows are
+    /// found by comparing names.
+    measured: Vec<(String, Vec<Option<SimTime>>)>,
     policy: Policy,
     /// `round-robin`: the device the rotation tries next.
     rr_next: usize,
@@ -257,11 +265,15 @@ impl Balancer {
     /// scenario policy.
     pub fn new(relative_speeds: &[f64]) -> Balancer {
         assert!(!relative_speeds.is_empty(), "a node needs ≥1 device");
+        assert!(
+            relative_speeds.len() <= MAX_DEVICES,
+            "a node holds at most {MAX_DEVICES} devices"
+        );
         Balancer {
             speeds: relative_speeds.to_vec(),
             queued: vec![0; relative_speeds.len()],
             dead: vec![false; relative_speeds.len()],
-            measured: HashMap::new(),
+            measured: Vec::new(),
             policy: Policy::Scenario,
             rr_next: 0,
             chunk_device: None,
@@ -301,7 +313,7 @@ impl Balancer {
     pub fn retire_device(&mut self, device: usize) {
         self.dead[device] = true;
         self.queued[device] = 0;
-        for row in self.measured.values_mut() {
+        for (_, row) in &mut self.measured {
             row[device] = None;
         }
     }
@@ -349,12 +361,12 @@ impl Balancer {
     pub fn on_complete(&mut self, kernel: &str, device: usize, time: SimTime) {
         debug_assert!(self.queued[device] > 0);
         self.queued[device] -= 1;
-        match self.measured.get_mut(kernel) {
-            Some(row) => row[device] = Some(time),
+        match self.measured.iter_mut().find(|(k, _)| k == kernel) {
+            Some((_, row)) => row[device] = Some(time),
             None => {
                 let mut row = vec![None; self.speeds.len()];
                 row[device] = Some(time);
-                self.measured.insert(kernel.to_string(), row);
+                self.measured.push((kernel.to_string(), row));
             }
         }
         // `dynamic-chunk`: fresh measurements may have landed, so end the
@@ -367,9 +379,16 @@ impl Balancer {
 
     /// Has any device measured this kernel yet?
     pub fn has_measurement(&self, kernel: &str) -> bool {
-        self.measured
-            .get(kernel)
+        self.row(kernel)
             .is_some_and(|row| row.iter().any(Option::is_some))
+    }
+
+    /// The measured-times row of `kernel`, if any device completed it.
+    fn row(&self, kernel: &str) -> Option<&[Option<SimTime>]> {
+        self.measured
+            .iter()
+            .find(|(k, _)| k == kernel)
+            .map(|(_, row)| row.as_slice())
     }
 
     /// Per-device time estimate for `kernel`, in seconds. Measured times
@@ -378,26 +397,37 @@ impl Balancer {
     /// all, times are the pure reciprocal of the static speeds (arbitrary
     /// unit — only ratios matter for the choice).
     pub fn estimates(&self, kernel: &str) -> Vec<f64> {
-        let row = self.measured.get(kernel);
+        self.estimate_times(kernel)[..self.speeds.len()].to_vec()
+    }
+
+    /// [`Balancer::estimates`] without allocating.
+    fn estimate_times(&self, kernel: &str) -> Times {
+        let row = self.row(kernel);
         let measured = |d: usize| row.and_then(|r| r[d]).map(SimTime::as_secs_f64);
         let reference = (0..self.speeds.len()).find_map(|d| measured(d).map(|t| (d, t)));
-        (0..self.speeds.len())
-            .map(|d| match (measured(d), reference) {
+        let mut times = [0.0; MAX_DEVICES];
+        for (d, t) in times[..self.speeds.len()].iter_mut().enumerate() {
+            *t = match (measured(d), reference) {
                 (Some(t), _) => t,
                 (None, Some((rd, rt))) => rt * self.speeds[rd] / self.speeds[d],
                 (None, None) => 1.0 / self.speeds[d],
-            })
-            .collect()
+            };
+        }
+        times
     }
 
     /// The per-device times the scenario rule and the audit table read:
     /// for `static-table`, which never learns, the static reciprocals (the
     /// first-phase times); [`Balancer::estimates`] for every other policy.
-    fn policy_times(&self, kernel: &str) -> Vec<f64> {
+    fn policy_times(&self, kernel: &str) -> Times {
         if self.policy == Policy::StaticTable {
-            self.speeds.iter().map(|s| 1.0 / s).collect()
+            let mut times = [0.0; MAX_DEVICES];
+            for (t, s) in times.iter_mut().zip(&self.speeds) {
+                *t = 1.0 / s;
+            }
+            times
         } else {
-            self.estimates(kernel)
+            self.estimate_times(kernel)
         }
     }
 
@@ -407,9 +437,9 @@ impl Balancer {
 
     /// The Sec. III-B scenario makespan `max_e (queued_e + [e == d]) · t_e`
     /// over live devices, if the next job went to `d`.
-    fn scenario_s(&self, times: &[f64], d: usize) -> f64 {
+    fn scenario_s(&self, times: &Times, d: usize) -> f64 {
         let mut scenario: f64 = 0.0;
-        for (e, t) in times.iter().enumerate() {
+        for (e, t) in times[..self.speeds.len()].iter().enumerate() {
             if !self.dead[e] {
                 let q = self.queued[e] + usize::from(e == d);
                 scenario = scenario.max(q as f64 * t);
@@ -451,11 +481,11 @@ impl Balancer {
                 Some(d)
             }
             Policy::FastestOnly => {
-                let times = self.estimates(kernel);
+                let times = self.estimate_times(kernel);
                 self.argmin(allowed, |d| times[d])
             }
             Policy::Heft => {
-                let times = self.estimates(kernel);
+                let times = self.estimate_times(kernel);
                 self.argmin(allowed, |d| (self.queued[d] + 1) as f64 * times[d])
             }
             Policy::DynamicChunk => {
@@ -467,9 +497,9 @@ impl Balancer {
                 }
                 // Start a new chunk: least outstanding backlog wins, sized
                 // by the winner's speed relative to the fastest candidate.
-                let times = self.estimates(kernel);
+                let times = self.estimate_times(kernel);
                 let d = self.argmin(allowed, |d| self.queued[d] as f64 * times[d])?;
-                let t_min = (0..times.len())
+                let t_min = (0..self.speeds.len())
                     .filter(|&e| self.is_candidate(allowed, e))
                     .map(|e| times[e])
                     .fold(f64::INFINITY, f64::min);
@@ -498,8 +528,7 @@ impl Balancer {
         assert_eq!(allowed.len(), self.speeds.len());
         let times = self.policy_times(kernel);
         let row = self
-            .measured
-            .get(kernel)
+            .row(kernel)
             .filter(|_| self.policy != Policy::StaticTable);
         (0..self.speeds.len())
             .map(|d| DeviceEstimate {

@@ -51,6 +51,13 @@ pub(crate) struct PreparedKernel {
     pub(crate) launch: PreparedLaunch,
 }
 
+impl PreparedKernel {
+    /// The checked kernel of the prepared version.
+    pub(crate) fn checked(&self) -> &CheckedKernel {
+        &self.version.ck
+    }
+}
+
 /// Registry of compiled kernels plus the hardware hierarchy they target.
 pub struct KernelRegistry {
     hierarchy: Hierarchy,
@@ -179,9 +186,11 @@ impl KernelRegistry {
 mod tests {
     use super::*;
     use cashmere_hwdesc::{standard_hierarchy, DeviceKind};
+    use cashmere_mcl::launch::arg_shape_matches;
     use cashmere_mcl::launch::LaunchConfig;
     use cashmere_mcl::value::ArrayArg;
     use cashmere_mcl::ElemTy;
+    use proptest::prelude::*;
 
     const PERFECT: &str = "perfect void axpy(int n, float[n] y, float[n] x) {
   foreach (int i in n threads) { y[i] += 2.0 * x[i]; }
@@ -277,6 +286,74 @@ mod tests {
         ];
         assert_eq!(arg_shape(&a1), arg_shape(&a2), "contents don't matter");
         assert_ne!(arg_shape(&a1), arg_shape(&a3), "sizes do");
+    }
+
+    /// One argument drawn from a small alphabet, so that two lists often
+    /// share a shape: `(kind, value, rank, dims)`.
+    fn arg((kind, value, rank, dims): (usize, usize, usize, Vec<u64>)) -> ArgValue {
+        const INTS: [i64; 4] = [0, 1, -1, i64::MIN];
+        const FLOAT_BITS: [u64; 5] = [
+            0,                     // 0.0
+            0x8000_0000_0000_0000, // -0.0
+            0x7ff8_0000_0000_0000, // NaN
+            0x7ff8_0000_0000_0001, // NaN, other payload
+            0x3ff0_0000_0000_0000, // 1.0
+        ];
+        let dims = &dims[..rank];
+        let len = dims.iter().product::<u64>() as usize;
+        match kind {
+            0 => ArgValue::Int(INTS[value % INTS.len()]),
+            1 => ArgValue::Float(f64::from_bits(FLOAT_BITS[value % FLOAT_BITS.len()])),
+            2 => ArgValue::Array(ArrayArg::float(dims, vec![value as f64; len])),
+            3 => ArgValue::Array(ArrayArg::int(dims, vec![value as i64; len])),
+            4 => ArgValue::Array(ArrayArg::phantom(ElemTy::Float, dims)),
+            _ => ArgValue::Array(ArrayArg::phantom(ElemTy::Int, dims)),
+        }
+    }
+
+    fn one_arg() -> impl Strategy<Value = ArgValue> {
+        (
+            0..6usize,
+            0..5usize,
+            0..4usize,
+            collection::vec(1..4u64, 3..4),
+        )
+            .prop_map(arg)
+    }
+
+    fn args() -> impl Strategy<Value = Vec<ArgValue>> {
+        collection::vec(one_arg(), 0..5)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn in_place_shape_match_agrees_with_arg_shape(
+            a in args(),
+            at in 0..6usize,
+            other in one_arg(),
+            c in args(),
+            cut in 0..8usize,
+        ) {
+            let shape = arg_shape(&a);
+            prop_assert!(arg_shape_matches(&a, &shape));
+            // `a` with one argument redrawn (often the same shape, other
+            // contents), and an unrelated list.
+            let mut b = a.clone();
+            if let Some(slot) = b.get_mut(at) {
+                *slot = other;
+            }
+            for x in [&b, &c] {
+                prop_assert_eq!(arg_shape_matches(x, &shape), arg_shape(x) == shape);
+            }
+            // Truncated and extended signatures never match.
+            let short = &shape[..shape.len().saturating_sub(1 + cut % 2)];
+            prop_assert_eq!(arg_shape_matches(&a, short), short.len() == shape.len());
+            let mut long = shape.clone();
+            long.push(cut as u64);
+            prop_assert!(!arg_shape_matches(&a, &long));
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! 5. falls back to the CPU leaf when no kernel version applies or device
 //!    memory is exhausted (the paper's try/catch → `leafCPU` pattern).
 
-use crate::balancer::{Balancer, DeviceEstimate, PolicyDesc};
+use crate::balancer::{Balancer, DeviceEstimate, PolicyDesc, MAX_DEVICES};
 use crate::registry::{arg_shape, KernelRegistry, PreparedKernel};
 use cashmere_des::fault::FaultInjector;
 use cashmere_des::obs::{prof, MetricsRegistry};
@@ -31,10 +31,10 @@ use cashmere_des::trace::{LaneId, SpanId, SpanKind, Trace};
 use cashmere_des::SimTime;
 use cashmere_devsim::{ExecMode, SimDevice};
 use cashmere_mcl::cost::estimate_time;
+use cashmere_mcl::launch::arg_shape_matches;
 use cashmere_mcl::value::ArgValue;
 use cashmere_satin::{ClusterApp, Counter, LeafCtx, LeafPlan, LeafRuntime, RunReport};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Description of one kernel invocation (the paper's
 /// `Cashmere.getKernel()` / `createLaunch()` / `MCL.launch(kl, a, b)`).
@@ -205,38 +205,66 @@ struct DevLanes {
 }
 
 /// How one device runs one kernel (paper Sec. III-A): the most specific
-/// version prepared for the device, plus the modelled kernel seconds of
-/// every sampled launch shape seen so far.
+/// version prepared for the device, the modelled kernel seconds of every
+/// sampled launch shape seen so far, and the kernel's resident buffer.
 struct KernelPlan {
     kernel: PreparedKernel,
-    /// `estimate_time(..).total_s` keyed by (arg shape, `extra_scale`
-    /// bits), before the device's virtual speed scale. Exact and never
-    /// invalidated: version and geometry are fixed per plan, so the key
-    /// fixes the launch's shape; launch-table entries are never replaced;
-    /// and the device parameters the cost model reads never change.
-    seconds: HashMap<(Vec<u64>, u64), f64>,
+    /// `(arg shape, extra_scale bits, estimate_time(..).total_s)` per
+    /// sampled launch seen, seconds before the device's virtual speed
+    /// scale. A plan sees few shapes, so a launch is matched against them
+    /// in place. Exact and never invalidated: version and geometry are
+    /// fixed per plan, so the shape fixes the launch; launch-table entries
+    /// are never replaced; and the device parameters the cost model reads
+    /// never change.
+    seconds: Vec<(Vec<u64>, u64, f64)>,
+    /// Resident (kernel-shared) input already on the device.
+    resident: Option<cashmere_devsim::BufferId>,
 }
 
-/// A device's kernel plans by kernel name, resolved on first sight;
-/// `None` when no version of the kernel applies to the device.
+impl KernelPlan {
+    /// Modelled seconds of a launch on `args` at `scale_bits`, if seen.
+    fn seconds(&self, args: &[ArgValue], scale_bits: u64) -> Option<f64> {
+        self.seconds
+            .iter()
+            .find(|(shape, bits, _)| *bits == scale_bits && arg_shape_matches(args, shape))
+            .map(|&(_, _, total_s)| total_s)
+    }
+}
+
+/// A device's kernel plans by kernel id ([`CashmereLeafRuntime::kernels`]),
+/// resolved on first sight: the outer `None` is "not resolved yet", the
+/// inner one "no version of the kernel applies to the device".
 #[derive(Default)]
-struct KernelPlans(HashMap<String, Option<KernelPlan>>);
+struct KernelPlans(Vec<Option<Option<KernelPlan>>>);
 
 impl KernelPlans {
     fn resolve(
         &mut self,
         registry: &KernelRegistry,
         device: &SimDevice,
-        kernel: &str,
+        kernel: usize,
+        name: &str,
     ) -> Option<&mut KernelPlan> {
-        if !self.0.contains_key(kernel) {
-            let plan = registry.prepare(kernel, device).map(|kernel| KernelPlan {
-                kernel,
-                seconds: HashMap::new(),
-            });
-            self.0.insert(kernel.to_string(), plan);
+        if self.0.len() <= kernel {
+            self.0.resize_with(kernel + 1, || None);
         }
-        self.0.get_mut(kernel).and_then(Option::as_mut)
+        self.0[kernel]
+            .get_or_insert_with(|| {
+                registry.prepare(name, device).map(|kernel| KernelPlan {
+                    kernel,
+                    seconds: Vec::new(),
+                    resident: None,
+                })
+            })
+            .as_mut()
+    }
+
+    /// The plan of a kernel already resolved to one.
+    fn get(&mut self, kernel: usize) -> &mut KernelPlan {
+        self.0[kernel]
+            .as_mut()
+            .and_then(Option::as_mut)
+            .expect("allowed device has a version")
     }
 }
 
@@ -246,30 +274,43 @@ pub struct DeviceSlot {
     lanes: Option<DevLanes>,
     /// Live allocations expiring when their job's d2h completes.
     allocations: Vec<(SimTime, cashmere_devsim::BufferId)>,
-    /// Resident (kernel-shared) buffers already on the device, by kernel.
-    resident: HashMap<String, cashmere_devsim::BufferId>,
     plans: KernelPlans,
     pub jobs_run: u64,
     /// Permanently failed (injected device death); never used again.
     pub dead: bool,
 }
 
+impl DeviceSlot {
+    /// Free every buffer on the device: job allocations and resident data.
+    fn release_buffers(&mut self) {
+        for (_, id) in self.allocations.drain(..) {
+            self.sim.memory.free(id);
+        }
+        for plan in self.plans.0.iter_mut().flatten().flatten() {
+            if let Some(id) = plan.resident.take() {
+                self.sim.memory.free(id);
+            }
+        }
+    }
+}
+
 /// Devices + balancer of one node.
 pub struct NodeDevices {
     pub devices: Vec<DeviceSlot>,
     pub balancer: Balancer,
-    /// Pending completions: (kernel, device, kernel_time, finish_time).
-    pending: Vec<(String, usize, SimTime, SimTime)>,
+    /// Pending completions: (kernel id, device, kernel_time, finish_time).
+    pending: Vec<(usize, usize, SimTime, SimTime)>,
 }
 
 impl NodeDevices {
-    /// Report to the balancer every job that has finished by `now`.
-    fn reap(&mut self, now: SimTime) {
+    /// Report to the balancer every job that has finished by `now`;
+    /// `kernels` names the kernel ids.
+    fn reap(&mut self, now: SimTime, kernels: &[String]) {
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].3 <= now {
                 let (kernel, d, t, _) = self.pending.swap_remove(i);
-                self.balancer.on_complete(&kernel, d, t);
+                self.balancer.on_complete(&kernels[kernel], d, t);
             } else {
                 i += 1;
             }
@@ -284,6 +325,9 @@ pub struct CashmereLeafRuntime {
     pub config: RuntimeConfig,
     /// Balancer decision audit log (populated only when tracing is on).
     pub audit: Vec<AuditEntry>,
+    /// Kernel names by id, in first-sight order. A run launches a few
+    /// kernels, so a name is found by comparison, never hashed.
+    kernels: Vec<String>,
 }
 
 impl CashmereLeafRuntime {
@@ -299,6 +343,9 @@ impl CashmereLeafRuntime {
             if names.is_empty() {
                 return Err("every node needs at least one device".into());
             }
+            if names.len() > MAX_DEVICES {
+                return Err(format!("a node carries at most {MAX_DEVICES} devices"));
+            }
             let mut devices = Vec::new();
             let mut speeds = Vec::new();
             for name in names {
@@ -308,7 +355,6 @@ impl CashmereLeafRuntime {
                     sim,
                     lanes: None,
                     allocations: Vec::new(),
-                    resident: HashMap::new(),
                     plans: KernelPlans::default(),
                     jobs_run: 0,
                     dead: false,
@@ -327,7 +373,19 @@ impl CashmereLeafRuntime {
             nodes,
             config,
             audit: Vec::new(),
+            kernels: Vec::new(),
         })
+    }
+
+    /// The id of kernel `name`, assigned on first sight.
+    fn kernel_id(&mut self, name: &str) -> usize {
+        match self.kernels.iter().position(|k| k == name) {
+            Some(id) => id,
+            None => {
+                self.kernels.push(name.to_string());
+                self.kernels.len() - 1
+            }
+        }
     }
 
     /// Virtually scale the compute speed of every device whose level name
@@ -398,12 +456,7 @@ impl CashmereLeafRuntime {
         let slot = &mut nd.devices[didx];
         slot.dead = true;
         slot.sim.abort_after(at);
-        for (_, id) in slot.allocations.drain(..) {
-            slot.sim.memory.free(id);
-        }
-        for (_, id) in slot.resident.drain() {
-            slot.sim.memory.free(id);
-        }
+        slot.release_buffers();
         nd.pending.retain(|p| p.1 != didx);
         nd.balancer.retire_device(didx);
         report[Counter::DevicesLost] += 1;
@@ -457,6 +510,17 @@ impl CashmereLeafRuntime {
         let launch_retry_penalty = SimTime::from_micros(50);
 
         let mut call = app.kernel_call(job);
+        let kernel = self.kernel_id(&call.kernel);
+        // Devices that actually have an applicable kernel version.
+        let ndev = self.nodes[node].devices.len();
+        let mut kernel_ok = [false; MAX_DEVICES];
+        for (ok, d) in kernel_ok.iter_mut().zip(&mut self.nodes[node].devices) {
+            *ok = d
+                .plans
+                .resolve(&self.registry, &d.sim, kernel, &call.kernel)
+                .is_some();
+        }
+        let kernel_ok = &kernel_ok[..ndev];
         let mut submit_at = submit_at;
         let mut launch_attempts = 0u32;
         loop {
@@ -471,31 +535,20 @@ impl CashmereLeafRuntime {
                     }
                 }
             }
-            nd.reap(submit_at);
-
-            // Devices that actually have an applicable kernel version.
-            let kernel_ok: Vec<bool> = nd
-                .devices
-                .iter_mut()
-                .map(|d| {
-                    d.plans
-                        .resolve(&self.registry, &d.sim, &call.kernel)
-                        .is_some()
-                })
-                .collect();
-            let allowed: Vec<bool> = kernel_ok
-                .iter()
-                .zip(&nd.devices)
-                .map(|(ok, d)| *ok && !d.dead)
-                .collect();
+            nd.reap(submit_at, &self.kernels);
+            let mut allowed = [false; MAX_DEVICES];
+            for ((a, ok), d) in allowed.iter_mut().zip(kernel_ok).zip(&nd.devices) {
+                *a = *ok && !d.dead;
+            }
+            let allowed = &allowed[..ndev];
 
             // Snapshot the candidate table before the choice (the audit log
             // must show what the rule saw, not the post-submit queues).
             let candidates = trace
                 .enabled()
-                .then(|| nd.balancer.explain(&call.kernel, &allowed));
+                .then(|| nd.balancer.explain(&call.kernel, allowed));
 
-            let chosen = nd.balancer.choose_among(&call.kernel, &allowed);
+            let chosen = nd.balancer.choose_among(&call.kernel, allowed);
             let Some(didx) = chosen else {
                 // No device can run this kernel: leafCPU fallback,
                 // serialized on the managing core. Attribute it to faults
@@ -549,6 +602,7 @@ impl CashmereLeafRuntime {
                 app,
                 node,
                 didx,
+                kernel,
                 job,
                 &mut call,
                 submit_at,
@@ -591,6 +645,7 @@ impl CashmereLeafRuntime {
         app: &A,
         node: usize,
         didx: usize,
+        kernel: usize,
         job: &A::Input,
         call: &mut KernelCall,
         submit_at: SimTime,
@@ -616,7 +671,7 @@ impl CashmereLeafRuntime {
             // First job of this kernel on this device uploads the resident
             // data (kept for the rest of the run).
             let resident_needed =
-                if call.resident_bytes > 0 && !slot.resident.contains_key(&call.kernel) {
+                if call.resident_bytes > 0 && slot.plans.get(kernel).resident.is_none() {
                     call.resident_bytes
                 } else {
                     0
@@ -654,7 +709,7 @@ impl CashmereLeafRuntime {
                     .memory
                     .alloc(resident_needed)
                     .expect("checked fit above");
-                slot.resident.insert(call.kernel.clone(), id);
+                slot.plans.get(kernel).resident = Some(id);
                 resident_upload = resident_needed;
             }
         }
@@ -662,14 +717,11 @@ impl CashmereLeafRuntime {
         // Interpret the kernel: fully (functional), or sampled through the
         // slot's plan and the process-wide launch table.
         let slot = &mut nd.devices[didx];
-        let plan = slot
-            .plans
-            .resolve(&self.registry, &slot.sim, &call.kernel)
-            .expect("allowed device has a version");
+        let plan = slot.plans.get(kernel);
         let (args_back, total_s) = if !self.config.functional {
-            let seconds_key = (arg_shape(&call.args), call.extra_scale.to_bits());
-            let total_s = match plan.seconds.get(&seconds_key) {
-                Some(&total_s) => {
+            let scale_bits = call.extra_scale.to_bits();
+            let total_s = match plan.seconds(&call.args, scale_bits) {
+                Some(total_s) => {
                     report[Counter::KernelMemoHits] += 1;
                     total_s
                 }
@@ -692,21 +744,18 @@ impl CashmereLeafRuntime {
                     let total_s =
                         estimate_time(&stats, &slot.sim.params, plan.kernel.launch.config.class)
                             .total_s;
-                    plan.seconds.insert(seconds_key, total_s);
+                    plan.seconds
+                        .push((arg_shape(&call.args), scale_bits, total_s));
                     total_s
                 }
             };
             (None, total_s)
         } else {
-            let ck = self
-                .registry
-                .select(&call.kernel, slot.sim.level)
-                .expect("allowed device has a version");
             let run = slot
                 .sim
                 .run_kernel(
                     self.registry.hierarchy(),
-                    ck,
+                    plan.kernel.checked(),
                     call.args.clone(),
                     ExecMode::Full,
                 )
@@ -813,8 +862,7 @@ impl CashmereLeafRuntime {
                 nd.balancer.queued(didx) as f64,
             );
         }
-        nd.pending
-            .push((call.kernel.clone(), didx, kernel_time, dh_e));
+        nd.pending.push((kernel, didx, kernel_time, dh_e));
 
         // Estimation mode leaves the arguments as they came: the job's
         // output takes them over, since a placed job is never retried.
@@ -881,12 +929,7 @@ impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
         };
         for slot in &mut nd.devices {
             slot.sim.abort_after(at);
-            for (_, id) in slot.allocations.drain(..) {
-                slot.sim.memory.free(id);
-            }
-            for (_, id) in slot.resident.drain() {
-                slot.sim.memory.free(id);
-            }
+            slot.release_buffers();
         }
         nd.pending.clear();
     }
@@ -1067,6 +1110,18 @@ mod tests {
         let mut rt = runtime(&[device]);
         rt.scale_device_speed("*", speed);
         run(&mut rt, job, SimTime::ZERO, &mut RunReport::new(1)).1
+    }
+
+    #[test]
+    fn a_node_holds_at_most_max_devices() {
+        let build = |count: usize| {
+            let spec = vec![vec!["k20".to_string(); count]];
+            let registry = KernelRegistry::new(standard_hierarchy());
+            CashmereLeafRuntime::new(registry, &spec, RuntimeConfig::default()).map(|_| ())
+        };
+        assert_eq!(build(MAX_DEVICES), Ok(()));
+        let err = build(MAX_DEVICES + 1).unwrap_err();
+        assert!(err.contains("at most 64 devices"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * **Slab-backed event arena with inline closures.** Event closures live
 //!   in [`Slot`]s of a `Vec` recycled through a free list, so the slab and
 //!   the heap reach a high-water mark once and are reused for the rest of
-//!   the run. Closures up to 64 bytes (all of the simulator's hot-path
+//!   the run. Closures up to 48 bytes (all of the simulator's hot-path
 //!   events) are stored *inline* in the slot — scheduling and firing an
 //!   event performs no heap allocation at all; larger ones fall back to a
 //!   transparent `Box`. A slot index is stable for the lifetime of its

@@ -20,7 +20,7 @@ use crate::check::CheckedKernel;
 use crate::cost::DeviceClass;
 use crate::exec::{ExecError, ExecOptions, Sampling};
 use crate::stats::KernelStats;
-use crate::value::{ArgValue, Buffer};
+use crate::value::{ArgValue, ArrayArg, Buffer};
 use cashmere_hwdesc::{Hierarchy, LevelId};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -125,18 +125,41 @@ pub fn arg_shape(args: &[ArgValue]) -> Vec<u64> {
             ArgValue::Int(v) => shape.extend([0, *v as u64]),
             ArgValue::Float(v) => shape.extend([1, v.to_bits()]),
             ArgValue::Array(arr) => {
-                let buffer = match arr.data {
-                    Buffer::F(_) => 2,
-                    Buffer::I(_) => 3,
-                    Buffer::PhantomF(_) => 4,
-                    Buffer::PhantomI(_) => 5,
-                };
-                shape.push(buffer | ((arr.rank() as u64) << 8));
+                shape.push(array_head(arr));
                 shape.extend(&arr.dims);
             }
         }
     }
     shape
+}
+
+/// `arg_shape(args) == shape`, decided in place without building the
+/// signature.
+pub fn arg_shape_matches(args: &[ArgValue], shape: &[u64]) -> bool {
+    let mut rest = shape;
+    for a in args {
+        let (head, tail): (u64, &[u64]) = match a {
+            ArgValue::Int(v) => (0, &[*v as u64]),
+            ArgValue::Float(v) => (1, &[v.to_bits()]),
+            ArgValue::Array(arr) => (array_head(arr), &arr.dims),
+        };
+        match rest.split_first() {
+            Some((&h, r)) if h == head && r.starts_with(tail) => rest = &r[tail.len()..],
+            _ => return false,
+        }
+    }
+    rest.is_empty()
+}
+
+/// An array's first signature word: buffer kind and rank.
+fn array_head(arr: &ArrayArg) -> u64 {
+    let buffer = match arr.data {
+        Buffer::F(_) => 2,
+        Buffer::I(_) => 3,
+        Buffer::PhantomF(_) => 4,
+        Buffer::PhantomI(_) => 5,
+    };
+    buffer | ((arr.rank() as u64) << 8)
 }
 
 /// A kernel's MCPL source, hashed once: launch keys hash the stored

@@ -129,15 +129,109 @@ struct JobRec<A: ClusterApp> {
     origin_span: SpanId,
     /// This job's own divide span; parents its children and its combine.
     divide_span: SpanId,
+    /// Deque entries of this job held back by the leaf cap (see
+    /// [`TaskDeque`]); non-zero only while a leaf is queued.
+    capped_entries: u32,
 }
 
+#[derive(Clone, Copy)]
 enum Task {
     Job(usize),
     Combine(usize),
 }
 
+/// One deque entry.
+struct Queued {
+    /// Push order. Every push goes to the back, so the deque is sorted by
+    /// it and a sequence number names an entry while others are removed
+    /// around it.
+    seq: u64,
+    task: Task,
+    /// A job whose input is a leaf: startable only below the leaf cap.
+    /// Equal at all times to "the job's input is `Some` and a leaf": the
+    /// input only ever goes from `Some` to `None`, and
+    /// [`World::drop_input`] clears the flag when it does.
+    capped: bool,
+}
+
+/// A node's task deque, indexed for `tick`: below the leaf cap the node
+/// starts its back entry; at the cap, the backmost entry that is not
+/// `capped`. `eager` holds exactly those entries' sequence numbers, so
+/// neither case scans the deque.
+#[derive(Default)]
+struct TaskDeque {
+    entries: VecDeque<Queued>,
+    next_seq: u64,
+    /// Sequence numbers of the entries startable at the leaf cap
+    /// (combines, non-leaf jobs, stale jobs), ascending.
+    eager: Vec<u64>,
+    /// `Task::Job` entries queued, stale ones included.
+    jobs: usize,
+}
+
+impl TaskDeque {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn push(&mut self, task: Task, capped: bool) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if !capped {
+            self.eager.push(seq);
+        }
+        if matches!(task, Task::Job(_)) {
+            self.jobs += 1;
+        }
+        self.entries.push_back(Queued { seq, task, capped });
+    }
+
+    /// Position of the task to start next, given whether a leaf may start.
+    fn pick(&self, leaf_ok: bool) -> Option<usize> {
+        if leaf_ok {
+            return self.entries.len().checked_sub(1);
+        }
+        let seq = *self.eager.last()?;
+        let idx = self
+            .entries
+            .binary_search_by_key(&seq, |q| q.seq)
+            .expect("indexed entry is queued");
+        Some(idx)
+    }
+
+    fn remove(&mut self, idx: usize) -> Queued {
+        let q = self.entries.remove(idx).expect("index valid");
+        if !q.capped {
+            let at = self
+                .eager
+                .binary_search(&q.seq)
+                .expect("eager entry is indexed");
+            self.eager.remove(at);
+        }
+        if matches!(q.task, Task::Job(_)) {
+            self.jobs -= 1;
+        }
+        q
+    }
+
+    /// Job `j`'s input was dropped: its capped entries become startable.
+    fn uncap(&mut self, j: usize) {
+        for q in &mut self.entries {
+            if q.capped && matches!(q.task, Task::Job(k) if k == j) {
+                q.capped = false;
+                let at = self.eager.binary_search(&q.seq).unwrap_err();
+                self.eager.insert(at, q.seq);
+            }
+        }
+    }
+}
+
 struct NodeState {
-    deque: VecDeque<Task>,
+    deque: TaskDeque,
     busy_cores: usize,
     running_leaves: usize,
     stealing: bool,
@@ -243,9 +337,61 @@ impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
             replay: false,
             origin_span: SpanId::NONE,
             divide_span: SpanId::NONE,
+            capped_entries: 0,
         });
         self.report[Counter::JobsCreated] += 1;
         id
+    }
+
+    /// Queue `task` at the back of node `n`'s deque.
+    fn enqueue(&mut self, n: usize, task: Task) {
+        let capped = match task {
+            Task::Job(j) => {
+                let leaf = self.jobs[j]
+                    .input
+                    .as_ref()
+                    .is_some_and(|i| self.app.is_leaf(i));
+                if leaf {
+                    self.jobs[j].capped_entries += 1;
+                }
+                leaf
+            }
+            Task::Combine(_) => false,
+        };
+        self.nodes[n].deque.push(task, capped);
+    }
+
+    /// Take the entry at `idx` out of node `n`'s deque.
+    fn dequeue(&mut self, n: usize, idx: usize) -> Queued {
+        let q = self.nodes[n].deque.remove(idx);
+        if let (true, Task::Job(j)) = (q.capped, q.task) {
+            self.jobs[j].capped_entries -= 1;
+        }
+        q
+    }
+
+    /// Empty node `n`'s deque (crash, join).
+    fn clear_deque(&mut self, n: usize) {
+        let deque = std::mem::take(&mut self.nodes[n].deque);
+        for q in deque.entries {
+            if let (true, Task::Job(j)) = (q.capped, q.task) {
+                self.jobs[j].capped_entries -= 1;
+            }
+        }
+    }
+
+    /// Drop job `j`'s input. A queued duplicate of the job left behind by a
+    /// crash restart turns stale here, and a stale entry is startable at
+    /// the leaf cap: `start_job` discards it. Rare (it takes a crash), so
+    /// the deques are searched only when the job has capped entries.
+    fn drop_input(&mut self, j: usize) {
+        self.jobs[j].input = None;
+        if self.jobs[j].capped_entries > 0 {
+            self.jobs[j].capped_entries = 0;
+            for node in &mut self.nodes {
+                node.deque.uncap(j);
+            }
+        }
     }
 }
 
@@ -276,7 +422,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
         sim.metrics.set_enabled(cfg.trace);
         let nodes = (0..cfg.nodes)
             .map(|n| NodeState {
-                deque: VecDeque::new(),
+                deque: TaskDeque::default(),
                 busy_cores: 0,
                 running_leaves: 0,
                 stealing: false,
@@ -455,7 +601,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
         let start = self.sim.now();
         let root = self.world.new_job(input, None, 0);
         self.world.root_job = root;
-        self.world.nodes[0].deque.push_back(Task::Job(root));
+        self.world.enqueue(0, Task::Job(root));
         for n in 0..self.world.cfg.nodes {
             schedule_tick(&mut self.world, &mut self.sim, n);
         }
@@ -625,38 +771,19 @@ fn tick<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L>
         return;
     }
     while w.nodes[n].busy_cores < w.cfg.cores_per_node {
-        // Find the most recent task this node may start: combines and
+        // Start the most recent task this node may start: combines and
         // divides always may; leaves only while below the concurrency cap
-        // (blocked leaves stay queued — and stealable). Recomputed every
+        // (blocked leaves stay queued — and stealable). Re-read every
         // round: each started leaf counts immediately.
         let leaf_ok = w.nodes[n].running_leaves < w.cfg.max_concurrent_leaves;
-        let pick = w.nodes[n]
-            .deque
-            .iter()
-            .enumerate()
-            .rev()
-            .find_map(|(i, t)| {
-                let startable = match t {
-                    Task::Combine(_) => true,
-                    Task::Job(j) => {
-                        if leaf_ok {
-                            true
-                        } else {
-                            match &w.jobs[*j].input {
-                                Some(input) => !w.app.is_leaf(input),
-                                None => true,
-                            }
-                        }
-                    }
-                };
-                startable.then_some(i)
-            });
+        let pick = w.nodes[n].deque.pick(leaf_ok);
+        debug_assert_eq!(pick, scan_pick(w, n, leaf_ok), "tick index on node {n}");
         let Some(idx) = pick else {
             break;
         };
-        let task = w.nodes[n].deque.remove(idx).expect("index valid");
-        match task {
-            Task::Job(j) => start_job(w, sim, n, j),
+        let q = w.dequeue(n, idx);
+        match q.task {
+            Task::Job(j) => start_job(w, sim, n, j, q.capped),
             Task::Combine(j) => start_combine(w, sim, n, j),
         }
     }
@@ -669,6 +796,35 @@ fn tick<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L>
     {
         initiate_steal(w, sim, n);
     }
+}
+
+/// The task `tick` would start, found by scanning node `n`'s deque from the
+/// back: the oracle the indexed [`TaskDeque::pick`] must agree with (debug
+/// builds check it on every pick).
+fn scan_pick<A: ClusterApp, L: LeafRuntime<A>>(
+    w: &World<A, L>,
+    n: usize,
+    leaf_ok: bool,
+) -> Option<usize> {
+    let deque = &w.nodes[n].deque;
+    debug_assert_eq!(
+        deque.jobs,
+        deque
+            .entries
+            .iter()
+            .filter(|q| matches!(q.task, Task::Job(_)))
+            .count()
+    );
+    deque.entries.iter().rposition(|q| match q.task {
+        Task::Combine(_) => true,
+        Task::Job(j) => {
+            leaf_ok
+                || match &w.jobs[j].input {
+                    Some(input) => !w.app.is_leaf(input),
+                    None => true,
+                }
+        }
+    })
 }
 
 /// The job's tree path: child indices from the root. Divides are
@@ -731,15 +887,21 @@ fn note_recovery<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, now: Sim
     }
 }
 
+/// Start job `j` on node `n`; `is_leaf` is its deque entry's `capped` flag.
 fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
     sim: &mut S<A, L>,
     n: usize,
     j: usize,
+    is_leaf: bool,
 ) {
     if w.jobs[j].state != JobState::Queued {
         return; // stale (crash reset)
     }
+    debug_assert_eq!(
+        is_leaf,
+        w.jobs[j].input.as_ref().is_some_and(|i| w.app.is_leaf(i))
+    );
     // Reuse-first recovery: before spending a core, probe the global result
     // table. A hit means a crashed subtree's result survived on some node —
     // consume it (exactly once), charge the fetch to the network if it is
@@ -818,7 +980,6 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
     w.nodes[n].steal_failures = 0;
     // Leaves count against the concurrency cap from the moment they grab a
     // core, not when their plan runs (which is a job-overhead later).
-    let is_leaf = w.jobs[j].input.as_ref().is_some_and(|i| w.app.is_leaf(i));
     if is_leaf {
         w.nodes[n].running_leaves += 1;
     }
@@ -1012,7 +1173,7 @@ fn finish_divide<A: ClusterApp, L: LeafRuntime<A>>(
         w.jobs[c].replay = replay;
         w.jobs[c].origin_span = divide_span;
         w.jobs[j].children.push(c);
-        w.nodes[n].deque.push_back(Task::Job(c));
+        w.enqueue(n, Task::Job(c));
     }
     release_core(w, sim, n);
     schedule_tick(w, sim, n);
@@ -1049,7 +1210,7 @@ fn deliver<A: ClusterApp, L: LeafRuntime<A>>(
         return;
     }
     w.jobs[j].state = JobState::Done;
-    w.jobs[j].input = None;
+    w.drop_input(j);
     note_recovery(w, sim.now());
     match w.jobs[j].parent {
         None => {
@@ -1203,7 +1364,7 @@ fn receive_child<A: ClusterApp, L: LeafRuntime<A>>(
     w.jobs[p].pending -= 1;
     if w.jobs[p].pending == 0 {
         let home = w.jobs[p].home_node;
-        w.nodes[home].deque.push_back(Task::Combine(p));
+        w.enqueue(home, Task::Combine(p));
         schedule_tick(w, sim, home);
     }
 }
@@ -1417,12 +1578,12 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
     // home. Stale entries (a crash-restart requeues a job at its home
     // while an old deque entry survives elsewhere; the fresh copy may
     // already have run) are skipped — `start_job` skips them too.
-    let stolen = if w.nodes[victim].alive {
-        let pos = w.nodes[victim].deque.iter().position(|t| {
-            matches!(t, Task::Job(j) if w.jobs[*j].state == JobState::Queued
-                && w.jobs[*j].input.is_some())
+    let stolen = if w.nodes[victim].alive && w.nodes[victim].deque.jobs > 0 {
+        let pos = w.nodes[victim].deque.entries.iter().position(|q| {
+            matches!(q.task, Task::Job(j) if w.jobs[j].state == JobState::Queued
+                && w.jobs[j].input.is_some())
         });
-        pos.and_then(|p| w.nodes[victim].deque.remove(p))
+        pos.map(|p| w.dequeue(victim, p).task)
     } else {
         None
     };
@@ -1495,7 +1656,7 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                                 0
                             };
                             w.jobs[j].exec_node = target;
-                            w.nodes[target].deque.push_back(Task::Job(j));
+                            w.enqueue(target, Task::Job(j));
                             schedule_tick(w, sim, target);
                         },
                     );
@@ -1528,14 +1689,14 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                                 let home = w.jobs[j].home_node;
                                 let target = if w.nodes[home].alive { home } else { 0 };
                                 w.jobs[j].exec_node = target;
-                                w.nodes[target].deque.push_back(Task::Job(j));
+                                w.enqueue(target, Task::Job(j));
                                 w.jobs[j].replay = true;
                                 w.report[Counter::JobsRestarted] += 1;
                                 schedule_tick(w, sim, target);
                                 return;
                             }
                             w.jobs[j].exec_node = thief;
-                            w.nodes[thief].deque.push_back(Task::Job(j));
+                            w.enqueue(thief, Task::Job(j));
                             schedule_tick(w, sim, thief);
                         },
                     );
@@ -1574,10 +1735,7 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
             // Back off only when no node in the cluster has stealable work
             // (the idle tail / drain phase): a random victim simply being
             // empty while others still have jobs keeps the base poll rate.
-            let any_work = w
-                .nodes
-                .iter()
-                .any(|n| n.alive && n.deque.iter().any(|t| matches!(t, Task::Job(_))));
+            let any_work = w.nodes.iter().any(|n| n.alive && n.deque.jobs > 0);
             if any_work {
                 w.nodes[thief].steal_failures = 0;
             } else {
@@ -1610,7 +1768,7 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L
         return;
     }
     w.nodes[n].alive = false;
-    w.nodes[n].deque.clear();
+    w.clear_deque(n);
     w.nodes[n].busy_cores = 0;
     w.nodes[n].running_leaves = 0;
     note_busy_cores(w, sim, n);
@@ -1728,7 +1886,7 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L
             stack.extend(w.jobs[c].children.iter().copied());
             w.jobs[c].state = JobState::Lost;
             w.jobs[c].generation += 1;
-            w.jobs[c].input = None;
+            w.drop_input(c);
         }
         let home = w.jobs[r].home_node;
         debug_assert!(
@@ -1746,7 +1904,7 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L
         if !w.recovery_outstanding.contains(&r) {
             w.recovery_outstanding.push(r);
         }
-        w.nodes[home].deque.push_back(Task::Job(r));
+        w.enqueue(home, Task::Job(r));
         schedule_tick(w, sim, home);
     }
     if crashed_any_root {
@@ -1774,7 +1932,7 @@ fn join<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L>
         return;
     }
     w.nodes[n].alive = true;
-    w.nodes[n].deque.clear();
+    w.clear_deque(n);
     w.nodes[n].busy_cores = 0;
     w.nodes[n].running_leaves = 0;
     w.nodes[n].stealing = false;

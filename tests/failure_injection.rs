@@ -305,6 +305,56 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Crashes under a Cashmere-style leaf cap. Blocked leaves wait in the
+    /// deques, including leaves just stolen by a node already at the cap;
+    /// a crash of the leaves' home turns such waiting entries stale, and a
+    /// node at the cap must still start (and so discard) them. The answer
+    /// stays exact, and debug builds check every pick of the engine's
+    /// startable-task index against a full deque scan.
+    #[test]
+    fn crashes_under_the_leaf_cap_preserve_the_answer(
+        nodes in 3usize..6,
+        cap in 1usize..3,
+        crash_a in 1usize..6,
+        crash_a_ms in 1u64..30,
+        crash_b in 1usize..6,
+        crash_b_ms in 1u64..30,
+        rejoin in 0usize..2,
+        seed in 0u64..200,
+    ) {
+        let mut plan = FaultPlan::default();
+        let a = 1 + crash_a % (nodes - 1);
+        let b = 1 + crash_b % (nodes - 1);
+        plan.node_crashes.push(NodeCrash { node: a, at: SimTime::from_millis(crash_a_ms) });
+        if b != a {
+            plan.node_crashes.push(NodeCrash { node: b, at: SimTime::from_millis(crash_b_ms) });
+        }
+        if rejoin == 1 {
+            let at = SimTime::from_millis(crash_a_ms + 3);
+            plan.node_joins.push(NodeJoin { node: a, at });
+        }
+        prop_assert!(plan.validate(nodes).is_ok());
+        let total = 60_000u64;
+        let mut cs = ClusterSim::new(
+            SumApp { grain: 1_000 },
+            leaf(),
+            SimConfig {
+                nodes,
+                cores_per_node: 4,
+                max_concurrent_leaves: cap,
+                seed,
+                faults: plan,
+                ..SimConfig::default()
+            },
+        );
+        let out = cs.run_root((0, total));
+        prop_assert_eq!(out, total * (total - 1) / 2);
+    }
+}
+
 /// A fixed chaos-style plan — two crashes, one rejoin, a lossy window —
 /// replays byte-for-byte, and this seed actually exercises the orphan
 /// table (harvested and reused results both non-zero).

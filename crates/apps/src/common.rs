@@ -88,26 +88,6 @@ impl CpuLeafModel {
     }
 }
 
-/// One point of a scalability study (Figs. 7–14).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RunResult {
-    pub nodes: usize,
-    /// Virtual wall time of the measured computation.
-    pub makespan: SimTime,
-    /// Application GFLOPS = algorithmic flops / makespan.
-    pub gflops: f64,
-    pub kernels_run: u64,
-    pub cpu_fallbacks: u64,
-    pub steals_ok: u64,
-    pub bytes_network: u64,
-}
-
-impl RunResult {
-    pub fn speedup_over(&self, base: &RunResult) -> f64 {
-        base.makespan.as_secs_f64() / self.makespan.as_secs_f64()
-    }
-}
-
 /// Split `[0, total)` into `parts` near-equal contiguous chunks.
 pub fn split_range(lo: u64, hi: u64, parts: u64) -> Vec<(u64, u64)> {
     assert!(hi >= lo && parts > 0);

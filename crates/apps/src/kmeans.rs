@@ -18,7 +18,7 @@ use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::ElemTy;
-use cashmere_satin::{ClusterApp, CpuLeafRuntime, DcStep};
+use cashmere_satin::{ClusterApp, DcStep};
 use std::sync::{Arc, RwLock};
 
 /// Unoptimized assignment kernel.
@@ -343,18 +343,6 @@ impl KmeansApp {
         KmOut { sums, counts }
     }
 
-    /// Satin (CPU-only) leaf runtime.
-    #[allow(clippy::type_complexity)]
-    pub fn satin_runtime(
-        self: &Arc<Self>,
-    ) -> CpuLeafRuntime<impl FnMut(usize, &(u64, u64), SimTime) -> (SimTime, KmOut)> {
-        let app = Arc::clone(self);
-        CpuLeafRuntime(move |_node, &(lo, hi): &(u64, u64), _now| {
-            let t = app.cpu_model.time(app.problem.job_flops(hi - lo));
-            (t, app.cpu_assign(lo, hi))
-        })
-    }
-
     /// Update centroids from an iteration's global sums (Real mode);
     /// returns the movement (max centroid displacement).
     pub fn update_centroids(&self, out: &KmOut) -> f64 {
@@ -396,6 +384,11 @@ impl ClusterApp for KmeansApp {
             Some(ch) => DcStep::Divide(ch),
             None => DcStep::Leaf,
         }
+    }
+
+    fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, KmOut) {
+        let t = self.cpu_model.time(self.problem.job_flops(hi - lo));
+        (t, self.cpu_assign(lo, hi))
     }
 
     fn combine(&self, _i: &(u64, u64), children: Vec<KmOut>) -> KmOut {
@@ -485,11 +478,6 @@ impl CashmereApp for KmeansApp {
             },
         }
     }
-
-    fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, KmOut) {
-        let t = self.cpu_model.time(self.problem.job_flops(hi - lo));
-        (t, self.cpu_assign(lo, hi))
-    }
 }
 
 /// Run the full iterative algorithm on a built cluster; returns the final
@@ -526,7 +514,7 @@ where
 mod tests {
     use super::*;
     use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
-    use cashmere_satin::{ClusterSim, Counter, SimConfig};
+    use cashmere_satin::{ClusterSim, Counter, CpuLeafRuntime, SimConfig};
 
     fn small_problem() -> KmeansProblem {
         KmeansProblem {
@@ -659,23 +647,11 @@ mod tests {
             d: 4,
             iterations: 1,
         };
-        let app = Arc::new(KmeansApp::real(pr, 256, 1, 5));
+        let app = KmeansApp::real(pr, 256, 1, 5);
         let reference = app.cpu_assign(0, pr.n);
-        let rt = app.satin_runtime();
-        // The Arc<KmeansApp> cannot be moved into ClusterSim directly; build
-        // a second identical app sharing the same points/centroids.
-        let app2 = KmeansApp {
-            problem: pr,
-            mode: AppMode::Real,
-            node_grain_pts: 256,
-            device_jobs: 1,
-            cpu_model: CpuLeafModel::MODERATE,
-            points: app.points.clone(),
-            centroids: Arc::clone(&app.centroids),
-        };
         let mut cluster = ClusterSim::new(
-            app2,
-            rt,
+            app,
+            CpuLeafRuntime,
             SimConfig {
                 nodes: 3,
                 ..SimConfig::default()

@@ -12,8 +12,9 @@
 //!
 //! Every application provides: MCPL kernels (unoptimized `perfect` version
 //! plus optimized lower-level versions), a divide-and-conquer driver
-//! implementing [`cashmere_satin::ClusterApp`] + [`cashmere::CashmereApp`],
-//! a CPU reference for correctness, a Satin-only leaf runtime, and
+//! implementing [`cashmere_satin::ClusterApp`] (whose `leaf_cpu` is the
+//! sequential leaf that plain Satin runs and Cashmere falls back to) +
+//! [`cashmere::CashmereApp`], a CPU reference for correctness, and
 //! phantom-mode calibration for paper-scale measurement.
 
 pub mod common;
@@ -22,4 +23,4 @@ pub mod matmul;
 pub mod nbody;
 pub mod raytracer;
 
-pub use common::{AppMode, CpuLeafModel, KernelSet, RunResult};
+pub use common::{AppMode, CpuLeafModel, KernelSet};

@@ -22,7 +22,7 @@ use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::ElemTy;
-use cashmere_satin::{ClusterApp, CpuLeafRuntime, DcStep};
+use cashmere_satin::{ClusterApp, DcStep};
 use std::sync::Arc;
 
 /// The paper's Fig. 3 kernel, verbatim (modulo whitespace).
@@ -347,54 +347,6 @@ impl MatmulApp {
             c1: self.problem.m,
         }
     }
-
-    fn cpu_compute(&self, job: &MatJob) -> (SimTime, Vec<Seg>) {
-        let t = self
-            .cpu_model
-            .time(self.problem.block_flops(job.rows(), job.cols()));
-        let data = match (&self.mode, &self.data) {
-            (AppMode::Real, Some(d)) => Some(d.reference_block(&self.problem, job)),
-            _ => None,
-        };
-        (
-            t,
-            vec![Seg {
-                row0: job.r0,
-                rows: job.rows(),
-                col0: job.c0,
-                cols: job.cols(),
-                data,
-            }],
-        )
-    }
-
-    /// A Satin (CPU-only) leaf runtime for the same division structure.
-    #[allow(clippy::type_complexity)]
-    pub fn satin_runtime(
-        &self,
-    ) -> CpuLeafRuntime<impl FnMut(usize, &MatJob, SimTime) -> (SimTime, Vec<Seg>)> {
-        let problem = self.problem;
-        let mode = self.mode;
-        let data = self.data.clone();
-        let cpu = self.cpu_model;
-        CpuLeafRuntime(move |_node, job: &MatJob, _now| {
-            let t = cpu.time(problem.block_flops(job.rows(), job.cols()));
-            let seg_data = match (&mode, &data) {
-                (AppMode::Real, Some(d)) => Some(d.reference_block(&problem, job)),
-                _ => None,
-            };
-            (
-                t,
-                vec![Seg {
-                    row0: job.r0,
-                    rows: job.rows(),
-                    col0: job.c0,
-                    cols: job.cols(),
-                    data: seg_data,
-                }],
-            )
-        })
-    }
 }
 
 impl ClusterApp for MatmulApp {
@@ -414,6 +366,26 @@ impl ClusterApp for MatmulApp {
             ),
             None => DcStep::Leaf,
         }
+    }
+
+    fn leaf_cpu(&self, job: &MatJob) -> (SimTime, Vec<Seg>) {
+        let t = self
+            .cpu_model
+            .time(self.problem.block_flops(job.rows(), job.cols()));
+        let data = match (&self.mode, &self.data) {
+            (AppMode::Real, Some(d)) => Some(d.reference_block(&self.problem, job)),
+            _ => None,
+        };
+        (
+            t,
+            vec![Seg {
+                row0: job.r0,
+                rows: job.rows(),
+                col0: job.c0,
+                cols: job.cols(),
+                data,
+            }],
+        )
     }
 
     fn combine(&self, _i: &MatJob, children: Vec<Vec<Seg>>) -> Vec<Seg> {
@@ -502,17 +474,13 @@ impl CashmereApp for MatmulApp {
             data,
         }]
     }
-
-    fn leaf_cpu(&self, job: &MatJob) -> (SimTime, Vec<Seg>) {
-        self.cpu_compute(job)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
-    use cashmere_satin::{ClusterSim, Counter, SimConfig};
+    use cashmere_satin::{ClusterSim, Counter, CpuLeafRuntime, SimConfig};
 
     fn check_against(reference: &[f64], got: &[f64]) {
         assert_eq!(got.len(), reference.len());
@@ -622,10 +590,9 @@ mod tests {
         let app = MatmulApp::real(pr, 8, 1, 5);
         let root = app.row_job(0, pr.n);
         let reference = app.data_ref().unwrap().reference_rows(&pr, 0, pr.n);
-        let rt = app.satin_runtime();
         let mut cluster = ClusterSim::new(
             app,
-            rt,
+            CpuLeafRuntime,
             SimConfig {
                 nodes: 2,
                 ..SimConfig::default()

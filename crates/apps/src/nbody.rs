@@ -19,7 +19,7 @@ use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::ElemTy;
-use cashmere_satin::{ClusterApp, CpuLeafRuntime, DcStep};
+use cashmere_satin::{ClusterApp, DcStep};
 use std::sync::{Arc, RwLock};
 
 /// Softening factor keeping close encounters finite.
@@ -351,8 +351,20 @@ impl NbodyApp {
     fn n_cal(&self) -> u64 {
         self.problem.n.min(2048)
     }
+}
 
-    fn cpu_leaf_impl(&self, lo: u64, hi: u64) -> (SimTime, Vec<NbSeg>) {
+impl ClusterApp for NbodyApp {
+    type Input = (u64, u64);
+    type Output = Vec<NbSeg>;
+
+    fn step(&self, &(lo, hi): &(u64, u64)) -> DcStep<(u64, u64)> {
+        match binary_divide(lo, hi, self.node_grain_bodies) {
+            Some(ch) => DcStep::Divide(ch),
+            None => DcStep::Leaf,
+        }
+    }
+
+    fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, Vec<NbSeg>) {
         let t = self.cpu_model.time(self.problem.job_flops(hi - lo));
         let (pos, vel) = match self.mode {
             AppMode::Real => {
@@ -371,43 +383,6 @@ impl NbodyApp {
                 vel,
             }],
         )
-    }
-
-    /// Satin (CPU-only) leaf runtime.
-    #[allow(clippy::type_complexity)]
-    pub fn satin_runtime(
-        self: &Arc<Self>,
-    ) -> CpuLeafRuntime<impl FnMut(usize, &(u64, u64), SimTime) -> (SimTime, Vec<NbSeg>)> {
-        let app = Arc::clone(self);
-        CpuLeafRuntime(move |_node, &(lo, hi): &(u64, u64), _now| app.cpu_leaf_impl(lo, hi))
-    }
-
-    /// Apply an iteration's outputs to the shared state.
-    pub fn apply_segments(&self, segs: &[NbSeg]) {
-        if self.mode != AppMode::Real {
-            return;
-        }
-        let mut st = self.state.write().expect("state lock");
-        for s in segs {
-            let (Some(p), Some(v)) = (&s.pos, &s.vel) else {
-                continue;
-            };
-            let at = (s.b0 * 4) as usize;
-            st.pos[at..at + p.len()].copy_from_slice(p);
-            st.vel[at..at + v.len()].copy_from_slice(v);
-        }
-    }
-}
-
-impl ClusterApp for NbodyApp {
-    type Input = (u64, u64);
-    type Output = Vec<NbSeg>;
-
-    fn step(&self, &(lo, hi): &(u64, u64)) -> DcStep<(u64, u64)> {
-        match binary_divide(lo, hi, self.node_grain_bodies) {
-            Some(ch) => DcStep::Divide(ch),
-            None => DcStep::Leaf,
-        }
     }
 
     fn combine(&self, _i: &(u64, u64), children: Vec<Vec<NbSeg>>) -> Vec<NbSeg> {
@@ -495,10 +470,6 @@ impl CashmereApp for NbodyApp {
             vel,
         }]
     }
-
-    fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, Vec<NbSeg>) {
-        self.cpu_leaf_impl(lo, hi)
-    }
 }
 
 /// Run the full iterative simulation: compute, apply, broadcast positions.
@@ -525,7 +496,7 @@ where
 mod tests {
     use super::*;
     use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
-    use cashmere_satin::{ClusterSim, Counter, SimConfig};
+    use cashmere_satin::{ClusterSim, Counter, CpuLeafRuntime, SimConfig};
 
     fn assemble(segs: &[NbSeg]) -> (Vec<f64>, Vec<f64>) {
         let mut pos = Vec::new();
@@ -688,20 +659,11 @@ mod tests {
             iterations: 1,
             dt: 0.01,
         };
-        let app = Arc::new(NbodyApp::real(pr, 50, 1, 2));
+        let app = NbodyApp::real(pr, 50, 1, 2);
         let (rp, _) = app.state.read().unwrap().reference_step(0, pr.n, pr.dt);
-        let rt = app.satin_runtime();
-        let app2 = NbodyApp {
-            problem: pr,
-            mode: AppMode::Real,
-            node_grain_bodies: 50,
-            device_jobs: 1,
-            cpu_model: CpuLeafModel::REGULAR,
-            state: Arc::clone(&app.state),
-        };
         let mut cluster = ClusterSim::new(
-            app2,
-            rt,
+            app,
+            CpuLeafRuntime,
             SimConfig {
                 nodes: 2,
                 ..SimConfig::default()

@@ -19,7 +19,7 @@ use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::ElemTy;
-use cashmere_satin::{ClusterApp, CpuLeafRuntime, DcStep};
+use cashmere_satin::{ClusterApp, DcStep};
 use std::sync::Arc;
 
 /// Maximum path depth.
@@ -605,8 +605,20 @@ impl RaytracerApp {
         }
         out
     }
+}
 
-    fn cpu_leaf_impl(&self, lo: u64, hi: u64) -> (SimTime, Vec<RtSeg>) {
+impl ClusterApp for RaytracerApp {
+    type Input = (u64, u64);
+    type Output = Vec<RtSeg>;
+
+    fn step(&self, &(lo, hi): &(u64, u64)) -> DcStep<(u64, u64)> {
+        match binary_divide(lo, hi, self.node_grain_pixels) {
+            Some(ch) => DcStep::Divide(ch),
+            None => DcStep::Leaf,
+        }
+    }
+
+    fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, Vec<RtSeg>) {
         let t = self.cpu_model.time(self.problem.job_flops(hi - lo));
         let rgb = match self.mode {
             AppMode::Real => Some(self.cpu_trace(lo, hi - lo)),
@@ -620,27 +632,6 @@ impl RaytracerApp {
                 rgb,
             }],
         )
-    }
-
-    /// Satin (CPU-only) leaf runtime.
-    #[allow(clippy::type_complexity)]
-    pub fn satin_runtime(
-        self: &Arc<Self>,
-    ) -> CpuLeafRuntime<impl FnMut(usize, &(u64, u64), SimTime) -> (SimTime, Vec<RtSeg>)> {
-        let app = Arc::clone(self);
-        CpuLeafRuntime(move |_node, &(lo, hi): &(u64, u64), _now| app.cpu_leaf_impl(lo, hi))
-    }
-}
-
-impl ClusterApp for RaytracerApp {
-    type Input = (u64, u64);
-    type Output = Vec<RtSeg>;
-
-    fn step(&self, &(lo, hi): &(u64, u64)) -> DcStep<(u64, u64)> {
-        match binary_divide(lo, hi, self.node_grain_pixels) {
-            Some(ch) => DcStep::Divide(ch),
-            None => DcStep::Leaf,
-        }
     }
 
     fn combine(&self, _i: &(u64, u64), children: Vec<Vec<RtSeg>>) -> Vec<RtSeg> {
@@ -713,10 +704,6 @@ impl CashmereApp for RaytracerApp {
             count: hi - lo,
             rgb,
         }]
-    }
-
-    fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, Vec<RtSeg>) {
-        self.cpu_leaf_impl(lo, hi)
     }
 }
 

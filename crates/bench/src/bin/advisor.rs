@@ -37,23 +37,11 @@
 //! byte-identical at any `--jobs`.
 
 use cashmere::ClusterSpec;
+use cashmere_bench::cli::fail;
 use cashmere_bench::{
-    advise, cli, report_run, run_scenario, write_json, write_report, AdvisorFull, AppId,
-    PerturbSet, Scenario, Series,
+    advise, cli, hetero_cluster, report_run, run_scenario, write_json, write_report, AdvisorFull,
+    AppId, PerturbSet, Scenario, Series,
 };
-
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-fn hetero_spec(app: AppId) -> ClusterSpec {
-    match app {
-        AppId::Raytracer | AppId::Matmul => ClusterSpec::paper_hetero_small(),
-        AppId::Kmeans => ClusterSpec::paper_hetero_kmeans(),
-        AppId::Nbody => ClusterSpec::paper_hetero_nbody(),
-    }
-}
 
 fn main() {
     let (common, rest) = cli::common_args();
@@ -146,7 +134,7 @@ fn main() {
 
     let (spec, cluster, cfg_slug) = if hetero {
         (
-            hetero_spec(app),
+            hetero_cluster(app),
             "hetero (Table III)".to_string(),
             "hetero".to_string(),
         )

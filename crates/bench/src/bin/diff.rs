@@ -32,14 +32,10 @@
 //! own provenance is exactly zero — and any nonzero diff is a real change,
 //! not noise.
 
+use cashmere_bench::cli::fail;
 use cashmere_bench::{cli, fingerprint, run_scenario, sweep, write_file, PerturbSet, Scenario};
 use cashmere_des::obs::{RunDiff, RunFingerprint};
 use cashmere_des::SimTime;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
 
 /// Load one diff input: a report artifact (its embedded provenance
 /// scenario) or a bare scenario spec.

@@ -14,7 +14,8 @@
 
 use cashmere::ClusterSpec;
 use cashmere_bench::{
-    cli, report_run, write_report, AppId, CommonArgs, Scenario, ScenarioRun, Series, Table,
+    cli, hetero_cluster, report_run, write_report, AppId, CommonArgs, Scenario, ScenarioRun,
+    Series, Table,
 };
 use serde::Serialize;
 
@@ -29,20 +30,12 @@ struct HeteroRow {
 }
 
 fn config_for(app: AppId) -> (ClusterSpec, &'static str) {
-    match app {
-        AppId::Raytracer | AppId::Matmul => (
-            ClusterSpec::paper_hetero_small(),
-            "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970",
-        ),
-        AppId::Kmeans => (
-            ClusterSpec::paper_hetero_kmeans(),
-            "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970, 7 k20, 1 xeon_phi",
-        ),
-        AppId::Nbody => (
-            ClusterSpec::paper_hetero_nbody(),
-            "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970, 7 k20, 2 xeon_phi",
-        ),
-    }
+    let desc = match app {
+        AppId::Raytracer | AppId::Matmul => "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970",
+        AppId::Kmeans => "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970, 7 k20, 1 xeon_phi",
+        AppId::Nbody => "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970, 7 k20, 2 xeon_phi",
+    };
+    (hetero_cluster(app), desc)
 }
 
 /// The distinct node compositions of `spec`, in first-seen order.

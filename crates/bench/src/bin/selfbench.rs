@@ -478,11 +478,7 @@ fn most_moved_subsystem(
 }
 
 fn bench_path() -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p.push("BENCH_sim.json");
-    p
+    cli::workspace_path("BENCH_sim.json")
 }
 
 fn main() {

@@ -36,10 +36,10 @@
 //! predicted win on the table, which is exactly what the section shows.
 
 use cashmere::balancer::Policy;
+use cashmere_bench::cli::fail;
 use cashmere_bench::{advise, cli, run_scenario, sweep, write_report, PerturbSet, Scenario, Table};
 use cashmere_satin::StealKind;
 use serde::Serialize;
-use std::path::PathBuf;
 
 #[derive(Serialize)]
 struct MatrixRow {
@@ -80,20 +80,6 @@ struct AdvisorClose {
 struct TournamentData {
     matrix: Vec<MatrixRow>,
     advisor: Option<AdvisorClose>,
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-/// `bench/scenarios/<file>` relative to the workspace root.
-fn catalog_path(file: &str) -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop(); // crates/
-    dir.pop(); // workspace root
-    dir.push("bench/scenarios");
-    dir.join(file)
 }
 
 fn parse_list<T: Copy>(
@@ -165,7 +151,12 @@ fn main() {
             "hetero_table3.json",
             "chaos_rejoin.json",
         ] {
-            files.push(catalog_path(f).to_string_lossy().into_owned());
+            files.push(
+                cli::workspace_path("bench/scenarios")
+                    .join(f)
+                    .to_string_lossy()
+                    .into_owned(),
+            );
         }
     }
     let catalog: Vec<Scenario> = files

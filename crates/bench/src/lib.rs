@@ -28,7 +28,9 @@ pub use obs::{
     write_self_profile, ObsArgs, ObsCapture, SelfProfileReport, SubsystemShare,
 };
 pub use output::{write_file, write_json, write_report, Table};
-pub use runners::{kernel_gflops, AppId, Fig6Launch, RecoverySummary, RunOutcome, Series};
+pub use runners::{
+    hetero_cluster, kernel_gflops, AppId, Fig6Launch, RecoverySummary, RunOutcome, Series,
+};
 pub use scenario::cli::{self, load_fault_plan, CommonArgs};
 pub use scenario::{run_scenario, PolicySpec, Problem, Scenario, ScenarioReport, ScenarioRun};
 pub use sweep::{default_jobs, jobs_from_args, sweep};

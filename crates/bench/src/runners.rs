@@ -10,7 +10,7 @@
 //! job creation because it needs to create 8 times more jobs to keep one
 //! node busy" (Sec. V-B).
 
-use cashmere::{KernelCall, KernelRegistry};
+use cashmere::{ClusterSpec, KernelCall, KernelRegistry};
 use cashmere_apps::kmeans::{KmeansApp, KmeansProblem};
 use cashmere_apps::matmul::{MatmulApp, MatmulProblem};
 use cashmere_apps::nbody::{NbodyApp, NbodyProblem};
@@ -179,6 +179,15 @@ pub struct RunOutcome {
     pub failure_summary: Option<String>,
     /// Recovery-cost counters; present only alongside `failure_summary`.
     pub recovery: Option<RecoverySummary>,
+}
+
+/// The application's Table III heterogeneous cluster.
+pub fn hetero_cluster(app: AppId) -> ClusterSpec {
+    match app {
+        AppId::Raytracer | AppId::Matmul => ClusterSpec::paper_hetero_small(),
+        AppId::Kmeans => ClusterSpec::paper_hetero_kmeans(),
+        AppId::Nbody => ClusterSpec::paper_hetero_nbody(),
+    }
 }
 
 /// Node-level grain at paper scale. The light-communication applications

@@ -183,13 +183,17 @@ pub fn dump_scenarios(scenarios: &[Scenario]) {
     print!("{s}");
 }
 
-/// `bench/out/<file>` relative to the workspace root.
-pub fn out_path(file: &str) -> PathBuf {
+/// `rel` relative to the workspace root.
+pub fn workspace_path(rel: &str) -> PathBuf {
     let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     dir.pop(); // crates/
     dir.pop(); // workspace root
-    dir.push("bench/out");
-    dir.join(file)
+    dir.join(rel)
+}
+
+/// `bench/out/<file>` relative to the workspace root.
+pub fn out_path(file: &str) -> PathBuf {
+    workspace_path("bench/out").join(file)
 }
 
 /// Handle `--scenario file.json`: load, override with the CLI flags,

@@ -32,22 +32,23 @@ use crate::advisor::PerturbSet;
 use crate::obs::ObsCapture;
 use crate::runners::{kernel_set, node_grain, AppId, RecoverySummary, RunOutcome, Series};
 use cashmere::balancer::Policy;
-use cashmere::{build_cluster, AuditEntry, ClusterSpec, RuntimeConfig};
+use cashmere::{
+    build_cluster, AuditEntry, CashmereApp, ClusterSpec, KernelRegistry, RuntimeConfig,
+};
 use cashmere_apps::kmeans::{self, KmeansApp, KmeansProblem};
 use cashmere_apps::matmul::{MatmulApp, MatmulProblem};
 use cashmere_apps::nbody::{self, NbodyApp, NbodyProblem};
 use cashmere_apps::raytracer::{RaytracerApp, RaytracerProblem};
-use cashmere_apps::AppMode;
+use cashmere_apps::{AppMode, KernelSet};
 use cashmere_des::fault::FaultPlan;
 use cashmere_des::obs::{prof, PerturbTarget};
 use cashmere_des::SimTime;
 use cashmere_hwdesc::DeviceKind;
 use cashmere_netsim::NetConfig;
 use cashmere_satin::{
-    ClusterApp, ClusterSim, Counter, LeafRuntime, RunReport, SimConfig, StealKind,
+    ClusterApp, ClusterSim, Counter, CpuLeafRuntime, LeafRuntime, RunReport, SimConfig, StealKind,
 };
 use serde::{Content, DeError, Deserialize, Serialize};
-use std::sync::Arc;
 
 // The offline serde shim's derive supports no `#[serde(...)]` attributes,
 // so the JSON forms below (internally-tagged `Problem`, defaulted fields,
@@ -1030,16 +1031,17 @@ fn failures_of(r: &RunReport) -> (Option<String>, Option<RecoverySummary>) {
 }
 
 /// Clone the observability exports (span trace, metrics, audit log, run
-/// report, probe series) out of a finished run, when observing.
+/// report, probe series) out of a finished run, when observing. `audit`
+/// reads the placement audit log off the leaf runtime.
 fn capture_of<A: ClusterApp, L: LeafRuntime<A>>(
     on: bool,
     cs: &ClusterSim<A, L>,
-    audit: Vec<AuditEntry>,
+    audit: fn(&L) -> Vec<AuditEntry>,
 ) -> Option<ObsCapture> {
     on.then(|| ObsCapture {
         trace: cs.trace().clone(),
         metrics: cs.metrics().clone(),
-        audit,
+        audit: audit(cs.leaf_runtime()),
         report: cs.report().clone(),
         probes: cs.probe_series().cloned(),
         // Finalize against the run end, not just the last recorded span:
@@ -1049,6 +1051,216 @@ fn capture_of<A: ClusterApp, L: LeafRuntime<A>>(
     })
 }
 
+/// What the scenario driver knows of one application: the problem a
+/// scenario resolves to, the phantom-mode app, its kernels, its flop count
+/// and how a built cluster runs the measured computation. One impl per
+/// app, dispatched statically; `measure` is generic over the leaf runtime,
+/// so the Satin and Cashmere clusters are driven by the same code.
+trait ScenarioApp: CashmereApp + Sized {
+    type Problem: Copy;
+
+    /// The explicit problem of `p`, or the paper-scale one.
+    fn resolve(p: Problem) -> Self::Problem;
+
+    /// The phantom-mode app at node grain `grain`, expanding each
+    /// node-level leaf into `device_jobs` device jobs.
+    fn build(pr: Self::Problem, grain: u64, device_jobs: u64) -> Self;
+
+    fn kernels(set: KernelSet) -> KernelRegistry;
+
+    fn flops(pr: &Self::Problem) -> f64;
+
+    /// Run the measured computation; returns its virtual seconds.
+    fn measure<L: LeafRuntime<Self>>(cs: &mut ClusterSim<Self, L>, pr: &Self::Problem) -> f64;
+}
+
+impl ScenarioApp for RaytracerApp {
+    type Problem = RaytracerProblem;
+
+    fn resolve(p: Problem) -> RaytracerProblem {
+        match p {
+            Problem::Raytracer {
+                width,
+                height,
+                samples,
+            } => RaytracerProblem {
+                width,
+                height,
+                samples,
+                seed: 1,
+            },
+            _ => RaytracerProblem::paper(),
+        }
+    }
+
+    fn build(pr: RaytracerProblem, grain: u64, device_jobs: u64) -> Self {
+        RaytracerApp::new(pr, AppMode::Phantom, grain, device_jobs)
+    }
+
+    fn kernels(set: KernelSet) -> KernelRegistry {
+        RaytracerApp::registry(set)
+    }
+
+    fn flops(pr: &RaytracerProblem) -> f64 {
+        pr.flops()
+    }
+
+    fn measure<L: LeafRuntime<Self>>(cs: &mut ClusterSim<Self, L>, pr: &RaytracerProblem) -> f64 {
+        let _ = cs.run_root((0, pr.pixels()));
+        cs.report().makespan.as_secs_f64()
+    }
+}
+
+impl ScenarioApp for MatmulApp {
+    type Problem = MatmulProblem;
+
+    fn resolve(p: Problem) -> MatmulProblem {
+        match p {
+            Problem::Matmul { n, m, p } => MatmulProblem { n, m, p },
+            _ => MatmulProblem::paper(),
+        }
+    }
+
+    fn build(pr: MatmulProblem, grain: u64, device_jobs: u64) -> Self {
+        MatmulApp::phantom(pr, grain, device_jobs)
+    }
+
+    fn kernels(set: KernelSet) -> KernelRegistry {
+        MatmulApp::registry(set)
+    }
+
+    fn flops(pr: &MatmulProblem) -> f64 {
+        pr.flops()
+    }
+
+    fn measure<L: LeafRuntime<Self>>(cs: &mut ClusterSim<Self, L>, pr: &MatmulProblem) -> f64 {
+        // Strong scaling includes distributing B to every node — the
+        // O(n²) traffic that makes matmul communication-heavy.
+        let start = cs.now();
+        cs.broadcast(pr.p * pr.m * 4);
+        let bcast = (cs.now() - start).as_secs_f64();
+        let root = cs.app().row_job(0, pr.n);
+        let _ = cs.run_root(root);
+        bcast + cs.report().makespan.as_secs_f64()
+    }
+}
+
+impl ScenarioApp for KmeansApp {
+    type Problem = KmeansProblem;
+
+    fn resolve(p: Problem) -> KmeansProblem {
+        match p {
+            Problem::Kmeans {
+                n,
+                k,
+                d,
+                iterations,
+            } => KmeansProblem {
+                n,
+                k,
+                d,
+                iterations,
+            },
+            _ => KmeansProblem::paper(),
+        }
+    }
+
+    fn build(pr: KmeansProblem, grain: u64, device_jobs: u64) -> Self {
+        KmeansApp::phantom(pr, grain, device_jobs)
+    }
+
+    fn kernels(set: KernelSet) -> KernelRegistry {
+        KmeansApp::registry(set)
+    }
+
+    fn flops(pr: &KmeansProblem) -> f64 {
+        pr.total_flops()
+    }
+
+    fn measure<L: LeafRuntime<Self>>(cs: &mut ClusterSim<Self, L>, pr: &KmeansProblem) -> f64 {
+        let cents = cs.app().centroids.clone();
+        let (_, elapsed) = kmeans::run_iterations(cs, pr, &cents, false);
+        elapsed.as_secs_f64()
+    }
+}
+
+impl ScenarioApp for NbodyApp {
+    type Problem = NbodyProblem;
+
+    fn resolve(p: Problem) -> NbodyProblem {
+        match p {
+            Problem::Nbody { bodies, iterations } => NbodyProblem {
+                n: bodies,
+                iterations,
+                dt: 0.01,
+            },
+            _ => NbodyProblem::paper(),
+        }
+    }
+
+    fn build(pr: NbodyProblem, grain: u64, device_jobs: u64) -> Self {
+        NbodyApp::phantom(pr, grain, device_jobs)
+    }
+
+    fn kernels(set: KernelSet) -> KernelRegistry {
+        NbodyApp::registry(set)
+    }
+
+    fn flops(pr: &NbodyProblem) -> f64 {
+        pr.total_flops()
+    }
+
+    fn measure<L: LeafRuntime<Self>>(cs: &mut ClusterSim<Self, L>, pr: &NbodyProblem) -> f64 {
+        nbody::run_iterations(cs, pr, |_| {}).as_secs_f64()
+    }
+}
+
+/// Build the scenario's cluster for app `A` — plain Satin on CPU leaves,
+/// or Cashmere with the series' kernels — and run it: the measured
+/// seconds, flops, run report and capture.
+fn run_as<A: ScenarioApp>(sc: &Scenario) -> (f64, f64, RunReport, Option<ObsCapture>) {
+    /// Drive a built cluster and collect its report and capture.
+    fn drive<A: ScenarioApp, L: LeafRuntime<A>>(
+        mut cs: ClusterSim<A, L>,
+        pr: &A::Problem,
+        observe: bool,
+        audit: fn(&L) -> Vec<AuditEntry>,
+    ) -> (f64, RunReport, Option<ObsCapture>) {
+        let makespan_s = A::measure(&mut cs, pr);
+        (
+            makespan_s,
+            cs.report().clone(),
+            capture_of(observe, &cs, audit),
+        )
+    }
+
+    let pr = A::resolve(sc.problem);
+    let spec = sc.cluster();
+    let cfg = sc.sim_config();
+    let (makespan_s, report, cap) = match sc.series {
+        Series::Satin => {
+            // Satin: leaves sized for a single core (8× more jobs per node).
+            let app = A::build(pr, (sc.node_grain() / 8).max(1), 1);
+            let cfg = SimConfig {
+                nodes: spec.nodes(),
+                ..cfg
+            };
+            let cs = ClusterSim::new(app, CpuLeafRuntime, cfg);
+            drive(cs, &pr, sc.observe(), |_| Vec::new())
+        }
+        _ => {
+            let app = A::build(pr, sc.node_grain(), sc.device_jobs);
+            let reg = A::kernels(kernel_set(sc.series));
+            let mut cs = build_cluster(app, reg, &spec, cfg, sc.runtime_config()).unwrap();
+            if let Some(p) = &sc.perturb {
+                p.apply_runtime(cs.leaf_runtime_mut());
+            }
+            drive(cs, &pr, sc.observe(), |rt| rt.audit.clone())
+        }
+    };
+    (makespan_s, A::flops(&pr), report, cap)
+}
+
 /// Run one scenario end to end — the single driver behind every bench bin.
 ///
 /// Deterministic: two calls with equal scenarios produce identical
@@ -1056,233 +1268,18 @@ fn capture_of<A: ClusterApp, L: LeafRuntime<A>>(
 /// provenance block of a report re-runnable byte-for-byte at any `--jobs`.
 pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
     let _prof = prof::scope("scenario::run");
-    let observe = sc.observe();
-    let cfg = sc.sim_config();
-    let rt_cfg = sc.runtime_config();
-    let spec = sc.cluster();
-    let grain = sc.node_grain();
-    // Satin: leaves sized for a single core (8× more jobs per node).
-    let satin_grain = (grain / 8).max(1);
-    let device_jobs = sc.device_jobs;
-    let perturb = sc.perturb.as_ref();
-
-    fn perturb_runtime<A: ClusterApp>(
-        perturb: Option<&PerturbSet>,
-        cs: &mut ClusterSim<A, cashmere::CashmereLeafRuntime>,
-    ) where
-        cashmere::CashmereLeafRuntime: LeafRuntime<A>,
-    {
-        if let Some(p) = perturb {
-            p.apply_runtime(cs.leaf_runtime_mut());
-        }
-    }
-
     let (makespan_s, total_flops, report, cap) = match sc.app {
-        AppId::Raytracer => {
-            let pr = match sc.problem {
-                Problem::Raytracer {
-                    width,
-                    height,
-                    samples,
-                } => RaytracerProblem {
-                    width,
-                    height,
-                    samples,
-                    seed: 1,
-                },
-                _ => RaytracerProblem::paper(),
-            };
-            match sc.series {
-                Series::Satin => {
-                    let a = Arc::new(RaytracerApp::new(pr, AppMode::Phantom, satin_grain, 1));
-                    let rt = a.satin_runtime();
-                    let app2 = RaytracerApp::new(pr, AppMode::Phantom, satin_grain, 1);
-                    let mut cs = ClusterSim::new(
-                        app2,
-                        rt,
-                        SimConfig {
-                            nodes: spec.nodes(),
-                            ..cfg
-                        },
-                    );
-                    let _ = cs.run_root((0, pr.pixels()));
-                    (
-                        cs.report().makespan.as_secs_f64(),
-                        pr.flops(),
-                        cs.report().clone(),
-                        capture_of(observe, &cs, Vec::new()),
-                    )
-                }
-                _ => {
-                    let a = RaytracerApp::new(pr, AppMode::Phantom, grain, device_jobs);
-                    let reg = RaytracerApp::registry(kernel_set(sc.series));
-                    let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
-                    perturb_runtime(perturb, &mut cs);
-                    let _ = cs.run_root((0, pr.pixels()));
-                    (
-                        cs.report().makespan.as_secs_f64(),
-                        pr.flops(),
-                        cs.report().clone(),
-                        capture_of(observe, &cs, cs.leaf_runtime().audit.clone()),
-                    )
-                }
-            }
-        }
-        AppId::Matmul => {
-            let pr = match sc.problem {
-                Problem::Matmul { n, m, p } => MatmulProblem { n, m, p },
-                _ => MatmulProblem::paper(),
-            };
-            match sc.series {
-                Series::Satin => {
-                    let a = MatmulApp::phantom(pr, satin_grain, 1);
-                    let root = a.row_job(0, pr.n);
-                    let rt = a.satin_runtime();
-                    let mut cs = ClusterSim::new(
-                        a,
-                        rt,
-                        SimConfig {
-                            nodes: spec.nodes(),
-                            ..cfg
-                        },
-                    );
-                    // Strong scaling includes distributing B to every node —
-                    // the O(n²) traffic that makes matmul communication-heavy.
-                    let start = cs.now();
-                    cs.broadcast(pr.p * pr.m * 4);
-                    let bcast = (cs.now() - start).as_secs_f64();
-                    let _ = cs.run_root(root);
-                    (
-                        bcast + cs.report().makespan.as_secs_f64(),
-                        pr.flops(),
-                        cs.report().clone(),
-                        capture_of(observe, &cs, Vec::new()),
-                    )
-                }
-                _ => {
-                    let a = MatmulApp::phantom(pr, grain, device_jobs);
-                    let root = a.row_job(0, pr.n);
-                    let reg = MatmulApp::registry(kernel_set(sc.series));
-                    let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
-                    perturb_runtime(perturb, &mut cs);
-                    let start = cs.now();
-                    cs.broadcast(pr.p * pr.m * 4);
-                    let bcast = (cs.now() - start).as_secs_f64();
-                    let _ = cs.run_root(root);
-                    (
-                        bcast + cs.report().makespan.as_secs_f64(),
-                        pr.flops(),
-                        cs.report().clone(),
-                        capture_of(observe, &cs, cs.leaf_runtime().audit.clone()),
-                    )
-                }
-            }
-        }
-        AppId::Kmeans => {
-            let pr = match sc.problem {
-                Problem::Kmeans {
-                    n,
-                    k,
-                    d,
-                    iterations,
-                } => KmeansProblem {
-                    n,
-                    k,
-                    d,
-                    iterations,
-                },
-                _ => KmeansProblem::paper(),
-            };
-            match sc.series {
-                Series::Satin => {
-                    let a = Arc::new(KmeansApp::phantom(pr, satin_grain, 1));
-                    let rt = a.satin_runtime();
-                    let app2 = KmeansApp::phantom(pr, satin_grain, 1);
-                    let cents = app2.centroids.clone();
-                    let mut cs = ClusterSim::new(
-                        app2,
-                        rt,
-                        SimConfig {
-                            nodes: spec.nodes(),
-                            ..cfg
-                        },
-                    );
-                    let (_, elapsed) = kmeans::run_iterations(&mut cs, &pr, &cents, false);
-                    (
-                        elapsed.as_secs_f64(),
-                        pr.total_flops(),
-                        cs.report().clone(),
-                        capture_of(observe, &cs, Vec::new()),
-                    )
-                }
-                _ => {
-                    let a = KmeansApp::phantom(pr, grain, device_jobs);
-                    let cents = a.centroids.clone();
-                    let reg = KmeansApp::registry(kernel_set(sc.series));
-                    let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
-                    perturb_runtime(perturb, &mut cs);
-                    let (_, elapsed) = kmeans::run_iterations(&mut cs, &pr, &cents, false);
-                    (
-                        elapsed.as_secs_f64(),
-                        pr.total_flops(),
-                        cs.report().clone(),
-                        capture_of(observe, &cs, cs.leaf_runtime().audit.clone()),
-                    )
-                }
-            }
-        }
-        AppId::Nbody => {
-            let pr = match sc.problem {
-                Problem::Nbody { bodies, iterations } => NbodyProblem {
-                    n: bodies,
-                    iterations,
-                    dt: 0.01,
-                },
-                _ => NbodyProblem::paper(),
-            };
-            match sc.series {
-                Series::Satin => {
-                    let a = Arc::new(NbodyApp::phantom(pr, satin_grain, 1));
-                    let rt = a.satin_runtime();
-                    let app2 = NbodyApp::phantom(pr, satin_grain, 1);
-                    let mut cs = ClusterSim::new(
-                        app2,
-                        rt,
-                        SimConfig {
-                            nodes: spec.nodes(),
-                            ..cfg
-                        },
-                    );
-                    let elapsed = nbody::run_iterations(&mut cs, &pr, |_| {});
-                    (
-                        elapsed.as_secs_f64(),
-                        pr.total_flops(),
-                        cs.report().clone(),
-                        capture_of(observe, &cs, Vec::new()),
-                    )
-                }
-                _ => {
-                    let a = NbodyApp::phantom(pr, grain, device_jobs);
-                    let reg = NbodyApp::registry(kernel_set(sc.series));
-                    let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
-                    perturb_runtime(perturb, &mut cs);
-                    let elapsed = nbody::run_iterations(&mut cs, &pr, |_| {});
-                    (
-                        elapsed.as_secs_f64(),
-                        pr.total_flops(),
-                        cs.report().clone(),
-                        capture_of(observe, &cs, cs.leaf_runtime().audit.clone()),
-                    )
-                }
-            }
-        }
+        AppId::Raytracer => run_as::<RaytracerApp>(sc),
+        AppId::Matmul => run_as::<MatmulApp>(sc),
+        AppId::Kmeans => run_as::<KmeansApp>(sc),
+        AppId::Nbody => run_as::<NbodyApp>(sc),
     };
 
     let (failure_summary, recovery) = failures_of(&report);
     let outcome = RunOutcome {
         app: sc.app.name().to_string(),
         series: sc.series.name().to_string(),
-        nodes: spec.nodes(),
+        nodes: sc.nodes.len(),
         makespan_s,
         gflops: total_flops / makespan_s / 1e9,
         kernels_run: report[Counter::KernelsRun],

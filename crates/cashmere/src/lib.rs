@@ -39,6 +39,9 @@
 //! #         if hi - lo <= 256 { DcStep::Leaf } else {
 //! #             let m = lo + (hi - lo) / 2;
 //! #             DcStep::Divide(vec![(lo, m), (m, hi)]) } }
+//! #     fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, f64) {
+//! #         (SimTime::from_micros(hi - lo), (lo..hi).map(|v| 2.0 * v as f64).sum())
+//! #     }
 //! #     fn combine(&self, _i: &(u64, u64), c: Vec<f64>) -> f64 { c.into_iter().sum() }
 //! #     fn input_bytes(&self, _i: &(u64, u64)) -> u64 { 16 }
 //! #     fn output_bytes(&self, _o: &f64) -> u64 { 8 }
@@ -55,9 +58,6 @@
 //! #     }
 //! #     fn job_output(&self, _i: &(u64, u64), args: Vec<ArgValue>) -> f64 {
 //! #         args[1].clone().array().as_f64().iter().sum()
-//! #     }
-//! #     fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, f64) {
-//! #         (SimTime::from_micros(hi - lo), (lo..hi).map(|v| 2.0 * v as f64).sum())
 //! #     }
 //! # }
 //!
@@ -141,6 +141,13 @@ mod tests {
             }
         }
 
+        fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, f64) {
+            (
+                SimTime::from_micros(hi - lo),
+                (lo..hi).map(|v| 2.0 * v as f64).sum(),
+            )
+        }
+
         fn combine(&self, _i: &(u64, u64), c: Vec<f64>) -> f64 {
             c.into_iter().sum()
         }
@@ -182,13 +189,6 @@ mod tests {
 
         fn job_output(&self, _i: &(u64, u64), args: Vec<ArgValue>) -> f64 {
             args[1].clone().array().as_f64().iter().sum()
-        }
-
-        fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, f64) {
-            (
-                SimTime::from_micros(hi - lo),
-                (lo..hi).map(|v| 2.0 * v as f64).sum(),
-            )
         }
     }
 

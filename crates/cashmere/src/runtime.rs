@@ -87,10 +87,9 @@ pub trait CashmereApp: ClusterApp {
     fn kernel_call(&self, input: &Self::Input) -> KernelCall;
 
     /// Build the device-job output from the post-execution arguments.
+    /// A device job no device can run falls back to
+    /// [`ClusterApp::leaf_cpu`] instead (the paper's `leafCPU`).
     fn job_output(&self, input: &Self::Input, args: Vec<ArgValue>) -> Self::Output;
-
-    /// The `leafCPU` fallback: CPU time and output for one device job.
-    fn leaf_cpu(&self, input: &Self::Input) -> (SimTime, Self::Output);
 }
 
 /// Runtime knobs.
@@ -1000,6 +999,10 @@ mod tests {
             DcStep::Leaf
         }
 
+        fn leaf_cpu(&self, _: &Job) -> (SimTime, ()) {
+            panic!("every device has a version of `double_all`")
+        }
+
         fn combine(&self, _: &Job, _: Vec<()>) {}
 
         fn input_bytes(&self, &(n, _): &Job) -> u64 {
@@ -1028,10 +1031,6 @@ mod tests {
         }
 
         fn job_output(&self, _: &Job, _: Vec<ArgValue>) {}
-
-        fn leaf_cpu(&self, _: &Job) -> (SimTime, ()) {
-            panic!("every device has a version of `double_all`")
-        }
     }
 
     /// One node carrying `devices`. A K20 runs the `gpu` version of the

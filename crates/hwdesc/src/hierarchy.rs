@@ -148,11 +148,6 @@ impl Hierarchy {
         false
     }
 
-    /// Raw (un-inherited) parameters of a level.
-    pub fn raw_params(&self, id: LevelId) -> &HwParams {
-        &self.levels[id.0].params
-    }
-
     /// Effective parameters: own merged with all ancestors'.
     pub fn effective_params(&self, id: LevelId) -> HwParams {
         let path = self.root_path(id);

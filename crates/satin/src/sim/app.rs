@@ -6,11 +6,14 @@
 //! `sync`. Inputs/outputs carry their serialized sizes so the engine can
 //! charge the network for steals and result returns.
 //!
-//! Leaf execution is pluggable via [`LeafRuntime`]: plain Satin runs leaves
+//! A leaf's sequential computation is declared once, as
+//! [`ClusterApp::leaf_cpu`] (the paper's `leafCPU`). Where a leaf runs is
+//! pluggable via [`LeafRuntime`]: plain Satin runs every leaf's `leaf_cpu`
 //! on one CPU core ([`CpuLeafRuntime`]); Cashmere (in the `cashmere` crate)
 //! plans leaves onto the node's many-core devices and returns an
 //! asynchronous completion time, which is how transfer/kernel overlap and
-//! the device load balancer enter the simulation.
+//! the device load balancer enter the simulation. It falls back to the same
+//! `leaf_cpu` when a device cannot run a job.
 
 use crate::sim::report::RunReport;
 use cashmere_des::fault::FaultInjector;
@@ -38,6 +41,11 @@ pub trait ClusterApp: 'static {
     fn is_leaf(&self, input: &Self::Input) -> bool {
         matches!(self.step(input), DcStep::Leaf)
     }
+
+    /// The leaf's sequential computation (the paper's `leafCPU`): its
+    /// modelled single-core time and its output. Plain Satin runs every
+    /// leaf this way; Cashmere runs it for a device job no device can take.
+    fn leaf_cpu(&self, input: &Self::Input) -> (SimTime, Self::Output);
 
     /// Combine child outputs (in child order) into this job's output.
     fn combine(&self, input: &Self::Input, children: Vec<Self::Output>) -> Self::Output;
@@ -98,11 +106,12 @@ pub struct LeafCtx<'a> {
     pub report: &'a mut RunReport,
 }
 
-/// Pluggable leaf executor.
+/// Pluggable leaf executor: decides where and when a leaf runs; the
+/// application decides what it computes.
 pub trait LeafRuntime<A: ClusterApp>: 'static {
     /// Plan the execution of leaf `input` in context `ctx`. `app` gives
-    /// access to application callbacks (device-level division, kernel
-    /// descriptions).
+    /// access to application callbacks ([`ClusterApp::leaf_cpu`], and for
+    /// Cashmere device-level division and kernel descriptions).
     fn plan(&mut self, app: &A, input: &A::Input, ctx: LeafCtx<'_>) -> LeafPlan<A::Output>;
 
     /// Node `node` crashed at `at`: discard any per-node runtime state
@@ -123,19 +132,12 @@ pub trait LeafRuntime<A: ClusterApp>: 'static {
     fn probe(&self, _report: &RunReport, _out: &mut Vec<(String, f64)>) {}
 }
 
-/// Plain Satin: every leaf is a single-threaded CPU computation.
-///
-/// The wrapped closure maps `(node, input, now)` to `(cpu_time, output)` —
-/// applications provide real computation plus a modelled duration.
-pub struct CpuLeafRuntime<F>(pub F);
+/// Plain Satin: every leaf is its [`ClusterApp::leaf_cpu`] on one CPU core.
+pub struct CpuLeafRuntime;
 
-impl<A, F> LeafRuntime<A> for CpuLeafRuntime<F>
-where
-    A: ClusterApp,
-    F: FnMut(usize, &A::Input, SimTime) -> (SimTime, A::Output) + 'static,
-{
-    fn plan(&mut self, _app: &A, input: &A::Input, ctx: LeafCtx<'_>) -> LeafPlan<A::Output> {
-        let (compute, output) = (self.0)(ctx.node, input, ctx.now);
+impl<A: ClusterApp> LeafRuntime<A> for CpuLeafRuntime {
+    fn plan(&mut self, app: &A, input: &A::Input, _ctx: LeafCtx<'_>) -> LeafPlan<A::Output> {
+        let (compute, output) = app.leaf_cpu(input);
         LeafPlan::Cpu { compute, output }
     }
 }
@@ -163,6 +165,10 @@ mod tests {
             }
         }
 
+        fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, u64) {
+            (SimTime::from_micros(hi - lo), (lo..hi).sum())
+        }
+
         fn combine(&self, _i: &(u64, u64), children: Vec<u64>) -> u64 {
             children.into_iter().sum()
         }
@@ -188,18 +194,14 @@ mod tests {
     }
 
     #[test]
-    fn cpu_leaf_runtime_wraps_closure() {
-        let mut rt = CpuLeafRuntime(|_n: usize, &(lo, hi): &(u64, u64), _now: SimTime| {
-            (SimTime::from_micros(hi - lo), (lo..hi).sum::<u64>())
-        });
+    fn cpu_leaf_runtime_runs_leaf_cpu() {
         let mut trace = Trace::new();
         let mut metrics = MetricsRegistry::new();
         let lane = trace.add_lane("cpu");
         let mut faults = FaultInjector::disabled(0);
         let mut report = RunReport::new(1);
         let app = SumApp { grain: 10 };
-        let plan = <CpuLeafRuntime<_> as LeafRuntime<SumApp>>::plan(
-            &mut rt,
+        let plan = CpuLeafRuntime.plan(
             &app,
             &(0, 4),
             LeafCtx {

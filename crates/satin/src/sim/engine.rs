@@ -507,6 +507,11 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
         &self.world.victim_log
     }
 
+    /// The application the cluster runs.
+    pub fn app(&self) -> &A {
+        &self.world.app
+    }
+
     /// Access the leaf runtime (e.g. to inspect Cashmere device state).
     pub fn leaf_runtime(&self) -> &L {
         &self.world.leaf

@@ -33,6 +33,11 @@ mod tests {
             }
         }
 
+        /// 1 µs of work per element, real sum as output.
+        fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, u64) {
+            (SimTime::from_micros(hi - lo), (lo..hi).sum())
+        }
+
         fn combine(&self, _i: &(u64, u64), children: Vec<u64>) -> u64 {
             children.into_iter().sum()
         }
@@ -45,14 +50,6 @@ mod tests {
         fn output_bytes(&self, _o: &u64) -> u64 {
             64
         }
-    }
-
-    /// CPU leaf: 1 µs of work per element, real sum as output.
-    #[allow(clippy::type_complexity)]
-    fn cpu_leaf() -> CpuLeafRuntime<impl FnMut(usize, &(u64, u64), SimTime) -> (SimTime, u64)> {
-        CpuLeafRuntime(|_node, &(lo, hi): &(u64, u64), _now| {
-            (SimTime::from_micros(hi - lo), (lo..hi).sum::<u64>())
-        })
     }
 
     fn config(nodes: usize, seed: u64) -> SimConfig {
@@ -68,7 +65,7 @@ mod tests {
 
     #[test]
     fn single_node_computes_the_sum() {
-        let mut cs = ClusterSim::new(SumApp { grain: 4_000 }, cpu_leaf(), config(1, 1));
+        let mut cs = ClusterSim::new(SumApp { grain: 4_000 }, CpuLeafRuntime, config(1, 1));
         let out = cs.run_root((0, N));
         assert_eq!(out, EXPECT);
         let r = cs.report();
@@ -85,7 +82,7 @@ mod tests {
 
     #[test]
     fn multi_node_same_result_with_steals() {
-        let mut cs = ClusterSim::new(SumApp { grain: 4_000 }, cpu_leaf(), config(4, 7));
+        let mut cs = ClusterSim::new(SumApp { grain: 4_000 }, CpuLeafRuntime, config(4, 7));
         let out = cs.run_root((0, N));
         assert_eq!(out, EXPECT);
         let r = cs.report();
@@ -97,7 +94,7 @@ mod tests {
     #[test]
     fn more_nodes_scale_down_the_makespan() {
         let time = |nodes: usize| {
-            let mut cs = ClusterSim::new(SumApp { grain: 2_000 }, cpu_leaf(), config(nodes, 5));
+            let mut cs = ClusterSim::new(SumApp { grain: 2_000 }, CpuLeafRuntime, config(nodes, 5));
             let out = cs.run_root((0, N));
             assert_eq!(out, EXPECT);
             cs.report().makespan
@@ -114,7 +111,7 @@ mod tests {
     #[test]
     fn deterministic_given_a_seed() {
         let run = || {
-            let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, cpu_leaf(), config(6, 99));
+            let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, CpuLeafRuntime, config(6, 99));
             let out = cs.run_root((0, N));
             (out, cs.report().makespan, cs.report()[Counter::StealsOk])
         };
@@ -124,7 +121,7 @@ mod tests {
     #[test]
     fn different_seed_same_answer() {
         let run = |seed| {
-            let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, cpu_leaf(), config(6, seed));
+            let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, CpuLeafRuntime, config(6, seed));
             cs.run_root((0, N))
         };
         assert_eq!(run(1), run(2));
@@ -132,7 +129,7 @@ mod tests {
 
     #[test]
     fn crash_recovery_still_produces_the_answer() {
-        let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, cpu_leaf(), config(4, 3));
+        let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, CpuLeafRuntime, config(4, 3));
         // Crash node 2 mid-run (total run is tens of ms).
         cs.schedule_crash(2, SimTime::from_millis(4)).unwrap();
         let out = cs.run_root((0, N));
@@ -147,7 +144,7 @@ mod tests {
 
     #[test]
     fn schedule_crash_rejects_bad_requests() {
-        let mut cs = ClusterSim::new(SumApp { grain: 4_000 }, cpu_leaf(), config(4, 3));
+        let mut cs = ClusterSim::new(SumApp { grain: 4_000 }, CpuLeafRuntime, config(4, 3));
         // The master holds the root; crashing it is not modelled.
         let err = cs.schedule_crash(0, SimTime::from_millis(1)).unwrap_err();
         assert!(err.contains("master"), "{err}");
@@ -166,7 +163,7 @@ mod tests {
 
     #[test]
     fn crash_of_idle_node_is_harmless() {
-        let mut cs = ClusterSim::new(SumApp { grain: 50_000 }, cpu_leaf(), config(4, 3));
+        let mut cs = ClusterSim::new(SumApp { grain: 50_000 }, CpuLeafRuntime, config(4, 3));
         // Grain so large that only a few jobs exist; crash late-ish.
         cs.schedule_crash(3, SimTime::from_micros(10)).unwrap();
         let out = cs.run_root((0, N));
@@ -175,7 +172,7 @@ mod tests {
 
     #[test]
     fn broadcast_advances_time_and_counts_bytes() {
-        let mut cs = ClusterSim::new(SumApp { grain: 4_000 }, cpu_leaf(), config(4, 1));
+        let mut cs = ClusterSim::new(SumApp { grain: 4_000 }, CpuLeafRuntime, config(4, 1));
         let _ = cs.run_root((0, 8_000));
         let before = cs.now();
         cs.broadcast(1_000_000);
@@ -189,7 +186,7 @@ mod tests {
 
     #[test]
     fn iterative_runs_accumulate_time() {
-        let mut cs = ClusterSim::new(SumApp { grain: 4_000 }, cpu_leaf(), config(2, 1));
+        let mut cs = ClusterSim::new(SumApp { grain: 4_000 }, CpuLeafRuntime, config(2, 1));
         let a = cs.run_root((0, 50_000));
         let t1 = cs.now();
         cs.broadcast(1024);
@@ -202,7 +199,7 @@ mod tests {
     fn trace_records_cpu_and_steal_activity() {
         let mut cs = ClusterSim::new(
             SumApp { grain: 4_000 },
-            cpu_leaf(),
+            CpuLeafRuntime,
             SimConfig {
                 nodes: 3,
                 trace: true,
@@ -328,7 +325,7 @@ mod tests {
         let arm = |reuse: bool| {
             let mut cs = ClusterSim::new(
                 SumApp { grain: 1_000 },
-                cpu_leaf(),
+                CpuLeafRuntime,
                 SimConfig {
                     nodes: 4,
                     seed: 2,
@@ -378,7 +375,7 @@ mod tests {
         let run = |reuse: bool| {
             let mut cs = ClusterSim::new(
                 SumApp { grain: 1_000 },
-                cpu_leaf(),
+                CpuLeafRuntime,
                 SimConfig {
                     nodes: 4,
                     seed: 9,
@@ -396,7 +393,7 @@ mod tests {
     fn double_crash_of_a_node_is_a_counted_once_noop() {
         // Scheduling a second crash for an already-dead node must not
         // double-count `report[Counter::Crashes]` (documented no-op).
-        let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, cpu_leaf(), config(4, 3));
+        let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, CpuLeafRuntime, config(4, 3));
         cs.schedule_crash(2, SimTime::from_millis(3)).unwrap();
         cs.schedule_crash(2, SimTime::from_millis(4)).unwrap();
         let out = cs.run_root((0, N));
@@ -406,7 +403,7 @@ mod tests {
 
     #[test]
     fn rejoined_node_reenters_the_cluster() {
-        let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, cpu_leaf(), config(4, 2));
+        let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, CpuLeafRuntime, config(4, 2));
         cs.schedule_crash(2, SimTime::from_millis(3)).unwrap();
         cs.schedule_join(2, SimTime::from_millis(6)).unwrap();
         let out = cs.run_root((0, N));
@@ -427,7 +424,7 @@ mod tests {
     fn node_with_leading_join_starts_offline() {
         let mut cs = ClusterSim::new(
             SumApp { grain: 1_000 },
-            cpu_leaf(),
+            CpuLeafRuntime,
             SimConfig {
                 nodes: 3,
                 seed: 4,
@@ -457,7 +454,7 @@ mod tests {
         let run = |probe: Option<SimTime>| {
             let mut cs = ClusterSim::new(
                 SumApp { grain: 1_000 },
-                cpu_leaf(),
+                CpuLeafRuntime,
                 SimConfig {
                     nodes: 4,
                     seed: 2,
@@ -485,7 +482,7 @@ mod tests {
         let iv = SimTime::from_micros(500);
         let mut cs = ClusterSim::new(
             SumApp { grain: 1_000 },
-            cpu_leaf(),
+            CpuLeafRuntime,
             SimConfig {
                 nodes: 4,
                 seed: 2,
@@ -572,7 +569,7 @@ mod tests {
         let run = |kind: StealKind| {
             let mut cs = ClusterSim::new(
                 SumApp { grain: 1_000 },
-                cpu_leaf(),
+                CpuLeafRuntime,
                 SimConfig {
                     nodes: 6,
                     seed: 99,
@@ -706,7 +703,7 @@ mod tests {
     #[test]
     fn default_steal_policy_is_uniform_random() {
         let run = |cfg: SimConfig| {
-            let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, cpu_leaf(), cfg);
+            let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, CpuLeafRuntime, cfg);
             let out = cs.run_root((0, N));
             assert_eq!(out, EXPECT);
             (cs.report().makespan, cs.report()[Counter::StealsOk])

@@ -18,44 +18,30 @@
 use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
 use cashmere_apps::kmeans::{run_iterations, KmeansApp, KmeansProblem};
 use cashmere_apps::nbody::{NbodyApp, NbodyProblem};
-use cashmere_apps::{AppMode, KernelSet};
+use cashmere_apps::KernelSet;
 use cashmere_des::fault::{DeviceFailure, FaultPlan, LinkFault};
 use cashmere_des::SimTime;
-use cashmere_satin::{ClusterSim, Counter, SimConfig};
-use std::sync::Arc;
+use cashmere_satin::{ClusterSim, Counter, CpuLeafRuntime, SimConfig};
 
 /// Build the example's 4-node n-body cluster plus the reference positions
 /// to verify against.
 fn nbody_cluster(
     faults: FaultPlan,
-) -> (
-    ClusterSim<NbodyApp, impl cashmere_satin::LeafRuntime<NbodyApp>>,
-    NbodyProblem,
-    Vec<f64>,
-) {
+) -> (ClusterSim<NbodyApp, CpuLeafRuntime>, NbodyProblem, Vec<f64>) {
     let problem = NbodyProblem {
         n: 4_000,
         iterations: 1,
         dt: 0.01,
     };
-    let app = Arc::new(NbodyApp::real(problem, 125, 1, 11));
+    let app = NbodyApp::real(problem, 125, 1, 11);
     let (ref_pos, _) = app
         .state
         .read()
         .unwrap()
         .reference_step(0, problem.n, problem.dt);
-    let runtime = app.satin_runtime();
-    let app2 = NbodyApp {
-        problem,
-        mode: AppMode::Real,
-        node_grain_bodies: 125,
-        device_jobs: 1,
-        cpu_model: cashmere_apps::CpuLeafModel::REGULAR,
-        state: Arc::clone(&app.state),
-    };
     let cluster = ClusterSim::new(
-        app2,
-        runtime,
+        app,
+        CpuLeafRuntime,
         SimConfig {
             nodes: 4,
             seed: 3,

@@ -26,6 +26,10 @@ impl ClusterApp for SumApp {
         }
     }
 
+    fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, u64) {
+        (SimTime::from_micros(hi - lo), (lo..hi).sum())
+    }
+
     fn combine(&self, _: &(u64, u64), c: Vec<u64>) -> u64 {
         c.into_iter().sum()
     }
@@ -37,13 +41,6 @@ impl ClusterApp for SumApp {
     fn output_bytes(&self, _: &u64) -> u64 {
         8
     }
-}
-
-#[allow(clippy::type_complexity)]
-fn leaf() -> CpuLeafRuntime<impl FnMut(usize, &(u64, u64), SimTime) -> (SimTime, u64)> {
-    CpuLeafRuntime(|_n, &(lo, hi): &(u64, u64), _t| {
-        (SimTime::from_micros(hi - lo), (lo..hi).sum::<u64>())
-    })
 }
 
 proptest! {
@@ -60,7 +57,7 @@ proptest! {
         let total = 100_000u64;
         let mut cs = ClusterSim::new(
             SumApp { grain: 2_000 },
-            leaf(),
+            CpuLeafRuntime,
             SimConfig { nodes, seed, ..SimConfig::default() },
         );
         if victim < nodes {
@@ -80,7 +77,7 @@ proptest! {
         let total = 80_000u64;
         let mut cs = ClusterSim::new(
             SumApp { grain: 1_000 },
-            leaf(),
+            CpuLeafRuntime,
             SimConfig { nodes, seed, ..SimConfig::default() },
         );
         cs.schedule_crash(1, SimTime::from_millis(crash_a_ms)).unwrap();
@@ -96,7 +93,7 @@ fn crash_storm_leaves_only_the_master() {
     let total = 50_000u64;
     let mut cs = ClusterSim::new(
         SumApp { grain: 1_000 },
-        leaf(),
+        CpuLeafRuntime,
         SimConfig {
             nodes: 6,
             seed: 11,
@@ -117,7 +114,7 @@ fn crash_after_completion_is_harmless() {
     let total = 10_000u64;
     let mut cs = ClusterSim::new(
         SumApp { grain: 1_000 },
-        leaf(),
+        CpuLeafRuntime,
         SimConfig {
             nodes: 3,
             seed: 1,
@@ -135,7 +132,7 @@ fn crash_after_completion_is_harmless() {
 /// byte equality).
 fn run_to_json(cfg: SimConfig) -> (u64, String) {
     let total = 60_000u64;
-    let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, leaf(), cfg);
+    let mut cs = ClusterSim::new(SumApp { grain: 1_000 }, CpuLeafRuntime, cfg);
     let out = cs.run_root((0, total));
     assert_eq!(out, total * (total - 1) / 2);
     (out, serde_json::to_string(cs.report()).unwrap())
@@ -244,7 +241,7 @@ proptest! {
         let total = 60_000u64;
         let mut cs = ClusterSim::new(
             SumApp { grain: 1_000 },
-            leaf(),
+            CpuLeafRuntime,
             SimConfig { nodes, seed, faults: plan, ..SimConfig::default() },
         );
         let out = cs.run_root((0, total));
@@ -297,7 +294,7 @@ proptest! {
         let total = 60_000u64;
         let mut cs = ClusterSim::new(
             SumApp { grain: 1_000 },
-            leaf(),
+            CpuLeafRuntime,
             SimConfig { nodes, seed, faults: plan, ..SimConfig::default() },
         );
         let out = cs.run_root((0, total));
@@ -340,7 +337,7 @@ proptest! {
         let total = 60_000u64;
         let mut cs = ClusterSim::new(
             SumApp { grain: 1_000 },
-            leaf(),
+            CpuLeafRuntime,
             SimConfig {
                 nodes,
                 cores_per_node: 4,
@@ -392,7 +389,7 @@ fn fixed_chaos_seed_replays_byte_for_byte() {
         let total = 200_000u64;
         let mut cs = ClusterSim::new(
             SumApp { grain: 1_000 },
-            leaf(),
+            CpuLeafRuntime,
             SimConfig {
                 nodes: 4,
                 seed: 2,

@@ -199,6 +199,9 @@ proptest! {
                     DcStep::Divide(vec![(lo, mid), (mid, hi)])
                 }
             }
+            fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, u64) {
+                (SimTime::from_micros(1 + hi - lo), (lo..hi).sum())
+            }
             fn combine(&self, _: &(u64, u64), c: Vec<u64>) -> u64 {
                 c.into_iter().sum()
             }
@@ -209,12 +212,9 @@ proptest! {
                 8
             }
         }
-        let rt = CpuLeafRuntime(|_n, &(lo, hi): &(u64, u64), _t| {
-            (SimTime::from_micros(1 + hi - lo), (lo..hi).sum::<u64>())
-        });
         let mut cs = ClusterSim::new(
             Sum { grain },
-            rt,
+            CpuLeafRuntime,
             SimConfig { nodes, seed, ..SimConfig::default() },
         );
         let out = cs.run_root((0, total));

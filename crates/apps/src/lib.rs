@@ -17,6 +17,8 @@
 //! [`cashmere::CashmereApp`], a CPU reference for correctness, and
 //! phantom-mode calibration for paper-scale measurement.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod kmeans;
 pub mod matmul;

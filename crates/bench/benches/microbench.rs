@@ -9,8 +9,11 @@
 //! Sample sizes are kept small: these exist to catch order-of-magnitude
 //! regressions in the simulation substrate, not to microtune.
 
+#![forbid(unsafe_code)]
+
 use cashmere::Balancer;
-use cashmere_des::{Sim, SimTime};
+use cashmere_bench::engine_load::{churn, schedule_cancel, schedule_run, scheduled, BenchWorld};
+use cashmere_des::SimTime;
 use cashmere_hwdesc::standard_hierarchy;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::{compile, CheckedKernel, ExecOptions};
@@ -21,84 +24,28 @@ use std::time::Duration;
 fn bench_des(c: &mut Criterion) {
     c.bench_function("des/100k_events", |b| {
         b.iter_batched(
-            || {
-                let mut sim: Sim<u64> = Sim::new(1);
-                for i in 0..100_000u64 {
-                    sim.schedule_at(SimTime::from_nanos(i % 977), move |w: &mut u64, _| {
-                        *w = w.wrapping_add(i);
-                    });
-                }
-                sim
-            },
+            || scheduled(100_000),
             |mut sim| {
-                let mut world = 0u64;
-                sim.run(&mut world);
-                black_box(world)
+                sim.run(&mut BenchWorld::default());
+                black_box(sim.events_fired())
             },
             BatchSize::SmallInput,
         )
     });
-    // End-to-end schedule + run: includes the allocation side, which the
-    // slab's inline closure storage eliminates.
+    // End-to-end schedule + run: includes the storage side, which the
+    // slab's by-value event slots keep allocation-free.
     c.bench_function("des/100k_schedule_run", |b| {
-        b.iter(|| {
-            let mut sim: Sim<u64> = Sim::new(1);
-            for i in 0..100_000u64 {
-                sim.schedule_at(SimTime::from_nanos(i % 977), move |w: &mut u64, _| {
-                    *w = w.wrapping_add(i);
-                });
-            }
-            let mut world = 0u64;
-            sim.run(&mut world);
-            black_box(world)
-        })
+        b.iter(|| schedule_run(100_000))
     });
     // Steady-state churn, the pattern cluster simulations actually produce:
     // a bounded set of in-flight chains, each event scheduling a successor.
-    // The closure captures a node/job/generation-sized payload like the
-    // work-stealing engine's events do, so the per-event allocation cost is
-    // representative.
     c.bench_function("des/churn_1k_chains_100k_events", |b| {
-        fn chain(w: &mut u64, sim: &mut Sim<u64>, node: usize, job: usize, generation: u64) {
-            *w += 1;
-            if *w < 100_000 {
-                let (n, j, g) = (node ^ 1, job + 1, generation);
-                sim.schedule_in(SimTime::from_nanos(997), move |w: &mut u64, sim| {
-                    chain(w, sim, n, j, g)
-                });
-            }
-        }
-        b.iter(|| {
-            let mut sim: Sim<u64> = Sim::new(1);
-            for i in 0..1_000u64 {
-                sim.schedule_at(SimTime::from_nanos(i), move |w: &mut u64, sim| {
-                    chain(w, sim, i as usize, 0, i)
-                });
-            }
-            let mut world = 0u64;
-            sim.run(&mut world);
-            black_box(world)
-        })
+        b.iter(|| churn(1_000, 100_000))
     });
     // Schedule/cancel throughput: the work-stealing engine arms and disarms
     // steal-timeout and retry events constantly.
     c.bench_function("des/100k_schedule_cancel", |b| {
-        b.iter(|| {
-            let mut sim: Sim<u64> = Sim::new(1);
-            let handles: Vec<_> = (0..100_000u64)
-                .map(|i| {
-                    sim.schedule_at(SimTime::from_nanos(1 + i % 977), move |w: &mut u64, _| {
-                        *w = w.wrapping_add(i);
-                    })
-                })
-                .collect();
-            for h in handles {
-                assert!(sim.cancel(h));
-            }
-            let mut world = 0u64;
-            sim.run(&mut world);
-            black_box(sim.events_fired())
-        })
+        b.iter(|| schedule_cancel(100_000))
     });
 }
 

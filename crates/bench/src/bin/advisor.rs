@@ -36,6 +36,8 @@
 //! threads; the report (text and `bench/out/advisor_*.json`) is
 //! byte-identical at any `--jobs`.
 
+#![forbid(unsafe_code)]
+
 use cashmere::ClusterSpec;
 use cashmere_bench::cli::fail;
 use cashmere_bench::{

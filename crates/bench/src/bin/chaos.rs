@@ -26,6 +26,8 @@
 //! results are always re-executed instead of reused, which is what the
 //! degradation curve is measured against.
 
+#![forbid(unsafe_code)]
+
 use cashmere::ClusterSpec;
 use cashmere_bench::{
     cli, run_scenario, sweep, write_report, AppId, Problem, Scenario, Series, Table,

@@ -32,6 +32,8 @@
 //! own provenance is exactly zero — and any nonzero diff is a real change,
 //! not noise.
 
+#![forbid(unsafe_code)]
+
 use cashmere_bench::cli::fail;
 use cashmere_bench::{cli, fingerprint, run_scenario, sweep, write_file, PerturbSet, Scenario};
 use cashmere_des::obs::{RunDiff, RunFingerprint};

@@ -29,6 +29,8 @@
 //! exports, whose root frame is the figure name. `--scenario file.json`
 //! runs one spec file instead of a figure.
 
+#![forbid(unsafe_code)]
+
 mod ablation;
 mod fig6;
 mod gantt;

@@ -17,7 +17,7 @@
 //! Measured quantities:
 //!
 //! - **engine events/sec** over a representative workload mix — bulk
-//!   schedule+run, steady-state event chains with realistic capture sizes,
+//!   schedule+run, steady-state event chains with realistic payload sizes,
 //!   and schedule+cancel churn (the work-stealing engine arms and disarms
 //!   timeouts constantly);
 //! - **schedule/cancel ops/sec** in isolation;
@@ -39,14 +39,16 @@
 //! moved the most, so the log explains the regression instead of just
 //! flagging it. `--quick` shrinks repetition counts for CI.
 
+#![forbid(unsafe_code)]
+
 use cashmere::ClusterSpec;
 use cashmere_apps::KernelSet;
+use cashmere_bench::engine_load::{churn, schedule_cancel, schedule_run};
 use cashmere_bench::{
     cli, default_jobs, kernel_gflops, run_scenario, subsystem_rows, sweep, write_file, AppId,
     Scenario, Series, SubsystemShare,
 };
 use cashmere_des::obs::{prof, RunDiff, RunFingerprint};
-use cashmere_des::{Sim, SimTime};
 use cashmere_hwdesc::DeviceKind;
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
@@ -132,69 +134,6 @@ struct SelfBench {
     /// rewrite that introduced this file). Carried forward verbatim from the
     /// committed baseline on every rewrite so the record survives re-runs.
     provenance: Vec<String>,
-}
-
-/// Bulk schedule + drain of `n` events; returns events fired.
-fn schedule_run(n: u64) -> u64 {
-    let mut sim: Sim<u64> = Sim::new(1);
-    for i in 0..n {
-        sim.schedule_at(SimTime::from_nanos(i % 977), move |w: &mut u64, _| {
-            *w = w.wrapping_add(i);
-        });
-    }
-    let mut world = 0u64;
-    sim.run(&mut world);
-    black_box(world);
-    sim.events_fired()
-}
-
-/// Steady-state chains: `chains` in flight, `total` events overall. The
-/// closure captures a node/job/generation payload like the work-stealing
-/// engine's events, so the per-event storage cost is representative.
-fn churn(chains: u64, total: u64) -> u64 {
-    fn link(
-        w: &mut (u64, u64),
-        sim: &mut Sim<(u64, u64)>,
-        node: usize,
-        job: usize,
-        generation: u64,
-    ) {
-        w.0 += 1;
-        if w.0 < w.1 {
-            let (n, j, g) = (node ^ 1, job + 1, generation);
-            sim.schedule_in(SimTime::from_nanos(997), move |w: &mut (u64, u64), sim| {
-                link(w, sim, n, j, g)
-            });
-        }
-    }
-    let mut sim: Sim<(u64, u64)> = Sim::new(1);
-    for i in 0..chains {
-        sim.schedule_at(SimTime::from_nanos(i), move |w: &mut (u64, u64), sim| {
-            link(w, sim, i as usize, 0, i)
-        });
-    }
-    let mut world = (0u64, total);
-    sim.run(&mut world);
-    sim.events_fired()
-}
-
-/// Schedule `n` events and cancel every one; returns ops (schedules +
-/// cancels).
-fn schedule_cancel(n: u64) -> u64 {
-    let mut sim: Sim<u64> = Sim::new(1);
-    let handles: Vec<_> = (0..n)
-        .map(|i| {
-            sim.schedule_at(SimTime::from_nanos(1 + i % 977), move |w: &mut u64, _| {
-                *w = w.wrapping_add(i);
-            })
-        })
-        .collect();
-    for h in handles {
-        assert!(sim.cancel(h));
-    }
-    let mut world = 0u64;
-    sim.run(&mut world);
-    2 * n
 }
 
 /// Host speed reference: a fixed mix of branchy register-machine

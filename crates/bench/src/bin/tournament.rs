@@ -35,6 +35,8 @@
 //! differently (round-robin, static-table) typically leave part of the
 //! predicted win on the table, which is exactly what the section shows.
 
+#![forbid(unsafe_code)]
+
 use cashmere::balancer::Policy;
 use cashmere_bench::cli::fail;
 use cashmere_bench::{advise, cli, run_scenario, sweep, write_report, PerturbSet, Scenario, Table};

@@ -12,7 +12,10 @@
 //! All binaries print the series the paper plots and write JSON to
 //! `bench/out/`. Runs are deterministic (fixed seeds, virtual time).
 
+#![forbid(unsafe_code)]
+
 pub mod advisor;
+pub mod engine_load;
 pub mod obs;
 pub mod output;
 pub mod runners;

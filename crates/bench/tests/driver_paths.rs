@@ -378,3 +378,43 @@ fn faulted_kmeans_reproduces_its_outcome() {
         assert_eq!(run_scenario(&sc).outcome, expected);
     }
 }
+
+/// A node crash does not hang matmul. Its pre-root broadcast of B advances
+/// the clock only to the broadcast's last arrival, so a crash due during
+/// or after it fires once, with the root job under way. Makespans are not
+/// pinned: they still carry the known fault-timing inflation.
+#[test]
+fn matmul_finishes_under_an_early_node_crash() {
+    let (problem, grain) = tiny(AppId::Matmul);
+    for series in [Series::Satin, Series::CashmereOpt] {
+        for at_us in [1, 10, 100] {
+            let plan = FaultPlan {
+                node_crashes: vec![NodeCrash {
+                    node: 1,
+                    at: SimTime::from_micros(at_us),
+                }],
+                ..FaultPlan::default()
+            };
+            let sc = Scenario::new(
+                format!("matmul-crash-{}-{at_us}us", series.name()),
+                AppId::Matmul,
+                series,
+                &ClusterSpec::homogeneous(3, "gtx480"),
+            )
+            .with_problem(problem)
+            .with_grain(grain)
+            .with_faults(plan)
+            .with_capture(true);
+            // A hang fails the test instead of stalling the suite.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let cap = run_scenario(&sc).cap.expect("capture kept");
+                tx.send(cap.report[Counter::Crashes]).unwrap();
+            });
+            let crashes = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{} crash at {at_us}µs hangs", series.name()));
+            assert_eq!(crashes, 1, "{} crash at {at_us}µs", series.name());
+        }
+    }
+}

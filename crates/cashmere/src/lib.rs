@@ -80,6 +80,8 @@
 //! assert_eq!(sum, (0..1024u64).map(|v| 2.0 * v as f64).sum::<f64>());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod balancer;
 pub mod counterfactual;
 pub mod init;

@@ -1,42 +1,57 @@
 //! The event-driven simulation engine.
 //!
-//! Events are boxed `FnOnce(&mut W, &mut Sim<W>)` closures over a user-defined
-//! world type `W`. The engine pops events in `(time, sequence)` order, so two
-//! events scheduled for the same instant fire in the order they were
-//! scheduled — this is what makes runs deterministic.
+//! Events are values of a world-defined type, usually a closed enum with
+//! one variant per kind of event. The world implements [`Handler`]: it
+//! names its event type and dispatches each fired event with one `match`,
+//! scheduling follow-ups through the engine it is handed. The engine pops
+//! events in `(time, sequence)` order, so two events scheduled for the same
+//! instant fire in the order they were scheduled — this is what makes runs
+//! deterministic.
 //!
 //! ## Data structures
 //!
 //! Reproducing the paper's figures means running hundreds of full-cluster
 //! simulations, so the queue is built for throughput:
 //!
-//! * **Slab-backed event arena with inline closures.** Event closures live
-//!   in [`Slot`]s of a `Vec` recycled through a free list, so the slab and
-//!   the heap reach a high-water mark once and are reused for the rest of
-//!   the run. Closures up to 48 bytes (all of the simulator's hot-path
-//!   events) are stored *inline* in the slot — scheduling and firing an
-//!   event performs no heap allocation at all; larger ones fall back to a
-//!   transparent `Box`. A slot index is stable for the lifetime of its
-//!   event, which gives O(1) cancellation without any hash map.
+//! * **Slab event arena.** Pending events live by value in `Slot`s of a
+//!   `Vec` recycled through a free list, so the slab and the heap reach a
+//!   high-water mark once and are reused for the rest of the run:
+//!   scheduling and firing an event performs no heap allocation. A slot
+//!   index is stable for the lifetime of its event, which gives O(1)
+//!   cancellation without any hash map.
 //! * **Index-based 4-ary min-heap.** The heap orders 24-byte entries of a
-//!   packed `(time, seq)` `u128` key plus the slot index — the boxed
-//!   closures never move during sift operations. A 4-ary layout halves the
-//!   tree depth of a binary heap and keeps each sift's child scan inside one
-//!   or two cache lines.
-//! * **In-slab tombstone cancellation.** [`Sim::cancel`] drops the closure
-//!   immediately and marks the slot; the heap entry is discarded lazily when
-//!   it surfaces. The pop path never consults a hash set (the previous
-//!   design paid a `HashSet` lookup per pop). Cancelling the current heap
-//!   minimum eagerly drains it, which maintains the invariant that the heap
-//!   top is always live — so [`Sim::peek_time`] is a true `&self` read.
+//!   packed `(time, seq)` `u128` key plus the slot index — the events never
+//!   move during sift operations. A 4-ary layout halves the tree depth of a
+//!   binary heap and keeps each sift's child scan inside one or two cache
+//!   lines.
+//! * **In-slab tombstone cancellation.** [`Sim::cancel`] drops the event
+//!   immediately and empties its slot; the heap entry is discarded lazily
+//!   when it surfaces. The pop path never consults a hash set. Cancelling
+//!   the current heap minimum eagerly drains it, which maintains the
+//!   invariant that the heap top is always live — so [`Sim::peek_time`] is
+//!   a true `&self` read.
 
 use crate::obs::{prof, MetricsRegistry};
 use crate::time::SimTime;
 use crate::trace::Trace;
 
-/// An event callback: runs at its scheduled time with access to the world and
-/// the engine (to schedule follow-ups).
-pub type Event<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>)>;
+/// A simulation world: the state events act on, and the one place they are
+/// dispatched.
+pub trait Handler {
+    /// The world's events, typically a closed enum with one variant per
+    /// kind of event.
+    type Event;
+
+    /// The host self-profiler frame an event's execution is charged to
+    /// (e.g. `"event::steal"`, see [`crate::obs::prof`]). Events of worlds
+    /// that do not name their kinds all land in `"event::other"`.
+    fn kind(_event: &Self::Event) -> &'static str {
+        "event::other"
+    }
+
+    /// Run `event` at its scheduled time; `sim` schedules follow-ups.
+    fn handle(&mut self, event: Self::Event, sim: &mut Sim<Self::Event>);
+}
 
 /// Handle to a scheduled event, usable to cancel it before it fires.
 ///
@@ -50,102 +65,19 @@ pub struct EventHandle {
     seq: u64,
 }
 
-/// Closure payloads up to this many bytes (and alignment ≤ 8) are stored
-/// inline in the arena slot — no heap allocation at all. Larger or
-/// over-aligned closures fall back to a `Box<dyn FnOnce>` whose fat pointer
-/// is stored in the same buffer. Sized to fit the work-stealing engine's
-/// largest hot-path captures (a `Vec` of children plus a few indices).
-const INLINE_EVENT_WORDS: usize = 6;
-
-/// 8-aligned inline storage for an event closure (or the boxed fallback).
-#[derive(Clone, Copy)]
-struct EventData([std::mem::MaybeUninit<u64>; INLINE_EVENT_WORDS]);
-
-impl EventData {
-    const EMPTY: EventData = EventData([std::mem::MaybeUninit::uninit(); INLINE_EVENT_WORDS]);
-
-    #[inline(always)]
-    fn as_mut_ptr(&mut self) -> *mut u8 {
-        self.0.as_mut_ptr() as *mut u8
-    }
-}
-
-/// Reads the closure of concrete type `F` out of `p` and invokes it.
-///
-/// Safety: `p` must hold a valid, initialized `F` which is logically moved
-/// out by this call (the caller must not drop or reuse it afterwards).
-unsafe fn call_inline<W, F: FnOnce(&mut W, &mut Sim<W>)>(p: *mut u8, w: &mut W, sim: &mut Sim<W>) {
-    (p as *mut F).read()(w, sim)
-}
-
-/// Boxed-fallback twin of [`call_inline`]: `p` holds an `Event<W>` fat
-/// pointer; the box is moved out, invoked, and freed.
-unsafe fn call_boxed<W>(p: *mut u8, w: &mut W, sim: &mut Sim<W>) {
-    (p as *mut Event<W>).read()(w, sim)
-}
-
-/// Drops a still-stored payload of type `T` in place (cancellation and
-/// engine drop; fired events are consumed by their `call` instead).
-unsafe fn drop_payload<T>(p: *mut u8) {
-    std::ptr::drop_in_place(p as *mut T)
-}
-
-/// One arena slot. `call` is `Some` while the event is pending; cancellation
-/// drops the payload in place (the tombstone) and firing moves it out. The
+/// One arena slot. `event` is `Some` while the event is pending;
+/// cancellation drops it (the tombstone) and firing moves it out. The
 /// sequence number distinguishes the current occupant from stale handles.
-struct Slot<W> {
+struct Slot<E> {
     seq: u64,
-    call: Option<unsafe fn(*mut u8, &mut W, &mut Sim<W>)>,
-    /// Valid whenever `call` is `Some`; drops the payload without running it.
-    drop_fn: unsafe fn(*mut u8),
-    /// Event kind for the host self-profiler's dispatch bucketing (see
-    /// [`crate::obs::prof`]); assigned at schedule time, `'static` so the
-    /// hot path stores a pointer, never a string.
-    kind: &'static str,
-    data: EventData,
-}
-
-impl<W> Slot<W> {
-    /// Store `f` in the slot: inline when it fits, boxed otherwise. The
-    /// size/alignment test is a monomorphized constant, so each call site
-    /// compiles to exactly one of the two paths.
-    #[inline]
-    fn store<F>(&mut self, seq: u64, f: F)
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
-        debug_assert!(self.call.is_none(), "storing into an occupied slot");
-        self.seq = seq;
-        if std::mem::size_of::<F>() <= INLINE_EVENT_WORDS * 8 && std::mem::align_of::<F>() <= 8 {
-            unsafe { (self.data.as_mut_ptr() as *mut F).write(f) };
-            self.call = Some(call_inline::<W, F>);
-            self.drop_fn = drop_payload::<F>;
-        } else {
-            let boxed: Event<W> = Box::new(f);
-            unsafe { (self.data.as_mut_ptr() as *mut Event<W>).write(boxed) };
-            self.call = Some(call_boxed::<W>);
-            self.drop_fn = drop_payload::<Event<W>>;
-        }
-    }
-
-    /// Drop the pending payload without running it. No-op on empty slots.
-    #[inline]
-    fn clear(&mut self) -> bool {
-        match self.call.take() {
-            Some(_) => {
-                unsafe { (self.drop_fn)(self.data.as_mut_ptr()) };
-                true
-            }
-            None => false,
-        }
-    }
+    event: Option<E>,
 }
 
 /// Heap entry: the event's time and sequence number plus the arena slot
-/// holding its closure. Ordering compares the `(time, seq)` pair packed
-/// into one `u128` (time in the high 64 bits), a single wide integer
-/// compare; the fields stay separate in memory so the entry is 24 bytes
-/// (8-aligned) instead of a 32-byte 16-aligned struct.
+/// holding it. Ordering compares the `(time, seq)` pair packed into one
+/// `u128` (time in the high 64 bits), a single wide integer compare; the
+/// fields stay separate in memory so the entry is 24 bytes (8-aligned)
+/// instead of a 32-byte 16-aligned struct.
 #[derive(Clone, Copy)]
 struct HeapEntry {
     time: u64,
@@ -163,15 +95,15 @@ impl HeapEntry {
 
 /// The discrete-event simulation engine.
 ///
-/// `W` is the user-defined world; the engine never inspects it, it only
-/// threads `&mut W` through event callbacks. The engine also carries the
+/// `E` is the event type; the engine stores events and hands each one back
+/// to the world's [`Handler`] when it fires. The engine also carries the
 /// activity [`Trace`] so that event code anywhere in the stack can record
 /// Gantt spans without extra plumbing.
-pub struct Sim<W> {
+pub struct Sim<E> {
     now: SimTime,
     seq: u64,
     heap: Vec<HeapEntry>,
-    slots: Vec<Slot<W>>,
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
     /// Number of tombstoned entries still sitting in the heap.
     cancelled: usize,
@@ -183,7 +115,7 @@ pub struct Sim<W> {
     seed: u64,
 }
 
-impl<W> Sim<W> {
+impl<E> Sim<E> {
     /// Create an engine. `seed` is the master seed from which all component
     /// RNG streams are derived (see [`crate::rng::StreamRng`]).
     pub fn new(seed: u64) -> Self {
@@ -222,22 +154,8 @@ impl<W> Sim<W> {
         self.heap.len() - self.cancelled
     }
 
-    /// Schedule `f` at absolute time `at`. Panics if `at` is in the past.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventHandle
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
-        self.schedule_at_as("event::other", at, f)
-    }
-
-    /// [`Sim::schedule_at`] with an event kind for the self-profiler's
-    /// dispatch bucketing. `kind` names the frame the event's execution is
-    /// charged to (e.g. `"event::steal"`); unnamed schedules all land in
-    /// `"event::other"`.
-    pub fn schedule_at_as<F>(&mut self, kind: &'static str, at: SimTime, f: F) -> EventHandle
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
+    /// Schedule `event` at absolute time `at`. Panics if `at` is in the past.
+    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventHandle {
         let _prof = prof::scope("des::schedule");
         assert!(
             at >= self.now,
@@ -248,22 +166,22 @@ impl<W> Sim<W> {
         let seq = self.seq;
         self.seq += 1;
         let slot = match self.free.pop() {
-            Some(i) => i,
+            Some(i) => {
+                let s = &mut self.slots[i as usize];
+                debug_assert!(s.event.is_none(), "free slot is occupied");
+                s.seq = seq;
+                s.event = Some(event);
+                i
+            }
             None => {
                 debug_assert!(self.slots.len() < u32::MAX as usize, "event arena full");
                 self.slots.push(Slot {
                     seq,
-                    call: None,
-                    drop_fn: drop_payload::<()>,
-                    kind,
-                    data: EventData::EMPTY,
+                    event: Some(event),
                 });
                 (self.slots.len() - 1) as u32
             }
         };
-        let s = &mut self.slots[slot as usize];
-        s.kind = kind;
-        s.store(seq, f);
         self.heap_push(HeapEntry {
             time: at.as_nanos(),
             seq,
@@ -272,51 +190,30 @@ impl<W> Sim<W> {
         EventHandle { slot, seq }
     }
 
-    /// Schedule `f` after a delay from now.
-    pub fn schedule_in<F>(&mut self, delay: SimTime, f: F) -> EventHandle
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
-        self.schedule_at(self.now + delay, f)
+    /// Schedule `event` after a delay from now.
+    pub fn schedule_in(&mut self, delay: SimTime, event: E) -> EventHandle {
+        self.schedule_at(self.now + delay, event)
     }
 
-    /// [`Sim::schedule_in`] with an event kind (see [`Sim::schedule_at_as`]).
-    pub fn schedule_in_as<F>(&mut self, kind: &'static str, delay: SimTime, f: F) -> EventHandle
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
-        self.schedule_at_as(kind, self.now + delay, f)
-    }
-
-    /// Schedule `f` to run at the current time, after all events already
+    /// Schedule `event` to run at the current time, after all events already
     /// scheduled for the current time.
-    pub fn schedule_now<F>(&mut self, f: F) -> EventHandle
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
-        self.schedule_at(self.now, f)
+    pub fn schedule_now(&mut self, event: E) -> EventHandle {
+        self.schedule_at(self.now, event)
     }
 
-    /// [`Sim::schedule_now`] with an event kind (see [`Sim::schedule_at_as`]).
-    pub fn schedule_now_as<F>(&mut self, kind: &'static str, f: F) -> EventHandle
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
-        self.schedule_at_as(kind, self.now, f)
-    }
-
-    /// Cancel a pending event. Returns `true` if the event had not fired and
-    /// had not already been cancelled; stale handles (fired, cancelled, or
-    /// from a slot since reused) return `false` and change nothing.
+    /// Cancel a pending event, dropping it. Returns `true` if the event had
+    /// not fired and had not already been cancelled; stale handles (fired,
+    /// cancelled, or from a slot since reused) return `false` and change
+    /// nothing.
     pub fn cancel(&mut self, h: EventHandle) -> bool {
         let _prof = prof::scope("des::cancel");
         let Some(slot) = self.slots.get_mut(h.slot as usize) else {
             return false;
         };
-        if slot.seq != h.seq || !slot.clear() {
+        if slot.seq != h.seq || slot.event.take().is_none() {
             return false;
         }
-        // The closure is dropped; the heap entry becomes a tombstone.
+        // The event is dropped; the heap entry becomes a tombstone.
         self.cancelled += 1;
         self.drain_cancelled_top();
         true
@@ -328,7 +225,7 @@ impl<W> Sim<W> {
     /// minimum is always a live event — and [`Sim::peek_time`] read-only.
     fn drain_cancelled_top(&mut self) {
         while let Some(top) = self.heap.first() {
-            if self.slots[top.slot as usize].call.is_some() {
+            if self.slots[top.slot as usize].event.is_some() {
                 break;
             }
             let e = self.heap_pop().expect("peeked heap entry vanished");
@@ -339,19 +236,19 @@ impl<W> Sim<W> {
 
     /// Execute the single next event, if any. Returns `false` when the queue
     /// is empty.
-    pub fn step(&mut self, world: &mut W) -> bool {
+    pub fn step<W: Handler<Event = E>>(&mut self, world: &mut W) -> bool {
         let heap_scope = prof::scope("des::heap");
         let Some(e) = self.heap_pop() else {
             return false;
         };
         // The heap top is never a tombstone (see `drain_cancelled_top`), so
-        // the popped entry is always live. Move the payload bits out to the
-        // stack and free the slot *before* invoking, so the callback may
-        // freely schedule into (and reuse) it.
-        let slot = &mut self.slots[e.slot as usize];
-        let call = slot.call.take().expect("heap top was a tombstone");
-        let kind = slot.kind;
-        let mut data = slot.data;
+        // the popped entry is always live. Move the event out and free the
+        // slot *before* handling it, so the handler may freely schedule into
+        // (and reuse) it.
+        let event = self.slots[e.slot as usize]
+            .event
+            .take()
+            .expect("heap top was a tombstone");
         self.free.push(e.slot);
         if self.cancelled > 0 {
             self.drain_cancelled_top();
@@ -361,22 +258,22 @@ impl<W> Sim<W> {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.events_fired += 1;
-        // Dispatch bucketed by event kind: the callback's wall time (and
+        // Dispatch bucketed by event kind: the handler's wall time (and
         // everything it calls — kernel interpretation, balancer decisions,
         // follow-up schedules) lands under the kind's frame.
-        let _prof = prof::scope(kind);
-        unsafe { call(data.as_mut_ptr(), world, self) };
+        let _prof = prof::scope(W::kind(&event));
+        world.handle(event, self);
         true
     }
 
     /// Run until the event queue is empty.
-    pub fn run(&mut self, world: &mut W) {
+    pub fn run<W: Handler<Event = E>>(&mut self, world: &mut W) {
         while self.step(world) {}
     }
 
     /// Run until the event queue is empty or virtual time would exceed
     /// `until`. Events scheduled exactly at `until` are executed.
-    pub fn run_until(&mut self, world: &mut W, until: SimTime) {
+    pub fn run_until<W: Handler<Event = E>>(&mut self, world: &mut W, until: SimTime) {
         loop {
             match self.peek_time() {
                 Some(t) if t <= until => {
@@ -451,74 +348,113 @@ impl<W> Sim<W> {
     }
 }
 
-impl<W> Drop for Sim<W> {
-    /// Drop payloads still pending in the arena (a simulation abandoned
-    /// mid-run, e.g. after `run_until`). Fired and cancelled events were
-    /// already consumed; `clear` skips their empty slots.
-    fn drop(&mut self) {
-        for s in &mut self.slots {
-            s.clear();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
+
+    /// The test world: a firing log, a counter and a chain length.
+    #[derive(Default)]
+    struct World {
+        log: Vec<u64>,
+        count: u64,
+        chain_len: u64,
+    }
+
+    enum Ev {
+        /// Append the payload to the log.
+        Push(u64),
+        /// Add the payload to the counter.
+        Add(u64),
+        /// Count one link; schedule the next 1 ns later until `chain_len`.
+        Chain,
+        /// Mix `i` into the counter, then add `i * i` after `i` ns.
+        Mix(u64),
+        /// Schedule an event 5 ns in the past.
+        Backwards,
+        /// Do nothing.
+        Nop,
+        /// Carry a reference-counted payload, dropped when handled.
+        Hold(Rc<()>),
+    }
+
+    impl Handler for World {
+        type Event = Ev;
+
+        fn handle(&mut self, ev: Ev, sim: &mut Sim<Ev>) {
+            match ev {
+                Ev::Push(v) => self.log.push(v),
+                Ev::Add(v) => self.count += v,
+                Ev::Chain => {
+                    self.count += 1;
+                    if self.count < self.chain_len {
+                        sim.schedule_in(SimTime::from_nanos(1), Ev::Chain);
+                    }
+                }
+                Ev::Mix(i) => {
+                    self.count = self.count.wrapping_mul(31).wrapping_add(i);
+                    sim.schedule_in(SimTime::from_nanos(i), Ev::Add(i * i));
+                }
+                Ev::Backwards => {
+                    sim.schedule_at(SimTime::from_nanos(5), Ev::Nop);
+                }
+                Ev::Hold(payload) => drop(payload),
+                Ev::Nop => {}
+            }
+        }
+    }
+
+    fn t(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
 
     #[test]
     fn events_fire_in_time_order() {
-        let mut sim: Sim<Vec<u32>> = Sim::new(1);
-        let mut world = Vec::new();
-        sim.schedule_at(SimTime::from_nanos(30), |w: &mut Vec<u32>, _| w.push(3));
-        sim.schedule_at(SimTime::from_nanos(10), |w: &mut Vec<u32>, _| w.push(1));
-        sim.schedule_at(SimTime::from_nanos(20), |w: &mut Vec<u32>, _| w.push(2));
+        let mut sim = Sim::new(1);
+        let mut world = World::default();
+        sim.schedule_at(t(30), Ev::Push(3));
+        sim.schedule_at(t(10), Ev::Push(1));
+        sim.schedule_at(t(20), Ev::Push(2));
         sim.run(&mut world);
-        assert_eq!(world, vec![1, 2, 3]);
+        assert_eq!(world.log, vec![1, 2, 3]);
         assert_eq!(sim.events_fired(), 3);
     }
 
     #[test]
     fn ties_fire_in_schedule_order() {
-        let mut sim: Sim<Vec<u32>> = Sim::new(1);
-        let mut world = Vec::new();
-        for i in 0..100u32 {
-            sim.schedule_at(SimTime::from_nanos(5), move |w: &mut Vec<u32>, _| w.push(i));
+        let mut sim = Sim::new(1);
+        let mut world = World::default();
+        for i in 0..100 {
+            sim.schedule_at(t(5), Ev::Push(i));
         }
         sim.run(&mut world);
-        assert_eq!(world, (0..100).collect::<Vec<_>>());
+        assert_eq!(world.log, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn events_can_schedule_events() {
-        let mut sim: Sim<u64> = Sim::new(1);
-        let mut world = 0u64;
+        let mut sim = Sim::new(1);
         // A chain of 1000 events, each scheduling the next.
-        fn chain(w: &mut u64, sim: &mut Sim<u64>) {
-            *w += 1;
-            if *w < 1000 {
-                sim.schedule_in(SimTime::from_nanos(1), chain);
-            }
-        }
-        sim.schedule_now(chain);
+        let mut world = World {
+            chain_len: 1000,
+            ..World::default()
+        };
+        sim.schedule_now(Ev::Chain);
         sim.run(&mut world);
-        assert_eq!(world, 1000);
-        assert_eq!(sim.now(), SimTime::from_nanos(999));
+        assert_eq!(world.count, 1000);
+        assert_eq!(sim.now(), t(999));
     }
 
     #[test]
     fn chained_events_reuse_the_slab() {
-        let mut sim: Sim<u64> = Sim::new(1);
-        let mut world = 0u64;
-        fn chain(w: &mut u64, sim: &mut Sim<u64>) {
-            *w += 1;
-            if *w < 10_000 {
-                sim.schedule_in(SimTime::from_nanos(1), chain);
-            }
-        }
-        sim.schedule_now(chain);
+        let mut sim = Sim::new(1);
+        let mut world = World {
+            chain_len: 10_000,
+            ..World::default()
+        };
+        sim.schedule_now(Ev::Chain);
         sim.run(&mut world);
-        assert_eq!(world, 10_000);
+        assert_eq!(world.count, 10_000);
         // One event in flight at a time: the arena never grows past the
         // high-water mark of concurrently pending events.
         assert_eq!(sim.slots.len(), 1, "slab should recycle the single slot");
@@ -526,28 +462,28 @@ mod tests {
 
     #[test]
     fn cancel_prevents_execution() {
-        let mut sim: Sim<u32> = Sim::new(1);
-        let mut world = 0;
-        let h = sim.schedule_at(SimTime::from_nanos(10), |w: &mut u32, _| *w += 1);
-        sim.schedule_at(SimTime::from_nanos(20), |w: &mut u32, _| *w += 10);
+        let mut sim = Sim::new(1);
+        let mut world = World::default();
+        let h = sim.schedule_at(t(10), Ev::Add(1));
+        sim.schedule_at(t(20), Ev::Add(10));
         assert!(sim.cancel(h));
         assert!(!sim.cancel(h), "double-cancel reports false");
         sim.run(&mut world);
-        assert_eq!(world, 10);
+        assert_eq!(world.count, 10);
     }
 
     #[test]
     fn cancel_unknown_handle_is_false() {
-        let mut sim: Sim<u32> = Sim::new(1);
+        let mut sim: Sim<Ev> = Sim::new(1);
         assert!(!sim.cancel(EventHandle { slot: 7, seq: 99 }));
     }
 
     #[test]
     fn cancel_after_fire_is_false_and_keeps_pending_accurate() {
-        let mut sim: Sim<u32> = Sim::new(1);
-        let mut world = 0;
-        let h = sim.schedule_at(SimTime::from_nanos(10), |w: &mut u32, _| *w += 1);
-        sim.schedule_at(SimTime::from_nanos(20), |w: &mut u32, _| *w += 10);
+        let mut sim = Sim::new(1);
+        let mut world = World::default();
+        let h = sim.schedule_at(t(10), Ev::Add(1));
+        sim.schedule_at(t(20), Ev::Add(10));
         assert!(sim.step(&mut world), "first event fires");
         // The handle's event already ran: cancelling it must fail and must
         // not corrupt the pending count (the old HashSet design recorded the
@@ -555,112 +491,100 @@ mod tests {
         assert!(!sim.cancel(h), "cancel of a fired event reports false");
         assert_eq!(sim.pending(), 1);
         sim.run(&mut world);
-        assert_eq!(world, 11);
+        assert_eq!(world.count, 11);
         assert_eq!(sim.pending(), 0);
         assert!(!sim.cancel(h), "still false after the queue drained");
     }
 
     #[test]
     fn stale_handle_cannot_cancel_slot_reuser() {
-        let mut sim: Sim<u32> = Sim::new(1);
-        let mut world = 0;
-        let h1 = sim.schedule_at(SimTime::from_nanos(10), |w: &mut u32, _| *w += 1);
+        let mut sim = Sim::new(1);
+        let mut world = World::default();
+        let h1 = sim.schedule_at(t(10), Ev::Add(1));
         sim.step(&mut world);
         // The slot freed by h1's event is reused by the next schedule; the
         // stale handle must not cancel the new occupant.
-        let h2 = sim.schedule_at(SimTime::from_nanos(20), |w: &mut u32, _| *w += 10);
+        let h2 = sim.schedule_at(t(20), Ev::Add(10));
         assert_eq!(h1.slot, h2.slot, "slot is recycled");
         assert!(!sim.cancel(h1));
         sim.run(&mut world);
-        assert_eq!(world, 11);
+        assert_eq!(world.count, 11);
     }
 
     #[test]
     fn pending_counts_live_events_only() {
-        let mut sim: Sim<u32> = Sim::new(1);
+        let mut sim = Sim::new(1);
         let hs: Vec<_> = (0..10)
-            .map(|i| sim.schedule_at(SimTime::from_nanos(10 + i), |_, _| {}))
+            .map(|i| sim.schedule_at(t(10 + i), Ev::Nop))
             .collect();
         assert_eq!(sim.pending(), 10);
         for h in &hs[2..5] {
             assert!(sim.cancel(*h));
         }
         assert_eq!(sim.pending(), 7);
-        let mut world = 0u32;
-        sim.run(&mut world);
+        sim.run(&mut World::default());
         assert_eq!(sim.pending(), 0);
         assert_eq!(sim.events_fired(), 7);
     }
 
     #[test]
     fn run_until_stops_at_horizon() {
-        let mut sim: Sim<Vec<u64>> = Sim::new(1);
-        let mut world = Vec::new();
-        for t in [5u64, 10, 15, 20] {
-            sim.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<u64>, _| w.push(t));
+        let mut sim = Sim::new(1);
+        let mut world = World::default();
+        for v in [5, 10, 15, 20] {
+            sim.schedule_at(t(v), Ev::Push(v));
         }
-        sim.run_until(&mut world, SimTime::from_nanos(15));
-        assert_eq!(world, vec![5, 10, 15]);
+        sim.run_until(&mut world, t(15));
+        assert_eq!(world.log, vec![5, 10, 15]);
         assert_eq!(sim.pending(), 1);
         sim.run(&mut world);
-        assert_eq!(world, vec![5, 10, 15, 20]);
+        assert_eq!(world.log, vec![5, 10, 15, 20]);
     }
 
     #[test]
     fn peek_time_skips_cancelled() {
-        let mut sim: Sim<u32> = Sim::new(1);
-        let h = sim.schedule_at(SimTime::from_nanos(10), |_, _| {});
-        sim.schedule_at(SimTime::from_nanos(20), |_, _| {});
+        let mut sim = Sim::new(1);
+        let h = sim.schedule_at(t(10), Ev::Nop);
+        sim.schedule_at(t(20), Ev::Nop);
         sim.cancel(h);
-        assert_eq!(sim.peek_time(), Some(SimTime::from_nanos(20)));
+        assert_eq!(sim.peek_time(), Some(t(20)));
     }
 
     #[test]
     fn peek_time_is_live_after_step_uncovers_a_tombstone() {
-        let mut sim: Sim<u32> = Sim::new(1);
-        sim.schedule_at(SimTime::from_nanos(10), |_, _| {});
-        let h = sim.schedule_at(SimTime::from_nanos(20), |_, _| {});
-        sim.schedule_at(SimTime::from_nanos(30), |_, _| {});
+        let mut sim = Sim::new(1);
+        sim.schedule_at(t(10), Ev::Nop);
+        let h = sim.schedule_at(t(20), Ev::Nop);
+        sim.schedule_at(t(30), Ev::Nop);
         // Cancel the middle event while it is not the heap top …
         sim.cancel(h);
-        let mut world = 0u32;
+        let mut world = World::default();
         // … then fire the first; the tombstone surfaces and must be drained
         // so `peek_time` (and thus `run_until`) sees 30, not 20.
         sim.step(&mut world);
-        assert_eq!(sim.peek_time(), Some(SimTime::from_nanos(30)));
-        sim.run_until(&mut world, SimTime::from_nanos(25));
+        assert_eq!(sim.peek_time(), Some(t(30)));
+        sim.run_until(&mut world, t(25));
         assert_eq!(sim.events_fired(), 1, "nothing fires inside (10, 25]");
     }
 
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_in_the_past_panics() {
-        let mut sim: Sim<u32> = Sim::new(1);
-        let mut world = 0;
-        sim.schedule_at(SimTime::from_nanos(10), |_, sim: &mut Sim<u32>| {
-            sim.schedule_at(SimTime::from_nanos(5), |_, _| {});
-        });
-        sim.run(&mut world);
+        let mut sim = Sim::new(1);
+        sim.schedule_at(t(10), Ev::Backwards);
+        sim.run(&mut World::default());
     }
 
     #[test]
     fn deterministic_across_runs() {
         fn run_once() -> (u64, SimTime) {
-            let mut sim: Sim<u64> = Sim::new(7);
-            let mut world = 0u64;
-            for i in 0..50u64 {
-                sim.schedule_at(
-                    SimTime::from_nanos(i % 7),
-                    move |w: &mut u64, s: &mut Sim<u64>| {
-                        *w = w.wrapping_mul(31).wrapping_add(i);
-                        s.schedule_in(SimTime::from_nanos(i), move |w: &mut u64, _| {
-                            *w = w.wrapping_add(i * i);
-                        });
-                    },
-                );
+            let mut sim = Sim::new(7);
+            let mut world = World::default();
+            for i in 0..50 {
+                sim.schedule_at(t(i % 7), Ev::Mix(i));
             }
             sim.run(&mut world);
-            (world, sim.now())
+            (world.count, sim.now())
         }
         assert_eq!(run_once(), run_once());
     }
@@ -668,18 +592,43 @@ mod tests {
     #[test]
     fn heap_orders_many_random_keys() {
         // Deterministic pseudo-random schedule exercising deep sifts.
-        let mut sim: Sim<Vec<u64>> = Sim::new(1);
-        let mut world = Vec::new();
+        let mut sim = Sim::new(1);
+        let mut world = World::default();
         let mut x = 0x9e3779b97f4a7c15u64;
         for _ in 0..5000 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let t = x % 1_000_000;
-            sim.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<u64>, _| w.push(t));
+            let v = x % 1_000_000;
+            sim.schedule_at(t(v), Ev::Push(v));
         }
         sim.run(&mut world);
-        assert_eq!(world.len(), 5000);
-        assert!(world.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(world.log.len(), 5000);
+        assert!(world.log.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn cancelled_and_abandoned_payloads_drop_exactly_once() {
+        let payload = Rc::new(());
+        let mut sim = Sim::new(1);
+        let hs: Vec<_> = (0..6)
+            .map(|i| sim.schedule_at(t(10 + i), Ev::Hold(Rc::clone(&payload))))
+            .collect();
+        assert_eq!(Rc::strong_count(&payload), 7);
+        // A cancelled event's payload is dropped at cancellation, once:
+        // cancelling the heap top (which drains it) and a buried event.
+        assert!(sim.cancel(hs[0]));
+        assert!(sim.cancel(hs[2]));
+        assert_eq!(Rc::strong_count(&payload), 5);
+        assert!(!sim.cancel(hs[2]), "double-cancel reports false");
+        assert_eq!(Rc::strong_count(&payload), 5);
+        // A fired event's payload is consumed by its handler.
+        assert!(sim.step(&mut World::default()));
+        assert_eq!(Rc::strong_count(&payload), 4);
+        // Events still pending when the engine is dropped are dropped with
+        // it, and the tombstoned slots are not dropped a second time.
+        assert_eq!(sim.pending(), 3);
+        drop(sim);
+        assert_eq!(Rc::strong_count(&payload), 1);
     }
 }

@@ -9,30 +9,51 @@
 //! Design:
 //!
 //! * Virtual time is [`SimTime`], a `u64` count of nanoseconds.
-//! * The engine [`Sim<W>`] owns the event queue: a slab arena of reusable
-//!   event slots (closures up to 48 bytes stored inline, no per-event
-//!   allocation in steady state) ordered by an index-based 4-ary min-heap,
-//!   with O(1) tombstone cancellation. Events are `FnOnce` closures
-//!   receiving the user *world* (`&mut W`) and the engine itself so they
-//!   can schedule follow-up events.
+//! * Events are typed: a world implementing [`Handler`] names its event
+//!   type (usually a closed enum) and dispatches each fired event with one
+//!   `match`, scheduling follow-ups through the engine it is handed.
+//! * The engine [`Sim<E>`] owns the event queue: a safe slab arena of
+//!   reusable slots holding events by value (no per-event allocation in
+//!   steady state) ordered by an index-based 4-ary min-heap, with O(1)
+//!   tombstone cancellation.
 //! * Ties are broken by insertion sequence number, which (together with seeded
 //!   RNG streams from [`rng`]) makes runs deterministic.
 //! * [`trace`] records activity spans per lane and renders the Gantt charts of
 //!   the paper's Figs. 16/17.
 //!
 //! ```
-//! use cashmere_des::{Sim, SimTime};
+//! use cashmere_des::{Handler, Sim, SimTime};
 //!
-//! let mut sim: Sim<u64> = Sim::new(42);
-//! let mut world = 0u64;
-//! sim.schedule_in(SimTime::from_micros(5), |w: &mut u64, sim: &mut Sim<u64>| {
-//!     *w += 1;
-//!     sim.schedule_in(SimTime::from_micros(5), |w: &mut u64, _: &mut Sim<u64>| *w += 10);
-//! });
+//! struct Counter(u64);
+//!
+//! enum Ev {
+//!     Add(u64),
+//!     AddThenLater(u64),
+//! }
+//!
+//! impl Handler for Counter {
+//!     type Event = Ev;
+//!
+//!     fn handle(&mut self, ev: Ev, sim: &mut Sim<Ev>) {
+//!         match ev {
+//!             Ev::Add(v) => self.0 += v,
+//!             Ev::AddThenLater(v) => {
+//!                 self.0 += v;
+//!                 sim.schedule_in(SimTime::from_micros(5), Ev::Add(10));
+//!             }
+//!         }
+//!     }
+//! }
+//!
+//! let mut sim = Sim::new(42);
+//! let mut world = Counter(0);
+//! sim.schedule_in(SimTime::from_micros(5), Ev::AddThenLater(1));
 //! sim.run(&mut world);
-//! assert_eq!(world, 11);
+//! assert_eq!(world.0, 11);
 //! assert_eq!(sim.now(), SimTime::from_micros(10));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod fault;
@@ -42,7 +63,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Event, EventHandle, Sim};
+pub use engine::{EventHandle, Handler, Sim};
 pub use fault::{
     DeviceFailure, FaultInjector, FaultPlan, LaunchFaultWindow, LinkFault, MessageFate, NodeCrash,
     NodeJoin,

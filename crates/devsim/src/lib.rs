@@ -12,6 +12,8 @@
 //! collected statistics into virtual execution time on this specific
 //! device.
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod memory;
 pub mod timeline;

@@ -20,6 +20,8 @@
 //!   in HDL and parsed at startup, covering the seven DAS-4 devices
 //!   (GTX480, C2050, GTX680, K20, Titan, HD7970, Xeon Phi) plus the host CPU.
 
+#![forbid(unsafe_code)]
+
 pub mod hdl;
 pub mod hierarchy;
 pub mod library;

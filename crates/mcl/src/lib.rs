@@ -20,6 +20,8 @@
 //! * **estimates execution time** on a concrete device from the collected
 //!   statistics with a roofline cost model ([`cost`]).
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod ast;
 pub mod check;

@@ -12,6 +12,8 @@
 //! QDR IB on DAS-4 approximates): contention happens at the endpoints, not
 //! in the core.
 
+#![forbid(unsafe_code)]
+
 pub mod nic;
 
 pub use nic::{NodeNic, Transfer};

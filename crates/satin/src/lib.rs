@@ -12,6 +12,8 @@
 //! leaf execution (plain CPU leaves here; Cashmere's many-core leaves in
 //! the `cashmere` crate).
 
+#![forbid(unsafe_code)]
+
 pub mod sim;
 
 pub use sim::{

@@ -11,6 +11,37 @@
 //!
 //! Leaf execution is delegated to a [`LeafRuntime`]: one CPU core for plain
 //! Satin, the Cashmere device path in the `cashmere` crate.
+//!
+//! ## Events
+//!
+//! Every message and timer is a variant of one closed enum, `Event`, and
+//! the world dispatches it with one `match` (it is the DES engine's
+//! [`Handler`]). Each variant's kind is also the self-profiler frame its
+//! handling is charged to:
+//!
+//! | variant | frame | what happened |
+//! |---|---|---|
+//! | `Tick` | `event::tick` | a node's scheduler runs: start tasks, or steal when idle |
+//! | `ProcessJob` | `event::process-job` | a job's management overhead is paid: divide, or plan its leaf |
+//! | `FinishDivide` | `event::finish-divide` | a divide is done: its children are queued |
+//! | `LeafDone` | `event::leaf-done` | a leaf's output is ready (CPU or device leaf) |
+//! | `LeafSubmit` | `event::leaf-submit` | a device leaf's submit is done: its core is free |
+//! | `Deliver` | `event::deliver` | a reused orphan result reaches its job |
+//! | `SendResult` | `event::send-result` | a child's result is (re)transmitted to the parent's node |
+//! | `ReceiveChild` | `event::receive-child` | a child's result arrives at the parent's node |
+//! | `Combine` | `event::combine` | a combine is done: the job's result is delivered |
+//! | `Steal` | `event::steal` | a steal request reaches the victim |
+//! | `StealTimeout` | `event::steal-timeout` | a steal attempt had no answer in time (fault plans only) |
+//! | `StealRetry` | `event::steal-retry` | a thief polls again after a refusal, timeout or no-victim poll |
+//! | `StealTransfer` | `event::steal-transfer` | a stolen job's transfer ends: it arrives, or was lost |
+//! | `Probe` | `event::probe` | the flight recorder samples cluster state |
+//! | `Crash` | `event::crash` | a node crashes (fault plan) |
+//! | `Join` | `event::join` | a node (re)joins (fault plan) |
+//! | `Broadcast` | `event::broadcast` | an inter-iteration broadcast's last arrival |
+//!
+//! Events carry the job generation, node incarnation or steal token they
+//! were scheduled under, so a handler recognises itself as stale after a
+//! crash or a resolved steal.
 
 use super::steal::StealKind;
 use crate::sim::app::{ClusterApp, DcStep, LeafCtx, LeafPlan, LeafRuntime};
@@ -19,7 +50,7 @@ use cashmere_des::fault::{FaultInjector, FaultPlan, MessageFate};
 use cashmere_des::obs::{prof, ProbeSeries};
 use cashmere_des::rng::StreamRng;
 use cashmere_des::trace::{LaneId, SpanId, SpanKind};
-use cashmere_des::{Sim, SimTime};
+use cashmere_des::{Handler, Sim, SimTime};
 use cashmere_netsim::nic::{schedule_transfer, NodeNic};
 use cashmere_netsim::NetConfig;
 use std::collections::{HashMap, VecDeque};
@@ -271,9 +302,9 @@ struct OrphanEntry<O> {
 }
 
 /// The simulation world: nodes, jobs, application, leaf runtime.
-pub struct World<A: ClusterApp, L: LeafRuntime<A>> {
-    pub app: A,
-    pub leaf: L,
+struct World<A: ClusterApp, L: LeafRuntime<A>> {
+    app: A,
+    leaf: L,
     cfg: SimConfig,
     nodes: Vec<NodeState>,
     jobs: Vec<JobRec<A>>,
@@ -309,12 +340,18 @@ pub struct World<A: ClusterApp, L: LeafRuntime<A>> {
     /// Pending probe event, cancelled at root completion so sampling never
     /// advances the clock past the real finish.
     probe_event: Option<cashmere_des::EventHandle>,
-    pub report: RunReport,
+    report: RunReport,
 }
 
 impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
     fn busy_fraction(&self, node: usize) -> f64 {
         self.nodes[node].busy_cores as f64 / self.cfg.cores_per_node as f64
+    }
+
+    /// Node `n` is up in incarnation `inc`: an event scheduled by that
+    /// incarnation still applies.
+    fn is_current(&self, n: usize, inc: u64) -> bool {
+        self.nodes[n].alive && self.nodes[n].incarnation == inc
     }
 
     fn new_job(&mut self, input: A::Input, parent: Option<(usize, usize)>, home: usize) -> usize {
@@ -395,13 +432,223 @@ impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
     }
 }
 
-type S<A, L> = Sim<World<A, L>>;
+/// A task (a job's divide or leaf, or its combine) running on a node: the
+/// node, the job, and the job generation and node incarnation the task
+/// started under. The events of a running task carry it, so they can tell
+/// when a crash has reset the job or the node since.
+#[derive(Clone, Copy)]
+struct Exec {
+    n: usize,
+    j: usize,
+    generation: u64,
+    inc: u64,
+}
+
+/// A child's result on its way to the parent's node: child `idx` of job `p`
+/// (in generation `pgen`), held by node `n`, owed to the parent's node
+/// `home`.
+struct ResultMsg<O> {
+    n: usize,
+    home: usize,
+    p: usize,
+    idx: usize,
+    pgen: u64,
+    output: O,
+}
+
+/// The Satin layer's events (paper Sec. III-B; listed in the module doc),
+/// dispatched by one `match` in [`World::handle`].
+enum Event<A: ClusterApp> {
+    /// Node `n`'s scheduler starts tasks or steals ([`tick`]).
+    Tick { n: usize },
+    /// A job's management overhead is paid: it divides or plans its leaf
+    /// ([`process_job`]).
+    ProcessJob { exec: Exec, is_leaf: bool },
+    /// A divide is done: the job's children are queued.
+    FinishDivide { exec: Exec, children: Vec<A::Input> },
+    /// A leaf's output is ready. A CPU leaf (`holds_core`) releases its core
+    /// now; a device leaf released it at submit.
+    LeafDone {
+        exec: Exec,
+        output: A::Output,
+        holds_core: bool,
+    },
+    /// A device leaf's submit is done: its core is released.
+    LeafSubmit(Exec),
+    /// A reused orphan result for job `j` reaches node `n`.
+    Deliver {
+        n: usize,
+        j: usize,
+        output: A::Output,
+        generation: u64,
+    },
+    /// A child's result is (re)transmitted ([`send_result`]).
+    SendResult {
+        msg: ResultMsg<A::Output>,
+        attempt: u32,
+    },
+    /// A child's result arrives at the parent's node.
+    ReceiveChild(ResultMsg<A::Output>),
+    /// A combine is done ([`finish_combine`]).
+    Combine(Exec),
+    /// A steal request from `thief` arrives at `victim`.
+    Steal { victim: usize, thief: usize },
+    /// `thief`'s steal attempt `token` has had no answer in time.
+    StealTimeout { thief: usize, token: u64 },
+    /// `thief` polls again. A retry after a refusal carries the attempt it
+    /// resolves; one after a timeout or a no-victim poll carries none.
+    StealRetry { thief: usize, token: Option<u64> },
+    /// The transfer of stolen job `j` from `victim` to `thief` ends: the job
+    /// arrives, or it was `lost` in transit.
+    StealTransfer {
+        victim: usize,
+        thief: usize,
+        j: usize,
+        token: u64,
+        generation: u64,
+        thief_inc: u64,
+        lost: bool,
+    },
+    /// The flight recorder samples cluster state.
+    Probe,
+    /// Node `n` crashes.
+    Crash { n: usize },
+    /// Node `n` (re)joins.
+    Join { n: usize },
+    /// The last arrival of an inter-iteration broadcast: only advances the
+    /// clock.
+    Broadcast,
+}
+
+type S<A> = Sim<Event<A>>;
+
+impl<A: ClusterApp, L: LeafRuntime<A>> Handler for World<A, L> {
+    type Event = Event<A>;
+
+    fn kind(ev: &Event<A>) -> &'static str {
+        match ev {
+            Event::Tick { .. } => "event::tick",
+            Event::ProcessJob { .. } => "event::process-job",
+            Event::FinishDivide { .. } => "event::finish-divide",
+            Event::LeafDone { .. } => "event::leaf-done",
+            Event::LeafSubmit(_) => "event::leaf-submit",
+            Event::Deliver { .. } => "event::deliver",
+            Event::SendResult { .. } => "event::send-result",
+            Event::ReceiveChild(_) => "event::receive-child",
+            Event::Combine(_) => "event::combine",
+            Event::Steal { .. } => "event::steal",
+            Event::StealTimeout { .. } => "event::steal-timeout",
+            Event::StealRetry { .. } => "event::steal-retry",
+            Event::StealTransfer { .. } => "event::steal-transfer",
+            Event::Probe => "event::probe",
+            Event::Crash { .. } => "event::crash",
+            Event::Join { .. } => "event::join",
+            Event::Broadcast => "event::broadcast",
+        }
+    }
+
+    fn handle(&mut self, ev: Event<A>, sim: &mut S<A>) {
+        let w = self;
+        match ev {
+            Event::Tick { n } => tick(w, sim, n),
+            Event::ProcessJob { exec, is_leaf } => process_job(w, sim, exec, is_leaf),
+            Event::FinishDivide { exec, children } => {
+                if task_live(w, sim, exec, false) {
+                    finish_divide(w, sim, exec.n, exec.j, children);
+                }
+            }
+            Event::LeafDone {
+                exec,
+                output,
+                holds_core,
+            } => {
+                let n = exec.n;
+                if !w.is_current(n, exec.inc) {
+                    return;
+                }
+                w.nodes[n].running_leaves -= 1;
+                if holds_core {
+                    release_core(w, sim, n);
+                } else {
+                    schedule_tick(w, sim, n);
+                }
+                deliver(w, sim, n, exec.j, output, exec.generation);
+            }
+            Event::LeafSubmit(exec) => {
+                if w.is_current(exec.n, exec.inc) {
+                    release_core(w, sim, exec.n);
+                }
+            }
+            Event::Deliver {
+                n,
+                j,
+                output,
+                generation,
+            } => {
+                if w.nodes[n].alive {
+                    deliver(w, sim, n, j, output, generation);
+                }
+            }
+            Event::SendResult { msg, attempt } => send_result(w, sim, msg, attempt),
+            Event::ReceiveChild(msg) => {
+                if w.nodes[msg.home].alive {
+                    receive_child(w, sim, msg.p, msg.idx, msg.output, msg.pgen);
+                } else if w.cfg.orphan_reuse && !w.done && w.nodes[msg.n].alive {
+                    // The parent's node died while the result was in
+                    // flight; the sender still holds it.
+                    stash_result(w, msg);
+                }
+            }
+            Event::Combine(exec) => finish_combine(w, sim, exec),
+            Event::Steal { victim, thief } => handle_steal_request(w, sim, victim, thief),
+            Event::StealTimeout { thief, token } => steal_timeout(w, sim, thief, token),
+            Event::StealRetry { thief, token } => {
+                // Clears the handle even when it names a newer retry that is
+                // still pending.
+                w.nodes[thief].retry_event = None;
+                if let Some(token) = token {
+                    if w.nodes[thief].steal_seq == token && w.nodes[thief].stealing {
+                        resolve_steal(w, sim, thief);
+                    }
+                }
+                if !w.done && w.nodes[thief].alive {
+                    schedule_tick(w, sim, thief);
+                }
+            }
+            Event::StealTransfer {
+                victim,
+                thief,
+                j,
+                token,
+                generation,
+                thief_inc,
+                lost,
+            } => {
+                finish_steal_transfer(w, sim, victim, thief, j, token, generation, thief_inc, lost)
+            }
+            Event::Probe => {
+                w.probe_event = None;
+                if w.done {
+                    return;
+                }
+                sample_probe(w, sim.now());
+                if let Some(iv) = w.cfg.probe_interval {
+                    let at = sim.now() + iv;
+                    schedule_probe(w, sim, at);
+                }
+            }
+            Event::Crash { n } => crash(w, sim, n),
+            Event::Join { n } => join(w, sim, n),
+            Event::Broadcast => {}
+        }
+    }
+}
 
 /// The simulated cluster: create once, then run one or more root jobs
 /// (iterative applications run one root per iteration with a broadcast in
 /// between).
 pub struct ClusterSim<A: ClusterApp, L: LeafRuntime<A>> {
-    sim: S<A, L>,
+    sim: S<A>,
     world: World<A, L>,
 }
 
@@ -551,13 +798,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
                 self.sim.now()
             ));
         }
-        self.sim.schedule_at_as(
-            "event::crash",
-            at,
-            move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                crash(w, sim, node);
-            },
-        );
+        self.sim.schedule_at(at, Event::Crash { n: node });
         Ok(())
     }
 
@@ -582,13 +823,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
                 self.sim.now()
             ));
         }
-        self.sim.schedule_at_as(
-            "event::join",
-            at,
-            move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                join(w, sim, node);
-            },
-        );
+        self.sim.schedule_at(at, Event::Join { n: node });
         Ok(())
     }
 
@@ -663,18 +898,19 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
             self.sim.metrics.observe("net.transfer", tr.duration());
             last = last.max(tr.arrival);
         }
-        // Advance virtual time to the end of the broadcast.
+        // Advance virtual time to the end of the broadcast. Events due
+        // later (a crash or join from the fault plan, steal polls it set
+        // off) stay queued for the next root.
         if last > self.sim.now() {
-            self.sim
-                .schedule_at_as("event::broadcast", last, |_w, _s| {});
-            self.sim.run(&mut self.world);
+            self.sim.schedule_at(last, Event::Broadcast);
+            self.sim.run_until(&mut self.world, last);
         }
     }
 }
 
 /// Update the node's busy-core gauge after `busy_cores` changed. The
 /// `enabled` check keeps the label formatting off the hot path.
-fn note_busy_cores<A: ClusterApp, L: LeafRuntime<A>>(w: &World<A, L>, sim: &mut S<A, L>, n: usize) {
+fn note_busy_cores<A: ClusterApp, L: LeafRuntime<A>>(w: &World<A, L>, sim: &mut S<A>, n: usize) {
     if sim.metrics.enabled() {
         let now = sim.now();
         sim.metrics.gauge_set(
@@ -688,24 +924,10 @@ fn note_busy_cores<A: ClusterApp, L: LeafRuntime<A>>(w: &World<A, L>, sim: &mut 
 /// Arm the flight recorder's next firing at absolute time `at`.
 fn schedule_probe<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
+    sim: &mut S<A>,
     at: SimTime,
 ) {
-    let h = sim.schedule_at_as(
-        "event::probe",
-        at,
-        |w: &mut World<A, L>, sim: &mut S<A, L>| {
-            w.probe_event = None;
-            if w.done {
-                return;
-            }
-            sample_probe(w, sim.now());
-            if let Some(iv) = w.cfg.probe_interval {
-                let at = sim.now() + iv;
-                schedule_probe(w, sim, at);
-            }
-        },
-    );
+    let h = sim.schedule_at(at, Event::Probe);
     w.probe_event = Some(h);
 }
 
@@ -754,23 +976,16 @@ fn sample_probe<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, now: SimT
     }
 }
 
-fn schedule_tick<A: ClusterApp, L: LeafRuntime<A>>(
-    w: &mut World<A, L>,
-    sim: &mut S<A, L>,
-    n: usize,
-) {
+fn schedule_tick<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, n: usize) {
     if w.nodes[n].tick_scheduled || !w.nodes[n].alive {
         return;
     }
     w.nodes[n].tick_scheduled = true;
-    sim.schedule_now_as(
-        "event::tick",
-        move |w: &mut World<A, L>, sim: &mut S<A, L>| tick(w, sim, n),
-    );
+    sim.schedule_now(Event::Tick { n });
 }
 
 /// Node scheduler: start tasks while cores are free; steal when idle.
-fn tick<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L>, n: usize) {
+fn tick<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, n: usize) {
     w.nodes[n].tick_scheduled = false;
     if !w.nodes[n].alive || w.done {
         return;
@@ -895,7 +1110,7 @@ fn note_recovery<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, now: Sim
 /// Start job `j` on node `n`; `is_leaf` is its deque entry's `capped` flag.
 fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
+    sim: &mut S<A>,
     n: usize,
     j: usize,
     is_leaf: bool,
@@ -925,18 +1140,9 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
             w.jobs[j].state = JobState::Running;
             w.jobs[j].exec_node = n;
             let generation = w.jobs[j].generation;
-            if holder == n {
+            let at = if holder == n {
                 // Local table hit: a lookup costs one job overhead.
-                sim.schedule_in_as(
-                    "event::deliver",
-                    w.cfg.job_overhead,
-                    move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                        if !w.nodes[n].alive {
-                            return;
-                        }
-                        deliver(w, sim, n, j, output, generation);
-                    },
-                );
+                sim.now() + w.cfg.job_overhead
             } else {
                 // Remote hit: fetch the result from its holder. The result
                 // table is master-mediated bookkeeping; the fetch itself is
@@ -964,17 +1170,15 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
                     );
                 }
                 sim.metrics.observe("net.transfer", tr.duration());
-                sim.schedule_at_as(
-                    "event::deliver",
-                    tr.arrival,
-                    move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                        if !w.nodes[n].alive {
-                            return;
-                        }
-                        deliver(w, sim, n, j, output, generation);
-                    },
-                );
-            }
+                tr.arrival
+            };
+            let ev = Event::Deliver {
+                n,
+                j,
+                output,
+                generation,
+            };
+            sim.schedule_at(at, ev);
             return;
         }
     }
@@ -988,42 +1192,49 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
     if is_leaf {
         w.nodes[n].running_leaves += 1;
     }
-    let generation = w.jobs[j].generation;
-    let inc = w.nodes[n].incarnation;
-    let overhead = w.cfg.job_overhead;
-    sim.schedule_in_as(
-        "event::process-job",
-        overhead,
-        move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-            process_job(w, sim, n, j, generation, inc, is_leaf);
-        },
-    );
+    let exec = Exec {
+        n,
+        j,
+        generation: w.jobs[j].generation,
+        inc: w.nodes[n].incarnation,
+    };
+    sim.schedule_in(w.cfg.job_overhead, Event::ProcessJob { exec, is_leaf });
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Whether running task `exec` still applies when its next event fires. It
+/// does not if its node crashed (and possibly rejoined) since the task
+/// started: the node's core accounting was rebuilt from zero, so nothing is
+/// released. Nor does it if a crash reset the job while the task held the
+/// core (and, for a `leaf`, a leaf slot): both are released.
+fn task_live<A: ClusterApp, L: LeafRuntime<A>>(
+    w: &mut World<A, L>,
+    sim: &mut S<A>,
+    exec: Exec,
+    leaf: bool,
+) -> bool {
+    if !w.is_current(exec.n, exec.inc) {
+        return false;
+    }
+    if w.jobs[exec.j].generation != exec.generation {
+        if leaf {
+            w.nodes[exec.n].running_leaves -= 1;
+        }
+        release_core(w, sim, exec.n);
+        return false;
+    }
+    true
+}
+
 fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
-    n: usize,
-    j: usize,
-    generation: u64,
-    inc: u64,
+    sim: &mut S<A>,
+    exec: Exec,
     is_leaf: bool,
 ) {
-    // An incarnation mismatch means the node crashed (and possibly
-    // rejoined) since this event was scheduled: its core accounting was
-    // rebuilt from zero, so do not release anything.
-    if !w.nodes[n].alive || w.nodes[n].incarnation != inc {
+    if !task_live(w, sim, exec, is_leaf) {
         return;
     }
-    if w.jobs[j].generation != generation {
-        // The job was reset by a crash while we held the core.
-        if is_leaf {
-            w.nodes[n].running_leaves -= 1;
-        }
-        release_core(w, sim, n);
-        return;
-    }
+    let (n, j) = (exec.n, exec.j);
     let input = w.jobs[j].input.clone().expect("running job has input");
     match w.app.step(&input) {
         DcStep::Divide(children) => {
@@ -1039,20 +1250,7 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
                     w.jobs[j].origin_span,
                 );
             }
-            sim.schedule_in_as(
-                "event::finish-divide",
-                cost,
-                move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                    if !w.nodes[n].alive || w.nodes[n].incarnation != inc {
-                        return;
-                    }
-                    if w.jobs[j].generation != generation {
-                        release_core(w, sim, n);
-                        return;
-                    }
-                    finish_divide(w, sim, n, j, children);
-                },
-            );
+            sim.schedule_in(cost, Event::FinishDivide { exec, children });
         }
         DcStep::Leaf => {
             debug_assert!(is_leaf, "is_leaf must agree with step()");
@@ -1106,16 +1304,12 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
                 LeafPlan::Cpu { compute, output } => {
                     sim.trace.set_end(leaf_span, sim.now() + compute);
                     w.report.node_busy[n] += compute;
-                    sim.schedule_in_as(
-                        "event::leaf-done",
+                    sim.schedule_in(
                         compute,
-                        move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                            if !w.nodes[n].alive || w.nodes[n].incarnation != inc {
-                                return;
-                            }
-                            w.nodes[n].running_leaves -= 1;
-                            release_core(w, sim, n);
-                            deliver(w, sim, n, j, output, generation);
+                        Event::LeafDone {
+                            exec,
+                            output,
+                            holds_core: true,
                         },
                     );
                 }
@@ -1126,27 +1320,13 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
                 } => {
                     sim.trace.set_end(leaf_span, done.max(sim.now()));
                     w.report.node_busy[n] += done.saturating_sub(sim.now());
-                    sim.schedule_in_as(
-                        "event::leaf-submit",
-                        submit,
-                        move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                            if !w.nodes[n].alive || w.nodes[n].incarnation != inc {
-                                return;
-                            }
-                            release_core(w, sim, n);
-                        },
-                    );
-                    let at = done.max(sim.now());
-                    sim.schedule_at_as(
-                        "event::leaf-done",
-                        at,
-                        move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                            if !w.nodes[n].alive || w.nodes[n].incarnation != inc {
-                                return;
-                            }
-                            w.nodes[n].running_leaves -= 1;
-                            schedule_tick(w, sim, n);
-                            deliver(w, sim, n, j, output, generation);
+                    sim.schedule_in(submit, Event::LeafSubmit(exec));
+                    sim.schedule_at(
+                        done.max(sim.now()),
+                        Event::LeafDone {
+                            exec,
+                            output,
+                            holds_core: false,
                         },
                     );
                 }
@@ -1157,7 +1337,7 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
 
 fn finish_divide<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
+    sim: &mut S<A>,
     n: usize,
     j: usize,
     children: Vec<A::Input>,
@@ -1184,11 +1364,7 @@ fn finish_divide<A: ClusterApp, L: LeafRuntime<A>>(
     schedule_tick(w, sim, n);
 }
 
-fn release_core<A: ClusterApp, L: LeafRuntime<A>>(
-    w: &mut World<A, L>,
-    sim: &mut S<A, L>,
-    n: usize,
-) {
+fn release_core<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, n: usize) {
     debug_assert!(w.nodes[n].busy_cores > 0);
     w.nodes[n].busy_cores -= 1;
     note_busy_cores(w, sim, n);
@@ -1198,7 +1374,7 @@ fn release_core<A: ClusterApp, L: LeafRuntime<A>>(
 /// A leaf/combined output is ready on node `n` for job `j`.
 fn deliver<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
+    sim: &mut S<A>,
     n: usize,
     j: usize,
     output: A::Output,
@@ -1243,12 +1419,19 @@ fn deliver<A: ClusterApp, L: LeafRuntime<A>>(
             }
         }
         Some((p, idx)) => {
-            let home = w.jobs[p].home_node;
+            let (home, pgen) = (w.jobs[p].home_node, w.jobs[p].generation);
             if home == n {
-                receive_child(w, sim, p, idx, output, w.jobs[p].generation);
+                receive_child(w, sim, p, idx, output, pgen);
             } else {
-                let pgen = w.jobs[p].generation;
-                send_result(w, sim, n, home, p, idx, output, pgen, 0);
+                let msg = ResultMsg {
+                    n,
+                    home,
+                    p,
+                    idx,
+                    pgen,
+                    output,
+                };
+                send_result(w, sim, msg, 0);
             }
         }
     }
@@ -1257,35 +1440,28 @@ fn deliver<A: ClusterApp, L: LeafRuntime<A>>(
 /// Return a child output over the network to the parent's node. A lost
 /// message is retransmitted with bounded exponential backoff; fault windows
 /// are finite, so the loop always terminates.
-#[allow(clippy::too_many_arguments)]
 fn send_result<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
-    n: usize,
-    home: usize,
-    p: usize,
-    idx: usize,
-    output: A::Output,
-    pgen: u64,
+    sim: &mut S<A>,
+    msg: ResultMsg<A::Output>,
     attempt: u32,
 ) {
+    let (n, home, p) = (msg.n, msg.home, msg.p);
     if !w.nodes[n].alive {
         // Sender crashed before (re)transmitting; its copy of the result is
         // gone and recovery re-executes the subtree.
         return;
     }
-    if w.jobs[p].generation != pgen {
+    if w.jobs[p].generation != msg.pgen {
         // The parent was reset by a crash, but the sender still holds the
         // finished child result: salvage it into the global result table
         // for the re-executed tree to pick up.
         if w.cfg.orphan_reuse && !w.done {
-            let mut key = path_of(w, p);
-            key.push(idx as u32);
-            stash_orphan(w, key, output, n);
+            stash_result(w, msg);
         }
         return;
     }
-    let bytes = w.app.output_bytes(&output);
+    let bytes = w.app.output_bytes(&msg.output);
     let (src_busy, dst_busy) = (w.busy_fraction(n), w.busy_fraction(home));
     let (lo, hi) = (n.min(home), n.max(home));
     let (first, second) = w.nics.split_at_mut(hi);
@@ -1318,42 +1494,29 @@ fn send_result<A: ClusterApp, L: LeafRuntime<A>>(
             // The sender notices the missing acknowledgement and resends.
             let backoff =
                 (w.cfg.steal_retry * (1u64 << attempt.min(20))).min(w.cfg.steal_retry_max);
-            sim.schedule_at_as(
-                "event::send-result",
-                tr.arrival + backoff,
-                move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                    send_result(w, sim, n, home, p, idx, output, pgen, attempt + 1);
-                },
-            );
+            let attempt = attempt + 1;
+            sim.schedule_at(tr.arrival + backoff, Event::SendResult { msg, attempt });
         }
         MessageFate::Delivered { delay } => {
             if delay > SimTime::ZERO {
                 w.report[Counter::LatencySpikes] += 1;
             }
-            sim.schedule_at_as(
-                "event::receive-child",
-                tr.arrival + delay,
-                move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                    if !w.nodes[home].alive {
-                        // The parent's node died while the result was in
-                        // flight; the sender still holds it — salvage.
-                        if w.cfg.orphan_reuse && !w.done && w.nodes[n].alive {
-                            let mut key = path_of(w, p);
-                            key.push(idx as u32);
-                            stash_orphan(w, key, output, n);
-                        }
-                        return;
-                    }
-                    receive_child(w, sim, p, idx, output, pgen);
-                },
-            );
+            sim.schedule_at(tr.arrival + delay, Event::ReceiveChild(msg));
         }
     }
 }
 
+/// Salvage a finished child result its sender still holds into the global
+/// result table, for the re-executed tree to pick up.
+fn stash_result<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, msg: ResultMsg<A::Output>) {
+    let mut key = path_of(w, msg.p);
+    key.push(msg.idx as u32);
+    stash_orphan(w, key, msg.output, msg.n);
+}
+
 fn receive_child<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
+    sim: &mut S<A>,
     p: usize,
     idx: usize,
     output: A::Output,
@@ -1376,7 +1539,7 @@ fn receive_child<A: ClusterApp, L: LeafRuntime<A>>(
 
 fn start_combine<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
+    sim: &mut S<A>,
     n: usize,
     p: usize,
 ) {
@@ -1385,8 +1548,12 @@ fn start_combine<A: ClusterApp, L: LeafRuntime<A>>(
     }
     w.nodes[n].busy_cores += 1;
     note_busy_cores(w, sim, n);
-    let generation = w.jobs[p].generation;
-    let inc = w.nodes[n].incarnation;
+    let exec = Exec {
+        n,
+        j: p,
+        generation: w.jobs[p].generation,
+        inc: w.nodes[n].incarnation,
+    };
     let input = w.jobs[p].input.clone().expect("waiting job has input");
     let cost = w.app.combine_cost(&input);
     if sim.trace.enabled() {
@@ -1399,28 +1566,28 @@ fn start_combine<A: ClusterApp, L: LeafRuntime<A>>(
             w.jobs[p].divide_span,
         );
     }
-    sim.schedule_in_as(
-        "event::combine",
-        cost,
-        move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-            if !w.nodes[n].alive || w.nodes[n].incarnation != inc {
-                return;
-            }
-            if w.jobs[p].generation != generation {
-                release_core(w, sim, n);
-                return;
-            }
-            let outputs: Vec<A::Output> = w.jobs[p]
-                .child_outputs
-                .iter_mut()
-                .map(|o| o.take().expect("all children delivered"))
-                .collect();
-            let input = w.jobs[p].input.clone().expect("combining job has input");
-            let output = w.app.combine(&input, outputs);
-            release_core(w, sim, n);
-            deliver(w, sim, n, p, output, generation);
-        },
-    );
+    sim.schedule_in(cost, Event::Combine(exec));
+}
+
+/// A combine is done: merge the child outputs and deliver the result.
+fn finish_combine<A: ClusterApp, L: LeafRuntime<A>>(
+    w: &mut World<A, L>,
+    sim: &mut S<A>,
+    exec: Exec,
+) {
+    if !task_live(w, sim, exec, false) {
+        return;
+    }
+    let (n, p) = (exec.n, exec.j);
+    let outputs: Vec<A::Output> = w.jobs[p]
+        .child_outputs
+        .iter_mut()
+        .map(|o| o.take().expect("all children delivered"))
+        .collect();
+    let input = w.jobs[p].input.clone().expect("combining job has input");
+    let output = w.app.combine(&input, outputs);
+    release_core(w, sim, n);
+    deliver(w, sim, n, p, output, exec.generation);
 }
 
 /// Current retry delay for a thief: base rate for the first three
@@ -1436,7 +1603,7 @@ fn steal_backoff<A: ClusterApp, L: LeafRuntime<A>>(w: &World<A, L>, thief: usize
 /// the old sequence number, and disarm the timeout.
 fn resolve_steal<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
+    sim: &mut S<A>,
     thief: usize,
 ) {
     w.nodes[thief].stealing = false;
@@ -1448,7 +1615,7 @@ fn resolve_steal<A: ClusterApp, L: LeafRuntime<A>>(
 
 fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
+    sim: &mut S<A>,
     thief: usize,
 ) {
     // Ask the configured steal policy for a live victim. Field borrows are
@@ -1480,16 +1647,7 @@ fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
         w.report[Counter::NoVictimPolls] += 1;
         w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
         let retry = steal_backoff(w, thief);
-        let h = sim.schedule_in_as(
-            "event::steal-retry",
-            retry,
-            move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                w.nodes[thief].retry_event = None;
-                if !w.done && w.nodes[thief].alive {
-                    schedule_tick(w, sim, thief);
-                }
-            },
-        );
+        let h = sim.schedule_in(retry, Event::StealRetry { thief, token: None });
         w.nodes[thief].retry_event = Some(h);
         return;
     };
@@ -1516,13 +1674,7 @@ fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
                 w.report[Counter::LatencySpikes] += 1;
                 req_time += delay;
             }
-            sim.schedule_in_as(
-                "event::steal",
-                req_time,
-                move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                    handle_steal_request(w, sim, victim, thief);
-                },
-            );
+            sim.schedule_in(req_time, Event::Steal { victim, thief });
         }
     }
     // With faults in play, a request or refusal may never arrive. Arm a
@@ -1530,42 +1682,38 @@ fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
     // runs skip this entirely, so they schedule exactly the same events as
     // a build without fault support.
     if w.faults.is_active() {
-        let h = sim.schedule_in_as(
-            "event::steal-timeout",
-            w.cfg.steal_timeout,
-            move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                w.nodes[thief].steal_timeout_event = None;
-                if w.done
-                    || !w.nodes[thief].alive
-                    || !w.nodes[thief].stealing
-                    || w.nodes[thief].steal_seq != token
-                {
-                    return;
-                }
-                resolve_steal(w, sim, thief);
-                w.report[Counter::StealTimeouts] += 1;
-                w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
-                let retry = steal_backoff(w, thief);
-                let h = sim.schedule_in_as(
-                    "event::steal-retry",
-                    retry,
-                    move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                        w.nodes[thief].retry_event = None;
-                        if !w.done && w.nodes[thief].alive {
-                            schedule_tick(w, sim, thief);
-                        }
-                    },
-                );
-                w.nodes[thief].retry_event = Some(h);
-            },
-        );
+        let h = sim.schedule_in(w.cfg.steal_timeout, Event::StealTimeout { thief, token });
         w.nodes[thief].steal_timeout_event = Some(h);
     }
 }
 
+/// `thief`'s steal attempt `token` timed out: abandon it unless it already
+/// resolved, and retry with backoff.
+fn steal_timeout<A: ClusterApp, L: LeafRuntime<A>>(
+    w: &mut World<A, L>,
+    sim: &mut S<A>,
+    thief: usize,
+    token: u64,
+) {
+    w.nodes[thief].steal_timeout_event = None;
+    if w.done
+        || !w.nodes[thief].alive
+        || !w.nodes[thief].stealing
+        || w.nodes[thief].steal_seq != token
+    {
+        return;
+    }
+    resolve_steal(w, sim, thief);
+    w.report[Counter::StealTimeouts] += 1;
+    w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
+    let retry = steal_backoff(w, thief);
+    let h = sim.schedule_in(retry, Event::StealRetry { thief, token: None });
+    w.nodes[thief].retry_event = Some(h);
+}
+
 fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
-    sim: &mut S<A, L>,
+    sim: &mut S<A>,
     victim: usize,
     thief: usize,
 ) {
@@ -1630,83 +1778,32 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
             if let Some(h) = w.nodes[thief].steal_timeout_event.take() {
                 sim.cancel(h);
             }
-            match w.faults.message_fate(victim, thief, sim.now()) {
+            let (lost, arrival) = match w.faults.message_fate(victim, thief, sim.now()) {
                 MessageFate::Dropped => {
-                    // The job data is lost in transit — and the job left the
-                    // victim's deque, so nobody else knows about it. When the
-                    // transfer window elapses unacknowledged, the victim
-                    // re-queues the job on a live node.
+                    // The job data is lost in transit; the victim notices
+                    // when the transfer window elapses unacknowledged.
                     w.report[Counter::MessagesLost] += 1;
-                    sim.schedule_at_as(
-                        "event::steal-transfer",
-                        tr.arrival,
-                        move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                            if w.nodes[thief].steal_seq == token && w.nodes[thief].stealing {
-                                resolve_steal(w, sim, thief);
-                                w.nodes[thief].steal_failures =
-                                    w.nodes[thief].steal_failures.saturating_add(1);
-                                if w.nodes[thief].alive && !w.done {
-                                    schedule_tick(w, sim, thief);
-                                }
-                            }
-                            if w.done || w.jobs[j].generation != generation {
-                                return;
-                            }
-                            let home = w.jobs[j].home_node;
-                            let target = if w.nodes[victim].alive {
-                                victim
-                            } else if w.nodes[home].alive {
-                                home
-                            } else {
-                                0
-                            };
-                            w.jobs[j].exec_node = target;
-                            w.enqueue(target, Task::Job(j));
-                            schedule_tick(w, sim, target);
-                        },
-                    );
+                    (true, tr.arrival)
                 }
                 MessageFate::Delivered { delay } => {
                     if delay > SimTime::ZERO {
                         w.report[Counter::LatencySpikes] += 1;
                     }
-                    let arrival = tr.arrival + delay;
-                    sim.schedule_at_as(
-                        "event::steal-transfer",
-                        arrival,
-                        move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                            if w.nodes[thief].steal_seq == token && w.nodes[thief].stealing {
-                                let rtt = sim.now() - w.nodes[thief].steal_started;
-                                sim.metrics.observe("steal.rtt", rtt);
-                                resolve_steal(w, sim, thief);
-                                w.nodes[thief].steal_failures = 0;
-                            }
-                            if w.jobs[j].generation != generation {
-                                return;
-                            }
-                            if !w.nodes[thief].alive || w.nodes[thief].incarnation != thief_inc {
-                                // The thief died while the job was in flight
-                                // (and perhaps already rebooted — the transfer's
-                                // connection died with the old incarnation). The
-                                // job left the victim's deque, so nobody else
-                                // knows about it — bounce it back to a live node
-                                // or it is lost and the run never terminates.
-                                let home = w.jobs[j].home_node;
-                                let target = if w.nodes[home].alive { home } else { 0 };
-                                w.jobs[j].exec_node = target;
-                                w.enqueue(target, Task::Job(j));
-                                w.jobs[j].replay = true;
-                                w.report[Counter::JobsRestarted] += 1;
-                                schedule_tick(w, sim, target);
-                                return;
-                            }
-                            w.jobs[j].exec_node = thief;
-                            w.enqueue(thief, Task::Job(j));
-                            schedule_tick(w, sim, thief);
-                        },
-                    );
+                    (false, tr.arrival + delay)
                 }
-            }
+            };
+            sim.schedule_at(
+                arrival,
+                Event::StealTransfer {
+                    victim,
+                    thief,
+                    j,
+                    token,
+                    generation,
+                    thief_inc,
+                    lost,
+                },
+            );
         }
         _ => {
             if w.recent_victim[thief] == Some(victim) {
@@ -1747,17 +1844,11 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                 w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
             }
             let retry = steal_backoff(w, thief);
-            let h = sim.schedule_in_as(
-                "event::steal-retry",
+            let h = sim.schedule_in(
                 reply + retry,
-                move |w: &mut World<A, L>, sim: &mut S<A, L>| {
-                    w.nodes[thief].retry_event = None;
-                    if w.nodes[thief].steal_seq == token && w.nodes[thief].stealing {
-                        resolve_steal(w, sim, thief);
-                    }
-                    if !w.done && w.nodes[thief].alive {
-                        schedule_tick(w, sim, thief);
-                    }
+                Event::StealRetry {
+                    thief,
+                    token: Some(token),
                 },
             );
             w.nodes[thief].retry_event = Some(h);
@@ -1765,10 +1856,78 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
     }
 }
 
+/// The transfer of stolen job `j` from `victim` to `thief` ends. Either way
+/// the job has left the victim's deque, so nobody else knows about it: a job
+/// `lost` in transit, or one whose thief died meanwhile, is re-queued on a
+/// live node, or it is lost and the run never terminates.
+#[allow(clippy::too_many_arguments)]
+fn finish_steal_transfer<A: ClusterApp, L: LeafRuntime<A>>(
+    w: &mut World<A, L>,
+    sim: &mut S<A>,
+    victim: usize,
+    thief: usize,
+    j: usize,
+    token: u64,
+    generation: u64,
+    thief_inc: u64,
+    lost: bool,
+) {
+    let attempt_open = w.nodes[thief].steal_seq == token && w.nodes[thief].stealing;
+    if lost {
+        if attempt_open {
+            resolve_steal(w, sim, thief);
+            w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
+            if w.nodes[thief].alive && !w.done {
+                schedule_tick(w, sim, thief);
+            }
+        }
+        if w.done || w.jobs[j].generation != generation {
+            return;
+        }
+        let home = w.jobs[j].home_node;
+        let target = if w.nodes[victim].alive {
+            victim
+        } else if w.nodes[home].alive {
+            home
+        } else {
+            0
+        };
+        w.jobs[j].exec_node = target;
+        w.enqueue(target, Task::Job(j));
+        schedule_tick(w, sim, target);
+        return;
+    }
+    if attempt_open {
+        let rtt = sim.now() - w.nodes[thief].steal_started;
+        sim.metrics.observe("steal.rtt", rtt);
+        resolve_steal(w, sim, thief);
+        w.nodes[thief].steal_failures = 0;
+    }
+    if w.jobs[j].generation != generation {
+        return;
+    }
+    if !w.is_current(thief, thief_inc) {
+        // The thief died while the job was in flight (and perhaps already
+        // rebooted — the transfer's connection died with the old
+        // incarnation): bounce the job back to a live node.
+        let home = w.jobs[j].home_node;
+        let target = if w.nodes[home].alive { home } else { 0 };
+        w.jobs[j].exec_node = target;
+        w.enqueue(target, Task::Job(j));
+        w.jobs[j].replay = true;
+        w.report[Counter::JobsRestarted] += 1;
+        schedule_tick(w, sim, target);
+        return;
+    }
+    w.jobs[j].exec_node = thief;
+    w.enqueue(thief, Task::Job(j));
+    schedule_tick(w, sim, thief);
+}
+
 /// Crash node `n`: it stops participating and every job it was executing or
 /// queueing is re-executed from a healthy node, exactly in the spirit of
 /// Satin's orphan-job recovery.
-fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L>, n: usize) {
+fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, n: usize) {
     if !w.nodes[n].alive {
         return;
     }
@@ -1932,7 +2091,7 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L
 /// steal state, a fresh NIC — re-registers its leaf-runtime devices, and
 /// immediately re-enters steal victim sets (victim selection only checks
 /// liveness). Joining an already-live node is a no-op.
-fn join<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A, L>, n: usize) {
+fn join<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, n: usize) {
     if w.nodes[n].alive {
         return;
     }

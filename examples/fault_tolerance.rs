@@ -15,6 +15,8 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
+#![forbid(unsafe_code)]
+
 use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
 use cashmere_apps::kmeans::{run_iterations, KmeansApp, KmeansProblem};
 use cashmere_apps::nbody::{NbodyApp, NbodyProblem};

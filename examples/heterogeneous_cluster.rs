@@ -7,6 +7,8 @@
 //! cargo run --release --example heterogeneous_cluster
 //! ```
 
+#![forbid(unsafe_code)]
+
 use cashmere::{build_cluster, initialize, ClusterSpec, RuntimeConfig};
 use cashmere_apps::kmeans::{run_iterations, KmeansApp, KmeansProblem};
 use cashmere_apps::KernelSet;

@@ -13,6 +13,8 @@
 //! 3. build a simulated cluster and run — kernels really execute through
 //!    the MCL interpreter, so the numbers below are the actual product.
 
+#![forbid(unsafe_code)]
+
 use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
 use cashmere_apps::matmul::{assemble, MatmulApp, MatmulProblem};
 use cashmere_apps::KernelSet;

@@ -14,6 +14,8 @@
 //!    disappears and the modelled kernel time drops.
 //! 4. Show the generated OpenCL and per-device launch geometry.
 
+#![forbid(unsafe_code)]
+
 use cashmere_apps::matmul::{KERNEL_GPU, KERNEL_PERFECT};
 use cashmere_devsim::{ExecMode, SimDevice};
 use cashmere_hwdesc::{standard_hierarchy, DeviceKind};

@@ -13,6 +13,8 @@
 //! * [`cashmere`] — the paper's contribution: the integration
 //! * [`apps`] — the four evaluation applications
 
+#![forbid(unsafe_code)]
+
 pub use cashmere;
 pub use cashmere_apps as apps;
 pub use cashmere_des as des;

@@ -8,10 +8,23 @@
 //! the 4-ary heap and the tombstone cancellation are all invisible if and
 //! only if these properties hold.
 
-use cashmere_des::{EventHandle, Sim, SimTime};
+use cashmere_des::{EventHandle, Handler, Sim, SimTime};
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
+
+/// The test world: the ids of the events fired, in firing order.
+#[derive(Default)]
+struct Log(Vec<u64>);
+
+/// An event of the test world: it logs its id when it fires.
+struct Fire(u64);
+
+impl Handler for Log {
+    type Event = Fire;
+
+    fn handle(&mut self, Fire(id): Fire, _: &mut Sim<Fire>) {
+        self.0.push(id);
+    }
+}
 
 /// One operation of a random schedule/cancel/step interleaving.
 ///
@@ -97,24 +110,20 @@ impl Model {
 /// Replay `ops` against both the real engine and the model, checking every
 /// observable after every operation.
 fn check_interleaving(ops: &[Op]) -> Result<(), TestCaseError> {
-    let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-    let mut sim: Sim<()> = Sim::new(7);
+    let mut sim = Sim::new(7);
     let mut model = Model::default();
     // Handles of every event ever scheduled (spent or not), so Cancel can
     // target already-fired events too.
     let mut handles: Vec<(EventHandle, u64)> = Vec::new();
     let mut next_id = 0u64;
-    let mut world = ();
+    let mut world = Log::default();
 
     for op in ops {
         match op {
             Op::Schedule { delta } => {
                 let id = next_id;
                 next_id += 1;
-                let log = Rc::clone(&log);
-                let h = sim.schedule_in(SimTime::from_nanos(*delta), move |_: &mut (), _| {
-                    log.borrow_mut().push(id);
-                });
+                let h = sim.schedule_in(SimTime::from_nanos(*delta), Fire(id));
                 let seq = model.schedule(*delta, id);
                 handles.push((h, seq));
             }
@@ -150,7 +159,7 @@ fn check_interleaving(ops: &[Op]) -> Result<(), TestCaseError> {
     }
     prop_assert!(!model.step());
     prop_assert_eq!(sim.events_fired(), model.fired.len() as u64);
-    prop_assert_eq!(&*log.borrow(), &model.fired);
+    prop_assert_eq!(&world.0, &model.fired);
     Ok(())
 }
 
@@ -167,27 +176,27 @@ proptest! {
 
 #[test]
 fn cancel_after_fire_returns_false_and_pending_stays_accurate() {
-    let mut sim: Sim<u32> = Sim::new(1);
-    let h = sim.schedule_at(SimTime::from_nanos(5), |w: &mut u32, _| *w += 1);
-    let _live = sim.schedule_at(SimTime::from_nanos(9), |w: &mut u32, _| *w += 10);
-    let mut w = 0u32;
+    let mut sim = Sim::new(1);
+    let h = sim.schedule_at(SimTime::from_nanos(5), Fire(1));
+    let _live = sim.schedule_at(SimTime::from_nanos(9), Fire(10));
+    let mut w = Log::default();
     assert!(sim.step(&mut w));
-    assert_eq!(w, 1);
+    assert_eq!(w.0, [1]);
     // The seed engine underflowed pending() here: the spent handle's seq
     // went into the cancelled set while the queue no longer held it.
     assert!(!sim.cancel(h), "spent handle must not cancel");
     assert!(!sim.cancel(h), "idempotently false");
     assert_eq!(sim.pending(), 1);
     sim.run(&mut w);
-    assert_eq!(w, 11);
+    assert_eq!(w.0, [1, 10]);
     assert_eq!(sim.pending(), 0);
 }
 
 #[test]
 fn peek_time_is_a_pure_read() {
-    let mut sim: Sim<()> = Sim::new(1);
-    let keep = sim.schedule_at(SimTime::from_nanos(10), |_: &mut (), _| {});
-    let kill = sim.schedule_at(SimTime::from_nanos(3), |_: &mut (), _| {});
+    let mut sim = Sim::new(1);
+    let keep = sim.schedule_at(SimTime::from_nanos(10), Fire(0));
+    let kill = sim.schedule_at(SimTime::from_nanos(3), Fire(1));
     assert!(sim.cancel(kill));
     // peek_time takes &self now; repeated calls agree and report the live
     // minimum, never the tombstone.
@@ -199,14 +208,11 @@ fn peek_time_is_a_pure_read() {
 
 #[test]
 fn dense_same_time_events_fire_in_schedule_order() {
-    let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-    let mut sim: Sim<()> = Sim::new(1);
+    let mut sim = Sim::new(1);
     for id in 0..100u64 {
-        let log = Rc::clone(&log);
-        sim.schedule_at(SimTime::from_nanos(42), move |_: &mut (), _| {
-            log.borrow_mut().push(id);
-        });
+        sim.schedule_at(SimTime::from_nanos(42), Fire(id));
     }
-    sim.run(&mut ());
-    assert_eq!(*log.borrow(), (0..100).collect::<Vec<_>>());
+    let mut log = Log::default();
+    sim.run(&mut log);
+    assert_eq!(log.0, (0..100).collect::<Vec<_>>());
 }

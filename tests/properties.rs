@@ -4,7 +4,7 @@
 //! engine.
 
 use cashmere::Balancer;
-use cashmere_des::{Sim, SimTime};
+use cashmere_des::{Handler, Sim, SimTime};
 use cashmere_hwdesc::standard_hierarchy;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::{compile, CheckedKernel, ElemTy, ExecError, ExecOptions, ExecResult, Sampling};
@@ -22,6 +22,21 @@ const ENGINES: [(&str, Execute); 2] = [
     ("vm", cashmere_mcl::vm::execute),
     ("tree", cashmere_mcl::interp::execute),
 ];
+
+/// An event world that records the virtual time of every event it fires.
+#[derive(Default)]
+struct FiringTimes(Vec<u64>);
+
+/// An event that fires at the time (ns) it carries.
+struct Fired(u64);
+
+impl Handler for FiringTimes {
+    type Event = Fired;
+
+    fn handle(&mut self, Fired(t): Fired, _: &mut Sim<Fired>) {
+        self.0.push(t);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -45,17 +60,14 @@ proptest! {
 
     #[test]
     fn des_fires_in_nondecreasing_time_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut sim: Sim<Vec<u64>> = Sim::new(1);
-        let mut world: Vec<u64> = Vec::new();
+        let mut sim = Sim::new(1);
+        let mut world = FiringTimes::default();
         for t in &times {
-            let t = *t;
-            sim.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<u64>, _: &mut Sim<Vec<u64>>| {
-                w.push(t);
-            });
+            sim.schedule_at(SimTime::from_nanos(*t), Fired(*t));
         }
         sim.run(&mut world);
-        prop_assert_eq!(world.len(), times.len());
-        prop_assert!(world.windows(2).all(|w| w[0] <= w[1]), "events out of order");
+        prop_assert_eq!(world.0.len(), times.len());
+        prop_assert!(world.0.windows(2).all(|w| w[0] <= w[1]), "events out of order");
     }
 
     #[test]

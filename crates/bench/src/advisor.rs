@@ -15,6 +15,7 @@
 //! `--jobs`.
 
 use crate::obs::ObsCapture;
+use crate::scenario::{run_scenario, OutputSpec, Scenario, ScenarioRun};
 use crate::sweep::sweep;
 use cashmere::counterfactual::replay_audit;
 use cashmere::{CashmereLeafRuntime, ClusterSpec};
@@ -219,6 +220,23 @@ pub struct AdvisorRun {
     pub text: String,
     /// Full occupancy step functions of the baseline run.
     pub timelines: UtilizationTimelines,
+}
+
+/// One advisor re-execution of scenario `base`, for [`advise`] runners:
+/// the baseline (`observe`) keeps the scenario's outputs and captures; an
+/// experiment runs with every output off, so the flags that trace the
+/// baseline never trace the experiments.
+pub fn run_experiment(base: &Scenario, perturb: Option<&PerturbSet>, observe: bool) -> ScenarioRun {
+    let mut sc = base.clone();
+    if observe {
+        sc.outputs.capture = true;
+    } else {
+        sc.outputs = OutputSpec::default();
+    }
+    if let Some(p) = perturb {
+        sc.perturb = Some(p.clone());
+    }
+    run_scenario(&sc)
 }
 
 /// Run the full advisor workflow over one workload.

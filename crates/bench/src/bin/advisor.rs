@@ -41,7 +41,7 @@
 use cashmere::ClusterSpec;
 use cashmere_bench::cli::fail;
 use cashmere_bench::{
-    advise, cli, hetero_cluster, report_run, run_scenario, write_json, write_report, AdvisorFull,
+    advise, cli, hetero_cluster, report_run, run_experiment, write_json, write_report, AdvisorFull,
     AppId, PerturbSet, Scenario, Series,
 };
 
@@ -170,17 +170,11 @@ fn main() {
     );
 
     let runner = |p: Option<&PerturbSet>, observe: bool| {
-        let mut sc = base.clone().with_capture(observe);
-        if let Some(p) = p {
-            sc.perturb = Some(p.clone());
-        }
-        let run = run_scenario(&sc);
+        let run = run_experiment(&base, p, observe);
         // The baseline is the only observed run; honor the shared obs flags
         // for it (Chrome trace with counter tracks, OpenMetrics dump, …).
-        if observe {
-            if let Some(cap) = &run.cap {
-                report_run(&common.obs, "baseline", cap);
-            }
+        if let Some(cap) = &run.cap {
+            report_run(&base.outputs, "baseline", cap);
         }
         (run.outcome.makespan_s, run.cap)
     };

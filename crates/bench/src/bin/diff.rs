@@ -135,8 +135,8 @@ fn main() {
         // CLI cadence beats the spec's own; 1ms is the fallback so the
         // phase-window attribution always has a series to work with.
         sc.outputs.probe_interval = common
-            .obs
-            .probe
+            .outputs
+            .probe_interval
             .or(sc.outputs.probe_interval)
             .or(Some(SimTime::from_millis(1)));
         if let Err(e) = sc.validate() {

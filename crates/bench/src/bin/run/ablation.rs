@@ -95,7 +95,10 @@ const SLOTS: [usize; 3] = [1, 2, 4];
 /// then its measured variants (the network study is measured against the
 /// overlap baseline).
 pub fn scenarios(common: &CommonArgs, _args: &[String]) -> Vec<Scenario> {
-    let measured = |sc: Scenario| sc.with_capture(common.obs.enabled());
+    let measured = |mut sc: Scenario| {
+        sc.outputs.overlay(&common.outputs);
+        sc
+    };
     let k20_phi = k20_phi_node();
     let balancer = |name: &str, policy| kmeans_on(name, &k20_phi, policy, 2, 16_000_000);
     let hetero = ClusterSpec::paper_hetero_kmeans();
@@ -147,14 +150,14 @@ fn study(
     println!("{}", t.render());
 }
 
-pub fn report(common: &CommonArgs, scenarios: &[Scenario], runs: &[ScenarioRun]) {
+pub fn report(scenarios: &[Scenario], runs: &[ScenarioRun]) {
     // Read the results in declared order; a measured variant writes its
     // trace/audit files as it is read, before its study's table.
     let mut results = scenarios.iter().zip(runs);
     let mut makespan = || {
         let (sc, run) = results.next().expect("one result per scenario");
         if let Some(cap) = &run.cap {
-            report_run(&common.obs, &sc.name, cap);
+            report_run(&sc.outputs, &sc.name, cap);
         }
         run.outcome.makespan_s
     };

@@ -65,7 +65,7 @@ pub fn scenarios(common: &CommonArgs, args: &[String]) -> Vec<Scenario> {
     vec![cli::apply_overrides(gantt_scenario(small), common)]
 }
 
-pub fn report(common: &CommonArgs, scenarios: &[Scenario], runs: &[ScenarioRun]) {
+pub fn report(scenarios: &[Scenario], runs: &[ScenarioRun]) {
     let (sc, run) = (&scenarios[0], &runs[0]);
     let cap = run.cap.as_ref().expect("gantt scenario always captures");
     let iterations = match sc.problem {
@@ -112,8 +112,8 @@ pub fn report(common: &CommonArgs, scenarios: &[Scenario], runs: &[ScenarioRun])
     );
 
     // Observability exports: Chrome trace + audit log, critical path.
-    report_run(&common.obs, "", cap);
-    if let Some(path) = &common.obs.trace_path {
+    report_run(&sc.outputs, "", cap);
+    if let Some(path) = &sc.outputs.trace {
         // Round-trip the written file so CI (and users) know the export is
         // valid Chrome trace JSON before feeding it to Perfetto.
         let text = std::fs::read_to_string(path).expect("trace file just written");

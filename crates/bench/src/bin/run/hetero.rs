@@ -74,7 +74,7 @@ pub fn scenarios(common: &CommonArgs, _args: &[String]) -> Vec<Scenario> {
     scenarios
 }
 
-pub fn report(common: &CommonArgs, scenarios: &[Scenario], runs: &[ScenarioRun]) {
+pub fn report(scenarios: &[Scenario], runs: &[ScenarioRun]) {
     println!("Table III + Fig. 15: heterogeneous executions (optimized kernels)\n");
     let mut json = Vec::new();
     let mut t3 = Table::new(&["application", "GFLOPS", "configuration"]);
@@ -84,13 +84,13 @@ pub fn report(common: &CommonArgs, scenarios: &[Scenario], runs: &[ScenarioRun])
         "homogeneous eff. (16 gtx480)",
     ]);
     // Consume the results in the order `scenarios` declared them.
-    let mut runs = runs.iter();
+    let mut runs = scenarios.iter().zip(runs);
     let mut next = || runs.next().expect("one result per scenario");
     for app in AppId::ALL {
         let (spec, desc) = config_for(app);
         let single: Vec<(&Vec<String>, f64)> = compositions(&spec)
             .into_iter()
-            .map(|devs| (devs, next().outcome.gflops))
+            .map(|devs| (devs, next().1.outcome.gflops))
             .collect();
         let attainable: f64 = spec
             .node_devices
@@ -103,7 +103,7 @@ pub fn report(common: &CommonArgs, scenarios: &[Scenario], runs: &[ScenarioRun])
                     .1
             })
             .sum();
-        let run = next();
+        let (sc, run) = next();
         let hetero = &run.outcome;
         if let Some(f) = &hetero.failure_summary {
             println!("{} under injected faults:", app.name());
@@ -113,11 +113,11 @@ pub fn report(common: &CommonArgs, scenarios: &[Scenario], runs: &[ScenarioRun])
             println!();
         }
         if let Some(cap) = &run.cap {
-            report_run(&common.obs, app.name(), cap);
+            report_run(&sc.outputs, app.name(), cap);
         }
         let hetero_eff = hetero.gflops / attainable;
-        let homo16 = next().outcome.gflops;
-        let homo_eff = homo16 / (16.0 * next().outcome.gflops);
+        let homo16 = next().1.outcome.gflops;
+        let homo_eff = homo16 / (16.0 * next().1.outcome.gflops);
 
         t3.row(vec![
             app.name().to_string(),

@@ -76,17 +76,17 @@ fn main() {
         }
         return;
     }
-    if scenarios.is_empty() && common.obs.enabled() {
+    if scenarios.is_empty() && common.outputs.observe() {
         println!(
             "note: {figure} runs no cluster scenarios; --trace/--explain have no effect here\n"
         );
     }
     let runs = sweep(scenarios.clone(), common.jobs, |sc| run_scenario(&sc));
     match figure {
-        "scaling" => scaling::report(&common, &scenarios, &runs),
-        "hetero" => hetero::report(&common, &scenarios, &runs),
-        "ablation" => ablation::report(&common, &scenarios, &runs),
-        "gantt" => gantt::report(&common, &scenarios, &runs),
+        "scaling" => scaling::report(&scenarios, &runs),
+        "hetero" => hetero::report(&scenarios, &runs),
+        "ablation" => ablation::report(&scenarios, &runs),
+        "gantt" => gantt::report(&scenarios, &runs),
         "fig6" => fig6::report(common.jobs),
         _ => tables::report(args),
     }

@@ -37,12 +37,7 @@ fn figure_number(app: AppId) -> (&'static str, &'static str) {
 
 /// Render one app's table from its sweep results, consuming them in the
 /// declared (series × nodes) order.
-fn report_one(
-    common: &CommonArgs,
-    scenarios: &[Scenario],
-    runs: &[ScenarioRun],
-    json: &mut Vec<Point>,
-) {
+fn report_one(scenarios: &[Scenario], runs: &[ScenarioRun], json: &mut Vec<Point>) {
     let app = scenarios[0].app;
     let (fig_scal, fig_abs) = figure_number(app);
     println!(
@@ -59,7 +54,7 @@ fn report_one(
             }
         }
         if let Some(cap) = &run.cap {
-            report_run(&common.obs, &sc.name, cap);
+            report_run(&sc.outputs, &sc.name, cap);
         }
         // Speedup baseline is the first (1-node) run of each series.
         let b = match &base {
@@ -118,11 +113,11 @@ pub fn scenarios(common: &CommonArgs, args: &[String]) -> Vec<Scenario> {
     scenarios
 }
 
-pub fn report(common: &CommonArgs, scenarios: &[Scenario], runs: &[ScenarioRun]) {
+pub fn report(scenarios: &[Scenario], runs: &[ScenarioRun]) {
     let per_app = Series::ALL.len() * NODE_COUNTS.len();
     let mut json = Vec::new();
     for (scs, runs) in scenarios.chunks(per_app).zip(runs.chunks(per_app)) {
-        report_one(common, scs, runs, &mut json);
+        report_one(scs, runs, &mut json);
     }
     let name = match scenarios.len() / per_app {
         1 => format!("fig7_14_scaling_{}", scenarios[0].app.token()),

@@ -493,7 +493,8 @@ fn main() {
     );
 
     println!("selfbench: per-subsystem wall shares (profiled pass)");
-    let subsystems = measure_subsystems(quick, default_jobs(), common.obs.self_profile.is_some());
+    let subsystems =
+        measure_subsystems(quick, default_jobs(), common.outputs.self_profile.is_some());
     for s in subsystems.iter().take(6) {
         println!("  {:>5.1}%  {}", s.share * 100.0, s.name);
     }

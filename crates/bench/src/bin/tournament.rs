@@ -39,7 +39,9 @@
 
 use cashmere::balancer::Policy;
 use cashmere_bench::cli::fail;
-use cashmere_bench::{advise, cli, run_scenario, sweep, write_report, PerturbSet, Scenario, Table};
+use cashmere_bench::{
+    advise, cli, run_experiment, run_scenario, sweep, write_report, PerturbSet, Scenario, Table,
+};
 use cashmere_satin::StealKind;
 use serde::Serialize;
 
@@ -295,11 +297,7 @@ fn main() {
         let cluster = base.cluster();
         let workload = format!("{} tournament base", base.name);
         let runner = |p: Option<&PerturbSet>, observe: bool| {
-            let mut sc = base.clone().with_capture(observe);
-            if let Some(p) = p {
-                sc.perturb = Some(p.clone());
-            }
-            let run = run_scenario(&sc);
+            let run = run_experiment(&base, p, observe);
             (run.outcome.makespan_s, run.cap)
         };
         let run = advise(

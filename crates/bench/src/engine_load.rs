@@ -55,7 +55,7 @@ impl Handler for BenchWorld {
 
 /// `n` events over 977 distinct times, scheduled and not yet run.
 pub fn scheduled(n: u64) -> Sim<BenchEvent> {
-    let mut sim = Sim::new(1);
+    let mut sim = Sim::new();
     for i in 0..n {
         sim.schedule_at(SimTime::from_nanos(i % 977), BenchEvent::Add(i));
     }
@@ -74,7 +74,7 @@ pub fn schedule_run(n: u64) -> u64 {
 /// Steady-state chains: `chains` in flight, `total` events overall;
 /// returns events fired.
 pub fn churn(chains: u64, total: u64) -> u64 {
-    let mut sim = Sim::new(1);
+    let mut sim = Sim::new();
     for i in 0..chains {
         let link = BenchEvent::Link {
             node: i as usize,
@@ -94,7 +94,7 @@ pub fn churn(chains: u64, total: u64) -> u64 {
 /// Schedule `n` events and cancel every one; returns ops (schedules +
 /// cancels).
 pub fn schedule_cancel(n: u64) -> u64 {
-    let mut sim = Sim::new(1);
+    let mut sim = Sim::new();
     let handles: Vec<_> = (0..n)
         .map(|i| sim.schedule_at(SimTime::from_nanos(1 + i % 977), BenchEvent::Add(i)))
         .collect();

@@ -23,12 +23,12 @@ pub mod scenario;
 pub mod sweep;
 
 pub use advisor::{
-    advise, AdvisorFull, AdvisorJson, AdvisorRun, CounterfactualSummary, LaneSummary, PerturbSet,
-    UtilizationSummary,
+    advise, run_experiment, AdvisorFull, AdvisorJson, AdvisorRun, CounterfactualSummary,
+    LaneSummary, PerturbSet, UtilizationSummary,
 };
 pub use obs::{
     fingerprint, labeled_path, obs_args, parse_simtime, report_run, subsystem_rows,
-    write_self_profile, ObsArgs, ObsCapture, SelfProfileReport, SubsystemShare,
+    write_self_profile, ObsCapture, SelfProfileReport, SubsystemShare,
 };
 pub use output::{write_file, write_json, write_report, Table};
 pub use runners::{

@@ -1,6 +1,10 @@
-//! Observability flags shared by the bench bins.
+//! Observability exports shared by the bench bins.
 //!
-//! Every experiment binary accepts
+//! What a run exports is one [`OutputSpec`]: a scenario file's `outputs`
+//! block with the command-line flags overlaid on it. Each flag sets the
+//! field of its name (`--probe` sets `probe_interval`), and a flag that
+//! is set wins over the spec ([`OutputSpec::overlay`]). Every experiment
+//! binary accepts
 //!
 //! * `--trace <out.json>` — run with tracing on and write a Chrome
 //!   trace-event file (open in Perfetto or `chrome://tracing`) plus a
@@ -22,48 +26,19 @@
 //!   cluster, so it implies no tracing and never changes artifact bytes.
 //!
 //! Bins that execute several runs (scaling sweeps, ablations) derive one
-//! trace file per run by inserting the run label before the extension.
+//! trace file per run by inserting the run label before the extension of
+//! the file name.
 
 use crate::output::write_file;
-use crate::scenario::Scenario;
+use crate::scenario::{OutputSpec, Scenario};
 use cashmere::AuditEntry;
 use cashmere_des::obs::{
     prof, CriticalPath, MetricsRegistry, ProbeSeries, ProfTree, RunFingerprint,
 };
 use cashmere_des::trace::Trace;
 use cashmere_des::SimTime;
-use cashmere_satin::{critical_path_summary, RunReport};
+use cashmere_satin::{critical_path_summary, RunRecord, RunReport};
 use serde::{Deserialize, Serialize};
-
-/// Parsed observability flags.
-#[derive(Debug, Clone, Default)]
-pub struct ObsArgs {
-    /// Chrome trace output path (`--trace <path>`).
-    pub trace_path: Option<String>,
-    /// Print critical-path / metrics / audit summaries (`--explain`).
-    pub explain: bool,
-    /// OpenMetrics text output path (`--metrics-out <path>`).
-    pub metrics_out: Option<String>,
-    /// Flight-recorder cadence (`--probe <interval>`).
-    pub probe: Option<SimTime>,
-    /// Probe series CSV output path (`--probe-out <path>`).
-    pub probe_out: Option<String>,
-    /// Host self-profiler output stem (`--self-profile <stem>`).
-    pub self_profile: Option<String>,
-}
-
-impl ObsArgs {
-    /// Does the run need tracing enabled at all? `self_profile` is
-    /// deliberately excluded: it observes the host, not the simulation,
-    /// and must not switch capture on (that would change artifact bytes).
-    pub fn enabled(&self) -> bool {
-        self.trace_path.is_some()
-            || self.explain
-            || self.metrics_out.is_some()
-            || self.probe.is_some()
-            || self.probe_out.is_some()
-    }
-}
 
 /// Parse a virtual-time span: `120ns`, `500us`, `1ms`, `2s`, or a raw
 /// nanosecond count. Zero is rejected (a zero-cadence probe would never
@@ -85,12 +60,12 @@ pub fn parse_simtime(s: &str) -> Option<SimTime> {
     (ns > 0).then(|| SimTime::from_nanos(ns))
 }
 
-/// Split `--trace <path>` and `--explain` out of `args` (argv[0]
-/// included). Usually reached through [`crate::cli::common_args`], which
-/// folds these flags into the shared [`crate::CommonArgs`]. Exits with a
-/// message when `--trace` lacks its path.
-pub fn obs_args(args: Vec<String>) -> (ObsArgs, Vec<String>) {
-    let mut obs = ObsArgs::default();
+/// Split the observability flags out of `args` (`argv[0]` included) into
+/// the [`OutputSpec`] they set. Usually reached through
+/// [`crate::cli::common_args`], which keeps the spec in the shared
+/// [`crate::CommonArgs`]. Exits with a message when a flag lacks its value.
+pub fn obs_args(args: Vec<String>) -> (OutputSpec, Vec<String>) {
+    let mut obs = OutputSpec::default();
     let mut rest = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -100,7 +75,7 @@ pub fn obs_args(args: Vec<String>) -> (ObsArgs, Vec<String>) {
                     eprintln!("--trace requires an output path (e.g. --trace out.json)");
                     std::process::exit(2);
                 };
-                obs.trace_path = Some(path);
+                obs.trace = Some(path);
             }
             "--explain" => obs.explain = true,
             "--metrics-out" => {
@@ -115,7 +90,7 @@ pub fn obs_args(args: Vec<String>) -> (ObsArgs, Vec<String>) {
                     eprintln!("--probe requires a positive interval (e.g. --probe 1ms)");
                     std::process::exit(2);
                 };
-                obs.probe = Some(iv);
+                obs.probe_interval = Some(iv);
             }
             "--probe-out" => {
                 let Some(path) = it.next() else {
@@ -134,14 +109,14 @@ pub fn obs_args(args: Vec<String>) -> (ObsArgs, Vec<String>) {
             _ => rest.push(a),
         }
     }
-    if obs.probe.is_some() && obs.probe_out.is_none() {
+    if obs.probe_interval.is_some() && obs.probe_out.is_none() {
         obs.probe_out = Some("probes.csv".to_string());
     }
     (obs, rest)
 }
 
-/// Everything one observed run exports: cloned out of the cluster before
-/// it is dropped so the bins can emit files and summaries.
+/// Everything one observed run exports, moved out of the finished cluster
+/// by [`ObsCapture::from_record`] so the bins can emit files and summaries.
 #[derive(Debug, Clone)]
 pub struct ObsCapture {
     pub trace: Trace,
@@ -157,6 +132,25 @@ pub struct ObsCapture {
     /// last recorded span — so time-weighted gauges include the closing
     /// segment between their last update and the finish.
     pub horizon: SimTime,
+}
+
+impl ObsCapture {
+    /// Build the capture of a finished run from its record
+    /// ([`cashmere_satin::ClusterSim::into_record`]), moving everything out;
+    /// `audit` takes the placement audit log off the leaf runtime.
+    pub fn from_record<L>(rec: RunRecord<L>, audit: fn(L) -> Vec<AuditEntry>) -> ObsCapture {
+        ObsCapture {
+            // Finalize against the run end, not just the last recorded
+            // span: time-weighted gauge means must include the closing
+            // segment between their last update and the finish.
+            horizon: rec.trace.horizon().max(rec.report.total_time),
+            trace: rec.trace,
+            metrics: rec.metrics,
+            audit: audit(rec.leaf),
+            report: rec.report,
+            probes: rec.probes,
+        }
+    }
 }
 
 /// Build a [`RunFingerprint`] for the regression explainer from one
@@ -182,14 +176,19 @@ pub fn fingerprint(label: &str, makespan_s: f64, cap: &ObsCapture) -> RunFingerp
     }
 }
 
-/// Insert `label` before the extension of `base`:
-/// `out.json` + `4n` → `out.4n.json`. Empty labels return `base` as is.
+/// Insert `label` before the extension of the file name of `base`:
+/// `out.json` + `4n` → `out.4n.json`, `runs.d/trace` + `4n` →
+/// `runs.d/trace.4n`. Empty labels return `base` as is.
 pub fn labeled_path(base: &str, label: &str) -> String {
     if label.is_empty() {
         return base.to_string();
     }
-    match base.rsplit_once('.') {
-        Some((stem, ext)) => format!("{stem}.{label}.{ext}"),
+    let name = base.rfind(std::path::is_separator).map_or(0, |i| i + 1);
+    match base[name..].rfind('.') {
+        Some(dot) => {
+            let (stem, ext) = base.split_at(name + dot);
+            format!("{stem}.{label}{ext}")
+        }
         None => format!("{base}.{label}"),
     }
 }
@@ -218,13 +217,13 @@ fn audit_digest(audit: &[AuditEntry]) -> String {
     )
 }
 
-/// Emit everything a run's observability flags ask for: the Chrome trace
-/// and audit JSON when `--trace` is set (per-run paths derived from
-/// `label`), and the critical-path / metrics / audit summaries when
-/// `--explain` is set.
-pub fn report_run(obs: &ObsArgs, label: &str, cap: &ObsCapture) {
+/// Emit everything a run's outputs ask for: the Chrome trace and audit
+/// JSON (`trace`), the OpenMetrics dump (`metrics_out`) and the probe
+/// series (`probe_out`) at per-run paths derived from `label`, and the
+/// critical-path / metrics / audit summaries (`explain`).
+pub fn report_run(obs: &OutputSpec, label: &str, cap: &ObsCapture) {
     let _prof = prof::scope("obs::export");
-    if let Some(base) = &obs.trace_path {
+    if let Some(base) = &obs.trace {
         let path = labeled_path(base, label);
         write_file(&path, &cap.trace.to_chrome_json());
         let audit = serde_json::to_string_pretty(&cap.audit).expect("audit log serializes");
@@ -356,14 +355,14 @@ mod tests {
             Counter::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), Counter::COUNT, "counter names must be unique");
 
-        let cap = ObsCapture {
+        let rec = RunRecord {
+            report: report.clone(),
             trace: Trace::new(),
             metrics: MetricsRegistry::new(),
-            audit: Vec::new(),
-            report: report.clone(),
             probes: None,
-            horizon: SimTime::ZERO,
+            leaf: (),
         };
+        let cap = ObsCapture::from_record(rec, |()| Vec::new());
         let fp = fingerprint("all", 1.0, &cap);
         assert_eq!(fp.counters.len(), Counter::COUNT, "{:?}", fp.counters);
         for (i, c) in Counter::ALL.into_iter().enumerate() {
@@ -386,6 +385,9 @@ mod tests {
         assert_eq!(labeled_path("out.json", ""), "out.json");
         assert_eq!(labeled_path("trace", "x"), "trace.x");
         assert_eq!(labeled_path("a/b.c.json", "audit"), "a/b.c.audit.json");
+        // Only the file name's extension counts, never a directory's.
+        assert_eq!(labeled_path("runs.d/trace", "4n"), "runs.d/trace.4n");
+        assert_eq!(labeled_path("../t", "x"), "../t.x");
     }
 
     #[test]
@@ -400,10 +402,10 @@ mod tests {
             "m.txt".to_string(),
         ];
         let (obs, rest) = obs_args(argv);
-        assert_eq!(obs.trace_path.as_deref(), Some("t.json"));
+        assert_eq!(obs.trace.as_deref(), Some("t.json"));
         assert_eq!(obs.metrics_out.as_deref(), Some("m.txt"));
         assert!(obs.explain);
-        assert!(obs.enabled());
+        assert!(obs.observe());
         assert_eq!(rest, vec!["bin".to_string(), "--small".to_string()]);
     }
 
@@ -424,9 +426,9 @@ mod tests {
     fn probe_flag_defaults_its_output_path() {
         let argv = vec!["bin".to_string(), "--probe".to_string(), "1ms".to_string()];
         let (obs, rest) = obs_args(argv);
-        assert_eq!(obs.probe, Some(SimTime::from_millis(1)));
+        assert_eq!(obs.probe_interval, Some(SimTime::from_millis(1)));
         assert_eq!(obs.probe_out.as_deref(), Some("probes.csv"));
-        assert!(obs.enabled());
+        assert!(obs.observe());
         assert_eq!(rest, vec!["bin".to_string()]);
     }
 

@@ -15,8 +15,8 @@
 //! scenario-shaped presets honor a bare `--dump-scenario` by printing
 //! their resolved preset list via [`dump_scenarios`] instead of running.
 
-use super::{run_scenario, Scenario, ScenarioReport};
-use crate::obs::{obs_args, report_run, write_self_profile, ObsArgs};
+use super::{run_scenario, OutputSpec, Scenario, ScenarioReport};
+use crate::obs::{obs_args, report_run, write_self_profile};
 use crate::output::{write_file, Table};
 use crate::sweep::jobs_from_args;
 use cashmere::balancer::Policy;
@@ -42,8 +42,9 @@ pub fn steal_names() -> String {
 pub struct CommonArgs {
     /// Worker threads for the sweep executor (`--jobs N`).
     pub jobs: usize,
-    /// Observability flags (`--trace`, `--explain`, `--metrics-out`).
-    pub obs: ObsArgs,
+    /// Observability flags (`--trace`, `--explain`, `--metrics-out`,
+    /// `--probe`, `--probe-out`, `--self-profile`), as the outputs they set.
+    pub outputs: OutputSpec,
     /// Fault plan (`--faults plan.json`; empty when absent).
     pub faults: FaultPlan,
     /// Placement-policy override (`--policy scenario|round-robin|…`).
@@ -109,9 +110,9 @@ pub fn common_args() -> (CommonArgs, Vec<String>) {
             _ => rest.push(a),
         }
     }
-    let (obs, rest) = obs_args(rest);
+    let (outputs, rest) = obs_args(rest);
     let (jobs, rest) = jobs_from_args(rest);
-    common.obs = obs;
+    common.outputs = outputs;
     common.jobs = jobs;
     common.program = rest
         .first()
@@ -124,7 +125,7 @@ pub fn common_args() -> (CommonArgs, Vec<String>) {
         .unwrap_or_else(|| "bench".to_string());
     // Start profiling before any work so setup (cluster build, kernel
     // compilation) is attributed too.
-    if common.obs.self_profile.is_some() {
+    if common.outputs.self_profile.is_some() {
         prof::set_enabled(true);
     }
     (common, rest)
@@ -134,7 +135,7 @@ pub fn common_args() -> (CommonArgs, Vec<String>) {
 /// before returning from `main`, passing the scenarios they ran (empty for
 /// kernel-corpus bins whose runs are not scenario-shaped).
 pub fn finish(common: &CommonArgs, scenarios: &[Scenario]) {
-    if let Some(stem) = &common.obs.self_profile {
+    if let Some(stem) = &common.outputs.self_profile {
         write_self_profile(stem, &common.program, scenarios);
     }
 }
@@ -152,25 +153,13 @@ pub fn apply_policy(mut sc: Scenario, common: &CommonArgs) -> Scenario {
 }
 
 /// Apply the CLI overrides to a preset (or loaded) scenario: the policy
-/// overrides, `--faults`, `--probe`/`--probe-out`, and in-memory capture
-/// when any observability flag is set.
+/// overrides, `--faults`, and the observability flags overlaid on its
+/// outputs ([`OutputSpec::overlay`]).
 pub fn apply_overrides(sc: Scenario, common: &CommonArgs) -> Scenario {
     let mut sc = apply_policy(sc, common);
-    if common.obs.self_profile.is_some() {
-        sc.outputs.self_profile.clone_from(&common.obs.self_profile);
-    }
+    sc.outputs.overlay(&common.outputs);
     if !common.faults.is_empty() {
         sc.faults = Some(common.faults.clone());
-    }
-    if common.obs.probe.is_some() {
-        sc.outputs.probe_interval = common.obs.probe;
-    }
-    if common.obs.probe_out.is_some() {
-        sc.outputs.probe_out.clone_from(&common.obs.probe_out);
-    }
-    if common.obs.enabled() {
-        sc.outputs.capture = true;
-        sc.outputs.explain = common.obs.explain;
     }
     sc
 }
@@ -251,12 +240,7 @@ pub fn handle_scenario(common: &CommonArgs) -> bool {
         println!();
     }
     if let Some(cap) = &run.cap {
-        // The spec's own probe output path applies when no CLI flag beat it.
-        let mut obs = common.obs.clone();
-        if obs.probe_out.is_none() {
-            obs.probe_out.clone_from(&sc.outputs.probe_out);
-        }
-        report_run(&obs, &sc.name, cap);
+        report_run(&sc.outputs, &sc.name, cap);
     }
     let report = ScenarioReport::new(&sc, run.outcome);
     let path = match &sc.outputs.report {
@@ -273,6 +257,7 @@ pub fn handle_scenario(common: &CommonArgs) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cashmere_des::SimTime;
 
     #[test]
     fn fault_plan_loads_and_reports_errors() {
@@ -305,17 +290,53 @@ mod tests {
         let common = CommonArgs {
             policy: Some(Policy::RoundRobin),
             steal: Some(StealKind::RecentVictim),
-            obs: ObsArgs {
+            outputs: OutputSpec {
                 explain: true,
-                ..ObsArgs::default()
+                ..OutputSpec::default()
             },
             ..CommonArgs::default()
         };
-        let out = apply_overrides(sc, &common);
+        let out = apply_overrides(sc.clone(), &common);
         assert_eq!(out.policy.placement, Policy::RoundRobin);
         assert_eq!(out.policy.steal, StealKind::RecentVictim);
-        assert!(out.outputs.capture);
+        assert!(out.outputs.observe());
         assert!(out.outputs.explain);
         assert!(out.faults.is_none(), "empty plan stays None");
+
+        // The flags overlay the spec's own outputs: a set flag beats the
+        // spec's field, an unset one keeps it, and `--explain` ORs.
+        let mut declared = sc;
+        declared.outputs = OutputSpec {
+            trace: Some("spec.json".into()),
+            metrics_out: Some("spec.txt".into()),
+            probe_out: Some("spec.csv".into()),
+            explain: true,
+            ..OutputSpec::default()
+        };
+        let flags = |outputs| CommonArgs {
+            outputs,
+            ..CommonArgs::default()
+        };
+        let out = apply_overrides(
+            declared.clone(),
+            &flags(OutputSpec {
+                trace: Some("flag.json".into()),
+                probe_interval: Some(SimTime::from_millis(1)),
+                ..OutputSpec::default()
+            }),
+        );
+        assert_eq!(out.outputs.trace.as_deref(), Some("flag.json"));
+        assert_eq!(out.outputs.metrics_out.as_deref(), Some("spec.txt"));
+        assert_eq!(out.outputs.probe_out.as_deref(), Some("spec.csv"));
+        assert_eq!(out.outputs.probe_interval, Some(SimTime::from_millis(1)));
+        assert!(out.outputs.explain, "an unset --explain keeps the spec's");
+        let out = apply_overrides(declared.clone(), &CommonArgs::default());
+        assert_eq!(out.outputs, declared.outputs, "no flags change nothing");
+        declared.outputs.explain = false;
+        let explain = flags(OutputSpec {
+            explain: true,
+            ..OutputSpec::default()
+        });
+        assert!(apply_overrides(declared, &explain).outputs.explain);
     }
 }

@@ -46,7 +46,7 @@ use cashmere_des::SimTime;
 use cashmere_hwdesc::DeviceKind;
 use cashmere_netsim::NetConfig;
 use cashmere_satin::{
-    ClusterApp, ClusterSim, Counter, CpuLeafRuntime, LeafRuntime, RunReport, SimConfig, StealKind,
+    ClusterSim, Counter, CpuLeafRuntime, LeafRuntime, RunReport, SimConfig, StealKind,
 };
 use serde::{Content, DeError, Deserialize, Serialize};
 
@@ -275,6 +275,25 @@ impl OutputSpec {
             || self.metrics_out.is_some()
             || self.probe_interval.is_some()
             || self.probe_out.is_some()
+    }
+
+    /// Overlay the command-line flags (`flags`, parsed into a spec of their
+    /// own) on this spec: a field the flags set beats the spec's, an unset
+    /// one leaves it alone, and a switch is on if either turns it on.
+    pub fn overlay(&mut self, flags: &OutputSpec) {
+        fn set<T: Clone>(field: &mut Option<T>, flag: &Option<T>) {
+            if flag.is_some() {
+                field.clone_from(flag);
+            }
+        }
+        self.capture |= flags.capture;
+        self.explain |= flags.explain;
+        set(&mut self.trace, &flags.trace);
+        set(&mut self.metrics_out, &flags.metrics_out);
+        set(&mut self.probe_interval, &flags.probe_interval);
+        set(&mut self.probe_out, &flags.probe_out);
+        set(&mut self.report, &flags.report);
+        set(&mut self.self_profile, &flags.self_profile);
     }
 }
 
@@ -737,11 +756,6 @@ impl Scenario {
         }
     }
 
-    /// Does the run need tracing enabled?
-    pub fn observe(&self) -> bool {
-        self.outputs.observe()
-    }
-
     /// Canonical JSON form: pretty-printed with every field present in
     /// declaration order, trailing newline. Parsing and re-serializing a
     /// canonical spec is byte-identical — the property the provenance
@@ -928,7 +942,7 @@ impl Scenario {
                 _ => 2,
             }),
             orphan_reuse: self.orphan_reuse,
-            trace: self.observe(),
+            trace: self.outputs.observe(),
             probe_interval: self.outputs.probe_interval,
             steal: self.policy.steal,
             ..SimConfig::default()
@@ -1028,27 +1042,6 @@ fn failures_of(r: &RunReport) -> (Option<String>, Option<RecoverySummary>) {
         Some(r.failure_summary()),
         Some(RecoverySummary::from_report(r)),
     )
-}
-
-/// Clone the observability exports (span trace, metrics, audit log, run
-/// report, probe series) out of a finished run, when observing. `audit`
-/// reads the placement audit log off the leaf runtime.
-fn capture_of<A: ClusterApp, L: LeafRuntime<A>>(
-    on: bool,
-    cs: &ClusterSim<A, L>,
-    audit: fn(&L) -> Vec<AuditEntry>,
-) -> Option<ObsCapture> {
-    on.then(|| ObsCapture {
-        trace: cs.trace().clone(),
-        metrics: cs.metrics().clone(),
-        audit: audit(cs.leaf_runtime()),
-        report: cs.report().clone(),
-        probes: cs.probe_series().cloned(),
-        // Finalize against the run end, not just the last recorded span:
-        // time-weighted gauge means must include the closing segment
-        // between their last update and the finish.
-        horizon: cs.trace().horizon().max(cs.report().total_time),
-    })
 }
 
 /// What the scenario driver knows of one application: the problem a
@@ -1219,19 +1212,21 @@ impl ScenarioApp for NbodyApp {
 /// or Cashmere with the series' kernels — and run it: the measured
 /// seconds, flops, run report and capture.
 fn run_as<A: ScenarioApp>(sc: &Scenario) -> (f64, f64, RunReport, Option<ObsCapture>) {
-    /// Drive a built cluster and collect its report and capture.
+    /// Drive a built cluster and collect its report and, when observing,
+    /// its capture (`audit` takes the leaf runtime's placement audit log).
     fn drive<A: ScenarioApp, L: LeafRuntime<A>>(
         mut cs: ClusterSim<A, L>,
         pr: &A::Problem,
         observe: bool,
-        audit: fn(&L) -> Vec<AuditEntry>,
+        audit: fn(L) -> Vec<AuditEntry>,
     ) -> (f64, RunReport, Option<ObsCapture>) {
         let makespan_s = A::measure(&mut cs, pr);
-        (
-            makespan_s,
-            cs.report().clone(),
-            capture_of(observe, &cs, audit),
-        )
+        let rec = cs.into_record();
+        if !observe {
+            return (makespan_s, rec.report, None);
+        }
+        let cap = ObsCapture::from_record(rec, audit);
+        (makespan_s, cap.report.clone(), Some(cap))
     }
 
     let pr = A::resolve(sc.problem);
@@ -1246,7 +1241,7 @@ fn run_as<A: ScenarioApp>(sc: &Scenario) -> (f64, f64, RunReport, Option<ObsCapt
                 ..cfg
             };
             let cs = ClusterSim::new(app, CpuLeafRuntime, cfg);
-            drive(cs, &pr, sc.observe(), |_| Vec::new())
+            drive(cs, &pr, sc.outputs.observe(), |_| Vec::new())
         }
         _ => {
             let app = A::build(pr, sc.node_grain(), sc.device_jobs);
@@ -1255,7 +1250,7 @@ fn run_as<A: ScenarioApp>(sc: &Scenario) -> (f64, f64, RunReport, Option<ObsCapt
             if let Some(p) = &sc.perturb {
                 p.apply_runtime(cs.leaf_runtime_mut());
             }
-            drive(cs, &pr, sc.observe(), |rt| rt.audit.clone())
+            drive(cs, &pr, sc.outputs.observe(), |rt| rt.audit)
         }
     };
     (makespan_s, A::flops(&pr), report, cap)

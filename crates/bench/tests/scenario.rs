@@ -1,11 +1,11 @@
 //! The declarative scenario layer, end to end: the checked-in catalog
 //! parses and validates, canonical JSON round-trips, invalid specs are
 //! rejected with a real exit code, the figure presets equal the provenance
-//! of the committed artifacts, an unwritable report fails the run, and the
-//! provenance block embedded in every report re-runs byte-identically at
-//! any `--jobs`.
+//! of the committed artifacts, an unwritable report fails the run, a spec's
+//! declared outputs are all written, and the provenance block embedded in
+//! every report re-runs byte-identically at any `--jobs`.
 
-use cashmere_bench::{run_scenario, Scenario, ScenarioReport};
+use cashmere_bench::{labeled_path, run_scenario, Scenario, ScenarioReport};
 use serde::Deserialize;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -136,6 +136,57 @@ fn unwritable_report_exits_nonzero() {
     );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot write"), "got: {err}");
+}
+
+/// The outputs a spec file declares take effect without any flag: the
+/// Chrome trace with its audit log, the OpenMetrics dump, the explain
+/// digest on stdout, and the report.
+#[test]
+fn spec_declared_outputs_are_written() {
+    let dir = std::env::temp_dir().join("cashmere-scenario-outputs");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let mut sc = Scenario::load(
+        repo_root()
+            .join("bench/scenarios/smoke.json")
+            .to_str()
+            .unwrap(),
+    )
+    .expect("smoke scenario loads");
+    sc.outputs.trace = Some(path("t.json"));
+    sc.outputs.metrics_out = Some(path("m.txt"));
+    sc.outputs.explain = true;
+    sc.outputs.report = Some(path("report.json"));
+    let spec = dir.join("outputs.spec.json");
+    std::fs::write(&spec, sc.to_canonical_json()).unwrap();
+    let out = run(&["--scenario", spec.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Per-run files carry the scenario name as their label.
+    let trace = labeled_path(&path("t.json"), &sc.name);
+    for file in [
+        trace.clone(),
+        labeled_path(&trace, "audit"),
+        labeled_path(&path("m.txt"), &sc.name),
+        path("report.json"),
+    ] {
+        let bytes = std::fs::read(&file).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert!(!bytes.is_empty(), "{file} is empty");
+    }
+    let metrics = std::fs::read_to_string(labeled_path(&path("m.txt"), &sc.name)).unwrap();
+    assert!(
+        metrics.ends_with("# EOF\n"),
+        "OpenMetrics terminator missing"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("--- explain: {} ---", sc.name)),
+        "no explain digest in: {stdout}"
+    );
 }
 
 #[test]

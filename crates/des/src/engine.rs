@@ -31,9 +31,8 @@
 //!   invariant that the heap top is always live — so [`Sim::peek_time`] is
 //!   a true `&self` read.
 
-use crate::obs::{prof, MetricsRegistry};
+use crate::obs::prof;
 use crate::time::SimTime;
-use crate::trace::Trace;
 
 /// A simulation world: the state events act on, and the one place they are
 /// dispatched.
@@ -96,9 +95,8 @@ impl HeapEntry {
 /// The discrete-event simulation engine.
 ///
 /// `E` is the event type; the engine stores events and hands each one back
-/// to the world's [`Handler`] when it fires. The engine also carries the
-/// activity [`Trace`] so that event code anywhere in the stack can record
-/// Gantt spans without extra plumbing.
+/// to the world's [`Handler`] when it fires. It is only the event queue and
+/// the clock: whatever the events record (spans, metrics) the world owns.
 pub struct Sim<E> {
     now: SimTime,
     seq: u64,
@@ -108,17 +106,11 @@ pub struct Sim<E> {
     /// Number of tombstoned entries still sitting in the heap.
     cancelled: usize,
     events_fired: u64,
-    /// Activity trace (Gantt spans, see [`crate::trace`]).
-    pub trace: Trace,
-    /// Metrics registry (counters, gauges, histograms; see [`crate::obs`]).
-    pub metrics: MetricsRegistry,
-    seed: u64,
 }
 
 impl<E> Sim<E> {
-    /// Create an engine. `seed` is the master seed from which all component
-    /// RNG streams are derived (see [`crate::rng::StreamRng`]).
-    pub fn new(seed: u64) -> Self {
+    /// Create an engine with an empty queue at time zero.
+    pub fn new() -> Self {
         Sim {
             now: SimTime::ZERO,
             seq: 0,
@@ -127,15 +119,7 @@ impl<E> Sim<E> {
             free: Vec::new(),
             cancelled: 0,
             events_fired: 0,
-            trace: Trace::new(),
-            metrics: MetricsRegistry::new(),
-            seed,
         }
-    }
-
-    /// The master seed this simulation was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Current virtual time.
@@ -348,6 +332,12 @@ impl<E> Sim<E> {
     }
 }
 
+impl<E> Default for Sim<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,7 +400,7 @@ mod tests {
 
     #[test]
     fn events_fire_in_time_order() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let mut world = World::default();
         sim.schedule_at(t(30), Ev::Push(3));
         sim.schedule_at(t(10), Ev::Push(1));
@@ -422,7 +412,7 @@ mod tests {
 
     #[test]
     fn ties_fire_in_schedule_order() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let mut world = World::default();
         for i in 0..100 {
             sim.schedule_at(t(5), Ev::Push(i));
@@ -433,7 +423,7 @@ mod tests {
 
     #[test]
     fn events_can_schedule_events() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         // A chain of 1000 events, each scheduling the next.
         let mut world = World {
             chain_len: 1000,
@@ -447,7 +437,7 @@ mod tests {
 
     #[test]
     fn chained_events_reuse_the_slab() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let mut world = World {
             chain_len: 10_000,
             ..World::default()
@@ -462,7 +452,7 @@ mod tests {
 
     #[test]
     fn cancel_prevents_execution() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let mut world = World::default();
         let h = sim.schedule_at(t(10), Ev::Add(1));
         sim.schedule_at(t(20), Ev::Add(10));
@@ -474,13 +464,13 @@ mod tests {
 
     #[test]
     fn cancel_unknown_handle_is_false() {
-        let mut sim: Sim<Ev> = Sim::new(1);
+        let mut sim: Sim<Ev> = Sim::new();
         assert!(!sim.cancel(EventHandle { slot: 7, seq: 99 }));
     }
 
     #[test]
     fn cancel_after_fire_is_false_and_keeps_pending_accurate() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let mut world = World::default();
         let h = sim.schedule_at(t(10), Ev::Add(1));
         sim.schedule_at(t(20), Ev::Add(10));
@@ -498,7 +488,7 @@ mod tests {
 
     #[test]
     fn stale_handle_cannot_cancel_slot_reuser() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let mut world = World::default();
         let h1 = sim.schedule_at(t(10), Ev::Add(1));
         sim.step(&mut world);
@@ -513,7 +503,7 @@ mod tests {
 
     #[test]
     fn pending_counts_live_events_only() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let hs: Vec<_> = (0..10)
             .map(|i| sim.schedule_at(t(10 + i), Ev::Nop))
             .collect();
@@ -529,7 +519,7 @@ mod tests {
 
     #[test]
     fn run_until_stops_at_horizon() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let mut world = World::default();
         for v in [5, 10, 15, 20] {
             sim.schedule_at(t(v), Ev::Push(v));
@@ -543,7 +533,7 @@ mod tests {
 
     #[test]
     fn peek_time_skips_cancelled() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let h = sim.schedule_at(t(10), Ev::Nop);
         sim.schedule_at(t(20), Ev::Nop);
         sim.cancel(h);
@@ -552,7 +542,7 @@ mod tests {
 
     #[test]
     fn peek_time_is_live_after_step_uncovers_a_tombstone() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         sim.schedule_at(t(10), Ev::Nop);
         let h = sim.schedule_at(t(20), Ev::Nop);
         sim.schedule_at(t(30), Ev::Nop);
@@ -570,7 +560,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_in_the_past_panics() {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         sim.schedule_at(t(10), Ev::Backwards);
         sim.run(&mut World::default());
     }
@@ -578,7 +568,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         fn run_once() -> (u64, SimTime) {
-            let mut sim = Sim::new(7);
+            let mut sim = Sim::new();
             let mut world = World::default();
             for i in 0..50 {
                 sim.schedule_at(t(i % 7), Ev::Mix(i));
@@ -592,7 +582,7 @@ mod tests {
     #[test]
     fn heap_orders_many_random_keys() {
         // Deterministic pseudo-random schedule exercising deep sifts.
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let mut world = World::default();
         let mut x = 0x9e3779b97f4a7c15u64;
         for _ in 0..5000 {
@@ -610,7 +600,7 @@ mod tests {
     #[test]
     fn cancelled_and_abandoned_payloads_drop_exactly_once() {
         let payload = Rc::new(());
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let hs: Vec<_> = (0..6)
             .map(|i| sim.schedule_at(t(10 + i), Ev::Hold(Rc::clone(&payload))))
             .collect();

@@ -12,14 +12,16 @@
 //! * Events are typed: a world implementing [`Handler`] names its event
 //!   type (usually a closed enum) and dispatches each fired event with one
 //!   `match`, scheduling follow-ups through the engine it is handed.
-//! * The engine [`Sim<E>`] owns the event queue: a safe slab arena of
-//!   reusable slots holding events by value (no per-event allocation in
-//!   steady state) ordered by an index-based 4-ary min-heap, with O(1)
-//!   tombstone cancellation.
+//! * The engine [`Sim<E>`] is only the event queue and the clock: a safe
+//!   slab arena of reusable slots holding events by value (no per-event
+//!   allocation in steady state) ordered by an index-based 4-ary min-heap,
+//!   with O(1) tombstone cancellation.
 //! * Ties are broken by insertion sequence number, which (together with seeded
 //!   RNG streams from [`rng`]) makes runs deterministic.
 //! * [`trace`] records activity spans per lane and renders the Gantt charts of
-//!   the paper's Figs. 16/17.
+//!   the paper's Figs. 16/17; [`obs`] holds the metrics registry and the
+//!   exports. The world owns its trace and metrics: its handler records
+//!   into them as it dispatches events.
 //!
 //! ```
 //! use cashmere_des::{Handler, Sim, SimTime};
@@ -45,7 +47,7 @@
 //!     }
 //! }
 //!
-//! let mut sim = Sim::new(42);
+//! let mut sim = Sim::new();
 //! let mut world = Counter(0);
 //! sim.schedule_in(SimTime::from_micros(5), Ev::AddThenLater(1));
 //! sim.run(&mut world);

@@ -140,9 +140,9 @@ impl LatencyHistogram {
     }
 }
 
-/// Central registry of named metrics, owned by the simulation
-/// ([`crate::Sim::metrics`]). Names are dotted paths such as
-/// `node1.busy_cores` or `pcie.h2d`.
+/// Central registry of named metrics, owned by the simulated world next to
+/// its [`crate::Trace`]. Names are dotted paths such as `node1.busy_cores`
+/// or `pcie.h2d`.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     enabled: bool,

@@ -7,7 +7,7 @@
 //! Cashmere layers) feeds three consumers:
 //!
 //! - [`metrics`]: time-weighted gauges and log-scaled latency
-//!   histograms, owned by the simulation ([`crate::Sim::metrics`]).
+//!   histograms, owned (like the trace) by the simulated world.
 //! - [`chrome`]: `Trace::to_chrome_json()` export, openable in Perfetto or
 //!   `chrome://tracing`, with lanes as tracks and flow arrows for the causal
 //!   edges that cross lanes (steals, result transfers, PCIe copies).

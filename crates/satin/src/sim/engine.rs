@@ -47,11 +47,11 @@ use super::steal::StealKind;
 use crate::sim::app::{ClusterApp, DcStep, LeafCtx, LeafPlan, LeafRuntime};
 use crate::sim::report::{Counter, RunReport};
 use cashmere_des::fault::{FaultInjector, FaultPlan, MessageFate};
-use cashmere_des::obs::{prof, ProbeSeries};
+use cashmere_des::obs::{prof, MetricsRegistry, ProbeSeries};
 use cashmere_des::rng::StreamRng;
-use cashmere_des::trace::{LaneId, SpanId, SpanKind};
+use cashmere_des::trace::{LaneId, SpanId, SpanKind, Trace};
 use cashmere_des::{Handler, Sim, SimTime};
-use cashmere_netsim::nic::{schedule_transfer, NodeNic};
+use cashmere_netsim::nic::{schedule_transfer, NodeNic, Transfer};
 use cashmere_netsim::NetConfig;
 use std::collections::{HashMap, VecDeque};
 
@@ -301,7 +301,8 @@ struct OrphanEntry<O> {
     bytes: u64,
 }
 
-/// The simulation world: nodes, jobs, application, leaf runtime.
+/// The simulation world: nodes, jobs, application, leaf runtime, and the
+/// trace and metrics the run records.
 struct World<A: ClusterApp, L: LeafRuntime<A>> {
     app: A,
     leaf: L,
@@ -341,11 +342,32 @@ struct World<A: ClusterApp, L: LeafRuntime<A>> {
     /// advances the clock past the real finish.
     probe_event: Option<cashmere_des::EventHandle>,
     report: RunReport,
+    /// Gantt spans and metrics of the run; both record only when
+    /// `cfg.trace` is set.
+    trace: Trace,
+    metrics: MetricsRegistry,
 }
 
 impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
     fn busy_fraction(&self, node: usize) -> f64 {
         self.nodes[node].busy_cores as f64 / self.cfg.cores_per_node as f64
+    }
+
+    /// Charge a transfer of `bytes` from node `src` to node `dst`, requested
+    /// at `now`, to both nodes' NICs; each end's CPU load slows its message
+    /// handling.
+    fn transfer(&mut self, now: SimTime, src: usize, dst: usize, bytes: u64) -> Transfer {
+        debug_assert_ne!(src, dst, "a transfer needs two nodes");
+        let (src_busy, dst_busy) = (self.busy_fraction(src), self.busy_fraction(dst));
+        let (lo, hi) = (src.min(dst), src.max(dst));
+        let (first, second) = self.nics.split_at_mut(hi);
+        let (src_nic, dst_nic) = if src < dst {
+            (&mut first[lo], &mut second[0])
+        } else {
+            (&mut second[0], &mut first[lo])
+        };
+        let net = &self.cfg.net;
+        schedule_transfer(net, now, src_nic, dst_nic, bytes, src_busy, dst_busy)
     }
 
     /// Node `n` is up in incarnation `inc`: an event scheduled by that
@@ -652,6 +674,19 @@ pub struct ClusterSim<A: ClusterApp, L: LeafRuntime<A>> {
     world: World<A, L>,
 }
 
+/// What a finished run leaves behind, moved out of its cluster by
+/// [`ClusterSim::into_record`]: the counters, the recordings, and the leaf
+/// runtime (which holds its own logs, such as Cashmere's placement audit).
+pub struct RunRecord<L> {
+    pub report: RunReport,
+    pub trace: Trace,
+    pub metrics: MetricsRegistry,
+    /// Flight-recorder series (`Some` iff [`SimConfig::probe_interval`] is
+    /// set).
+    pub probes: Option<ProbeSeries>,
+    pub leaf: L,
+}
+
 impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
     pub fn new(app: A, leaf: L, cfg: SimConfig) -> Self {
         let _prof = prof::scope("cluster::build");
@@ -664,9 +699,10 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
             cfg.probe_interval != Some(SimTime::ZERO),
             "probe_interval must be positive"
         );
-        let mut sim = Sim::new(cfg.seed);
-        sim.trace.set_enabled(cfg.trace);
-        sim.metrics.set_enabled(cfg.trace);
+        let mut trace = Trace::new();
+        trace.set_enabled(cfg.trace);
+        let mut metrics = MetricsRegistry::new();
+        metrics.set_enabled(cfg.trace);
         let nodes = (0..cfg.nodes)
             .map(|n| NodeState {
                 deque: TaskDeque::default(),
@@ -680,8 +716,8 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
                 alive: true,
                 incarnation: 0,
                 tick_scheduled: false,
-                cpu_lane: sim.trace.add_lane(format!("node{n}.cpu")),
-                net_lane: sim.trace.add_lane(format!("node{n}.net")),
+                cpu_lane: trace.add_lane(format!("node{n}.cpu")),
+                net_lane: trace.add_lane(format!("node{n}.net")),
                 steal_started: SimTime::ZERO,
             })
             .collect();
@@ -705,9 +741,14 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
             probe: cfg.probe_interval.map(ProbeSeries::new),
             probe_event: None,
             report: RunReport::new(cfg.nodes),
+            trace,
+            metrics,
             cfg,
         };
-        let mut cs = ClusterSim { sim, world };
+        let mut cs = ClusterSim {
+            sim: Sim::new(),
+            world,
+        };
         // Crashes and joins named in the plan are ordinary scheduled events.
         for c in cs.world.cfg.faults.node_crashes.clone() {
             cs.schedule_crash(c.node, c.at)
@@ -733,18 +774,26 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
         &self.world.report
     }
 
-    pub fn trace(&self) -> &cashmere_des::trace::Trace {
-        &self.sim.trace
-    }
-
-    pub fn metrics(&self) -> &cashmere_des::MetricsRegistry {
-        &self.sim.metrics
+    pub fn trace(&self) -> &Trace {
+        &self.world.trace
     }
 
     /// The flight-recorder series sampled so far (`Some` iff
     /// [`SimConfig::probe_interval`] is set).
     pub fn probe_series(&self) -> Option<&ProbeSeries> {
         self.world.probe.as_ref()
+    }
+
+    /// Consume the cluster, moving out what its runs recorded.
+    pub fn into_record(self) -> RunRecord<L> {
+        let w = self.world;
+        RunRecord {
+            report: w.report,
+            trace: w.trace,
+            metrics: w.metrics,
+            probes: w.probe,
+            leaf: w.leaf,
+        }
     }
 
     /// `(thief, victim)` per initiated steal attempt, in simulation order.
@@ -874,20 +923,10 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
             if !w.nodes[n].alive {
                 continue;
             }
-            let (src_busy, dst_busy) = (w.busy_fraction(0), w.busy_fraction(n));
-            let (a, rest) = w.nics.split_at_mut(n);
-            let tr = schedule_transfer(
-                &w.cfg.net,
-                now,
-                &mut a[0],
-                &mut rest[0],
-                bytes,
-                src_busy,
-                dst_busy,
-            );
+            let tr = w.transfer(now, 0, n, bytes);
             w.report[Counter::BytesBroadcast] += bytes;
-            if self.sim.trace.enabled() {
-                self.sim.trace.record(
+            if w.trace.enabled() {
+                w.trace.record(
                     w.nodes[n].net_lane,
                     SpanKind::Network,
                     "broadcast",
@@ -895,7 +934,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
                     tr.arrival,
                 );
             }
-            self.sim.metrics.observe("net.transfer", tr.duration());
+            w.metrics.observe("net.transfer", tr.duration());
             last = last.max(tr.arrival);
         }
         // Advance virtual time to the end of the broadcast. Events due
@@ -910,14 +949,11 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
 
 /// Update the node's busy-core gauge after `busy_cores` changed. The
 /// `enabled` check keeps the label formatting off the hot path.
-fn note_busy_cores<A: ClusterApp, L: LeafRuntime<A>>(w: &World<A, L>, sim: &mut S<A>, n: usize) {
-    if sim.metrics.enabled() {
-        let now = sim.now();
-        sim.metrics.gauge_set(
-            &format!("node{n}.busy_cores"),
-            now,
-            w.nodes[n].busy_cores as f64,
-        );
+fn note_busy_cores<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &S<A>, n: usize) {
+    if w.metrics.enabled() {
+        let busy = w.nodes[n].busy_cores as f64;
+        w.metrics
+            .gauge_set(&format!("node{n}.busy_cores"), sim.now(), busy);
     }
 }
 
@@ -1148,19 +1184,10 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
                 // table is master-mediated bookkeeping; the fetch itself is
                 // modelled as a reliable transfer (retransmission of table
                 // traffic is below the model's resolution).
-                let (src_busy, dst_busy) = (w.busy_fraction(holder), w.busy_fraction(n));
-                let (lo, hi) = (holder.min(n), holder.max(n));
-                let (first, second) = w.nics.split_at_mut(hi);
-                let (src, dst) = if holder < n {
-                    (&mut first[lo], &mut second[0])
-                } else {
-                    (&mut second[0], &mut first[lo])
-                };
-                let tr =
-                    schedule_transfer(&w.cfg.net, sim.now(), src, dst, bytes, src_busy, dst_busy);
+                let tr = w.transfer(sim.now(), holder, n, bytes);
                 w.report[Counter::BytesOrphans] += bytes;
-                if sim.trace.enabled() {
-                    sim.trace.record_child(
+                if w.trace.enabled() {
+                    w.trace.record_child(
                         w.nodes[n].net_lane,
                         SpanKind::Network,
                         "orphan-fetch",
@@ -1169,7 +1196,7 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
                         w.jobs[j].origin_span,
                     );
                 }
-                sim.metrics.observe("net.transfer", tr.duration());
+                w.metrics.observe("net.transfer", tr.duration());
                 tr.arrival
             };
             let ev = Event::Deliver {
@@ -1240,8 +1267,8 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
         DcStep::Divide(children) => {
             let cost = w.app.divide_cost(&input);
             let start = sim.now() - w.cfg.job_overhead;
-            if sim.trace.enabled() {
-                w.jobs[j].divide_span = sim.trace.record_child(
+            if w.trace.enabled() {
+                w.jobs[j].divide_span = w.trace.record_child(
                     w.nodes[n].cpu_lane,
                     SpanKind::CpuTask,
                     "divide",
@@ -1261,7 +1288,7 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
             // the device activity planned inside it can parent to it; the
             // real end is patched in below once the plan is known.
             let leaf_start = sim.now() - w.cfg.job_overhead;
-            let leaf_span = sim.trace.record_child(
+            let leaf_span = w.trace.record_child(
                 lane,
                 SpanKind::CpuTask,
                 "leaf",
@@ -1275,6 +1302,8 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
                     app,
                     faults,
                     report,
+                    trace,
+                    metrics,
                     ..
                 } = w;
                 leaf.plan(
@@ -1283,8 +1312,8 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
                     LeafCtx {
                         node: n,
                         now: sim.now(),
-                        trace: &mut sim.trace,
-                        metrics: &mut sim.metrics,
+                        trace,
+                        metrics,
                         cpu_lane: lane,
                         parent_span: leaf_span,
                         faults,
@@ -1302,7 +1331,7 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
             }
             match plan {
                 LeafPlan::Cpu { compute, output } => {
-                    sim.trace.set_end(leaf_span, sim.now() + compute);
+                    w.trace.set_end(leaf_span, sim.now() + compute);
                     w.report.node_busy[n] += compute;
                     sim.schedule_in(
                         compute,
@@ -1318,7 +1347,7 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
                     done,
                     output,
                 } => {
-                    sim.trace.set_end(leaf_span, done.max(sim.now()));
+                    w.trace.set_end(leaf_span, done.max(sim.now()));
                     w.report.node_busy[n] += done.saturating_sub(sim.now());
                     sim.schedule_in(submit, Event::LeafSubmit(exec));
                     sim.schedule_at(
@@ -1462,18 +1491,10 @@ fn send_result<A: ClusterApp, L: LeafRuntime<A>>(
         return;
     }
     let bytes = w.app.output_bytes(&msg.output);
-    let (src_busy, dst_busy) = (w.busy_fraction(n), w.busy_fraction(home));
-    let (lo, hi) = (n.min(home), n.max(home));
-    let (first, second) = w.nics.split_at_mut(hi);
-    let (src, dst) = if n < home {
-        (&mut first[lo], &mut second[0])
-    } else {
-        (&mut second[0], &mut first[lo])
-    };
-    let tr = schedule_transfer(&w.cfg.net, sim.now(), src, dst, bytes, src_busy, dst_busy);
+    let tr = w.transfer(sim.now(), n, home, bytes);
     w.report[Counter::BytesResults] += bytes;
-    if sim.trace.enabled() {
-        sim.trace.record_child(
+    if w.trace.enabled() {
+        w.trace.record_child(
             w.nodes[n].net_lane,
             SpanKind::Network,
             if attempt == 0 {
@@ -1486,7 +1507,7 @@ fn send_result<A: ClusterApp, L: LeafRuntime<A>>(
             w.jobs[p].divide_span,
         );
     }
-    sim.metrics.observe("net.transfer", tr.duration());
+    w.metrics.observe("net.transfer", tr.duration());
     match w.faults.message_fate(n, home, sim.now()) {
         MessageFate::Dropped => {
             w.report[Counter::MessagesLost] += 1;
@@ -1556,8 +1577,8 @@ fn start_combine<A: ClusterApp, L: LeafRuntime<A>>(
     };
     let input = w.jobs[p].input.clone().expect("waiting job has input");
     let cost = w.app.combine_cost(&input);
-    if sim.trace.enabled() {
-        sim.trace.record_child(
+    if w.trace.enabled() {
+        w.trace.record_child(
             w.nodes[n].cpu_lane,
             SpanKind::CpuTask,
             "combine",
@@ -1746,21 +1767,13 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
             w.recent_victim[thief] = Some(victim);
             let input = w.jobs[j].input.as_ref().expect("queued job has input");
             let bytes = w.app.input_bytes(input);
-            let (src_busy, dst_busy) = (w.busy_fraction(victim), w.busy_fraction(thief));
-            let (lo, hi) = (victim.min(thief), victim.max(thief));
-            let (first, second) = w.nics.split_at_mut(hi);
-            let (src, dst) = if victim < thief {
-                (&mut first[lo], &mut second[0])
-            } else {
-                (&mut second[0], &mut first[lo])
-            };
-            let tr = schedule_transfer(&w.cfg.net, sim.now(), src, dst, bytes, src_busy, dst_busy);
+            let tr = w.transfer(sim.now(), victim, thief, bytes);
             w.report[Counter::BytesStolen] += bytes;
-            if sim.trace.enabled() {
+            if w.trace.enabled() {
                 // The steal span becomes the job's new origin: everything
                 // the job does on the thief chains through it, which is what
                 // draws the cross-node flow arrow in the Chrome export.
-                let steal_span = sim.trace.record_child(
+                let steal_span = w.trace.record_child(
                     w.nodes[thief].net_lane,
                     SpanKind::Steal,
                     "steal",
@@ -1899,7 +1912,7 @@ fn finish_steal_transfer<A: ClusterApp, L: LeafRuntime<A>>(
     }
     if attempt_open {
         let rtt = sim.now() - w.nodes[thief].steal_started;
-        sim.metrics.observe("steal.rtt", rtt);
+        w.metrics.observe("steal.rtt", rtt);
         resolve_steal(w, sim, thief);
         w.nodes[thief].steal_failures = 0;
     }

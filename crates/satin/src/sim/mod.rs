@@ -6,7 +6,7 @@ pub mod report;
 pub mod steal;
 
 pub use app::{ClusterApp, CpuLeafRuntime, DcStep, LeafCtx, LeafPlan, LeafRuntime};
-pub use engine::{ClusterSim, SimConfig};
+pub use engine::{ClusterSim, RunRecord, SimConfig};
 pub use report::{critical_path_summary, text_table, Counter, RunReport};
 pub use steal::StealKind;
 

@@ -51,14 +51,7 @@ fn small_runner(
             p.apply_runtime(cluster.leaf_runtime_mut());
         }
         let (_, elapsed) = kmeans::run_iterations(&mut cluster, &pr, &cents, false);
-        let cap = observe.then(|| ObsCapture {
-            trace: cluster.trace().clone(),
-            metrics: cluster.metrics().clone(),
-            audit: cluster.leaf_runtime().audit.clone(),
-            report: cluster.report().clone(),
-            probes: cluster.probe_series().cloned(),
-            horizon: cluster.trace().horizon().max(cluster.report().total_time),
-        });
+        let cap = observe.then(|| ObsCapture::from_record(cluster.into_record(), |rt| rt.audit));
         (elapsed.as_secs_f64(), cap)
     }
 }

@@ -110,7 +110,7 @@ impl Model {
 /// Replay `ops` against both the real engine and the model, checking every
 /// observable after every operation.
 fn check_interleaving(ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut sim = Sim::new(7);
+    let mut sim = Sim::new();
     let mut model = Model::default();
     // Handles of every event ever scheduled (spent or not), so Cancel can
     // target already-fired events too.
@@ -176,7 +176,7 @@ proptest! {
 
 #[test]
 fn cancel_after_fire_returns_false_and_pending_stays_accurate() {
-    let mut sim = Sim::new(1);
+    let mut sim = Sim::new();
     let h = sim.schedule_at(SimTime::from_nanos(5), Fire(1));
     let _live = sim.schedule_at(SimTime::from_nanos(9), Fire(10));
     let mut w = Log::default();
@@ -194,7 +194,7 @@ fn cancel_after_fire_returns_false_and_pending_stays_accurate() {
 
 #[test]
 fn peek_time_is_a_pure_read() {
-    let mut sim = Sim::new(1);
+    let mut sim = Sim::new();
     let keep = sim.schedule_at(SimTime::from_nanos(10), Fire(0));
     let kill = sim.schedule_at(SimTime::from_nanos(3), Fire(1));
     assert!(sim.cancel(kill));
@@ -208,7 +208,7 @@ fn peek_time_is_a_pure_read() {
 
 #[test]
 fn dense_same_time_events_fire_in_schedule_order() {
-    let mut sim = Sim::new(1);
+    let mut sim = Sim::new();
     for id in 0..100u64 {
         sim.schedule_at(SimTime::from_nanos(42), Fire(id));
     }

@@ -60,7 +60,7 @@ proptest! {
 
     #[test]
     fn des_fires_in_nondecreasing_time_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut sim = Sim::new(1);
+        let mut sim = Sim::new();
         let mut world = FiringTimes::default();
         for t in &times {
             sim.schedule_at(SimTime::from_nanos(*t), Fired(*t));

@@ -106,14 +106,47 @@ pub fn split_range(lo: u64, hi: u64, parts: u64) -> Vec<(u64, u64)> {
     out
 }
 
+/// The Fig. 1 leaf test: a `(lo, hi)` range of at most `grain` elements
+/// is a leaf. [`binary_divide`] and every application's `is_leaf` use it.
+pub fn within_grain(lo: u64, hi: u64, grain: u64) -> bool {
+    hi - lo <= grain.max(1)
+}
+
 /// Binary divide of a `(lo, hi)` range down to `grain`, as in Fig. 1.
 pub fn binary_divide(lo: u64, hi: u64, grain: u64) -> Option<Vec<(u64, u64)>> {
-    if hi - lo <= grain.max(1) {
+    if within_grain(lo, hi, grain) {
         None
     } else {
         let mid = lo + (hi - lo) / 2;
         Some(vec![(lo, mid), (mid, hi)])
     }
+}
+
+/// A piece of an application's output covering a contiguous part of the
+/// result (matmul blocks, n-body and raytracer ranges).
+pub trait Segment {
+    /// Where the segment sits in output order.
+    fn position(&self) -> (u64, u64);
+
+    /// Grow `self` to also cover `next` and return `true`, when both carry
+    /// no data (phantom mode) and `next` continues `self`. A segment with
+    /// data is never merged.
+    fn absorb(&mut self, next: &Self) -> bool;
+}
+
+/// The `combine` of segmented outputs: the children's segments in output
+/// order, with adjacent data-less segments merged. A phantom output thus
+/// stays a few segments at every tree level instead of one per device job,
+/// and its `output_bytes`, a sum over segments, is unchanged.
+pub fn combine_segments<S: Segment>(children: Vec<Vec<S>>) -> Vec<S> {
+    let mut children = children.into_iter();
+    let mut out = children.next().unwrap_or_default();
+    for child in children {
+        out.extend(child);
+    }
+    out.sort_by_key(S::position);
+    out.dedup_by(|next, prev| prev.absorb(next));
+    out
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //!   unrolled for `d = 4`;
 //! * `mic` — coarse per-core point chunks (few, fat work-groups).
 
-use crate::common::{binary_divide, split_range, AppMode, CpuLeafModel, KernelSet};
+use crate::common::{binary_divide, split_range, within_grain, AppMode, CpuLeafModel, KernelSet};
 use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
@@ -384,6 +384,10 @@ impl ClusterApp for KmeansApp {
             Some(ch) => DcStep::Divide(ch),
             None => DcStep::Leaf,
         }
+    }
+
+    fn is_leaf(&self, &(lo, hi): &(u64, u64)) -> bool {
+        within_grain(lo, hi, self.node_grain_pts)
     }
 
     fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, KmOut) {

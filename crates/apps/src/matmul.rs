@@ -17,7 +17,10 @@
 //! * `gpu` — 16×16 local-memory tiling with barriers;
 //! * `mic` — 16 `C` rows per core with `B` staged through local memory.
 
-use crate::common::{binary_divide, split_range, AppMode, CpuLeafModel, KernelSet};
+use crate::common::{
+    binary_divide, combine_segments, split_range, within_grain, AppMode, CpuLeafModel, KernelSet,
+    Segment,
+};
 use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
@@ -269,6 +272,32 @@ pub struct Seg {
     pub data: Option<Vec<f64>>,
 }
 
+impl Segment for Seg {
+    fn position(&self) -> (u64, u64) {
+        (self.row0, self.col0)
+    }
+
+    /// Phantom blocks merge side by side within one row band, and stacked
+    /// when they span the same columns.
+    fn absorb(&mut self, next: &Seg) -> bool {
+        if self.data.is_some() || next.data.is_some() {
+            return false;
+        }
+        if self.row0 == next.row0 && self.rows == next.rows && self.col0 + self.cols == next.col0 {
+            self.cols += next.cols;
+            true
+        } else if self.col0 == next.col0
+            && self.cols == next.cols
+            && self.row0 + self.rows == next.row0
+        {
+            self.rows += next.rows;
+            true
+        } else {
+            false
+        }
+    }
+}
+
 /// Assemble blocks into the full row-major `n × m` matrix (Real mode).
 pub fn assemble(segs: &[Seg], n: u64, m: u64) -> Vec<f64> {
     let mut out = vec![0.0f64; (n * m) as usize];
@@ -388,10 +417,12 @@ impl ClusterApp for MatmulApp {
         )
     }
 
+    fn is_leaf(&self, job: &MatJob) -> bool {
+        within_grain(job.r0, job.r1, self.node_grain_rows)
+    }
+
     fn combine(&self, _i: &MatJob, children: Vec<Vec<Seg>>) -> Vec<Seg> {
-        let mut out: Vec<Seg> = children.into_iter().flatten().collect();
-        out.sort_by_key(|s| (s.row0, s.col0));
-        out
+        combine_segments(children)
     }
 
     fn input_bytes(&self, job: &MatJob) -> u64 {

@@ -14,7 +14,10 @@
 //!   cooperatively, 256 at a time;
 //! * `mic` — coarse per-core chunks with gather-friendly strides.
 
-use crate::common::{binary_divide, split_range, AppMode, CpuLeafModel, KernelSet};
+use crate::common::{
+    binary_divide, combine_segments, split_range, within_grain, AppMode, CpuLeafModel, KernelSet,
+    Segment,
+};
 use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
@@ -305,6 +308,21 @@ pub struct NbSeg {
     pub vel: Option<Vec<f64>>,
 }
 
+impl Segment for NbSeg {
+    fn position(&self) -> (u64, u64) {
+        (self.b0, 0)
+    }
+
+    fn absorb(&mut self, next: &NbSeg) -> bool {
+        let phantom = |s: &NbSeg| s.pos.is_none() && s.vel.is_none();
+        let merge = phantom(self) && phantom(next) && self.b0 + self.count == next.b0;
+        if merge {
+            self.count += next.count;
+        }
+        merge
+    }
+}
+
 /// The N-body application.
 pub struct NbodyApp {
     pub problem: NbodyProblem,
@@ -385,10 +403,12 @@ impl ClusterApp for NbodyApp {
         )
     }
 
+    fn is_leaf(&self, &(lo, hi): &(u64, u64)) -> bool {
+        within_grain(lo, hi, self.node_grain_bodies)
+    }
+
     fn combine(&self, _i: &(u64, u64), children: Vec<Vec<NbSeg>>) -> Vec<NbSeg> {
-        let mut out: Vec<NbSeg> = children.into_iter().flatten().collect();
-        out.sort_by_key(|s| s.b0);
-        out
+        combine_segments(children)
     }
 
     fn input_bytes(&self, &(lo, hi): &(u64, u64)) -> u64 {

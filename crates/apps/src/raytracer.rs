@@ -14,7 +14,10 @@
 //! with an orthonormal basis — all per lane. The `gpu` "optimized" version
 //! stages the scene in local memory; as in the paper, it barely helps.
 
-use crate::common::{binary_divide, split_range, AppMode, CpuLeafModel, KernelSet};
+use crate::common::{
+    binary_divide, combine_segments, split_range, within_grain, AppMode, CpuLeafModel, KernelSet,
+    Segment,
+};
 use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
@@ -446,6 +449,20 @@ pub struct RtSeg {
     pub rgb: Option<Vec<f64>>,
 }
 
+impl Segment for RtSeg {
+    fn position(&self) -> (u64, u64) {
+        (self.p0, 0)
+    }
+
+    fn absorb(&mut self, next: &RtSeg) -> bool {
+        let merge = self.rgb.is_none() && next.rgb.is_none() && self.p0 + self.count == next.p0;
+        if merge {
+            self.count += next.count;
+        }
+        merge
+    }
+}
+
 /// The raytracer application.
 pub struct RaytracerApp {
     pub problem: RaytracerProblem,
@@ -634,10 +651,12 @@ impl ClusterApp for RaytracerApp {
         )
     }
 
+    fn is_leaf(&self, &(lo, hi): &(u64, u64)) -> bool {
+        within_grain(lo, hi, self.node_grain_pixels)
+    }
+
     fn combine(&self, _i: &(u64, u64), children: Vec<Vec<RtSeg>>) -> Vec<RtSeg> {
-        let mut out: Vec<RtSeg> = children.into_iter().flatten().collect();
-        out.sort_by_key(|s| s.p0);
-        out
+        combine_segments(children)
     }
 
     fn input_bytes(&self, _i: &(u64, u64)) -> u64 {

@@ -30,7 +30,7 @@
 
 use cashmere::ClusterSpec;
 use cashmere_bench::{
-    cli, run_scenario, sweep, write_report, AppId, Problem, Scenario, Series, Table,
+    cli, report_run, run_scenario, sweep, write_report, AppId, Problem, Scenario, Series, Table,
 };
 use cashmere_des::fault::{FaultPlan, LinkFault, NodeCrash, NodeJoin};
 use cashmere_des::{SimTime, StreamRng};
@@ -208,6 +208,16 @@ fn main() {
     }
 
     let runs = sweep(scenarios[1..].to_vec(), common.jobs, |sc| run_scenario(&sc));
+    // The observability flags capture every run: export each under its
+    // scenario name, in declared order.
+    for (sc, run) in scenarios
+        .iter()
+        .zip(std::iter::once(&baseline).chain(&runs))
+    {
+        if let Some(cap) = &run.cap {
+            report_run(&sc.outputs, &sc.name, cap);
+        }
+    }
 
     let mut json = vec![ChaosRow {
         level: 0,

@@ -9,14 +9,20 @@
 //! The run is one [`Scenario`] with in-memory capture forced on: the Gantt
 //! renderer reads the span trace. `--trace out.json` also writes the run
 //! as a Chrome trace-event file plus its balancer audit log, then re-parses
-//! the file to validate it. `--small` shrinks the problem for CI.
+//! the file to validate it. `--small` shrinks the problem for CI and writes
+//! its CSV to `fig16_17_gantt.small.csv`, leaving the committed full-run
+//! artifact alone.
 
 use cashmere::ClusterSpec;
 use cashmere_bench::{
-    cli, report_run, write_file, AppId, CommonArgs, Problem, Scenario, ScenarioRun, Series,
+    cli, labeled_path, report_run, write_file, AppId, CommonArgs, Problem, Scenario, ScenarioRun,
+    Series,
 };
 use cashmere_des::trace::SpanKind;
 use cashmere_des::{ChromeTrace, SimTime};
+
+/// Name of the `--small` scenario.
+const SMALL: &str = "gantt-kmeans-small";
 
 /// The Fig. 16/17 scenario: the two nodes of the paper's figure plus two
 /// more GTX480 nodes for realistic stealing traffic. `small` keeps the
@@ -40,7 +46,7 @@ fn gantt_scenario(small: bool) -> Scenario {
                 iterations: 2,
             },
             250_000,
-            "gantt-kmeans-small",
+            SMALL,
         )
     } else {
         (
@@ -131,6 +137,11 @@ pub fn report(scenarios: &[Scenario], runs: &[ScenarioRun]) {
         }
     }
 
-    // CSV export next to the JSON outputs.
-    write_file(cli::out_path("fig16_17_gantt.csv"), &trace.to_csv());
+    // CSV export next to the JSON outputs; the small run's goes to a
+    // sibling so it never overwrites the committed artifact.
+    let csv = match sc.name.as_str() {
+        SMALL => labeled_path("fig16_17_gantt.csv", "small"),
+        _ => "fig16_17_gantt.csv".to_string(),
+    };
+    write_file(cli::out_path(&csv), &trace.to_csv());
 }

@@ -18,7 +18,7 @@
 //! | `scaling`  | Figs. 7–14 (`<app>` for one) | `fig7_14_scaling[_<app>].json` |
 //! | `hetero`   | Table III, Fig. 15 | `table3_fig15_hetero.json` |
 //! | `ablation` | balancer/overlap/network/slot ablations | `ablation.json` |
-//! | `gantt`    | Figs. 16/17 (`--small` for CI) | `fig16_17_gantt.csv` |
+//! | `gantt`    | Figs. 16/17 (`--small` for CI) | `fig16_17_gantt[.small].csv` |
 //!
 //! Each cluster figure is two functions: `scenarios` builds its preset
 //! list (with the CLI overrides applied), `report` prints its tables and

@@ -40,7 +40,8 @@
 use cashmere::balancer::Policy;
 use cashmere_bench::cli::fail;
 use cashmere_bench::{
-    advise, cli, run_experiment, run_scenario, sweep, write_report, PerturbSet, Scenario, Table,
+    advise, cli, report_run, run_experiment, run_scenario, sweep, write_report, PerturbSet,
+    RunOutcome, Scenario, ScenarioRun, Table,
 };
 use cashmere_satin::StealKind;
 use serde::Serialize;
@@ -102,6 +103,15 @@ fn parse_list<T: Copy>(
         fail(&format!("{flag} expects a comma-separated list"));
     }
     items
+}
+
+/// Export a run's capture (the observability flags capture every run)
+/// under its scenario name, then keep only the outcome.
+fn report_and_keep_outcome(sc: &Scenario, run: ScenarioRun) -> RunOutcome {
+    if let Some(cap) = &run.cap {
+        report_run(&sc.outputs, &sc.name, cap);
+    }
+    run.outcome
 }
 
 fn main() {
@@ -214,7 +224,11 @@ fn main() {
         runs.len()
     );
 
-    let outcomes = sweep(runs.clone(), common.jobs, |sc| run_scenario(&sc).outcome);
+    let outcomes: Vec<_> = sweep(runs.clone(), common.jobs, |sc| run_scenario(&sc))
+        .into_iter()
+        .zip(&runs)
+        .map(|(run, sc)| report_and_keep_outcome(sc, run))
+        .collect();
 
     // Rank within each (scenario, faults) group: stable sort by makespan,
     // ties break toward declared order — deterministic at any --jobs.
@@ -336,9 +350,11 @@ fn main() {
                         [plain, perturbed]
                     })
                     .collect();
-                let measured = sweep(pairs, common.jobs, |sc| {
-                    run_scenario(&sc).outcome.makespan_s
-                });
+                let measured: Vec<f64> = sweep(pairs.clone(), common.jobs, |sc| run_scenario(&sc))
+                    .into_iter()
+                    .zip(&pairs)
+                    .map(|(run, sc)| report_and_keep_outcome(sc, run).makespan_s)
+                    .collect();
                 let mut rows = Vec::new();
                 let mut t = Table::new(&["placement", "baseline", "what-if", "delta", "realized"]);
                 for (k, &p) in placements.iter().enumerate() {

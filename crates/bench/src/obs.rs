@@ -17,8 +17,8 @@
 //!   virtual-time cadence (`500us`, `1ms`, `2s`, or raw nanoseconds) and
 //!   write the sampled series as CSV plus OpenMetrics (`.om`) and Chrome
 //!   counter-track (`.trace.json`) siblings;
-//! * `--probe-out <path>` — where the probe CSV goes (defaults to
-//!   `probes.csv` when only `--probe` is given);
+//! * `--probe-out <path>` — where the probe CSV goes (when only `--probe`
+//!   is given: the spec's `probe_out`, else `probes.csv`);
 //! * `--self-profile <stem>` — profile the *simulator host* and write
 //!   `<stem>.collapsed` (flamegraph input), `<stem>.json`
 //!   (provenance-enveloped context tree) and `<stem>.txt` (top-N digest).
@@ -108,9 +108,6 @@ pub fn obs_args(args: Vec<String>) -> (OutputSpec, Vec<String>) {
             }
             _ => rest.push(a),
         }
-    }
-    if obs.probe_interval.is_some() && obs.probe_out.is_none() {
-        obs.probe_out = Some("probes.csv".to_string());
     }
     (obs, rest)
 }
@@ -427,9 +424,19 @@ mod tests {
         let argv = vec!["bin".to_string(), "--probe".to_string(), "1ms".to_string()];
         let (obs, rest) = obs_args(argv);
         assert_eq!(obs.probe_interval, Some(SimTime::from_millis(1)));
-        assert_eq!(obs.probe_out.as_deref(), Some("probes.csv"));
+        assert_eq!(obs.probe_out, None, "the default waits for the spec");
         assert!(obs.observe());
         assert_eq!(rest, vec!["bin".to_string()]);
+        // A spec naming no path gets the default; a declared path stays.
+        let mut bare = OutputSpec::default();
+        bare.overlay(&obs);
+        assert_eq!(bare.probe_out.as_deref(), Some("probes.csv"));
+        let mut declared = OutputSpec {
+            probe_out: Some("spec.csv".into()),
+            ..OutputSpec::default()
+        };
+        declared.overlay(&obs);
+        assert_eq!(declared.probe_out.as_deref(), Some("spec.csv"));
     }
 
     #[test]

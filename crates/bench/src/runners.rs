@@ -301,7 +301,7 @@ pub fn kernel_gflops(app: AppId, set: KernelSet, device: DeviceKind) -> Option<f
     let mode = launch.mode();
     let ck = launch
         .registry
-        .select(&launch.call.kernel, launch.device.level)?;
+        .select(launch.call.kernel, launch.device.level)?;
     let run = launch
         .device
         .run_kernel(&launch.hierarchy, ck, launch.call.args, mode)

@@ -279,7 +279,8 @@ impl OutputSpec {
 
     /// Overlay the command-line flags (`flags`, parsed into a spec of their
     /// own) on this spec: a field the flags set beats the spec's, an unset
-    /// one leaves it alone, and a switch is on if either turns it on.
+    /// one leaves it alone, and a switch is on if either turns it on. A
+    /// `--probe` with no path from the flags or the spec writes `probes.csv`.
     pub fn overlay(&mut self, flags: &OutputSpec) {
         fn set<T: Clone>(field: &mut Option<T>, flag: &Option<T>) {
             if flag.is_some() {
@@ -294,6 +295,9 @@ impl OutputSpec {
         set(&mut self.probe_out, &flags.probe_out);
         set(&mut self.report, &flags.report);
         set(&mut self.self_profile, &flags.self_profile);
+        if flags.probe_interval.is_some() && self.probe_out.is_none() {
+            self.probe_out = Some("probes.csv".to_string());
+        }
     }
 }
 

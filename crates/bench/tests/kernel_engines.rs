@@ -36,7 +36,7 @@ fn fig6_corpus_is_identical_on_vm_and_tree_walker() {
                     .unwrap_or_else(|| panic!("{what}: device does not instantiate"));
                 let ck = l
                     .registry
-                    .select(&l.call.kernel, l.device.level)
+                    .select(l.call.kernel, l.device.level)
                     .unwrap_or_else(|| panic!("{what}: no kernel version"));
                 let p = l.device.prepare_launch(&l.hierarchy, ck, l.mode());
                 let tree = interp::execute(ck, l.call.args.clone(), &p.par_units, &p.opts);
@@ -66,7 +66,7 @@ fn matmul_mic_dispatch_count_is_pinned() {
         .expect("the Xeon Phi instantiates");
     let ck = l
         .registry
-        .select(&l.call.kernel, l.device.level)
+        .select(l.call.kernel, l.device.level)
         .expect("matmul has a mic version");
     let p = l.device.prepare_launch(&l.hierarchy, ck, l.mode());
     let prog = compile_program(ck, &p.par_units);

@@ -2,8 +2,9 @@
 //! parses and validates, canonical JSON round-trips, invalid specs are
 //! rejected with a real exit code, the figure presets equal the provenance
 //! of the committed artifacts, an unwritable report fails the run, a spec's
-//! declared outputs are all written, and the provenance block embedded in
-//! every report re-runs byte-identically at any `--jobs`.
+//! declared outputs are all written (and a bare `--probe` keeps its probe
+//! path), `chaos` exports every run its flags capture, and the provenance
+//! block embedded in every report re-runs byte-identically at any `--jobs`.
 
 use cashmere_bench::{labeled_path, run_scenario, Scenario, ScenarioReport};
 use serde::Deserialize;
@@ -186,6 +187,81 @@ fn spec_declared_outputs_are_written() {
     assert!(
         stdout.contains(&format!("--- explain: {} ---", sc.name)),
         "no explain digest in: {stdout}"
+    );
+}
+
+/// `chaos` exports what its observability flags ask for, once per run,
+/// under each run's scenario name.
+#[test]
+fn chaos_observability_flags_write_labelled_files() {
+    let dir = std::env::temp_dir().join("cashmere-chaos-outputs");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // A two-node base under a name of its own: chaos writes its curve to
+    // `bench/out/chaos_<name>.json`, removed below.
+    let mut base = Scenario::load(
+        repo_root()
+            .join("bench/scenarios/smoke.json")
+            .to_str()
+            .unwrap(),
+    )
+    .expect("smoke scenario loads");
+    base.name = "chaos-outputs-test".into();
+    let spec = dir.join("base.spec.json");
+    std::fs::write(&spec, base.to_canonical_json()).unwrap();
+    let metrics = dir.join("m.txt").to_str().unwrap().to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
+        .args(["--levels", "1", "--seeds", "1", "--jobs", "1"])
+        .args(["--scenario", spec.to_str().unwrap()])
+        .args(["--metrics-out", &metrics])
+        .output()
+        .expect("chaos binary runs");
+    let _ = std::fs::remove_file(repo_root().join("bench/out/chaos_chaos-outputs-test.json"));
+    assert!(
+        out.status.success(),
+        "chaos failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for label in [
+        "chaos-outputs-test.chaos.l0",
+        "chaos-outputs-test.chaos.l1.s0",
+    ] {
+        let file = labeled_path(&metrics, label);
+        let text = std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert!(
+            text.ends_with("# EOF\n"),
+            "{file}: OpenMetrics terminator missing"
+        );
+    }
+}
+
+/// `--probe` without `--probe-out` keeps the spec's declared
+/// `outputs.probe_out`; `probes.csv` is only the default when neither
+/// names a path.
+#[test]
+fn probe_flag_keeps_the_spec_probe_path() {
+    let dir = std::env::temp_dir().join("cashmere-probe-path");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = repo_root().join("bench/scenarios/probe_chaos.json");
+    // The spec's `probe_out` is relative, so it resolves in `dir`.
+    let out = Command::new(env!("CARGO_BIN_EXE_run"))
+        .args(["--scenario", spec.to_str().unwrap(), "--probe", "1ms"])
+        .current_dir(&dir)
+        .output()
+        .expect("run binary runs");
+    assert!(
+        out.status.success(),
+        "run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let declared = dir.join("bench/out/probe_chaos.probe-chaos.csv");
+    let csv = std::fs::read_to_string(&declared)
+        .unwrap_or_else(|e| panic!("{}: {e}", declared.display()));
+    assert!(csv.lines().count() > 1, "probe CSV has no samples");
+    assert!(
+        !dir.join("probes.probe-chaos.csv").exists(),
+        "the default path must not win over the spec's"
     );
 }
 

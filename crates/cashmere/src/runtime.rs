@@ -40,8 +40,9 @@ use serde::{Deserialize, Serialize};
 /// `Cashmere.getKernel()` / `createLaunch()` / `MCL.launch(kl, a, b)`).
 #[derive(Debug, Clone)]
 pub struct KernelCall {
-    /// Registered kernel name.
-    pub kernel: String,
+    /// Registered kernel name (an application's kernels are named in its
+    /// source, so a call borrows the name instead of owning a copy).
+    pub kernel: &'static str,
     /// Arguments, in kernel-parameter order.
     pub args: Vec<ArgValue>,
     /// Bytes copied host→device before launch.
@@ -61,11 +62,11 @@ impl KernelCall {
     /// Build a call with transfer sizes derived from the arguments:
     /// everything is copied in; arrays flagged in `out_args` are copied
     /// back.
-    pub fn from_args(kernel: impl Into<String>, args: Vec<ArgValue>, out_args: &[usize]) -> Self {
+    pub fn from_args(kernel: &'static str, args: Vec<ArgValue>, out_args: &[usize]) -> Self {
         let h2d_bytes = args.iter().map(ArgValue::device_bytes).sum();
         let d2h_bytes = out_args.iter().map(|&i| args[i].device_bytes()).sum();
         KernelCall {
-            kernel: kernel.into(),
+            kernel,
             args,
             h2d_bytes,
             d2h_bytes,
@@ -304,12 +305,12 @@ pub struct NodeDevices {
 impl NodeDevices {
     /// Report to the balancer every job that has finished by `now`;
     /// `kernels` names the kernel ids.
-    fn reap(&mut self, now: SimTime, kernels: &[String]) {
+    fn reap(&mut self, now: SimTime, kernels: &[&'static str]) {
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].3 <= now {
                 let (kernel, d, t, _) = self.pending.swap_remove(i);
-                self.balancer.on_complete(&kernels[kernel], d, t);
+                self.balancer.on_complete(kernels[kernel], d, t);
             } else {
                 i += 1;
             }
@@ -326,7 +327,7 @@ pub struct CashmereLeafRuntime {
     pub audit: Vec<AuditEntry>,
     /// Kernel names by id, in first-sight order. A run launches a few
     /// kernels, so a name is found by comparison, never hashed.
-    kernels: Vec<String>,
+    kernels: Vec<&'static str>,
 }
 
 impl CashmereLeafRuntime {
@@ -377,11 +378,11 @@ impl CashmereLeafRuntime {
     }
 
     /// The id of kernel `name`, assigned on first sight.
-    fn kernel_id(&mut self, name: &str) -> usize {
-        match self.kernels.iter().position(|k| k == name) {
+    fn kernel_id(&mut self, name: &'static str) -> usize {
+        match self.kernels.iter().position(|&k| k == name) {
             Some(id) => id,
             None => {
-                self.kernels.push(name.to_string());
+                self.kernels.push(name);
                 self.kernels.len() - 1
             }
         }
@@ -474,7 +475,7 @@ impl CashmereLeafRuntime {
         self.audit.push(AuditEntry {
             seq: self.audit.len() as u64,
             node,
-            kernel: call.kernel.clone(),
+            kernel: call.kernel.to_string(),
             submit_ns: submit_at.as_nanos(),
             policy: self.nodes[node].balancer.describe_policy(),
             candidates,
@@ -509,14 +510,14 @@ impl CashmereLeafRuntime {
         let launch_retry_penalty = SimTime::from_micros(50);
 
         let mut call = app.kernel_call(job);
-        let kernel = self.kernel_id(&call.kernel);
+        let kernel = self.kernel_id(call.kernel);
         // Devices that actually have an applicable kernel version.
         let ndev = self.nodes[node].devices.len();
         let mut kernel_ok = [false; MAX_DEVICES];
         for (ok, d) in kernel_ok.iter_mut().zip(&mut self.nodes[node].devices) {
             *ok = d
                 .plans
-                .resolve(&self.registry, &d.sim, kernel, &call.kernel)
+                .resolve(&self.registry, &d.sim, kernel, call.kernel)
                 .is_some();
         }
         let kernel_ok = &kernel_ok[..ndev];
@@ -545,9 +546,9 @@ impl CashmereLeafRuntime {
             // must show what the rule saw, not the post-submit queues).
             let candidates = trace
                 .enabled()
-                .then(|| nd.balancer.explain(&call.kernel, allowed));
+                .then(|| nd.balancer.explain(call.kernel, allowed));
 
-            let chosen = nd.balancer.choose_among(&call.kernel, allowed);
+            let chosen = nd.balancer.choose_among(call.kernel, allowed);
             let Some(didx) = chosen else {
                 // No device can run this kernel: leafCPU fallback,
                 // serialized on the managing core. Attribute it to faults
@@ -827,7 +828,7 @@ impl CashmereLeafRuntime {
             let h2d_span = trace.record_child(
                 lanes.h2d,
                 SpanKind::CopyToDevice,
-                call.kernel.clone(),
+                call.kernel,
                 h2d_s,
                 h2d_e,
                 parent_span,
@@ -835,7 +836,7 @@ impl CashmereLeafRuntime {
             let exec_span = trace.record_child(
                 lanes.exec,
                 SpanKind::Kernel,
-                call.kernel.clone(),
+                call.kernel,
                 ex_s,
                 ex_e,
                 h2d_span,
@@ -843,7 +844,7 @@ impl CashmereLeafRuntime {
             trace.record_child(
                 lanes.d2h,
                 SpanKind::CopyFromDevice,
-                call.kernel.clone(),
+                call.kernel,
                 dh_s,
                 dh_e,
                 exec_span,
@@ -1091,7 +1092,7 @@ mod tests {
     fn uncached(rt: &CashmereLeafRuntime, didx: usize, job: Job) -> ((String, Vec<u64>), SimTime) {
         let sim = &rt.nodes[0].devices[didx].sim;
         let call = ShapeApp.kernel_call(&job);
-        let ck = rt.registry.select(&call.kernel, sim.level).unwrap();
+        let ck = rt.registry.select(call.kernel, sim.level).unwrap();
         let shape = (sim.level_name.clone(), arg_shape(&call.args));
         let mode = ExecMode::Sampled {
             sampling: Sampling::default(),

@@ -46,10 +46,11 @@ impl SimTime {
         SimTime(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds, rounding to the nearest nanosecond.
+    /// Construct from fractional seconds, rounding to the nearest nanosecond
+    /// (halves away from zero, as `f64::round` does).
     ///
-    /// Negative or non-finite inputs saturate to zero: durations in the
-    /// simulation are never negative.
+    /// Negative or NaN inputs saturate to zero: durations in the simulation
+    /// are never negative. Infinite or too-large inputs saturate to `MAX`.
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if s.is_nan() || s <= 0.0 {
@@ -57,10 +58,15 @@ impl SimTime {
         }
         let ns = s * 1e9;
         if !ns.is_finite() || ns >= u64::MAX as f64 {
-            SimTime::MAX
-        } else {
-            SimTime(ns.round() as u64)
+            return SimTime::MAX;
         }
+        // Integer rounding: `f64::round` is a library call on the baseline
+        // x86-64 target, and this runs once per simulated kernel and
+        // transfer. The fraction is exact: below 2^53 both `ns` and its
+        // truncation share an exponent range, and from 2^53 on every f64
+        // is a whole number, so the fraction is 0.
+        let whole = ns as u64;
+        SimTime(whole + u64::from(ns - whole as f64 >= 0.5))
     }
 
     /// Nanoseconds since simulation start.
@@ -197,6 +203,78 @@ mod tests {
         assert_eq!(SimTime::from_secs_f64(-3.0), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(f64::INFINITY), SimTime::MAX);
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round() {
+        // The rounding rule this replaced, kept as the oracle.
+        fn oracle(s: f64) -> SimTime {
+            if s.is_nan() || s <= 0.0 {
+                return SimTime::ZERO;
+            }
+            let ns = s * 1e9;
+            if !ns.is_finite() || ns >= u64::MAX as f64 {
+                SimTime::MAX
+            } else {
+                SimTime(ns.round() as u64)
+            }
+        }
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        let below_half = f64::from_bits(0.5f64.to_bits() - 1); // 0.49999999999999994
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            below_half,
+            below_half / 1e9,
+            1e-9,
+            0.3,
+            1.0 / 3.0,
+            1e300,
+            f64::MAX,
+        ];
+        // A value and its two neighbouring floats.
+        let around = |cases: &mut Vec<f64>, s: f64| {
+            cases.extend([
+                f64::from_bits(s.to_bits() - 1),
+                s,
+                f64::from_bits(s.to_bits() + 1),
+            ]);
+        };
+        // Ties (x.5 ns), and u64::MAX ns (~1.8e10 s) with its neighbours.
+        for k in [0u64, 1, 2, 3, 1_000_001, 123_456_789_012] {
+            around(&mut cases, (k as f64 + 0.5) / 1e9);
+        }
+        around(&mut cases, u64::MAX as f64 / 1e9);
+        // Nanosecond counts around 2^52 (spacing 0.5: every other one a
+        // tie) and 2^53 (spacing 1, then 2).
+        for edge in [p52, p53] {
+            let mut ns = edge;
+            for _ in 0..4 {
+                ns = f64::from_bits(ns.to_bits() - 1);
+            }
+            for _ in 0..9 {
+                around(&mut cases, ns / 1e9);
+                ns = f64::from_bits(ns.to_bits() + 1);
+            }
+        }
+        // Seeded sweep over many magnitudes (splitmix64 bits).
+        let mut state = 0x5EED_u64;
+        for _ in 0..100_000 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let mantissa = (z >> 11) as f64 / (1u64 << 53) as f64;
+            let exponent = (z & 0x3f) as i32 - 30;
+            cases.push(mantissa * 2f64.powi(exponent));
+        }
+        for s in cases {
+            assert_eq!(SimTime::from_secs_f64(s), oracle(s), "{s:e}");
+        }
     }
 
     #[test]

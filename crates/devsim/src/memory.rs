@@ -9,7 +9,6 @@
 //! as the natural extension point of [`DeviceMemory::free`].
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Handle to an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -40,7 +39,10 @@ pub struct DeviceMemory {
     capacity: u64,
     allocated: u64,
     next_id: u64,
-    buffers: HashMap<BufferId, u64>,
+    /// Live buffers and their sizes. A device holds a few at a time (the
+    /// in-flight jobs' buffers and one resident buffer per kernel), so a
+    /// linear scan beats hashing.
+    buffers: Vec<(BufferId, u64)>,
     /// High-water mark, for reporting.
     peak: u64,
 }
@@ -51,7 +53,7 @@ impl DeviceMemory {
             capacity: capacity_bytes,
             allocated: 0,
             next_id: 0,
-            buffers: HashMap::new(),
+            buffers: Vec::new(),
             peak: 0,
         }
     }
@@ -88,15 +90,15 @@ impl DeviceMemory {
         self.next_id += 1;
         self.allocated += bytes;
         self.peak = self.peak.max(self.allocated);
-        self.buffers.insert(id, bytes);
+        self.buffers.push((id, bytes));
         Ok(id)
     }
 
     /// Free a buffer. Freeing an unknown id is a no-op returning `false`.
     pub fn free(&mut self, id: BufferId) -> bool {
-        match self.buffers.remove(&id) {
-            Some(bytes) => {
-                self.allocated -= bytes;
+        match self.buffers.iter().position(|&(b, _)| b == id) {
+            Some(i) => {
+                self.allocated -= self.buffers.swap_remove(i).1;
                 true
             }
             None => false,

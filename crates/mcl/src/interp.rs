@@ -1390,7 +1390,7 @@ pub fn execute(
         let ArgValue::Array(arr) = &interp.args[i] else {
             unreachable!()
         };
-        if arr.dims != expect {
+        if *arr.dims != *expect {
             return Err(ExecError {
                 line: 1,
                 message: format!(

@@ -126,7 +126,7 @@ pub fn arg_shape(args: &[ArgValue]) -> Vec<u64> {
             ArgValue::Float(v) => shape.extend([1, v.to_bits()]),
             ArgValue::Array(arr) => {
                 shape.push(array_head(arr));
-                shape.extend(&arr.dims);
+                shape.extend_from_slice(&arr.dims);
             }
         }
     }

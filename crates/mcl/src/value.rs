@@ -118,10 +118,82 @@ impl Buffer {
     }
 }
 
+/// Dimension sizes of an array argument, outermost first. Kernel arrays
+/// have rank 1 to 3, so up to [`Dims::INLINE`] sizes are stored in place:
+/// building a device job's arguments then allocates nothing per array. A
+/// higher rank spills to the heap. Serializes as a plain list.
+#[derive(Clone)]
+pub struct Dims(DimsRepr);
+
+/// Private, so an inline length never exceeds [`Dims::INLINE`].
+#[derive(Clone)]
+enum DimsRepr {
+    Inline { len: u8, dims: [u64; Dims::INLINE] },
+    Spilled(Vec<u64>),
+}
+
+impl Dims {
+    /// Ranks stored without a heap allocation.
+    pub const INLINE: usize = 4;
+
+    pub fn as_slice(&self) -> &[u64] {
+        match &self.0 {
+            DimsRepr::Inline { len, dims } => &dims[..usize::from(*len)],
+            DimsRepr::Spilled(v) => v,
+        }
+    }
+}
+
+impl From<&[u64]> for Dims {
+    fn from(d: &[u64]) -> Dims {
+        Dims(if d.len() <= Dims::INLINE {
+            let mut dims = [0; Dims::INLINE];
+            dims[..d.len()].copy_from_slice(d);
+            DimsRepr::Inline {
+                len: d.len() as u8,
+                dims,
+            }
+        } else {
+            DimsRepr::Spilled(d.to_vec())
+        })
+    }
+}
+
+impl std::ops::Deref for Dims {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for Dims {
+    fn eq(&self, other: &Dims) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for Dims {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl Serialize for Dims {
+    fn to_content(&self) -> serde::Content {
+        self.as_slice().to_content()
+    }
+}
+
+impl Deserialize for Dims {
+    fn from_content(c: &serde::Content) -> Result<Dims, serde::DeError> {
+        Vec::<u64>::from_content(c).map(|v| Dims::from(&v[..]))
+    }
+}
+
 /// An array argument: element type, dimension sizes, backing buffer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArrayArg {
-    pub dims: Vec<u64>,
+    pub dims: Dims,
     pub data: Buffer,
 }
 
@@ -136,7 +208,7 @@ impl ArrayArg {
             data.len()
         );
         ArrayArg {
-            dims: dims.to_vec(),
+            dims: Dims::from(dims),
             data: Buffer::F(data),
         }
     }
@@ -150,7 +222,7 @@ impl ArrayArg {
         let expect: u64 = dims.iter().product();
         assert_eq!(expect, data.len() as u64);
         ArrayArg {
-            dims: dims.to_vec(),
+            dims: Dims::from(dims),
             data: Buffer::I(data),
         }
     }
@@ -159,7 +231,7 @@ impl ArrayArg {
     pub fn phantom(elem: ElemTy, dims: &[u64]) -> ArrayArg {
         let n: u64 = dims.iter().product();
         ArrayArg {
-            dims: dims.to_vec(),
+            dims: Dims::from(dims),
             data: match elem {
                 ElemTy::Float => Buffer::PhantomF(n),
                 ElemTy::Int => Buffer::PhantomI(n),
@@ -171,7 +243,7 @@ impl ArrayArg {
     pub fn zeros(elem: ElemTy, dims: &[u64]) -> ArrayArg {
         let n: usize = dims.iter().product::<u64>() as usize;
         ArrayArg {
-            dims: dims.to_vec(),
+            dims: Dims::from(dims),
             data: match elem {
                 ElemTy::Float => Buffer::F(vec![0.0; n]),
                 ElemTy::Int => Buffer::I(vec![0; n]),
@@ -317,6 +389,58 @@ mod tests {
     #[should_panic(expected = "dims")]
     fn dims_length_mismatch_panics() {
         let _ = ArrayArg::float(&[2, 2], vec![0.0; 5]);
+    }
+
+    #[test]
+    fn dims_serialize_as_the_plain_list() {
+        // The serde form `dims` had as a `Vec<u64>`.
+        #[derive(Serialize)]
+        struct VecDims {
+            dims: Vec<u64>,
+            data: Buffer,
+        }
+        for dims in [
+            &[][..],
+            &[7],
+            &[2, 3],
+            &[4, 1, 9, 2],
+            &[1, 2, 3, 4, 5],
+            &[6; 9],
+        ] {
+            for a in [
+                ArrayArg::phantom(ElemTy::Float, dims),
+                ArrayArg::zeros(ElemTy::Int, dims),
+            ] {
+                let want = VecDims {
+                    dims: dims.to_vec(),
+                    data: a.data.clone(),
+                };
+                let json = serde_json::to_string(&a).unwrap();
+                assert_eq!(json, serde_json::to_string(&want).unwrap());
+                let back: ArrayArg = serde_json::from_str(&json).unwrap();
+                assert_eq!(back, a, "{json}");
+                assert_eq!(&*a.dims, dims);
+                assert_eq!(format!("{:?}", a.dims), format!("{dims:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn rank_above_inline_capacity_spills() {
+        let dims = [2, 1, 3, 1, 2];
+        assert!(dims.len() > Dims::INLINE);
+        let mut a = ArrayArg::zeros(ElemTy::Float, &dims);
+        assert!(matches!(a.dims.0, DimsRepr::Spilled(_)));
+        assert!(matches!(
+            ArrayArg::zeros(ElemTy::Float, &dims[..Dims::INLINE]).dims.0,
+            DimsRepr::Inline { .. }
+        ));
+        assert_eq!(a.rank(), 5);
+        assert_eq!(a.len(), 12);
+        let i = a.flat_index(&[1, 0, 2, 0, 1]);
+        assert_eq!(i, 11);
+        a.data.store_f(i, 4.0);
+        assert_eq!(a.as_f64()[11], 4.0);
     }
 
     #[test]

@@ -2440,7 +2440,7 @@ impl<'p> Vm<'p> {
                     let ArgValue::Array(arr) = &self.args[*pidx as usize] else {
                         unreachable!()
                     };
-                    if arr.dims != expect {
+                    if *arr.dims != *expect {
                         return Err(self.fail(
                             line,
                             format!(
@@ -2652,6 +2652,41 @@ mod tests {
             }
             (t, v) => panic!("engines disagree: tree={t:?} vm={v:?}"),
         }
+    }
+
+    /// Array ranks past the inline capacity of `ArrayArg::dims` launch
+    /// like any other: both engines agree and the store lands.
+    #[test]
+    fn rank_five_arrays_run_on_both_engines() {
+        let src = "perfect void k(int n, float[n,2,1,2,1] a) {
+  foreach (int i in n threads) {
+    a[i,1,0,1,0] = a[i,0,0,0,0] + 2.0;
+  }
+}";
+        let args = || {
+            vec![
+                ArgValue::Int(3),
+                ArgValue::Array(ArrayArg::float(
+                    &[3, 2, 1, 2, 1],
+                    (0..12).map(f64::from).collect(),
+                )),
+            ]
+        };
+        diff(src, args(), &ExecOptions::default());
+        let h = standard_hierarchy();
+        let ck = check(&parse(src).unwrap(), &h).unwrap();
+        let r = execute(
+            &ck,
+            args(),
+            &["threads".to_string()],
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        let out = r.args[1].clone().array();
+        assert_eq!(
+            out.as_f64()[out.flat_index(&[2, 1, 0, 1, 0]) as usize],
+            10.0
+        );
     }
 
     fn sampled() -> ExecOptions {

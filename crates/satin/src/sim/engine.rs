@@ -54,6 +54,7 @@ use cashmere_des::{Handler, Sim, SimTime};
 use cashmere_netsim::nic::{schedule_transfer, NodeNic, Transfer};
 use cashmere_netsim::NetConfig;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -146,8 +147,12 @@ struct JobRec<A: ClusterApp> {
     exec_node: usize,
     state: JobState,
     pending: usize,
-    children: Vec<usize>,
-    child_outputs: Vec<Option<A::Output>>,
+    /// Records of the current division's children. [`World::new_job`]
+    /// hands out consecutive ids, so a division is a range.
+    children: Range<usize>,
+    /// This job's result once delivered to its parent, held in this record
+    /// until the parent's combine takes it.
+    delivered: Option<A::Output>,
     /// Bumped on crash-reset; stale events check this.
     generation: u64,
     /// True for jobs (re-)executed because of a failure: restart roots and
@@ -390,8 +395,8 @@ impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
             exec_node: home,
             state: JobState::Queued,
             pending: 0,
-            children: Vec::new(),
-            child_outputs: Vec::new(),
+            children: 0..0,
+            delivered: None,
             generation: 0,
             replay: false,
             origin_span: SpanId::NONE,
@@ -1377,18 +1382,18 @@ fn finish_divide<A: ClusterApp, L: LeafRuntime<A>>(
     let replay = w.jobs[j].replay;
     w.jobs[j].state = JobState::Waiting;
     w.jobs[j].pending = count;
-    w.jobs[j].child_outputs = vec![None; count];
-    w.jobs[j].children.clear();
     let divide_span = w.jobs[j].divide_span;
+    let first = w.jobs.len();
     for (idx, input) in children.into_iter().enumerate() {
         let c = w.new_job(input, Some((j, idx)), n);
+        debug_assert_eq!(c, first + idx, "a division's records are consecutive");
         // A restarted subtree re-divides into fresh records; mark them so
         // their leaf compute is accounted as recovery cost.
         w.jobs[c].replay = replay;
         w.jobs[c].origin_span = divide_span;
-        w.jobs[j].children.push(c);
         w.enqueue(n, Task::Job(c));
     }
+    w.jobs[j].children = first..first + count;
     release_core(w, sim, n);
     schedule_tick(w, sim, n);
 }
@@ -1546,10 +1551,11 @@ fn receive_child<A: ClusterApp, L: LeafRuntime<A>>(
     if w.jobs[p].generation != pgen || w.jobs[p].state != JobState::Waiting {
         return;
     }
-    if w.jobs[p].child_outputs[idx].is_some() {
+    let c = w.jobs[p].children.start + idx;
+    if w.jobs[c].delivered.is_some() {
         return; // duplicate after re-execution
     }
-    w.jobs[p].child_outputs[idx] = Some(output);
+    w.jobs[c].delivered = Some(output);
     w.jobs[p].pending -= 1;
     if w.jobs[p].pending == 0 {
         let home = w.jobs[p].home_node;
@@ -1601,9 +1607,9 @@ fn finish_combine<A: ClusterApp, L: LeafRuntime<A>>(
     }
     let (n, p) = (exec.n, exec.j);
     let outputs: Vec<A::Output> = w.jobs[p]
-        .child_outputs
-        .iter_mut()
-        .map(|o| o.take().expect("all children delivered"))
+        .children
+        .clone()
+        .map(|c| w.jobs[c].delivered.take().expect("all children delivered"))
         .collect();
     let input = w.jobs[p].input.clone().expect("combining job has input");
     let output = w.app.combine(&input, outputs);
@@ -2039,7 +2045,7 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
         if w.cfg.orphan_reuse {
             let mut scan = vec![r];
             while let Some(q) = scan.pop() {
-                scan.extend(w.jobs[q].children.iter().copied());
+                scan.extend(w.jobs[q].children.clone());
                 if w.jobs[q].state != JobState::Waiting {
                     continue;
                 }
@@ -2048,8 +2054,8 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
                     continue;
                 }
                 let base = path_of(w, q);
-                for idx in 0..w.jobs[q].child_outputs.len() {
-                    if let Some(out) = w.jobs[q].child_outputs[idx].clone() {
+                for (idx, c) in w.jobs[q].children.clone().enumerate() {
+                    if let Some(out) = w.jobs[c].delivered.clone() {
                         let mut key = base.clone();
                         key.push(idx as u32);
                         stash_orphan(w, key, out, holder);
@@ -2058,11 +2064,12 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
             }
         }
         // Discard the subtree below r and re-queue r at its home node.
-        let mut stack: Vec<usize> = w.jobs[r].children.clone();
+        let mut stack: Vec<usize> = w.jobs[r].children.clone().collect();
         while let Some(c) = stack.pop() {
-            stack.extend(w.jobs[c].children.iter().copied());
+            stack.extend(w.jobs[c].children.clone());
             w.jobs[c].state = JobState::Lost;
             w.jobs[c].generation += 1;
+            w.jobs[c].delivered = None;
             w.drop_input(c);
         }
         let home = w.jobs[r].home_node;
@@ -2070,8 +2077,7 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
             w.nodes[home].alive,
             "restart root must live on a healthy node"
         );
-        w.jobs[r].children.clear();
-        w.jobs[r].child_outputs.clear();
+        w.jobs[r].children = 0..0;
         w.jobs[r].pending = 0;
         w.jobs[r].generation += 1;
         w.jobs[r].state = JobState::Queued;

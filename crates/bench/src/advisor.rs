@@ -131,7 +131,8 @@ pub struct CounterfactualSummary {
     pub flip_pct: f64,
 }
 
-/// Compact per-lane occupancy: everything in [`LaneUsage`] except the
+/// Compact per-lane occupancy: everything in
+/// [`LaneUsage`](cashmere_des::obs::LaneUsage) except the
 /// step-function points. The full timelines of a paper-scale run serialize
 /// to megabytes of `(time, count)` pairs — this summary is what the default
 /// advisor artifact carries; the points stay available behind `--full-json`

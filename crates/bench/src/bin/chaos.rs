@@ -25,16 +25,23 @@
 //! is replaced). `--no-orphan-reuse` runs the ablation arm: orphaned
 //! results are always re-executed instead of reused, which is what the
 //! degradation curve is measured against.
+//!
+//! The curve is written to `bench/out/chaos_<base name>.json`
+//! (`chaos_<base name>_no_reuse.json` for the ablation), or to the base
+//! scenario's `outputs.report` path when it declares one (the ablation
+//! arm's file labelled `no_reuse` there, e.g. `curve.no_reuse.json`).
 
 #![forbid(unsafe_code)]
 
 use cashmere::ClusterSpec;
 use cashmere_bench::{
-    cli, report_run, run_scenario, sweep, write_report, AppId, Problem, Scenario, Series, Table,
+    cli, labeled_path, report_run, run_scenario, sweep, write_report_to, AppId, Problem, Scenario,
+    Series, Table,
 };
 use cashmere_des::fault::{FaultPlan, LinkFault, NodeCrash, NodeJoin};
 use cashmere_des::{SimTime, StreamRng};
 use serde::Serialize;
+use std::path::PathBuf;
 
 #[derive(Serialize)]
 struct ChaosRow {
@@ -314,11 +321,12 @@ fn main() {
     }
     println!("{}", t.render());
 
-    let name = if orphan_reuse {
-        format!("chaos_{}", base.name)
-    } else {
-        format!("chaos_{}_no_reuse", base.name)
+    let path = match (&base.outputs.report, orphan_reuse) {
+        (Some(p), true) => PathBuf::from(p),
+        (Some(p), false) => PathBuf::from(labeled_path(p, "no_reuse")),
+        (None, true) => cli::out_path(&format!("chaos_{}.json", base.name)),
+        (None, false) => cli::out_path(&format!("chaos_{}_no_reuse.json", base.name)),
     };
-    write_report(&name, &scenarios, &json);
+    write_report_to(path, &scenarios, &json);
     cli::finish(&common, &scenarios);
 }

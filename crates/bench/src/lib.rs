@@ -30,7 +30,7 @@ pub use obs::{
     fingerprint, labeled_path, obs_args, parse_simtime, report_run, subsystem_rows,
     write_self_profile, ObsCapture, SelfProfileReport, SubsystemShare,
 };
-pub use output::{write_file, write_json, write_report, Table};
+pub use output::{write_file, write_json, write_report, write_report_to, Table};
 pub use runners::{
     hetero_cluster, kernel_gflops, AppId, Fig6Launch, RecoverySummary, RunOutcome, Series,
 };

@@ -116,12 +116,18 @@ impl<T: Serialize> Serialize for Report<'_, T> {
 /// resolved scenarios that produced it, so any published number can be
 /// re-run from the output file alone.
 pub fn write_report<T: Serialize>(name: &str, scenarios: &[Scenario], data: &T) {
+    write_report_to(out_path(&format!("{name}.json")), scenarios, data);
+}
+
+/// [`write_report`] to an explicit `path` (a scenario's `outputs.report`).
+pub fn write_report_to<T: Serialize>(path: impl AsRef<Path>, scenarios: &[Scenario], data: &T) {
     let report = Report {
         schema: 1,
         provenance: scenarios.iter().map(Scenario::provenance_form).collect(),
         data,
     };
-    write_json(name, &report);
+    let json = serde_json::to_string_pretty(&report).expect("artifact serializes");
+    write_file(path, &json);
 }
 
 #[cfg(test)]

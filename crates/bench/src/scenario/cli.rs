@@ -4,7 +4,7 @@
 //! pass — `--faults plan.json`, `--trace out.json`, `--explain`,
 //! `--metrics-out m.txt`, `--jobs N`, `--policy P`, `--steal S`,
 //! `--self-profile stem`, `--scenario file.json`, `--dump-scenario` —
-//! returning the rest (argv[0] included) for bin-specific parsing.
+//! returning the rest (`argv[0]` included) for bin-specific parsing.
 //! `--self-profile` enables the host self-profiler immediately (so setup
 //! is attributed too); bins call [`finish`] as their last statement to
 //! export the collapsed-stack/JSON/digest triple. [`handle_scenario`]
@@ -56,7 +56,7 @@ pub struct CommonArgs {
     pub scenario: Option<String>,
     /// Print resolved scenario(s) instead of running (`--dump-scenario`).
     pub dump: bool,
-    /// The bin's name (argv[0] basename; `run` sets the figure name) —
+    /// The bin's name (`argv[0]` basename; `run` sets the figure name) —
     /// the root frame of `--self-profile` collapsed stacks.
     pub program: String,
 }
@@ -74,7 +74,7 @@ pub fn load_fault_plan(path: &str) -> Result<FaultPlan, String> {
 }
 
 /// Split the shared flags out of argv. Returns the remaining arguments,
-/// argv[0] included, for bin-specific parsing. Exits with a message on a
+/// `argv[0]` included, for bin-specific parsing. Exits with a message on a
 /// malformed flag (missing value, unreadable plan, unknown policy).
 pub fn common_args() -> (CommonArgs, Vec<String>) {
     let mut common = CommonArgs::default();

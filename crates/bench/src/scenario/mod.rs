@@ -257,7 +257,8 @@ pub struct OutputSpec {
     /// derived from it).
     pub probe_out: Option<String>,
     /// Provenance-bearing report path; `None` uses
-    /// `bench/out/scenario_<name>.json`.
+    /// `bench/out/scenario_<name>.json` (under `chaos`, where the spec is
+    /// the base, the degradation curve's `bench/out/chaos_<name>.json`).
     pub report: Option<String>,
     /// Host self-profiler output stem: writes `<stem>.collapsed` (flamegraph
     /// input), `<stem>.json` and `<stem>.txt`. Profiles the *simulator host*,

@@ -197,8 +197,8 @@ fn chaos_observability_flags_write_labelled_files() {
     let dir = std::env::temp_dir().join("cashmere-chaos-outputs");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    // A two-node base under a name of its own: chaos writes its curve to
-    // `bench/out/chaos_<name>.json`, removed below.
+    // A two-node base under a name of its own whose `outputs.report` puts
+    // the chaos curve in the temp dir.
     let mut base = Scenario::load(
         repo_root()
             .join("bench/scenarios/smoke.json")
@@ -207,6 +207,8 @@ fn chaos_observability_flags_write_labelled_files() {
     )
     .expect("smoke scenario loads");
     base.name = "chaos-outputs-test".into();
+    let curve = dir.join("curve.json");
+    base.outputs.report = Some(curve.to_str().unwrap().to_string());
     let spec = dir.join("base.spec.json");
     std::fs::write(&spec, base.to_canonical_json()).unwrap();
     let metrics = dir.join("m.txt").to_str().unwrap().to_string();
@@ -216,11 +218,18 @@ fn chaos_observability_flags_write_labelled_files() {
         .args(["--metrics-out", &metrics])
         .output()
         .expect("chaos binary runs");
-    let _ = std::fs::remove_file(repo_root().join("bench/out/chaos_chaos-outputs-test.json"));
     assert!(
         out.status.success(),
         "chaos failed: {}",
         String::from_utf8_lossy(&out.stderr)
+    );
+    let report = std::fs::read_to_string(&curve).expect("curve at the spec's report path");
+    assert!(report.contains("\"degradation\""), "{report}");
+    assert!(
+        !repo_root()
+            .join("bench/out/chaos_chaos-outputs-test.json")
+            .exists(),
+        "no curve under bench/out"
     );
     for label in [
         "chaos-outputs-test.chaos.l0",

@@ -289,6 +289,16 @@ impl Balancer {
         self.chunk_left = 0;
     }
 
+    /// Restart the balancer as a rebooted node's runtime process would:
+    /// queues, measured kernel times and policy state are cleared (the
+    /// process re-measures), while the static speed table, the retired
+    /// devices and the policy itself are facts about the node and stay.
+    pub fn reset(&mut self) {
+        self.queued.fill(0);
+        self.measured.clear();
+        self.set_policy(self.policy);
+    }
+
     /// The active policy.
     pub fn policy_kind(&self) -> Policy {
         self.policy

@@ -14,11 +14,14 @@
 //!   "add a hardware description" suggestion for uncovered devices;
 //! * [`balancer`] — the two-phase device load balancer of Sec. III-B
 //!   (static relative-speed table, then measured-time scenario
-//!   minimization);
+//!   minimization); it is the one record of which devices have died;
 //! * [`runtime`] — the `enableManyCore()` layer: node-level D&C jobs expand
 //!   into device jobs with overlapped PCIe transfers and kernel
-//!   executions, automatic device-memory management, and the
-//!   try/catch → `leafCPU` fallback;
+//!   executions, automatic device-memory management, and the Fig. 4
+//!   try/catch → `leafCPU` fallback. A node-level leaf blocks its managing
+//!   core until its last device job returns, as `MCL.launch()` blocks;
+//!   the Fig. 4 `getKernel`/`createLaunch`/`launch` glue is
+//!   [`KernelRegistry`] plus [`KernelCall`];
 //! * [`init`] — master/slave initialization with run-time-info broadcast
 //!   and per-device kernel compilation;
 //! * [`spec`] — cluster compositions, including the paper's Table III
@@ -85,7 +88,6 @@
 pub mod balancer;
 pub mod counterfactual;
 pub mod init;
-pub mod paper_api;
 pub mod registry;
 pub mod runtime;
 pub mod spec;
@@ -93,7 +95,6 @@ pub mod spec;
 pub use balancer::{Balancer, DeviceEstimate, PolicyDesc};
 pub use counterfactual::{replay_audit, CounterfactualReplay, PlacementFlip};
 pub use init::{initialize, InitReport};
-pub use paper_api::{Cashmere, KernelHandle, KernelLaunch, LaunchError, LaunchResult};
 pub use registry::{arg_shape, KernelRegistry};
 pub use runtime::{AuditEntry, CashmereApp, CashmereLeafRuntime, KernelCall, RuntimeConfig};
 pub use spec::ClusterSpec;
@@ -461,8 +462,85 @@ mod tests {
             r.failure_summary()
         );
         let rt = cluster.leaf_runtime();
-        assert!(rt.nodes[1].devices[0].dead);
+        assert!(rt.nodes[1].balancer.is_retired(0));
         assert!(r[Counter::CpuFallbacks] >= r[Counter::FaultCpuFallbacks]);
+    }
+
+    #[test]
+    fn dead_device_stays_retired_across_a_node_rejoin() {
+        use cashmere_des::fault::{DeviceFailure, FaultPlan, NodeCrash, NodeJoin};
+        let app = DoubleApp {
+            node_grain: 4096,
+            dev_jobs: 8,
+        };
+        // Node 1 carries two GPUs. Its device 0 dies; later the whole node
+        // crashes and rejoins, and its balancer restarts.
+        let death = SimTime::from_micros(400);
+        let join = SimTime::from_micros(800);
+        let faults = FaultPlan {
+            device_failures: vec![DeviceFailure {
+                node: 1,
+                device: 0,
+                at: death,
+            }],
+            node_crashes: vec![NodeCrash {
+                node: 1,
+                at: SimTime::from_micros(600),
+            }],
+            node_joins: vec![NodeJoin { node: 1, at: join }],
+            ..FaultPlan::default()
+        };
+        let spec = ClusterSpec {
+            node_devices: vec![
+                vec!["gtx480".to_string()],
+                vec!["gtx480".to_string(), "gtx480".to_string()],
+            ],
+        };
+        let mut cluster = build_cluster(
+            app,
+            registry(),
+            &spec,
+            SimConfig {
+                faults,
+                trace: true,
+                ..SimConfig::default()
+            },
+            RuntimeConfig {
+                functional: true,
+                ..RuntimeConfig::default()
+            },
+        )
+        .unwrap();
+        let n = 256 * 1024;
+        let out = cluster.run_root((0, n));
+        assert_eq!(out, expected(n), "exact answer despite the faults");
+        let r = cluster.report().clone();
+        assert_eq!(r[Counter::DevicesLost], 1);
+        assert_eq!(r[Counter::Crashes], 1);
+        assert_eq!(r[Counter::Joins], 1);
+        let rt = cluster.leaf_runtime();
+        assert!(
+            rt.nodes[1].balancer.is_retired(0),
+            "retired after the rejoin"
+        );
+        // The dead device ran jobs, each placed before its death...
+        let placed_on = |dev: usize| {
+            rt.audit
+                .iter()
+                .filter(move |e| e.node == 1 && e.chosen == Some(dev))
+                .map(|e| e.submit_ns)
+        };
+        let ran = rt.nodes[1].devices[0].jobs_run;
+        assert!(ran > 0, "device 0 worked before it died");
+        assert_eq!(ran, placed_on(0).count() as u64);
+        assert!(placed_on(0).all(|t| t < death.as_nanos()));
+        // ...while the surviving GPU took work after the rejoin.
+        assert!(placed_on(1).any(|t| t >= join.as_nanos()));
+        // A second run on the rebooted node leaves the dead device idle.
+        assert_eq!(cluster.run_root((0, n)), expected(n));
+        let rt = cluster.leaf_runtime();
+        assert!(rt.nodes[1].balancer.is_retired(0));
+        assert_eq!(rt.nodes[1].devices[0].jobs_run, ran);
     }
 
     #[test]

@@ -227,6 +227,41 @@ mod tests {
             .is_none());
     }
 
+    /// The paper's Fig. 4 leaf glue, `getKernel` → `createLaunch` →
+    /// `MCL.launch`, is `select` plus a device run: the most specific
+    /// version runs, can be launched again on its own output, and every
+    /// failure (unknown kernel, bad arguments, unknown device) is a value
+    /// the caller turns into the `leafCPU` fallback.
+    #[test]
+    fn fig4_glue_selects_launches_and_fails_softly() {
+        use cashmere_devsim::{ExecMode, SimDevice};
+        let r = registry();
+        let h = r.hierarchy();
+        let gtx = SimDevice::by_name(h, "gtx480").unwrap();
+        let ck = r.select("axpy", gtx.level).unwrap();
+        assert_eq!(h.name(ck.level), "gpu", "most specific version");
+        let mut y = ArrayArg::float(&[100], vec![0.0; 100]);
+        let x = ArrayArg::float(&[100], (0..100).map(f64::from).collect());
+        for _ in 0..3 {
+            let args = vec![
+                ArgValue::Int(100),
+                ArgValue::Array(y),
+                ArgValue::Array(x.clone()),
+            ];
+            let run = gtx.run_kernel(h, ck, args, ExecMode::Full).unwrap();
+            assert!(run.time > cashmere_des::SimTime::ZERO);
+            y = run.args[1].clone().array();
+        }
+        assert_eq!(y.as_f64()[21], 126.0, "three launches of y += 2x");
+        assert!(r.select("nonexistent", gtx.level).is_none());
+        let bad = gtx.run_kernel(h, ck, vec![ArgValue::Int(100)], ExecMode::Full);
+        assert!(
+            bad.is_err(),
+            "wrong argument count is an error, not a panic"
+        );
+        assert!(SimDevice::by_name(h, "rtx9090").is_err());
+    }
+
     #[test]
     fn duplicate_level_rejected() {
         let mut r = registry();

@@ -33,7 +33,7 @@ use cashmere_devsim::{ExecMode, SimDevice};
 use cashmere_mcl::cost::estimate_time;
 use cashmere_mcl::launch::arg_shape_matches;
 use cashmere_mcl::value::ArgValue;
-use cashmere_satin::{ClusterApp, Counter, LeafCtx, LeafPlan, LeafRuntime, RunReport};
+use cashmere_satin::{ClusterApp, Counter, LeafCtx, LeafRuntime, RunReport};
 use serde::{Deserialize, Serialize};
 
 /// Description of one kernel invocation (the paper's
@@ -93,13 +93,14 @@ pub trait CashmereApp: ClusterApp {
     fn job_output(&self, input: &Self::Input, args: Vec<ArgValue>) -> Self::Output;
 }
 
+/// CPU cost of submitting one device job (thread creation + driver).
+const SUBMIT_OVERHEAD: SimTime = SimTime::from_micros(20);
+
 /// Runtime knobs.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct RuntimeConfig {
     /// Run kernels fully (real results) instead of sampled (estimates).
     pub functional: bool,
-    /// CPU cost of submitting one device job (thread creation + driver).
-    pub submit_overhead: SimTime,
     /// Device-selection policy (ablation knob; paper's Sec. III-B default).
     pub balancer_policy: crate::balancer::Policy,
     /// Overlap PCIe transfers with kernel execution (paper Sec. II-C3).
@@ -111,7 +112,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             functional: false,
-            submit_overhead: SimTime::from_micros(20),
             balancer_policy: crate::balancer::Policy::Scenario,
             overlap: true,
         }
@@ -276,8 +276,6 @@ pub struct DeviceSlot {
     allocations: Vec<(SimTime, cashmere_devsim::BufferId)>,
     plans: KernelPlans,
     pub jobs_run: u64,
-    /// Permanently failed (injected device death); never used again.
-    pub dead: bool,
 }
 
 impl DeviceSlot {
@@ -357,7 +355,6 @@ impl CashmereLeafRuntime {
                     allocations: Vec::new(),
                     plans: KernelPlans::default(),
                     jobs_run: 0,
-                    dead: false,
                 });
             }
             let mut balancer = Balancer::new(&speeds);
@@ -451,10 +448,9 @@ impl CashmereLeafRuntime {
     /// Permanently retire device `didx` of `nd` at virtual time `at`: pull
     /// its engine timelines back to `at` (work beyond the failure never
     /// happens), release every buffer, forget pending completions, and
-    /// remove it from the balancer.
+    /// retire it in the balancer, which alone records retirement.
     fn kill_device(nd: &mut NodeDevices, didx: usize, at: SimTime, report: &mut RunReport) {
         let slot = &mut nd.devices[didx];
-        slot.dead = true;
         slot.sim.abort_after(at);
         slot.release_buffers();
         nd.pending.retain(|p| p.1 != didx);
@@ -527,7 +523,7 @@ impl CashmereLeafRuntime {
             let nd = &mut self.nodes[node];
             // Retire every device whose injected death is due by now.
             for d in 0..nd.devices.len() {
-                if !nd.devices[d].dead {
+                if !nd.balancer.is_retired(d) {
                     if let Some(death) = faults.device_death(node, d) {
                         if death <= submit_at {
                             Self::kill_device(nd, d, death, report);
@@ -537,8 +533,8 @@ impl CashmereLeafRuntime {
             }
             nd.reap(submit_at, &self.kernels);
             let mut allowed = [false; MAX_DEVICES];
-            for ((a, ok), d) in allowed.iter_mut().zip(kernel_ok).zip(&nd.devices) {
-                *a = *ok && !d.dead;
+            for (d, (a, ok)) in allowed.iter_mut().zip(kernel_ok).enumerate() {
+                *a = *ok && !nd.balancer.is_retired(d);
             }
             let allowed = &allowed[..ndev];
 
@@ -553,21 +549,13 @@ impl CashmereLeafRuntime {
                 // No device can run this kernel: leafCPU fallback,
                 // serialized on the managing core. Attribute it to faults
                 // when a lost device would otherwise have qualified.
-                if kernel_ok
-                    .iter()
-                    .zip(&nd.devices)
-                    .any(|(ok, d)| *ok && d.dead)
-                {
+                if (0..ndev).any(|d| kernel_ok[d] && nd.balancer.is_retired(d)) {
                     report[Counter::FaultCpuFallbacks] += 1;
                 }
-                report[Counter::CpuFallbacks] += 1;
                 if let Some(candidates) = candidates {
                     self.push_audit(node, &call, submit_at, candidates, None, "no-usable-device");
                 }
-                let (cpu, out) = app.leaf_cpu(job);
-                let done = (*cpu_cursor).max(submit_at) + cpu;
-                *cpu_cursor = done;
-                return (done, out);
+                return leaf_cpu_fallback(app, job, submit_at, cpu_cursor, report);
             };
 
             // Transient launch fault (the paper's try/catch around
@@ -578,7 +566,6 @@ impl CashmereLeafRuntime {
                 launch_attempts += 1;
                 if launch_attempts >= LAUNCH_RETRY_BUDGET {
                     report[Counter::FaultCpuFallbacks] += 1;
-                    report[Counter::CpuFallbacks] += 1;
                     if let Some(candidates) = candidates {
                         self.push_audit(
                             node,
@@ -589,10 +576,7 @@ impl CashmereLeafRuntime {
                             "launch-fault-budget",
                         );
                     }
-                    let (cpu, out) = app.leaf_cpu(job);
-                    let done = (*cpu_cursor).max(submit_at) + cpu;
-                    *cpu_cursor = done;
-                    return (done, out);
+                    return leaf_cpu_fallback(app, job, submit_at, cpu_cursor, report);
                 }
                 submit_at += launch_retry_penalty;
                 continue;
@@ -695,10 +679,8 @@ impl CashmereLeafRuntime {
                     Some(t) => effective_submit = effective_submit.max(t),
                     None => {
                         // Even an idle device cannot hold this job.
-                        report[Counter::CpuFallbacks] += 1;
-                        let (cpu, out) = app.leaf_cpu(job);
-                        let done = (*cpu_cursor).max(submit_at) + cpu;
-                        *cpu_cursor = done;
+                        let (done, out) =
+                            leaf_cpu_fallback(app, job, submit_at, cpu_cursor, report);
                         return Ok((done, out, false));
                     }
                 }
@@ -871,14 +853,31 @@ impl CashmereLeafRuntime {
     }
 }
 
+/// The paper's try/catch → `leafCPU` fallback for a device job no device
+/// takes: [`ClusterApp::leaf_cpu`] runs on the managing core, serialized
+/// after earlier fallbacks of the same node-level leaf (`cpu_cursor`), and
+/// is counted as a CPU fallback. Returns `(completion_time, output)`.
+fn leaf_cpu_fallback<A: CashmereApp>(
+    app: &A,
+    job: &A::Input,
+    submit_at: SimTime,
+    cpu_cursor: &mut SimTime,
+    report: &mut RunReport,
+) -> (SimTime, A::Output) {
+    report[Counter::CpuFallbacks] += 1;
+    let (cpu, out) = app.leaf_cpu(job);
+    let done = (*cpu_cursor).max(submit_at) + cpu;
+    *cpu_cursor = done;
+    (done, out)
+}
+
 impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
-    fn plan(&mut self, app: &A, input: &A::Input, ctx: LeafCtx<'_>) -> LeafPlan<A::Output> {
+    fn plan(&mut self, app: &A, input: &A::Input, ctx: LeafCtx<'_>) -> (SimTime, A::Output) {
         let LeafCtx {
             node,
             now,
             trace,
             metrics,
-            cpu_lane: _,
             parent_span,
             faults,
             report,
@@ -890,7 +889,7 @@ impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
         let mut cpu_cursor = now;
         let mut outputs = Vec::with_capacity(jobs.len());
         for job in &jobs {
-            submit += self.config.submit_overhead;
+            submit += SUBMIT_OVERHEAD;
             let (d, out) = self.run_device_job(
                 app,
                 node,
@@ -913,16 +912,13 @@ impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
         };
         // The managing core blocks until the last device job returns
         // (MCL.launch() is blocking), giving natural backpressure.
-        LeafPlan::Cpu {
-            compute: done - now,
-            output,
-        }
+        (done - now, output)
     }
 
     /// Node crash: the node's device state dies with it. Pull every engine
     /// timeline back to the crash instant (work past it never happens),
     /// release all buffers, and forget pending completions. Injected device
-    /// deaths (`dead`) are permanent hardware facts and stay marked.
+    /// deaths are permanent hardware facts: the balancer keeps them.
     fn on_node_crash(&mut self, node: usize, at: SimTime) {
         let Some(nd) = self.nodes.get_mut(node) else {
             return;
@@ -934,28 +930,16 @@ impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
         nd.pending.clear();
     }
 
-    /// Node (re)join: the node's runtime process restarts, so its devices
-    /// re-register with a balancer rebuilt from the static speed table —
-    /// measured kernel times are deliberately forgotten (the restarted
-    /// process re-measures). Devices killed by an injected death stay
-    /// retired across the reboot.
+    /// Node (re)join: the node's runtime process restarts, so its balancer
+    /// restarts too ([`Balancer::reset`]): measured kernel times are
+    /// deliberately forgotten (the restarted process re-measures), while
+    /// the static speed table, including an advisor's table perturbation,
+    /// and the devices killed by an injected death carry over.
     fn on_node_join(&mut self, node: usize, _at: SimTime) {
         let Some(nd) = self.nodes.get_mut(node) else {
             return;
         };
-        let speeds: Vec<f64> = nd
-            .devices
-            .iter()
-            .map(|s| s.sim.params.relative_speed)
-            .collect();
-        let mut balancer = Balancer::new(&speeds);
-        balancer.set_policy(self.config.balancer_policy);
-        for (didx, slot) in nd.devices.iter().enumerate() {
-            if slot.dead {
-                balancer.retire_device(didx);
-            }
-        }
-        nd.balancer = balancer;
+        nd.balancer.reset();
         nd.pending.clear();
     }
 
@@ -1122,6 +1106,20 @@ mod tests {
         assert_eq!(build(MAX_DEVICES), Ok(()));
         let err = build(MAX_DEVICES + 1).unwrap_err();
         assert!(err.contains("at most 64 devices"), "{err}");
+    }
+
+    #[test]
+    fn table_perturbation_survives_a_rejoin() {
+        // An advisor `table:k20:2x` perturbation is part of the static
+        // table, which a rebooted node's balancer keeps.
+        let mut rt = runtime(&["k20", "xeon_phi"]);
+        let (k20, phi) = (rt.nodes[0].balancer.speed(0), rt.nodes[0].balancer.speed(1));
+        assert_eq!(rt.scale_balancer_table("k20", 2.0), 1);
+        let at = SimTime::from_micros(1000);
+        <CashmereLeafRuntime as LeafRuntime<ShapeApp>>::on_node_crash(&mut rt, 0, at);
+        <CashmereLeafRuntime as LeafRuntime<ShapeApp>>::on_node_join(&mut rt, 0, at);
+        assert_eq!(rt.nodes[0].balancer.speed(0), 2.0 * k20);
+        assert_eq!(rt.nodes[0].balancer.speed(1), phi);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! parallelism units. Kernels target a level of the hardware-description
 //! hierarchy from [`cashmere_hwdesc`]; the compiler:
 //!
-//! * **checks** the kernel against the level ([`check`]);
+//! * **checks** the kernel against the level ([`check`](mod@check));
 //! * **analyzes** it and produces *stepwise-refinement* performance
-//!   feedback ([`analyze`]) — uncoalesced accesses, missing local-memory
+//!   feedback ([`analyze`](mod@analyze)) — uncoalesced accesses, missing local-memory
 //!   reuse, branch divergence, occupancy hazards;
 //! * **translates** it to lower levels without optimizing ([`translate`]);
 //! * **selects launch geometry** per device ([`launch`]);

@@ -6,7 +6,7 @@
 //! global-memory transactions, local-memory traffic, branch divergence and
 //! barriers. The cost model ([`crate::cost`]) turns these counters plus a
 //! device description into an execution-time estimate; the feedback analyzer
-//! ([`crate::analyze`]) turns the per-site access records into
+//! ([`crate::analyze`](mod@crate::analyze)) turns the per-site access records into
 //! stepwise-refinement feedback.
 //!
 //! Counters are `f64` because sampled runs scale them by large factors.

@@ -14,14 +14,14 @@
 //! What makes it fast rather than just equivalent:
 //!
 //! * variables live in a flat register pool — no `HashMap` scope walks;
-//! * values are reused buffers ([`VBuf`]) — uniform values stay length-1
+//! * values are reused buffers (`VBuf`) — uniform values stay length-1
 //!   and are read through stride-0 indexing instead of being materialized
 //!   as broadcast vectors, so the steady state allocates nothing;
 //! * site keys and the L1-model cache lines are interned integers — no
 //!   `String` hashing on every global access;
 //! * control flow is explicit jumps over a linear instruction array, and
 //!   the compiler fuses the hot shapes (compare-and-branch, step-and-branch,
-//!   scratch read-modify-write; see [`crate::compile`]) so that loops
+//!   scratch read-modify-write; see [`crate::compile`](mod@crate::compile)) so that loops
 //!   dispatch fewer instructions;
 //! * lane-uniform values compute in place, and lane loops resolve types,
 //!   strides and operators before the loop, not per lane.

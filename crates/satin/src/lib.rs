@@ -18,5 +18,5 @@ pub mod sim;
 
 pub use sim::{
     critical_path_summary, text_table, ClusterApp, ClusterSim, Counter, CpuLeafRuntime, DcStep,
-    LeafCtx, LeafPlan, LeafRuntime, RunRecord, RunReport, SimConfig, StealKind,
+    LeafCtx, LeafRuntime, RunRecord, RunReport, SimConfig, StealKind,
 };

@@ -8,17 +8,20 @@
 //!
 //! A leaf's sequential computation is declared once, as
 //! [`ClusterApp::leaf_cpu`] (the paper's `leafCPU`). Where a leaf runs is
-//! pluggable via [`LeafRuntime`]: plain Satin runs every leaf's `leaf_cpu`
-//! on one CPU core ([`CpuLeafRuntime`]); Cashmere (in the `cashmere` crate)
-//! plans leaves onto the node's many-core devices and returns an
-//! asynchronous completion time, which is how transfer/kernel overlap and
-//! the device load balancer enter the simulation. It falls back to the same
-//! `leaf_cpu` when a device cannot run a job.
+//! pluggable via [`LeafRuntime`], under one contract: a leaf holds the core
+//! that started it for a planned `compute` time, then yields its output.
+//! Plain Satin runs every leaf's `leaf_cpu` on that core
+//! ([`CpuLeafRuntime`]). Cashmere (in the `cashmere` crate) spreads a leaf
+//! over the node's many-core devices and blocks the core until the last
+//! device job returns, as `MCL.launch()` blocks in the paper (Sec. III-B);
+//! that blocking is the node's backpressure, and transfer/kernel overlap
+//! and the device load balancer enter the simulation through `compute`. It
+//! falls back to the same `leaf_cpu` when a device cannot run a job.
 
 use crate::sim::report::RunReport;
 use cashmere_des::fault::FaultInjector;
 use cashmere_des::obs::MetricsRegistry;
-use cashmere_des::trace::{LaneId, SpanId, Trace};
+use cashmere_des::trace::{SpanId, Trace};
 use cashmere_des::SimTime;
 
 /// Outcome of inspecting a job: divide further or run a leaf.
@@ -57,29 +60,10 @@ pub trait ClusterApp: 'static {
     /// parent's node).
     fn output_bytes(&self, output: &Self::Output) -> u64;
 
-    /// CPU time to divide a job (spawning is cheap but not free).
-    fn divide_cost(&self, _input: &Self::Input) -> SimTime {
-        SimTime::from_micros(5)
-    }
-
     /// CPU time to combine child outputs.
     fn combine_cost(&self, _input: &Self::Input) -> SimTime {
         SimTime::from_micros(5)
     }
-}
-
-/// How a leaf executes, as planned by a [`LeafRuntime`].
-#[derive(Debug, Clone)]
-pub enum LeafPlan<O> {
-    /// Occupies one CPU core for `compute`, then completes.
-    Cpu { compute: SimTime, output: O },
-    /// Occupies one CPU core for `submit` (management thread), then
-    /// completes asynchronously at absolute time `done` (device path).
-    Async {
-        submit: SimTime,
-        done: SimTime,
-        output: O,
-    },
 }
 
 /// Everything the engine hands a [`LeafRuntime`] for one leaf plan: where
@@ -94,8 +78,6 @@ pub struct LeafCtx<'a> {
     pub trace: &'a mut Trace,
     /// Metrics registry (latency histograms, device queue gauges).
     pub metrics: &'a mut MetricsRegistry,
-    /// The node's CPU trace lane.
-    pub cpu_lane: LaneId,
     /// The node-level leaf span; device spans recorded by the runtime
     /// should parent to it ([`SpanId::NONE`] when tracing is off).
     pub parent_span: SpanId,
@@ -109,10 +91,12 @@ pub struct LeafCtx<'a> {
 /// Pluggable leaf executor: decides where and when a leaf runs; the
 /// application decides what it computes.
 pub trait LeafRuntime<A: ClusterApp>: 'static {
-    /// Plan the execution of leaf `input` in context `ctx`. `app` gives
-    /// access to application callbacks ([`ClusterApp::leaf_cpu`], and for
-    /// Cashmere device-level division and kernel descriptions).
-    fn plan(&mut self, app: &A, input: &A::Input, ctx: LeafCtx<'_>) -> LeafPlan<A::Output>;
+    /// Plan the execution of leaf `input` in context `ctx`: how long the
+    /// leaf holds its core, and its output (the shape of
+    /// [`ClusterApp::leaf_cpu`]). `app` gives access to application
+    /// callbacks (`leaf_cpu`, and for Cashmere device-level division and
+    /// kernel descriptions).
+    fn plan(&mut self, app: &A, input: &A::Input, ctx: LeafCtx<'_>) -> (SimTime, A::Output);
 
     /// Node `node` crashed at `at`: discard any per-node runtime state
     /// (device timelines, pending work, resident buffers). Default: no-op,
@@ -136,9 +120,8 @@ pub trait LeafRuntime<A: ClusterApp>: 'static {
 pub struct CpuLeafRuntime;
 
 impl<A: ClusterApp> LeafRuntime<A> for CpuLeafRuntime {
-    fn plan(&mut self, app: &A, input: &A::Input, _ctx: LeafCtx<'_>) -> LeafPlan<A::Output> {
-        let (compute, output) = app.leaf_cpu(input);
-        LeafPlan::Cpu { compute, output }
+    fn plan(&mut self, app: &A, input: &A::Input, _ctx: LeafCtx<'_>) -> (SimTime, A::Output) {
+        app.leaf_cpu(input)
     }
 }
 
@@ -197,11 +180,10 @@ mod tests {
     fn cpu_leaf_runtime_runs_leaf_cpu() {
         let mut trace = Trace::new();
         let mut metrics = MetricsRegistry::new();
-        let lane = trace.add_lane("cpu");
         let mut faults = FaultInjector::disabled(0);
         let mut report = RunReport::new(1);
         let app = SumApp { grain: 10 };
-        let plan = CpuLeafRuntime.plan(
+        let (compute, output) = CpuLeafRuntime.plan(
             &app,
             &(0, 4),
             LeafCtx {
@@ -209,18 +191,12 @@ mod tests {
                 now: SimTime::ZERO,
                 trace: &mut trace,
                 metrics: &mut metrics,
-                cpu_lane: lane,
                 parent_span: SpanId::NONE,
                 faults: &mut faults,
                 report: &mut report,
             },
         );
-        match plan {
-            LeafPlan::Cpu { compute, output } => {
-                assert_eq!(compute, SimTime::from_micros(4));
-                assert_eq!(output, 6);
-            }
-            LeafPlan::Async { .. } => panic!("cpu runtime must be sync"),
-        }
+        assert_eq!(compute, SimTime::from_micros(4));
+        assert_eq!(output, 6);
     }
 }

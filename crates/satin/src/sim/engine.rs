@@ -24,8 +24,7 @@
 //! | `Tick` | `event::tick` | a node's scheduler runs: start tasks, or steal when idle |
 //! | `ProcessJob` | `event::process-job` | a job's management overhead is paid: divide, or plan its leaf |
 //! | `FinishDivide` | `event::finish-divide` | a divide is done: its children are queued |
-//! | `LeafDone` | `event::leaf-done` | a leaf's output is ready (CPU or device leaf) |
-//! | `LeafSubmit` | `event::leaf-submit` | a device leaf's submit is done: its core is free |
+//! | `LeafDone` | `event::leaf-done` | a leaf's output is ready: its core is free |
 //! | `Deliver` | `event::deliver` | a reused orphan result reaches its job |
 //! | `SendResult` | `event::send-result` | a child's result is (re)transmitted to the parent's node |
 //! | `ReceiveChild` | `event::receive-child` | a child's result arrives at the parent's node |
@@ -44,7 +43,7 @@
 //! crash or a resolved steal.
 
 use super::steal::StealKind;
-use crate::sim::app::{ClusterApp, DcStep, LeafCtx, LeafPlan, LeafRuntime};
+use crate::sim::app::{ClusterApp, DcStep, LeafCtx, LeafRuntime};
 use crate::sim::report::{Counter, RunReport};
 use cashmere_des::fault::{FaultInjector, FaultPlan, MessageFate};
 use cashmere_des::obs::{prof, MetricsRegistry, ProbeSeries};
@@ -126,6 +125,9 @@ impl Default for SimConfig {
         }
     }
 }
+
+/// CPU time to divide a job (spawning is cheap but not free).
+const DIVIDE_COST: SimTime = SimTime::from_micros(5);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobState {
@@ -283,7 +285,7 @@ struct NodeState {
     steal_timeout_event: Option<cashmere_des::EventHandle>,
     alive: bool,
     /// Bumped every time the node crashes. Events scheduled by a previous
-    /// incarnation (leaf completions, async submits, in-flight steals)
+    /// incarnation (leaf completions, combines, in-flight steals)
     /// capture the value and ignore themselves after a rejoin, when `alive`
     /// is true again but the node's runtime state has been rebuilt from
     /// scratch.
@@ -493,15 +495,8 @@ enum Event<A: ClusterApp> {
     ProcessJob { exec: Exec, is_leaf: bool },
     /// A divide is done: the job's children are queued.
     FinishDivide { exec: Exec, children: Vec<A::Input> },
-    /// A leaf's output is ready. A CPU leaf (`holds_core`) releases its core
-    /// now; a device leaf released it at submit.
-    LeafDone {
-        exec: Exec,
-        output: A::Output,
-        holds_core: bool,
-    },
-    /// A device leaf's submit is done: its core is released.
-    LeafSubmit(Exec),
+    /// A leaf's output is ready: it releases the core it held.
+    LeafDone { exec: Exec, output: A::Output },
     /// A reused orphan result for job `j` reaches node `n`.
     Deliver {
         n: usize,
@@ -558,7 +553,6 @@ impl<A: ClusterApp, L: LeafRuntime<A>> Handler for World<A, L> {
             Event::ProcessJob { .. } => "event::process-job",
             Event::FinishDivide { .. } => "event::finish-divide",
             Event::LeafDone { .. } => "event::leaf-done",
-            Event::LeafSubmit(_) => "event::leaf-submit",
             Event::Deliver { .. } => "event::deliver",
             Event::SendResult { .. } => "event::send-result",
             Event::ReceiveChild(_) => "event::receive-child",
@@ -584,27 +578,14 @@ impl<A: ClusterApp, L: LeafRuntime<A>> Handler for World<A, L> {
                     finish_divide(w, sim, exec.n, exec.j, children);
                 }
             }
-            Event::LeafDone {
-                exec,
-                output,
-                holds_core,
-            } => {
+            Event::LeafDone { exec, output } => {
                 let n = exec.n;
                 if !w.is_current(n, exec.inc) {
                     return;
                 }
                 w.nodes[n].running_leaves -= 1;
-                if holds_core {
-                    release_core(w, sim, n);
-                } else {
-                    schedule_tick(w, sim, n);
-                }
+                release_core(w, sim, n);
                 deliver(w, sim, n, exec.j, output, exec.generation);
-            }
-            Event::LeafSubmit(exec) => {
-                if w.is_current(exec.n, exec.inc) {
-                    release_core(w, sim, exec.n);
-                }
             }
             Event::Deliver {
                 n,
@@ -1270,7 +1251,6 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
     let input = w.jobs[j].input.clone().expect("running job has input");
     match w.app.step(&input) {
         DcStep::Divide(children) => {
-            let cost = w.app.divide_cost(&input);
             let start = sim.now() - w.cfg.job_overhead;
             if w.trace.enabled() {
                 w.jobs[j].divide_span = w.trace.record_child(
@@ -1278,15 +1258,14 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
                     SpanKind::CpuTask,
                     "divide",
                     start,
-                    sim.now() + cost,
+                    sim.now() + DIVIDE_COST,
                     w.jobs[j].origin_span,
                 );
             }
-            sim.schedule_in(cost, Event::FinishDivide { exec, children });
+            sim.schedule_in(DIVIDE_COST, Event::FinishDivide { exec, children });
         }
         DcStep::Leaf => {
             debug_assert!(is_leaf, "is_leaf must agree with step()");
-            let lane = w.nodes[n].cpu_lane;
             let replay = w.jobs[j].replay;
             w.report[Counter::Leaves] += 1;
             // The leaf span is recorded up front (with a provisional end) so
@@ -1294,14 +1273,14 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
             // real end is patched in below once the plan is known.
             let leaf_start = sim.now() - w.cfg.job_overhead;
             let leaf_span = w.trace.record_child(
-                lane,
+                w.nodes[n].cpu_lane,
                 SpanKind::CpuTask,
                 "leaf",
                 leaf_start,
                 sim.now(),
                 w.jobs[j].origin_span,
             );
-            let plan = {
+            let (compute, output) = {
                 let World {
                     leaf,
                     app,
@@ -1319,7 +1298,6 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
                         now: sim.now(),
                         trace,
                         metrics,
-                        cpu_lane: lane,
                         parent_span: leaf_span,
                         faults,
                         report,
@@ -1328,43 +1306,11 @@ fn process_job<A: ClusterApp, L: LeafRuntime<A>>(
             };
             if replay {
                 // Leaf work repeated because of a failure is recovery cost.
-                let cost = match &plan {
-                    LeafPlan::Cpu { compute, .. } => *compute,
-                    LeafPlan::Async { done, .. } => done.saturating_sub(sim.now()),
-                };
-                w.report[Counter::RecoveryTime] += cost.as_nanos();
+                w.report[Counter::RecoveryTime] += compute.as_nanos();
             }
-            match plan {
-                LeafPlan::Cpu { compute, output } => {
-                    w.trace.set_end(leaf_span, sim.now() + compute);
-                    w.report.node_busy[n] += compute;
-                    sim.schedule_in(
-                        compute,
-                        Event::LeafDone {
-                            exec,
-                            output,
-                            holds_core: true,
-                        },
-                    );
-                }
-                LeafPlan::Async {
-                    submit,
-                    done,
-                    output,
-                } => {
-                    w.trace.set_end(leaf_span, done.max(sim.now()));
-                    w.report.node_busy[n] += done.saturating_sub(sim.now());
-                    sim.schedule_in(submit, Event::LeafSubmit(exec));
-                    sim.schedule_at(
-                        done.max(sim.now()),
-                        Event::LeafDone {
-                            exec,
-                            output,
-                            holds_core: false,
-                        },
-                    );
-                }
-            }
+            w.trace.set_end(leaf_span, sim.now() + compute);
+            w.report.node_busy[n] += compute;
+            sim.schedule_in(compute, Event::LeafDone { exec, output });
         }
     }
 }

@@ -5,7 +5,7 @@ pub mod engine;
 pub mod report;
 pub mod steal;
 
-pub use app::{ClusterApp, CpuLeafRuntime, DcStep, LeafCtx, LeafPlan, LeafRuntime};
+pub use app::{ClusterApp, CpuLeafRuntime, DcStep, LeafCtx, LeafRuntime};
 pub use engine::{ClusterSim, RunRecord, SimConfig};
 pub use report::{critical_path_summary, text_table, Counter, RunReport};
 pub use steal::StealKind;
@@ -214,59 +214,6 @@ mod tests {
         assert!(spans.iter().any(|s| s.kind == SpanKind::Steal));
     }
 
-    /// An async leaf runtime with multiple independent device engines per
-    /// node, assigned round-robin.
-    struct FakeDeviceRuntime {
-        engines: Vec<SimTime>,
-        next: usize,
-        kernel: SimTime,
-    }
-
-    impl LeafRuntime<SumApp> for FakeDeviceRuntime {
-        fn plan(
-            &mut self,
-            _app: &SumApp,
-            &(lo, hi): &(u64, u64),
-            ctx: LeafCtx<'_>,
-        ) -> LeafPlan<u64> {
-            let e = self.next % self.engines.len();
-            self.next += 1;
-            let start = ctx.now.max(self.engines[e]);
-            let done = start + self.kernel;
-            self.engines[e] = done;
-            LeafPlan::Async {
-                submit: SimTime::from_micros(5),
-                done,
-                output: (lo..hi).sum::<u64>(),
-            }
-        }
-    }
-
-    #[test]
-    fn async_leaves_release_the_core_and_overlap_on_devices() {
-        // One node with a single CPU core but two device engines: with
-        // asynchronous leaves the core is free after submission, so both
-        // kernels overlap and the makespan is ~one kernel, not two.
-        let mut cs = ClusterSim::new(
-            SumApp { grain: 100_000 },
-            FakeDeviceRuntime {
-                engines: vec![SimTime::ZERO; 2],
-                next: 0,
-                kernel: SimTime::from_millis(10),
-            },
-            SimConfig {
-                nodes: 1,
-                cores_per_node: 1,
-                ..SimConfig::default()
-            },
-        );
-        let out = cs.run_root((0, N));
-        assert_eq!(out, EXPECT);
-        let m = cs.report().makespan;
-        assert!(m >= SimTime::from_millis(10), "{m}");
-        assert!(m < SimTime::from_millis(15), "kernels must overlap: {m}");
-    }
-
     /// A *blocking* device runtime (one management thread per device job, as
     /// in the paper: "a call to MCL.launch() is blocking"): the core is held
     /// for the job's duration, which gives natural backpressure so other
@@ -282,14 +229,11 @@ mod tests {
             _app: &SumApp,
             &(lo, hi): &(u64, u64),
             ctx: LeafCtx<'_>,
-        ) -> LeafPlan<u64> {
+        ) -> (SimTime, u64) {
             let start = ctx.now.max(self.free_at[ctx.node]);
             let done = start + self.kernel;
             self.free_at[ctx.node] = done;
-            LeafPlan::Cpu {
-                compute: done - ctx.now,
-                output: (lo..hi).sum::<u64>(),
-            }
+            (done - ctx.now, (lo..hi).sum::<u64>())
         }
     }
 
@@ -526,21 +470,22 @@ mod tests {
 
     #[test]
     fn no_victim_polls_back_off_instead_of_busy_polling() {
-        // One async-device master alone in the cluster (its only peer dies
-        // immediately): every idle moment triggers a steal attempt that
-        // finds no live victim. With exponential backoff the poll count
-        // stays logarithmic in the wait, far under the fixed-cadence count
-        // (kernel time / steal_retry = 10 ms / 200 µs = 50 polls per leaf).
+        // A blocking-device master alone in the cluster (its only peer dies
+        // immediately): its two leaves hold two of its three cores while
+        // they queue on the one device (10 ms, then 20 ms), and the spare
+        // core keeps trying to steal and finds no live victim. With
+        // exponential backoff the poll count stays logarithmic in the
+        // wait, far under the fixed-cadence count (20 ms / steal_retry
+        // 200 µs = 100 polls).
         let mut cs = ClusterSim::new(
             SumApp { grain: 100_000 },
-            FakeDeviceRuntime {
-                engines: vec![SimTime::ZERO; 2],
-                next: 0,
+            BlockingDeviceRuntime {
+                free_at: vec![SimTime::ZERO; 2],
                 kernel: SimTime::from_millis(10),
             },
             SimConfig {
                 nodes: 2,
-                cores_per_node: 1,
+                cores_per_node: 3,
                 seed: 1,
                 ..SimConfig::default()
             },

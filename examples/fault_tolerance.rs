@@ -141,7 +141,7 @@ fn device_death_demo() {
         "node 1's jobs must have degraded to the CPU leaf"
     );
     let rt = cluster.leaf_runtime();
-    assert!(rt.nodes[1].devices[0].dead);
+    assert!(rt.nodes[1].balancer.is_retired(0));
     println!("ok — the node degraded to leafCPU and kept contributing\n");
 }
 

@@ -185,6 +185,7 @@ impl KernelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cashmere_des::SimTime;
     use cashmere_hwdesc::{standard_hierarchy, DeviceKind};
     use cashmere_mcl::launch::arg_shape_matches;
     use cashmere_mcl::launch::LaunchConfig;
@@ -227,39 +228,91 @@ mod tests {
             .is_none());
     }
 
-    /// The paper's Fig. 4 leaf glue, `getKernel` → `createLaunch` →
-    /// `MCL.launch`, is `select` plus a device run: the most specific
-    /// version runs, can be launched again on its own output, and every
-    /// failure (unknown kernel, bad arguments, unknown device) is a value
-    /// the caller turns into the `leafCPU` fallback.
+    // The paper's Fig. 4 leaf glue, `getKernel` → `createLaunch` →
+    // `MCL.launch`, is `select` plus a device run; every failure (unknown
+    // kernel, bad arguments, unknown device) is a value the caller turns
+    // into the `leafCPU` fallback.
+
+    fn device(h: &Hierarchy, name: &str) -> SimDevice {
+        SimDevice::by_name(h, name).unwrap()
+    }
+
+    fn axpy_args(n: usize, y: ArrayArg, x: &ArrayArg) -> Vec<ArgValue> {
+        vec![
+            ArgValue::Int(n as i64),
+            ArgValue::Array(y),
+            ArgValue::Array(x.clone()),
+        ]
+    }
+
     #[test]
-    fn fig4_glue_selects_launches_and_fails_softly() {
-        use cashmere_devsim::{ExecMode, SimDevice};
+    fn fig4_flow_computes() {
         let r = registry();
         let h = r.hierarchy();
-        let gtx = SimDevice::by_name(h, "gtx480").unwrap();
+        let gtx = device(h, "gtx480");
         let ck = r.select("axpy", gtx.level).unwrap();
         assert_eq!(h.name(ck.level), "gpu", "most specific version");
-        let mut y = ArrayArg::float(&[100], vec![0.0; 100]);
+        let y = ArrayArg::float(&[100], vec![0.0; 100]);
         let x = ArrayArg::float(&[100], (0..100).map(f64::from).collect());
+        let bytes = 2 * 100 * 4;
+        let run = gtx
+            .run_kernel(h, ck, axpy_args(100, y, &x), ExecMode::Full)
+            .unwrap();
+        assert_eq!(run.args[1].clone().array().as_f64()[21], 42.0);
+        assert!(run.time > SimTime::ZERO);
+        assert!(gtx.transfer_time(bytes) > SimTime::ZERO);
+    }
+
+    #[test]
+    fn phi_gets_the_perfect_version() {
+        let r = registry();
+        let h = r.hierarchy();
+        let ck = r.select("axpy", device(h, "xeon_phi").level).unwrap();
+        assert_eq!(h.name(ck.level), "perfect");
+    }
+
+    #[test]
+    fn missing_kernel_is_the_catchable_exception() {
+        let r = registry();
+        let h = r.hierarchy();
+        // No version to select: the caller runs leafCPU instead.
+        assert!(r.select("nonexistent", device(h, "gtx480").level).is_none());
+    }
+
+    #[test]
+    fn runtime_failure_is_catchable_too() {
+        let r = registry();
+        let h = r.hierarchy();
+        let gtx = device(h, "gtx480");
+        let ck = r.select("axpy", gtx.level).unwrap();
+        // Wrong argument count → runtime error, not panic.
+        let bad = gtx.run_kernel(h, ck, vec![ArgValue::Int(100)], ExecMode::Full);
+        assert!(bad.is_err());
+    }
+
+    #[test]
+    fn unknown_device_rejected() {
+        let r = registry();
+        assert!(SimDevice::by_name(r.hierarchy(), "rtx9090").is_err());
+    }
+
+    #[test]
+    fn multiple_launches_reuse_the_kernel() {
+        // "multiple kernel-launches: it is possible to launch the kernel
+        // multiple times in succession."
+        let r = registry();
+        let h = r.hierarchy();
+        let k20 = device(h, "k20");
+        let ck = r.select("axpy", k20.level).unwrap();
+        let x = ArrayArg::float(&[8], vec![1.0; 8]);
+        let mut y = ArrayArg::float(&[8], vec![1.0; 8]);
         for _ in 0..3 {
-            let args = vec![
-                ArgValue::Int(100),
-                ArgValue::Array(y),
-                ArgValue::Array(x.clone()),
-            ];
-            let run = gtx.run_kernel(h, ck, args, ExecMode::Full).unwrap();
-            assert!(run.time > cashmere_des::SimTime::ZERO);
+            let run = k20
+                .run_kernel(h, ck, axpy_args(8, y, &x), ExecMode::Full)
+                .unwrap();
             y = run.args[1].clone().array();
         }
-        assert_eq!(y.as_f64()[21], 126.0, "three launches of y += 2x");
-        assert!(r.select("nonexistent", gtx.level).is_none());
-        let bad = gtx.run_kernel(h, ck, vec![ArgValue::Int(100)], ExecMode::Full);
-        assert!(
-            bad.is_err(),
-            "wrong argument count is an error, not a panic"
-        );
-        assert!(SimDevice::by_name(h, "rtx9090").is_err());
+        assert_eq!(y.as_f64()[0], 7.0, "1 + 3 launches of y += 2x");
     }
 
     #[test]

@@ -33,23 +33,10 @@ use std::fmt::Write as _;
 /// a joint set whose factors apply together in one run. Serializes
 /// transparently as the perturbation list, so a `Scenario`'s `perturb`
 /// field reads as a plain JSON array.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(transparent)]
 pub struct PerturbSet {
     pub items: Vec<Perturbation>,
-}
-
-// Hand-written transparent (de)serialization: a set IS its perturbation
-// list in JSON.
-impl Serialize for PerturbSet {
-    fn to_content(&self) -> serde::Content {
-        self.items.to_content()
-    }
-}
-
-impl Deserialize for PerturbSet {
-    fn from_content(content: &serde::Content) -> Result<PerturbSet, serde::DeError> {
-        Vec::<Perturbation>::from_content(content).map(|items| PerturbSet { items })
-    }
 }
 
 impl PerturbSet {

@@ -29,6 +29,7 @@
 //! trace file per run by inserting the run label before the extension of
 //! the file name.
 
+use crate::cli::fail;
 use crate::output::write_file;
 use crate::scenario::{OutputSpec, Scenario};
 use cashmere::AuditEntry;
@@ -72,37 +73,32 @@ pub fn obs_args(args: Vec<String>) -> (OutputSpec, Vec<String>) {
         match a.as_str() {
             "--trace" => {
                 let Some(path) = it.next() else {
-                    eprintln!("--trace requires an output path (e.g. --trace out.json)");
-                    std::process::exit(2);
+                    fail("--trace requires an output path (e.g. --trace out.json)")
                 };
                 obs.trace = Some(path);
             }
             "--explain" => obs.explain = true,
             "--metrics-out" => {
                 let Some(path) = it.next() else {
-                    eprintln!("--metrics-out requires an output path (e.g. --metrics-out m.txt)");
-                    std::process::exit(2);
+                    fail("--metrics-out requires an output path (e.g. --metrics-out m.txt)")
                 };
                 obs.metrics_out = Some(path);
             }
             "--probe" => {
                 let Some(iv) = it.next().as_deref().and_then(parse_simtime) else {
-                    eprintln!("--probe requires a positive interval (e.g. --probe 1ms)");
-                    std::process::exit(2);
+                    fail("--probe requires a positive interval (e.g. --probe 1ms)")
                 };
                 obs.probe_interval = Some(iv);
             }
             "--probe-out" => {
                 let Some(path) = it.next() else {
-                    eprintln!("--probe-out requires an output path (e.g. --probe-out probes.csv)");
-                    std::process::exit(2);
+                    fail("--probe-out requires an output path (e.g. --probe-out probes.csv)")
                 };
                 obs.probe_out = Some(path);
             }
             "--self-profile" => {
                 let Some(stem) = it.next() else {
-                    eprintln!("--self-profile requires an output stem (e.g. --self-profile prof)");
-                    std::process::exit(2);
+                    fail("--self-profile requires an output stem (e.g. --self-profile prof)")
                 };
                 obs.self_profile = Some(stem);
             }

@@ -41,7 +41,7 @@ use cashmere_apps::nbody::{self, NbodyApp, NbodyProblem};
 use cashmere_apps::raytracer::{RaytracerApp, RaytracerProblem};
 use cashmere_apps::{AppMode, KernelSet};
 use cashmere_des::fault::FaultPlan;
-use cashmere_des::obs::{prof, PerturbTarget};
+use cashmere_des::obs::prof;
 use cashmere_des::SimTime;
 use cashmere_hwdesc::DeviceKind;
 use cashmere_netsim::NetConfig;
@@ -50,52 +50,11 @@ use cashmere_satin::{
 };
 use serde::{Content, DeError, Deserialize, Serialize};
 
-// The offline serde shim's derive supports no `#[serde(...)]` attributes,
-// so the JSON forms below (internally-tagged `Problem`, defaulted fields,
-// unknown-field rejection) are hand-written against its `Content` model.
-
-fn skey(name: &str) -> Content {
-    Content::Str(name.to_string())
-}
-
-fn map_get<'a>(m: &'a [(Content, Content)], key: &str) -> Option<&'a Content> {
-    m.iter()
-        .find(|(k, _)| k.as_str() == Some(key))
-        .map(|(_, v)| v)
-}
-
-/// Reject unknown (and non-string) keys so typos fail loudly instead of
-/// silently running the default.
-fn check_fields<'a>(
-    m: impl IntoIterator<Item = &'a (Content, Content)>,
-    known: &[&str],
-    ty: &str,
-) -> Result<(), DeError> {
-    for (k, _) in m {
-        let Some(k) = k.as_str() else {
-            return Err(DeError::custom(format!("non-string key in `{ty}`")));
-        };
-        if !known.contains(&k) {
-            return Err(DeError::custom(format!("unknown field `{k}` in `{ty}`")));
-        }
-    }
-    Ok(())
-}
-
-fn req_field<T: Deserialize>(m: &[(Content, Content)], key: &str, ty: &str) -> Result<T, DeError> {
-    match map_get(m, key) {
-        Some(v) => T::from_content(v),
-        None => Err(DeError::missing_field(key, ty)),
-    }
-}
-
-/// Absent and `null` both mean "take the default".
-fn opt_field<T: Deserialize>(m: &[(Content, Content)], key: &str) -> Result<Option<T>, DeError> {
-    match map_get(m, key) {
-        None | Some(Content::Null) => Ok(None),
-        Some(v) => T::from_content(v).map(Some),
-    }
-}
+// The JSON forms below are derived. The serde shim's derive honours
+// `default` / `default = "path"`, `deny_unknown_fields`, `tag` +
+// `rename_all` and `transparent`; a defaulted field takes its default when
+// its key is absent or `null`, an `Option` field without an attribute is
+// `None` when absent, and fields serialize in declaration order.
 
 /// Problem size of one scenario. `Paper` resolves to the application's
 /// Sec. V measurement scale; the per-app variants pin explicit dimensions
@@ -104,7 +63,8 @@ fn opt_field<T: Deserialize>(m: &[(Content, Content)], key: &str) -> Result<Opti
 ///
 /// JSON form is internally tagged: `{"kind": "paper"}`,
 /// `{"kind": "kmeans", "n": …, "k": …, "d": …, "iterations": …}`, ….
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "lowercase", deny_unknown_fields)]
 pub enum Problem {
     /// The application's paper-scale problem (Table II / Sec. V).
     #[default]
@@ -145,100 +105,10 @@ impl Problem {
     }
 }
 
-impl Serialize for Problem {
-    fn to_content(&self) -> Content {
-        let kind = |k: &str| (skey("kind"), skey(k));
-        match *self {
-            Problem::Paper => Content::Map(vec![kind("paper")]),
-            Problem::Raytracer {
-                width,
-                height,
-                samples,
-            } => Content::Map(vec![
-                kind("raytracer"),
-                (skey("width"), width.to_content()),
-                (skey("height"), height.to_content()),
-                (skey("samples"), samples.to_content()),
-            ]),
-            Problem::Matmul { n, m, p } => Content::Map(vec![
-                kind("matmul"),
-                (skey("n"), n.to_content()),
-                (skey("m"), m.to_content()),
-                (skey("p"), p.to_content()),
-            ]),
-            Problem::Kmeans {
-                n,
-                k,
-                d,
-                iterations,
-            } => Content::Map(vec![
-                kind("kmeans"),
-                (skey("n"), n.to_content()),
-                (skey("k"), k.to_content()),
-                (skey("d"), d.to_content()),
-                (skey("iterations"), iterations.to_content()),
-            ]),
-            Problem::Nbody { bodies, iterations } => Content::Map(vec![
-                kind("nbody"),
-                (skey("bodies"), bodies.to_content()),
-                (skey("iterations"), iterations.to_content()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for Problem {
-    fn from_content(content: &Content) -> Result<Problem, DeError> {
-        const TY: &str = "Problem";
-        let m = content
-            .as_map()
-            .ok_or_else(|| DeError::expected("map", TY, content))?;
-        let kind: String = req_field(m, "kind", TY)?;
-        match kind.as_str() {
-            "paper" => {
-                check_fields(m, &["kind"], TY)?;
-                Ok(Problem::Paper)
-            }
-            "raytracer" => {
-                check_fields(m, &["kind", "width", "height", "samples"], TY)?;
-                Ok(Problem::Raytracer {
-                    width: req_field(m, "width", TY)?,
-                    height: req_field(m, "height", TY)?,
-                    samples: req_field(m, "samples", TY)?,
-                })
-            }
-            "matmul" => {
-                check_fields(m, &["kind", "n", "m", "p"], TY)?;
-                Ok(Problem::Matmul {
-                    n: req_field(m, "n", TY)?,
-                    m: req_field(m, "m", TY)?,
-                    p: req_field(m, "p", TY)?,
-                })
-            }
-            "kmeans" => {
-                check_fields(m, &["kind", "n", "k", "d", "iterations"], TY)?;
-                Ok(Problem::Kmeans {
-                    n: req_field(m, "n", TY)?,
-                    k: req_field(m, "k", TY)?,
-                    d: req_field(m, "d", TY)?,
-                    iterations: req_field(m, "iterations", TY)?,
-                })
-            }
-            "nbody" => {
-                check_fields(m, &["kind", "bodies", "iterations"], TY)?;
-                Ok(Problem::Nbody {
-                    bodies: req_field(m, "bodies", TY)?,
-                    iterations: req_field(m, "iterations", TY)?,
-                })
-            }
-            other => Err(DeError::unknown_variant(other, TY)),
-        }
-    }
-}
-
 /// Observability outputs of one scenario. All off by default; a scenario
 /// with outputs off runs untraced (zero observability overhead).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct OutputSpec {
     /// Keep the span trace / metrics / audit capture in memory even when no
     /// file output is requested (the advisor and the Gantt renderer read
@@ -299,54 +169,6 @@ impl OutputSpec {
         if flags.probe_interval.is_some() && self.probe_out.is_none() {
             self.probe_out = Some("probes.csv".to_string());
         }
-    }
-}
-
-impl Serialize for OutputSpec {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            (skey("capture"), self.capture.to_content()),
-            (skey("trace"), self.trace.to_content()),
-            (skey("explain"), self.explain.to_content()),
-            (skey("metrics_out"), self.metrics_out.to_content()),
-            (skey("probe_interval"), self.probe_interval.to_content()),
-            (skey("probe_out"), self.probe_out.to_content()),
-            (skey("report"), self.report.to_content()),
-            (skey("self_profile"), self.self_profile.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for OutputSpec {
-    fn from_content(content: &Content) -> Result<OutputSpec, DeError> {
-        const TY: &str = "OutputSpec";
-        let m = content
-            .as_map()
-            .ok_or_else(|| DeError::expected("map", TY, content))?;
-        check_fields(
-            m,
-            &[
-                "capture",
-                "trace",
-                "explain",
-                "metrics_out",
-                "probe_interval",
-                "probe_out",
-                "report",
-                "self_profile",
-            ],
-            TY,
-        )?;
-        Ok(OutputSpec {
-            capture: opt_field(m, "capture")?.unwrap_or_default(),
-            trace: opt_field(m, "trace")?,
-            explain: opt_field(m, "explain")?.unwrap_or_default(),
-            metrics_out: opt_field(m, "metrics_out")?,
-            probe_interval: opt_field(m, "probe_interval")?,
-            probe_out: opt_field(m, "probe_out")?,
-            report: opt_field(m, "report")?,
-            self_profile: opt_field(m, "self_profile")?,
-        })
     }
 }
 
@@ -426,16 +248,17 @@ impl PolicySpec {
     }
 }
 
-const POLICY_SPEC_FIELDS: [&str; 2] = ["placement", "steal"];
-
 impl Serialize for PolicySpec {
     fn to_content(&self) -> Content {
         if self.steal == StealKind::default() {
             self.placement.to_content()
         } else {
             Content::Map(vec![
-                (skey("placement"), self.placement.to_content()),
-                (skey("steal"), self.steal.to_content()),
+                (
+                    Content::Str("placement".into()),
+                    self.placement.to_content(),
+                ),
+                (Content::Str("steal".into()), self.steal.to_content()),
             ])
         }
     }
@@ -446,11 +269,14 @@ impl Deserialize for PolicySpec {
         const TY: &str = "PolicySpec";
         match content {
             Content::Str(_) => Ok(PolicySpec::placement(Policy::from_content(content)?)),
-            Content::Map(m) => {
-                check_fields(m, &POLICY_SPEC_FIELDS, TY)?;
+            // The map form decodes as a derived `#[serde(default,
+            // deny_unknown_fields)]` struct would.
+            Content::Map(_) => {
+                serde::__deny_unknown_fields(content, &["placement", "steal"], TY)?;
                 Ok(PolicySpec {
-                    placement: opt_field(m, "placement")?.unwrap_or_default(),
-                    steal: opt_field(m, "steal")?.unwrap_or_default(),
+                    placement: serde::__default_field(content, "placement", TY)?
+                        .unwrap_or_default(),
+                    steal: serde::__default_field(content, "steal", TY)?.unwrap_or_default(),
                 })
             }
             other => Err(DeError::expected("string or map", TY, other)),
@@ -463,7 +289,8 @@ impl Deserialize for PolicySpec {
 /// are required in JSON form, everything else defaults to the paper's
 /// setup. Unknown fields are rejected, so typos fail loudly instead of
 /// silently running the default.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Scenario {
     /// Label; used in report paths (`bench/out/scenario_<name>.json`), so
     /// restricted to `[A-Za-z0-9._-]`.
@@ -473,142 +300,56 @@ pub struct Scenario {
     /// Cluster topology: one device-name list per node (Table III style).
     /// Satin runs ignore the device lists but keep the node count.
     pub nodes: Vec<Vec<String>>,
+    #[serde(default)]
     pub problem: Problem,
     /// Node-level job grain override; `None` resolves to the app's paper
     /// grain (≈1024 node jobs at paper scale).
     pub grain: Option<u64>,
     /// Device jobs per node-level leaf (the paper runs 8).
+    #[serde(default = "default_device_jobs")]
     pub device_jobs: u64,
+    #[serde(default = "default_seed")]
     pub seed: u64,
     /// Scheduling policies: device placement (paper Sec. III-B default)
     /// and steal-victim selection (uniform-random default). Accepts the
     /// legacy bare-string form for placement-only specs.
+    #[serde(default)]
     pub policy: PolicySpec,
+    #[serde(default = "default_cores")]
     pub cores_per_node: usize,
     /// Concurrent node-level leaves per node; `None` resolves to the series
     /// default (Satin: one per core, Cashmere: 2 so transfers of one job
     /// set overlap kernels of the other — paper Sec. II-C3).
     pub leaf_slots: Option<usize>,
     /// CPU time to create/manage one job.
+    #[serde(default = "default_job_overhead")]
     pub job_overhead: SimTime,
     /// Back-off after an unsuccessful steal attempt (doubles up to
     /// `steal_retry_max`).
+    #[serde(default = "default_steal_retry")]
     pub steal_retry: SimTime,
+    #[serde(default = "default_steal_retry_max")]
     pub steal_retry_max: SimTime,
     /// Steal round-trip timeout (armed only under an active fault plan).
+    #[serde(default = "default_steal_timeout")]
     pub steal_timeout: SimTime,
     /// Interconnect model (default: DAS-4's QDR InfiniBand).
+    #[serde(default = "default_net")]
     pub net: NetConfig,
     /// Overlap PCIe transfers with kernel execution (paper Sec. II-C3).
+    #[serde(default = "default_overlap")]
     pub overlap: bool,
     /// Injected faults, replayed deterministically from the seed.
     pub faults: Option<FaultPlan>,
     /// Satin-style orphan-result reuse on crash recovery (default on).
     /// `false` is the ablation: every orphaned result is re-executed.
+    #[serde(default = "default_orphan_reuse")]
     pub orphan_reuse: bool,
     /// Advisor perturbations applied to the whole re-execution
     /// (virtual-speed what-ifs).
     pub perturb: Option<PerturbSet>,
+    #[serde(default)]
     pub outputs: OutputSpec,
-}
-
-/// Field names of the JSON form, in canonical (declaration) order.
-const SCENARIO_FIELDS: [&str; 21] = [
-    "name",
-    "app",
-    "series",
-    "nodes",
-    "problem",
-    "grain",
-    "device_jobs",
-    "seed",
-    "policy",
-    "cores_per_node",
-    "leaf_slots",
-    "job_overhead",
-    "steal_retry",
-    "steal_retry_max",
-    "steal_timeout",
-    "net",
-    "overlap",
-    "faults",
-    "orphan_reuse",
-    "perturb",
-    "outputs",
-];
-
-impl Serialize for Scenario {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            (skey("name"), self.name.to_content()),
-            (skey("app"), self.app.to_content()),
-            (skey("series"), self.series.to_content()),
-            (skey("nodes"), self.nodes.to_content()),
-            (skey("problem"), self.problem.to_content()),
-            (skey("grain"), self.grain.to_content()),
-            (skey("device_jobs"), self.device_jobs.to_content()),
-            (skey("seed"), self.seed.to_content()),
-            (skey("policy"), self.policy.to_content()),
-            (skey("cores_per_node"), self.cores_per_node.to_content()),
-            (skey("leaf_slots"), self.leaf_slots.to_content()),
-            (skey("job_overhead"), self.job_overhead.to_content()),
-            (skey("steal_retry"), self.steal_retry.to_content()),
-            (skey("steal_retry_max"), self.steal_retry_max.to_content()),
-            (skey("steal_timeout"), self.steal_timeout.to_content()),
-            (skey("net"), self.net.to_content()),
-            (skey("overlap"), self.overlap.to_content()),
-            (skey("faults"), self.faults.to_content()),
-            (skey("orphan_reuse"), self.orphan_reuse.to_content()),
-            (skey("perturb"), self.perturb.to_content()),
-            (skey("outputs"), self.outputs.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for Scenario {
-    fn from_content(content: &Content) -> Result<Scenario, DeError> {
-        const TY: &str = "Scenario";
-        let m = content
-            .as_map()
-            .ok_or_else(|| DeError::expected("map", TY, content))?;
-        // Scenarios written while the kernel engine was a run option carry
-        // `"interp": "vm"`; read it and drop it. Kernels only run on the VM,
-        // so any other value cannot be honoured.
-        let current = m.iter().filter(|(k, _)| k.as_str() != Some("interp"));
-        check_fields(current, &SCENARIO_FIELDS, TY)?;
-        if let Some(v) = map_get(m, "interp").filter(|v| v.as_str() != Some("vm")) {
-            let got = v
-                .as_str()
-                .map_or(v.kind().to_string(), |s| format!("\"{s}\""));
-            return Err(DeError::custom(format!(
-                "field `interp` in `{TY}`: kernels always run on the VM, so only \"vm\" is accepted, got {got}"
-            )));
-        }
-        Ok(Scenario {
-            name: req_field(m, "name", TY)?,
-            app: req_field(m, "app", TY)?,
-            series: req_field(m, "series", TY)?,
-            nodes: req_field(m, "nodes", TY)?,
-            problem: opt_field(m, "problem")?.unwrap_or_default(),
-            grain: opt_field(m, "grain")?,
-            device_jobs: opt_field(m, "device_jobs")?.unwrap_or_else(default_device_jobs),
-            seed: opt_field(m, "seed")?.unwrap_or_else(default_seed),
-            policy: opt_field(m, "policy")?.unwrap_or_default(),
-            cores_per_node: opt_field(m, "cores_per_node")?.unwrap_or_else(default_cores),
-            leaf_slots: opt_field(m, "leaf_slots")?,
-            job_overhead: opt_field(m, "job_overhead")?.unwrap_or_else(default_job_overhead),
-            steal_retry: opt_field(m, "steal_retry")?.unwrap_or_else(default_steal_retry),
-            steal_retry_max: opt_field(m, "steal_retry_max")?
-                .unwrap_or_else(default_steal_retry_max),
-            steal_timeout: opt_field(m, "steal_timeout")?.unwrap_or_else(default_steal_timeout),
-            net: opt_field(m, "net")?.unwrap_or_else(default_net),
-            overlap: opt_field(m, "overlap")?.unwrap_or_else(default_overlap),
-            faults: opt_field(m, "faults")?,
-            orphan_reuse: opt_field(m, "orphan_reuse")?.unwrap_or_else(default_orphan_reuse),
-            perturb: opt_field(m, "perturb")?,
-            outputs: opt_field(m, "outputs")?.unwrap_or_default(),
-        })
-    }
 }
 
 impl Scenario {
@@ -774,7 +515,25 @@ impl Scenario {
     /// Parse a scenario from JSON (canonical or terse — omitted optional
     /// fields take the paper defaults).
     pub fn from_json(text: &str) -> Result<Scenario, String> {
-        serde_json::from_str(text).map_err(|e| format!("cannot parse scenario: {e}"))
+        let err = |e: &dyn std::fmt::Display| format!("cannot parse scenario: {e}");
+        let mut spec: Content = serde_json::from_str(text).map_err(|e| err(&e))?;
+        // Scenarios written while the kernel engine was a run option carry
+        // `"interp": "vm"`; read it and drop it. Kernels only run on the VM,
+        // so any other value cannot be honoured.
+        if let Content::Map(m) = &mut spec {
+            if let Some(i) = m.iter().position(|(k, _)| k.as_str() == Some("interp")) {
+                let (_, v) = m.remove(i);
+                if v.as_str() != Some("vm") {
+                    let got = v
+                        .as_str()
+                        .map_or(v.kind().to_string(), |s| format!("\"{s}\""));
+                    return Err(err(&format!(
+                        "field `interp` in `Scenario`: kernels always run on the VM, so only \"vm\" is accepted, got {got}"
+                    )));
+                }
+            }
+        }
+        Scenario::from_content(&spec).map_err(|e| err(&e))
     }
 
     /// Load and parse a scenario file.
@@ -900,13 +659,7 @@ impl Scenario {
                         p.spec()
                     ));
                 }
-                let device_scoped = matches!(
-                    p.target,
-                    PerturbTarget::DeviceSpeed
-                        | PerturbTarget::PcieLink
-                        | PerturbTarget::BalancerTable
-                );
-                if device_scoped && p.selector != "*" {
+                if p.target.is_per_device() && p.selector != "*" {
                     if DeviceKind::from_level_name(&p.selector).is_none() {
                         return Err(format!(
                             "perturbation `{}` names unknown device `{}`",
@@ -1403,6 +1156,46 @@ mod tests {
             r#"{"name":"t","app":"kmeans","series":"cashmere-opt","nodes":[["gtx480"]],"sede":7}"#,
         )
         .is_err());
+    }
+
+    #[test]
+    fn misspelled_fault_keys_are_rejected() {
+        // A misspelled selector must not decode as `null` (every source,
+        // every node) and silently widen the fault.
+        const TERSE: &str = r#"{"name":"t","app":"kmeans","series":"cashmere-opt","nodes":[["gtx480"],["gtx480"],["gtx480"]]"#;
+        let link = r#"{"link_faults":[{"srcc":2,"dst":0,"from":0,"until":1000,"loss":0.5,"spike":0,"spike_probability":0}]}"#;
+        let err = Scenario::from_json(&format!(r#"{TERSE},"faults":{link}}}"#)).unwrap_err();
+        assert!(err.contains("unknown field `srcc` in `LinkFault`"), "{err}");
+        let launch = r#"{"launch_faults":[{"nodee":1,"device":null,"from":0,"until":1000,"probability":0.5}]}"#;
+        let err = Scenario::from_json(&format!(r#"{TERSE},"faults":{launch}}}"#)).unwrap_err();
+        assert!(
+            err.contains("unknown field `nodee` in `LaunchFaultWindow`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn null_takes_the_default_and_problem_keys_are_checked() {
+        const TERSE: &str =
+            r#"{"name":"t","app":"kmeans","series":"cashmere-opt","nodes":[["gtx480"]]"#;
+        let plain = Scenario::from_json(&format!("{TERSE}}}")).unwrap();
+        let nulls = r#""seed":null,"problem":null,"net":null,"outputs":{"explain":null}"#;
+        assert_eq!(
+            Scenario::from_json(&format!("{TERSE},{nulls}}}")).unwrap(),
+            plain
+        );
+        let bad = r#""problem":{"kind":"kmeans","n":1,"k":1,"d":1,"iterations":1,"dd":2}"#;
+        let err = Scenario::from_json(&format!("{TERSE},{bad}}}")).unwrap_err();
+        assert!(err.contains("unknown field `dd` in `Problem`"), "{err}");
+        let bad = r#""problem":{"kind":"kmeans","n":1,"k":1,"d":1}"#;
+        let err = Scenario::from_json(&format!("{TERSE},{bad}}}")).unwrap_err();
+        assert!(
+            err.contains("missing field `iterations` in `Problem`"),
+            "{err}"
+        );
+        let bad = r#""problem":{"kind":"spmv"}"#;
+        let err = Scenario::from_json(&format!("{TERSE},{bad}}}")).unwrap_err();
+        assert!(err.contains("unknown variant `spmv` of `Problem`"), "{err}");
     }
 
     #[test]

@@ -123,7 +123,8 @@ impl Default for RuntimeConfig {
 /// actually went. Terminal outcomes only — a transient launch fault or a
 /// mid-flight device death re-enters the decision loop and produces a fresh
 /// entry instead.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AuditEntry {
     /// Decision sequence number (audit-log index).
     pub seq: u64,
@@ -132,7 +133,9 @@ pub struct AuditEntry {
     /// Virtual submission time of the device job, in ns.
     pub submit_ns: u64,
     /// Name + parameters of the policy instance that made this decision
-    /// (tournament artifacts are self-describing).
+    /// (tournament artifacts are self-describing). Old audit logs that
+    /// omit it load with the default scenario descriptor.
+    #[serde(default)]
     pub policy: PolicyDesc,
     /// Per-device estimates and scenario makespans at decision time.
     pub candidates: Vec<DeviceEstimate>,
@@ -141,59 +144,6 @@ pub struct AuditEntry {
     /// `"placed"`, or why the job fell back to the CPU
     /// (`"no-usable-device"`, `"launch-fault-budget"`, `"memory-exhausted"`).
     pub reason: String,
-}
-
-// Hand-written so old audit artifacts — which either stored the policy as
-// a bare name string or (older still) omitted the field — keep loading:
-// a missing `policy` backfills the default scenario descriptor.
-impl Deserialize for AuditEntry {
-    fn from_content(content: &serde::Content) -> Result<AuditEntry, serde::DeError> {
-        let Some(m) = content.as_map() else {
-            return Err(serde::DeError::expected("map", "AuditEntry", content));
-        };
-        let known = [
-            "seq",
-            "node",
-            "kernel",
-            "submit_ns",
-            "policy",
-            "candidates",
-            "chosen",
-            "reason",
-        ];
-        for (k, _) in m {
-            match k.as_str() {
-                Some(k) if known.contains(&k) => {}
-                Some(k) => {
-                    return Err(serde::DeError::custom(format!(
-                        "unknown AuditEntry field `{k}`"
-                    )))
-                }
-                None => return Err(serde::DeError::expected("string key", "AuditEntry", k)),
-            }
-        }
-        let field = |name: &str| {
-            m.iter()
-                .find(|(k, _)| k.as_str() == Some(name))
-                .map(|(_, v)| v)
-        };
-        let req = |name: &'static str| {
-            field(name).ok_or_else(|| serde::DeError::missing_field(name, "AuditEntry"))
-        };
-        Ok(AuditEntry {
-            seq: u64::from_content(req("seq")?)?,
-            node: usize::from_content(req("node")?)?,
-            kernel: String::from_content(req("kernel")?)?,
-            submit_ns: u64::from_content(req("submit_ns")?)?,
-            policy: match field("policy") {
-                Some(v) => PolicyDesc::from_content(v)?,
-                None => PolicyDesc::default(),
-            },
-            candidates: Vec::from_content(req("candidates")?)?,
-            chosen: Option::from_content(req("chosen")?)?,
-            reason: String::from_content(req("reason")?)?,
-        })
-    }
 }
 
 /// Trace lanes of one device (mirrors the paper's Gantt queues, Fig. 16).
@@ -385,17 +335,18 @@ impl CashmereLeafRuntime {
         }
     }
 
-    /// Virtually scale the compute speed of every device whose level name
-    /// matches `selector` (`*` matches all) by `factor`. Returns how many
-    /// devices matched. Advisor what-if hook: kernels finish `factor`×
-    /// sooner, and because the balancer learns *measured* times, its
-    /// estimates follow automatically.
-    pub fn scale_device_speed(&mut self, selector: &str, factor: f64) -> usize {
+    /// Call `f(node, device index)` for every device whose level name
+    /// matches `selector` (`*` matches all); returns how many matched.
+    fn for_matching(
+        &mut self,
+        selector: &str,
+        mut f: impl FnMut(&mut NodeDevices, usize),
+    ) -> usize {
         let mut matched = 0;
         for nd in &mut self.nodes {
-            for slot in &mut nd.devices {
-                if selector == "*" || selector == slot.sim.level_name {
-                    slot.sim.scale_speed(factor);
+            for d in 0..nd.devices.len() {
+                if selector == "*" || selector == nd.devices[d].sim.level_name {
+                    f(nd, d);
                     matched += 1;
                 }
             }
@@ -403,20 +354,20 @@ impl CashmereLeafRuntime {
         matched
     }
 
+    /// Virtually scale the compute speed of every device whose level name
+    /// matches `selector` (`*` matches all) by `factor`. Returns how many
+    /// devices matched. Advisor what-if hook: kernels finish `factor`×
+    /// sooner, and because the balancer learns *measured* times, its
+    /// estimates follow automatically.
+    pub fn scale_device_speed(&mut self, selector: &str, factor: f64) -> usize {
+        self.for_matching(selector, |nd, d| nd.devices[d].sim.scale_speed(factor))
+    }
+
     /// Virtually scale the PCIe link (bandwidth × `factor`, latency ÷
     /// `factor`) of every device matching `selector`. Returns the match
     /// count.
     pub fn scale_pcie(&mut self, selector: &str, factor: f64) -> usize {
-        let mut matched = 0;
-        for nd in &mut self.nodes {
-            for slot in &mut nd.devices {
-                if selector == "*" || selector == slot.sim.level_name {
-                    slot.sim.scale_pcie(factor);
-                    matched += 1;
-                }
-            }
-        }
-        matched
+        self.for_matching(selector, |nd, d| nd.devices[d].sim.scale_pcie(factor))
     }
 
     /// Scale the balancer's *belief* about matching devices without making
@@ -424,16 +375,7 @@ impl CashmereLeafRuntime {
     /// `factor`, but kernels still take their physical time. Isolates how
     /// much of performance is placement quality vs raw device speed.
     pub fn scale_balancer_table(&mut self, selector: &str, factor: f64) -> usize {
-        let mut matched = 0;
-        for nd in &mut self.nodes {
-            for (didx, slot) in nd.devices.iter().enumerate() {
-                if selector == "*" || selector == slot.sim.level_name {
-                    nd.balancer.scale_speed(didx, factor);
-                    matched += 1;
-                }
-            }
-        }
-        matched
+        self.for_matching(selector, |nd, d| nd.balancer.scale_speed(d, factor))
     }
 
     fn lanes_for(trace: &mut Trace, node: usize, dev_name: &str, dev_idx: usize) -> DevLanes {

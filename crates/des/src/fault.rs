@@ -26,6 +26,7 @@ use serde::{Deserialize, Serialize};
 
 /// A whole node stops responding at `at` (absolute virtual time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct NodeCrash {
     pub node: usize,
     pub at: SimTime,
@@ -37,6 +38,7 @@ pub struct NodeCrash {
 /// otherwise the join must follow a crash (a rejoin). A rejoined node comes
 /// back empty — no jobs, no steal state — and re-enters steal victim sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct NodeJoin {
     pub node: usize,
     pub at: SimTime,
@@ -45,6 +47,7 @@ pub struct NodeJoin {
 /// One device on a node dies permanently at `at`: in-flight timeline
 /// segments abort, resident buffers drain, and the device never comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DeviceFailure {
     pub node: usize,
     pub device: usize,
@@ -56,6 +59,7 @@ pub struct DeviceFailure {
 /// runtime up to its budget). `device: None` matches every device of the
 /// node; `node: None` matches every node.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct LaunchFaultWindow {
     pub node: Option<usize>,
     pub device: Option<usize>,
@@ -70,6 +74,7 @@ pub struct LaunchFaultWindow {
 /// `spike_probability`. The window end is required and must be finite so
 /// retransmit loops are guaranteed to terminate once the window closes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct LinkFault {
     pub src: Option<usize>,
     pub dst: Option<usize>,
@@ -90,56 +95,18 @@ impl LinkFault {
 }
 
 /// Everything that goes wrong in one run. Serializable so a scenario can
-/// be stored and replayed byte-for-byte.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+/// be stored and replayed byte-for-byte. Plan files and scenarios may list
+/// only the fault kinds they use (absent arrays are empty), and unknown
+/// keys are rejected so a misspelled fault kind fails loudly instead of
+/// injecting nothing.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct FaultPlan {
     pub node_crashes: Vec<NodeCrash>,
     pub node_joins: Vec<NodeJoin>,
     pub device_failures: Vec<DeviceFailure>,
     pub launch_faults: Vec<LaunchFaultWindow>,
     pub link_faults: Vec<LinkFault>,
-}
-
-// Hand-written: plan files and scenarios may list only the fault kinds
-// they use — absent arrays are empty — and unknown keys are rejected so a
-// misspelled fault kind fails loudly instead of injecting nothing.
-impl Deserialize for FaultPlan {
-    fn from_content(content: &serde::Content) -> Result<FaultPlan, serde::DeError> {
-        use serde::{Content, DeError};
-        const TY: &str = "FaultPlan";
-        const FIELDS: [&str; 5] = [
-            "node_crashes",
-            "node_joins",
-            "device_failures",
-            "launch_faults",
-            "link_faults",
-        ];
-        let m = content
-            .as_map()
-            .ok_or_else(|| DeError::expected("map", TY, content))?;
-        for (k, _) in m {
-            let Some(k) = k.as_str() else {
-                return Err(DeError::custom(format!("non-string key in `{TY}`")));
-            };
-            if !FIELDS.contains(&k) {
-                return Err(DeError::custom(format!("unknown field `{k}` in `{TY}`")));
-            }
-        }
-        fn list<T: Deserialize>(m: &[(Content, Content)], key: &str) -> Result<Vec<T>, DeError> {
-            match m.iter().find(|(k, _)| k.as_str() == Some(key)) {
-                None => Ok(Vec::new()),
-                Some((_, Content::Null)) => Ok(Vec::new()),
-                Some((_, v)) => Vec::<T>::from_content(v),
-            }
-        }
-        Ok(FaultPlan {
-            node_crashes: list(m, "node_crashes")?,
-            node_joins: list(m, "node_joins")?,
-            device_failures: list(m, "device_failures")?,
-            launch_faults: list(m, "launch_faults")?,
-            link_faults: list(m, "link_faults")?,
-        })
-    }
 }
 
 impl FaultPlan {

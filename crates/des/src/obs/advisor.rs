@@ -78,6 +78,7 @@ impl PerturbTarget {
 /// selector (`net:2x` ≡ `net:*:2x`). A factor of `2` means "twice as
 /// fast"; `0.5` means "half as fast". The trailing `x` is optional.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Perturbation {
     pub target: PerturbTarget,
     /// Device level name, or `*` for every device. Ignored (and kept as

@@ -25,6 +25,20 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+// Instruction costs in device cycles, charged identically by both engines.
+pub(crate) const CYCLE_BASIC: f64 = 1.0;
+pub(crate) const CYCLE_SPECIAL: f64 = 8.0;
+pub(crate) const CYCLE_LOCAL: f64 = 2.0;
+/// Global accesses cost extra issue cycles: a partial charge for the
+/// latency that occupancy cannot always hide. This is what makes staging
+/// reused data in `local` memory profitable beyond pure bandwidth savings.
+pub(crate) const CYCLE_GLOBAL: f64 = 4.0;
+pub(crate) const CYCLE_BARRIER: f64 = 4.0;
+/// Memory transaction granularity in bytes.
+pub(crate) const TRANSACTION_BYTES: u64 = 32;
+/// Device element size in bytes (float/int are 32-bit on device).
+pub(crate) const ELEM_BYTES: u64 = 4;
+
 /// Iterations one `for` loop may run before both engines report a runaway
 /// ("loop exceeded 1e9 iterations"). The crate's unit tests lower it so
 /// that the differential tests can reach that error in both engines.

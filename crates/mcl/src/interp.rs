@@ -34,24 +34,13 @@
 
 use crate::ast::*;
 use crate::check::CheckedKernel;
-use crate::exec::{ExecError, ExecOptions, ExecResult, Sampling};
+use crate::exec::{
+    ExecError, ExecOptions, ExecResult, Sampling, CYCLE_BARRIER, CYCLE_BASIC, CYCLE_GLOBAL,
+    CYCLE_LOCAL, CYCLE_SPECIAL, ELEM_BYTES, TRANSACTION_BYTES,
+};
 use crate::stats::{KernelStats, SiteKey};
 use crate::value::ArgValue;
 use std::collections::HashMap;
-
-// Instruction costs in device cycles.
-const CYCLE_BASIC: f64 = 1.0;
-const CYCLE_SPECIAL: f64 = 8.0;
-const CYCLE_LOCAL: f64 = 2.0;
-/// Global accesses cost extra issue cycles: a partial charge for the
-/// latency that occupancy cannot always hide. This is what makes staging
-/// reused data in `local` memory profitable beyond pure bandwidth savings.
-const CYCLE_GLOBAL: f64 = 4.0;
-const CYCLE_BARRIER: f64 = 4.0;
-/// Memory transaction granularity in bytes.
-const TRANSACTION_BYTES: u64 = 32;
-/// Device element size in bytes (float/int are 32-bit on device).
-const ELEM_BYTES: u64 = 4;
 
 /// A lane-varying value: length is 1 (uniform) or the current lane count.
 #[derive(Debug, Clone, PartialEq)]

@@ -29,20 +29,15 @@
 use crate::ast::{AssignOp, BinOp, ElemTy, UnOp};
 use crate::check::CheckedKernel;
 use crate::compile::{compile_program, Builtin, Instr, Lit, Program};
-use crate::exec::{ExecError, ExecOptions, ExecResult, Sampling, LOOP_LIMIT};
+use crate::exec::{
+    ExecError, ExecOptions, ExecResult, Sampling, CYCLE_BARRIER, CYCLE_BASIC, CYCLE_GLOBAL,
+    CYCLE_LOCAL, CYCLE_SPECIAL, ELEM_BYTES, LOOP_LIMIT, TRANSACTION_BYTES,
+};
 use crate::stats::{KernelStats, SiteStats};
 use crate::value::{ArgValue, ArrayArg};
 use std::collections::VecDeque;
 use std::{iter, mem};
 
-// Instruction costs — must match crate::interp exactly.
-const CYCLE_BASIC: f64 = 1.0;
-const CYCLE_SPECIAL: f64 = 8.0;
-const CYCLE_LOCAL: f64 = 2.0;
-const CYCLE_GLOBAL: f64 = 4.0;
-const CYCLE_BARRIER: f64 = 4.0;
-const TRANSACTION_BYTES: u64 = 32;
-const ELEM_BYTES: u64 = 4;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 

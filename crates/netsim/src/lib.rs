@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 
 /// Interconnect parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct NetConfig {
     /// One-way small-message latency.
     pub latency: SimTime,

@@ -818,21 +818,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
     /// (Plan files additionally reject consecutive crashes without a join
     /// in between at validation time.)
     pub fn schedule_crash(&mut self, node: usize, at: SimTime) -> Result<(), String> {
-        if node == 0 {
-            return Err("the master node (0) cannot crash in this model".into());
-        }
-        if node >= self.world.cfg.nodes {
-            return Err(format!(
-                "node {node} out of range (cluster has {} nodes)",
-                self.world.cfg.nodes
-            ));
-        }
-        if at < self.sim.now() {
-            return Err(format!(
-                "crash time {at} is in the past (virtual time is {})",
-                self.sim.now()
-            ));
-        }
+        self.check_membership_change(node, at, "crash", "crash")?;
         self.sim.schedule_at(at, Event::Crash { n: node });
         Ok(())
     }
@@ -843,8 +829,24 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
     /// only checks liveness). Joining a node that is already up is a no-op.
     /// Same request validation as [`ClusterSim::schedule_crash`].
     pub fn schedule_join(&mut self, node: usize, at: SimTime) -> Result<(), String> {
+        self.check_membership_change(node, at, "join", "leave or join")?;
+        self.sim.schedule_at(at, Event::Join { n: node });
+        Ok(())
+    }
+
+    /// Validate a crash or join request: never the master (which cannot
+    /// `master_verb`), a node of the cluster, and not in the past.
+    fn check_membership_change(
+        &self,
+        node: usize,
+        at: SimTime,
+        what: &str,
+        master_verb: &str,
+    ) -> Result<(), String> {
         if node == 0 {
-            return Err("the master node (0) cannot leave or join in this model".into());
+            return Err(format!(
+                "the master node (0) cannot {master_verb} in this model"
+            ));
         }
         if node >= self.world.cfg.nodes {
             return Err(format!(
@@ -854,11 +856,10 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
         }
         if at < self.sim.now() {
             return Err(format!(
-                "join time {at} is in the past (virtual time is {})",
+                "{what} time {at} is in the past (virtual time is {})",
                 self.sim.now()
             ));
         }
-        self.sim.schedule_at(at, Event::Join { n: node });
         Ok(())
     }
 

@@ -176,6 +176,46 @@ pub fn __field<T: Deserialize>(content: &Content, name: &str, ty: &str) -> Resul
     T::from_content(&Content::Null).map_err(|_| DeError::missing_field(name, ty))
 }
 
+/// Derive-macro helper for a defaulted field: `None` when the key is absent
+/// or `null`, so the caller fills in the default.
+pub fn __default_field<T: Deserialize>(
+    content: &Content,
+    name: &str,
+    ty: &str,
+) -> Result<Option<T>, DeError> {
+    let map = content
+        .as_map()
+        .ok_or_else(|| DeError::expected("map", ty, content))?;
+    match map.iter().find(|(k, _)| k.as_str() == Some(name)) {
+        None | Some((_, Content::Null)) => Ok(None),
+        Some((_, v)) => T::from_content(v).map(Some),
+    }
+}
+
+/// Derive-macro helper for `deny_unknown_fields`: every key of the map must
+/// be one of `known`, so a typo fails loudly instead of running the default.
+pub fn __deny_unknown_fields(content: &Content, known: &[&str], ty: &str) -> Result<(), DeError> {
+    let map = content
+        .as_map()
+        .ok_or_else(|| DeError::expected("map", ty, content))?;
+    for (k, _) in map {
+        let Some(k) = k.as_str() else {
+            return Err(DeError::custom(format!("non-string key in `{ty}`")));
+        };
+        if !known.contains(&k) {
+            return Err(DeError::custom(format!("unknown field `{k}` in `{ty}`")));
+        }
+    }
+    Ok(())
+}
+
+/// Any value decodes as its own content tree (the shim's `serde_json::Value`).
+impl Deserialize for Content {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        Ok(c.clone())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Primitive and std-container impls.
 

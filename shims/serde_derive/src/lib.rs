@@ -4,21 +4,58 @@
 //! No `syn`/`quote` — the type definition is parsed directly from the
 //! `proc_macro::TokenStream`. Supported shapes are exactly the ones used in
 //! this workspace: non-generic structs (named, tuple, unit) and enums with
-//! unit / tuple / struct variants, externally tagged. `#[serde(...)]` field
-//! attributes are not supported and generics are rejected with a clear
-//! panic at expansion time.
+//! unit / tuple / struct variants, externally tagged. Generics are rejected
+//! with a clear panic at expansion time.
+//!
+//! Supported `#[serde(...)]` attributes, with real serde's meaning:
+//!
+//! - container `default` (the type implements `Default`): a missing field
+//!   takes its value from `Default::default()`;
+//! - field `default` / `default = "path"`: a missing field takes
+//!   `Default::default()` / `path()`;
+//! - container `deny_unknown_fields`: a key that names no field fails with
+//!   "unknown field `k` in `Ty`" (a non-string key with "non-string key in
+//!   `Ty`");
+//! - enum `tag = "..."`: internally tagged — `{"<tag>": "<variant>", ...
+//!   fields}`; unit and struct variants only;
+//! - enum `rename_all = "lowercase"`: variant names are lowercased;
+//! - `transparent` on a one-field struct: the struct is its field.
+//!
+//! Two rules differ from real serde. A defaulted field also takes its
+//! default when its key is present with `null`, and an `Option` field with
+//! no attribute is `None` when its key is absent. Fields serialize in
+//! declaration order.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Debug)]
 struct TypeDef {
     name: String,
+    attrs: Attrs,
     kind: Kind,
+}
+
+/// The `#[serde(...)]` items of one container or field.
+#[derive(Debug, Default)]
+struct Attrs {
+    /// `Some(None)` for `default`, `Some(Some(path))` for `default = "path"`.
+    default: Option<Option<String>>,
+    deny_unknown_fields: bool,
+    tag: Option<String>,
+    /// `rename_all = "lowercase"`, the one renaming rule supported.
+    lowercase: bool,
+    transparent: bool,
+}
+
+#[derive(Debug)]
+struct Field {
+    name: String,
+    default: Option<Option<String>>,
 }
 
 #[derive(Debug)]
 enum Kind {
-    NamedStruct(Vec<String>),
+    NamedStruct(Vec<Field>),
     TupleStruct(usize),
     UnitStruct,
     Enum(Vec<Variant>),
@@ -34,7 +71,7 @@ struct Variant {
 enum Shape {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
 }
 
 /// Split a token list on commas at angle-bracket depth zero. (Commas inside
@@ -62,13 +99,48 @@ fn split_commas(tokens: Vec<TokenTree>) -> Vec<Vec<TokenTree>> {
     out
 }
 
-/// Drop leading `#[...]` attributes and `pub` / `pub(...)` visibility.
-fn skip_attrs_and_vis(tokens: &[TokenTree]) -> &[TokenTree] {
+/// Parse the items of one `#[serde(...)]` list into `attrs`.
+fn parse_serde_items(list: TokenStream, attrs: &mut Attrs) {
+    for item in split_commas(list.into_iter().collect()) {
+        let key = match item.first() {
+            Some(TokenTree::Ident(id)) => id.to_string(),
+            other => panic!("serde_derive shim: malformed #[serde] item {other:?}"),
+        };
+        let value = match item.as_slice() {
+            [_] => None,
+            [_, TokenTree::Punct(eq), TokenTree::Literal(lit)] if eq.as_char() == '=' => {
+                Some(lit.to_string().trim_matches('"').to_string())
+            }
+            _ => panic!("serde_derive shim: malformed #[serde({key} ...)]"),
+        };
+        match (key.as_str(), value) {
+            ("default", path) => attrs.default = Some(path),
+            ("deny_unknown_fields", None) => attrs.deny_unknown_fields = true,
+            ("transparent", None) => attrs.transparent = true,
+            ("tag", Some(tag)) => attrs.tag = Some(tag),
+            ("rename_all", Some(rule)) if rule == "lowercase" => attrs.lowercase = true,
+            (key, _) => panic!("serde_derive shim: unsupported attribute #[serde({key} ...)]"),
+        }
+    }
+}
+
+/// Collect the leading `#[serde(...)]` attributes, skip every other `#[...]`
+/// attribute and `pub` / `pub(...)` visibility, and return the rest.
+fn take_attrs(tokens: &[TokenTree]) -> (Attrs, &[TokenTree]) {
+    let mut attrs = Attrs::default();
     let mut i = 0;
     loop {
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 // `#` then the bracketed attribute group.
+                if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
+                    let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+                    if let [TokenTree::Ident(id), TokenTree::Group(list)] = inner.as_slice() {
+                        if id.to_string() == "serde" {
+                            parse_serde_items(list.stream(), &mut attrs);
+                        }
+                    }
+                }
                 i += 2;
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
@@ -79,20 +151,27 @@ fn skip_attrs_and_vis(tokens: &[TokenTree]) -> &[TokenTree] {
                     }
                 }
             }
-            _ => return &tokens[i..],
+            _ => return (attrs, &tokens[i..]),
         }
     }
 }
 
-fn named_fields(group_tokens: Vec<TokenTree>) -> Vec<String> {
+fn named_fields(group_tokens: Vec<TokenTree>) -> Vec<Field> {
     split_commas(group_tokens)
         .into_iter()
         .filter_map(|chunk| {
-            let chunk = skip_attrs_and_vis(&chunk);
-            match chunk.first() {
-                Some(TokenTree::Ident(id)) => Some(id.to_string()),
-                _ => None,
+            let (attrs, chunk) = take_attrs(&chunk);
+            let name = match chunk.first() {
+                Some(TokenTree::Ident(id)) => id.to_string(),
+                _ => return None,
+            };
+            if attrs.deny_unknown_fields || attrs.transparent || attrs.tag.is_some() {
+                panic!("serde_derive shim: field `{name}` takes only #[serde(default)]");
             }
+            Some(Field {
+                name,
+                default: attrs.default,
+            })
         })
         .collect()
 }
@@ -100,13 +179,13 @@ fn named_fields(group_tokens: Vec<TokenTree>) -> Vec<String> {
 fn tuple_arity(group_tokens: Vec<TokenTree>) -> usize {
     split_commas(group_tokens)
         .into_iter()
-        .filter(|c| !skip_attrs_and_vis(c).is_empty())
+        .filter(|c| !take_attrs(c).1.is_empty())
         .count()
 }
 
 fn parse_def(input: TokenStream) -> TypeDef {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let tokens = skip_attrs_and_vis(&tokens);
+    let (attrs, tokens) = take_attrs(&tokens);
     let mut it = tokens.iter();
     let keyword = loop {
         match it.next() {
@@ -138,7 +217,7 @@ fn parse_def(input: TokenStream) -> TypeDef {
         let variants = split_commas(body.into_iter().collect())
             .into_iter()
             .filter_map(|chunk| {
-                let chunk = skip_attrs_and_vis(&chunk);
+                let (_, chunk) = take_attrs(&chunk);
                 let vname = match chunk.first() {
                     Some(TokenTree::Ident(id)) => id.to_string(),
                     _ => return None,
@@ -168,10 +247,63 @@ fn parse_def(input: TokenStream) -> TypeDef {
             other => panic!("serde_derive shim: unsupported struct body {other:?}"),
         }
     };
-    TypeDef { name, kind }
+    let def = TypeDef { name, attrs, kind };
+    def.check_attrs();
+    def
 }
 
-#[proc_macro_derive(Serialize)]
+impl TypeDef {
+    /// Reject container attributes on shapes they do not apply to.
+    fn check_attrs(&self) {
+        let a = &self.attrs;
+        let ok = match &self.kind {
+            Kind::NamedStruct(fields) => {
+                a.tag.is_none()
+                    && !a.lowercase
+                    && !matches!(a.default, Some(Some(_)))
+                    && (!a.transparent || fields.len() == 1)
+            }
+            Kind::TupleStruct(n) => {
+                a.default.is_none()
+                    && !a.deny_unknown_fields
+                    && a.tag.is_none()
+                    && !a.lowercase
+                    && (!a.transparent || *n == 1)
+            }
+            Kind::UnitStruct => a.default.is_none() && !a.deny_unknown_fields && !a.transparent,
+            Kind::Enum(variants) => {
+                a.default.is_none()
+                    && !a.transparent
+                    && match a.tag {
+                        Some(_) => variants.iter().all(|v| !matches!(v.shape, Shape::Tuple(_))),
+                        None => !a.deny_unknown_fields,
+                    }
+            }
+        };
+        if !ok {
+            panic!(
+                "serde_derive shim: the #[serde(...)] attributes of `{}` do not fit its shape",
+                self.name
+            );
+        }
+    }
+
+    /// The JSON name of variant `vn`.
+    fn variant_name(&self, vn: &str) -> String {
+        if self.attrs.lowercase {
+            vn.to_lowercase()
+        } else {
+            vn.to_string()
+        }
+    }
+}
+
+/// `(Content::Str("key"), value)` — one serialized map entry.
+fn entry(key: &str, value: &str) -> String {
+    format!("(::serde::Content::Str(String::from(\"{key}\")), {value})")
+}
+
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let def = parse_def(input);
     let name = &def.name;
@@ -184,14 +316,15 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                 .collect();
             format!("::serde::Content::Seq(vec![{}])", items.join(", "))
         }
+        Kind::NamedStruct(fields) if def.attrs.transparent => {
+            format!("::serde::Serialize::to_content(&self.{})", fields[0].name)
+        }
         Kind::NamedStruct(fields) => {
             let items: Vec<String> = fields
                 .iter()
                 .map(|f| {
-                    format!(
-                        "(::serde::Content::Str(String::from(\"{f}\")), \
-                         ::serde::Serialize::to_content(&self.{f}))"
-                    )
+                    let f = &f.name;
+                    entry(f, &format!("::serde::Serialize::to_content(&self.{f})"))
                 })
                 .collect();
             format!("::serde::Content::Map(vec![{}])", items.join(", "))
@@ -200,48 +333,48 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
-                    let vn = &v.name;
-                    match &v.shape {
-                        Shape::Unit => format!(
-                            "{name}::{vn} => ::serde::Content::Str(String::from(\"{vn}\")),"
-                        ),
-                        Shape::Tuple(1) => format!(
-                            "{name}::{vn}(__f0) => ::serde::Content::Map(vec![(\
-                             ::serde::Content::Str(String::from(\"{vn}\")), \
-                             ::serde::Serialize::to_content(__f0))]),"
-                        ),
+                    let (vn, json) = (&v.name, def.variant_name(&v.name));
+                    let json_str = format!("::serde::Content::Str(String::from(\"{json}\"))");
+                    let (pattern, fields) = match &v.shape {
+                        Shape::Unit => (String::new(), Vec::new()),
                         Shape::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Serialize::to_content(__f{i})"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({}) => ::serde::Content::Map(vec![(\
-                                 ::serde::Content::Str(String::from(\"{vn}\")), \
-                                 ::serde::Content::Seq(vec![{}]))]),",
-                                binds.join(", "),
-                                items.join(", ")
-                            )
+                            (format!("({})", binds.join(", ")), binds)
                         }
                         Shape::Named(fields) => {
-                            let binds = fields.join(", ");
-                            let items: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(::serde::Content::Str(String::from(\"{f}\")), \
-                                         ::serde::Serialize::to_content({f}))"
-                                    )
-                                })
-                                .collect();
+                            let binds: Vec<String> =
+                                fields.iter().map(|f| f.name.clone()).collect();
+                            (format!(" {{ {} }}", binds.join(", ")), binds)
+                        }
+                    };
+                    let value = |f: &String| format!("::serde::Serialize::to_content({f})");
+                    let entries =
+                        || -> Vec<String> { fields.iter().map(|f| entry(f, &value(f))).collect() };
+                    let content = match (&def.attrs.tag, &v.shape) {
+                        (Some(tag), _) => {
+                            let mut items = vec![entry(tag, &json_str)];
+                            items.extend(entries());
+                            format!("::serde::Content::Map(vec![{}])", items.join(", "))
+                        }
+                        (None, Shape::Unit) => json_str,
+                        (None, Shape::Tuple(1)) => {
                             format!(
-                                "{name}::{vn} {{ {binds} }} => ::serde::Content::Map(vec![(\
-                                 ::serde::Content::Str(String::from(\"{vn}\")), \
-                                 ::serde::Content::Map(vec![{}]))]),",
-                                items.join(", ")
+                                "::serde::Content::Map(vec![{}])",
+                                entry(&json, &value(&fields[0]))
                             )
                         }
-                    }
+                        (None, Shape::Tuple(_)) => {
+                            let items: Vec<String> = fields.iter().map(value).collect();
+                            let seq = format!("::serde::Content::Seq(vec![{}])", items.join(", "));
+                            format!("::serde::Content::Map(vec![{}])", entry(&json, &seq))
+                        }
+                        (None, Shape::Named(_)) => {
+                            let map =
+                                format!("::serde::Content::Map(vec![{}])", entries().join(", "));
+                            format!("::serde::Content::Map(vec![{}])", entry(&json, &map))
+                        }
+                    };
+                    format!("{name}::{vn}{pattern} => {content},")
                 })
                 .collect();
             format!("match self {{ {} }}", arms.join("\n"))
@@ -256,7 +389,48 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde_derive shim: generated Serialize impl must parse")
 }
 
-#[proc_macro_derive(Deserialize)]
+/// The body that decodes map `__c` into `ctor { fields }` under the
+/// container's `attrs`: with `deny_unknown_fields`, keys other than the
+/// fields (and an enum's tag) are rejected; a missing field is filled from
+/// its own attribute or, under a container `default`, from `__d`.
+fn named_from_map(ctor: &str, ty: &str, fields: &[Field], attrs: &Attrs) -> String {
+    let container_default = attrs.default.is_some();
+    let mut out = String::from("{ ");
+    if attrs.deny_unknown_fields {
+        let known: Vec<String> = (attrs.tag.iter().map(String::as_str))
+            .chain(fields.iter().map(|f| f.name.as_str()))
+            .map(|k| format!("\"{k}\""))
+            .collect();
+        out += &format!(
+            "::serde::__deny_unknown_fields(__c, &[{}], \"{ty}\")?; ",
+            known.join(", ")
+        );
+    }
+    if container_default && fields.iter().any(|f| f.default.is_none()) {
+        out += &format!("let __d = <{ctor} as ::std::default::Default>::default(); ");
+    }
+    let items: Vec<String> = fields
+        .iter()
+        .map(|f| {
+            let n = &f.name;
+            let present = format!("::serde::__default_field(__c, \"{n}\", \"{ty}\")?");
+            match &f.default {
+                Some(None) => format!("{n}: {present}.unwrap_or_default(),"),
+                Some(Some(path)) => format!("{n}: {present}.unwrap_or_else({path}),"),
+                None if container_default => format!("{n}: {present}.unwrap_or(__d.{n}),"),
+                None => format!("{n}: ::serde::__field(__c, \"{n}\", \"{ty}\")?,"),
+            }
+        })
+        .collect();
+    if items.is_empty() {
+        out += &format!("Ok({ctor}) }}");
+    } else {
+        out += &format!("Ok({ctor} {{ {} }}) }}", items.join("\n"));
+    }
+    out
+}
+
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let def = parse_def(input);
     let name = &def.name;
@@ -278,27 +452,55 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                 items.join(", ")
             )
         }
-        Kind::NamedStruct(fields) => {
-            let items: Vec<String> = fields
+        Kind::NamedStruct(fields) if def.attrs.transparent => format!(
+            "Ok({name} {{ {}: ::serde::Deserialize::from_content(__c)? }})",
+            fields[0].name
+        ),
+        Kind::NamedStruct(fields) => named_from_map(name, name, fields, &def.attrs),
+        Kind::Enum(variants) if def.attrs.tag.is_some() => {
+            let arms: Vec<String> = variants
                 .iter()
-                .map(|f| format!("{f}: ::serde::__field(__c, \"{f}\", \"{name}\")?,"))
+                .map(|v| {
+                    let fields: &[Field] = match &v.shape {
+                        Shape::Named(fields) => fields,
+                        _ => &[],
+                    };
+                    let ctor = format!("{name}::{}", v.name);
+                    let decode = named_from_map(&ctor, name, fields, &def.attrs);
+                    format!("\"{}\" => {decode},", def.variant_name(&v.name))
+                })
                 .collect();
-            format!("Ok({name} {{ {} }})", items.join("\n"))
+            format!(
+                "{{ let __tag: String = ::serde::__field(__c, \"{}\", \"{name}\")?;\n\
+                 match __tag.as_str() {{\n\
+                 {}\n\
+                 __other => Err(::serde::DeError::unknown_variant(__other, \"{name}\")),\n\
+                 }} }}",
+                def.attrs.tag.as_deref().unwrap_or_default(),
+                arms.join("\n")
+            )
         }
         Kind::Enum(variants) => {
             let unit_arms: Vec<String> = variants
                 .iter()
                 .filter(|v| matches!(v.shape, Shape::Unit))
-                .map(|v| format!("\"{0}\" => Ok({name}::{0}),", v.name))
+                .map(|v| {
+                    format!(
+                        "\"{}\" => Ok({name}::{}),",
+                        def.variant_name(&v.name),
+                        v.name
+                    )
+                })
                 .collect();
             let data_arms: Vec<String> = variants
                 .iter()
                 .filter_map(|v| {
                     let vn = &v.name;
+                    let json = def.variant_name(vn);
                     match &v.shape {
                         Shape::Unit => None,
                         Shape::Tuple(1) => Some(format!(
-                            "\"{vn}\" => Ok({name}::{vn}(\
+                            "\"{json}\" => Ok({name}::{vn}(\
                              ::serde::Deserialize::from_content(__payload)?)),"
                         )),
                         Shape::Tuple(n) => {
@@ -308,7 +510,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                                 })
                                 .collect();
                             Some(format!(
-                                "\"{vn}\" => {{ let __seq = __payload.as_seq().ok_or_else(|| \
+                                "\"{json}\" => {{ let __seq = __payload.as_seq().ok_or_else(|| \
                                  ::serde::DeError::expected(\"sequence\", \"{name}::{vn}\", __payload))?;\n\
                                  if __seq.len() != {n} {{ return Err(::serde::DeError::custom(\
                                  format!(\"expected {n} elements for {name}::{vn}, got {{}}\", __seq.len()))); }}\n\
@@ -316,21 +518,13 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                                 items.join(", ")
                             ))
                         }
-                        Shape::Named(fields) => {
-                            let items: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "{f}: ::serde::__field(__payload, \"{f}\", \
-                                         \"{name}::{vn}\")?,"
-                                    )
-                                })
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => Ok({name}::{vn} {{ {} }}),",
-                                items.join("\n")
-                            ))
-                        }
+                        Shape::Named(fields) => Some(format!(
+                            "\"{json}\" => {{ let __c = __payload; {} }},",
+                            {
+                                let ctor = format!("{name}::{vn}");
+                                named_from_map(&ctor, &ctor, fields, &def.attrs)
+                            }
+                        )),
                     }
                 })
                 .collect();

@@ -142,47 +142,34 @@ fn main() {
         let mut value = |flag: &str| {
             args.next()
                 .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} requires a positive integer value");
-                    std::process::exit(2);
-                })
+                .filter(|&v| v > 0)
+                .unwrap_or_else(|| cli::fail(&format!("{flag} requires a positive integer value")))
         };
         match a.as_str() {
-            "--levels" => levels = value("--levels").max(1),
-            "--seeds" => seeds = value("--seeds").max(1),
+            "--levels" => levels = value("--levels"),
+            "--seeds" => seeds = value("--seeds"),
             "--no-orphan-reuse" => orphan_reuse = false,
-            other => {
-                eprintln!(
-                    "unknown argument `{other}` \
-                     (chaos takes --levels N, --seeds N, --no-orphan-reuse)"
-                );
-                std::process::exit(2);
-            }
+            other => cli::fail(&format!(
+                "unknown argument `{other}` \
+                 (chaos takes --levels N, --seeds N, --no-orphan-reuse)"
+            )),
         }
     }
 
     // `--scenario` selects the base the chaos plans are layered onto; its
     // own fault plan (if any) is dropped in favor of the generated ones.
     let mut base = match &common.scenario {
-        Some(path) => match Scenario::load(path) {
-            Ok(sc) => sc,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
+        Some(path) => Scenario::load(path).unwrap_or_else(|e| cli::fail(&e)),
         None => default_base(),
     };
     base.faults = None;
     base = cli::apply_overrides(base, &common).with_orphan_reuse(orphan_reuse);
     if let Err(e) = base.validate() {
-        eprintln!("invalid base scenario: {e}");
-        std::process::exit(2);
+        cli::fail(&format!("invalid base scenario: {e}"));
     }
     let nodes = base.nodes.len();
     if nodes < 2 {
-        eprintln!("chaos needs at least 2 nodes (workers must be crashable)");
-        std::process::exit(2);
+        cli::fail("chaos needs at least 2 nodes (workers must be crashable)");
     }
 
     // Level 0: the fault-free baseline, run first — it is both the curve's

@@ -13,6 +13,7 @@
 //! `--jobs 4` therefore produces byte-identical stdout and files to
 //! `--jobs 1` (covered by `tests/sweep_determinism.rs`).
 
+use crate::cli;
 use cashmere_des::obs::prof;
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -31,11 +32,8 @@ pub fn jobs_from_args(args: Vec<String>) -> (usize, Vec<String>) {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         let value = if a == "--jobs" {
-            let Some(v) = it.next() else {
-                eprintln!("--jobs requires a worker count (e.g. --jobs 4)");
-                std::process::exit(2);
-            };
-            Some(v)
+            let missing = || cli::fail("--jobs requires a worker count (e.g. --jobs 4)");
+            Some(it.next().unwrap_or_else(missing))
         } else if let Some(v) = a.strip_prefix("--jobs=") {
             Some(v.to_string())
         } else {
@@ -45,10 +43,7 @@ pub fn jobs_from_args(args: Vec<String>) -> (usize, Vec<String>) {
         if let Some(v) = value {
             match v.parse::<usize>() {
                 Ok(n) if n > 0 => jobs = Some(n),
-                _ => {
-                    eprintln!("--jobs expects a positive integer, got `{v}`");
-                    std::process::exit(2);
-                }
+                _ => cli::fail(&format!("--jobs expects a positive integer, got `{v}`")),
             }
         }
     }

@@ -244,6 +244,23 @@ fn chaos_observability_flags_write_labelled_files() {
     }
 }
 
+/// `chaos --levels 0` and `--seeds 0` are bad input: exit 2 with the
+/// message, instead of running one level or seed.
+#[test]
+fn chaos_rejects_zero_levels_and_seeds() {
+    for flag in ["--levels", "--seeds"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
+            .args([flag, "0", "--dump-scenario"])
+            .output()
+            .expect("chaos binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} 0");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("{flag} requires a positive integer value\n")
+        );
+    }
+}
+
 /// `--probe` without `--probe-out` keeps the spec's declared
 /// `outputs.probe_out`; `probes.csv` is only the default when neither
 /// names a path.

@@ -41,6 +41,27 @@
 //! Events carry the job generation, node incarnation or steal token they
 //! were scheduled under, so a handler recognises itself as stale after a
 //! crash or a resolved steal.
+//!
+//! ## Ownership
+//!
+//! Each job record has one `Holder`, written only by `World::hold`. A
+//! crash of node *n* restarts every job whose holder names *n* (a
+//! `Transfer` by its victim) or whose record lives on *n*:
+//!
+//! | holder | the job is | set by |
+//! |---|---|---|
+//! | `Deque(n)` | queued: its one live entry is in `n`'s deque | `enqueue`: a new job, a steal's end, a crash restart |
+//! | `Transfer { from }` | stolen from `from`: its input is on the wire to the thief | `handle_steal_request` |
+//! | `Running(n)` | started: its divide or leaf holds a core on `n`, or a reused result is on its way | `start_job` |
+//! | `Divided(n)` | divided on `n`: waiting for its children, then combining | `finish_divide` |
+//! | `Owed { from }` | done: node `from` sent its result, which the parent has not taken | `deliver` |
+//! | `Acked` | done: the parent took its result, or it is a finished root | `receive_child`, `deliver` |
+//! | `Lost` | discarded by a crash: a re-executed ancestor supersedes it | `crash` |
+//!
+//! A node's steal retry, its open steal attempt's timeout and the flight
+//! recorder's probe each sit in a `Timer` slot, the only code that cancels
+//! events. Debug builds check ownership after every event
+//! (`World::check_ownership`).
 
 use super::steal::StealKind;
 use crate::sim::app::{ClusterApp, DcStep, LeafCtx, LeafRuntime};
@@ -49,7 +70,7 @@ use cashmere_des::fault::{FaultInjector, FaultPlan, MessageFate};
 use cashmere_des::obs::{prof, MetricsRegistry, ProbeSeries};
 use cashmere_des::rng::StreamRng;
 use cashmere_des::trace::{LaneId, SpanId, SpanKind, Trace};
-use cashmere_des::{Handler, Sim, SimTime};
+use cashmere_des::{EventHandle, Handler, Sim, SimTime};
 use cashmere_netsim::nic::{schedule_transfer, NodeNic, Transfer};
 use cashmere_netsim::NetConfig;
 use std::collections::{HashMap, VecDeque};
@@ -129,15 +150,33 @@ impl Default for SimConfig {
 /// CPU time to divide a job (spawning is cheap but not free).
 const DIVIDE_COST: SimTime = SimTime::from_micros(5);
 
+/// Who holds a job: the one record of its ownership, changed only by
+/// [`World::hold`]. The module doc's ownership table gives each variant's
+/// meaning and the sites that set it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobState {
-    Queued,
-    Running,
-    /// Divided; waiting for children.
-    Waiting,
-    Done,
-    /// Discarded after a crash; superseded by a re-executed ancestor.
+enum Holder {
+    Deque(usize),
+    Transfer { from: usize },
+    Running(usize),
+    Divided(usize),
+    Owed { from: usize },
+    Acked,
     Lost,
+}
+
+impl Holder {
+    /// The node whose crash takes the job down: where it is queued, runs
+    /// or divided, or the victim it is being stolen from. `None` once the
+    /// job is done or lost.
+    fn node(self) -> Option<usize> {
+        match self {
+            Holder::Deque(n)
+            | Holder::Running(n)
+            | Holder::Divided(n)
+            | Holder::Transfer { from: n } => Some(n),
+            Holder::Owed { .. } | Holder::Acked | Holder::Lost => None,
+        }
+    }
 }
 
 struct JobRec<A: ClusterApp> {
@@ -145,10 +184,7 @@ struct JobRec<A: ClusterApp> {
     parent: Option<(usize, usize)>,
     /// Node where this job's record lives (its parent's combine runs here).
     home_node: usize,
-    /// Node currently assigned to execute the job.
-    exec_node: usize,
-    state: JobState,
-    pending: usize,
+    holder: Holder,
     /// Records of the current division's children. [`World::new_job`]
     /// hands out consecutive ids, so a division is a range.
     children: Range<usize>,
@@ -208,14 +244,6 @@ struct TaskDeque {
 }
 
 impl TaskDeque {
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     fn push(&mut self, task: Task, capped: bool) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -268,21 +296,54 @@ impl TaskDeque {
     }
 }
 
+/// A slot for one pending timer event; the only place events are cancelled.
+#[derive(Default)]
+struct Timer(Option<EventHandle>);
+
+impl Timer {
+    /// Schedule `event` at `at` into the slot. A previous event still
+    /// pending is not cancelled: it stays live, but the slot forgets it.
+    fn arm<E>(&mut self, sim: &mut Sim<E>, at: SimTime, event: E) {
+        self.0 = Some(sim.schedule_at(at, event));
+    }
+
+    /// Cancel the pending event, if any.
+    fn cancel<E>(&mut self, sim: &mut Sim<E>) {
+        if let Some(h) = self.0.take() {
+            sim.cancel(h);
+        }
+    }
+
+    /// The slot's event fired (or a stale one did): forget the handle.
+    fn fired(&mut self) {
+        self.0 = None;
+    }
+}
+
+/// A thief's open steal attempt.
+struct Attempt {
+    /// Names the attempt in its in-flight events, which ignore themselves
+    /// once it has closed.
+    token: u64,
+    /// When it was initiated (steal RTT metric).
+    started: SimTime,
+    /// Abandons the attempt if no answer arrives (armed only under an
+    /// active fault plan).
+    timeout: Timer,
+}
+
 struct NodeState {
     deque: TaskDeque,
     busy_cores: usize,
     running_leaves: usize,
-    stealing: bool,
+    /// The open steal attempt, if any.
+    attempt: Option<Attempt>,
     steal_failures: u32,
-    /// Bumped whenever an outstanding steal attempt resolves (success,
-    /// refusal, timeout, crash). In-flight timeout and arrival events
-    /// capture the value at initiation and ignore themselves when stale.
+    /// Tokens handed out to this node's steal attempts so far.
     steal_seq: u64,
-    /// Pending steal-retry event, cancelled when the run completes so that
+    /// Pending steal retry, cancelled when the run completes so that
     /// trailing no-op polls do not advance the clock past the real finish.
-    retry_event: Option<cashmere_des::EventHandle>,
-    /// Pending steal-timeout event (armed only under an active fault plan).
-    steal_timeout_event: Option<cashmere_des::EventHandle>,
+    retry: Timer,
     alive: bool,
     /// Bumped every time the node crashes. Events scheduled by a previous
     /// incarnation (leaf completions, combines, in-flight steals)
@@ -293,8 +354,25 @@ struct NodeState {
     tick_scheduled: bool,
     cpu_lane: LaneId,
     net_lane: LaneId,
-    /// When the outstanding steal attempt was initiated (steal RTT metric).
-    steal_started: SimTime,
+}
+
+impl NodeState {
+    /// The open steal attempt, if any, is over (success, refusal, crash or
+    /// root completion): close it and disarm its timeout. In-flight events
+    /// carrying its token are stale from now on.
+    fn close_attempt<E>(&mut self, sim: &mut Sim<E>) {
+        if let Some(mut a) = self.attempt.take() {
+            a.timeout.cancel(sim);
+        }
+    }
+
+    /// The open attempt's request was answered: its timeout no longer
+    /// applies.
+    fn disarm_steal_timeout<E>(&mut self, sim: &mut Sim<E>) {
+        if let Some(a) = &mut self.attempt {
+            a.timeout.cancel(sim);
+        }
+    }
 }
 
 /// A salvaged orphan result in the global result table: the output of a
@@ -304,7 +382,7 @@ struct OrphanEntry<O> {
     output: O,
     /// Node physically holding the result; fetching it from elsewhere is
     /// charged as a network transfer.
-    holder: usize,
+    node: usize,
     bytes: u64,
 }
 
@@ -334,7 +412,7 @@ struct World<A: ClusterApp, L: LeafRuntime<A>> {
     /// results keyed by tree path. Divides are deterministic, so a
     /// re-executed tree is isomorphic to the lost one and the path (child
     /// indices from the root) identifies "the same job" across re-execution.
-    /// The map is only ever probed by key and purged by holder — iteration
+    /// The map is only ever probed by key and purged by node — iteration
     /// order is never observed, so determinism holds.
     orphans: HashMap<Vec<u32>, OrphanEntry<A::Output>>,
     /// Crash-restarted subtree roots not yet re-completed; drives
@@ -345,14 +423,18 @@ struct World<A: ClusterApp, L: LeafRuntime<A>> {
     recovering_since: Option<SimTime>,
     /// Flight-recorder series (`Some` iff `cfg.probe_interval` is set).
     probe: Option<ProbeSeries>,
-    /// Pending probe event, cancelled at root completion so sampling never
+    /// Pending probe, cancelled at root completion so sampling never
     /// advances the clock past the real finish.
-    probe_event: Option<cashmere_des::EventHandle>,
+    probe_timer: Timer,
     report: RunReport,
     /// Gantt spans and metrics of the run; both record only when
     /// `cfg.trace` is set.
     trace: Trace,
     metrics: MetricsRegistry,
+    /// Jobs handed to a new holder during the current event, checked when
+    /// it ends ([`World::check_event`]).
+    #[cfg(debug_assertions)]
+    touched: Vec<usize>,
 }
 
 impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
@@ -383,6 +465,20 @@ impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
         self.nodes[n].alive && self.nodes[n].incarnation == inc
     }
 
+    /// Hand job `j` to `holder`.
+    fn hold(&mut self, j: usize, holder: Holder) {
+        self.jobs[j].holder = holder;
+        #[cfg(debug_assertions)]
+        self.touched.push(j);
+    }
+
+    /// Whether every child of job `p`'s division has handed it its result.
+    fn children_done(&self, p: usize) -> bool {
+        let mut children = self.jobs[p].children.clone();
+        children.all(|c| self.jobs[c].holder == Holder::Acked)
+    }
+
+    /// Create a job and queue it on its `home` node.
     fn new_job(&mut self, input: A::Input, parent: Option<(usize, usize)>, home: usize) -> usize {
         // Records are kept for the lifetime of the simulation (inputs and
         // outputs are dropped on completion, bookkeeping stays): iterative
@@ -394,9 +490,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
             input: Some(input),
             parent,
             home_node: home,
-            exec_node: home,
-            state: JobState::Queued,
-            pending: 0,
+            holder: Holder::Deque(home),
             children: 0..0,
             delivered: None,
             generation: 0,
@@ -406,25 +500,22 @@ impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
             capped_entries: 0,
         });
         self.report[Counter::JobsCreated] += 1;
+        self.enqueue(home, id);
         id
     }
 
-    /// Queue `task` at the back of node `n`'s deque.
-    fn enqueue(&mut self, n: usize, task: Task) {
-        let capped = match task {
-            Task::Job(j) => {
-                let leaf = self.jobs[j]
-                    .input
-                    .as_ref()
-                    .is_some_and(|i| self.app.is_leaf(i));
-                if leaf {
-                    self.jobs[j].capped_entries += 1;
-                }
-                leaf
-            }
-            Task::Combine(_) => false,
-        };
-        self.nodes[n].deque.push(task, capped);
+    /// Queue job `j` on node `n`: its holder becomes its entry at the back
+    /// of `n`'s deque.
+    fn enqueue(&mut self, n: usize, j: usize) {
+        self.hold(j, Holder::Deque(n));
+        let leaf = self.jobs[j]
+            .input
+            .as_ref()
+            .is_some_and(|i| self.app.is_leaf(i));
+        if leaf {
+            self.jobs[j].capped_entries += 1;
+        }
+        self.nodes[n].deque.push(Task::Job(j), leaf);
     }
 
     /// Take the entry at `idx` out of node `n`'s deque.
@@ -459,6 +550,104 @@ impl<A: ClusterApp, L: LeafRuntime<A>> World<A, L> {
             }
         }
     }
+
+    /// Check the ownership invariants over the whole world:
+    /// - a `Deque(n)` job has exactly one entry in `n`'s deque;
+    /// - `Deque`, `Running` and `Divided` name a live node, and a
+    ///   `Transfer`'s victim is alive;
+    /// - a node with an open steal attempt, which owns the armed steal
+    ///   timeout, is alive, and the run is not done.
+    ///
+    /// Two invariants are left out because the engine breaks them today:
+    /// nothing re-executes a child whose result is `Owed` by a crashed
+    /// sender, and a node can have more than one live steal retry, since
+    /// [`Timer::arm`] does not cancel the retry it replaces.
+    #[cfg(any(debug_assertions, test))]
+    fn check_ownership(&self) -> Result<(), String> {
+        self.check_nodes()?;
+        let mut entries = vec![0u32; self.jobs.len()];
+        for (n, node) in self.nodes.iter().enumerate() {
+            for q in &node.deque.entries {
+                match q.task {
+                    Task::Job(j) if self.jobs[j].holder == Holder::Deque(n) => entries[j] += 1,
+                    _ => {}
+                }
+            }
+        }
+        for (j, &count) in entries.iter().enumerate() {
+            self.check_job(j, Some(count))?;
+        }
+        Ok(())
+    }
+
+    /// The check after one event: every node, but only the jobs the event
+    /// handed to a new holder. A crash or join changes which nodes are
+    /// alive and a finished root ends the run; those check everything.
+    #[cfg(debug_assertions)]
+    fn check_event(&mut self, full: bool) -> Result<(), String> {
+        let touched = std::mem::take(&mut self.touched);
+        if full {
+            return self.check_ownership();
+        }
+        self.check_nodes()?;
+        touched.iter().try_for_each(|&j| self.check_job(j, None))
+    }
+
+    /// Job `j`'s holder names a live node and, if it is queued, its deque
+    /// holds it once (`entries`, when already counted).
+    #[cfg(any(debug_assertions, test))]
+    fn check_job(&self, j: usize, entries: Option<u32>) -> Result<(), String> {
+        let holder = self.jobs[j].holder;
+        let Some(n) = holder.node() else {
+            return Ok(());
+        };
+        if !self.nodes[n].alive {
+            return Err(format!(
+                "job {j} is held by {holder:?}, but node {n} is down"
+            ));
+        }
+        if holder == Holder::Deque(n) {
+            let entries = entries.unwrap_or_else(|| {
+                let deque = &self.nodes[n].deque.entries;
+                deque
+                    .iter()
+                    .filter(|q| matches!(q.task, Task::Job(k) if k == j))
+                    .count() as u32
+            });
+            if entries != 1 {
+                return Err(format!(
+                    "job {j} is held by {holder:?}, but node {n}'s deque has {entries} entries for it"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// No node has an open steal attempt while it is down or once the run
+    /// is done.
+    #[cfg(any(debug_assertions, test))]
+    fn check_nodes(&self) -> Result<(), String> {
+        for (n, node) in self.nodes.iter().enumerate() {
+            let Some(a) = &node.attempt else {
+                continue;
+            };
+            let why = match (node.alive, self.done) {
+                (false, _) => "is down",
+                (true, true) => "finished its run",
+                (true, false) => continue,
+            };
+            let armed = if a.timeout.0.is_some() {
+                "an armed"
+            } else {
+                "no"
+            };
+            return Err(format!(
+                "node {n} {why}, but its steal attempt {} is open with {armed} timeout",
+                a.token
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// A task (a job's divide or leaf, or its combine) running on a node: the
@@ -483,6 +672,19 @@ struct ResultMsg<O> {
     idx: usize,
     pgen: u64,
     output: O,
+}
+
+/// Stolen job `j` (in generation `generation`) on the wire from `victim` to
+/// `thief` (in incarnation `thief_inc`) for steal attempt `token`; `lost`
+/// if the transfer dropped it.
+struct StolenJob {
+    victim: usize,
+    thief: usize,
+    j: usize,
+    token: u64,
+    generation: u64,
+    thief_inc: u64,
+    lost: bool,
 }
 
 /// The Satin layer's events (paper Sec. III-B; listed in the module doc),
@@ -520,17 +722,9 @@ enum Event<A: ClusterApp> {
     /// `thief` polls again. A retry after a refusal carries the attempt it
     /// resolves; one after a timeout or a no-victim poll carries none.
     StealRetry { thief: usize, token: Option<u64> },
-    /// The transfer of stolen job `j` from `victim` to `thief` ends: the job
-    /// arrives, or it was `lost` in transit.
-    StealTransfer {
-        victim: usize,
-        thief: usize,
-        j: usize,
-        token: u64,
-        generation: u64,
-        thief_inc: u64,
-        lost: bool,
-    },
+    /// A stolen job's transfer ends: the job arrives, or it was lost in
+    /// transit ([`finish_steal_transfer`]).
+    StealTransfer(StolenJob),
     /// The flight recorder samples cluster state.
     Probe,
     /// Node `n` crashes.
@@ -560,7 +754,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> Handler for World<A, L> {
             Event::Steal { .. } => "event::steal",
             Event::StealTimeout { .. } => "event::steal-timeout",
             Event::StealRetry { .. } => "event::steal-retry",
-            Event::StealTransfer { .. } => "event::steal-transfer",
+            Event::StealTransfer(_) => "event::steal-transfer",
             Event::Probe => "event::probe",
             Event::Crash { .. } => "event::crash",
             Event::Join { .. } => "event::join",
@@ -568,87 +762,90 @@ impl<A: ClusterApp, L: LeafRuntime<A>> Handler for World<A, L> {
         }
     }
 
+    /// Dispatch `ev`, then (debug builds) check ownership.
     fn handle(&mut self, ev: Event<A>, sim: &mut S<A>) {
-        let w = self;
-        match ev {
-            Event::Tick { n } => tick(w, sim, n),
-            Event::ProcessJob { exec, is_leaf } => process_job(w, sim, exec, is_leaf),
-            Event::FinishDivide { exec, children } => {
-                if task_live(w, sim, exec, false) {
-                    finish_divide(w, sim, exec.n, exec.j, children);
-                }
-            }
-            Event::LeafDone { exec, output } => {
-                let n = exec.n;
-                if !w.is_current(n, exec.inc) {
-                    return;
-                }
-                w.nodes[n].running_leaves -= 1;
-                release_core(w, sim, n);
-                deliver(w, sim, n, exec.j, output, exec.generation);
-            }
-            Event::Deliver {
-                n,
-                j,
-                output,
-                generation,
-            } => {
-                if w.nodes[n].alive {
-                    deliver(w, sim, n, j, output, generation);
-                }
-            }
-            Event::SendResult { msg, attempt } => send_result(w, sim, msg, attempt),
-            Event::ReceiveChild(msg) => {
-                if w.nodes[msg.home].alive {
-                    receive_child(w, sim, msg.p, msg.idx, msg.output, msg.pgen);
-                } else if w.cfg.orphan_reuse && !w.done && w.nodes[msg.n].alive {
-                    // The parent's node died while the result was in
-                    // flight; the sender still holds it.
-                    stash_result(w, msg);
-                }
-            }
-            Event::Combine(exec) => finish_combine(w, sim, exec),
-            Event::Steal { victim, thief } => handle_steal_request(w, sim, victim, thief),
-            Event::StealTimeout { thief, token } => steal_timeout(w, sim, thief, token),
-            Event::StealRetry { thief, token } => {
-                // Clears the handle even when it names a newer retry that is
-                // still pending.
-                w.nodes[thief].retry_event = None;
-                if let Some(token) = token {
-                    if w.nodes[thief].steal_seq == token && w.nodes[thief].stealing {
-                        resolve_steal(w, sim, thief);
-                    }
-                }
-                if !w.done && w.nodes[thief].alive {
-                    schedule_tick(w, sim, thief);
-                }
-            }
-            Event::StealTransfer {
-                victim,
-                thief,
-                j,
-                token,
-                generation,
-                thief_inc,
-                lost,
-            } => {
-                finish_steal_transfer(w, sim, victim, thief, j, token, generation, thief_inc, lost)
-            }
-            Event::Probe => {
-                w.probe_event = None;
-                if w.done {
-                    return;
-                }
-                sample_probe(w, sim.now());
-                if let Some(iv) = w.cfg.probe_interval {
-                    let at = sim.now() + iv;
-                    schedule_probe(w, sim, at);
-                }
-            }
-            Event::Crash { n } => crash(w, sim, n),
-            Event::Join { n } => join(w, sim, n),
-            Event::Broadcast => {}
+        #[cfg(debug_assertions)]
+        let (kind, membership, was_done) = (
+            Self::kind(&ev),
+            matches!(ev, Event::Crash { .. } | Event::Join { .. }),
+            self.done,
+        );
+        dispatch(self, ev, sim);
+        #[cfg(debug_assertions)]
+        if let Err(e) = self.check_event(membership || (self.done && !was_done)) {
+            panic!("ownership broken after {kind} at {}: {e}", sim.now());
         }
+    }
+}
+
+fn dispatch<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, ev: Event<A>, sim: &mut S<A>) {
+    match ev {
+        Event::Tick { n } => tick(w, sim, n),
+        Event::ProcessJob { exec, is_leaf } => process_job(w, sim, exec, is_leaf),
+        Event::FinishDivide { exec, children } => {
+            if task_live(w, sim, exec, false) {
+                finish_divide(w, sim, exec.n, exec.j, children);
+            }
+        }
+        Event::LeafDone { exec, output } => {
+            let n = exec.n;
+            if !w.is_current(n, exec.inc) {
+                return;
+            }
+            w.nodes[n].running_leaves -= 1;
+            release_core(w, sim, n);
+            deliver(w, sim, n, exec.j, output, exec.generation);
+        }
+        Event::Deliver {
+            n,
+            j,
+            output,
+            generation,
+        } => {
+            if w.nodes[n].alive {
+                deliver(w, sim, n, j, output, generation);
+            }
+        }
+        Event::SendResult { msg, attempt } => send_result(w, sim, msg, attempt),
+        Event::ReceiveChild(msg) => {
+            if w.nodes[msg.home].alive {
+                receive_child(w, sim, msg.p, msg.idx, msg.output, msg.pgen);
+            } else if w.cfg.orphan_reuse && !w.done && w.nodes[msg.n].alive {
+                // The parent's node died while the result was in
+                // flight; the sender still holds it.
+                stash_result(w, msg);
+            }
+        }
+        Event::Combine(exec) => finish_combine(w, sim, exec),
+        Event::Steal { victim, thief } => handle_steal_request(w, sim, victim, thief),
+        Event::StealTimeout { thief, token } => steal_timeout(w, sim, thief, token),
+        Event::StealRetry { thief, token } => {
+            // Clears the slot even when it names a newer retry that is
+            // still pending.
+            let node = &mut w.nodes[thief];
+            node.retry.fired();
+            if let Some(mut a) = node.attempt.take_if(|a| Some(a.token) == token) {
+                a.timeout.cancel(sim);
+            }
+            if !w.done && w.nodes[thief].alive {
+                schedule_tick(w, sim, thief);
+            }
+        }
+        Event::StealTransfer(stolen) => finish_steal_transfer(w, sim, stolen),
+        Event::Probe => {
+            w.probe_timer.fired();
+            if w.done {
+                return;
+            }
+            sample_probe(w, sim.now());
+            if let Some(iv) = w.cfg.probe_interval {
+                let at = sim.now() + iv;
+                w.probe_timer.arm(sim, at, Event::Probe);
+            }
+        }
+        Event::Crash { n } => crash(w, sim, n),
+        Event::Join { n } => join(w, sim, n),
+        Event::Broadcast => {}
     }
 }
 
@@ -694,17 +891,15 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
                 deque: TaskDeque::default(),
                 busy_cores: 0,
                 running_leaves: 0,
-                stealing: false,
+                attempt: None,
                 steal_failures: 0,
                 steal_seq: 0,
-                retry_event: None,
-                steal_timeout_event: None,
+                retry: Timer::default(),
                 alive: true,
                 incarnation: 0,
                 tick_scheduled: false,
                 cpu_lane: trace.add_lane(format!("node{n}.cpu")),
                 net_lane: trace.add_lane(format!("node{n}.net")),
-                steal_started: SimTime::ZERO,
             })
             .collect();
         let world = World {
@@ -725,11 +920,13 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
             recovery_outstanding: Vec::new(),
             recovering_since: None,
             probe: cfg.probe_interval.map(ProbeSeries::new),
-            probe_event: None,
+            probe_timer: Timer::default(),
             report: RunReport::new(cfg.nodes),
             trace,
             metrics,
             cfg,
+            #[cfg(debug_assertions)]
+            touched: Vec::new(),
         };
         let mut cs = ClusterSim {
             sim: Sim::new(),
@@ -875,9 +1072,7 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
         self.world.recovery_outstanding.clear();
         self.world.recovering_since = None;
         let start = self.sim.now();
-        let root = self.world.new_job(input, None, 0);
-        self.world.root_job = root;
-        self.world.enqueue(0, Task::Job(root));
+        self.world.root_job = self.world.new_job(input, None, 0);
         for n in 0..self.world.cfg.nodes {
             schedule_tick(&mut self.world, &mut self.sim, n);
         }
@@ -886,7 +1081,9 @@ impl<A: ClusterApp, L: LeafRuntime<A>> ClusterSim<A, L> {
             // interval), starting strictly after `start` so iterative
             // drivers never record a duplicate timestamp.
             let first = SimTime::from_nanos((start.as_nanos() / iv.as_nanos() + 1) * iv.as_nanos());
-            schedule_probe(&mut self.world, &mut self.sim, first);
+            self.world
+                .probe_timer
+                .arm(&mut self.sim, first, Event::Probe);
         }
         self.sim.run(&mut self.world);
         let out = self
@@ -944,16 +1141,6 @@ fn note_busy_cores<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &
     }
 }
 
-/// Arm the flight recorder's next firing at absolute time `at`.
-fn schedule_probe<A: ClusterApp, L: LeafRuntime<A>>(
-    w: &mut World<A, L>,
-    sim: &mut S<A>,
-    at: SimTime,
-) {
-    let h = sim.schedule_at(at, Event::Probe);
-    w.probe_event = Some(h);
-}
-
 /// Take one flight-recorder sample: strictly read-only over the world (no
 /// RNG, no state mutation outside the series itself), so probing cannot
 /// perturb the simulation. Column order is fixed by this function, which
@@ -962,8 +1149,8 @@ fn sample_probe<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, now: SimT
     let mut cols: Vec<(String, f64)> = Vec::with_capacity(16 + 2 * w.cfg.nodes);
     let alive = w.nodes.iter().filter(|n| n.alive).count();
     let busy: usize = w.nodes.iter().map(|n| n.busy_cores).sum();
-    let queued: usize = w.nodes.iter().map(|n| n.deque.len()).sum();
-    let stealing = w.nodes.iter().filter(|n| n.stealing).count();
+    let queued: usize = w.nodes.iter().map(|n| n.deque.entries.len()).sum();
+    let stealing = w.nodes.iter().filter(|n| n.attempt.is_some()).count();
     let total_cores = (w.cfg.cores_per_node * w.cfg.nodes) as f64;
     cols.push(("alive".into(), alive as f64));
     for c in [Counter::Crashes, Counter::Joins] {
@@ -990,7 +1177,7 @@ fn sample_probe<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, now: SimT
     cols.push(("orphan_results".into(), w.orphans.len() as f64));
     for (i, n) in w.nodes.iter().enumerate() {
         cols.push((format!("n{i}.busy"), n.busy_cores as f64));
-        cols.push((format!("n{i}.queue"), n.deque.len() as f64));
+        cols.push((format!("n{i}.queue"), n.deque.entries.len() as f64));
     }
     // Runtime-specific gauges (Cashmere placement mix; no-op for CPU).
     w.leaf.probe(&w.report, &mut cols);
@@ -1031,9 +1218,9 @@ fn tick<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, n
         }
     }
     // Idle with no startable local work: steal from a random victim.
-    if w.nodes[n].deque.is_empty()
+    if w.nodes[n].deque.entries.is_empty()
         && w.nodes[n].busy_cores < w.cfg.cores_per_node
-        && !w.nodes[n].stealing
+        && w.nodes[n].attempt.is_none()
         && !w.done
         && w.cfg.nodes > 1
     {
@@ -1089,14 +1276,14 @@ fn stash_orphan<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
     key: Vec<u32>,
     output: A::Output,
-    holder: usize,
+    node: usize,
 ) {
     let bytes = w.app.output_bytes(&output);
     w.orphans.insert(
         key,
         OrphanEntry {
             output,
-            holder,
+            node,
             bytes,
         },
     );
@@ -1107,7 +1294,7 @@ fn stash_orphan<A: ClusterApp, L: LeafRuntime<A>>(
 /// lost them).
 fn expire_orphans_of<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, n: usize) {
     let before = w.orphans.len();
-    w.orphans.retain(|_, e| e.holder != n);
+    w.orphans.retain(|_, e| e.node != n);
     w.report[Counter::OrphansExpired] += (before - w.orphans.len()) as u64;
 }
 
@@ -1119,10 +1306,8 @@ fn note_recovery<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, now: Sim
         return;
     }
     let jobs = &w.jobs;
-    w.recovery_outstanding.retain(|&r| {
-        let s = jobs[r].state;
-        s != JobState::Done && s != JobState::Lost
-    });
+    w.recovery_outstanding
+        .retain(|&r| jobs[r].holder.node().is_some());
     if w.recovery_outstanding.is_empty() {
         if let Some(since) = w.recovering_since.take() {
             w.report[Counter::TimeToRecover] += (now - since).as_nanos();
@@ -1138,7 +1323,7 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
     j: usize,
     is_leaf: bool,
 ) {
-    if w.jobs[j].state != JobState::Queued {
+    if w.jobs[j].holder != Holder::Deque(n) {
         return; // stale (crash reset)
     }
     debug_assert_eq!(
@@ -1156,14 +1341,13 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
         if let Some(entry) = w.orphans.remove(&key) {
             let OrphanEntry {
                 output,
-                holder,
+                node: src,
                 bytes,
             } = entry;
             w.report[Counter::OrphansReused] += 1;
-            w.jobs[j].state = JobState::Running;
-            w.jobs[j].exec_node = n;
+            w.hold(j, Holder::Running(n));
             let generation = w.jobs[j].generation;
-            let at = if holder == n {
+            let at = if src == n {
                 // Local table hit: a lookup costs one job overhead.
                 sim.now() + w.cfg.job_overhead
             } else {
@@ -1171,7 +1355,7 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
                 // table is master-mediated bookkeeping; the fetch itself is
                 // modelled as a reliable transfer (retransmission of table
                 // traffic is below the model's resolution).
-                let tr = w.transfer(sim.now(), holder, n, bytes);
+                let tr = w.transfer(sim.now(), src, n, bytes);
                 w.report[Counter::BytesOrphans] += bytes;
                 if w.trace.enabled() {
                     w.trace.record_child(
@@ -1196,8 +1380,7 @@ fn start_job<A: ClusterApp, L: LeafRuntime<A>>(
             return;
         }
     }
-    w.jobs[j].state = JobState::Running;
-    w.jobs[j].exec_node = n;
+    w.hold(j, Holder::Running(n));
     w.nodes[n].busy_cores += 1;
     note_busy_cores(w, sim, n);
     w.nodes[n].steal_failures = 0;
@@ -1327,8 +1510,7 @@ fn finish_divide<A: ClusterApp, L: LeafRuntime<A>>(
     w.report[Counter::Divides] += 1;
     let count = children.len();
     let replay = w.jobs[j].replay;
-    w.jobs[j].state = JobState::Waiting;
-    w.jobs[j].pending = count;
+    w.hold(j, Holder::Divided(n));
     let divide_span = w.jobs[j].divide_span;
     let first = w.jobs.len();
     for (idx, input) in children.into_iter().enumerate() {
@@ -1338,7 +1520,6 @@ fn finish_divide<A: ClusterApp, L: LeafRuntime<A>>(
         // their leaf compute is accounted as recovery cost.
         w.jobs[c].replay = replay;
         w.jobs[c].origin_span = divide_span;
-        w.enqueue(n, Task::Job(c));
     }
     w.jobs[j].children = first..first + count;
     release_core(w, sim, n);
@@ -1361,7 +1542,7 @@ fn deliver<A: ClusterApp, L: LeafRuntime<A>>(
     output: A::Output,
     generation: u64,
 ) {
-    if w.jobs[j].generation != generation || w.jobs[j].state == JobState::Lost {
+    if w.jobs[j].generation != generation || w.jobs[j].holder == Holder::Lost {
         // A late orphan result: the subtree completed, but its record was
         // reset by a crash in the meantime. Report the result to the global
         // table so the re-executed copy can reuse it instead of recomputing
@@ -1371,10 +1552,14 @@ fn deliver<A: ClusterApp, L: LeafRuntime<A>>(
         }
         return;
     }
-    w.jobs[j].state = JobState::Done;
+    let parent = w.jobs[j].parent;
+    w.hold(
+        j,
+        parent.map_or(Holder::Acked, |_| Holder::Owed { from: n }),
+    );
     w.drop_input(j);
     note_recovery(w, sim.now());
-    match w.jobs[j].parent {
+    match parent {
         None => {
             w.root_result = Some(output);
             w.done = true;
@@ -1385,19 +1570,12 @@ fn deliver<A: ClusterApp, L: LeafRuntime<A>>(
             // Cancel trailing steal polls and timeouts: the run is over and
             // their only effect would be to advance the virtual clock.
             for node in 0..w.cfg.nodes {
-                if let Some(h) = w.nodes[node].retry_event.take() {
-                    sim.cancel(h);
-                }
-                if let Some(h) = w.nodes[node].steal_timeout_event.take() {
-                    sim.cancel(h);
-                }
-                w.nodes[node].stealing = false;
+                w.nodes[node].retry.cancel(sim);
+                w.nodes[node].close_attempt(sim);
             }
             // Likewise the pending flight-recorder probe: sampling must not
             // advance the clock past the real finish.
-            if let Some(h) = w.probe_event.take() {
-                sim.cancel(h);
-            }
+            w.probe_timer.cancel(sim);
         }
         Some((p, idx)) => {
             let (home, pgen) = (w.jobs[p].home_node, w.jobs[p].generation);
@@ -1495,7 +1673,7 @@ fn receive_child<A: ClusterApp, L: LeafRuntime<A>>(
     output: A::Output,
     pgen: u64,
 ) {
-    if w.jobs[p].generation != pgen || w.jobs[p].state != JobState::Waiting {
+    if w.jobs[p].generation != pgen || !matches!(w.jobs[p].holder, Holder::Divided(_)) {
         return;
     }
     let c = w.jobs[p].children.start + idx;
@@ -1503,10 +1681,10 @@ fn receive_child<A: ClusterApp, L: LeafRuntime<A>>(
         return; // duplicate after re-execution
     }
     w.jobs[c].delivered = Some(output);
-    w.jobs[p].pending -= 1;
-    if w.jobs[p].pending == 0 {
+    w.hold(c, Holder::Acked);
+    if w.children_done(p) {
         let home = w.jobs[p].home_node;
-        w.enqueue(home, Task::Combine(p));
+        w.nodes[home].deque.push(Task::Combine(p), false);
         schedule_tick(w, sim, home);
     }
 }
@@ -1517,7 +1695,7 @@ fn start_combine<A: ClusterApp, L: LeafRuntime<A>>(
     n: usize,
     p: usize,
 ) {
-    if w.jobs[p].state != JobState::Waiting || w.jobs[p].pending != 0 {
+    if !matches!(w.jobs[p].holder, Holder::Divided(_)) || !w.children_done(p) {
         return; // stale
     }
     w.nodes[n].busy_cores += 1;
@@ -1572,21 +1750,6 @@ fn steal_backoff<A: ClusterApp, L: LeafRuntime<A>>(w: &World<A, L>, thief: usize
     (w.cfg.steal_retry * (1u64 << doublings)).min(w.cfg.steal_retry_max)
 }
 
-/// The thief's outstanding steal attempt is over (success, refusal,
-/// timeout, or crash): clear the flag, invalidate in-flight events keyed on
-/// the old sequence number, and disarm the timeout.
-fn resolve_steal<A: ClusterApp, L: LeafRuntime<A>>(
-    w: &mut World<A, L>,
-    sim: &mut S<A>,
-    thief: usize,
-) {
-    w.nodes[thief].stealing = false;
-    w.nodes[thief].steal_seq += 1;
-    if let Some(h) = w.nodes[thief].steal_timeout_event.take() {
-        sim.cancel(h);
-    }
-}
-
 fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
     sim: &mut S<A>,
@@ -1620,18 +1783,17 @@ fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
         // base rate forever (a rejoining node wakes everyone via its tick).
         w.report[Counter::NoVictimPolls] += 1;
         w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
-        let retry = steal_backoff(w, thief);
-        let h = sim.schedule_in(retry, Event::StealRetry { thief, token: None });
-        w.nodes[thief].retry_event = Some(h);
+        let at = sim.now() + steal_backoff(w, thief);
+        w.nodes[thief]
+            .retry
+            .arm(sim, at, Event::StealRetry { thief, token: None });
         return;
     };
     debug_assert!(victim != thief && w.nodes[victim].alive);
     if w.cfg.trace {
         w.victim_log.push((thief, victim));
     }
-    w.nodes[thief].stealing = true;
     w.nodes[thief].steal_seq += 1;
-    w.nodes[thief].steal_started = sim.now();
     let token = w.nodes[thief].steal_seq;
     w.report[Counter::StealAttempts] += 1;
     // Steal request: a small message, subject to CPU contention on both ends.
@@ -1655,10 +1817,16 @@ fn initiate_steal<A: ClusterApp, L: LeafRuntime<A>>(
     // timeout that abandons the attempt and retries with backoff. Fault-free
     // runs skip this entirely, so they schedule exactly the same events as
     // a build without fault support.
+    let mut timeout = Timer::default();
     if w.faults.is_active() {
-        let h = sim.schedule_in(w.cfg.steal_timeout, Event::StealTimeout { thief, token });
-        w.nodes[thief].steal_timeout_event = Some(h);
+        let at = sim.now() + w.cfg.steal_timeout;
+        timeout.arm(sim, at, Event::StealTimeout { thief, token });
     }
+    w.nodes[thief].attempt = Some(Attempt {
+        token,
+        started: sim.now(),
+        timeout,
+    });
 }
 
 /// `thief`'s steal attempt `token` timed out: abandon it unless it already
@@ -1669,20 +1837,21 @@ fn steal_timeout<A: ClusterApp, L: LeafRuntime<A>>(
     thief: usize,
     token: u64,
 ) {
-    w.nodes[thief].steal_timeout_event = None;
-    if w.done
-        || !w.nodes[thief].alive
-        || !w.nodes[thief].stealing
-        || w.nodes[thief].steal_seq != token
+    // Closing an attempt cancels its timeout, and a node that is down or
+    // done has none open: a timeout that fires closes its own attempt.
+    if w.nodes[thief]
+        .attempt
+        .take_if(|a| a.token == token)
+        .is_none()
     {
         return;
     }
-    resolve_steal(w, sim, thief);
     w.report[Counter::StealTimeouts] += 1;
     w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
-    let retry = steal_backoff(w, thief);
-    let h = sim.schedule_in(retry, Event::StealRetry { thief, token: None });
-    w.nodes[thief].retry_event = Some(h);
+    let at = sim.now() + steal_backoff(w, thief);
+    w.nodes[thief]
+        .retry
+        .arm(sim, at, Event::StealRetry { thief, token: None });
 }
 
 fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
@@ -1691,31 +1860,27 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
     victim: usize,
     thief: usize,
 ) {
-    if w.done || !w.nodes[thief].alive {
-        resolve_steal(w, sim, thief);
+    let Some(token) = w.nodes[thief].attempt.as_ref().map(|a| a.token) else {
+        // The thief is down, its run is done, or it gave up on this attempt
+        // (timeout) and owns a fresh retry: a late request must not disturb
+        // it.
         return;
-    }
-    if !w.nodes[thief].stealing {
-        // The thief already gave up on this attempt (timeout) and owns a
-        // fresh retry; a late request must not disturb it.
-        return;
-    }
-    let token = w.nodes[thief].steal_seq;
+    };
     // Steal from the FIFO end: the oldest (largest) job. Combines stay
     // home. Stale entries (a crash-restart requeues a job at its home
     // while an old deque entry survives elsewhere; the fresh copy may
     // already have run) are skipped — `start_job` skips them too.
     let stolen = if w.nodes[victim].alive && w.nodes[victim].deque.jobs > 0 {
-        let pos = w.nodes[victim].deque.entries.iter().position(|q| {
-            matches!(q.task, Task::Job(j) if w.jobs[j].state == JobState::Queued
-                && w.jobs[j].input.is_some())
-        });
+        let pos = w.nodes[victim].deque.entries.iter().position(
+            |q| matches!(q.task, Task::Job(j) if w.jobs[j].holder == Holder::Deque(victim)),
+        );
         pos.map(|p| w.dequeue(victim, p).task)
     } else {
         None
     };
     match stolen {
         Some(Task::Job(j)) => {
+            w.hold(j, Holder::Transfer { from: victim });
             w.report[Counter::StealsOk] += 1;
             w.recent_victim[thief] = Some(victim);
             let input = w.jobs[j].input.as_ref().expect("queued job has input");
@@ -1736,14 +1901,10 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                 );
                 w.jobs[j].origin_span = steal_span;
             }
-            let generation = w.jobs[j].generation;
-            let thief_inc = w.nodes[thief].incarnation;
             // The handshake succeeded; only the bulk transfer remains. The
             // timeout covered the request/reply phase, so disarm it (no-op
             // in fault-free runs, which never arm one).
-            if let Some(h) = w.nodes[thief].steal_timeout_event.take() {
-                sim.cancel(h);
-            }
+            w.nodes[thief].disarm_steal_timeout(sim);
             let (lost, arrival) = match w.faults.message_fate(victim, thief, sim.now()) {
                 MessageFate::Dropped => {
                     // The job data is lost in transit; the victim notices
@@ -1758,18 +1919,16 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                     (false, tr.arrival + delay)
                 }
             };
-            sim.schedule_at(
-                arrival,
-                Event::StealTransfer {
-                    victim,
-                    thief,
-                    j,
-                    token,
-                    generation,
-                    thief_inc,
-                    lost,
-                },
-            );
+            let stolen = StolenJob {
+                victim,
+                thief,
+                j,
+                token,
+                generation: w.jobs[j].generation,
+                thief_inc: w.nodes[thief].incarnation,
+                lost,
+            };
+            sim.schedule_at(arrival, Event::StealTransfer(stolen));
         }
         _ => {
             if w.recent_victim[thief] == Some(victim) {
@@ -1795,9 +1954,7 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
                     }
                     // The refusal will arrive: disarm the timeout so a long
                     // retry backoff is not misread as a lost reply.
-                    if let Some(h) = w.nodes[thief].steal_timeout_event.take() {
-                        sim.cancel(h);
-                    }
+                    w.nodes[thief].disarm_steal_timeout(sim);
                 }
             }
             // Back off only when no node in the cluster has stealable work
@@ -1809,85 +1966,57 @@ fn handle_steal_request<A: ClusterApp, L: LeafRuntime<A>>(
             } else {
                 w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
             }
-            let retry = steal_backoff(w, thief);
-            let h = sim.schedule_in(
-                reply + retry,
-                Event::StealRetry {
-                    thief,
-                    token: Some(token),
-                },
-            );
-            w.nodes[thief].retry_event = Some(h);
+            let at = sim.now() + reply + steal_backoff(w, thief);
+            let retry = Event::StealRetry {
+                thief,
+                token: Some(token),
+            };
+            w.nodes[thief].retry.arm(sim, at, retry);
         }
     }
 }
 
-/// The transfer of stolen job `j` from `victim` to `thief` ends. Either way
-/// the job has left the victim's deque, so nobody else knows about it: a job
-/// `lost` in transit, or one whose thief died meanwhile, is re-queued on a
-/// live node, or it is lost and the run never terminates.
-#[allow(clippy::too_many_arguments)]
+/// The transfer of a stolen job ends. Either way the job has left the
+/// victim's deque and is held by the transfer alone: a job lost in transit,
+/// or one whose thief died meanwhile, is re-queued on a live node, or it is
+/// lost and the run never terminates.
 fn finish_steal_transfer<A: ClusterApp, L: LeafRuntime<A>>(
     w: &mut World<A, L>,
     sim: &mut S<A>,
-    victim: usize,
-    thief: usize,
-    j: usize,
-    token: u64,
-    generation: u64,
-    thief_inc: u64,
-    lost: bool,
+    stolen: StolenJob,
 ) {
-    let attempt_open = w.nodes[thief].steal_seq == token && w.nodes[thief].stealing;
-    if lost {
-        if attempt_open {
-            resolve_steal(w, sim, thief);
+    let (victim, thief, j) = (stolen.victim, stolen.thief, stolen.j);
+    if let Some(mut a) = w.nodes[thief].attempt.take_if(|a| a.token == stolen.token) {
+        a.timeout.cancel(sim);
+        if stolen.lost {
             w.nodes[thief].steal_failures = w.nodes[thief].steal_failures.saturating_add(1);
             if w.nodes[thief].alive && !w.done {
                 schedule_tick(w, sim, thief);
             }
-        }
-        if w.done || w.jobs[j].generation != generation {
-            return;
-        }
-        let home = w.jobs[j].home_node;
-        let target = if w.nodes[victim].alive {
-            victim
-        } else if w.nodes[home].alive {
-            home
         } else {
-            0
-        };
-        w.jobs[j].exec_node = target;
-        w.enqueue(target, Task::Job(j));
-        schedule_tick(w, sim, target);
+            w.metrics.observe("steal.rtt", sim.now() - a.started);
+            w.nodes[thief].steal_failures = 0;
+        }
+    }
+    if w.jobs[j].generation != stolen.generation || (stolen.lost && w.done) {
         return;
     }
-    if attempt_open {
-        let rtt = sim.now() - w.nodes[thief].steal_started;
-        w.metrics.observe("steal.rtt", rtt);
-        resolve_steal(w, sim, thief);
-        w.nodes[thief].steal_failures = 0;
-    }
-    if w.jobs[j].generation != generation {
-        return;
-    }
-    if !w.is_current(thief, thief_inc) {
+    let home = w.jobs[j].home_node;
+    let live = |n: &usize| w.nodes[*n].alive;
+    let target = if stolen.lost {
+        [victim, home].into_iter().find(live).unwrap_or(0)
+    } else if !w.is_current(thief, stolen.thief_inc) {
         // The thief died while the job was in flight (and perhaps already
         // rebooted — the transfer's connection died with the old
         // incarnation): bounce the job back to a live node.
-        let home = w.jobs[j].home_node;
-        let target = if w.nodes[home].alive { home } else { 0 };
-        w.jobs[j].exec_node = target;
-        w.enqueue(target, Task::Job(j));
         w.jobs[j].replay = true;
         w.report[Counter::JobsRestarted] += 1;
-        schedule_tick(w, sim, target);
-        return;
-    }
-    w.jobs[j].exec_node = thief;
-    w.enqueue(thief, Task::Job(j));
-    schedule_tick(w, sim, thief);
+        Some(home).filter(live).unwrap_or(0)
+    } else {
+        thief
+    };
+    w.enqueue(target, j);
+    schedule_tick(w, sim, target);
 }
 
 /// Crash node `n`: it stops participating and every job it was executing or
@@ -1904,22 +2033,14 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
     note_busy_cores(w, sim, n);
     // Dead nodes fire no timers; drop their pending steal events so stale
     // no-op polls cannot advance the clock past the real finish.
-    if let Some(h) = w.nodes[n].retry_event.take() {
-        sim.cancel(h);
-    }
-    if let Some(h) = w.nodes[n].steal_timeout_event.take() {
-        sim.cancel(h);
-    }
-    w.nodes[n].stealing = false;
+    w.nodes[n].retry.cancel(sim);
+    w.nodes[n].close_attempt(sim);
     w.nodes[n].steal_failures = 0;
-    w.nodes[n].steal_seq += 1;
     w.nodes[n].incarnation += 1;
     // The crashed node leaves every victim set: no thief keeps it as its
     // recent victim. This is the one place cluster membership shrinks.
-    for r in &mut w.recent_victim {
-        if *r == Some(n) {
-            *r = None;
-        }
+    for r in w.recent_victim.iter_mut().filter(|r| **r == Some(n)) {
+        *r = None;
     }
     w.report[Counter::Crashes] += 1;
     // Per-node leaf-runtime state (device timelines, pending device jobs,
@@ -1931,54 +2052,33 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
     }
 
     // Restart roots: jobs whose record lives on a healthy node but whose
-    // execution was on (or under) the crashed node.
+    // execution was on (or under) the crashed node. Each job held on the
+    // node (done and lost jobs are held nowhere) or recorded there restarts
+    // from the first job of its lineage whose record lives on a live node
+    // (with multiple failures the home may be a *different* dead node; the
+    // root's home is the master, which cannot crash).
+    let lineage = |j: usize| std::iter::successors(Some(j), |&c| w.jobs[c].parent.map(|(p, _)| p));
     let mut restart = Vec::new();
-    for j in 0..w.jobs.len() {
-        let rec = &w.jobs[j];
-        if rec.state == JobState::Done || rec.state == JobState::Lost {
+    for (j, rec) in w.jobs.iter().enumerate() {
+        let Some(at) = rec.holder.node() else {
             continue;
-        }
-        let on_crashed = rec.exec_node == n || rec.home_node == n;
-        if !on_crashed {
-            continue;
-        }
-        // Walk up to the first ancestor whose record lives on a healthy
-        // node (with multiple failures the home may be a *different* dead
-        // node — keep climbing; the root's home is the master, which
-        // cannot crash).
-        let mut cur = j;
-        loop {
-            let rec = &w.jobs[cur];
-            if rec.home_node != n && w.nodes[rec.home_node].alive {
-                restart.push(cur);
-                break;
-            }
-            match rec.parent {
-                Some((p, _)) => cur = p,
-                None => {
-                    restart.push(cur);
-                    break;
-                }
-            }
+        };
+        if at == n || rec.home_node == n {
+            let r = lineage(j).find(|&c| w.nodes[w.jobs[c].home_node].alive);
+            restart.push(r.expect("the master holds the root"));
         }
     }
     restart.sort_unstable();
     restart.dedup();
-    // Keep only the topmost restart roots (drop any that is a descendant of
-    // another restart root).
-    let is_descendant = |w: &World<A, L>, mut x: usize, anc: usize| -> bool {
-        while let Some((p, _)) = w.jobs[x].parent {
-            if p == anc {
-                return true;
-            }
-            x = p;
-        }
-        false
-    };
+    // Keep only the topmost restart roots: those below no other one.
     let roots: Vec<usize> = restart
         .iter()
         .copied()
-        .filter(|&r| !restart.iter().any(|&a| a != r && is_descendant(w, r, a)))
+        .filter(|&r| {
+            !lineage(r)
+                .skip(1)
+                .any(|a| restart.binary_search(&a).is_ok())
+        })
         .collect();
 
     let crashed_any_root = !roots.is_empty();
@@ -1993,11 +2093,11 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
             let mut scan = vec![r];
             while let Some(q) = scan.pop() {
                 scan.extend(w.jobs[q].children.clone());
-                if w.jobs[q].state != JobState::Waiting {
+                if !matches!(w.jobs[q].holder, Holder::Divided(_)) {
                     continue;
                 }
-                let holder = w.jobs[q].home_node;
-                if holder == n || !w.nodes[holder].alive {
+                let home = w.jobs[q].home_node;
+                if home == n || !w.nodes[home].alive {
                     continue;
                 }
                 let base = path_of(w, q);
@@ -2005,7 +2105,7 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
                     if let Some(out) = w.jobs[c].delivered.clone() {
                         let mut key = base.clone();
                         key.push(idx as u32);
-                        stash_orphan(w, key, out, holder);
+                        stash_orphan(w, key, out, home);
                     }
                 }
             }
@@ -2014,7 +2114,7 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
         let mut stack: Vec<usize> = w.jobs[r].children.clone().collect();
         while let Some(c) = stack.pop() {
             stack.extend(w.jobs[c].children.clone());
-            w.jobs[c].state = JobState::Lost;
+            w.hold(c, Holder::Lost);
             w.jobs[c].generation += 1;
             w.jobs[c].delivered = None;
             w.drop_input(c);
@@ -2025,16 +2125,13 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
             "restart root must live on a healthy node"
         );
         w.jobs[r].children = 0..0;
-        w.jobs[r].pending = 0;
         w.jobs[r].generation += 1;
-        w.jobs[r].state = JobState::Queued;
-        w.jobs[r].exec_node = home;
         w.jobs[r].replay = true;
         w.report[Counter::JobsRestarted] += 1;
         if !w.recovery_outstanding.contains(&r) {
             w.recovery_outstanding.push(r);
         }
-        w.enqueue(home, Task::Job(r));
+        w.enqueue(home, r);
         schedule_tick(w, sim, home);
     }
     if crashed_any_root {
@@ -2045,11 +2142,10 @@ fn crash<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, 
             w.recovering_since = Some(sim.now());
         }
     }
-    // Wake everyone: sudden loss of a victim must not deadlock thieves.
+    // Wake everyone alive: sudden loss of a victim must not deadlock
+    // thieves.
     for k in 0..w.cfg.nodes {
-        if w.nodes[k].alive {
-            schedule_tick(w, sim, k);
-        }
+        schedule_tick(w, sim, k);
     }
 }
 
@@ -2065,10 +2161,7 @@ fn join<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, n
     w.clear_deque(n);
     w.nodes[n].busy_cores = 0;
     w.nodes[n].running_leaves = 0;
-    w.nodes[n].stealing = false;
     w.nodes[n].steal_failures = 0;
-    w.nodes[n].steal_seq += 1;
-    w.nodes[n].steal_started = SimTime::ZERO;
     // A rebooted node has no half-open connections: reset its NIC.
     w.nics[n] = NodeNic::default();
     w.report[Counter::Joins] += 1;
@@ -2077,12 +2170,200 @@ fn join<A: ClusterApp, L: LeafRuntime<A>>(w: &mut World<A, L>, sim: &mut S<A>, n
     // its balancer).
     w.leaf.on_node_join(n, sim.now());
     if !w.done {
-        // Wake everyone: backed-off thieves should notice the new victim
-        // promptly, and the joiner itself starts stealing.
+        // Wake everyone alive: backed-off thieves should notice the new
+        // victim promptly, and the joiner itself starts stealing.
         for k in 0..w.cfg.nodes {
-            if w.nodes[k].alive {
-                schedule_tick(w, sim, k);
+            schedule_tick(w, sim, k);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::app::{CpuLeafRuntime, DcStep};
+
+    /// Sums `n` ones by halving: the smallest app with a tree.
+    struct Ones;
+
+    impl ClusterApp for Ones {
+        type Input = u64;
+        type Output = u64;
+
+        fn step(&self, &n: &u64) -> DcStep<u64> {
+            if n <= 1 {
+                DcStep::Leaf
+            } else {
+                DcStep::Divide(vec![n / 2, n - n / 2])
             }
         }
+
+        fn leaf_cpu(&self, &n: &u64) -> (SimTime, u64) {
+            (SimTime::from_micros(10), n)
+        }
+
+        fn combine(&self, _n: &u64, children: Vec<u64>) -> u64 {
+            children.into_iter().sum()
+        }
+
+        fn input_bytes(&self, _n: &u64) -> u64 {
+            64
+        }
+
+        fn output_bytes(&self, _o: &u64) -> u64 {
+            8
+        }
+    }
+
+    fn cluster(nodes: usize) -> ClusterSim<Ones, CpuLeafRuntime> {
+        let cfg = SimConfig {
+            nodes,
+            ..SimConfig::default()
+        };
+        ClusterSim::new(Ones, CpuLeafRuntime, cfg)
+    }
+
+    /// A three-node world with job 0 queued on node 1.
+    fn world() -> World<Ones, CpuLeafRuntime> {
+        let mut w = cluster(3).world;
+        w.new_job(4, None, 1);
+        assert_eq!(w.check_ownership(), Ok(()));
+        w
+    }
+
+    fn violation(w: &World<Ones, CpuLeafRuntime>) -> String {
+        w.check_ownership()
+            .expect_err("the corrupted world must fail")
+    }
+
+    #[test]
+    fn a_queued_job_has_exactly_one_entry_in_its_deque() {
+        let mut w = world();
+        w.nodes[1].deque.push(Task::Job(0), false);
+        assert_eq!(
+            violation(&w),
+            "job 0 is held by Deque(1), but node 1's deque has 2 entries for it"
+        );
+        w.clear_deque(1);
+        // An entry on another node's deque is stale: it does not count.
+        w.nodes[2].deque.push(Task::Job(0), false);
+        assert_eq!(
+            violation(&w),
+            "job 0 is held by Deque(1), but node 1's deque has 0 entries for it"
+        );
+    }
+
+    #[test]
+    fn queued_running_and_divided_jobs_are_on_live_nodes() {
+        for holder in [Holder::Deque(2), Holder::Running(2), Holder::Divided(2)] {
+            let mut w = world();
+            w.hold(0, holder);
+            w.nodes[2].alive = false;
+            assert_eq!(
+                violation(&w),
+                format!("job 0 is held by {holder:?}, but node 2 is down")
+            );
+        }
+    }
+
+    #[test]
+    fn a_stolen_job_leaves_a_live_victim() {
+        let mut w = world();
+        w.clear_deque(1);
+        w.hold(0, Holder::Transfer { from: 1 });
+        assert_eq!(w.check_ownership(), Ok(()));
+        // The thief may die in flight: the transfer bounces the job.
+        w.nodes[2].alive = false;
+        assert_eq!(w.check_ownership(), Ok(()));
+        w.nodes[1].alive = false;
+        assert_eq!(
+            violation(&w),
+            "job 0 is held by Transfer { from: 1 }, but node 1 is down"
+        );
+    }
+
+    #[test]
+    fn an_armed_steal_timeout_belongs_to_a_live_unfinished_node() {
+        let mut w = world();
+        let mut sim: S<Ones> = Sim::new();
+        let mut timeout = Timer::default();
+        timeout.arm(&mut sim, SimTime::from_millis(5), Event::Probe);
+        w.nodes[2].attempt = Some(Attempt {
+            token: 7,
+            started: SimTime::ZERO,
+            timeout,
+        });
+        assert_eq!(w.check_ownership(), Ok(()));
+        w.done = true;
+        assert_eq!(
+            violation(&w),
+            "node 2 finished its run, but its steal attempt 7 is open with an armed timeout"
+        );
+        w.nodes[2].alive = false;
+        assert_eq!(
+            violation(&w),
+            "node 2 is down, but its steal attempt 7 is open with an armed timeout"
+        );
+    }
+
+    #[test]
+    fn finished_and_lost_jobs_hold_nothing() {
+        let mut w = world();
+        w.clear_deque(1);
+        w.nodes[1].alive = false;
+        for holder in [Holder::Owed { from: 1 }, Holder::Acked, Holder::Lost] {
+            w.hold(0, holder);
+            assert_eq!(w.check_ownership(), Ok(()), "{holder:?}");
+        }
+    }
+
+    /// A stolen job lost in transit goes back to its victim, or to its home
+    /// when the victim is down.
+    #[test]
+    fn a_lost_transfer_requeues_on_a_live_node() {
+        let mut cs = cluster(3);
+        cs.world.new_job(4, None, 1);
+        cs.world.clear_deque(1);
+        cs.world.hold(0, Holder::Transfer { from: 2 });
+        cs.world.nodes[2].alive = false;
+        let stolen = StolenJob {
+            victim: 2,
+            thief: 0,
+            j: 0,
+            token: 0,
+            generation: 0,
+            thief_inc: 0,
+            lost: true,
+        };
+        cs.sim.schedule_now(Event::StealTransfer(stolen));
+        cs.sim.step(&mut cs.world);
+        assert_eq!(cs.world.jobs[0].holder, Holder::Deque(1));
+        assert_eq!(cs.world.check_ownership(), Ok(()));
+    }
+
+    /// The per-event check runs after every event and sees the jobs the
+    /// event touched, even when nothing else would.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(
+        expected = "ownership broken after event::broadcast at 0ns: job 0 is held by Deque(1), but node 1's deque has 0 entries for it"
+    )]
+    fn every_event_is_checked() {
+        let mut cs = cluster(3);
+        cs.world.new_job(4, None, 1);
+        cs.world.clear_deque(1);
+        cs.sim.schedule_now(Event::Broadcast);
+        cs.sim.step(&mut cs.world);
+    }
+
+    #[test]
+    fn crash_and_rejoin_runs_keep_ownership() {
+        let mut cs = cluster(4);
+        cs.schedule_crash(2, SimTime::from_micros(1000)).unwrap();
+        cs.schedule_join(2, SimTime::from_micros(1500)).unwrap();
+        cs.schedule_crash(3, SimTime::from_micros(1200)).unwrap();
+        assert_eq!(cs.run_root(1 << 10), 1 << 10);
+        assert!(cs.report()[Counter::Crashes] == 2 && cs.report()[Counter::JobsRestarted] > 0);
+        assert_eq!(cs.world.check_ownership(), Ok(()));
     }
 }

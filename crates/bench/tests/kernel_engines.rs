@@ -58,7 +58,8 @@ fn fig6_corpus_is_identical_on_vm_and_tree_walker() {
 /// The matmul-optimized launch on the Xeon Phi is the corpus's largest.
 /// Its VM dispatch count is pinned so that a change to the compiler's
 /// fusions shows up as a count, not only as host time (12,457,280
-/// dispatches before the fusions).
+/// dispatches before the fusions, 5,962,282 before `ScratchRmw` took in
+/// the multiply of `acc[r] += a * b`).
 #[test]
 #[ignore = "interprets the corpus's largest launch, tens of seconds in a debug build; run with --release -- --ignored"]
 fn matmul_mic_dispatch_count_is_pinned() {
@@ -72,5 +73,5 @@ fn matmul_mic_dispatch_count_is_pinned() {
     let prog = compile_program(ck, &p.par_units);
     let (_, counts) =
         vm::execute_counted(&prog, l.call.args.clone(), &p.opts).expect("the launch runs");
-    assert_eq!(counts.iter().sum::<u64>(), 5_962_282);
+    assert_eq!(counts.iter().sum::<u64>(), 5_437_994);
 }

@@ -29,7 +29,8 @@
 //! * a declaration whose initializer ends in a fresh `Bin`, `Cast` or
 //!   `ScratchLoad` result writes straight into the variable's slot;
 //! * `arr[i] op= e` on a scratch array with plain-slot indices is one
-//!   `ScratchRmw`.
+//!   `ScratchRmw`, and so is `arr[i] op= a * b`: the `Bin Mul` that
+//!   computes the right-hand side rides along as [`Rhs::Mul`].
 //!
 //! Also resolved statically (all verified equivalent to the tree walker's
 //! runtime decisions):
@@ -238,12 +239,13 @@ pub enum Instr {
         idx: Box<[u32]>,
         src: u32,
     },
-    /// `arr[idx] op= src` with plain-slot indices: `ScratchLoad` + `Bin` +
-    /// `ScratchStore` in one instruction, same statistics in the same order.
+    /// `arr[idx] op= rhs` with plain-slot indices: `ScratchLoad` + `Bin` +
+    /// `ScratchStore` in one instruction, same statistics in the same order
+    /// (after the multiply's, for [`Rhs::Mul`]).
     ScratchRmw {
         arr: u32,
         idx: Box<[u32]>,
-        src: u32,
+        rhs: Rhs,
         op: BinOp,
     },
     /// Head of an `if`: computes the condition mask, records divergence
@@ -344,6 +346,16 @@ pub enum Instr {
         msg: Box<str>,
     },
     Halt,
+}
+
+/// The right-hand side of a [`Instr::ScratchRmw`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rhs {
+    /// A register.
+    Slot(u32),
+    /// `a * b`: the `Bin Mul` (no coercion) that computed the right-hand
+    /// side, fused in.
+    Mul(u32, u32),
 }
 
 /// Kernel parameter info needed for entry validation.
@@ -994,6 +1006,7 @@ impl Compiler {
                 Some(Binding::Scratch { arr }) => {
                     // Scratch element. RMW evaluates the index expressions
                     // twice (load access + store access), like the tree.
+                    let value_from = self.instrs.len();
                     let src = match fused {
                         Some(s) => s,
                         None => self.expr(value, line),
@@ -1008,9 +1021,18 @@ impl Compiler {
                         self.emit(line, Instr::ScratchStore { arr, idx, src });
                     } else if self.instrs.len() == from {
                         // Plain-slot indices: the second index evaluation
-                        // would emit nothing, so load and store fuse.
+                        // would emit nothing, so load and store fuse, and
+                        // so does a multiply that computed the value just
+                        // before them.
+                        let product = match self.instrs.last() {
+                            Some(Instr::Bin { op: BinOp::Mul, .. }) => {
+                                self.take_bin(value_from, src)
+                            }
+                            _ => None,
+                        };
+                        let rhs = product.map_or(Rhs::Slot(src), |(a, b, _)| Rhs::Mul(a, b));
                         let op = combine_op(op);
-                        self.emit(line, Instr::ScratchRmw { arr, idx, src, op });
+                        self.emit(line, Instr::ScratchRmw { arr, idx, rhs, op });
                     } else {
                         let old = self.alloc_tmp();
                         self.emit(line, Instr::ScratchLoad { dst: old, arr, idx });
@@ -1179,8 +1201,20 @@ fn fixup(i: &mut Instr, n_vars: u32, n_consts: u32) {
                 f(s);
             }
         }
-        Instr::ScratchStore { idx, src, .. } | Instr::ScratchRmw { idx, src, .. } => {
+        Instr::ScratchStore { idx, src, .. } => {
             f(src);
+            for s in idx.iter_mut() {
+                f(s);
+            }
+        }
+        Instr::ScratchRmw { idx, rhs, .. } => {
+            match rhs {
+                Rhs::Slot(s) => f(s),
+                Rhs::Mul(a, b) => {
+                    f(a);
+                    f(b);
+                }
+            }
             for s in idx.iter_mut() {
                 f(s);
             }

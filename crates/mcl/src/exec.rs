@@ -39,6 +39,56 @@ pub(crate) const TRANSACTION_BYTES: u64 = 32;
 /// Device element size in bytes (float/int are 32-bit on device).
 pub(crate) const ELEM_BYTES: u64 = 4;
 
+/// The L1 model's key for one global load: the address vector it issued.
+/// Two loads share a key exactly when their address vectors are equal
+/// (for two lane-varying vectors, up to an FNV-1a collision). A vector
+/// whose lanes all carry one address keys in O(1), whichever path built
+/// it; hashing it would fold the same address `lanes` times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum L1Key {
+    /// Every one of `lanes` lanes issued `addr`.
+    Uniform { addr: u64, lanes: usize },
+    /// FNV-1a over the per-lane addresses, which are not all equal.
+    Lanes(u64),
+}
+
+impl L1Key {
+    pub(crate) fn of(addrs: &[u64]) -> L1Key {
+        match addrs {
+            [addr, rest @ ..] if rest.iter().all(|a| a == addr) => L1Key::Uniform {
+                addr: *addr,
+                lanes: addrs.len(),
+            },
+            _ => L1Key::Lanes(addrs.iter().fold(0xcbf2_9ce4_8422_2325, |h, &a| {
+                (h ^ a).wrapping_mul(0x1000_0000_01b3)
+            })),
+        }
+    }
+}
+
+/// One load site's L1 model: the keys of its last eight misses. A load
+/// whose key is among them hits and moves no DRAM bytes (loop-invariant
+/// loads, repeated broadcasts); a miss enters its key, evicting the
+/// oldest. Stores write through and never consult it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct L1Site {
+    keys: [Option<L1Key>; 8],
+    /// Where the next miss goes: the oldest entry once all eight are full.
+    next: usize,
+}
+
+impl L1Site {
+    /// Look `key` up; a miss enters it. Returns whether it hit.
+    pub(crate) fn hit(&mut self, key: L1Key) -> bool {
+        if self.keys.contains(&Some(key)) {
+            return true;
+        }
+        self.keys[self.next] = Some(key);
+        self.next = (self.next + 1) % self.keys.len();
+        false
+    }
+}
+
 /// Iterations one `for` loop may run before both engines report a runaway
 /// ("loop exceeded 1e9 iterations"). The crate's unit tests lower it so
 /// that the differential tests can reach that error in both engines.

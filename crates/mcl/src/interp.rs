@@ -35,8 +35,8 @@
 use crate::ast::*;
 use crate::check::CheckedKernel;
 use crate::exec::{
-    ExecError, ExecOptions, ExecResult, Sampling, CYCLE_BARRIER, CYCLE_BASIC, CYCLE_GLOBAL,
-    CYCLE_LOCAL, CYCLE_SPECIAL, ELEM_BYTES, TRANSACTION_BYTES,
+    ExecError, ExecOptions, ExecResult, L1Key, L1Site, Sampling, CYCLE_BARRIER, CYCLE_BASIC,
+    CYCLE_GLOBAL, CYCLE_LOCAL, CYCLE_SPECIAL, ELEM_BYTES, TRANSACTION_BYTES,
 };
 use crate::stats::{KernelStats, SiteKey};
 use crate::value::ArgValue;
@@ -183,10 +183,8 @@ pub struct Interp {
     unit_order: Vec<String>,
     /// Scratch for transaction counting.
     seg_scratch: Vec<u64>,
-    /// Tiny L1 model: per load site, the hashes of recently issued address
-    /// patterns. A repeat of a recent pattern (e.g. loop-invariant loads
-    /// re-issued every iteration) hits the cache and moves no DRAM bytes.
-    site_cache: HashMap<(usize, String), std::collections::VecDeque<u64>>,
+    /// Tiny L1 model: per load site, the recently issued address patterns.
+    site_cache: HashMap<(usize, String), L1Site>,
 }
 
 impl Interp {
@@ -598,26 +596,12 @@ impl Interp {
         // L1 model for loads: a warp re-issuing a recently seen address
         // pattern (loop-invariant loads, repeated broadcasts) hits the
         // cache and moves no DRAM bytes. Stores write through.
-        let mut cached = false;
-        if !is_store {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for a in addrs {
-                h ^= *a;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-            let entry = self
+        let cached = !is_store
+            && self
                 .site_cache
                 .entry((line, array.to_string()))
-                .or_default();
-            if entry.contains(&h) {
-                cached = true;
-            } else {
-                if entry.len() >= 8 {
-                    entry.pop_front();
-                }
-                entry.push_back(h);
-            }
-        }
+                .or_default()
+                .hit(L1Key::of(addrs));
         let moved = if cached {
             0
         } else if all_same && active_lanes > 1 {

@@ -45,7 +45,7 @@ use cashmere::ClusterSpec;
 use cashmere_apps::KernelSet;
 use cashmere_bench::engine_load::{churn, schedule_cancel, schedule_run};
 use cashmere_bench::{
-    cli, default_jobs, kernel_gflops, run_scenario, subsystem_rows, sweep, write_file, AppId,
+    cli, default_jobs, run_scenario, subsystem_rows, sweep, write_file, AppId, Fig6Launch,
     Scenario, Series, SubsystemShare,
 };
 use cashmere_des::obs::{prof, RunDiff, RunFingerprint};
@@ -323,12 +323,17 @@ fn measure_bins(quick: bool) -> BinNumbers {
 }
 
 /// One timed pass over the fig6 corpus (every app × device, optimized
-/// kernels); returns measurements performed.
+/// kernels); returns measurements performed. Each launch runs on the VM
+/// through [`Fig6Launch::run_kernel`], outside the process-wide launch
+/// table, so every pass (and every repetition of one) times the VM rather
+/// than table hits.
 fn fig6_corpus_pass() -> u64 {
     let mut n = 0u64;
     for app in AppId::ALL {
         for dev in DeviceKind::ALL {
-            black_box(kernel_gflops(app, KernelSet::Optimized, dev).unwrap_or(0.0));
+            let _prof = prof::scope("kernel::measure");
+            let launch = Fig6Launch::new(app, KernelSet::Optimized, dev);
+            black_box(launch.and_then(|l| l.run_kernel()));
             n += 1;
         }
     }

@@ -32,7 +32,8 @@ pub use obs::{
 };
 pub use output::{write_file, write_json, write_report, write_report_to, Table};
 pub use runners::{
-    hetero_cluster, kernel_gflops, AppId, Fig6Launch, RecoverySummary, RunOutcome, Series,
+    hetero_cluster, kernel_gflops, measure_kernel, AppId, Fig6Launch, KernelMeasurement,
+    RecoverySummary, RunOutcome, Series,
 };
 pub use scenario::cli::{self, load_fault_plan, CommonArgs};
 pub use scenario::{run_scenario, PolicySpec, Problem, Scenario, ScenarioReport, ScenarioRun};

@@ -16,7 +16,7 @@ use cashmere_apps::matmul::{MatmulApp, MatmulProblem};
 use cashmere_apps::nbody::{NbodyApp, NbodyProblem};
 use cashmere_apps::raytracer::{RaytracerApp, RaytracerProblem};
 use cashmere_apps::{AppMode, KernelSet};
-use cashmere_devsim::{ExecMode, SimDevice};
+use cashmere_devsim::{ExecMode, KernelRun, SimDevice};
 use cashmere_hwdesc::{DeviceKind, Hierarchy};
 use cashmere_mcl::Sampling;
 use cashmere_satin::{Counter, RunReport};
@@ -291,22 +291,54 @@ impl Fig6Launch {
             extra_scale: self.call.extra_scale,
         }
     }
+
+    /// The launch run by [`SimDevice::run_kernel`], outside the
+    /// process-wide launch table: the oracle [`kernel_gflops`] is checked
+    /// against, and a VM run on every call. `None` when no kernel version
+    /// applies or the launch fails.
+    pub fn run_kernel(&self) -> Option<KernelRun> {
+        let ck = self.registry.select(self.call.kernel, self.device.level)?;
+        self.device
+            .run_kernel(&self.hierarchy, ck, self.call.args.clone(), self.mode())
+            .ok()
+    }
+}
+
+/// One Fig. 6 measurement.
+#[derive(Debug, Clone, Copy)]
+pub struct KernelMeasurement {
+    pub gflops: f64,
+    /// This measurement ran the VM: the process-wide launch table did not
+    /// hold the launch yet.
+    pub interpreted: bool,
 }
 
 /// Fig. 6 measurement: kernel execution time alone (no transfers) for one
-/// representative device job of the paper-scale problem.
-pub fn kernel_gflops(app: AppId, set: KernelSet, device: DeviceKind) -> Option<f64> {
+/// representative device job of the paper-scale problem. The launch goes
+/// through the registry and the process-wide launch table, as a cluster
+/// run's first launch of a shape does, so devices that select the same
+/// version at the same geometry share one VM run.
+pub fn measure_kernel(app: AppId, set: KernelSet, device: DeviceKind) -> Option<KernelMeasurement> {
     let _prof = cashmere_des::obs::prof::scope("kernel::measure");
-    let launch = Fig6Launch::new(app, set, device)?;
-    let mode = launch.mode();
-    let ck = launch
+    let mut launch = Fig6Launch::new(app, set, device)?;
+    let kernel = launch
         .registry
-        .select(launch.call.kernel, launch.device.level)?;
-    let run = launch
-        .device
-        .run_kernel(&launch.hierarchy, ck, launch.call.args, mode)
-        .ok()?;
-    Some(launch.flops / run.cost.total_s / 1e9)
+        .prepare(launch.call.kernel, &launch.device)?;
+    let (seconds, sight) = launch.registry.sampled_seconds(
+        &kernel,
+        &launch.call.args,
+        launch.call.extra_scale,
+        &launch.device.params,
+    );
+    Some(KernelMeasurement {
+        gflops: launch.flops / seconds.ok()? / 1e9,
+        interpreted: sight.interpreted,
+    })
+}
+
+/// The GFLOPS of [`measure_kernel`].
+pub fn kernel_gflops(app: AppId, set: KernelSet, device: DeviceKind) -> Option<f64> {
+    measure_kernel(app, set, device).map(|m| m.gflops)
 }
 
 #[cfg(test)]

@@ -6,15 +6,23 @@
 //! the VM reads but the launch key leaves out would let a scenario reuse
 //! statistics measured for another one's launch and show here.
 //!
-//! The catalog holds paper-scale runs, slow in a debug build, so the test
-//! is ignored by default. Run it with
+//! The Fig. 6 corpus shares the table too: run twice in a process of its
+//! own, every point equals the same launch run outside the table, and the
+//! VM runs once per distinct launch.
+//!
+//! The catalog and the corpus are paper-scale, slow in a debug build, so
+//! the tests are ignored by default. Run them with
 //!
 //! ```text
 //! cargo test --release -p cashmere-bench --test launch_table -- --ignored
 //! ```
 
+use cashmere_apps::KernelSet;
 use cashmere_bench::scenario::cli::out_path;
-use cashmere_bench::{run_scenario, Scenario, ScenarioReport};
+use cashmere_bench::{kernel_gflops, run_scenario, AppId, Fig6Launch, Scenario, ScenarioReport};
+use cashmere_des::obs::{prof, ProfNode};
+use cashmere_hwdesc::DeviceKind;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
@@ -70,4 +78,87 @@ fn catalog_reports_are_identical_cold_and_warm() {
             "{what}: the fresh process differs\nhere: {first}\ncold: {cold}"
         );
     }
+}
+
+/// Set in the child process that runs the Fig. 6 corpus test's body.
+const FRESH_PROCESS: &str = "LAUNCH_TABLE_FRESH_PROCESS";
+
+/// Visits to frame `name` anywhere in the tree.
+fn calls(nodes: &[ProfNode], name: &str) -> u64 {
+    nodes
+        .iter()
+        .map(|n| if n.name == name { n.count } else { 0 } + calls(&n.children, name))
+        .sum()
+}
+
+#[test]
+#[ignore = "runs the paper-scale fig6 corpus three times; run with --release -- --ignored"]
+fn fig6_corpus_matches_the_direct_run_and_interprets_each_launch_once() {
+    // The catalog test fills the table with paper-scale launches, some of
+    // them Fig. 6's, so the counts below need a process of their own: this
+    // test runs itself again in a child and checks there.
+    if std::env::var_os(FRESH_PROCESS).is_none() {
+        let status = Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--exact",
+                "fig6_corpus_matches_the_direct_run_and_interprets_each_launch_once",
+                "--ignored",
+                "--nocapture",
+            ])
+            .env(FRESH_PROCESS, "1")
+            .status()
+            .expect("the test binary runs");
+        assert!(status.success(), "the fresh-process run failed");
+        return;
+    }
+
+    // The launch table key's inputs, found without the table: the selected
+    // version's source (as its syntax tree), the executor geometry and the
+    // arguments. Direct runs (`SimDevice::run_kernel`) bypass the table.
+    let mut points = Vec::new();
+    let mut distinct = HashSet::new();
+    for app in AppId::ALL {
+        for device in DeviceKind::ALL {
+            for set in [KernelSet::Unoptimized, KernelSet::Optimized] {
+                let what = format!("{} {set:?} on {}", app.name(), device.level_name());
+                let l = Fig6Launch::new(app, set, device).expect("device instantiates");
+                let ck = l
+                    .registry
+                    .select(l.call.kernel, l.device.level)
+                    .expect("a version");
+                let p = l.device.prepare_launch(&l.hierarchy, ck, l.mode());
+                distinct.insert(format!(
+                    "{:?} {:?} {:?} {:?}",
+                    ck.kernel, p.par_units, p.opts, l.call.args
+                ));
+                let run = l
+                    .run_kernel()
+                    .unwrap_or_else(|| panic!("{what}: launch fails"));
+                points.push((app, set, device, what, l.flops / run.cost.total_s / 1e9));
+            }
+        }
+    }
+    assert_eq!(points.len(), 4 * 7 * 2);
+
+    prof::set_enabled(false);
+    let _ = prof::take();
+    prof::set_enabled(true);
+    for pass in 0..2 {
+        for (app, set, device, what, direct) in &points {
+            let gflops = kernel_gflops(*app, *set, *device).expect("measured");
+            assert_eq!(gflops.to_bits(), direct.to_bits(), "pass {pass}: {what}");
+        }
+    }
+    prof::set_enabled(false);
+    let tree = prof::take();
+    assert_eq!(calls(&tree.roots, "kernel::measure"), 2 * 56);
+    assert_eq!(calls(&tree.roots, "mcl::memo"), 2 * 56);
+    assert_eq!(
+        calls(&tree.roots, "mcl::execute"),
+        distinct.len() as u64,
+        "one VM run per distinct launch"
+    );
+    // The five NVIDIA GPUs share their launches, and the raytracer's two
+    // kernel sets both select `perfect` on the Xeon Phi.
+    assert_eq!(distinct.len(), 23);
 }

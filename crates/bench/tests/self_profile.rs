@@ -4,10 +4,15 @@
 //! never shows). Plus well-formedness of the collapsed-stack export.
 
 use cashmere::ClusterSpec;
-use cashmere_bench::{run_scenario, sweep, AppId, Problem, Scenario, ScenarioReport, Series};
+use cashmere_apps::KernelSet;
+use cashmere_bench::{
+    kernel_gflops, measure_kernel, run_scenario, sweep, AppId, Fig6Launch, Problem, Scenario,
+    ScenarioReport, Series,
+};
 use cashmere_des::fault::{FaultPlan, LinkFault, NodeCrash, NodeJoin};
 use cashmere_des::obs::{prof, ProfNode, ProfTree};
 use cashmere_des::SimTime;
+use cashmere_hwdesc::DeviceKind;
 use cashmere_satin::Counter;
 use std::sync::Mutex;
 
@@ -177,6 +182,39 @@ fn vm_runs_once_per_distinct_launch_at_any_jobs_width() {
             "jobs={jobs}: {misses:?}"
         );
         assert_eq!(executed, misses[0], "jobs={jobs}");
+    }
+}
+
+/// Fig. 6 measurements go through the launch table: each equals the GFLOPS
+/// of the same launch run outside it by `SimDevice::run_kernel`, bit for
+/// bit, and a repeated measurement is answered without entering the VM.
+#[test]
+fn fig6_measurements_equal_the_direct_run_and_repeat_from_the_table() {
+    let _guard = PROF_LOCK.lock().unwrap();
+    prof::set_enabled(false);
+    let _ = prof::take();
+    for set in [KernelSet::Unoptimized, KernelSet::Optimized] {
+        for device in DeviceKind::ALL {
+            let what = format!("k-means {set:?} on {}", device.level_name());
+            let launch = Fig6Launch::new(AppId::Kmeans, set, device).expect("device instantiates");
+            let run = launch.run_kernel().expect("the launch runs");
+            let direct = launch.flops / run.cost.total_s / 1e9;
+            let gflops = kernel_gflops(AppId::Kmeans, set, device).expect("measured");
+            assert_eq!(gflops.to_bits(), direct.to_bits(), "{what}");
+
+            prof::set_enabled(true);
+            let again = measure_kernel(AppId::Kmeans, set, device).expect("measured");
+            prof::set_enabled(false);
+            let tree = prof::take();
+            assert_eq!(again.gflops.to_bits(), gflops.to_bits(), "{what}");
+            assert!(!again.interpreted, "{what}: the repeat reports a VM run");
+            assert_eq!(calls(&tree.roots, "mcl::memo"), 1, "{what}");
+            assert_eq!(
+                calls(&tree.roots, "mcl::execute"),
+                0,
+                "{what}: the VM ran again"
+            );
+        }
     }
 }
 

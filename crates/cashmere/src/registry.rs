@@ -11,17 +11,21 @@
 //! same size (the paper's own observation in Sec. III-B), sampled
 //! statistics come from the process-wide launch table of
 //! [`cashmere_mcl::launch`], so the cost of sampled interpretation is paid
-//! once per distinct launch instead of once per job or per run. The
-//! registry remembers only which launch shapes its run has seen, for the
-//! run's memo hit and miss counts.
+//! once per distinct launch instead of once per job or per run.
+//! [`KernelRegistry::sampled_seconds`] turns such a launch into modelled
+//! seconds for cluster runs and Fig. 6 measurements alike. The registry
+//! remembers only which launch shapes its run has seen, for the run's
+//! memo hit and miss counts.
 
 use cashmere_des::obs::prof;
 use cashmere_devsim::{ExecMode, PreparedLaunch, SimDevice};
+use cashmere_hwdesc::params::ResolvedParams;
 use cashmere_hwdesc::{Hierarchy, LevelId};
+use cashmere_mcl::cost::estimate_time;
 pub use cashmere_mcl::launch::arg_shape;
 use cashmere_mcl::launch::{table_entry, KernelSource, LaunchKey, LaunchShape, Measured};
 use cashmere_mcl::value::ArgValue;
-use cashmere_mcl::{compile, CheckError, CheckedKernel};
+use cashmere_mcl::{compile, CheckError, CheckedKernel, ExecError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -45,7 +49,7 @@ fn most_specific<'a>(
 /// A kernel's most specific version prepared for sampled launches on one
 /// device (paper Sec. III-A): resolved once, then every launch of the
 /// kernel on that device only adds its arguments.
-pub(crate) struct PreparedKernel {
+pub struct PreparedKernel {
     version: Arc<Version>,
     /// Geometry, executor options and parallelism units of the launch.
     pub(crate) launch: PreparedLaunch,
@@ -56,6 +60,17 @@ impl PreparedKernel {
     pub(crate) fn checked(&self) -> &CheckedKernel {
         &self.version.ck
     }
+}
+
+/// How the registry answered one sampled launch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaunchSight {
+    /// The registry's first sight of the launch's shape: its run's memo
+    /// miss.
+    pub first_in_run: bool,
+    /// The process-wide launch table did not hold the launch yet, so this
+    /// call ran the VM.
+    pub interpreted: bool,
 }
 
 /// Registry of compiled kernels plus the hardware hierarchy they target.
@@ -145,7 +160,7 @@ impl KernelRegistry {
 
     /// Prepare `kernel`'s most specific version for sampled launches on
     /// `device`; `None` when no version applies.
-    pub(crate) fn prepare(&self, kernel: &str, device: &SimDevice) -> Option<PreparedKernel> {
+    pub fn prepare(&self, kernel: &str, device: &SimDevice) -> Option<PreparedKernel> {
         let version = most_specific(&self.hierarchy, self.kernels.get(kernel)?, device.level)?;
         Some(PreparedKernel {
             launch: device.prepare_launch(&self.hierarchy, &version.ck, ExecMode::sampled()),
@@ -153,32 +168,63 @@ impl KernelRegistry {
         })
     }
 
-    /// Unscaled statistics of a sampled launch of `kernel` on `args`, and
-    /// whether this is the registry's first sight of the launch's shape
-    /// (the run's memo miss). The statistics come from the process-wide
-    /// launch table; the VM runs only when the process has never seen this
-    /// exact launch.
-    pub(crate) fn sampled_stats(
+    /// Modelled seconds of a sampled launch of `kernel` on `args` on the
+    /// device with parameters `params` (the one `kernel` was prepared
+    /// for), with the call's calibration factor `extra_scale` applied to
+    /// the statistics: the physical cost, before any virtual speed scale.
+    /// Equal, bit for bit, to the `cost.total_s` of the same launch run
+    /// by [`SimDevice::run_kernel`] in [`ExecMode::Sampled`]; the
+    /// statistics come from the process-wide launch table, so the VM runs
+    /// only when the process has never seen this exact launch.
+    pub fn sampled_seconds(
         &mut self,
         kernel: &PreparedKernel,
         args: &[ArgValue],
-    ) -> (Measured, bool) {
+        extra_scale: f64,
+        params: &ResolvedParams,
+    ) -> (Result<f64, ExecError>, LaunchSight) {
+        let (measured, sight) = self.sampled_stats(kernel, args);
+        // The table holds *unscaled* statistics: launches of one shape may
+        // calibrate differently.
+        let seconds = measured.map(|mut stats| {
+            if extra_scale != 1.0 {
+                stats.scale(extra_scale);
+            }
+            estimate_time(&stats, params, kernel.launch.config.class).total_s
+        });
+        (seconds, sight)
+    }
+
+    /// Unscaled statistics of a sampled launch of `kernel` on `args`, and
+    /// how the launch was answered. The statistics come from the
+    /// process-wide launch table.
+    fn sampled_stats(
+        &mut self,
+        kernel: &PreparedKernel,
+        args: &[ArgValue],
+    ) -> (Measured, LaunchSight) {
         let PreparedKernel { version, launch } = kernel;
-        let (entry, first_sight) = {
+        let (entry, first_in_run) = {
             let _prof = prof::scope("mcl::memo");
             let key = LaunchKey::sampled(&version.source, &launch.par_units, &launch.opts, args);
-            let first_sight = !self.seen.contains(key.shape());
-            if first_sight {
+            let first_in_run = !self.seen.contains(key.shape());
+            if first_in_run {
                 self.seen.insert(key.shape().clone());
             }
-            (table_entry(key), first_sight)
+            (table_entry(key), first_in_run)
         };
+        let mut interpreted = false;
         let measured = entry.get_or_init(|| {
             let _prof = prof::scope("mcl::execute");
+            interpreted = true;
             cashmere_mcl::execute(&version.ck, args.to_vec(), &launch.par_units, &launch.opts)
                 .map(|run| run.stats)
         });
-        (measured.clone(), first_sight)
+        let sight = LaunchSight {
+            first_in_run,
+            interpreted,
+        };
+        (measured.clone(), sight)
     }
 }
 
@@ -452,7 +498,11 @@ mod tests {
         let axpy = r.prepare("axpy", &gtx).unwrap();
         let (first, miss) = r.sampled_stats(&axpy, &args);
         let (again, hit) = r.sampled_stats(&axpy, &args);
-        assert!(miss && !hit, "first sight misses, the repeat hits");
+        assert!(
+            miss.first_in_run && !hit.first_in_run,
+            "first sight misses, the repeat hits"
+        );
+        assert!(!hit.interpreted, "the repeat is served by the table");
         assert_eq!(bits(&first), bits(&again));
         assert!(r.prepare("nonexistent", &gtx).is_none());
     }
@@ -474,7 +524,8 @@ mod tests {
         args: &[ArgValue],
     ) -> (Measured, bool) {
         let prepared = r.prepare(kernel, device).unwrap();
-        r.sampled_stats(&prepared, args)
+        let (measured, sight) = r.sampled_stats(&prepared, args);
+        (measured, sight.first_in_run)
     }
 
     /// Statistics rendered so that equal strings mean equal bits.
@@ -504,6 +555,31 @@ mod tests {
                     bits(&measured),
                     direct(&r, "axpy", &device, &args),
                     "{} n={n}",
+                    device.level_name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_seconds_equal_a_direct_device_run() {
+        let mut r = registry();
+        for device in ["gtx480", "hd7970", "xeon_phi"] {
+            let device = SimDevice::by_name(r.hierarchy(), device).unwrap();
+            let axpy = r.prepare("axpy", &device).unwrap();
+            for extra_scale in [1.0, 2.5, 0.75] {
+                let args = phantom_args(2048);
+                let (seconds, _) = r.sampled_seconds(&axpy, &args, extra_scale, &device.params);
+                let mode = ExecMode::Sampled {
+                    sampling: cashmere_mcl::Sampling::default(),
+                    extra_scale,
+                };
+                let ck = r.select("axpy", device.level).unwrap();
+                let run = device.run_kernel(r.hierarchy(), ck, args, mode).unwrap();
+                assert_eq!(
+                    seconds.unwrap().to_bits(),
+                    run.cost.total_s.to_bits(),
+                    "{} x{extra_scale}",
                     device.level_name
                 );
             }

@@ -650,24 +650,19 @@ impl CashmereLeafRuntime {
                     total_s
                 }
                 None => {
-                    // The launch table holds *unscaled* statistics;
-                    // calibration scaling is applied per call (jobs with
-                    // the same shape may calibrate differently).
-                    let (measured, first_sight) =
-                        self.registry.sampled_stats(&plan.kernel, &call.args);
-                    report[if first_sight {
+                    let (total_s, sight) = self.registry.sampled_seconds(
+                        &plan.kernel,
+                        &call.args,
+                        call.extra_scale,
+                        &slot.sim.params,
+                    );
+                    report[if sight.first_in_run {
                         Counter::KernelMemoMisses
                     } else {
                         Counter::KernelMemoHits
                     }] += 1;
-                    let mut stats =
-                        measured.unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-                    if call.extra_scale != 1.0 {
-                        stats.scale(call.extra_scale);
-                    }
                     let total_s =
-                        estimate_time(&stats, &slot.sim.params, plan.kernel.launch.config.class)
-                            .total_s;
+                        total_s.unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
                     plan.seconds
                         .push((arg_shape(&call.args), scale_bits, total_s));
                     total_s

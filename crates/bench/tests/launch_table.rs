@@ -10,6 +10,11 @@
 //! own, every point equals the same launch run outside the table, and the
 //! VM runs once per distinct launch.
 //!
+//! The process-wide compiled-version cache is covered the same way: the
+//! warm catalog runs register every version from that cache, and the
+//! Fig. 6 corpus compiles each kernel source once, however many
+//! registries register it.
+//!
 //! The catalog and the corpus are paper-scale, slow in a debug build, so
 //! the tests are ignored by default. Run them with
 //!
@@ -115,6 +120,9 @@ fn fig6_corpus_matches_the_direct_run_and_interprets_each_launch_once() {
     // The launch table key's inputs, found without the table: the selected
     // version's source (as its syntax tree), the executor geometry and the
     // arguments. Direct runs (`SimDevice::run_kernel`) bypass the table.
+    prof::set_enabled(false);
+    let _ = prof::take();
+    prof::set_enabled(true);
     let mut points = Vec::new();
     let mut distinct = HashSet::new();
     for app in AppId::ALL {
@@ -139,9 +147,28 @@ fn fig6_corpus_matches_the_direct_run_and_interprets_each_launch_once() {
         }
     }
     assert_eq!(points.len(), 4 * 7 * 2);
-
     prof::set_enabled(false);
-    let _ = prof::take();
+    let tree = prof::take();
+    // Each app's optimized set holds every version of its kernels (the
+    // unoptimized set is its `perfect` subset), and no two apps share a
+    // source.
+    let sources: usize = AppId::ALL
+        .into_iter()
+        .map(|app| {
+            let r = Fig6Launch::new(app, KernelSet::Optimized, DeviceKind::Gtx480)
+                .expect("device instantiates")
+                .registry;
+            let names = r.kernel_names();
+            names.iter().map(|k| r.versions_of(k).len()).sum::<usize>()
+        })
+        .sum();
+    assert_eq!(
+        calls(&tree.roots, "mcl::compile"),
+        sources as u64,
+        "56 launches' registries compile each source once"
+    );
+    assert_eq!(sources, 11);
+
     prof::set_enabled(true);
     for pass in 0..2 {
         for (app, set, device, what, direct) in &points {
@@ -153,6 +180,11 @@ fn fig6_corpus_matches_the_direct_run_and_interprets_each_launch_once() {
     let tree = prof::take();
     assert_eq!(calls(&tree.roots, "kernel::measure"), 2 * 56);
     assert_eq!(calls(&tree.roots, "mcl::memo"), 2 * 56);
+    assert_eq!(
+        calls(&tree.roots, "mcl::compile"),
+        0,
+        "every registry of the passes is served by the compiled-version cache"
+    );
     assert_eq!(
         calls(&tree.roots, "mcl::execute"),
         distinct.len() as u64,

@@ -7,6 +7,11 @@
 //! them all, and for each physical device "automatically chooses the most
 //! specific kernel version".
 //!
+//! Like a Cashmere node, which compiles its kernels once on initialization
+//! (paper Sec. III-B), the process compiles each version once: every
+//! registry that registers the same source against an equal hierarchy
+//! shares one compiled version.
+//!
 //! Because leaf jobs in a divide-and-conquer application typically have the
 //! same size (the paper's own observation in Sec. III-B), sampled
 //! statistics come from the process-wide launch table of
@@ -27,12 +32,60 @@ use cashmere_mcl::launch::{table_entry, KernelSource, LaunchKey, LaunchShape, Me
 use cashmere_mcl::value::ArgValue;
 use cashmere_mcl::{compile, CheckError, CheckedKernel, ExecError};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock, Mutex, OnceLock, PoisonError};
 
 /// One registered kernel version and the source it was compiled from.
 struct Version {
     ck: CheckedKernel,
     source: KernelSource,
+}
+
+/// A source compiled against one hierarchy: its version, or the located
+/// error its parse or check raised.
+type Compiled = Result<Arc<Version>, CheckError>;
+
+/// The hierarchies one source was compiled against, each with its
+/// outcome.
+type Compilations = Vec<(Hierarchy, Arc<OnceLock<Compiled>>)>;
+
+/// The process-wide compiled versions. Compiling is a pure function of the
+/// source text and the hierarchy's content (the checker resolves level
+/// names to ids and reads each level's parallelism units), so a source is
+/// looked up by its text and then by hierarchy equality.
+static VERSIONS: LazyLock<Mutex<HashMap<KernelSource, Compilations>>> =
+    LazyLock::new(Default::default);
+
+/// The entry of `source` compiled against `hierarchy`, created empty on
+/// the process's first sight of the pair and then never replaced or
+/// evicted. As in the launch table, the lock covers only this lookup:
+/// callers fill the entry after it is released, so threads that miss one
+/// pair together compile it once.
+fn compilation(source: &KernelSource, hierarchy: &Hierarchy) -> Arc<OnceLock<Compiled>> {
+    // A panic cannot leave the map half-updated: the lock guards one
+    // lookup and at most one push, so a poisoned map is still whole.
+    let mut versions = VERSIONS.lock().unwrap_or_else(PoisonError::into_inner);
+    let compilations = versions.entry(source.clone()).or_default();
+    match compilations.iter().find(|(h, _)| h == hierarchy) {
+        Some((_, entry)) => Arc::clone(entry),
+        None => {
+            let entry = Arc::new(OnceLock::new());
+            compilations.push((hierarchy.clone(), Arc::clone(&entry)));
+            entry
+        }
+    }
+}
+
+/// `src` compiled against `hierarchy`: parsed and checked only on the
+/// process's first sight of the pair. An error is kept like a version, so
+/// a failing source fails alike every time.
+fn compiled(src: &str, hierarchy: &Hierarchy) -> Compiled {
+    let source = KernelSource::new(src);
+    compilation(&source, hierarchy)
+        .get_or_init(|| {
+            let _prof = prof::scope("mcl::compile");
+            compile(src, hierarchy).map(|ck| Arc::new(Version { ck, source }))
+        })
+        .clone()
 }
 
 /// Most-specific version of a kernel for `device`.
@@ -97,12 +150,13 @@ impl KernelRegistry {
 
     /// Compile and register one kernel version. The kernel's name comes
     /// from the source; its level from the leading keyword. Registering two
-    /// versions of the same kernel at the same level is an error.
+    /// versions of the same kernel at the same level is an error. The
+    /// version is compiled once per process and shared by every registry
+    /// on an equal hierarchy.
     pub fn register(&mut self, src: &str) -> Result<(String, LevelId), CheckError> {
-        let _prof = prof::scope("mcl::compile");
-        let ck = compile(src, &self.hierarchy)?;
-        let name = ck.kernel.name.clone();
-        let level = ck.level;
+        let version = compiled(src, &self.hierarchy)?;
+        let name = version.ck.kernel.name.clone();
+        let level = version.ck.level;
         let versions = self.kernels.entry(name.clone()).or_default();
         if versions.iter().any(|v| v.ck.level == level) {
             return Err(CheckError {
@@ -113,10 +167,7 @@ impl KernelRegistry {
                 ),
             });
         }
-        versions.push(Arc::new(Version {
-            ck,
-            source: KernelSource::new(src),
-        }));
+        versions.push(version);
         Ok((name, level))
     }
 
@@ -366,6 +417,170 @@ mod tests {
         let mut r = registry();
         let err = r.register(PERFECT).unwrap_err();
         assert!(err.message.contains("already has a version"));
+    }
+
+    /// The version `r` holds of `kernel` at the level named `level`.
+    fn version(r: &KernelRegistry, kernel: &str, level: &str) -> Arc<Version> {
+        let level = r.hierarchy().id(level).unwrap();
+        let v = r.kernels[kernel].iter().find(|v| v.ck.level == level);
+        Arc::clone(v.unwrap())
+    }
+
+    #[test]
+    fn registries_on_one_hierarchy_share_compiled_versions() {
+        let (a, b) = (registry(), registry());
+        for level in ["perfect", "gpu"] {
+            assert!(Arc::ptr_eq(
+                &version(&a, "axpy", level),
+                &version(&b, "axpy", level)
+            ));
+        }
+        let h = a.hierarchy();
+        for device in DeviceKind::ALL {
+            let level = device.level(h);
+            assert_eq!(
+                a.select("axpy", level).map(|ck| ck.level),
+                b.select("axpy", level).map(|ck| ck.level),
+                "{device}"
+            );
+        }
+    }
+
+    /// A `mic` kernel over the standard `mic` units, `cores` then
+    /// `threads`.
+    fn mic_kernel(name: &str) -> String {
+        format!(
+            "mic void {name}(int n, float[n] a) {{
+  foreach (int c in n / 4 cores) {{
+    foreach (int t in 4 threads) {{ a[c * 4 + t] = 0.0; }}
+  }}
+}}"
+        )
+    }
+
+    /// The standard hierarchy with a `mic` that exposes `threads` only:
+    /// the same level names and parents, other parallelism units.
+    fn mic_without_cores() -> Hierarchy {
+        let hdl = cashmere_hwdesc::library::STANDARD_HDL.replace("unit cores max 61;", "");
+        let h = cashmere_hwdesc::hdl::parse(&hdl).unwrap();
+        assert_ne!(h, standard_hierarchy());
+        assert!(h.names().eq(standard_hierarchy().names()));
+        h
+    }
+
+    /// A one-level hierarchy: no `mic` at all.
+    fn perfect_only() -> Hierarchy {
+        cashmere_hwdesc::hdl::parse("hardware perfect { parallelism { unit threads; } }").unwrap()
+    }
+
+    #[test]
+    fn a_version_is_never_shared_across_unequal_hierarchies() {
+        let register = |h: Hierarchy, src: &str| KernelRegistry::new(h).register(src);
+        let others_answer_alone = |src: &str| {
+            let err = register(perfect_only(), src).unwrap_err();
+            assert_eq!(err.line, 1);
+            assert_eq!(err.message, "unknown hardware description `mic`");
+            let err = register(mic_without_cores(), src).unwrap_err();
+            assert!(err.message.contains("parallelism unit `cores`"), "{err}");
+        };
+        let standard_answers = |src: &str| {
+            let (_, level) = register(standard_hierarchy(), src).unwrap();
+            assert_eq!(standard_hierarchy().name(level), "mic");
+        };
+        let src = mic_kernel("hierarchy_probe_standard_first");
+        standard_answers(&src);
+        others_answer_alone(&src);
+        let src = mic_kernel("hierarchy_probe_standard_last");
+        others_answer_alone(&src);
+        standard_answers(&src);
+    }
+
+    #[test]
+    fn a_failing_source_fails_alike_every_time() {
+        let src = "perfect void failing_probe(int n, float[n] a) {
+  foreach (int i in n threads) {
+    a[i] = undeclared;
+  }
+}";
+        let errors: Vec<CheckError> = (0..3)
+            .map(|_| {
+                KernelRegistry::new(standard_hierarchy())
+                    .register(src)
+                    .unwrap_err()
+            })
+            .collect();
+        assert_eq!(errors[0].line, 3, "{}", errors[0]);
+        assert!(errors.iter().all(|e| *e == errors[0]));
+    }
+
+    #[test]
+    fn duplicate_level_rejected_when_the_version_is_cached() {
+        let other = PERFECT.replace("2.0", "3.0");
+        KernelRegistry::new(standard_hierarchy())
+            .register(&other)
+            .unwrap();
+        let mut r = registry();
+        let err = r.register(&other).unwrap_err();
+        assert!(err.message.contains("already has a version"), "{err}");
+        assert_eq!(r.versions_of("axpy").len(), 2);
+    }
+
+    #[test]
+    fn two_threads_missing_one_source_compile_it_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        use std::time::{Duration, Instant};
+
+        let src = "perfect void compile_race(int n, float[n] a) {
+  foreach (int i in n threads) { a[i] = 1.0; }
+}";
+        let h = standard_hierarchy();
+        let compiles = AtomicUsize::new(0);
+        let barrier = Barrier::new(2);
+        let versions: Vec<Arc<Version>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let source = KernelSource::new(src);
+                        barrier.wait();
+                        let entry = compilation(&source, &h);
+                        let compiled = entry.get_or_init(|| {
+                            compiles.fetch_add(1, Ordering::SeqCst);
+                            // Stay in the fill until a second fill starts
+                            // (the defect this test catches) or the other
+                            // thread has long had time to arrive.
+                            let start = Instant::now();
+                            while compiles.load(Ordering::SeqCst) < 2
+                                && start.elapsed() < Duration::from_millis(500)
+                            {
+                                std::thread::yield_now();
+                            }
+                            compile(src, &h).map(|ck| Arc::new(Version { ck, source }))
+                        });
+                        Arc::clone(compiled.as_ref().unwrap())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(compiles.load(Ordering::SeqCst), 1, "one compile per pair");
+        assert!(Arc::ptr_eq(&versions[0], &versions[1]));
+
+        // Registries on two threads receive that version.
+        let registered: Vec<Arc<Version>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut r = KernelRegistry::new(standard_hierarchy());
+                        barrier.wait();
+                        r.register(src).unwrap();
+                        version(&r, "compile_race", "perfect")
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(registered.iter().all(|v| Arc::ptr_eq(v, &versions[0])));
     }
 
     #[test]

@@ -14,12 +14,13 @@ use crate::params::{HwParams, ResolvedParams};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Index of a level in a [`Hierarchy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct LevelId(pub usize);
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Level {
     name: String,
     parent: Option<LevelId>,
@@ -27,11 +28,21 @@ struct Level {
     params: HwParams,
 }
 
-/// The hardware-description hierarchy.
+/// The hardware-description hierarchy. Copies share their levels until
+/// one of them adds a level, so a copy costs two reference counts.
 #[derive(Debug, Clone, Default)]
 pub struct Hierarchy {
-    levels: Vec<Level>,
-    by_name: HashMap<String, LevelId>,
+    levels: Arc<Vec<Level>>,
+    by_name: Arc<HashMap<String, LevelId>>,
+}
+
+/// Two hierarchies are equal when they hold the same levels, in the same
+/// order, with the same parents and parameters: every [`LevelId`] then
+/// names the same level in both. `by_name` is an index over the levels.
+impl PartialEq for Hierarchy {
+    fn eq(&self, other: &Hierarchy) -> bool {
+        Arc::ptr_eq(&self.levels, &other.levels) || self.levels == other.levels
+    }
 }
 
 impl Hierarchy {
@@ -65,16 +76,17 @@ impl Hierarchy {
             ),
         };
         let id = LevelId(self.levels.len());
-        self.levels.push(Level {
+        let levels = Arc::make_mut(&mut self.levels);
+        levels.push(Level {
             name: name.to_string(),
             parent: parent_id,
             children: Vec::new(),
             params,
         });
         if let Some(p) = parent_id {
-            self.levels[p.0].children.push(id);
+            levels[p.0].children.push(id);
         }
-        self.by_name.insert(name.to_string(), id);
+        Arc::make_mut(&mut self.by_name).insert(name.to_string(), id);
         Ok(id)
     }
 
@@ -269,6 +281,37 @@ mod tests {
         let h = small();
         let leaves: Vec<_> = h.leaves().iter().map(|l| h.name(*l)).collect();
         assert_eq!(leaves, ["mic", "amd", "gtx480"]);
+    }
+
+    #[test]
+    fn equality_covers_names_parents_and_parameters() {
+        assert_eq!(small(), small());
+        let one = |name: &str, parent: &str, unit: &str| {
+            let mut h = Hierarchy::new();
+            h.add_level("perfect", None, HwParams::default()).unwrap();
+            h.add_level("gpu", Some("perfect"), HwParams::default())
+                .unwrap();
+            let units = vec![crate::params::ParUnit {
+                name: unit.to_string(),
+                max: None,
+            }];
+            h.add_level(
+                name,
+                Some(parent),
+                HwParams {
+                    par_units: units,
+                    ..HwParams::default()
+                },
+            )
+            .unwrap();
+            h
+        };
+        let base = one("mic", "perfect", "cores");
+        assert_eq!(base, one("mic", "perfect", "cores"));
+        assert_ne!(base, one("phi", "perfect", "cores"), "level name");
+        assert_ne!(base, one("mic", "gpu", "cores"), "parent");
+        assert_ne!(base, one("mic", "perfect", "threads"), "parameters");
+        assert_ne!(base, small(), "other levels");
     }
 
     #[test]

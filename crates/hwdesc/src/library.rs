@@ -1,6 +1,6 @@
 //! The built-in hardware-description library (paper Fig. 2).
 //!
-//! The hierarchy is written in HDL (exercising the parser on every startup)
+//! The hierarchy is written in HDL (exercising the parser once per process)
 //! and covers the seven many-core devices of the DAS-4 evaluation cluster
 //! plus the host CPU used for Satin-only runs and CPU fallback:
 //!
@@ -26,6 +26,7 @@
 use crate::hdl;
 use crate::hierarchy::{Hierarchy, LevelId};
 use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 
 /// HDL source of the standard hierarchy.
 pub const STANDARD_HDL: &str = r#"
@@ -179,10 +180,13 @@ hardware host_cpu extends perfect {
 }
 "#;
 
-/// Parse the built-in hierarchy. Panics only if the embedded HDL is broken,
+/// The built-in hierarchy: [`STANDARD_HDL`] is parsed once per process and
+/// every call returns a copy. Panics only if the embedded HDL is broken,
 /// which the test suite guards against.
 pub fn standard_hierarchy() -> Hierarchy {
-    hdl::parse(STANDARD_HDL).expect("embedded standard HDL must parse")
+    static STANDARD: LazyLock<Hierarchy> =
+        LazyLock::new(|| hdl::parse(STANDARD_HDL).expect("embedded standard HDL must parse"));
+    STANDARD.clone()
 }
 
 /// The seven many-core devices of the paper's evaluation (Sec. IV).
@@ -280,6 +284,8 @@ mod tests {
             let lvl = d.level(&h);
             assert!(h.children(lvl).is_empty(), "{d} must be a leaf");
         }
+        // Every call hands out a copy of the one parse.
+        assert_eq!(h, hdl::parse(STANDARD_HDL).unwrap());
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! - **schedule/cancel ops/sec** in isolation;
 //! - **sweep wall time** of an in-process scaling sweep (k-means, three
 //!   series, 1–16 nodes) at `--jobs 1` vs all cores;
-//! - **per-bin wall proxies** for the `scaling` and `fig6` workloads;
 //! - **per-subsystem wall shares** from a self-profiled pass over the same
 //!   workloads (see `cashmere_des::obs::prof`), plus host provenance
 //!   (logical cores, repetition counts, quick-vs-full) so the numbers'
@@ -75,12 +74,6 @@ struct SweepNumbers {
     host_cores: usize,
 }
 
-#[derive(Serialize, Deserialize)]
-struct BinNumbers {
-    scaling_kmeans_wall_s: f64,
-    fig6_kernels_wall_s: f64,
-}
-
 #[derive(Serialize, Deserialize, Default)]
 struct KernelNumbers {
     /// Sampled kernel measurements/sec over the fig6 corpus (4 apps × 7
@@ -119,7 +112,6 @@ struct SelfBench {
     quick: bool,
     engine: EngineNumbers,
     sweep: SweepNumbers,
-    bins: BinNumbers,
     /// Kernel-interpretation throughput (`None` in pre-VM baselines; the
     /// offline serde shim maps a missing field to `None`).
     kernels: Option<KernelNumbers>,
@@ -303,25 +295,6 @@ fn measure_sweep(quick: bool) -> SweepNumbers {
     }
 }
 
-fn measure_bins(quick: bool) -> BinNumbers {
-    let sc = Scenario::paper(
-        AppId::Kmeans,
-        Series::CashmereOpt,
-        &ClusterSpec::homogeneous(if quick { 4 } else { 16 }, "gtx480"),
-        42,
-    );
-    let t0 = Instant::now();
-    let _ = run_scenario(&sc);
-    let scaling_wall = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    fig6_corpus_pass();
-    let fig6_wall = t0.elapsed().as_secs_f64();
-    BinNumbers {
-        scaling_kmeans_wall_s: scaling_wall,
-        fig6_kernels_wall_s: fig6_wall,
-    }
-}
-
 /// One timed pass over the fig6 corpus (every app × device, optimized
 /// kernels); returns measurements performed. Each launch runs on the VM
 /// through [`Fig6Launch::run_kernel`], outside the process-wide launch
@@ -378,8 +351,6 @@ fn perf_counters(b: &SelfBench) -> std::collections::BTreeMap<String, f64> {
         ),
         ("sweep.wall_s_jobs1", b.sweep.wall_s_jobs1),
         ("sweep.wall_s_jobs_n", b.sweep.wall_s_jobs_n),
-        ("bins.scaling_kmeans_wall_s", b.bins.scaling_kmeans_wall_s),
-        ("bins.fig6_kernels_wall_s", b.bins.fig6_kernels_wall_s),
         (
             "kernels.vm_measurements_per_sec",
             b.kernels
@@ -477,14 +448,6 @@ fn main() {
         sweep_n.host_cores
     );
 
-    println!("selfbench: per-bin wall proxies");
-    let bins = measure_bins(quick);
-    println!(
-        "  scaling (k-means 16n): {:.3}s",
-        bins.scaling_kmeans_wall_s
-    );
-    println!("  fig6 kernel sweep:     {:.3}s", bins.fig6_kernels_wall_s);
-
     println!("selfbench: kernel execution (fig6 corpus)");
     let kernels = measure_kernels(quick, &mut host);
     println!(
@@ -509,7 +472,6 @@ fn main() {
         quick,
         engine,
         sweep: sweep_n,
-        bins,
         kernels: Some(kernels),
         host: Some(HostProvenance {
             logical_cores: default_jobs(),

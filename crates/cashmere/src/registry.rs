@@ -248,22 +248,23 @@ impl KernelRegistry {
 
     /// Unscaled statistics of a sampled launch of `kernel` on `args`, and
     /// how the launch was answered. The statistics come from the
-    /// process-wide launch table.
+    /// process-wide launch table. The `mcl::memo` frame covers the whole
+    /// lookup, so a thread that waits for another thread's interpretation
+    /// of the same launch is charged to it, and an interpretation of its
+    /// own nests under it as `mcl::execute`.
     fn sampled_stats(
         &mut self,
         kernel: &PreparedKernel,
         args: &[ArgValue],
     ) -> (Measured, LaunchSight) {
         let PreparedKernel { version, launch } = kernel;
-        let (entry, first_in_run) = {
-            let _prof = prof::scope("mcl::memo");
-            let key = LaunchKey::sampled(&version.source, &launch.par_units, &launch.opts, args);
-            let first_in_run = !self.seen.contains(key.shape());
-            if first_in_run {
-                self.seen.insert(key.shape().clone());
-            }
-            (table_entry(key), first_in_run)
-        };
+        let _prof = prof::scope("mcl::memo");
+        let key = LaunchKey::sampled(&version.source, &launch.par_units, &launch.opts, args);
+        let first_in_run = !self.seen.contains(key.shape());
+        if first_in_run {
+            self.seen.insert(key.shape().clone());
+        }
+        let entry = table_entry(key);
         let mut interpreted = false;
         let measured = entry.get_or_init(|| {
             let _prof = prof::scope("mcl::execute");
@@ -720,6 +721,32 @@ mod tests {
         assert!(!hit.interpreted, "the repeat is served by the table");
         assert_eq!(bits(&first), bits(&again));
         assert!(r.prepare("nonexistent", &gtx).is_none());
+    }
+
+    #[test]
+    fn an_interpretation_nests_under_its_memo_lookup() {
+        let mut r = registry();
+        let gtx = SimDevice::by_name(r.hierarchy(), "gtx480").unwrap();
+        let axpy = r.prepare("axpy", &gtx).unwrap();
+        // A length no other test launches, so this thread interprets it.
+        let args = phantom_args(5 << 10);
+        let _ = prof::take_local();
+        prof::set_enabled(true);
+        let (_, miss) = r.sampled_stats(&axpy, &args);
+        let (_, hit) = r.sampled_stats(&axpy, &args);
+        prof::set_enabled(false);
+        let tree = prof::take_local();
+        assert!(miss.interpreted && !hit.interpreted);
+        // One `mcl::memo` context for both lookups, the VM run inside the
+        // first: a wait on another thread's run would be charged there too.
+        let [memo] = &tree.roots[..] else {
+            panic!("{tree:?}")
+        };
+        let [execute] = &memo.children[..] else {
+            panic!("{tree:?}")
+        };
+        assert_eq!((memo.name.as_str(), memo.count), ("mcl::memo", 2));
+        assert_eq!((execute.name.as_str(), execute.count), ("mcl::execute", 1));
     }
 
     /// `n` and phantom `y`, `x` of length `n`: an `axpy` launch.

@@ -31,7 +31,7 @@ use cashmere_des::trace::{LaneId, SpanId, SpanKind, Trace};
 use cashmere_des::SimTime;
 use cashmere_devsim::{ExecMode, SimDevice};
 use cashmere_mcl::cost::estimate_time;
-use cashmere_mcl::launch::arg_shape_matches;
+use cashmere_mcl::launch::{arg_contents, arg_contents_match, arg_shape_matches};
 use cashmere_mcl::value::ArgValue;
 use cashmere_satin::{ClusterApp, Counter, LeafCtx, LeafRuntime, RunReport};
 use serde::{Deserialize, Serialize};
@@ -156,19 +156,29 @@ struct DevLanes {
 
 /// How one device runs one kernel (paper Sec. III-A): the most specific
 /// version prepared for the device, the modelled kernel seconds of every
-/// sampled launch shape seen so far, and the kernel's resident buffer.
+/// sampled launch seen so far, and the kernel's resident buffer.
 struct KernelPlan {
     kernel: PreparedKernel,
-    /// `(arg shape, extra_scale bits, estimate_time(..).total_s)` per
-    /// sampled launch seen, seconds before the device's virtual speed
-    /// scale. A plan sees few shapes, so a launch is matched against them
-    /// in place. Exact and never invalidated: version and geometry are
-    /// fixed per plan, so the shape fixes the launch; launch-table entries
-    /// are never replaced; and the device parameters the cost model reads
-    /// never change.
-    seconds: Vec<(Vec<u64>, u64, f64)>,
+    /// Every sampled launch seen, with its seconds before the device's
+    /// virtual speed scale. A plan sees few launches, so a launch is
+    /// matched against them in place. Exact and never invalidated: version
+    /// and geometry are fixed per plan, so shape and contents fix the
+    /// launch; launch-table entries are never replaced; and the device
+    /// parameters the cost model reads never change.
+    seconds: Vec<SampledLaunch>,
     /// Resident (kernel-shared) input already on the device.
     resident: Option<cashmere_devsim::BufferId>,
+}
+
+/// One sampled launch a plan has seen and its `estimate_time(..).total_s`.
+struct SampledLaunch {
+    /// [`arg_shape`] of the arguments.
+    shape: Vec<u64>,
+    /// [`arg_contents`] of the arguments: empty when every array is
+    /// phantom.
+    contents: Vec<u64>,
+    scale_bits: u64,
+    total_s: f64,
 }
 
 impl KernelPlan {
@@ -176,8 +186,12 @@ impl KernelPlan {
     fn seconds(&self, args: &[ArgValue], scale_bits: u64) -> Option<f64> {
         self.seconds
             .iter()
-            .find(|(shape, bits, _)| *bits == scale_bits && arg_shape_matches(args, shape))
-            .map(|&(_, _, total_s)| total_s)
+            .find(|l| {
+                l.scale_bits == scale_bits
+                    && arg_shape_matches(args, &l.shape)
+                    && arg_contents_match(args, &l.contents)
+            })
+            .map(|l| l.total_s)
     }
 }
 
@@ -663,8 +677,12 @@ impl CashmereLeafRuntime {
                     }] += 1;
                     let total_s =
                         total_s.unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-                    plan.seconds
-                        .push((arg_shape(&call.args), scale_bits, total_s));
+                    plan.seconds.push(SampledLaunch {
+                        shape: arg_shape(&call.args),
+                        contents: arg_contents(&call.args),
+                        scale_bits,
+                        total_s,
+                    });
                     total_s
                 }
             };
@@ -904,12 +922,13 @@ mod tests {
     use super::*;
     use cashmere_hwdesc::standard_hierarchy;
     use cashmere_mcl::value::ArrayArg;
-    use cashmere_mcl::{ElemTy, Sampling};
+    use cashmere_mcl::Sampling;
     use cashmere_satin::DcStep;
     use std::collections::BTreeSet;
 
-    /// `(n, extra_scale)`: one `double_all` launch over `n` floats.
-    type Job = (u64, f64);
+    /// `(n, fill, extra_scale)`: one `double_all` launch over `n` floats,
+    /// each `fill`.
+    type Job = (u64, f64, f64);
 
     struct ShapeApp;
 
@@ -927,7 +946,7 @@ mod tests {
 
         fn combine(&self, _: &Job, _: Vec<()>) {}
 
-        fn input_bytes(&self, &(n, _): &Job) -> u64 {
+        fn input_bytes(&self, &(n, _, _): &Job) -> u64 {
             n * 4
         }
 
@@ -941,10 +960,10 @@ mod tests {
             vec![*job]
         }
 
-        fn kernel_call(&self, &(n, extra_scale): &Job) -> KernelCall {
+        fn kernel_call(&self, &(n, fill, extra_scale): &Job) -> KernelCall {
             let args = vec![
                 ArgValue::Int(n as i64),
-                ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[n])),
+                ArgValue::Array(ArrayArg::float(&[n], vec![fill; n as usize])),
             ];
             KernelCall {
                 extra_scale,
@@ -956,13 +975,16 @@ mod tests {
     }
 
     /// One node carrying `devices`. A K20 runs the `gpu` version of the
-    /// kernel, a Xeon Phi the `perfect` one.
+    /// kernel, a Xeon Phi the `perfect` one. Both branch on the data, so
+    /// a launch's time depends on its buffer's contents.
     fn runtime(devices: &[&str]) -> CashmereLeafRuntime {
         let mut registry = KernelRegistry::new(standard_hierarchy());
         registry
             .register(
                 "perfect void double_all(int n, float[n] y) {
-  foreach (int i in n threads) { y[i] = y[i] * 2.0; }
+  foreach (int i in n threads) {
+    if (y[i] > 0.5) { y[i] = y[i] * y[i] * 3.0 + 1.0; }
+  }
 }",
             )
             .unwrap();
@@ -972,7 +994,7 @@ mod tests {
   foreach (int b in (n + 255) / 256 blocks) {
     foreach (int t in 256 threads) {
       int i = b * 256 + t;
-      if (i < n) { y[i] = y[i] * 2.0; }
+      if (i < n && y[i] > 0.5) { y[i] = y[i] * y[i] * 3.0 + 1.0; }
     }
   }
 }",
@@ -1063,8 +1085,14 @@ mod tests {
     fn slot_cache_reproduces_the_uncached_kernel_time() {
         let mut rt = runtime(&["k20", "xeon_phi"]);
         let mut report = RunReport::new(1);
-        // Two shapes; one shape under two calibrations.
-        let jobs: [Job; 3] = [(4096, 2.5), (16384, 2.5), (4096, 0.75)];
+        // Two shapes; one shape under two calibrations and with two
+        // contents.
+        let jobs: [Job; 4] = [
+            (4096, 0.0, 2.5),
+            (16384, 0.0, 2.5),
+            (4096, 0.0, 0.75),
+            (4096, 1.0, 2.5),
+        ];
         let mut keys = BTreeSet::new();
         let mut devices = BTreeSet::new();
         // Submitted together, the jobs queue up and spill onto the Phi.

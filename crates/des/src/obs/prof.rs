@@ -13,8 +13,7 @@
 //!   visits into one node per `(path, name)`.
 //! - When profiling is disabled (the default), [`scope`] is one relaxed
 //!   atomic load and a branch — cheap enough to leave in the DES dispatch
-//!   loop — and with the `prof-off` cargo feature the calls compile away
-//!   entirely.
+//!   loop.
 //! - Worker threads each build their own tree; [`take_local`] drains a
 //!   thread's tree and [`absorb`] merges it into a process-wide
 //!   accumulator. The sweep executor absorbs per-point trees **in declared
@@ -35,12 +34,10 @@
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-#[cfg(not(feature = "prof-off"))]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-#[cfg(not(feature = "prof-off"))]
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Process-wide accumulator of absorbed worker trees (see [`absorb`]).
@@ -53,19 +50,11 @@ static STARTED: Mutex<Option<Instant>> = Mutex::new(None);
 /// Turn profiling on or off process-wide. Enabling (re)stamps the wall
 /// clock [`wall_ns`] measures from. Scopes opened while enabled charge
 /// their time even if profiling is disabled before they close.
-/// A no-op under the `prof-off` feature.
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "prof-off")]
-    {
-        let _ = on;
+    if on {
+        *STARTED.lock().unwrap() = Some(Instant::now());
     }
-    #[cfg(not(feature = "prof-off"))]
-    {
-        if on {
-            *STARTED.lock().unwrap() = Some(Instant::now());
-        }
-        ENABLED.store(on, Ordering::Relaxed);
-    }
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Host wall nanoseconds since profiling was last enabled; 0 when it never
@@ -78,18 +67,10 @@ pub fn wall_ns() -> u64 {
         .unwrap_or(0)
 }
 
-/// Is profiling enabled? One relaxed load; with the `prof-off` feature
-/// this is a compile-time `false` and every scope folds to nothing.
+/// Is profiling enabled? One relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "prof-off")]
-    {
-        false
-    }
-    #[cfg(not(feature = "prof-off"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// One CCT node in the thread-local arena. Children are looked up by

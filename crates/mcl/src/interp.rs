@@ -5,9 +5,9 @@
 //! ([`crate::vm`]). This module walks the checked AST directly and is the
 //! oracle the VM is tested against: the differential tests in
 //! [`crate::vm`] and `tests/mcl_language.rs`, the property tests in
-//! `tests/properties.rs`, the fig6-corpus equivalence test in
-//! `crates/bench/tests/kernel_engines.rs`, and the `mcl_interp/*_tree`
-//! criterion benches. It is not reachable from any run option.
+//! `tests/properties.rs`, and the fig6-corpus equivalence test in
+//! `crates/bench/tests/kernel_engines.rs`. It is not reachable from any
+//! run option.
 //!
 //! The interpreter executes a kernel the way a many-core device would:
 //! the *innermost* thread-level `foreach` is vectorized — all lanes of a

@@ -151,6 +151,47 @@ pub fn arg_shape_matches(args: &[ArgValue], shape: &[u64]) -> bool {
     rest.is_empty()
 }
 
+/// The contents of an argument list's real arrays, in order: floats by
+/// bit pattern, ints as their two's-complement word. Scalars and phantom
+/// arrays add nothing; [`arg_shape`] covers them.
+pub fn arg_contents(args: &[ArgValue]) -> Vec<u64> {
+    let mut contents = Vec::new();
+    for a in args {
+        if let ArgValue::Array(arr) = a {
+            match &arr.data {
+                Buffer::F(v) => contents.extend(v.iter().map(|x| x.to_bits())),
+                Buffer::I(v) => contents.extend(v.iter().map(|&x| x as u64)),
+                Buffer::PhantomF(_) | Buffer::PhantomI(_) => {}
+            }
+        }
+    }
+    contents
+}
+
+/// `arg_contents(args) == contents`, decided in place without collecting.
+pub fn arg_contents_match(args: &[ArgValue], contents: &[u64]) -> bool {
+    let mut rest = contents;
+    for a in args {
+        let ArgValue::Array(arr) = a else { continue };
+        let (n, same) = match &arr.data {
+            Buffer::F(v) => (
+                v.len(),
+                v.len() <= rest.len() && v.iter().zip(rest).all(|(x, &w)| x.to_bits() == w),
+            ),
+            Buffer::I(v) => (
+                v.len(),
+                v.len() <= rest.len() && v.iter().zip(rest).all(|(&x, &w)| x as u64 == w),
+            ),
+            Buffer::PhantomF(_) | Buffer::PhantomI(_) => continue,
+        };
+        if !same {
+            return false;
+        }
+        rest = &rest[n..];
+    }
+    rest.is_empty()
+}
+
 /// An array's first signature word: buffer kind and rank.
 fn array_head(arr: &ArrayArg) -> u64 {
     let buffer = match arr.data {
@@ -227,16 +268,6 @@ impl LaunchKey {
         opts: &ExecOptions,
         args: &[ArgValue],
     ) -> LaunchKey {
-        let mut contents = Vec::new();
-        for a in args {
-            if let ArgValue::Array(arr) = a {
-                match &arr.data {
-                    Buffer::F(v) => contents.extend(v.iter().map(|x| x.to_bits())),
-                    Buffer::I(v) => contents.extend(v.iter().map(|&x| x as u64)),
-                    Buffer::PhantomF(_) | Buffer::PhantomI(_) => {}
-                }
-            }
-        }
         LaunchKey {
             shape: LaunchShape {
                 source: source.clone(),
@@ -246,7 +277,7 @@ impl LaunchKey {
                 sampling: opts.sample.expect("only sampled launches are keyed"),
                 args: arg_shape(args).into(),
             },
-            contents: contents.into(),
+            contents: arg_contents(args).into(),
         }
     }
 
@@ -413,6 +444,26 @@ mod tests {
         let again = table_entry(variants[8].clone());
         assert!(Arc::ptr_eq(&entry, &again));
         assert!(!Arc::ptr_eq(&entry, &table_entry(variants[7].clone())));
+    }
+
+    #[test]
+    fn contents_cover_real_arrays_only_and_match_in_place() {
+        let args = vec![
+            ArgValue::Int(3),
+            ArgValue::Array(ArrayArg::float(&[2], vec![0.5, -0.0])),
+            ArgValue::Array(ArrayArg::phantom(crate::ElemTy::Float, &[4])),
+            ArgValue::Array(ArrayArg::int(&[1], vec![-1])),
+        ];
+        let contents = arg_contents(&args);
+        assert_eq!(contents, [0.5f64.to_bits(), (-0.0f64).to_bits(), u64::MAX]);
+        assert!(arg_contents_match(&args, &contents));
+        // One changed word, a missing word or an extra word is a mismatch.
+        let mut changed = contents.clone();
+        changed[1] = 0.0f64.to_bits();
+        assert!(!arg_contents_match(&args, &changed));
+        assert!(!arg_contents_match(&args, &contents[..2]));
+        assert!(!arg_contents_match(&args, &[&contents[..], &[0]].concat()));
+        assert!(arg_contents_match(&args[2..3], &[]));
     }
 
     #[test]

@@ -23,7 +23,6 @@ use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::ElemTy;
 use cashmere_satin::{ClusterApp, DcStep};
-use std::sync::Arc;
 
 /// Maximum path depth.
 pub const MAX_DEPTH: i64 = 10;
@@ -470,7 +469,9 @@ pub struct RaytracerApp {
     pub node_grain_pixels: u64,
     pub device_jobs: u64,
     pub cpu_model: CpuLeafModel,
-    scene: Arc<Vec<f64>>,
+    /// The scene as the kernels' `[9, 10]` argument, built once: every
+    /// device job's argument shares its data.
+    scene_arg: ArrayArg,
 }
 
 impl RaytracerApp {
@@ -486,7 +487,7 @@ impl RaytracerApp {
             node_grain_pixels,
             device_jobs,
             cpu_model: CpuLeafModel::IRREGULAR,
-            scene: Arc::new(cornell_scene()),
+            scene_arg: ArrayArg::float(&[9, 10], cornell_scene()),
         }
     }
 
@@ -503,7 +504,7 @@ impl RaytracerApp {
     /// float paths), but statistically equivalent.
     pub fn cpu_trace(&self, p0: u64, count: u64) -> Vec<f64> {
         let pr = &self.problem;
-        let scene = &self.scene;
+        let scene = self.scene_arg.as_f64();
         let mut out = vec![0.0f64; count as usize * 3];
         for i in 0..count {
             let pid = p0 + i;
@@ -704,7 +705,7 @@ impl CashmereApp for RaytracerApp {
             ArgValue::Int(MAX_DEPTH),
             ArgValue::Int(RR_DEPTH),
             ArgValue::Array(img),
-            ArgValue::Array(ArrayArg::float(&[9, 10], self.scene.as_ref().clone())),
+            ArgValue::Array(self.scene_arg.clone()),
         ];
         let mut call = KernelCall::from_args("raytrace", args, &[9]);
         call.h2d_bytes = 9 * 10 * 4 + 64;

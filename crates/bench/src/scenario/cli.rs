@@ -23,7 +23,7 @@ use cashmere::balancer::Policy;
 use cashmere_des::fault::FaultPlan;
 use cashmere_des::obs::prof;
 use cashmere_satin::StealKind;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The placement policies' canonical names, `|`-joined in [`Policy::ALL`]
 /// order (for error texts).
@@ -172,12 +172,25 @@ pub fn dump_scenarios(scenarios: &[Scenario]) {
     print!("{s}");
 }
 
-/// `rel` relative to the workspace root.
+/// `rel` relative to the workspace root (`workspace_root` of the
+/// current directory), found at run time so that a binary writes into the
+/// checkout it runs in, wherever it was built. Outside a checkout, `rel`
+/// resolves in the current directory, as a spec's relative output paths
+/// do.
 pub fn workspace_path(rel: &str) -> PathBuf {
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop(); // crates/
-    dir.pop(); // workspace root
-    dir.join(rel)
+    let cwd = std::env::current_dir()
+        .unwrap_or_else(|e| fail(&format!("cannot read the current directory: {e}")));
+    workspace_root(&cwd).unwrap_or(&cwd).join(rel)
+}
+
+/// The nearest of `dir` and its ancestors that holds a workspace
+/// `Cargo.toml` (one with a `[workspace]` table) and a `bench/` directory.
+fn workspace_root(dir: &Path) -> Option<&Path> {
+    dir.ancestors().find(|d| {
+        d.join("bench").is_dir()
+            && std::fs::read_to_string(d.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+    })
 }
 
 /// `bench/out/<file>` relative to the workspace root.
@@ -258,6 +271,28 @@ pub fn handle_scenario(common: &CommonArgs) -> bool {
 mod tests {
     use super::*;
     use cashmere_des::SimTime;
+
+    #[test]
+    fn workspace_root_is_found_from_below() {
+        let tmp = std::env::temp_dir().join(format!("cashmere-root-test-{}", std::process::id()));
+        let ws = tmp.join("ws");
+        let member = ws.join("crates/app");
+        // A nested package with its own `[workspace]` but no `bench/`, and
+        // a `bench/` with no manifest: neither is the root.
+        let nested = ws.join("bench/benchmark");
+        std::fs::create_dir_all(&member).unwrap();
+        std::fs::create_dir_all(&nested).unwrap();
+        std::fs::write(ws.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        std::fs::write(member.join("Cargo.toml"), "[package]\nname = \"app\"\n").unwrap();
+        std::fs::write(nested.join("Cargo.toml"), "[package]\n\n[workspace]\n").unwrap();
+        assert_eq!(workspace_root(&ws), Some(ws.as_path()));
+        assert_eq!(workspace_root(&member), Some(ws.as_path()));
+        assert_eq!(workspace_root(&nested), Some(ws.as_path()));
+        let outside = tmp.join("elsewhere");
+        std::fs::create_dir_all(outside.join("bench")).unwrap();
+        assert_eq!(workspace_root(&outside), None);
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
 
     #[test]
     fn fault_plan_loads_and_reports_errors() {

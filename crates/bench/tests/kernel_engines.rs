@@ -2,7 +2,9 @@
 //! reference tree walker: for every launch (4 apps × 7 devices × 2 kernel
 //! sets, prepared exactly as `SimDevice::run_kernel` prepares it) both
 //! engines yield the same statistics, bit for bit, and the same argument
-//! buffers.
+//! buffers. The VM is run twice, made to split every eligible sampled
+//! loop across two threads and made to stay on one, whatever the host's
+//! core count; both runs also dispatch the same instructions.
 //!
 //! The tree walker makes this slow in a debug build, so the test is
 //! ignored by default. Run it with
@@ -15,7 +17,8 @@ use cashmere_apps::KernelSet;
 use cashmere_bench::{AppId, Fig6Launch};
 use cashmere_hwdesc::DeviceKind;
 use cashmere_mcl::compile::compile_program;
-use cashmere_mcl::{interp, vm, ExecError, ExecResult};
+use cashmere_mcl::vm::{self, Split, SplitLog};
+use cashmere_mcl::{interp, ExecError, ExecResult};
 
 /// What the two engines are compared on: statistics and argument buffers
 /// as `Debug` text, which spells out every `f64` (`-0.0` and NaN included).
@@ -40,14 +43,32 @@ fn fig6_corpus_is_identical_on_vm_and_tree_walker() {
                     .unwrap_or_else(|| panic!("{what}: no kernel version"));
                 let p = l.device.prepare_launch(&l.hierarchy, ck, l.mode());
                 let tree = interp::execute(ck, l.call.args.clone(), &p.par_units, &p.opts);
-                let vm = vm::execute(ck, l.call.args.clone(), &p.par_units, &p.opts);
                 let (tree_stats, tree_args) = observed(&what, tree);
-                let (vm_stats, vm_args) = observed(&what, vm);
+                let prog = compile_program(ck, &p.par_units);
+                let mut dispatches = Vec::new();
+                for split in [Split::Always, Split::Never] {
+                    let run = vm::execute_with(&prog, l.call.args.clone(), &p.opts, split, true);
+                    let (r, counts, log) = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let (vm_stats, vm_args) = observed(&what, Ok(r));
+                    assert!(
+                        tree_stats == vm_stats,
+                        "{what} ({split:?}): stats differ\ntree: {tree_stats}\nvm:   {vm_stats}"
+                    );
+                    assert!(
+                        tree_args == vm_args,
+                        "{what} ({split:?}): argument buffers differ"
+                    );
+                    if split == Split::Never {
+                        assert_eq!(log, SplitLog::default(), "{what}: split while told not to");
+                    } else {
+                        eprintln!("{what}: {log:?}");
+                    }
+                    dispatches.push(counts);
+                }
                 assert!(
-                    tree_stats == vm_stats,
-                    "{what}: stats differ\ntree: {tree_stats}\nvm:   {vm_stats}"
+                    dispatches[0] == dispatches[1],
+                    "{what}: dispatch counts differ"
                 );
-                assert!(tree_args == vm_args, "{what}: argument buffers differ");
                 launches += 1;
             }
         }
@@ -59,7 +80,8 @@ fn fig6_corpus_is_identical_on_vm_and_tree_walker() {
 /// Its VM dispatch count is pinned so that a change to the compiler's
 /// fusions shows up as a count, not only as host time (12,457,280
 /// dispatches before the fusions, 5,962,282 before `ScratchRmw` took in
-/// the multiply of `acc[r] += a * b`).
+/// the multiply of `acc[r] += a * b`). Splitting the sampled outer loop
+/// across two threads dispatches the same instructions.
 #[test]
 #[ignore = "interprets the corpus's largest launch, tens of seconds in a debug build; run with --release -- --ignored"]
 fn matmul_mic_dispatch_count_is_pinned() {
@@ -71,7 +93,11 @@ fn matmul_mic_dispatch_count_is_pinned() {
         .expect("matmul has a mic version");
     let p = l.device.prepare_launch(&l.hierarchy, ck, l.mode());
     let prog = compile_program(ck, &p.par_units);
-    let (_, counts) =
-        vm::execute_counted(&prog, l.call.args.clone(), &p.opts).expect("the launch runs");
-    assert_eq!(counts.iter().sum::<u64>(), 5_437_994);
+    for split in [Split::Always, Split::Never] {
+        let (_, counts, log) = vm::execute_with(&prog, l.call.args.clone(), &p.opts, split, true)
+            .expect("the launch runs");
+        assert_eq!(counts.iter().sum::<u64>(), 5_437_994, "{split:?}");
+        let merged = u32::from(split == Split::Always);
+        assert_eq!(log.merged, merged, "{split:?}: {log:?}");
+    }
 }

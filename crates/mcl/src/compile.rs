@@ -303,21 +303,26 @@ pub enum Instr {
     /// A `for` without a condition ran its body once: never terminates.
     FailNoCond,
     /// Vectorized `foreach`: chunked lockstep execution of `var` over the
-    /// count in `src`; `end` skips the body for zero-size domains.
+    /// count in `src`; `end` skips the body for zero-size domains. `split`
+    /// marks a body that writes only state it owns (see `owns_writes`),
+    /// so that a sampled launch may run two of its chunks on two threads.
     ForeachVec {
         src: u32,
         var: u32,
         end: u32,
+        split: bool,
     },
     /// End of a vectorized chunk: next chunk or restore scalar context.
     ForeachVecNext {
         head: u32,
     },
-    /// Sequential (outer) `foreach` with a uniform index.
+    /// Sequential (outer) `foreach` with a uniform index; `split` as for
+    /// [`Instr::ForeachVec`].
     ForeachSeq {
         src: u32,
         var: u32,
         end: u32,
+        split: bool,
     },
     ForeachSeqNext {
         head: u32,
@@ -886,6 +891,7 @@ impl Compiler {
                 }
                 self.scopes.push(HashMap::new());
                 let vslot = self.alloc_var();
+                let arrays = self.scratch_ty.len() as u32;
                 self.bind(
                     var,
                     Binding::Scalar {
@@ -900,6 +906,7 @@ impl Compiler {
                             src,
                             var: vslot,
                             end: 0,
+                            split: false,
                         },
                     )
                 } else {
@@ -909,6 +916,7 @@ impl Compiler {
                             src,
                             var: vslot,
                             end: 0,
+                            split: false,
                         },
                     )
                 };
@@ -919,9 +927,16 @@ impl Compiler {
                     self.emit(line, Instr::ForeachSeqNext { head })
                 };
                 let end = next + 1;
+                let owned = owns_writes(
+                    &self.instrs[head as usize + 1..next as usize],
+                    vslot,
+                    arrays,
+                );
                 match &mut self.instrs[head as usize] {
-                    Instr::ForeachVec { end: t, .. } | Instr::ForeachSeq { end: t, .. } => {
+                    Instr::ForeachVec { end: t, split, .. }
+                    | Instr::ForeachSeq { end: t, split, .. } => {
                         *t = end;
+                        *split = owned;
                     }
                     _ => unreachable!(),
                 }
@@ -1138,6 +1153,36 @@ fn infallible(i: &Instr) -> bool {
         i,
         Instr::Bin { .. } | Instr::Cast { .. } | Instr::Call { .. }
     )
+}
+
+/// Whether a `foreach` body (the instructions between its head and its
+/// `Next`, slots not yet rebased) writes only state it owns: expression
+/// temps, the variables it declares (slots from `vars` on, the loop
+/// variable first) and the scratch arrays it declares (ids from `arrays`
+/// on). A write to anything declared outside would carry from one
+/// iteration into the next. Global stores are left to the launch, which
+/// knows whether their buffers are phantom.
+fn owns_writes(body: &[Instr], vars: u32, arrays: u32) -> bool {
+    let slot = |s: u32| s & TMP != 0 || (s & CONST == 0 && s >= vars);
+    body.iter().all(|i| match i {
+        Instr::Decl { dst, .. }
+        | Instr::Un { dst, .. }
+        | Instr::Bin { dst, .. }
+        | Instr::FmaMul { dst, .. }
+        | Instr::Call { dst, .. }
+        | Instr::Cast { dst, .. }
+        | Instr::GlobalLoad { dst, .. }
+        | Instr::ScratchLoad { dst, .. } => slot(*dst),
+        Instr::Assign { slot: s, .. } | Instr::AssignJump { slot: s, .. } => slot(*s),
+        Instr::ForeachVec { var, .. } | Instr::ForeachSeq { var, .. } => slot(*var),
+        Instr::ScratchDecl { arr, .. }
+        | Instr::ScratchStore { arr, .. }
+        | Instr::ScratchRmw { arr, .. } => *arr >= arrays,
+        Instr::ParamDim { .. } | Instr::ValidateDims { .. } | Instr::ResetStats | Instr::Halt => {
+            false
+        }
+        _ => true,
+    })
 }
 
 /// Rebase constant- and temp-flagged slots once the variable count

@@ -87,6 +87,36 @@ impl L1Site {
         self.next = (self.next + 1) % self.keys.len();
         false
     }
+
+    /// Whether `first`, the first misses (at most eight, in order) of a
+    /// site that started empty, would each miss here too. Miss `j` lands
+    /// in slot `(next + j) % 8`, so key `j` must not sit in a slot the
+    /// `j` misses before it have not yet overwritten. Every lookup in
+    /// between hits in both sites (its key is an earlier miss), and after
+    /// the eighth miss both sites hold the same eight keys in the same
+    /// eviction order, so the two then behave alike.
+    pub(crate) fn misses_too(&self, first: &[L1Key]) -> bool {
+        let n = self.keys.len();
+        first
+            .iter()
+            .enumerate()
+            .all(|(j, &key)| (j..n).all(|i| self.keys[(self.next + i) % n] != Some(key)))
+    }
+
+    /// Continue this site with the misses of `later`, a site that started
+    /// empty: the state this site would reach by taking those misses
+    /// itself, provided none of them would have hit here. Miss `j` of
+    /// `later` sits in slot `j % 8` and would land in slot
+    /// `(next + j) % 8`, so the resident misses rotate by `next`.
+    pub(crate) fn append(&mut self, later: &L1Site) {
+        let n = self.keys.len();
+        for (i, key) in later.keys.iter().enumerate() {
+            if key.is_some() {
+                self.keys[(self.next + i) % n] = *key;
+            }
+        }
+        self.next = (self.next + later.next) % n;
+    }
 }
 
 /// Iterations one `for` loop may run before both engines report a runaway

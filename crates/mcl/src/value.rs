@@ -10,15 +10,20 @@
 //! while keeping the interpreter's control flow and access-pattern
 //! statistics intact: phantom loads return a deterministic hash of the
 //! address and phantom stores are dropped.
+//!
+//! Real data is shared on clone and copied on the first store to a shared
+//! buffer, so a read-only input built once (a scene, a lookup table) costs
+//! no copy per launch.
 
 use crate::ast::ElemTy;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Backing store of an array argument.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Buffer {
-    F(Vec<f64>),
-    I(Vec<i64>),
+    F(Arc<[f64]>),
+    I(Arc<[i64]>),
     /// Shape-only float buffer of the given length.
     PhantomF(u64),
     /// Shape-only int buffer of the given length.
@@ -101,19 +106,51 @@ impl Buffer {
     /// Store a float (rounded through `f32`, matching 32-bit devices).
     #[inline]
     pub fn store_f(&mut self, addr: u64, v: f64) {
-        match self {
-            Buffer::F(data) => data[addr as usize] = v as f32 as f64,
-            Buffer::I(data) => data[addr as usize] = v as i64,
-            Buffer::PhantomF(_) | Buffer::PhantomI(_) => {}
-        }
+        self.stores().store_f(addr, v);
     }
 
     #[inline]
     pub fn store_i(&mut self, addr: u64, v: i64) {
+        self.stores().store_i(addr, v);
+    }
+
+    /// Write access for a run of stores: unshares real data once, not per
+    /// store.
+    pub(crate) fn stores(&mut self) -> Stores<'_> {
         match self {
-            Buffer::F(data) => data[addr as usize] = v as f64,
-            Buffer::I(data) => data[addr as usize] = v,
-            Buffer::PhantomF(_) | Buffer::PhantomI(_) => {}
+            Buffer::F(data) => Stores::F(Arc::make_mut(data)),
+            Buffer::I(data) => Stores::I(Arc::make_mut(data)),
+            Buffer::PhantomF(_) | Buffer::PhantomI(_) => Stores::Phantom,
+        }
+    }
+}
+
+/// A [`Buffer`] opened for stores ([`Buffer::stores`]).
+pub(crate) enum Stores<'a> {
+    F(&'a mut [f64]),
+    I(&'a mut [i64]),
+    /// Phantom stores are dropped.
+    Phantom,
+}
+
+impl Stores<'_> {
+    /// [`Buffer::store_f`].
+    #[inline]
+    pub(crate) fn store_f(&mut self, addr: u64, v: f64) {
+        match self {
+            Stores::F(data) => data[addr as usize] = v as f32 as f64,
+            Stores::I(data) => data[addr as usize] = v as i64,
+            Stores::Phantom => {}
+        }
+    }
+
+    /// [`Buffer::store_i`].
+    #[inline]
+    pub(crate) fn store_i(&mut self, addr: u64, v: i64) {
+        match self {
+            Stores::F(data) => data[addr as usize] = v as f64,
+            Stores::I(data) => data[addr as usize] = v,
+            Stores::Phantom => {}
         }
     }
 }
@@ -209,7 +246,7 @@ impl ArrayArg {
         );
         ArrayArg {
             dims: Dims::from(dims),
-            data: Buffer::F(data),
+            data: Buffer::F(data.into()),
         }
     }
 
@@ -223,7 +260,7 @@ impl ArrayArg {
         assert_eq!(expect, data.len() as u64);
         ArrayArg {
             dims: Dims::from(dims),
-            data: Buffer::I(data),
+            data: Buffer::I(data.into()),
         }
     }
 
@@ -245,8 +282,8 @@ impl ArrayArg {
         ArrayArg {
             dims: Dims::from(dims),
             data: match elem {
-                ElemTy::Float => Buffer::F(vec![0.0; n]),
-                ElemTy::Int => Buffer::I(vec![0; n]),
+                ElemTy::Float => Buffer::F(std::iter::repeat_n(0.0, n).collect()),
+                ElemTy::Int => Buffer::I(std::iter::repeat_n(0, n).collect()),
             },
         }
     }

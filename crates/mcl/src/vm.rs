@@ -26,7 +26,18 @@
 //!   instructions;
 //! * the L1 model keys a lane-uniform load in O(1) (`exec::L1Key::Uniform`);
 //! * lane-uniform values compute in place, and lane loops resolve types,
-//!   strides and operators before the loop, not per lane.
+//!   strides and operators before the loop, not per lane;
+//! * a sampled launch runs the two sampled iterations of its outermost
+//!   sampled loop on two host threads when the host has a second core
+//!   (`Vm::split_loop`). The merge is exact: the loop body writes only
+//!   state it declares (checked once, at compile time) and stores only to
+//!   phantom buffers; the helper's scales and the first half's counters
+//!   are multiples of 2^-10 and every merged counter stays below 2^43, so
+//!   the two halves' sums add up exactly;
+//!   and the helper's cold L1 model must have missed wherever the warm
+//!   one would have (`L1Site::misses_too`). When a run-time check fails,
+//!   or the helper fails, the calling thread runs the second iteration
+//!   itself.
 
 use crate::ast::{AssignOp, BinOp, ElemTy, UnOp};
 use crate::check::CheckedKernel;
@@ -37,7 +48,9 @@ use crate::exec::{
 };
 use crate::stats::{KernelStats, SiteStats};
 use crate::value::{ArgValue, ArrayArg};
-use std::{iter, mem};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+use std::{iter, mem, panic, thread};
 
 /// A literal doubles as the VM's lane-uniform scalar value.
 impl Lit {
@@ -284,7 +297,7 @@ struct SiteAcc {
     touched: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct IfFrame {
     saved: Vec<bool>,
     cmask: Vec<bool>,
@@ -296,7 +309,7 @@ struct IfFrame {
     dirty: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct ForFrame {
     saved: Vec<bool>,
     cmask: Vec<bool>,
@@ -305,7 +318,7 @@ struct ForFrame {
     dirty: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct FeFrame {
     outer_scale: f64,
     n: u64,
@@ -347,6 +360,162 @@ struct Vm<'p> {
     for_depth: usize,
     fe_stack: Vec<FeFrame>,
     fe_depth: usize,
+    split: Split,
+    /// The `fe_stack` depth whose `Next` returns from [`Vm::run`]: the
+    /// split loop's while a half of it runs, [`NO_HALT`] otherwise.
+    halt: usize,
+    /// `Some` on a split helper only.
+    helper: Option<Helper<'p>>,
+    log: SplitLog,
+}
+
+/// What a split helper records for the merge, and what stops it.
+struct Helper<'p> {
+    /// Each L1 site's first misses.
+    probes: Vec<L1Probe>,
+    /// Every scale this half ran at was a multiple of [`SCALE_QUANTUM`].
+    dyadic: bool,
+    /// Raised when the calling thread's half failed; checked at every
+    /// `ForGuard`.
+    abort: &'p AtomicBool,
+}
+
+/// Whether a sampled launch may run the two sampled iterations of its
+/// outermost sampled loop on two host threads (see [`execute_with`]).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Split {
+    /// When the host has a second core and no other launch's helper runs.
+    Auto,
+    /// Whenever the loop is eligible, whatever the host.
+    Always,
+    /// Never: one thread.
+    Never,
+}
+
+/// What became of a launch's split loops.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SplitLog {
+    /// Loops whose second iteration ran on the helper and was merged.
+    pub merged: u32,
+    /// Loops whose helper result was discarded: the calling thread then
+    /// ran the second iteration itself.
+    pub fell_back: u32,
+}
+
+/// [`Vm::halt`] when no split half runs.
+const NO_HALT: usize = usize::MAX;
+
+/// Every scale the helper runs at and every counter the calling thread
+/// ends its half with must be a multiple of this (2^-10), and every merged
+/// counter must stay below [`EXACT_LIMIT`] (2^43). Each addend is an
+/// integer times a scale, so every partial sum of the non-negative addends
+/// is then a multiple of 2^-10 below 2^43, which an `f64` holds exactly:
+/// the two halves' sums add up to the sequential sum bit for bit whatever
+/// the grouping.
+const SCALE_QUANTUM: f64 = 1.0 / 1024.0;
+const EXACT_LIMIT: f64 = (1u64 << 43) as f64;
+
+fn is_dyadic(x: f64) -> bool {
+    (x / SCALE_QUANTUM).fract() == 0.0
+}
+
+/// The keys a helper's L1 site missed on first, up to eight, in order
+/// (see [`L1Site::misses_too`]).
+#[derive(Debug, Clone, Copy)]
+struct L1Probe {
+    keys: [L1Key; 8],
+    n: usize,
+}
+
+impl Default for L1Probe {
+    fn default() -> Self {
+        L1Probe {
+            keys: [L1Key::Lanes(0); 8],
+            n: 0,
+        }
+    }
+}
+
+impl L1Probe {
+    fn note(&mut self, key: L1Key) {
+        if let Some(k) = self.keys.get_mut(self.n) {
+            *k = key;
+            self.n += 1;
+        }
+    }
+
+    fn first(&self) -> &[L1Key] {
+        &self.keys[..self.n]
+    }
+}
+
+/// Set while a split helper thread runs: at most one per process, so two
+/// sweep workers that each launch cannot put a third and fourth thread on
+/// the host. It guards no data.
+static HELPER_BUSY: AtomicBool = AtomicBool::new(false);
+
+/// The right to run the process's one split helper, released on drop.
+struct HelperSlot;
+
+impl HelperSlot {
+    fn take() -> Option<HelperSlot> {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
+        (cores > 1
+            && HELPER_BUSY
+                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok())
+        .then_some(HelperSlot)
+    }
+}
+
+impl Drop for HelperSlot {
+    fn drop(&mut self) {
+        HELPER_BUSY.store(false, Ordering::Relaxed);
+    }
+}
+
+/// The counters of `st` (its per-site map aside).
+fn counters(st: &KernelStats) -> [f64; 13] {
+    [
+        st.total_threads,
+        st.raw_lanes,
+        st.groups,
+        st.issue_cycles,
+        st.flops,
+        st.global_bytes,
+        st.ideal_global_bytes,
+        st.local_bytes,
+        st.branch_events,
+        st.divergent_branches,
+        st.issue_slots,
+        st.active_slots,
+        st.barriers,
+    ]
+}
+
+fn site_counters(s: &SiteStats) -> [f64; 4] {
+    [
+        s.executions,
+        s.ideal_bytes,
+        s.transaction_bytes,
+        s.broadcasts,
+    ]
+}
+
+/// `a + b`, counter by counter.
+fn add_site(a: &SiteAcc, b: &SiteAcc) -> SiteAcc {
+    SiteAcc {
+        s: SiteStats {
+            executions: a.s.executions + b.s.executions,
+            ideal_bytes: a.s.ideal_bytes + b.s.ideal_bytes,
+            transaction_bytes: a.s.transaction_bytes + b.s.transaction_bytes,
+            broadcasts: a.s.broadcasts + b.s.broadcasts,
+        },
+        touched: a.touched || b.touched,
+    }
 }
 
 /// Element op of an int `Bin` (the tree walker's `apply_bin` int arm).
@@ -1439,7 +1608,13 @@ impl<'p> Vm<'p> {
             return;
         }
         let ideal = c.active_lanes * ELEM_BYTES;
-        let cached = l1.is_some_and(|(cid, key)| self.caches[cid].hit(key));
+        let cached = l1.is_some_and(|(cid, key)| {
+            let hit = self.caches[cid].hit(key);
+            if let (false, Some(h)) = (hit, &mut self.helper) {
+                h.probes[cid].note(key);
+            }
+            hit
+        });
         let broadcast = c.all_same && c.active_lanes > 1;
         let moved = if cached {
             0
@@ -1615,6 +1790,13 @@ impl<'p> Vm<'p> {
 
     /// The runaway check at the top of every `for` iteration.
     fn for_guard(&mut self, line: usize) -> Result<(), ExecError> {
+        if self
+            .helper
+            .as_ref()
+            .is_some_and(|h| h.abort.load(Ordering::Relaxed))
+        {
+            return Err(self.fail(line, "split helper stopped".into()));
+        }
         let fr = &mut self.for_stack[self.for_depth - 1];
         fr.guard += 1;
         if fr.guard > LOOP_LIMIT {
@@ -1815,11 +1997,210 @@ impl<'p> Vm<'p> {
         Ok(true)
     }
 
-    /// Dispatch loop. With `COUNT`, `counts[pc]` tallies every dispatch of
-    /// instruction `pc`; the uncounted instantiation compiles that away.
-    fn run<const COUNT: bool>(&mut self, counts: &mut [u64]) -> Result<(), ExecError> {
+    /// A helper VM for the split loop at depth `d`: this VM's state, which
+    /// the loop body only reads outside what it declares itself, with
+    /// zeroed counters, an empty L1 model, and the loop advanced to its
+    /// second iteration. Every buffer it starts with is allocated here, on
+    /// the calling thread.
+    fn helper_vm<'s>(&self, head: usize, d: usize, abort: &'s AtomicBool) -> Vm<'s>
+    where
+        'p: 's,
+    {
+        let mut h = Vm {
+            prog: self.prog,
+            args: self.args.clone(),
+            pool: self.pool.clone(),
+            arrays: self.arrays.clone(),
+            lanes: self.lanes,
+            mask: self.mask.clone(),
+            active: self.active,
+            warps: self.warps,
+            simd: self.simd,
+            group: self.group,
+            sample: self.sample,
+            scale: self.scale,
+            st: KernelStats::default(),
+            acc: vec![SiteAcc::default(); self.acc.len()],
+            caches: vec![L1Site::default(); self.caches.len()],
+            seg: Vec::new(),
+            addrs: Vec::new(),
+            flats: Vec::new(),
+            dim_stack: self.dim_stack.clone(),
+            t0: VBuf::default(),
+            t1: VBuf::default(),
+            prod: VBuf::default(),
+            if_stack: self.if_stack.clone(),
+            if_depth: self.if_depth,
+            for_stack: self.for_stack.clone(),
+            for_depth: self.for_depth,
+            fe_stack: self.fe_stack.clone(),
+            fe_depth: self.fe_depth,
+            split: Split::Never,
+            halt: d,
+            helper: Some(Helper {
+                probes: vec![L1Probe::default(); self.caches.len()],
+                dyadic: is_dyadic(self.scale),
+                abort,
+            }),
+            log: SplitLog::default(),
+        };
+        h.fe_stack[d].idx = 1;
+        match self.prog.instrs[head] {
+            Instr::ForeachVec { .. } => h.enter_chunk(d),
+            _ => {
+                let var = h.fe_stack[d].var as usize;
+                h.pool[var].set_uniform_i(1);
+            }
+        }
+        h
+    }
+
+    /// Run the two sampled iterations of the outermost sampled loop, just
+    /// entered at `head` with its first iteration set up, on two threads:
+    /// the first here, the second on a helper VM ([`Vm::helper_vm`]). The
+    /// helper's result is merged only when it equals what running the
+    /// second iteration here would give, bit for bit:
+    ///
+    /// * every scale the helper ran at and every counter this VM ends its
+    ///   half with is a multiple of [`SCALE_QUANTUM`], and every merged
+    ///   counter stays below [`EXACT_LIMIT`], so the counters add exactly;
+    /// * each of the helper's L1 sites, which started empty, missed
+    ///   wherever this VM's site would have ([`L1Site::misses_too`]), so
+    ///   every hit and miss is the sequential one, and appending the
+    ///   helper's misses ([`L1Site::append`]) gives the sequential final
+    ///   state;
+    /// * the helper did not fail (a failing second iteration is run again
+    ///   here, so its error is the sequential one).
+    ///
+    /// Otherwise the loop is left before its second iteration, which the
+    /// loop's `Next` then runs here. An error in the first iteration is
+    /// returned as is. Returns the pc of the loop's `Next`, or `None`
+    /// (having done nothing) when the launch does not split here.
+    fn split_loop<const COUNT: bool>(
+        &mut self,
+        head: usize,
+        counts: &mut [u64],
+    ) -> Result<Option<usize>, ExecError> {
+        let next = match self.prog.instrs[head] {
+            Instr::ForeachVec { end, .. } | Instr::ForeachSeq { end, .. } => end as usize - 1,
+            _ => unreachable!("split_loop runs at a foreach head"),
+        };
+        // A store to a real buffer would carry into the other iteration.
+        let phantom_stores = || {
+            self.prog.instrs[head + 1..next].iter().all(|i| match i {
+                Instr::GlobalAssign { pidx, .. } => {
+                    matches!(&self.args[*pidx as usize], ArgValue::Array(a) if a.data.is_phantom())
+                }
+                _ => true,
+            })
+        };
+        if self.sample.is_none() || self.split == Split::Never || !phantom_stores() {
+            return Ok(None);
+        }
+        let _slot = match self.split {
+            Split::Auto => match HelperSlot::take() {
+                Some(slot) => Some(slot),
+                None => return Ok(None),
+            },
+            _ => None,
+        };
+        let d = self.fe_depth - 1;
+        let abort = AtomicBool::new(false);
+        let mut helper = self.helper_vm(head, d, &abort);
+        let mut helper_counts = vec![0; counts.len()];
+        self.halt = d;
+        let halves = thread::scope(|s| {
+            let second = thread::Builder::new()
+                .name("mcl-split".into())
+                .spawn_scoped(s, || {
+                    let r = helper.run::<COUNT>(head + 1, &mut helper_counts);
+                    (helper, helper_counts, r)
+                })
+                .ok()?;
+            let first = self.run::<COUNT>(head + 1, counts);
+            if first.is_err() {
+                abort.store(true, Ordering::Relaxed);
+            }
+            match second.join() {
+                Ok(second) => Some((first, second)),
+                Err(p) => panic::resume_unwind(p),
+            }
+        });
+        self.halt = NO_HALT;
+        // The helper could not start: run the loop as one thread would.
+        let Some((first, (helper, helper_counts, second))) = halves else {
+            return Ok(None);
+        };
+        let at = first?;
+        debug_assert_eq!(at, next, "the first half stops at its loop's Next");
+        if COUNT {
+            // The dispatch loop dispatches the `Next` again.
+            counts[next] -= 1;
+        }
+        if !self.merge(&helper, second.is_ok()) {
+            self.log.fell_back += 1;
+            return Ok(Some(next));
+        }
+        for (c, h) in counts.iter_mut().zip(&helper_counts) {
+            *c += h;
+        }
+        self.fe_stack[d].idx = 1;
+        self.log.merged += 1;
+        Ok(Some(next))
+    }
+
+    /// Merge `second`, the helper VM that ran the second iteration, into
+    /// this VM when the rules of [`Vm::split_loop`] let it (`ran`: the
+    /// helper did not fail); returns whether it did.
+    fn merge(&mut self, second: &Vm, ran: bool) -> bool {
+        let h = second.helper.as_ref().expect("merge takes a helper VM");
+        let l1_apart = self
+            .caches
+            .iter()
+            .zip(&h.probes)
+            .all(|(site, probe)| site.misses_too(probe.first()));
+        let dyadic_first = counters(&self.st).into_iter().all(is_dyadic)
+            && self
+                .acc
+                .iter()
+                .all(|a| site_counters(&a.s).into_iter().all(is_dyadic));
+        if !(ran && h.dyadic && dyadic_first && l1_apart) {
+            return false;
+        }
+        let mut st = self.st.clone();
+        st.merge(&second.st);
+        let acc: Vec<SiteAcc> = self
+            .acc
+            .iter()
+            .zip(&second.acc)
+            .map(|(a, b)| add_site(a, b))
+            .collect();
+        let below = |x: f64| x < EXACT_LIMIT;
+        if !(counters(&st).into_iter().all(below)
+            && acc
+                .iter()
+                .all(|a| site_counters(&a.s).into_iter().all(below)))
+        {
+            return false;
+        }
+        self.st = st;
+        self.acc = acc;
+        for (site, later) in self.caches.iter_mut().zip(&second.caches) {
+            site.append(later);
+        }
+        true
+    }
+
+    /// Dispatch loop from `pc` to `Halt`, or to the `Next` of the loop at
+    /// depth [`Vm::halt`]; returns the pc it stopped at. With `COUNT`,
+    /// `counts[pc]` tallies every dispatch of instruction `pc`; the
+    /// uncounted instantiation compiles that away.
+    fn run<const COUNT: bool>(
+        &mut self,
+        mut pc: usize,
+        counts: &mut [u64],
+    ) -> Result<usize, ExecError> {
         let prog = self.prog;
-        let mut pc = 0usize;
         loop {
             if COUNT {
                 counts[pc] += 1;
@@ -2088,15 +2469,16 @@ impl<'p> Vm<'p> {
                         let ArgValue::Array(arr) = &mut self.args[pidx] else {
                             unreachable!()
                         };
+                        let mut dst = arr.data.stores();
                         if let Some(a) = uflat {
                             // Lane-uniform address: the active lanes store
                             // in order to one address, so only the last
                             // active lane's value survives.
                             let lane = self.mask.iter().rposition(|&m| m).unwrap_or(0);
                             if v.is_f {
-                                arr.data.store_f(a, v.get_f(lane));
+                                dst.store_f(a, v.get_f(lane));
                             } else {
-                                arr.data.store_i(a, v.get_i(lane));
+                                dst.store_i(a, v.get_i(lane));
                             }
                         } else {
                             let full = self.addrs.len() == self.lanes;
@@ -2105,9 +2487,9 @@ impl<'p> Vm<'p> {
                                     continue;
                                 }
                                 if v.is_f {
-                                    arr.data.store_f(a, v.get_f(lane));
+                                    dst.store_f(a, v.get_f(lane));
                                 } else {
-                                    arr.data.store_i(a, v.get_i(lane));
+                                    dst.store_i(a, v.get_i(lane));
                                 }
                             }
                         }
@@ -2387,7 +2769,12 @@ impl<'p> Vm<'p> {
                         self.fail(line, "for loop without condition never terminates".into())
                     );
                 }
-                Instr::ForeachVec { src, var, end } => {
+                Instr::ForeachVec {
+                    src,
+                    var,
+                    end,
+                    split,
+                } => {
                     if self.lanes != 1 {
                         return Err(self.fail(line, "foreach inside a vectorized foreach".into()));
                     }
@@ -2425,12 +2812,24 @@ impl<'p> Vm<'p> {
                     self.fe_depth += 1;
                     if run_chunks < chunks {
                         self.scale = outer_scale * chunks as f64 / run_chunks as f64;
+                        if let Some(h) = &mut self.helper {
+                            h.dyadic &= is_dyadic(self.scale);
+                        }
                     }
                     self.enter_chunk(d);
+                    if *split && d == 0 && run_chunks == 2 {
+                        if let Some(next) = self.split_loop::<COUNT>(pc, counts)? {
+                            pc = next;
+                            continue;
+                        }
+                    }
                     pc += 1;
                 }
                 Instr::ForeachVecNext { head } => {
                     let d = self.fe_depth - 1;
+                    if d == self.halt {
+                        return Ok(pc);
+                    }
                     self.fe_stack[d].idx += 1;
                     if self.fe_stack[d].idx < self.fe_stack[d].run {
                         self.enter_chunk(d);
@@ -2446,7 +2845,12 @@ impl<'p> Vm<'p> {
                         pc += 1;
                     }
                 }
-                Instr::ForeachSeq { src, var, end } => {
+                Instr::ForeachSeq {
+                    src,
+                    var,
+                    end,
+                    split,
+                } => {
                     if self.lanes != 1 {
                         return Err(self.fail(line, "foreach inside a vectorized foreach".into()));
                     }
@@ -2480,12 +2884,24 @@ impl<'p> Vm<'p> {
                     self.fe_depth += 1;
                     if run < n {
                         self.scale = outer_scale * n as f64 / run as f64;
+                        if let Some(h) = &mut self.helper {
+                            h.dyadic &= is_dyadic(self.scale);
+                        }
                     }
                     self.pool[*var as usize].set_uniform_i(0);
+                    if *split && d == 0 && run == 2 {
+                        if let Some(next) = self.split_loop::<COUNT>(pc, counts)? {
+                            pc = next;
+                            continue;
+                        }
+                    }
                     pc += 1;
                 }
                 Instr::ForeachSeqNext { head } => {
                     let d = self.fe_depth - 1;
+                    if d == self.halt {
+                        return Ok(pc);
+                    }
                     self.fe_stack[d].idx += 1;
                     if self.fe_stack[d].idx < self.fe_stack[d].run {
                         let (it, var) = (self.fe_stack[d].idx, self.fe_stack[d].var);
@@ -2539,7 +2955,7 @@ impl<'p> Vm<'p> {
                 Instr::Fail { msg } => {
                     return Err(self.fail(line, msg.to_string()));
                 }
-                Instr::Halt => return Ok(()),
+                Instr::Halt => return Ok(pc),
             }
         }
     }
@@ -2553,7 +2969,7 @@ pub fn execute_compiled(
     args: Vec<ArgValue>,
     opts: &ExecOptions,
 ) -> Result<ExecResult, ExecError> {
-    launch::<false>(prog, args, opts, &mut [])
+    launch::<false>(prog, args, opts, Split::Auto, &mut []).map(|(r, _)| r)
 }
 
 /// [`execute_compiled`] that also counts dispatches: element `pc` of the
@@ -2565,16 +2981,39 @@ pub fn execute_counted(
     opts: &ExecOptions,
 ) -> Result<(ExecResult, Vec<u64>), ExecError> {
     let mut counts = vec![0; prog.instrs.len()];
-    let r = launch::<true>(prog, args, opts, &mut counts)?;
+    let (r, _) = launch::<true>(prog, args, opts, Split::Auto, &mut counts)?;
     Ok((r, counts))
+}
+
+/// [`execute_compiled`] under an explicit [`Split`] policy, for tests that
+/// must take the split (or the one-thread) path on any host. With `count`,
+/// also the dispatch counts of [`execute_counted`] (else empty), and in
+/// every case what became of the launch's split loops.
+#[doc(hidden)]
+pub fn execute_with(
+    prog: &Program,
+    args: Vec<ArgValue>,
+    opts: &ExecOptions,
+    split: Split,
+    count: bool,
+) -> Result<(ExecResult, Vec<u64>, SplitLog), ExecError> {
+    if count {
+        let mut counts = vec![0; prog.instrs.len()];
+        let (r, log) = launch::<true>(prog, args, opts, split, &mut counts)?;
+        Ok((r, counts, log))
+    } else {
+        let (r, log) = launch::<false>(prog, args, opts, split, &mut [])?;
+        Ok((r, Vec::new(), log))
+    }
 }
 
 fn launch<const COUNT: bool>(
     prog: &Program,
     args: Vec<ArgValue>,
     opts: &ExecOptions,
+    split: Split,
     counts: &mut [u64],
-) -> Result<ExecResult, ExecError> {
+) -> Result<(ExecResult, SplitLog), ExecError> {
     if args.len() != prog.params.len() {
         return Err(ExecError {
             line: 1,
@@ -2648,19 +3087,24 @@ fn launch<const COUNT: bool>(
         for_depth: 0,
         fe_stack: Vec::new(),
         fe_depth: 0,
+        split,
+        halt: NO_HALT,
+        helper: None,
+        log: SplitLog::default(),
     };
     vm.refresh();
-    vm.run::<COUNT>(counts)?;
+    vm.run::<COUNT>(0, counts)?;
     let mut stats = mem::take(&mut vm.st);
     for (i, a) in vm.acc.iter().enumerate() {
         if a.touched {
             stats.sites.insert(prog.sites[i].clone(), a.s.clone());
         }
     }
-    Ok(ExecResult {
+    let result = ExecResult {
         args: vm.args,
         stats,
-    })
+    };
+    Ok((result, vm.log))
 }
 
 /// Compile and execute a checked kernel on the VM — the one execution
@@ -3532,5 +3976,276 @@ mod tests {
             r.stats.global_bytes.to_bits(),
             tree.stats.global_bytes.to_bits()
         );
+    }
+
+    /// Run a kernel on the tree walker and on the VM made to split and
+    /// made not to: all three agree (statistics bit for bit and argument
+    /// buffers, or the exact error), and the two VM runs dispatch the same
+    /// instructions. Returns what became of the split run's loops (the
+    /// default when the kernel fails).
+    fn split_diff(src: &str, args: Vec<ArgValue>, opts: &ExecOptions) -> SplitLog {
+        let h = standard_hierarchy();
+        let ck = check(&parse(src).expect("parse"), &h).expect("check");
+        let units: Vec<String> = h
+            .effective_params(ck.level)
+            .par_units
+            .iter()
+            .map(|p| p.name.clone())
+            .collect();
+        let prog = compile_program(&ck, &units);
+        let tree = crate::interp::execute(&ck, args.clone(), &units, opts);
+        let mut log = SplitLog::default();
+        let mut counts = Vec::new();
+        for split in [Split::Always, Split::Never] {
+            match (&tree, execute_with(&prog, args.clone(), opts, split, true)) {
+                (Ok(t), Ok((v, c, l))) => {
+                    assert_eq!(
+                        format!("{:?}", t.stats),
+                        format!("{:?}", v.stats),
+                        "{split:?}: stats differ"
+                    );
+                    assert_eq!(t.args, v.args, "{split:?}: argument buffers differ");
+                    counts.push(c);
+                    if split == Split::Always {
+                        log = l;
+                    } else {
+                        assert_eq!(l, SplitLog::default(), "split while told not to");
+                    }
+                }
+                (Err(te), Err(ve)) => assert_eq!(te, &ve, "{split:?}: errors differ"),
+                (t, v) => panic!("{split:?}: engines disagree: tree={t:?} vm={v:?}"),
+            }
+        }
+        if let [a, b] = &counts[..] {
+            assert!(a == b, "dispatch counts differ");
+        }
+        log
+    }
+
+    fn blocks_of_64() -> ExecOptions {
+        ExecOptions {
+            group_size: 64,
+            ..sampled()
+        }
+    }
+
+    const MERGED: SplitLog = SplitLog {
+        merged: 1,
+        fell_back: 0,
+    };
+    const FELL_BACK: SplitLog = SplitLog {
+        merged: 0,
+        fell_back: 1,
+    };
+
+    #[test]
+    fn independent_blocks_split_and_merge() {
+        let src = "gpu void t(int n, float[n] a, float[n] out) {
+  foreach (int b in n / 64 blocks) {
+    local float tile[64];
+    foreach (int t in 64 threads) {
+      tile[t] = a[b * 64 + t];
+      barrier();
+      float s = 0.0;
+      for (int k = 0; k < 4; k++) { s += tile[(t + k) % 64] * 0.5; }
+      if (t % 3 == 0) { out[b * 64 + t] = s; }
+    }
+  }
+}";
+        let n = 64 * 5;
+        let args = vec![
+            ArgValue::Int(n as i64),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+        ];
+        assert_eq!(split_diff(src, args, &blocks_of_64()), MERGED);
+    }
+
+    /// The k-means pattern: every block loads the same centroids, which
+    /// the first block leaves in the L1 model. The helper, starting cold,
+    /// would miss where the sequential run hits, so its result is dropped.
+    #[test]
+    fn loads_repeated_across_blocks_fall_back() {
+        let src = "gpu void t(int n, int k, float[n] pts, float[k] cent, int[n] label) {
+  foreach (int b in n / 64 blocks) {
+    foreach (int t in 64 threads) {
+      float best = 1000000.0;
+      int bi = 0;
+      for (int c = 0; c < k; c++) {
+        float d = pts[b * 64 + t] - cent[c];
+        if (d * d < best) { best = d * d; bi = c; }
+      }
+      label[b * 64 + t] = bi;
+    }
+  }
+}";
+        let n = 64 * 4;
+        let args = vec![
+            ArgValue::Int(n as i64),
+            ArgValue::Int(4),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[4])),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Int, &[n])),
+        ];
+        assert_eq!(split_diff(src, args, &blocks_of_64()), FELL_BACK);
+    }
+
+    /// A load whose keys cycle through more than eight addresses misses in
+    /// both runs even though the first block leaves some of them resident:
+    /// the earlier misses evict them before they are looked up.
+    #[test]
+    fn loads_that_thrash_the_l1_model_still_merge() {
+        let src = "gpu void t(int n, float[n] out, float[9] scene) {
+  foreach (int b in n / 64 blocks) {
+    foreach (int t in 64 threads) {
+      float s = 0.0;
+      for (int k = 0; k < 9; k++) { s += scene[k]; }
+      out[b * 64 + t] = s;
+    }
+  }
+}";
+        let n = 64 * 2;
+        let args = vec![
+            ArgValue::Int(n as i64),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+            ArgValue::Array(ArrayArg::float(&[9], (0..9).map(f64::from).collect())),
+        ];
+        assert_eq!(split_diff(src, args, &blocks_of_64()), MERGED);
+    }
+
+    #[test]
+    fn bodies_writing_outer_state_are_refused() {
+        let outer_scalar = "gpu void t(int n, float[n] out) {
+  float s = 0.0;
+  foreach (int b in n / 64 blocks) {
+    s += 1.0;
+    foreach (int t in 64 threads) { out[b * 64 + t] = s; }
+  }
+}";
+        let outer_array = "gpu void t(int n, float[n] out) {
+  float acc[2];
+  foreach (int b in n / 64 blocks) {
+    acc[b % 2] = acc[(b + 1) % 2] + 1.0;
+    foreach (int t in 64 threads) { out[b * 64 + t] = acc[0]; }
+  }
+}";
+        let n = 64 * 4;
+        for src in [outer_scalar, outer_array] {
+            let args = vec![
+                ArgValue::Int(n as i64),
+                ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+            ];
+            assert_eq!(split_diff(src, args, &blocks_of_64()), SplitLog::default());
+            let h = standard_hierarchy();
+            let ck = check(&parse(src).unwrap(), &h).unwrap();
+            let prog = compile_program(&ck, &["blocks".to_string(), "threads".to_string()]);
+            assert!(prog
+                .instrs
+                .iter()
+                .any(|i| matches!(i, Instr::ForeachSeq { split: false, .. })));
+        }
+    }
+
+    #[test]
+    fn stores_to_a_real_array_are_refused() {
+        let src = "gpu void t(int n, float[n] out) {
+  foreach (int b in n / 64 blocks) {
+    foreach (int t in 64 threads) { out[b * 64 + t] = (float) (b + t); }
+  }
+}";
+        let n = 64 * 4;
+        let args = vec![
+            ArgValue::Int(n as i64),
+            ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[n])),
+        ];
+        assert_eq!(split_diff(src, args, &blocks_of_64()), SplitLog::default());
+    }
+
+    /// When both halves fail, the first half's error is the one reported;
+    /// when only the second does, it is run again on the calling thread
+    /// and reports the sequential error.
+    #[test]
+    fn errors_are_the_sequential_ones() {
+        let src = |offset: &str| {
+            format!(
+                "gpu void t(int n, float[n] a, float[n] out) {{
+  foreach (int b in 4 blocks) {{
+    foreach (int t in 64 threads) {{
+      for (int k = 0; k < 3; k++) {{ out[t] = a[b * {offset} + t]; }}
+    }}
+  }}
+}}"
+            )
+        };
+        let args = || {
+            vec![
+                ArgValue::Int(64),
+                ArgValue::Array(ArrayArg::float(&[64], vec![1.0; 64])),
+                ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[64])),
+            ]
+        };
+        // `b * 1000 + t + 64` leaves the buffer in both blocks.
+        split_diff(&src("1000 + 64"), args(), &blocks_of_64());
+        // `b * 64 + t` leaves it only in block 1.
+        split_diff(&src("64"), args(), &blocks_of_64());
+        let h = standard_hierarchy();
+        let units = ["blocks".to_string(), "threads".to_string()];
+        let ck = check(&parse(&src("1000 + 64")).unwrap(), &h).unwrap();
+        let prog = compile_program(&ck, &units);
+        let e = execute_with(&prog, args(), &blocks_of_64(), Split::Always, false).unwrap_err();
+        assert!(e.message.contains("index 64 out of bounds"), "{e}");
+    }
+
+    /// A scale that is not a multiple of 2^-10 (a sampling limit of 3),
+    /// in the helper's half or in a counter the first half ends with, makes
+    /// the merge fall back.
+    #[test]
+    fn non_dyadic_scales_fall_back() {
+        let thirds = ExecOptions {
+            sample: Some(Sampling {
+                max_outer_iters: 2,
+                max_chunks: 3,
+            }),
+            ..blocks_of_64()
+        };
+        let in_helper = "gpu void t(int n, float[n] out) {
+  foreach (int b in 2 blocks) {
+    foreach (int t in n threads) { out[t] = (float) (b + t); }
+  }
+}";
+        let in_prefix = "perfect void t(int n, float[n] out) {
+  foreach (int i in n threads) {
+    if (i < 100) { out[i] = 1.0; }
+  }
+  foreach (int j in 128 threads) { out[j] = 2.0; }
+}";
+        for src in [in_helper, in_prefix] {
+            let n = 64 * 7;
+            let args = vec![
+                ArgValue::Int(n as i64),
+                ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+            ];
+            assert_eq!(split_diff(src, args, &thirds), FELL_BACK, "{src}");
+        }
+    }
+
+    /// Three chunks sampled as two scale every counter by 1.5: the halves'
+    /// sums still add up exactly.
+    #[test]
+    fn half_integer_scale_merges_exactly() {
+        let src = "perfect void t(int n, float[n] out, float[n] xs) {
+  foreach (int i in n threads) {
+    float s = xs[i];
+    for (int k = 0; k < i % 7; k++) { s = s * 1.5 + xs[(i + k) % n]; }
+    if (s > 0.5) { out[i] = s; }
+  }
+}";
+        let n = 64 * 3;
+        let args = vec![
+            ArgValue::Int(n as i64),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+        ];
+        assert_eq!(split_diff(src, args, &blocks_of_64()), MERGED);
     }
 }

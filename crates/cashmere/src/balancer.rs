@@ -239,6 +239,33 @@ const CHUNK_BASE: usize = 4;
 /// `dynamic-chunk`: cap on any single chunk.
 const CHUNK_MAX: usize = 16;
 
+/// The Sec. III-B scenario makespan `max_e (queued_e + [e == d]) · t_e`
+/// if the next job went to device `d`, over the devices `(e, queued_e,
+/// t_e)`.
+pub(crate) fn scenario_makespan(
+    devices: impl Iterator<Item = (usize, usize, f64)>,
+    d: usize,
+) -> f64 {
+    devices.fold(0.0, |m: f64, (e, q, t)| {
+        m.max((q + usize::from(e == d)) as f64 * t)
+    })
+}
+
+/// The candidate minimizing `cost`; ties break toward the first.
+pub(crate) fn argmin(
+    candidates: impl Iterator<Item = usize>,
+    cost: impl Fn(usize) -> f64,
+) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for d in candidates {
+        let c = cost(d);
+        if !best.is_some_and(|(_, v)| v <= c) {
+            best = Some((d, c));
+        }
+    }
+    best.map(|(d, _)| d)
+}
+
 /// The per-node balancer: static speed table seeding + measured kernel
 /// times per device, deciding by the configured [`Policy`].
 #[derive(Debug, Clone)]
@@ -445,30 +472,17 @@ impl Balancer {
         allowed[d] && !self.dead[d]
     }
 
-    /// The Sec. III-B scenario makespan `max_e (queued_e + [e == d]) · t_e`
-    /// over live devices, if the next job went to `d`.
+    /// [`scenario_makespan`] over live devices, if the next job went to
+    /// `d`.
     fn scenario_s(&self, times: &Times, d: usize) -> f64 {
-        let mut scenario: f64 = 0.0;
-        for (e, t) in times[..self.speeds.len()].iter().enumerate() {
-            if !self.dead[e] {
-                let q = self.queued[e] + usize::from(e == d);
-                scenario = scenario.max(q as f64 * t);
-            }
-        }
-        scenario
+        let live = (0..self.speeds.len()).filter(|&e| !self.dead[e]);
+        scenario_makespan(live.map(|e| (e, self.queued[e], times[e])), d)
     }
 
     /// The candidate minimizing `cost`; ties break toward the lower index.
     fn argmin(&self, allowed: &[bool], cost: impl Fn(usize) -> f64) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for d in (0..self.speeds.len()).filter(|&d| self.is_candidate(allowed, d)) {
-            let c = cost(d);
-            match best {
-                Some((_, v)) if v <= c => {}
-                _ => best = Some((d, c)),
-            }
-        }
-        best.map(|(d, _)| d)
+        let candidates = (0..self.speeds.len()).filter(|&d| self.is_candidate(allowed, d));
+        argmin(candidates, cost)
     }
 
     /// Choose the device for the next job of `kernel` by the active policy,

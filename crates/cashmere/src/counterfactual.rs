@@ -13,7 +13,7 @@
 //! comes from re-routing", while a large delta with zero flips says "the
 //! same jobs simply run faster".
 
-use crate::balancer::Policy;
+use crate::balancer::{argmin, scenario_makespan, Policy};
 use crate::runtime::AuditEntry;
 use serde::{Deserialize, Serialize};
 
@@ -56,8 +56,9 @@ impl CounterfactualReplay {
 
 /// Replay every scenario-policy decision of `audit` with each device's time
 /// estimate divided by `factor(node, device)` (1.0 = unperturbed), and
-/// collect the placements that flip. Deterministic: ties break toward the
-/// lower device index, exactly like [`crate::balancer::Balancer`].
+/// collect the placements that flip. The decision is the balancer's own
+/// Sec. III-B rule (the scenario makespan and its lowest-index argmin), so
+/// an unperturbed replay reproduces every recorded choice.
 pub fn replay_audit(
     audit: &[AuditEntry],
     factor: impl Fn(usize, usize) -> f64,
@@ -79,32 +80,21 @@ pub fn replay_audit(
         }
         replayed += 1;
         // Perturbed per-device estimates; dead devices keep no estimate.
-        let times: Vec<Option<f64>> = e
+        let live: Vec<(usize, usize, f64)> = e
             .candidates
             .iter()
+            .filter(|c| !c.dead)
             .map(|c| {
                 let f = factor(e.node, c.device);
                 debug_assert!(f.is_finite() && f > 0.0, "bad counterfactual factor");
-                (!c.dead).then(|| c.estimate_s / f)
+                (c.device, c.queued, c.estimate_s / f)
             })
             .collect();
-        let mut best: Option<(usize, f64)> = None;
-        for c in &e.candidates {
-            if c.dead || !c.allowed {
-                continue;
-            }
-            let mut scenario: f64 = 0.0;
-            for (other, t) in e.candidates.iter().zip(&times) {
-                let Some(t) = t else { continue };
-                let q = other.queued + usize::from(other.device == c.device);
-                scenario = scenario.max(q as f64 * t);
-            }
-            match best {
-                Some((_, v)) if v <= scenario => {}
-                _ => best = Some((c.device, scenario)),
-            }
-        }
-        if let Some((to, _)) = best {
+        let candidates = e.candidates.iter().filter(|c| !c.dead && c.allowed);
+        let best = argmin(candidates.map(|c| c.device), |d| {
+            scenario_makespan(live.iter().copied(), d)
+        });
+        if let Some(to) = best {
             if to != chosen {
                 flips.push(PlacementFlip {
                     seq: e.seq,

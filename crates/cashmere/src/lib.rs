@@ -95,7 +95,7 @@ pub mod spec;
 pub use balancer::{Balancer, DeviceEstimate, PolicyDesc};
 pub use counterfactual::{replay_audit, CounterfactualReplay, PlacementFlip};
 pub use init::{initialize, InitReport};
-pub use registry::{arg_shape, KernelRegistry};
+pub use registry::KernelRegistry;
 pub use runtime::{AuditEntry, CashmereApp, CashmereLeafRuntime, KernelCall, RuntimeConfig};
 pub use spec::ClusterSpec;
 
@@ -362,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn estimated_mode_caches_stats_per_shape() {
+    fn estimated_mode_caches_stats_per_launch() {
         let app = DoubleApp {
             node_grain: 1 << 20,
             dev_jobs: 8,
@@ -379,16 +379,18 @@ mod tests {
             },
         )
         .unwrap();
-        let n = 1 << 24; // 16 node leaves, uniform shapes
-        let _ = cluster.run_root((0, n));
-        let r = cluster.report();
-        assert!(r[Counter::KernelsRun] >= 128);
-        // All device jobs share one shape ⇒ one interpreted launch.
-        assert_eq!(r[Counter::KernelMemoMisses], 1);
-        assert_eq!(
-            r[Counter::KernelMemoHits] + r[Counter::KernelMemoMisses],
-            r[Counter::KernelsRun]
-        );
+        let n = 1 << 24; // 16 node leaves of 8 device jobs, one shape
+        let mut run = || {
+            let _ = cluster.run_root((0, n));
+            let r = cluster.report();
+            let memo = [Counter::KernelMemoHits, Counter::KernelMemoMisses];
+            (r[Counter::KernelsRun], memo.map(|c| r[c]))
+        };
+        // Every device job fills its buffer with its own indices: 128
+        // launches of one shape, each the run's first sight. Run again,
+        // every launch is served from the memo.
+        assert_eq!(run(), (128, [0, 128]));
+        assert_eq!(run(), (256, [128, 128]));
     }
 
     #[test]

@@ -24,14 +24,14 @@
 //!    memory is exhausted (the paper's try/catch → `leafCPU` pattern).
 
 use crate::balancer::{Balancer, DeviceEstimate, PolicyDesc, MAX_DEVICES};
-use crate::registry::{arg_shape, KernelRegistry, PreparedKernel};
+use crate::registry::{KernelRegistry, PreparedKernel};
 use cashmere_des::fault::FaultInjector;
 use cashmere_des::obs::{prof, MetricsRegistry};
 use cashmere_des::trace::{LaneId, SpanId, SpanKind, Trace};
 use cashmere_des::SimTime;
 use cashmere_devsim::{ExecMode, SimDevice};
 use cashmere_mcl::cost::estimate_time;
-use cashmere_mcl::launch::{arg_contents, arg_contents_match, arg_shape_matches};
+use cashmere_mcl::launch::{arg_signature, arg_signature_matches};
 use cashmere_mcl::value::ArgValue;
 use cashmere_satin::{ClusterApp, Counter, LeafCtx, LeafRuntime, RunReport};
 use serde::{Deserialize, Serialize};
@@ -161,10 +161,11 @@ struct KernelPlan {
     kernel: PreparedKernel,
     /// Every sampled launch seen, with its seconds before the device's
     /// virtual speed scale. A plan sees few launches, so a launch is
-    /// matched against them in place. Exact and never invalidated: version
-    /// and geometry are fixed per plan, so shape and contents fix the
-    /// launch; launch-table entries are never replaced; and the device
-    /// parameters the cost model reads never change.
+    /// matched against them in place, one pass over its arguments. Exact
+    /// and never invalidated: version and geometry are fixed per plan, so
+    /// the argument signature fixes the launch; launch-table entries are
+    /// never replaced; and the device parameters the cost model reads
+    /// never change.
     seconds: Vec<SampledLaunch>,
     /// Resident (kernel-shared) input already on the device.
     resident: Option<cashmere_devsim::BufferId>,
@@ -172,11 +173,8 @@ struct KernelPlan {
 
 /// One sampled launch a plan has seen and its `estimate_time(..).total_s`.
 struct SampledLaunch {
-    /// [`arg_shape`] of the arguments.
-    shape: Vec<u64>,
-    /// [`arg_contents`] of the arguments: empty when every array is
-    /// phantom.
-    contents: Vec<u64>,
+    /// [`arg_signature`] of the arguments.
+    sig: Vec<u64>,
     scale_bits: u64,
     total_s: f64,
 }
@@ -186,11 +184,7 @@ impl KernelPlan {
     fn seconds(&self, args: &[ArgValue], scale_bits: u64) -> Option<f64> {
         self.seconds
             .iter()
-            .find(|l| {
-                l.scale_bits == scale_bits
-                    && arg_shape_matches(args, &l.shape)
-                    && arg_contents_match(args, &l.contents)
-            })
+            .find(|l| l.scale_bits == scale_bits && arg_signature_matches(args, &l.sig))
             .map(|l| l.total_s)
     }
 }
@@ -678,8 +672,7 @@ impl CashmereLeafRuntime {
                     let total_s =
                         total_s.unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
                     plan.seconds.push(SampledLaunch {
-                        shape: arg_shape(&call.args),
-                        contents: arg_contents(&call.args),
+                        sig: arg_signature(&call.args),
                         scale_bits,
                         total_s,
                     });
@@ -1031,12 +1024,12 @@ mod tests {
 
     /// The uncached derivation: run the job's sampled launch on the device
     /// directly, bypassing plans and the launch table. Also names the
-    /// launch shape the run's memo counts: (device, arg shape).
+    /// launch the run's memo counts: (device, arg signature).
     fn uncached(rt: &CashmereLeafRuntime, didx: usize, job: Job) -> ((String, Vec<u64>), SimTime) {
         let sim = &rt.nodes[0].devices[didx].sim;
         let call = ShapeApp.kernel_call(&job);
         let ck = rt.registry.select(call.kernel, sim.level).unwrap();
-        let shape = (sim.level_name.clone(), arg_shape(&call.args));
+        let launch = (sim.level_name.clone(), arg_signature(&call.args));
         let mode = ExecMode::Sampled {
             sampling: Sampling::default(),
             extra_scale: call.extra_scale,
@@ -1044,7 +1037,7 @@ mod tests {
         let run = sim
             .run_kernel(rt.registry.hierarchy(), ck, call.args, mode)
             .unwrap();
-        (shape, run.time)
+        (launch, run.time)
     }
 
     /// Kernel time of `job` on a fresh one-device runtime, sped up by
@@ -1085,8 +1078,8 @@ mod tests {
     fn slot_cache_reproduces_the_uncached_kernel_time() {
         let mut rt = runtime(&["k20", "xeon_phi"]);
         let mut report = RunReport::new(1);
-        // Two shapes; one shape under two calibrations and with two
-        // contents.
+        // Three launches: two sizes, and one size under two calibrations
+        // (one launch) and with two buffer contents (two launches).
         let jobs: [Job; 4] = [
             (4096, 0.0, 2.5),
             (16384, 0.0, 2.5),
@@ -1109,6 +1102,7 @@ mod tests {
             report[Counter::KernelMemoHits] + report[Counter::KernelMemoMisses],
             report[Counter::KernelsRun]
         );
+        assert_eq!(keys.len(), 6, "three launches on each device");
         assert_eq!(report[Counter::KernelMemoMisses], keys.len() as u64);
         assert!(
             report[Counter::KernelsRun] > keys.len() as u64,

@@ -101,14 +101,15 @@ counters! {
     KernelsRun = "kernels_run",
     /// Device jobs that fell back to the CPU leaf, for any reason.
     CpuFallbacks = "cpu_fallbacks",
-    /// Sampled kernel measurements of a launch shape the run had already
-    /// seen.
+    /// Sampled kernel measurements of a launch the run had already seen.
+    /// A launch is a kernel version at one geometry on one argument
+    /// signature: scalars, array shapes and real buffers' contents.
     KernelMemoHits = "kernel_memo_hits",
     /// Sampled kernel measurements that were the run's first sight of a
-    /// launch shape. Not a count of VM runs: the kernel VM runs only on
-    /// the process's first sight of the exact launch (shape and buffer
-    /// contents, `cashmere::registry::LaunchSight::interpreted`), which
-    /// another run may already have paid for.
+    /// launch. Not a count of VM runs: the kernel VM runs only on the
+    /// process's first sight of the launch
+    /// (`cashmere::registry::LaunchSight::interpreted`), which another
+    /// run may already have paid for.
     KernelMemoMisses = "kernel_memo_misses",
     // --- orphan-result reuse (graceful recovery) ---
     /// Completed subtree results salvaged into the global result table

@@ -4,12 +4,12 @@
 //! parse line-by-line, and Chrome traces must carry utilization counter
 //! tracks for exactly the lanes that did work.
 
-use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
+use cashmere::{build_cluster, replay_audit, ClusterSpec, RuntimeConfig};
 use cashmere_apps::kmeans::{self, KmeansApp, KmeansProblem};
 use cashmere_apps::KernelSet;
 use cashmere_bench::{advise, ObsCapture, PerturbSet};
 use cashmere_des::{ChromeTrace, SimTime};
-use cashmere_satin::SimConfig;
+use cashmere_satin::{Counter, SimConfig};
 
 /// A small deterministic K-means workload (2 M points, 1 iteration) in the
 /// shape the advisor driver expects: re-execute with an optional
@@ -112,6 +112,35 @@ fn speeding_the_dominant_device_never_slows_the_run() {
     // The counterfactual replay covered the audited placements.
     assert!(!run.json.counterfactuals.is_empty());
     assert!(run.json.counterfactuals[0].replayed > 0);
+}
+
+/// The counterfactual replays the balancer's own Sec. III-B rule: with
+/// every factor 1, the audit log of a run on nodes carrying two device
+/// kinds replays every placed decision to the device it went to.
+#[test]
+fn an_unperturbed_replay_reproduces_every_placement() {
+    let spec = ClusterSpec {
+        node_devices: vec![vec!["gtx480".to_string(), "k20".to_string()]; 2],
+    };
+    let cap = small_runner(&spec, 42)(None, true).1.unwrap();
+    let placed = cap
+        .audit
+        .iter()
+        .filter(|e| e.policy.name == "scenario" && e.reason == "placed")
+        .count();
+    assert_eq!(placed as u64, cap.report[Counter::KernelsRun]);
+    // Both device kinds take jobs, so the rule chooses between them.
+    let took = |d| cap.audit.iter().any(|e| e.chosen == Some(d));
+    assert!(took(0) && took(1));
+    let same = replay_audit(&cap.audit, |_, _| 1.0);
+    assert_eq!(same.decisions, cap.audit.len());
+    assert_eq!(same.replayed, placed);
+    assert!(same.flips.is_empty(), "{:?}", same.flips);
+    // The replay is not blind to the table: a much faster K20 takes jobs
+    // the GTX480 got.
+    let fast = replay_audit(&cap.audit, |_, d| if d == 1 { 8.0 } else { 1.0 });
+    assert!(!fast.flips.is_empty());
+    assert!(fast.flips.iter().all(|f| (f.from, f.to) == (0, 1)));
 }
 
 #[test]

@@ -229,20 +229,9 @@ fn main() {
     }];
     for ((level, s), run) in keys.iter().zip(&runs) {
         let o = &run.outcome;
-        let rec = o.recovery.clone().unwrap_or(
-            // A plan whose events all land after the run completes injects
-            // nothing; report it as a zero-cost row rather than skipping.
-            cashmere_bench::RecoverySummary {
-                crashes: 0,
-                joins: 0,
-                jobs_restarted: 0,
-                orphans_harvested: 0,
-                orphans_reused: 0,
-                orphans_expired: 0,
-                work_lost_s: 0.0,
-                time_to_recover_s: 0.0,
-            },
-        );
+        // A plan whose events all land after the run completes injects
+        // nothing; report it as a zero-cost row rather than skipping.
+        let rec = o.recovery.clone().unwrap_or_default();
         json.push(ChaosRow {
             level: *level,
             seed_index: *s,

@@ -29,15 +29,6 @@ struct HeteroRow {
     homogeneous_efficiency: f64,
 }
 
-fn config_for(app: AppId) -> (ClusterSpec, &'static str) {
-    let desc = match app {
-        AppId::Raytracer | AppId::Matmul => "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970",
-        AppId::Kmeans => "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970, 7 k20, 1 xeon_phi",
-        AppId::Nbody => "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970, 7 k20, 2 xeon_phi",
-    };
-    (hetero_cluster(app), desc)
-}
-
 /// The distinct node compositions of `spec`, in first-seen order.
 fn compositions(spec: &ClusterSpec) -> Vec<&Vec<String>> {
     let mut seen: Vec<&Vec<String>> = Vec::new();
@@ -56,7 +47,7 @@ pub fn scenarios(common: &CommonArgs, _args: &[String]) -> Vec<Scenario> {
     let paper = |app, spec: &ClusterSpec| Scenario::paper(app, Series::CashmereOpt, spec, 42);
     let mut scenarios = Vec::new();
     for app in AppId::ALL {
-        let (spec, _) = config_for(app);
+        let spec = hetero_cluster(app);
         for devs in compositions(&spec) {
             let one = ClusterSpec {
                 node_devices: vec![devs.clone()],
@@ -87,7 +78,8 @@ pub fn report(scenarios: &[Scenario], runs: &[ScenarioRun]) {
     let mut runs = scenarios.iter().zip(runs);
     let mut next = || runs.next().expect("one result per scenario");
     for app in AppId::ALL {
-        let (spec, desc) = config_for(app);
+        let spec = hetero_cluster(app);
+        let desc = spec.device_summary();
         let single: Vec<(&Vec<String>, f64)> = compositions(&spec)
             .into_iter()
             .map(|devs| (devs, next().1.outcome.gflops))
@@ -122,7 +114,7 @@ pub fn report(scenarios: &[Scenario], runs: &[ScenarioRun]) {
         t3.row(vec![
             app.name().to_string(),
             format!("{:.0}", hetero.gflops),
-            desc.to_string(),
+            desc.clone(),
         ]);
         f15.row(vec![
             app.name().to_string(),
@@ -131,7 +123,7 @@ pub fn report(scenarios: &[Scenario], runs: &[ScenarioRun]) {
         ]);
         json.push(HeteroRow {
             app: app.name().to_string(),
-            configuration: desc.to_string(),
+            configuration: desc,
             nodes: spec.nodes(),
             gflops: hetero.gflops,
             hetero_efficiency: hetero_eff,

@@ -18,7 +18,6 @@ use cashmere_apps::raytracer::{RaytracerApp, RaytracerProblem};
 use cashmere_apps::{AppMode, KernelSet};
 use cashmere_devsim::{ExecMode, KernelRun, SimDevice};
 use cashmere_hwdesc::{DeviceKind, Hierarchy};
-use cashmere_mcl::Sampling;
 use cashmere_satin::{Counter, RunReport};
 use serde::{Deserialize, Serialize};
 
@@ -127,7 +126,7 @@ impl Series {
 /// Recovery-cost accounting of one faulted run: how gracefully the cluster
 /// degraded. Present on a [`RunOutcome`] only when the run observed
 /// injected faults, so fault-free artifacts keep their exact bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecoverySummary {
     pub crashes: u64,
     /// Nodes that (re)joined mid-run.
@@ -287,7 +286,6 @@ impl Fig6Launch {
     /// Sampled execution, scaled by the call's calibration factor.
     pub fn mode(&self) -> ExecMode {
         ExecMode::Sampled {
-            sampling: Sampling::default(),
             extra_scale: self.call.extra_scale,
         }
     }

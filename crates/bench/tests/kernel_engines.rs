@@ -18,6 +18,7 @@ use cashmere_bench::{AppId, Fig6Launch};
 use cashmere_hwdesc::DeviceKind;
 use cashmere_mcl::compile::compile_program;
 use cashmere_mcl::vm::{self, Split, SplitLog};
+use cashmere_mcl::LaunchConfig;
 use cashmere_mcl::{interp, ExecError, ExecResult};
 
 /// What the two engines are compared on: statistics and argument buffers
@@ -41,13 +42,14 @@ fn fig6_corpus_is_identical_on_vm_and_tree_walker() {
                     .registry
                     .select(l.call.kernel, l.device.level)
                     .unwrap_or_else(|| panic!("{what}: no kernel version"));
-                let p = l.device.prepare_launch(&l.hierarchy, ck, l.mode());
-                let tree = interp::execute(ck, l.call.args.clone(), &p.par_units, &p.opts);
+                let opts =
+                    LaunchConfig::for_device(ck, &l.hierarchy, l.device.level).exec_sampled();
+                let tree = interp::execute(ck, l.call.args.clone(), &opts);
                 let (tree_stats, tree_args) = observed(&what, tree);
-                let prog = compile_program(ck, &p.par_units);
+                let prog = compile_program(ck);
                 let mut dispatches = Vec::new();
                 for split in [Split::Always, Split::Never] {
-                    let run = vm::execute_with(&prog, l.call.args.clone(), &p.opts, split, true);
+                    let run = vm::execute_with(&prog, l.call.args.clone(), &opts, split, true);
                     let (r, counts, log) = run.unwrap_or_else(|e| panic!("{what}: {e}"));
                     let (vm_stats, vm_args) = observed(&what, Ok(r));
                     assert!(
@@ -91,10 +93,10 @@ fn matmul_mic_dispatch_count_is_pinned() {
         .registry
         .select(l.call.kernel, l.device.level)
         .expect("matmul has a mic version");
-    let p = l.device.prepare_launch(&l.hierarchy, ck, l.mode());
-    let prog = compile_program(ck, &p.par_units);
+    let opts = LaunchConfig::for_device(ck, &l.hierarchy, l.device.level).exec_sampled();
+    let prog = compile_program(ck);
     for split in [Split::Always, Split::Never] {
-        let (_, counts, log) = vm::execute_with(&prog, l.call.args.clone(), &p.opts, split, true)
+        let (_, counts, log) = vm::execute_with(&prog, l.call.args.clone(), &opts, split, true)
             .expect("the launch runs");
         assert_eq!(counts.iter().sum::<u64>(), 5_437_994, "{split:?}");
         let merged = u32::from(split == Split::Always);

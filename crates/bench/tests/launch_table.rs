@@ -27,6 +27,7 @@ use cashmere_bench::scenario::cli::out_path;
 use cashmere_bench::{kernel_gflops, run_scenario, AppId, Fig6Launch, Scenario, ScenarioReport};
 use cashmere_des::obs::{prof, ProfNode};
 use cashmere_hwdesc::DeviceKind;
+use cashmere_mcl::LaunchConfig;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -134,10 +135,13 @@ fn fig6_corpus_matches_the_direct_run_and_interprets_each_launch_once() {
                     .registry
                     .select(l.call.kernel, l.device.level)
                     .expect("a version");
-                let p = l.device.prepare_launch(&l.hierarchy, ck, l.mode());
+                let config = LaunchConfig::for_device(ck, &l.hierarchy, l.device.level);
                 distinct.insert(format!(
                     "{:?} {:?} {:?} {:?}",
-                    ck.kernel, p.par_units, p.opts, l.call.args
+                    ck.kernel,
+                    ck.par_units,
+                    config.exec_sampled(),
+                    l.call.args
                 ));
                 let run = l
                     .run_kernel()

@@ -23,11 +23,11 @@
 //! and miss counts.
 
 use cashmere_des::obs::prof;
-use cashmere_devsim::{ExecMode, PreparedLaunch, SimDevice};
+use cashmere_devsim::SimDevice;
 use cashmere_hwdesc::params::ResolvedParams;
 use cashmere_hwdesc::{Hierarchy, LevelId};
 use cashmere_mcl::cost::estimate_time;
-use cashmere_mcl::launch::{table_entry, KernelSource, LaunchKey, Measured};
+use cashmere_mcl::launch::{table_entry, KernelSource, LaunchConfig, LaunchKey, Measured};
 use cashmere_mcl::value::ArgValue;
 use cashmere_mcl::{compile, CheckError, CheckedKernel, ExecError};
 use std::collections::{HashMap, HashSet};
@@ -103,8 +103,8 @@ fn most_specific<'a>(
 /// kernel on that device only adds its arguments.
 pub struct PreparedKernel {
     version: Arc<Version>,
-    /// Geometry, executor options and parallelism units of the launch.
-    pub(crate) launch: PreparedLaunch,
+    /// The version's launch geometry on the device.
+    pub(crate) config: LaunchConfig,
 }
 
 impl PreparedKernel {
@@ -212,7 +212,7 @@ impl KernelRegistry {
     pub fn prepare(&self, kernel: &str, device: &SimDevice) -> Option<PreparedKernel> {
         let version = most_specific(&self.hierarchy, self.kernels.get(kernel)?, device.level)?;
         Some(PreparedKernel {
-            launch: device.prepare_launch(&self.hierarchy, &version.ck, ExecMode::sampled()),
+            config: LaunchConfig::for_device(&version.ck, &self.hierarchy, device.level),
             version: Arc::clone(version),
         })
     }
@@ -222,7 +222,7 @@ impl KernelRegistry {
     /// for), with the call's calibration factor `extra_scale` applied to
     /// the statistics: the physical cost, before any virtual speed scale.
     /// Equal, bit for bit, to the `cost.total_s` of the same launch run
-    /// by [`SimDevice::run_kernel`] in [`ExecMode::Sampled`]; the
+    /// by [`SimDevice::run_kernel`] in sampled mode; the
     /// statistics come from the process-wide launch table, so the VM runs
     /// only when the process has never seen this exact launch.
     pub fn sampled_seconds(
@@ -239,7 +239,7 @@ impl KernelRegistry {
             if extra_scale != 1.0 {
                 stats.scale(extra_scale);
             }
-            estimate_time(&stats, params, kernel.launch.config.class).total_s
+            estimate_time(&stats, params, kernel.config.class).total_s
         });
         (seconds, sight)
     }
@@ -255,16 +255,16 @@ impl KernelRegistry {
         kernel: &PreparedKernel,
         args: &[ArgValue],
     ) -> (Measured, LaunchSight) {
-        let PreparedKernel { version, launch } = kernel;
+        let PreparedKernel { version, config } = kernel;
         let _prof = prof::scope("mcl::memo");
-        let key = LaunchKey::sampled(&version.source, &launch.par_units, &launch.opts, args);
+        let key = LaunchKey::sampled(&version.source, &version.ck, config, args);
         let first_in_run = self.seen.insert(key.clone());
         let entry = table_entry(key);
         let mut interpreted = false;
         let measured = entry.get_or_init(|| {
             let _prof = prof::scope("mcl::execute");
             interpreted = true;
-            cashmere_mcl::execute(&version.ck, args.to_vec(), &launch.par_units, &launch.opts)
+            cashmere_mcl::execute(&version.ck, args.to_vec(), &config.exec_sampled())
                 .map(|run| run.stats)
         });
         let sight = LaunchSight {
@@ -279,8 +279,9 @@ impl KernelRegistry {
 mod tests {
     use super::*;
     use cashmere_des::SimTime;
+    use cashmere_devsim::ExecMode;
     use cashmere_hwdesc::{standard_hierarchy, DeviceKind};
-    use cashmere_mcl::launch::{arg_signature, arg_signature_matches, LaunchConfig};
+    use cashmere_mcl::launch::{arg_signature, arg_signature_matches};
     use cashmere_mcl::value::ArrayArg;
     use cashmere_mcl::ElemTy;
     use proptest::prelude::*;
@@ -695,10 +696,8 @@ mod tests {
         ) {
             let r = registry();
             let gtx = device(r.hierarchy(), "gtx480");
-            let PreparedKernel { version, launch } = r.prepare("axpy", &gtx).unwrap();
-            let key = |x: &[ArgValue]| {
-                LaunchKey::sampled(&version.source, &launch.par_units, &launch.opts, x)
-            };
+            let PreparedKernel { version, config } = r.prepare("axpy", &gtx).unwrap();
+            let key = |x: &[ArgValue]| LaunchKey::sampled(&version.source, &version.ck, &config, x);
             let sig = arg_signature(&a);
             prop_assert!(arg_signature_matches(&a, &sig));
             // `a` with one argument redrawn (often the same shape, other
@@ -825,10 +824,7 @@ mod tests {
             for extra_scale in [1.0, 2.5, 0.75] {
                 let args = phantom_args(2048);
                 let (seconds, _) = r.sampled_seconds(&axpy, &args, extra_scale, &device.params);
-                let mode = ExecMode::Sampled {
-                    sampling: cashmere_mcl::Sampling::default(),
-                    extra_scale,
-                };
+                let mode = ExecMode::Sampled { extra_scale };
                 let ck = r.select("axpy", device.level).unwrap();
                 let run = device.run_kernel(r.hierarchy(), ck, args, mode).unwrap();
                 assert_eq!(
@@ -906,12 +902,11 @@ mod tests {
         use std::sync::Barrier;
         use std::time::{Duration, Instant};
 
-        let source = KernelSource::new("perfect void table_race(int n) { }");
-        let opts = cashmere_mcl::ExecOptions {
-            sample: Some(cashmere_mcl::Sampling::default()),
-            ..cashmere_mcl::ExecOptions::default()
-        };
-        let key = LaunchKey::sampled(&source, &["threads".into()], &opts, &[ArgValue::Int(7)]);
+        let src = "perfect void table_race(int n) { }";
+        let h = standard_hierarchy();
+        let ck = compile(src, &h).unwrap();
+        let config = LaunchConfig::for_device(&ck, &h, DeviceKind::Gtx480.level(&h));
+        let key = LaunchKey::sampled(&KernelSource::new(src), &ck, &config, &[ArgValue::Int(7)]);
         let runs = AtomicUsize::new(0);
         let barrier = Barrier::new(2);
         let results: Vec<String> = std::thread::scope(|s| {

@@ -25,12 +25,10 @@
 
 use crate::balancer::{Balancer, DeviceEstimate, PolicyDesc, MAX_DEVICES};
 use crate::registry::{KernelRegistry, PreparedKernel};
-use cashmere_des::fault::FaultInjector;
-use cashmere_des::obs::{prof, MetricsRegistry};
-use cashmere_des::trace::{LaneId, SpanId, SpanKind, Trace};
+use cashmere_des::obs::prof;
+use cashmere_des::trace::{LaneId, SpanKind, Trace};
 use cashmere_des::SimTime;
 use cashmere_devsim::{ExecMode, SimDevice};
-use cashmere_mcl::cost::estimate_time;
 use cashmere_mcl::launch::{arg_signature, arg_signature_matches};
 use cashmere_mcl::value::ArgValue;
 use cashmere_satin::{ClusterApp, Counter, LeafCtx, LeafRuntime, RunReport};
@@ -438,23 +436,18 @@ impl CashmereLeafRuntime {
     /// retry (bounded budget, then `leafCPU`); and a job that would still
     /// be on a device when that device dies is aborted and resubmitted to
     /// the survivors (or the CPU).
-    #[allow(clippy::too_many_arguments)]
     fn run_device_job<A: CashmereApp>(
         &mut self,
         app: &A,
-        node: usize,
         job: &A::Input,
         submit_at: SimTime,
         cpu_cursor: &mut SimTime,
-        trace: &mut Trace,
-        metrics: &mut MetricsRegistry,
-        parent_span: SpanId,
-        faults: &mut FaultInjector,
-        report: &mut RunReport,
+        ctx: &mut LeafCtx<'_>,
     ) -> (SimTime, A::Output) {
         const LAUNCH_RETRY_BUDGET: u32 = 3;
         let launch_retry_penalty = SimTime::from_micros(50);
 
+        let node = ctx.node;
         let mut call = app.kernel_call(job);
         let kernel = self.kernel_id(call.kernel);
         // Devices that actually have an applicable kernel version.
@@ -474,9 +467,9 @@ impl CashmereLeafRuntime {
             // Retire every device whose injected death is due by now.
             for d in 0..nd.devices.len() {
                 if !nd.balancer.is_retired(d) {
-                    if let Some(death) = faults.device_death(node, d) {
+                    if let Some(death) = ctx.faults.device_death(node, d) {
                         if death <= submit_at {
-                            Self::kill_device(nd, d, death, report);
+                            Self::kill_device(nd, d, death, ctx.report);
                         }
                     }
                 }
@@ -490,7 +483,8 @@ impl CashmereLeafRuntime {
 
             // Snapshot the candidate table before the choice (the audit log
             // must show what the rule saw, not the post-submit queues).
-            let candidates = trace
+            let candidates = ctx
+                .trace
                 .enabled()
                 .then(|| nd.balancer.explain(call.kernel, allowed));
 
@@ -500,22 +494,22 @@ impl CashmereLeafRuntime {
                 // serialized on the managing core. Attribute it to faults
                 // when a lost device would otherwise have qualified.
                 if (0..ndev).any(|d| kernel_ok[d] && nd.balancer.is_retired(d)) {
-                    report[Counter::FaultCpuFallbacks] += 1;
+                    ctx.report[Counter::FaultCpuFallbacks] += 1;
                 }
                 if let Some(candidates) = candidates {
                     self.push_audit(node, &call, submit_at, candidates, None, "no-usable-device");
                 }
-                return leaf_cpu_fallback(app, job, submit_at, cpu_cursor, report);
+                return leaf_cpu_fallback(app, job, submit_at, cpu_cursor, ctx.report);
             };
 
             // Transient launch fault (the paper's try/catch around
             // MCL.launch()): pay a driver round-trip and retry; degrade to
             // the CPU leaf once the budget is spent.
-            if faults.launch_fault(node, didx, submit_at) {
-                report[Counter::LaunchRetries] += 1;
+            if ctx.faults.launch_fault(node, didx, submit_at) {
+                ctx.report[Counter::LaunchRetries] += 1;
                 launch_attempts += 1;
                 if launch_attempts >= LAUNCH_RETRY_BUDGET {
-                    report[Counter::FaultCpuFallbacks] += 1;
+                    ctx.report[Counter::FaultCpuFallbacks] += 1;
                     if let Some(candidates) = candidates {
                         self.push_audit(
                             node,
@@ -526,28 +520,14 @@ impl CashmereLeafRuntime {
                             "launch-fault-budget",
                         );
                     }
-                    return leaf_cpu_fallback(app, job, submit_at, cpu_cursor, report);
+                    return leaf_cpu_fallback(app, job, submit_at, cpu_cursor, ctx.report);
                 }
                 submit_at += launch_retry_penalty;
                 continue;
             }
 
-            let (done, out, placed) = match self.schedule_on_device(
-                app,
-                node,
-                didx,
-                kernel,
-                job,
-                &mut call,
-                submit_at,
-                cpu_cursor,
-                trace,
-                metrics,
-                parent_span,
-                faults,
-                report,
-            ) {
-                Ok(done_out) => done_out,
+            let placed = match self.schedule_on_device(didx, kernel, &mut call, submit_at, ctx) {
+                Ok(placed) => placed,
                 Err(resubmit_at) => {
                     // The chosen device dies while this job would still be
                     // on it: the job is lost and resubmitted to survivors.
@@ -555,12 +535,16 @@ impl CashmereLeafRuntime {
                     continue;
                 }
             };
-            if let Some(candidates) = candidates {
-                if placed {
-                    self.push_audit(node, &call, submit_at, candidates, Some(didx), "placed");
-                } else {
-                    self.push_audit(node, &call, submit_at, candidates, None, "memory-exhausted");
+            let (done, out, chosen, reason) = match placed {
+                Some((done, args)) => (done, app.job_output(job, args), Some(didx), "placed"),
+                None => {
+                    let (done, out) =
+                        leaf_cpu_fallback(app, job, submit_at, cpu_cursor, ctx.report);
+                    (done, out, None, "memory-exhausted")
                 }
+            };
+            if let Some(candidates) = candidates {
+                self.push_audit(node, &call, submit_at, candidates, chosen, reason);
             }
             return (done, out);
         }
@@ -568,29 +552,22 @@ impl CashmereLeafRuntime {
 
     /// Place one device job on the chosen device. Returns
     /// `Err(death_time)` when the device's injected death aborts the job
-    /// in flight; `Ok((completion, output, placed))` otherwise, where
-    /// `placed` is false when memory exhaustion degraded the job to the CPU
-    /// leaf (pre-existing model behavior). A job placed in estimation mode
-    /// hands `call.args` to its output; until then they are untouched, so
-    /// a resubmission sees them intact.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_on_device<A: CashmereApp>(
+    /// in flight; `Ok(None)` when the job cannot fit even on the idle
+    /// device, so it degrades to the CPU leaf (pre-existing model
+    /// behavior); and `Ok(Some((completion, args)))` once it is placed. A
+    /// job placed in estimation mode hands `call.args` back as its output
+    /// arguments; until then they are untouched, so a resubmission sees
+    /// them intact.
+    fn schedule_on_device(
         &mut self,
-        app: &A,
-        node: usize,
         didx: usize,
         kernel: usize,
-        job: &A::Input,
         call: &mut KernelCall,
         submit_at: SimTime,
-        cpu_cursor: &mut SimTime,
-        trace: &mut Trace,
-        metrics: &mut MetricsRegistry,
-        parent_span: SpanId,
-        faults: &mut FaultInjector,
-        report: &mut RunReport,
-    ) -> Result<(SimTime, A::Output, bool), SimTime> {
+        ctx: &mut LeafCtx<'_>,
+    ) -> Result<Option<(SimTime, Vec<ArgValue>)>, SimTime> {
         let _prof = prof::scope("cashmere::place");
+        let node = ctx.node;
         let nd = &mut self.nodes[node];
         // Device memory for inputs and outputs. "Cashmere automatically
         // manages the available memory on a device": under memory pressure
@@ -627,12 +604,8 @@ impl CashmereLeafRuntime {
                 // Wait for the earliest in-flight job to leave the device.
                 match slot.allocations.iter().map(|(t, _)| *t).min() {
                     Some(t) => effective_submit = effective_submit.max(t),
-                    None => {
-                        // Even an idle device cannot hold this job.
-                        let (done, out) =
-                            leaf_cpu_fallback(app, job, submit_at, cpu_cursor, report);
-                        return Ok((done, out, false));
-                    }
+                    // Even an idle device cannot hold this job.
+                    None => return Ok(None),
                 }
             }
             if resident_needed > 0 {
@@ -654,7 +627,7 @@ impl CashmereLeafRuntime {
             let scale_bits = call.extra_scale.to_bits();
             let total_s = match plan.seconds(&call.args, scale_bits) {
                 Some(total_s) => {
-                    report[Counter::KernelMemoHits] += 1;
+                    ctx.report[Counter::KernelMemoHits] += 1;
                     total_s
                 }
                 None => {
@@ -664,7 +637,7 @@ impl CashmereLeafRuntime {
                         call.extra_scale,
                         &slot.sim.params,
                     );
-                    report[if sight.first_in_run {
+                    ctx.report[if sight.first_in_run {
                         Counter::KernelMemoMisses
                     } else {
                         Counter::KernelMemoHits
@@ -690,13 +663,7 @@ impl CashmereLeafRuntime {
                     ExecMode::Full,
                 )
                 .unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-            let total_s = estimate_time(
-                &run.stats,
-                &slot.sim.params,
-                plan.kernel.launch.config.class,
-            )
-            .total_s;
-            (Some(run.args), total_s)
+            (Some(run.args), run.cost.total_s)
         };
 
         // Costs are physical; the advisor's virtual speed scale applies at
@@ -727,11 +694,11 @@ impl CashmereLeafRuntime {
         // The device dies before this job drains: the partial device time
         // is recovery cost, the device is retired, and the caller resubmits
         // the job to the survivors.
-        if let Some(death) = faults.device_death(node, didx) {
+        if let Some(death) = ctx.faults.device_death(node, didx) {
             if death < dh_e {
-                report[Counter::DeviceAborts] += 1;
-                report[Counter::RecoveryTime] += death.saturating_sub(h2d_s).as_nanos();
-                Self::kill_device(nd, didx, death, report);
+                ctx.report[Counter::DeviceAborts] += 1;
+                ctx.report[Counter::RecoveryTime] += death.saturating_sub(h2d_s).as_nanos();
+                Self::kill_device(nd, didx, death, ctx.report);
                 return Err(death);
             }
         }
@@ -741,13 +708,13 @@ impl CashmereLeafRuntime {
             slot.allocations.push((dh_e, id));
         }
         slot.jobs_run += 1;
-        report[Counter::KernelsRun] += 1;
+        ctx.report[Counter::KernelsRun] += 1;
 
-        if trace.enabled() {
+        if ctx.trace.enabled() {
             let lanes = match slot.lanes {
                 Some(l) => l,
                 None => {
-                    let l = Self::lanes_for(trace, node, &slot.sim.level_name, didx);
+                    let l = Self::lanes_for(ctx.trace, node, &slot.sim.level_name, didx);
                     slot.lanes = Some(l);
                     l
                 }
@@ -755,15 +722,15 @@ impl CashmereLeafRuntime {
             // Causal chain of the device job: the node-level leaf span
             // fathers the h2d copy, which fathers the kernel, which fathers
             // the d2h copy — lineage a flow arrow can follow end to end.
-            let h2d_span = trace.record_child(
+            let h2d_span = ctx.trace.record_child(
                 lanes.h2d,
                 SpanKind::CopyToDevice,
                 call.kernel,
                 h2d_s,
                 h2d_e,
-                parent_span,
+                ctx.parent_span,
             );
-            let exec_span = trace.record_child(
+            let exec_span = ctx.trace.record_child(
                 lanes.exec,
                 SpanKind::Kernel,
                 call.kernel,
@@ -771,7 +738,7 @@ impl CashmereLeafRuntime {
                 ex_e,
                 h2d_span,
             );
-            trace.record_child(
+            ctx.trace.record_child(
                 lanes.d2h,
                 SpanKind::CopyFromDevice,
                 call.kernel,
@@ -780,13 +747,13 @@ impl CashmereLeafRuntime {
                 exec_span,
             );
         }
-        metrics.observe("pcie.h2d", h2d_e - h2d_s);
-        metrics.observe("kernel.exec", ex_e - ex_s);
-        metrics.observe("pcie.d2h", dh_e - dh_s);
+        ctx.metrics.observe("pcie.h2d", h2d_e - h2d_s);
+        ctx.metrics.observe("kernel.exec", ex_e - ex_s);
+        ctx.metrics.observe("pcie.d2h", dh_e - dh_s);
 
         nd.balancer.on_submit(didx);
-        if metrics.enabled() {
-            metrics.gauge_set(
+        if ctx.metrics.enabled() {
+            ctx.metrics.gauge_set(
                 &format!("n{node}.dev{didx}.queue"),
                 effective_submit,
                 nd.balancer.queued(didx) as f64,
@@ -797,7 +764,7 @@ impl CashmereLeafRuntime {
         // Estimation mode leaves the arguments as they came: the job's
         // output takes them over, since a placed job is never retried.
         let args = args_back.unwrap_or_else(|| std::mem::take(&mut call.args));
-        Ok((dh_e, app.job_output(job, args), true))
+        Ok(Some((dh_e, args)))
     }
 }
 
@@ -820,16 +787,8 @@ fn leaf_cpu_fallback<A: CashmereApp>(
 }
 
 impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
-    fn plan(&mut self, app: &A, input: &A::Input, ctx: LeafCtx<'_>) -> (SimTime, A::Output) {
-        let LeafCtx {
-            node,
-            now,
-            trace,
-            metrics,
-            parent_span,
-            faults,
-            report,
-        } = ctx;
+    fn plan(&mut self, app: &A, input: &A::Input, mut ctx: LeafCtx<'_>) -> (SimTime, A::Output) {
+        let now = ctx.now;
         let jobs = app.device_jobs(input);
         assert!(!jobs.is_empty(), "device_jobs must be non-empty");
         let mut submit = now;
@@ -838,18 +797,7 @@ impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
         let mut outputs = Vec::with_capacity(jobs.len());
         for job in &jobs {
             submit += SUBMIT_OVERHEAD;
-            let (d, out) = self.run_device_job(
-                app,
-                node,
-                job,
-                submit,
-                &mut cpu_cursor,
-                trace,
-                metrics,
-                parent_span,
-                faults,
-                report,
-            );
+            let (d, out) = self.run_device_job(app, job, submit, &mut cpu_cursor, &mut ctx);
             done = done.max(d);
             outputs.push(out);
         }
@@ -913,9 +861,11 @@ impl<A: CashmereApp> LeafRuntime<A> for CashmereLeafRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cashmere_des::fault::FaultInjector;
+    use cashmere_des::obs::MetricsRegistry;
+    use cashmere_des::trace::SpanId;
     use cashmere_hwdesc::standard_hierarchy;
     use cashmere_mcl::value::ArrayArg;
-    use cashmere_mcl::Sampling;
     use cashmere_satin::DcStep;
     use std::collections::BTreeSet;
 
@@ -1006,18 +956,16 @@ mod tests {
         report: &mut RunReport,
     ) -> (usize, SimTime) {
         let mut cpu_cursor = at;
-        rt.run_device_job(
-            &ShapeApp,
-            0,
-            &job,
-            at,
-            &mut cpu_cursor,
-            &mut Trace::new(),
-            &mut MetricsRegistry::new(),
-            SpanId::NONE,
-            &mut FaultInjector::disabled(0),
+        let mut ctx = LeafCtx {
+            node: 0,
+            now: at,
+            trace: &mut Trace::new(),
+            metrics: &mut MetricsRegistry::new(),
+            parent_span: SpanId::NONE,
+            faults: &mut FaultInjector::disabled(0),
             report,
-        );
+        };
+        rt.run_device_job(&ShapeApp, &job, at, &mut cpu_cursor, &mut ctx);
         let &(_, didx, kernel_time, _) = rt.nodes[0].pending.last().expect("job ran on a device");
         (didx, kernel_time)
     }
@@ -1031,7 +979,6 @@ mod tests {
         let ck = rt.registry.select(call.kernel, sim.level).unwrap();
         let launch = (sim.level_name.clone(), arg_signature(&call.args));
         let mode = ExecMode::Sampled {
-            sampling: Sampling::default(),
             extra_scale: call.extra_scale,
         };
         let run = sim

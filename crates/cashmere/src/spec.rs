@@ -79,6 +79,23 @@ impl ClusterSpec {
             .count()
     }
 
+    /// Device counts by level name, in first-seen order, the way Table III
+    /// states a configuration: `"10 gtx480, 2 c2050, 1 gtx680"`.
+    pub fn device_summary(&self) -> String {
+        let mut counts: Vec<(&str, usize)> = Vec::new();
+        for name in self.node_devices.iter().flatten() {
+            match counts.iter_mut().find(|(seen, _)| seen == name) {
+                Some((_, count)) => *count += 1,
+                None => counts.push((name, 1)),
+            }
+        }
+        let counts: Vec<String> = counts
+            .iter()
+            .map(|(name, n)| format!("{n} {name}"))
+            .collect();
+        counts.join(", ")
+    }
+
     /// All distinct device level names in the spec.
     pub fn distinct_devices(&self) -> Vec<String> {
         let mut v: Vec<String> = self
@@ -121,6 +138,22 @@ mod tests {
         assert_eq!(s.device_count("k20"), 7);
         assert_eq!(s.device_count("xeon_phi"), 1);
         assert_eq!(s.nodes(), 22, "the Phi shares a K20 node");
+    }
+
+    #[test]
+    fn summaries_state_table3_configurations() {
+        assert_eq!(
+            ClusterSpec::paper_hetero_small().device_summary(),
+            "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970"
+        );
+        assert_eq!(
+            ClusterSpec::paper_hetero_kmeans().device_summary(),
+            "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970, 7 k20, 1 xeon_phi"
+        );
+        assert_eq!(
+            ClusterSpec::paper_hetero_nbody().device_summary(),
+            "10 gtx480, 2 c2050, 1 gtx680, 1 titan, 1 hd7970, 7 k20, 2 xeon_phi"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use cashmere_mcl::cost::{estimate_time, CostBreakdown, DeviceClass};
 use cashmere_mcl::launch::LaunchConfig;
 use cashmere_mcl::stats::KernelStats;
 use cashmere_mcl::value::ArgValue;
-use cashmere_mcl::{CheckedKernel, ExecError, ExecOptions, Sampling};
+use cashmere_mcl::{CheckedKernel, ExecError};
 
 /// Device global-memory capacities in GiB (published card specs).
 fn memory_gib(level_name: &str) -> u64 {
@@ -32,21 +32,16 @@ fn memory_gib(level_name: &str) -> u64 {
 pub enum ExecMode {
     /// Interpret every lane; arguments are really computed.
     Full,
-    /// Interpret a sample and extrapolate; `extra_scale` additionally
+    /// Interpret a sample and extrapolate
+    /// ([`cashmere_mcl::exec::SAMPLED_ITERS`]); `extra_scale` additionally
     /// multiplies all counters (for calibration runs whose inner dimensions
     /// were shrunk relative to the real problem).
-    Sampled {
-        sampling: Sampling,
-        extra_scale: f64,
-    },
+    Sampled { extra_scale: f64 },
 }
 
 impl ExecMode {
     pub fn sampled() -> ExecMode {
-        ExecMode::Sampled {
-            sampling: Sampling::default(),
-            extra_scale: 1.0,
-        }
+        ExecMode::Sampled { extra_scale: 1.0 }
     }
 }
 
@@ -59,17 +54,6 @@ pub struct KernelRun {
     pub cost: CostBreakdown,
     /// Virtual execution time on this device.
     pub time: SimTime,
-}
-
-/// Everything a launch of one kernel on one device needs besides its
-/// arguments: the device's launch geometry, the executor options that
-/// geometry and the [`ExecMode`] imply, and the kernel level's parallelism
-/// units.
-#[derive(Debug, Clone)]
-pub struct PreparedLaunch {
-    pub config: LaunchConfig,
-    pub opts: ExecOptions,
-    pub par_units: Vec<String>,
 }
 
 /// A simulated many-core device instance.
@@ -177,32 +161,6 @@ impl SimDevice {
         now.max(self.exec.free_at()) + kernel_time
     }
 
-    /// Prepare a launch of `ck` on this device: what [`SimDevice::run_kernel`]
-    /// hands the kernel VM.
-    pub fn prepare_launch(
-        &self,
-        h: &Hierarchy,
-        ck: &CheckedKernel,
-        mode: ExecMode,
-    ) -> PreparedLaunch {
-        let config = LaunchConfig::for_device(ck, h, self.level);
-        let opts = match mode {
-            ExecMode::Full => config.exec_full(),
-            ExecMode::Sampled { sampling, .. } => config.exec_sampled(sampling),
-        };
-        let par_units = h
-            .effective_params(ck.level)
-            .par_units
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        PreparedLaunch {
-            config,
-            opts,
-            par_units,
-        }
-    }
-
     /// Execute a checked kernel on this device: functional execution on the
     /// kernel VM plus cost-model timing. The caller is responsible for
     /// scheduling the returned `time` onto [`SimDevice::schedule_exec`] (the
@@ -215,15 +173,19 @@ impl SimDevice {
         mode: ExecMode,
     ) -> Result<KernelRun, ExecError> {
         let _prof = prof::scope("mcl::execute");
-        let launch = self.prepare_launch(h, ck, mode);
-        let result = cashmere_mcl::execute(ck, args, &launch.par_units, &launch.opts)?;
+        let config = LaunchConfig::for_device(ck, h, self.level);
+        let opts = match mode {
+            ExecMode::Full => config.exec_full(),
+            ExecMode::Sampled { .. } => config.exec_sampled(),
+        };
+        let result = cashmere_mcl::execute(ck, args, &opts)?;
         let mut stats = result.stats;
-        if let ExecMode::Sampled { extra_scale, .. } = mode {
+        if let ExecMode::Sampled { extra_scale } = mode {
             if extra_scale != 1.0 {
                 stats.scale(extra_scale);
             }
         }
-        let cost = estimate_time(&stats, &self.params, launch.config.class);
+        let cost = estimate_time(&stats, &self.params, config.class);
         Ok(KernelRun {
             args: result.args,
             // The cost model describes the physical device; the virtual
@@ -359,15 +321,7 @@ mod tests {
         };
         let base = d.run_kernel(&h, &ck, mk(), ExecMode::sampled()).unwrap();
         let scaled = d
-            .run_kernel(
-                &h,
-                &ck,
-                mk(),
-                ExecMode::Sampled {
-                    sampling: Sampling::default(),
-                    extra_scale: 10.0,
-                },
-            )
+            .run_kernel(&h, &ck, mk(), ExecMode::Sampled { extra_scale: 10.0 })
             .unwrap();
         let ratio =
             (scaled.cost.total_s - scaled.cost.launch_s) / (base.cost.total_s - base.cost.launch_s);

@@ -18,6 +18,6 @@ pub mod device;
 pub mod memory;
 pub mod timeline;
 
-pub use device::{ExecMode, KernelRun, PreparedLaunch, SimDevice};
+pub use device::{ExecMode, KernelRun, SimDevice};
 pub use memory::{AllocError, BufferId, DeviceMemory};
 pub use timeline::Timeline;

@@ -209,13 +209,7 @@ mod tests {
     ) -> Vec<Feedback> {
         let ck = compile(src, h).unwrap();
         let cfg = LaunchConfig::for_device(&ck, h, device.level(h));
-        let units: Vec<String> = h
-            .effective_params(ck.level)
-            .par_units
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        let r = execute(&ck, args, &units, &cfg.exec_full()).unwrap();
+        let r = execute(&ck, args, &cfg.exec_full()).unwrap();
         analyze(&ck, h, &r.stats, cfg.class)
     }
 

@@ -129,6 +129,19 @@ pub enum AssignOp {
     Div,
 }
 
+impl AssignOp {
+    /// The operator's source symbol, the same in MCPL and OpenCL C.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            AssignOp::Set => "=",
+            AssignOp::Add => "+=",
+            AssignOp::Sub => "-=",
+            AssignOp::Mul => "*=",
+            AssignOp::Div => "/=",
+        }
+    }
+}
+
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Expr {
     IntLit(i64),
@@ -167,6 +180,17 @@ pub enum UnOp {
     BitNot,
 }
 
+impl UnOp {
+    /// The operator's source symbol, the same in MCPL and OpenCL C.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            UnOp::Neg => "-",
+            UnOp::Not => "!",
+            UnOp::BitNot => "~",
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BinOp {
     Add,
@@ -190,6 +214,30 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// The operator's source symbol, the same in MCPL and OpenCL C.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+            BinOp::Mul => "*",
+            BinOp::Div => "/",
+            BinOp::Mod => "%",
+            BinOp::And => "&&",
+            BinOp::Or => "||",
+            BinOp::BitAnd => "&",
+            BinOp::BitOr => "|",
+            BinOp::BitXor => "^",
+            BinOp::Shl => "<<",
+            BinOp::Shr => ">>",
+            BinOp::Eq => "==",
+            BinOp::Ne => "!=",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
+        }
+    }
+
     /// Does this operator produce a boolean (represented as int 0/1)?
     pub fn is_comparison(self) -> bool {
         matches!(

@@ -5,11 +5,12 @@
 //! in C), array ranks match, `foreach` statements use parallelism units the
 //! level actually defines and nest outer-before-inner, `barrier()` appears
 //! only inside thread-level parallelism, and `local` arrays are declared in
-//! group scope. The result, [`CheckedKernel`], is what the interpreter,
-//! analyzer and translator consume.
+//! group scope. The result, [`CheckedKernel`], records the level's
+//! parallelism units; it is what the compiler, both executors, the launch
+//! geometry, the code generator, the analyzer and the translator consume.
 
 use crate::ast::*;
-use cashmere_hwdesc::{Hierarchy, LevelId};
+use cashmere_hwdesc::{Hierarchy, LevelId, ParUnit};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -57,10 +58,22 @@ pub struct CheckedKernel {
     pub kernel: Kernel,
     /// Level the kernel is written for, resolved in the hierarchy.
     pub level: LevelId,
+    /// Parallelism units of that level, outer → inner; never empty.
+    pub par_units: Vec<ParUnit>,
     /// Names of scalar int parameters (usable in array dims).
     pub scalar_params: Vec<String>,
     /// Array parameters with their element type and rank.
     pub array_params: Vec<(String, ElemTy, usize)>,
+}
+
+impl CheckedKernel {
+    /// The innermost parallelism unit of the kernel's level: its
+    /// `foreach` vectorizes, and its literal count pins the group size.
+    pub fn innermost_unit(&self) -> &ParUnit {
+        self.par_units
+            .last()
+            .expect("check rejects levels without parallelism units")
+    }
 }
 
 /// Builtin function signatures: `(name, arity, float_result)`.
@@ -118,16 +131,15 @@ impl Scope {
     }
 }
 
-struct Checker<'h> {
-    hierarchy: &'h Hierarchy,
+struct Checker<'u> {
     /// Parallelism units the kernel's level exposes, outer → inner.
-    par_units: Vec<String>,
+    par_units: &'u [ParUnit],
     scope: Scope,
     /// Stack of foreach unit indices currently open.
     foreach_stack: Vec<usize>,
 }
 
-impl<'h> Checker<'h> {
+impl Checker<'_> {
     fn err(&self, line: usize, msg: impl Into<String>) -> CheckError {
         CheckError {
             line,
@@ -228,13 +240,15 @@ impl<'h> Checker<'h> {
                 let idx = self
                     .par_units
                     .iter()
-                    .position(|u| u == unit)
+                    .position(|u| u.name == *unit)
                     .ok_or_else(|| {
+                        let available: Vec<&str> =
+                            self.par_units.iter().map(|u| u.name.as_str()).collect();
                         self.err(
                             line,
                             format!(
                                 "parallelism unit `{unit}` not defined at this level (available: {})",
-                                self.par_units.join(", ")
+                                available.join(", ")
                             ),
                         )
                     })?;
@@ -244,7 +258,7 @@ impl<'h> Checker<'h> {
                             line,
                             format!(
                                 "foreach over `{unit}` cannot nest inside `{}` (outer units first)",
-                                self.par_units[outer]
+                                self.par_units[outer].name
                             ),
                         ));
                     }
@@ -448,8 +462,7 @@ pub fn check(kernel: &Kernel, hierarchy: &Hierarchy) -> Result<CheckedKernel, Ch
         line: 1,
         message: format!("unknown hardware description `{}`", kernel.level),
     })?;
-    let params = hierarchy.effective_params(level);
-    let par_units: Vec<String> = params.par_units.iter().map(|p| p.name.clone()).collect();
+    let par_units = hierarchy.effective_params(level).par_units;
     if par_units.is_empty() {
         return Err(CheckError {
             line: 1,
@@ -458,12 +471,10 @@ pub fn check(kernel: &Kernel, hierarchy: &Hierarchy) -> Result<CheckedKernel, Ch
     }
 
     let mut checker = Checker {
-        hierarchy,
-        par_units,
+        par_units: &par_units,
         scope: Scope::new(),
         foreach_stack: Vec::new(),
     };
-    let _ = checker.hierarchy; // reserved for future cross-level checks
 
     // Parameters: scalars first in scope, then arrays (dims may reference
     // any scalar parameter).
@@ -500,6 +511,7 @@ pub fn check(kernel: &Kernel, hierarchy: &Hierarchy) -> Result<CheckedKernel, Ch
     Ok(CheckedKernel {
         kernel: kernel.clone(),
         level,
+        par_units,
         scalar_params,
         array_params,
     })
@@ -536,6 +548,41 @@ mod tests {
         .unwrap();
         assert_eq!(ck.scalar_params, vec!["n", "m", "p"]);
         assert_eq!(ck.array_params.len(), 3);
+    }
+
+    #[test]
+    fn kernels_record_their_levels_units_outer_to_inner() {
+        let units = |ck: &CheckedKernel| -> Vec<(String, Option<u64>)> {
+            ck.par_units
+                .iter()
+                .map(|u| (u.name.clone(), u.max))
+                .collect()
+        };
+        let unit = |name: &str, max: Option<u64>| (name.to_string(), max);
+        let perfect = check_src(
+            "perfect void t(int n, float[n] a) { foreach (int i in n threads) { a[i] = 0.0; } }",
+        )
+        .unwrap();
+        assert_eq!(units(&perfect), [unit("threads", None)]);
+        assert_eq!(perfect.innermost_unit().name, "threads");
+        let gpu = check_src(
+            "gpu void t(int n, float[n] a) { foreach (int b in n blocks) { a[b] = 0.0; } }",
+        )
+        .unwrap();
+        assert_eq!(
+            units(&gpu),
+            [unit("blocks", None), unit("threads", Some(1024))]
+        );
+        let mic = check_src("mic void t(int n) { }").unwrap();
+        assert_eq!(
+            units(&mic),
+            [unit("cores", Some(61)), unit("threads", Some(64))]
+        );
+        let h = standard_hierarchy();
+        for (target, want) in [("gpu", &gpu), ("xeon_phi", &mic), ("perfect", &perfect)] {
+            let t = crate::translate::translate_to(&perfect, &h, target).unwrap();
+            assert_eq!(units(&t), units(want), "{target}");
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use crate::ast::*;
 use crate::check::CheckedKernel;
-use cashmere_hwdesc::Hierarchy;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -24,7 +23,8 @@ struct Gen<'a> {
     indent: usize,
     /// Array name → dimension expressions, for index linearization.
     dims: HashMap<String, Vec<Expr>>,
-    units: &'a [String],
+    /// The kernel level's innermost parallelism unit.
+    innermost: &'a str,
 }
 
 impl Gen<'_> {
@@ -51,35 +51,10 @@ impl Gen<'_> {
                 format!("{array}[{}]", self.linearize(array, indices))
             }
             Expr::Unary { op, operand } => {
-                let o = match op {
-                    UnOp::Neg => "-",
-                    UnOp::Not => "!",
-                    UnOp::BitNot => "~",
-                };
-                format!("{o}({})", self.expr(operand))
+                format!("{}({})", op.symbol(), self.expr(operand))
             }
             Expr::Binary { op, lhs, rhs } => {
-                let o = match op {
-                    BinOp::Add => "+",
-                    BinOp::Sub => "-",
-                    BinOp::Mul => "*",
-                    BinOp::Div => "/",
-                    BinOp::Mod => "%",
-                    BinOp::And => "&&",
-                    BinOp::Or => "||",
-                    BinOp::BitAnd => "&",
-                    BinOp::BitOr => "|",
-                    BinOp::BitXor => "^",
-                    BinOp::Shl => "<<",
-                    BinOp::Shr => ">>",
-                    BinOp::Eq => "==",
-                    BinOp::Ne => "!=",
-                    BinOp::Lt => "<",
-                    BinOp::Le => "<=",
-                    BinOp::Gt => ">",
-                    BinOp::Ge => ">=",
-                };
-                format!("({} {o} {})", self.expr(lhs), self.expr(rhs))
+                format!("({} {} {})", self.expr(lhs), op.symbol(), self.expr(rhs))
             }
             Expr::Call { name, args } => {
                 let cl_name = name.as_str();
@@ -146,15 +121,8 @@ impl Gen<'_> {
                         self.linearize(&target.name, &target.indices)
                     )
                 };
-                let o = match op {
-                    AssignOp::Set => "=",
-                    AssignOp::Add => "+=",
-                    AssignOp::Sub => "-=",
-                    AssignOp::Mul => "*=",
-                    AssignOp::Div => "/=",
-                };
                 let v = self.expr(value);
-                self.line(&format!("{t} {o} {v};"));
+                self.line(&format!("{t} {} {v};", op.symbol()));
             }
             StmtKind::If {
                 cond,
@@ -203,7 +171,7 @@ impl Gen<'_> {
                 unit,
                 body,
             } => {
-                let innermost = self.units.last().map(String::as_str) == Some(unit.as_str());
+                let innermost = *unit == self.innermost;
                 let mut has_inner = false;
                 walk_stmts(body, &mut |t| {
                     if matches!(t.kind, StmtKind::Foreach { .. }) {
@@ -245,18 +213,12 @@ impl Gen<'_> {
 }
 
 /// Generate OpenCL C source for a checked kernel.
-pub fn generate_opencl(ck: &CheckedKernel, h: &Hierarchy) -> String {
-    let units: Vec<String> = h
-        .effective_params(ck.level)
-        .par_units
-        .iter()
-        .map(|u| u.name.clone())
-        .collect();
+pub fn generate_opencl(ck: &CheckedKernel) -> String {
     let mut g = Gen {
         out: String::new(),
         indent: 0,
         dims: HashMap::new(),
-        units: &units,
+        innermost: &ck.innermost_unit().name,
     };
 
     let _ = writeln!(
@@ -310,7 +272,7 @@ mod tests {
             &h,
         )
         .unwrap();
-        let cl = generate_opencl(&ck, &h);
+        let cl = generate_opencl(&ck);
         assert!(cl.contains("__kernel void matmul"));
         assert!(cl.contains("__global float* c"));
         // 2-D access linearized row-major: a[i,k] → a[(i) * (p) + (k)]
@@ -337,7 +299,7 @@ mod tests {
             &h,
         )
         .unwrap();
-        let cl = generate_opencl(&ck, &h);
+        let cl = generate_opencl(&ck);
         assert!(cl.contains("__local float tile[(64)];"), "{cl}");
         assert!(cl.contains("barrier(CLK_LOCAL_MEM_FENCE);"), "{cl}");
     }
@@ -354,7 +316,7 @@ mod tests {
             &h,
         )
         .unwrap();
-        let cl = generate_opencl(&ck, &h);
+        let cl = generate_opencl(&ck);
         assert!(cl.contains("sqrt("));
         assert!(cl.contains("(float)(i)"), "{cl}");
         assert!(cl.contains("min("));

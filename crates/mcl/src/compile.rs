@@ -1273,10 +1273,9 @@ fn fixup(i: &mut Instr, n_vars: u32, n_consts: u32) {
     }
 }
 
-/// Compile a checked kernel against a parallelism-unit order (outermost
-/// first; the last unit vectorizes). The same `par_units` must be passed to
-/// the VM-producing wrapper as the tree walker's `execute` receives.
-pub fn compile_program(ck: &CheckedKernel, par_units: &[String]) -> Program {
+/// Compile a checked kernel; `foreach` loops over its level's innermost
+/// parallelism unit vectorize.
+pub fn compile_program(ck: &CheckedKernel) -> Program {
     let mut c = Compiler {
         instrs: Vec::new(),
         lines: Vec::new(),
@@ -1290,7 +1289,7 @@ pub fn compile_program(ck: &CheckedKernel, par_units: &[String]) -> Program {
         sites: Vec::new(),
         site_ids: HashMap::new(),
         cache_ids: HashMap::new(),
-        innermost_unit: par_units.last().cloned().unwrap_or_default(),
+        innermost_unit: ck.innermost_unit().name.clone(),
         vec_boundary: None,
     };
 

@@ -124,23 +124,12 @@ impl L1Site {
 /// that the differential tests can reach that error in both engines.
 pub(crate) const LOOP_LIMIT: u64 = if cfg!(test) { 100_000 } else { 1_000_000_000 };
 
-/// Sampling limits for estimated runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Sampling {
-    /// Max iterations interpreted per sequential-parallel `foreach`.
-    pub max_outer_iters: usize,
-    /// Max vector chunks interpreted per vectorized `foreach`.
-    pub max_chunks: usize,
-}
-
-impl Default for Sampling {
-    fn default() -> Self {
-        Sampling {
-            max_outer_iters: 2,
-            max_chunks: 2,
-        }
-    }
-}
+/// Iterations a sampled run executes of each `foreach` that has more:
+/// vector chunks of a vectorized one, uniform iterations of a sequential
+/// one. The counters they add are scaled by `n / SAMPLED_ITERS` to stand
+/// for all `n`, and the two iterations of a launch's outermost sampled
+/// loop can run on two host threads ([`crate::vm`]).
+pub const SAMPLED_ITERS: u64 = 2;
 
 /// Execution options.
 #[derive(Debug, Clone, Copy)]
@@ -149,8 +138,9 @@ pub struct ExecOptions {
     pub simd_width: usize,
     /// Lanes per vectorized chunk (work-group size).
     pub group_size: usize,
-    /// `None` = full functional execution.
-    pub sample: Option<Sampling>,
+    /// Run [`SAMPLED_ITERS`] iterations of each `foreach` and extrapolate;
+    /// `false` = full functional execution.
+    pub sampled: bool,
 }
 
 impl Default for ExecOptions {
@@ -158,7 +148,7 @@ impl Default for ExecOptions {
         ExecOptions {
             simd_width: 32,
             group_size: 256,
-            sample: None,
+            sampled: false,
         }
     }
 }

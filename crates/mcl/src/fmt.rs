@@ -25,29 +25,6 @@ fn prec(op: BinOp) -> u8 {
     }
 }
 
-fn op_str(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::Mod => "%",
-        BinOp::And => "&&",
-        BinOp::Or => "||",
-        BinOp::BitAnd => "&",
-        BinOp::BitOr => "|",
-        BinOp::BitXor => "^",
-        BinOp::Shl => "<<",
-        BinOp::Shr => ">>",
-        BinOp::Eq => "==",
-        BinOp::Ne => "!=",
-        BinOp::Lt => "<",
-        BinOp::Le => "<=",
-        BinOp::Gt => ">",
-        BinOp::Ge => ">=",
-    }
-}
-
 /// Render an expression; parenthesize children of lower precedence.
 pub fn expr_to_string(e: &Expr) -> String {
     fn go(e: &Expr, parent_prec: u8) -> String {
@@ -66,19 +43,14 @@ pub fn expr_to_string(e: &Expr) -> String {
                 format!("{array}[{}]", idx.join(","))
             }
             Expr::Unary { op, operand } => {
-                let o = match op {
-                    UnOp::Neg => "-",
-                    UnOp::Not => "!",
-                    UnOp::BitNot => "~",
-                };
                 // Unary binds tighter than any binary operator.
-                format!("{o}{}", go(operand, 11))
+                format!("{}{}", op.symbol(), go(operand, 11))
             }
             Expr::Binary { op, lhs, rhs } => {
                 let p = prec(*op);
                 // Left-associative: the right child needs parens at equal
                 // precedence.
-                let s = format!("{} {} {}", go(lhs, p), op_str(*op), go(rhs, p + 1));
+                let s = format!("{} {} {}", go(lhs, p), op.symbol(), go(rhs, p + 1));
                 if p < parent_prec {
                     format!("({s})")
                 } else {
@@ -132,14 +104,7 @@ impl Printer {
                     let idx: Vec<String> = target.indices.iter().map(expr_to_string).collect();
                     format!("{}[{}]", target.name, idx.join(","))
                 };
-                let o = match op {
-                    AssignOp::Set => "=",
-                    AssignOp::Add => "+=",
-                    AssignOp::Sub => "-=",
-                    AssignOp::Mul => "*=",
-                    AssignOp::Div => "/=",
-                };
-                self.line(&format!("{t} {o} {};", expr_to_string(value)));
+                self.line(&format!("{t} {} {};", op.symbol(), expr_to_string(value)));
             }
             StmtKind::If {
                 cond,

@@ -27,16 +27,17 @@
 //!
 //! * **full** — every group and every lane executes; array arguments are
 //!   mutated;
-//! * **sampled** — only the first few outer iterations / vector chunks run
-//!   and all counters are scaled up, so paper-scale launches (billions of
-//!   threads) are measured in milliseconds. Combined with phantom buffers
+//! * **sampled** — only the first [`SAMPLED_ITERS`] iterations or vector
+//!   chunks of each `foreach` run and all counters are scaled up, so
+//!   paper-scale launches (billions of threads) are measured in
+//!   milliseconds. Combined with phantom buffers
 //!   nothing big is ever allocated.
 
 use crate::ast::*;
 use crate::check::CheckedKernel;
 use crate::exec::{
-    ExecError, ExecOptions, ExecResult, L1Key, L1Site, Sampling, CYCLE_BARRIER, CYCLE_BASIC,
-    CYCLE_GLOBAL, CYCLE_LOCAL, CYCLE_SPECIAL, ELEM_BYTES, TRANSACTION_BYTES,
+    ExecError, ExecOptions, ExecResult, L1Key, L1Site, CYCLE_BARRIER, CYCLE_BASIC, CYCLE_GLOBAL,
+    CYCLE_LOCAL, CYCLE_SPECIAL, ELEM_BYTES, SAMPLED_ITERS, TRANSACTION_BYTES,
 };
 use crate::stats::{KernelStats, SiteKey};
 use crate::value::ArgValue;
@@ -177,10 +178,11 @@ pub struct Interp {
     vector_base: Option<usize>,
     simd: usize,
     group_size: usize,
-    sample: Option<Sampling>,
+    sampled: bool,
     scale: f64,
     stats: KernelStats,
-    unit_order: Vec<String>,
+    /// The kernel level's innermost parallelism unit.
+    innermost_unit: String,
     /// Scratch for transaction counting.
     seg_scratch: Vec<u64>,
     /// Tiny L1 model: per load site, the recently issued address patterns.
@@ -1202,21 +1204,21 @@ impl Interp {
         }
         // Vectorize iff this is the innermost parallelism unit and the body
         // contains no further foreach.
-        let innermost_unit = self.unit_order.last().cloned().unwrap_or_default();
         let mut has_inner_foreach = false;
         walk_stmts(body, &mut |s| {
             if matches!(s.kind, StmtKind::Foreach { .. }) {
                 has_inner_foreach = true;
             }
         });
-        let vectorize = unit == innermost_unit && !has_inner_foreach;
+        let vectorize = *unit == self.innermost_unit && !has_inner_foreach;
 
         if vectorize {
             let gs = self.group_size as u64;
             let chunks = n.div_ceil(gs);
-            let run_chunks = match self.sample {
-                Some(s) => chunks.min(s.max_chunks as u64),
-                None => chunks,
+            let run_chunks = if self.sampled {
+                chunks.min(SAMPLED_ITERS)
+            } else {
+                chunks
             };
             let outer_scale = self.scale;
             if run_chunks < chunks {
@@ -1251,9 +1253,10 @@ impl Interp {
             self.scale = outer_scale;
         } else {
             // Sequential-parallel: iterate (sampled) with a uniform index.
-            let run = match self.sample {
-                Some(s) => n.min(s.max_outer_iters as u64),
-                None => n,
+            let run = if self.sampled {
+                n.min(SAMPLED_ITERS)
+            } else {
+                n
             };
             let outer_scale = self.scale;
             if run < n {
@@ -1276,7 +1279,6 @@ impl Interp {
 pub fn execute(
     ck: &CheckedKernel,
     args: Vec<ArgValue>,
-    par_units: &[String],
     opts: &ExecOptions,
 ) -> Result<ExecResult, ExecError> {
     if args.len() != ck.kernel.params.len() {
@@ -1338,10 +1340,10 @@ pub fn execute(
         vector_base: None,
         simd: opts.simd_width.max(1),
         group_size: opts.group_size.max(1),
-        sample: opts.sample,
+        sampled: opts.sampled,
         scale: 1.0,
         stats: KernelStats::default(),
-        unit_order: par_units.to_vec(),
+        innermost_unit: ck.innermost_unit().name.clone(),
         seg_scratch: Vec::new(),
         site_cache: HashMap::new(),
     };
@@ -1395,13 +1397,7 @@ mod tests {
         let h = standard_hierarchy();
         let k = parse(src).expect("parse");
         let ck = check(&k, &h).expect("check");
-        let units: Vec<String> = h
-            .effective_params(ck.level)
-            .par_units
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        execute(&ck, args, &units, opts)
+        execute(&ck, args, opts)
     }
 
     const SAXPY: &str = "perfect void saxpy(int n, float alpha, float[n] y, float[n] x) {
@@ -1686,10 +1682,7 @@ mod tests {
                 ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
                 ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
             ],
-            &ExecOptions {
-                sample: None,
-                ..ExecOptions::default()
-            },
+            &ExecOptions::default(),
         )
         .unwrap();
         let sampled = run(
@@ -1701,7 +1694,7 @@ mod tests {
                 ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
             ],
             &ExecOptions {
-                sample: Some(Sampling::default()),
+                sampled: true,
                 ..ExecOptions::default()
             },
         )

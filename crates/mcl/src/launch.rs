@@ -18,7 +18,7 @@
 use crate::ast::{walk_stmts, Expr, StmtKind};
 use crate::check::CheckedKernel;
 use crate::cost::DeviceClass;
-use crate::exec::{ExecError, ExecOptions, Sampling};
+use crate::exec::{ExecError, ExecOptions};
 use crate::stats::KernelStats;
 use crate::value::{ArgValue, ArrayArg, Buffer};
 use cashmere_hwdesc::{Hierarchy, LevelId};
@@ -46,12 +46,7 @@ impl LaunchConfig {
         let warp_width = class.warp_width();
 
         // Innermost parallelism unit of the *kernel's* level.
-        let kernel_units = h.effective_params(ck.level).par_units;
-        let innermost = kernel_units
-            .last()
-            .map(|u| u.name.clone())
-            .unwrap_or_else(|| "threads".to_string());
-        let unit_max = kernel_units.last().and_then(|u| u.max);
+        let innermost = ck.innermost_unit();
 
         // A literal innermost foreach count pins the group size.
         let mut literal: Option<u64> = None;
@@ -60,7 +55,7 @@ impl LaunchConfig {
                 unit, count, body, ..
             } = &s.kind
             {
-                if *unit == innermost {
+                if *unit == innermost.name {
                     let mut has_inner = false;
                     walk_stmts(body, &mut |t| {
                         if matches!(t.kind, StmtKind::Foreach { .. }) {
@@ -84,7 +79,7 @@ impl LaunchConfig {
             DeviceClass::Cpu => 8,
         };
         let mut group_size = literal.map_or(default, |v| v as usize);
-        if let Some(max) = unit_max {
+        if let Some(max) = innermost.max {
             group_size = group_size.min(max as usize);
         }
         group_size = group_size.clamp(1, 1024);
@@ -101,16 +96,15 @@ impl LaunchConfig {
         ExecOptions {
             simd_width: self.warp_width,
             group_size: self.group_size,
-            sample: None,
+            sampled: false,
         }
     }
 
     /// Interpreter options for a *sampled* (measurement) execution.
-    pub fn exec_sampled(&self, sampling: Sampling) -> ExecOptions {
+    pub fn exec_sampled(&self) -> ExecOptions {
         ExecOptions {
-            simd_width: self.warp_width,
-            group_size: self.group_size,
-            sample: Some(sampling),
+            sampled: true,
+            ..self.exec_full()
         }
     }
 }
@@ -201,36 +195,33 @@ impl Hash for KernelSource {
 }
 
 /// Key of the process-wide launch table: everything a sampled VM run
-/// reads. That is the kernel's MCPL source, the parallelism units it is
-/// compiled against, the executor options and the [`arg_signature`] of
-/// the arguments, so two keys are equal exactly when the VM would read
-/// the same inputs.
+/// reads. That is the kernel's MCPL source, the names of its level's
+/// parallelism units, the launch geometry's group size and warp width and
+/// the [`arg_signature`] of the arguments, so two keys are equal exactly
+/// when the VM would read the same inputs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LaunchKey {
     source: KernelSource,
     par_units: Box<[String]>,
     group_size: usize,
     simd_width: usize,
-    sampling: Sampling,
     args: Box<[u64]>,
 }
 
 impl LaunchKey {
-    /// Key of a sampled launch of the kernel compiled from `source`
-    /// against `par_units`, run with `opts` (which must be sampled) on
-    /// `args`.
+    /// Key of a sampled launch of `ck`, compiled from `source`, with
+    /// geometry `config` on `args`.
     pub fn sampled(
         source: &KernelSource,
-        par_units: &[String],
-        opts: &ExecOptions,
+        ck: &CheckedKernel,
+        config: &LaunchConfig,
         args: &[ArgValue],
     ) -> LaunchKey {
         LaunchKey {
             source: source.clone(),
-            par_units: par_units.into(),
-            group_size: opts.group_size,
-            simd_width: opts.simd_width,
-            sampling: opts.sample.expect("only sampled launches are keyed"),
+            par_units: ck.par_units.iter().map(|u| u.name.clone()).collect(),
+            group_size: config.group_size,
+            simd_width: config.warp_width,
             args: arg_signature(args).into(),
         }
     }
@@ -316,55 +307,52 @@ mod tests {
 
     #[test]
     fn launch_key_covers_everything_the_vm_reads() {
+        let h = standard_hierarchy();
         let source = KernelSource::new(PERFECT);
-        let units = ["threads".to_string()];
-        let opts = ExecOptions {
-            simd_width: 32,
-            group_size: 256,
-            sample: Some(Sampling::default()),
-        };
+        let ck = compile(PERFECT, &h).unwrap();
+        let config = LaunchConfig::for_device(&ck, &h, DeviceKind::Gtx480.level(&h));
         let args = |n: i64, a: ArrayArg| vec![ArgValue::Int(n), ArgValue::Array(a)];
         let phantom = args(8, ArrayArg::phantom(ElemTy::Float, &[8]));
-        let key = LaunchKey::sampled(&source, &units, &opts, &phantom);
-        assert_eq!(key, LaunchKey::sampled(&source, &units, &opts, &phantom));
+        let key = LaunchKey::sampled(&source, &ck, &config, &phantom);
+        assert_eq!(key, LaunchKey::sampled(&source, &ck, &config, &phantom));
 
         // Each input the VM reads separates keys.
         let other_source = KernelSource::new(TILED);
         assert_eq!(source, KernelSource::new(PERFECT), "equal by text");
-        let mut wider = opts;
+        // The same source checked against a level with other units.
+        let mut cores = ck.clone();
+        cores.par_units[0].name = "cores".to_string();
+        let mut wider = config;
         wider.group_size = 128;
-        let mut less = opts;
-        less.sample = Some(Sampling {
-            max_outer_iters: 1,
-            max_chunks: 2,
-        });
+        let mut narrower = config;
+        narrower.warp_width = 16;
         let zeros = args(8, ArrayArg::zeros(ElemTy::Float, &[8]));
         let ones = args(8, ArrayArg::float(&[8], vec![1.0; 8]));
         let variants = [
-            LaunchKey::sampled(&other_source, &units, &opts, &phantom),
-            LaunchKey::sampled(&source, &["cores".to_string()], &opts, &phantom),
-            LaunchKey::sampled(&source, &units, &wider, &phantom),
-            LaunchKey::sampled(&source, &units, &less, &phantom),
+            LaunchKey::sampled(&other_source, &ck, &config, &phantom),
+            LaunchKey::sampled(&source, &cores, &config, &phantom),
+            LaunchKey::sampled(&source, &ck, &wider, &phantom),
+            LaunchKey::sampled(&source, &ck, &narrower, &phantom),
             LaunchKey::sampled(
                 &source,
-                &units,
-                &opts,
+                &ck,
+                &config,
                 &args(16, ArrayArg::phantom(ElemTy::Float, &[8])),
             ),
             LaunchKey::sampled(
                 &source,
-                &units,
-                &opts,
+                &ck,
+                &config,
                 &args(8, ArrayArg::phantom(ElemTy::Int, &[8])),
             ),
             LaunchKey::sampled(
                 &source,
-                &units,
-                &opts,
+                &ck,
+                &config,
                 &args(8, ArrayArg::phantom(ElemTy::Float, &[2, 4])),
             ),
-            LaunchKey::sampled(&source, &units, &opts, &zeros),
-            LaunchKey::sampled(&source, &units, &opts, &ones),
+            LaunchKey::sampled(&source, &ck, &config, &zeros),
+            LaunchKey::sampled(&source, &ck, &config, &ones),
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(&key, v, "variant {i}");
@@ -514,8 +502,9 @@ mod tests {
         let full = cfg.exec_full();
         assert_eq!(full.group_size, 128);
         assert_eq!(full.simd_width, 32);
-        assert!(full.sample.is_none());
-        let sampled = cfg.exec_sampled(Sampling::default());
-        assert!(sampled.sample.is_some());
+        assert!(!full.sampled);
+        let sampled = cfg.exec_sampled();
+        assert!(sampled.sampled);
+        assert_eq!((sampled.group_size, sampled.simd_width), (128, 32));
     }
 }

@@ -7,14 +7,19 @@
 //! parallelism units. Kernels target a level of the hardware-description
 //! hierarchy from [`cashmere_hwdesc`]; the compiler:
 //!
-//! * **checks** the kernel against the level ([`check`](mod@check));
+//! * **checks** the kernel against the level ([`check`](mod@check)) and
+//!   records the level's parallelism units on the [`CheckedKernel`]: every
+//!   later stage reads them from there, so a launch passes only what
+//!   varies per launch (geometry and arguments);
 //! * **analyzes** it and produces *stepwise-refinement* performance
 //!   feedback ([`analyze`](mod@analyze)) — uncoalesced accesses, missing local-memory
 //!   reuse, branch divergence, occupancy hazards;
-//! * **translates** it to lower levels without optimizing ([`translate`]);
+//! * **translates** it to lower levels without optimizing ([`translate`])
+//!   and emits OpenCL C for inspection ([`codegen`]);
 //! * **selects launch geometry** per device ([`launch`]);
 //! * **executes** it on the register-bytecode VM ([`vm`]) — full runs for
-//!   correctness, sampled runs for paper-scale measurement — whose
+//!   correctness, sampled runs for paper-scale measurement (the first
+//!   [`exec::SAMPLED_ITERS`] iterations of every `foreach`, extrapolated) — whose
 //!   reference semantics is the tree-walking interpreter ([`interp`]), kept
 //!   only as the oracle the VM's tests compare against; and
 //! * **estimates execution time** on a concrete device from the collected
@@ -42,7 +47,7 @@ pub use analyze::{analyze, Feedback, FeedbackKind};
 pub use ast::{ElemTy, Kernel};
 pub use check::{check, CheckError, CheckedKernel};
 pub use cost::{estimate_time, CostBreakdown, DeviceClass};
-pub use exec::{ExecError, ExecOptions, ExecResult, Sampling};
+pub use exec::{ExecError, ExecOptions, ExecResult};
 pub use fmt::{expr_to_string, kernel_to_string};
 pub use launch::{LaunchConfig, LaunchKey};
 pub use parse::{parse, ParseError};

@@ -20,7 +20,7 @@
 
 use crate::ast::*;
 use crate::check::{check, CheckError, CheckedKernel};
-use cashmere_hwdesc::Hierarchy;
+use cashmere_hwdesc::{Hierarchy, ParUnit};
 
 /// Default group size used when splitting a flat thread domain and the
 /// child's thread unit declares no maximum.
@@ -47,18 +47,11 @@ pub fn translate_to(
         });
     }
 
-    let src_units: Vec<String> = h
-        .effective_params(ck.level)
-        .par_units
-        .iter()
-        .map(|u| u.name.clone())
-        .collect();
+    let names =
+        |units: &[ParUnit]| -> Vec<String> { units.iter().map(|u| u.name.clone()).collect() };
+    let src_units = names(&ck.par_units);
     let tgt_params = h.effective_params(tgt);
-    let tgt_units: Vec<String> = tgt_params
-        .par_units
-        .iter()
-        .map(|u| u.name.clone())
-        .collect();
+    let tgt_units = names(&tgt_params.par_units);
 
     let mut kernel = ck.kernel.clone();
     kernel.level = target.to_string();
@@ -295,13 +288,7 @@ mod tests {
   }
 }";
 
-    fn run_kernel(ck: &CheckedKernel, h: &cashmere_hwdesc::Hierarchy, n: u64) -> Vec<f64> {
-        let units: Vec<String> = h
-            .effective_params(ck.level)
-            .par_units
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
+    fn run_kernel(ck: &CheckedKernel, n: u64) -> Vec<f64> {
         let x = ArrayArg::float(&[n], (0..n).map(|i| i as f64).collect());
         let y = ArrayArg::float(&[n], vec![1.0; n as usize]);
         let r = execute(
@@ -312,7 +299,6 @@ mod tests {
                 ArgValue::Array(y),
                 ArgValue::Array(x),
             ],
-            &units,
             &ExecOptions {
                 group_size: 64,
                 ..ExecOptions::default()
@@ -361,10 +347,10 @@ mod tests {
         let ck = compile(SAXPY, &h).unwrap();
         // n deliberately not a multiple of the split so the guard matters.
         let n = 1000;
-        let reference = run_kernel(&ck, &h, n);
+        let reference = run_kernel(&ck, n);
         for target in ["gpu", "mic", "host_cpu", "gtx480", "xeon_phi"] {
             let t = translate_to(&ck, &h, target).unwrap();
-            let got = run_kernel(&t, &h, n);
+            let got = run_kernel(&t, n);
             assert_eq!(got, reference, "target {target}");
         }
     }
@@ -388,12 +374,6 @@ mod tests {
         assert_eq!(unit, "blocks", "outer thread domain becomes blocks");
         // Functional check.
         let (n, m) = (5u64, 70u64);
-        let units: Vec<String> = h
-            .effective_params(t.level)
-            .par_units
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
         let r = execute(
             &t,
             vec![
@@ -401,7 +381,6 @@ mod tests {
                 ArgValue::Int(m as i64),
                 ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[n, m])),
             ],
-            &units,
             &ExecOptions::default(),
         )
         .unwrap();

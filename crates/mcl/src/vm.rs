@@ -43,8 +43,8 @@ use crate::ast::{AssignOp, BinOp, ElemTy, UnOp};
 use crate::check::CheckedKernel;
 use crate::compile::{compile_program, Builtin, Instr, Lit, Program, Rhs};
 use crate::exec::{
-    ExecError, ExecOptions, ExecResult, L1Key, L1Site, Sampling, CYCLE_BARRIER, CYCLE_BASIC,
-    CYCLE_GLOBAL, CYCLE_LOCAL, CYCLE_SPECIAL, ELEM_BYTES, LOOP_LIMIT, TRANSACTION_BYTES,
+    ExecError, ExecOptions, ExecResult, L1Key, L1Site, CYCLE_BARRIER, CYCLE_BASIC, CYCLE_GLOBAL,
+    CYCLE_LOCAL, CYCLE_SPECIAL, ELEM_BYTES, LOOP_LIMIT, SAMPLED_ITERS, TRANSACTION_BYTES,
 };
 use crate::stats::{KernelStats, SiteStats};
 use crate::value::{ArgValue, ArrayArg};
@@ -340,7 +340,7 @@ struct Vm<'p> {
     warps: usize,
     simd: usize,
     group: usize,
-    sample: Option<Sampling>,
+    sampled: bool,
     scale: f64,
     st: KernelStats,
     acc: Vec<SiteAcc>,
@@ -2017,7 +2017,7 @@ impl<'p> Vm<'p> {
             warps: self.warps,
             simd: self.simd,
             group: self.group,
-            sample: self.sample,
+            sampled: self.sampled,
             scale: self.scale,
             st: KernelStats::default(),
             acc: vec![SiteAcc::default(); self.acc.len()],
@@ -2094,7 +2094,7 @@ impl<'p> Vm<'p> {
                 _ => true,
             })
         };
-        if self.sample.is_none() || self.split == Split::Never || !phantom_stores() {
+        if !self.sampled || self.split == Split::Never || !phantom_stores() {
             return Ok(None);
         }
         let _slot = match self.split {
@@ -2789,9 +2789,10 @@ impl<'p> Vm<'p> {
                     }
                     let gs = self.group as u64;
                     let chunks = n.div_ceil(gs);
-                    let run_chunks = match self.sample {
-                        Some(s) => chunks.min(s.max_chunks as u64),
-                        None => chunks,
+                    let run_chunks = if self.sampled {
+                        chunks.min(SAMPLED_ITERS)
+                    } else {
+                        chunks
                     };
                     let d = self.fe_depth;
                     if self.fe_stack.len() == d {
@@ -2863,9 +2864,10 @@ impl<'p> Vm<'p> {
                         pc = *end as usize;
                         continue;
                     }
-                    let run = match self.sample {
-                        Some(s) => n.min(s.max_outer_iters as u64),
-                        None => n,
+                    let run = if self.sampled {
+                        n.min(SAMPLED_ITERS)
+                    } else {
+                        n
                     };
                     let d = self.fe_depth;
                     if self.fe_stack.len() == d {
@@ -3069,7 +3071,7 @@ fn launch<const COUNT: bool>(
         warps: 1,
         simd: opts.simd_width.max(1),
         group: opts.group_size.max(1),
-        sample: opts.sample,
+        sampled: opts.sampled,
         scale: 1.0,
         st: KernelStats::default(),
         acc: vec![SiteAcc::default(); prog.sites.len()],
@@ -3113,10 +3115,9 @@ fn launch<const COUNT: bool>(
 pub fn execute(
     ck: &CheckedKernel,
     args: Vec<ArgValue>,
-    par_units: &[String],
     opts: &ExecOptions,
 ) -> Result<ExecResult, ExecError> {
-    let prog = compile_program(ck, par_units);
+    let prog = compile_program(ck);
     execute_compiled(&prog, args, opts)
 }
 
@@ -3136,14 +3137,8 @@ mod tests {
         let h = standard_hierarchy();
         let k = parse(src).expect("parse");
         let ck = check(&k, &h).expect("check");
-        let units: Vec<String> = h
-            .effective_params(ck.level)
-            .par_units
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        let t = crate::interp::execute(&ck, args.clone(), &units, opts);
-        let v = execute(&ck, args, &units, opts);
+        let t = crate::interp::execute(&ck, args.clone(), opts);
+        let v = execute(&ck, args, opts);
         match (t, v) {
             (Ok(t), Ok(v)) => {
                 assert_eq!(
@@ -3196,13 +3191,7 @@ mod tests {
         diff(src, args(), &ExecOptions::default());
         let h = standard_hierarchy();
         let ck = check(&parse(src).unwrap(), &h).unwrap();
-        let r = execute(
-            &ck,
-            args(),
-            &["threads".to_string()],
-            &ExecOptions::default(),
-        )
-        .unwrap();
+        let r = execute(&ck, args(), &ExecOptions::default()).unwrap();
         let out = r.args[1].clone().array();
         assert_eq!(
             out.as_f64()[out.flat_index(&[2, 1, 0, 1, 0]) as usize],
@@ -3212,7 +3201,7 @@ mod tests {
 
     fn sampled() -> ExecOptions {
         ExecOptions {
-            sample: Some(Sampling::default()),
+            sampled: true,
             ..ExecOptions::default()
         }
     }
@@ -3543,7 +3532,7 @@ mod tests {
         let narrow = ExecOptions {
             simd_width: 8,
             group_size: 16,
-            sample: None,
+            sampled: false,
         };
         diff(src, args, &narrow);
     }
@@ -3627,7 +3616,7 @@ mod tests {
             let opts = ExecOptions {
                 group_size: group,
                 simd_width: 8,
-                sample: None,
+                sampled: false,
             };
             diff(src, float_args(n), &opts);
         }
@@ -3749,13 +3738,7 @@ mod tests {
         }
         let h = standard_hierarchy();
         let ck = check(&parse(folded).expect("parse"), &h).expect("check");
-        let e = execute(
-            &ck,
-            float_args(2),
-            &["threads".to_string()],
-            &ExecOptions::default(),
-        )
-        .expect_err("runaway");
+        let e = execute(&ck, float_args(2), &ExecOptions::default()).expect_err("runaway");
         assert_eq!(e.line, 4);
         assert_eq!(e.message, "loop exceeded 1e9 iterations (runaway?)");
     }
@@ -3806,7 +3789,7 @@ mod tests {
             let opts = ExecOptions {
                 group_size: group,
                 simd_width: 8,
-                sample: None,
+                sampled: false,
             };
             diff(src, float_args(n), &opts);
         }
@@ -3842,13 +3825,8 @@ mod tests {
             diff(src, float_args(8), &ExecOptions::default());
             let h = standard_hierarchy();
             let ck = check(&parse(src).expect("parse"), &h).expect("check");
-            let e = execute(
-                &ck,
-                float_args(8),
-                &["threads".to_string()],
-                &ExecOptions::default(),
-            )
-            .expect_err("out of bounds");
+            let e =
+                execute(&ck, float_args(8), &ExecOptions::default()).expect_err("out of bounds");
             assert_eq!((e.line, e.message.as_str()), (line, message));
         }
     }
@@ -3874,12 +3852,12 @@ mod tests {
         let opts = ExecOptions {
             simd_width: 8,
             group_size: 32,
-            sample: None,
+            sampled: false,
         };
         diff(src, args.clone(), &opts);
         let h = standard_hierarchy();
         let ck = check(&parse(src).expect("parse"), &h).expect("check");
-        let r = execute(&ck, args, &["threads".to_string()], &opts).expect("runs");
+        let r = execute(&ck, args, &opts).expect("runs");
         // Per chunk: one 4-byte broadcast miss and one hit on `xs`, then
         // the coalesced store of `out`: 4 + 4 × 32 for 32 lanes, 4 + 32
         // for the tail's 8.
@@ -3917,12 +3895,6 @@ mod tests {
 }";
         let h = standard_hierarchy();
         let ck = check(&parse(src).expect("parse"), &h).expect("check");
-        let units: Vec<String> = h
-            .effective_params(ck.level)
-            .par_units
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
         let n = 16u64;
         let args = vec![
             ArgValue::Int(n as i64),
@@ -3932,10 +3904,10 @@ mod tests {
         let opts = ExecOptions {
             simd_width: 16,
             group_size: 16,
-            sample: None,
+            sampled: false,
         };
         diff(src, args.clone(), &opts);
-        let prog = compile_program(&ck, &units);
+        let prog = compile_program(&ck);
         let (_, counts) = execute_counted(&prog, args, &opts).expect("runs");
         // 64 iterations of the `r` loop: eight instructions run once per
         // iteration, the loop test once more per loop entry (4 × 17).
@@ -3954,20 +3926,13 @@ mod tests {
         let h = standard_hierarchy();
         let k = parse(SAXPY).expect("parse");
         let ck = check(&k, &h).expect("check");
-        let units: Vec<String> = h
-            .effective_params(ck.level)
-            .par_units
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        let r = execute(&ck, saxpy_args(100), &units, &ExecOptions::default()).unwrap();
+        let r = execute(&ck, saxpy_args(100), &ExecOptions::default()).unwrap();
         assert_eq!(r.stats.total_threads, 100.0);
         assert_eq!(r.stats.raw_lanes, 100.0);
         assert_eq!(r.stats.groups, 1.0);
         assert_eq!(r.stats.flops, 200.0);
         assert_eq!(r.stats.barriers, 0.0);
-        let tree =
-            crate::interp::execute(&ck, saxpy_args(100), &units, &ExecOptions::default()).unwrap();
+        let tree = crate::interp::execute(&ck, saxpy_args(100), &ExecOptions::default()).unwrap();
         assert_eq!(
             r.stats.issue_cycles.to_bits(),
             tree.stats.issue_cycles.to_bits()
@@ -3986,14 +3951,8 @@ mod tests {
     fn split_diff(src: &str, args: Vec<ArgValue>, opts: &ExecOptions) -> SplitLog {
         let h = standard_hierarchy();
         let ck = check(&parse(src).expect("parse"), &h).expect("check");
-        let units: Vec<String> = h
-            .effective_params(ck.level)
-            .par_units
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        let prog = compile_program(&ck, &units);
-        let tree = crate::interp::execute(&ck, args.clone(), &units, opts);
+        let prog = compile_program(&ck);
+        let tree = crate::interp::execute(&ck, args.clone(), opts);
         let mut log = SplitLog::default();
         let mut counts = Vec::new();
         for split in [Split::Always, Split::Never] {
@@ -4138,7 +4097,7 @@ mod tests {
             assert_eq!(split_diff(src, args, &blocks_of_64()), SplitLog::default());
             let h = standard_hierarchy();
             let ck = check(&parse(src).unwrap(), &h).unwrap();
-            let prog = compile_program(&ck, &["blocks".to_string(), "threads".to_string()]);
+            let prog = compile_program(&ck);
             assert!(prog
                 .instrs
                 .iter()
@@ -4189,43 +4148,57 @@ mod tests {
         // `b * 64 + t` leaves it only in block 1.
         split_diff(&src("64"), args(), &blocks_of_64());
         let h = standard_hierarchy();
-        let units = ["blocks".to_string(), "threads".to_string()];
         let ck = check(&parse(&src("1000 + 64")).unwrap(), &h).unwrap();
-        let prog = compile_program(&ck, &units);
+        let prog = compile_program(&ck);
         let e = execute_with(&prog, args(), &blocks_of_64(), Split::Always, false).unwrap_err();
         assert!(e.message.contains("index 64 out of bounds"), "{e}");
     }
 
-    /// A scale that is not a multiple of 2^-10 (a sampling limit of 3),
-    /// in the helper's half or in a counter the first half ends with, makes
-    /// the merge fall back.
+    /// A scale that is not a multiple of 2^-10, in the helper's half or in
+    /// a counter the first half ends with, makes the merge fall back.
+    /// Eleven nested `foreach` loops over three blocks each, two of them
+    /// sampled at every level, run their innermost body at scale
+    /// 1.5^11 = 177147/2048.
     #[test]
     fn non_dyadic_scales_fall_back() {
-        let thirds = ExecOptions {
-            sample: Some(Sampling {
-                max_outer_iters: 2,
-                max_chunks: 3,
-            }),
-            ..blocks_of_64()
+        let nest = |body: &str| {
+            (0..11).rev().fold(body.to_string(), |inner, k| {
+                format!("foreach (int b{k} in 3 blocks) {{ {inner} }}")
+            })
         };
-        let in_helper = "gpu void t(int n, float[n] out) {
-  foreach (int b in 2 blocks) {
-    foreach (int t in n threads) { out[t] = (float) (b + t); }
-  }
-}";
-        let in_prefix = "perfect void t(int n, float[n] out) {
-  foreach (int i in n threads) {
-    if (i < 100) { out[i] = 1.0; }
-  }
-  foreach (int j in 128 threads) { out[j] = 2.0; }
-}";
+        let in_helper = format!(
+            "gpu void t(int n, float[n] out) {{
+  foreach (int s in 2 blocks) {{
+    {}
+  }}
+}}",
+            nest("foreach (int t in n threads) { out[t] = (float) (s + t); }")
+        );
+        // One lane of the nest's 2^11 sampled bodies stores, so
+        // `total_threads` ends the prefix at 177147/2048. The one-block
+        // loop around the nest keeps the nest itself from splitting.
+        let all_zero = (0..11).map(|k| format!("b{k}")).collect::<Vec<_>>();
+        let in_prefix = format!(
+            "gpu void t(int n, float[n] out) {{
+  foreach (int s in 1 blocks) {{
+    {}
+  }}
+  foreach (int j in 2 blocks) {{
+    foreach (int t in n threads) {{ out[t] = 2.0; }}
+  }}
+}}",
+            nest(&format!(
+                "if ({} == 0) {{ foreach (int t in 1 threads) {{ out[t] = 1.0; }} }}",
+                all_zero.join(" + ")
+            ))
+        );
         for src in [in_helper, in_prefix] {
-            let n = 64 * 7;
+            let n = 64;
             let args = vec![
                 ArgValue::Int(n as i64),
                 ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
             ];
-            assert_eq!(split_diff(src, args, &thirds), FELL_BACK, "{src}");
+            assert_eq!(split_diff(&src, args, &blocks_of_64()), FELL_BACK, "{src}");
         }
     }
 

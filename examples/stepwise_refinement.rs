@@ -107,5 +107,5 @@ fn main() {
         );
     }
     println!("\ngenerated OpenCL for the tiled kernel:\n");
-    println!("{}", generate_opencl(&tiled, &h));
+    println!("{}", generate_opencl(&tiled));
 }

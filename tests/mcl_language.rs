@@ -8,8 +8,7 @@ use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::{compile, CheckedKernel, ElemTy, ExecError, ExecOptions, ExecResult};
 use proptest::prelude::*;
 
-type Execute =
-    fn(&CheckedKernel, Vec<ArgValue>, &[String], &ExecOptions) -> Result<ExecResult, ExecError>;
+type Execute = fn(&CheckedKernel, Vec<ArgValue>, &ExecOptions) -> Result<ExecResult, ExecError>;
 
 /// Both kernel engines: the VM every run uses and the reference tree
 /// walker it must agree with.
@@ -111,7 +110,6 @@ proptest! {
                     ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[n])),
                     ArgValue::Array(ArrayArg::float(&[n], xs.clone())),
                 ],
-                &["threads".to_string()],
                 &ExecOptions::default(),
             )
             .expect("generated kernel runs");
@@ -154,8 +152,7 @@ proptest! {
                         ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[64])),
                         ArgValue::Array(ArrayArg::float(&[64], xs)),
                     ],
-                    &["threads".to_string()],
-                    &ExecOptions::default(),
+                        &ExecOptions::default(),
                 )
                 .expect("runs");
                 (
@@ -197,8 +194,7 @@ proptest! {
                         ArgValue::Array(ArrayArg::zeros(ElemTy::Float, &[32])),
                         ArgValue::Array(ArrayArg::float(&[32], xs)),
                     ],
-                    &["threads".to_string()],
-                    &ExecOptions::default(),
+                        &ExecOptions::default(),
                 )
                 .expect("runs");
                 r.args[1].clone().array().as_f64().to_vec()
@@ -263,7 +259,7 @@ proptest! {
         let opts = ExecOptions {
             simd_width: simd,
             group_size: group,
-            sample: sampled.then(Default::default),
+            sampled,
         };
         let mk_args = || {
             let xs: Vec<f64> = (0..n)
@@ -276,9 +272,8 @@ proptest! {
                 ArgValue::Array(ArrayArg::float(&[n], xs)),
             ]
         };
-        let units = ["threads".to_string()];
-        let tree = cashmere_mcl::interp::execute(&ck, mk_args(), &units, &opts).expect("tree runs");
-        let vm = cashmere_mcl::vm::execute(&ck, mk_args(), &units, &opts).expect("vm runs");
+        let tree = cashmere_mcl::interp::execute(&ck, mk_args(), &opts).expect("tree runs");
+        let vm = cashmere_mcl::vm::execute(&ck, mk_args(), &opts).expect("vm runs");
         prop_assert_eq!(format!("{:?}", tree.stats), format!("{:?}", vm.stats));
         prop_assert_eq!(
             tree.stats.issue_cycles.to_bits(),
@@ -329,7 +324,6 @@ fn engines_pin_exact_counters() {
 }";
     let h = standard_hierarchy();
     let ck = compile(src, &h).expect("pin kernel compiles");
-    let units = ["threads".to_string()];
     let mk_args = || {
         let xs: Vec<f64> = (0..96).map(|k| f64::from(k as f32) * 0.125).collect();
         vec![
@@ -339,8 +333,8 @@ fn engines_pin_exact_counters() {
         ]
     };
     let opts = ExecOptions::default();
-    let tree = cashmere_mcl::interp::execute(&ck, mk_args(), &units, &opts).expect("tree runs");
-    let vm = cashmere_mcl::vm::execute(&ck, mk_args(), &units, &opts).expect("vm runs");
+    let tree = cashmere_mcl::interp::execute(&ck, mk_args(), &opts).expect("tree runs");
+    let vm = cashmere_mcl::vm::execute(&ck, mk_args(), &opts).expect("vm runs");
     for (name, r) in [("tree", &tree), ("vm", &vm)] {
         let s = &r.stats;
         assert_eq!(s.total_threads, 96.0, "{name} total_threads");

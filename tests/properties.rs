@@ -7,14 +7,13 @@ use cashmere::Balancer;
 use cashmere_des::{Handler, Sim, SimTime};
 use cashmere_hwdesc::standard_hierarchy;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
-use cashmere_mcl::{compile, CheckedKernel, ElemTy, ExecError, ExecOptions, ExecResult, Sampling};
+use cashmere_mcl::{compile, CheckedKernel, ElemTy, ExecError, ExecOptions, ExecResult};
 use cashmere_netsim::nic::{schedule_transfer, NodeNic};
 use cashmere_netsim::NetConfig;
 use cashmere_satin::{ClusterApp, ClusterSim, CpuLeafRuntime, DcStep, SimConfig};
 use proptest::prelude::*;
 
-type Execute =
-    fn(&CheckedKernel, Vec<ArgValue>, &[String], &ExecOptions) -> Result<ExecResult, ExecError>;
+type Execute = fn(&CheckedKernel, Vec<ArgValue>, &ExecOptions) -> Result<ExecResult, ExecError>;
 
 /// Both kernel engines: the VM every run uses and the reference tree
 /// walker it must agree with.
@@ -113,8 +112,7 @@ proptest! {
                     ArgValue::Array(ArrayArg::float(&[n], ys.clone())),
                     ArgValue::Array(ArrayArg::float(&[n], xs.clone())),
                 ],
-                &["threads".to_string()],
-                &ExecOptions { group_size: group, simd_width: 32, sample: None },
+                &ExecOptions { group_size: group, simd_width: 32, sampled: false },
             ).unwrap();
             let got = r.args[2].clone().array();
             for i in 0..n as usize {
@@ -127,12 +125,9 @@ proptest! {
     }
 
     #[test]
-    fn sampled_stats_scale_invariance(
-        n_log2 in 10u32..18,
-        chunks in 1usize..4,
-    ) {
+    fn sampled_stats_scale_invariance(n_log2 in 10u32..18) {
         // Sampled runs must report the same totals as full runs for a
-        // uniform kernel, whatever the sampling budget.
+        // uniform kernel.
         let n = 1u64 << n_log2;
         let h = standard_hierarchy();
         let ck = compile(
@@ -142,20 +137,19 @@ proptest! {
             &h,
         ).unwrap();
         for (engine, execute) in ENGINES {
-            let run = |sample: Option<Sampling>| {
+            let run = |sampled: bool| {
                 let r = execute(
                     &ck,
                     vec![
                         ArgValue::Int(n as i64),
                         ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
                     ],
-                    &["threads".to_string()],
-                    &ExecOptions { group_size: 256, simd_width: 32, sample },
+                    &ExecOptions { group_size: 256, simd_width: 32, sampled },
                 ).unwrap();
                 r.stats
             };
-            let full = run(None);
-            let sampled = run(Some(Sampling { max_outer_iters: chunks, max_chunks: chunks }));
+            let full = run(false);
+            let sampled = run(true);
             let rel = |a: f64, b: f64| if b == 0.0 { 0.0 } else { (a - b).abs() / b };
             prop_assert!(rel(sampled.flops, full.flops) < 1e-6, "{engine}");
             prop_assert!(rel(sampled.issue_cycles, full.issue_cycles) < 1e-6, "{engine}");

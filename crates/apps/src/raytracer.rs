@@ -841,22 +841,18 @@ mod tests {
     fn kernel_diverges_heavily() {
         // The whole point of the raytracer: measure the divergence the
         // analyzer sees at paper scale.
-        use cashmere_devsim::{ExecMode, SimDevice};
-        let h = cashmere_hwdesc::standard_hierarchy();
-        let d = SimDevice::by_name(&h, "gtx480").unwrap();
         let reg = RaytracerApp::registry(KernelSet::Unoptimized);
-        let ck = reg.select("raytrace", d.level).unwrap();
+        let d = cashmere_devsim::SimDevice::by_name(reg.hierarchy(), "gtx480").unwrap();
+        let kernel = reg.prepare("raytrace", &d).unwrap();
         let app = RaytracerApp::new(small(), AppMode::Phantom, 256, 1);
         let call = app.kernel_call(&(0, 768));
-        let run = d
-            .run_kernel(&h, ck, call.args, ExecMode::sampled())
-            .unwrap();
+        let stats = kernel.run_sampled(&call.args).unwrap();
         assert!(
-            run.stats.divergence_rate() > 0.10,
+            stats.divergence_rate() > 0.10,
             "divergence {}",
-            run.stats.divergence_rate()
+            stats.divergence_rate()
         );
-        assert!(run.stats.lane_efficiency() < 0.9);
+        assert!(stats.lane_efficiency() < 0.9);
     }
 
     #[test]

@@ -297,7 +297,7 @@ fn measure_sweep(quick: bool) -> SweepNumbers {
 
 /// One timed pass over the fig6 corpus (every app × device, optimized
 /// kernels); returns measurements performed. Each launch runs on the VM
-/// through [`Fig6Launch::run_kernel`], outside the process-wide launch
+/// through [`Fig6Launch::direct_seconds`], outside the process-wide launch
 /// table, so every pass (and every repetition of one) times the VM rather
 /// than table hits.
 fn fig6_corpus_pass() -> u64 {
@@ -306,7 +306,7 @@ fn fig6_corpus_pass() -> u64 {
         for dev in DeviceKind::ALL {
             let _prof = prof::scope("kernel::measure");
             let launch = Fig6Launch::new(app, KernelSet::Optimized, dev);
-            black_box(launch.and_then(|l| l.run_kernel()));
+            black_box(launch.and_then(|l| l.direct_seconds()));
             n += 1;
         }
     }

@@ -10,14 +10,14 @@
 //! job creation because it needs to create 8 times more jobs to keep one
 //! node busy" (Sec. V-B).
 
-use cashmere::{ClusterSpec, KernelCall, KernelRegistry};
+use cashmere::{ClusterSpec, KernelCall, KernelRegistry, PreparedKernel};
 use cashmere_apps::kmeans::{KmeansApp, KmeansProblem};
 use cashmere_apps::matmul::{MatmulApp, MatmulProblem};
 use cashmere_apps::nbody::{NbodyApp, NbodyProblem};
 use cashmere_apps::raytracer::{RaytracerApp, RaytracerProblem};
 use cashmere_apps::{AppMode, KernelSet};
-use cashmere_devsim::{ExecMode, KernelRun, SimDevice};
-use cashmere_hwdesc::{DeviceKind, Hierarchy};
+use cashmere_devsim::SimDevice;
+use cashmere_hwdesc::DeviceKind;
 use cashmere_satin::{Counter, RunReport};
 use serde::{Deserialize, Serialize};
 
@@ -213,23 +213,22 @@ pub(crate) fn kernel_set(series: Series) -> KernelSet {
     }
 }
 
-/// One Fig. 6 launch: a device, the application's kernel registry, and
-/// the kernel call one representative device job of the paper-scale
-/// problem makes, with that job's flop count.
+/// One Fig. 6 launch: a device, the application's kernel registry, the
+/// kernel prepared for the device, and the kernel call one representative
+/// device job of the paper-scale problem makes, with that job's flop
+/// count.
 pub struct Fig6Launch {
-    pub hierarchy: Hierarchy,
     pub device: SimDevice,
     pub registry: KernelRegistry,
+    pub kernel: PreparedKernel,
     pub call: KernelCall,
     pub flops: f64,
 }
 
 impl Fig6Launch {
     /// The launch [`kernel_gflops`] measures; `None` if the device cannot
-    /// be instantiated.
+    /// be instantiated or no kernel version applies to it.
     pub fn new(app: AppId, set: KernelSet, device: DeviceKind) -> Option<Fig6Launch> {
-        let hierarchy = cashmere_hwdesc::standard_hierarchy();
-        let device = SimDevice::new(&hierarchy, device.level(&hierarchy)).ok()?;
         let job = (0u64, node_grain(app) / DEVICE_JOBS);
 
         let (registry, call, flops) = match app {
@@ -274,31 +273,28 @@ impl Fig6Launch {
                 )
             }
         };
+        let h = registry.hierarchy();
+        let device = SimDevice::new(h, device.level(h)).ok()?;
+        let kernel = registry.prepare(call.kernel, &device)?;
         Some(Fig6Launch {
-            hierarchy,
             device,
             registry,
+            kernel,
             call,
             flops,
         })
     }
 
-    /// Sampled execution, scaled by the call's calibration factor.
-    pub fn mode(&self) -> ExecMode {
-        ExecMode::Sampled {
-            extra_scale: self.call.extra_scale,
-        }
-    }
-
-    /// The launch run by [`SimDevice::run_kernel`], outside the
-    /// process-wide launch table: the oracle [`kernel_gflops`] is checked
-    /// against, and a VM run on every call. `None` when no kernel version
-    /// applies or the launch fails.
-    pub fn run_kernel(&self) -> Option<KernelRun> {
-        let ck = self.registry.select(self.call.kernel, self.device.level)?;
-        self.device
-            .run_kernel(&self.hierarchy, ck, self.call.args.clone(), self.mode())
-            .ok()
+    /// Modelled seconds of the launch run by its prepared kernel outside
+    /// the process-wide launch table, scaled by the call's calibration
+    /// factor: the oracle [`kernel_gflops`] is checked against, and a VM
+    /// run on every call. `None` when the launch fails.
+    pub fn direct_seconds(&self) -> Option<f64> {
+        let stats = self.kernel.run_sampled(&self.call.args).ok()?;
+        Some(
+            self.kernel
+                .seconds(stats, self.call.extra_scale, &self.device.params),
+        )
     }
 }
 
@@ -319,11 +315,8 @@ pub struct KernelMeasurement {
 pub fn measure_kernel(app: AppId, set: KernelSet, device: DeviceKind) -> Option<KernelMeasurement> {
     let _prof = cashmere_des::obs::prof::scope("kernel::measure");
     let mut launch = Fig6Launch::new(app, set, device)?;
-    let kernel = launch
-        .registry
-        .prepare(launch.call.kernel, &launch.device)?;
     let (seconds, sight) = launch.registry.sampled_seconds(
-        &kernel,
+        &launch.kernel,
         &launch.call.args,
         launch.call.extra_scale,
         &launch.device.params,

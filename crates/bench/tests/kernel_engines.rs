@@ -1,6 +1,6 @@
 //! The fig6 kernel corpus runs identically on the kernel VM and on the
 //! reference tree walker: for every launch (4 apps × 7 devices × 2 kernel
-//! sets, prepared exactly as `SimDevice::run_kernel` prepares it) both
+//! sets, prepared exactly as the registry prepares it for a device) both
 //! engines yield the same statistics, bit for bit, and the same argument
 //! buffers. The VM is run twice, made to split every eligible sampled
 //! loop across two threads and made to stay on one, whatever the host's
@@ -18,7 +18,6 @@ use cashmere_bench::{AppId, Fig6Launch};
 use cashmere_hwdesc::DeviceKind;
 use cashmere_mcl::compile::compile_program;
 use cashmere_mcl::vm::{self, Split, SplitLog};
-use cashmere_mcl::LaunchConfig;
 use cashmere_mcl::{interp, ExecError, ExecResult};
 
 /// What the two engines are compared on: statistics and argument buffers
@@ -37,13 +36,9 @@ fn fig6_corpus_is_identical_on_vm_and_tree_walker() {
             for set in [KernelSet::Unoptimized, KernelSet::Optimized] {
                 let what = format!("{} {set:?} on {}", app.name(), device.level_name());
                 let l = Fig6Launch::new(app, set, device)
-                    .unwrap_or_else(|| panic!("{what}: device does not instantiate"));
-                let ck = l
-                    .registry
-                    .select(l.call.kernel, l.device.level)
-                    .unwrap_or_else(|| panic!("{what}: no kernel version"));
-                let opts =
-                    LaunchConfig::for_device(ck, &l.hierarchy, l.device.level).exec_sampled();
+                    .unwrap_or_else(|| panic!("{what}: no device or no kernel version"));
+                let ck = l.kernel.checked();
+                let opts = l.kernel.config().exec_sampled();
                 let tree = interp::execute(ck, l.call.args.clone(), &opts);
                 let (tree_stats, tree_args) = observed(&what, tree);
                 let prog = compile_program(ck);
@@ -88,12 +83,9 @@ fn fig6_corpus_is_identical_on_vm_and_tree_walker() {
 #[ignore = "interprets the corpus's largest launch, tens of seconds in a debug build; run with --release -- --ignored"]
 fn matmul_mic_dispatch_count_is_pinned() {
     let l = Fig6Launch::new(AppId::Matmul, KernelSet::Optimized, DeviceKind::XeonPhi)
-        .expect("the Xeon Phi instantiates");
-    let ck = l
-        .registry
-        .select(l.call.kernel, l.device.level)
-        .expect("matmul has a mic version");
-    let opts = LaunchConfig::for_device(ck, &l.hierarchy, l.device.level).exec_sampled();
+        .expect("the Xeon Phi instantiates and matmul has a mic version");
+    let ck = l.kernel.checked();
+    let opts = l.kernel.config().exec_sampled();
     let prog = compile_program(ck);
     for split in [Split::Always, Split::Never] {
         let (_, counts, log) = vm::execute_with(&prog, l.call.args.clone(), &opts, split, true)

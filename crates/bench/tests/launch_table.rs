@@ -27,7 +27,6 @@ use cashmere_bench::scenario::cli::out_path;
 use cashmere_bench::{kernel_gflops, run_scenario, AppId, Fig6Launch, Scenario, ScenarioReport};
 use cashmere_des::obs::{prof, ProfNode};
 use cashmere_hwdesc::DeviceKind;
-use cashmere_mcl::LaunchConfig;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -120,7 +119,8 @@ fn fig6_corpus_matches_the_direct_run_and_interprets_each_launch_once() {
 
     // The launch table key's inputs, found without the table: the selected
     // version's source (as its syntax tree), the executor geometry and the
-    // arguments. Direct runs (`SimDevice::run_kernel`) bypass the table.
+    // arguments. Direct runs (`Fig6Launch::direct_seconds`) bypass the
+    // table.
     prof::set_enabled(false);
     let _ = prof::take();
     prof::set_enabled(true);
@@ -130,23 +130,19 @@ fn fig6_corpus_matches_the_direct_run_and_interprets_each_launch_once() {
         for device in DeviceKind::ALL {
             for set in [KernelSet::Unoptimized, KernelSet::Optimized] {
                 let what = format!("{} {set:?} on {}", app.name(), device.level_name());
-                let l = Fig6Launch::new(app, set, device).expect("device instantiates");
-                let ck = l
-                    .registry
-                    .select(l.call.kernel, l.device.level)
-                    .expect("a version");
-                let config = LaunchConfig::for_device(ck, &l.hierarchy, l.device.level);
+                let l = Fig6Launch::new(app, set, device).expect("device and version");
+                let ck = l.kernel.checked();
                 distinct.insert(format!(
                     "{:?} {:?} {:?} {:?}",
                     ck.kernel,
                     ck.par_units,
-                    config.exec_sampled(),
+                    l.kernel.config().exec_sampled(),
                     l.call.args
                 ));
-                let run = l
-                    .run_kernel()
+                let seconds = l
+                    .direct_seconds()
                     .unwrap_or_else(|| panic!("{what}: launch fails"));
-                points.push((app, set, device, what, l.flops / run.cost.total_s / 1e9));
+                points.push((app, set, device, what, l.flops / seconds / 1e9));
             }
         }
     }

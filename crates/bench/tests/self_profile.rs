@@ -186,8 +186,8 @@ fn vm_runs_once_per_distinct_launch_at_any_jobs_width() {
 }
 
 /// Fig. 6 measurements go through the launch table: each equals the GFLOPS
-/// of the same launch run outside it by `SimDevice::run_kernel`, bit for
-/// bit, and a repeated measurement is answered without entering the VM.
+/// of the same launch run outside it by its prepared kernel, bit for bit,
+/// and a repeated measurement is answered without entering the VM.
 #[test]
 fn fig6_measurements_equal_the_direct_run_and_repeat_from_the_table() {
     let _guard = PROF_LOCK.lock().unwrap();
@@ -197,8 +197,8 @@ fn fig6_measurements_equal_the_direct_run_and_repeat_from_the_table() {
         for device in DeviceKind::ALL {
             let what = format!("k-means {set:?} on {}", device.level_name());
             let launch = Fig6Launch::new(AppId::Kmeans, set, device).expect("device instantiates");
-            let run = launch.run_kernel().expect("the launch runs");
-            let direct = launch.flops / run.cost.total_s / 1e9;
+            let seconds = launch.direct_seconds().expect("the launch runs");
+            let direct = launch.flops / seconds / 1e9;
             let gflops = kernel_gflops(AppId::Kmeans, set, device).expect("measured");
             assert_eq!(gflops.to_bits(), direct.to_bits(), "{what}");
 

@@ -95,7 +95,7 @@ pub mod spec;
 pub use balancer::{Balancer, DeviceEstimate, PolicyDesc};
 pub use counterfactual::{replay_audit, CounterfactualReplay, PlacementFlip};
 pub use init::{initialize, InitReport};
-pub use registry::KernelRegistry;
+pub use registry::{KernelRegistry, PreparedKernel};
 pub use runtime::{AuditEntry, CashmereApp, CashmereLeafRuntime, KernelCall, RuntimeConfig};
 pub use spec::ClusterSpec;
 

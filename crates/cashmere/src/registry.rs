@@ -21,6 +21,12 @@
 //! seconds for cluster runs and Fig. 6 measurements alike. The registry
 //! remembers only which launches its run has seen, for the run's memo hit
 //! and miss counts.
+//!
+//! A launch is run by the [`PreparedKernel`] that
+//! [`KernelRegistry::prepare`] returns for a device: a sampled run (the
+//! launch table's fill and the table-free Fig. 6 oracle), a full run
+//! (functional mode), and the one conversion of statistics into modelled
+//! seconds that all of them use.
 
 use cashmere_des::obs::prof;
 use cashmere_devsim::SimDevice;
@@ -28,8 +34,9 @@ use cashmere_hwdesc::params::ResolvedParams;
 use cashmere_hwdesc::{Hierarchy, LevelId};
 use cashmere_mcl::cost::estimate_time;
 use cashmere_mcl::launch::{table_entry, KernelSource, LaunchConfig, LaunchKey, Measured};
+use cashmere_mcl::stats::KernelStats;
 use cashmere_mcl::value::ArgValue;
-use cashmere_mcl::{compile, CheckError, CheckedKernel, ExecError};
+use cashmere_mcl::{compile, CheckError, CheckedKernel, ExecError, ExecResult};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock, PoisonError};
 
@@ -98,19 +105,56 @@ fn most_specific<'a>(
     versions.iter().find(|v| v.ck.level == best)
 }
 
-/// A kernel's most specific version prepared for sampled launches on one
-/// device (paper Sec. III-A): resolved once, then every launch of the
-/// kernel on that device only adds its arguments.
+/// A kernel's most specific version prepared for one device (paper
+/// Sec. III-A: `Cashmere.getKernel()` → `createLaunch()`): resolved once,
+/// then every launch of the kernel on that device only adds its
+/// arguments. This is the one thing that runs a kernel launch; the
+/// `mcl::execute` profiler frame opens only here.
 pub struct PreparedKernel {
     version: Arc<Version>,
-    /// The version's launch geometry on the device.
-    pub(crate) config: LaunchConfig,
+    config: LaunchConfig,
 }
 
 impl PreparedKernel {
     /// The checked kernel of the prepared version.
-    pub(crate) fn checked(&self) -> &CheckedKernel {
+    pub fn checked(&self) -> &CheckedKernel {
         &self.version.ck
+    }
+
+    /// The version's launch geometry on the device.
+    pub fn config(&self) -> &LaunchConfig {
+        &self.config
+    }
+
+    /// A sampled VM run of the launch on `args`, outside the process-wide
+    /// launch table: its unscaled statistics.
+    pub fn run_sampled(&self, args: &[ArgValue]) -> Measured {
+        let _prof = prof::scope("mcl::execute");
+        cashmere_mcl::execute(self.checked(), args.to_vec(), &self.config.exec_sampled())
+            .map(|run| run.stats)
+    }
+
+    /// A full (functional) VM run of the launch: every lane interpreted,
+    /// so the arguments come back computed.
+    pub fn run_full(&self, args: Vec<ArgValue>) -> Result<ExecResult, ExecError> {
+        let _prof = prof::scope("mcl::execute");
+        cashmere_mcl::execute(self.checked(), args, &self.config.exec_full())
+    }
+
+    /// Modelled seconds of a launch whose statistics are `stats`, with the
+    /// calibration factor `extra_scale` applied to them, on the device
+    /// with parameters `params` (the one this kernel was prepared for):
+    /// the physical cost, before any virtual speed scale.
+    pub fn seconds(
+        &self,
+        mut stats: KernelStats,
+        extra_scale: f64,
+        params: &ResolvedParams,
+    ) -> f64 {
+        if extra_scale != 1.0 {
+            stats.scale(extra_scale);
+        }
+        estimate_time(&stats, params, self.config.class).total_s
     }
 }
 
@@ -207,8 +251,8 @@ impl KernelRegistry {
         out
     }
 
-    /// Prepare `kernel`'s most specific version for sampled launches on
-    /// `device`; `None` when no version applies.
+    /// Prepare `kernel`'s most specific version for launches on `device`;
+    /// `None` when no version applies.
     pub fn prepare(&self, kernel: &str, device: &SimDevice) -> Option<PreparedKernel> {
         let version = most_specific(&self.hierarchy, self.kernels.get(kernel)?, device.level)?;
         Some(PreparedKernel {
@@ -219,12 +263,10 @@ impl KernelRegistry {
 
     /// Modelled seconds of a sampled launch of `kernel` on `args` on the
     /// device with parameters `params` (the one `kernel` was prepared
-    /// for), with the call's calibration factor `extra_scale` applied to
-    /// the statistics: the physical cost, before any virtual speed scale.
-    /// Equal, bit for bit, to the `cost.total_s` of the same launch run
-    /// by [`SimDevice::run_kernel`] in sampled mode; the
-    /// statistics come from the process-wide launch table, so the VM runs
-    /// only when the process has never seen this exact launch.
+    /// for), with the call's calibration factor `extra_scale` applied:
+    /// [`PreparedKernel::seconds`] of the launch's statistics. Those come
+    /// from the process-wide launch table, so the VM runs only when the
+    /// process has never seen this exact launch.
     pub fn sampled_seconds(
         &mut self,
         kernel: &PreparedKernel,
@@ -235,12 +277,7 @@ impl KernelRegistry {
         let (measured, sight) = self.sampled_stats(kernel, args);
         // The table holds *unscaled* statistics: calls of one launch may
         // calibrate differently.
-        let seconds = measured.map(|mut stats| {
-            if extra_scale != 1.0 {
-                stats.scale(extra_scale);
-            }
-            estimate_time(&stats, params, kernel.config.class).total_s
-        });
+        let seconds = measured.map(|stats| kernel.seconds(stats, extra_scale, params));
         (seconds, sight)
     }
 
@@ -262,10 +299,8 @@ impl KernelRegistry {
         let entry = table_entry(key);
         let mut interpreted = false;
         let measured = entry.get_or_init(|| {
-            let _prof = prof::scope("mcl::execute");
             interpreted = true;
-            cashmere_mcl::execute(&version.ck, args.to_vec(), &config.exec_sampled())
-                .map(|run| run.stats)
+            kernel.run_sampled(args)
         });
         let sight = LaunchSight {
             first_in_run,
@@ -278,8 +313,6 @@ impl KernelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cashmere_des::SimTime;
-    use cashmere_devsim::ExecMode;
     use cashmere_hwdesc::{standard_hierarchy, DeviceKind};
     use cashmere_mcl::launch::{arg_signature, arg_signature_matches};
     use cashmere_mcl::value::ArrayArg;
@@ -322,9 +355,9 @@ mod tests {
     }
 
     // The paper's Fig. 4 leaf glue, `getKernel` → `createLaunch` →
-    // `MCL.launch`, is `select` plus a device run; every failure (unknown
-    // kernel, bad arguments, unknown device) is a value the caller turns
-    // into the `leafCPU` fallback.
+    // `MCL.launch`, is `prepare` plus a run of the prepared kernel; every
+    // failure (unknown kernel, bad arguments, unknown device) is a value
+    // the caller turns into the `leafCPU` fallback.
 
     fn device(h: &Hierarchy, name: &str) -> SimDevice {
         SimDevice::by_name(h, name).unwrap()
@@ -343,17 +376,15 @@ mod tests {
         let r = registry();
         let h = r.hierarchy();
         let gtx = device(h, "gtx480");
-        let ck = r.select("axpy", gtx.level).unwrap();
-        assert_eq!(h.name(ck.level), "gpu", "most specific version");
+        let axpy = r.prepare("axpy", &gtx).unwrap();
+        assert_eq!(h.name(axpy.checked().level), "gpu", "most specific version");
         let y = ArrayArg::float(&[100], vec![0.0; 100]);
         let x = ArrayArg::float(&[100], (0..100).map(f64::from).collect());
         let bytes = 2 * 100 * 4;
-        let run = gtx
-            .run_kernel(h, ck, axpy_args(100, y, &x), ExecMode::Full)
-            .unwrap();
+        let run = axpy.run_full(axpy_args(100, y, &x)).unwrap();
         assert_eq!(run.args[1].clone().array().as_f64()[21], 42.0);
-        assert!(run.time > SimTime::ZERO);
-        assert!(gtx.transfer_time(bytes) > SimTime::ZERO);
+        assert!(axpy.seconds(run.stats, 1.0, &gtx.params) > 0.0);
+        assert!(gtx.transfer_time(bytes) > cashmere_des::SimTime::ZERO);
     }
 
     #[test]
@@ -376,11 +407,10 @@ mod tests {
     fn runtime_failure_is_catchable_too() {
         let r = registry();
         let h = r.hierarchy();
-        let gtx = device(h, "gtx480");
-        let ck = r.select("axpy", gtx.level).unwrap();
+        let axpy = r.prepare("axpy", &device(h, "gtx480")).unwrap();
         // Wrong argument count → runtime error, not panic.
-        let bad = gtx.run_kernel(h, ck, vec![ArgValue::Int(100)], ExecMode::Full);
-        assert!(bad.is_err());
+        assert!(axpy.run_full(vec![ArgValue::Int(100)]).is_err());
+        assert!(axpy.run_sampled(&[ArgValue::Int(100)]).is_err());
     }
 
     #[test]
@@ -395,14 +425,11 @@ mod tests {
         // multiple times in succession."
         let r = registry();
         let h = r.hierarchy();
-        let k20 = device(h, "k20");
-        let ck = r.select("axpy", k20.level).unwrap();
+        let axpy = r.prepare("axpy", &device(h, "k20")).unwrap();
         let x = ArrayArg::float(&[8], vec![1.0; 8]);
         let mut y = ArrayArg::float(&[8], vec![1.0; 8]);
         for _ in 0..3 {
-            let run = k20
-                .run_kernel(h, ck, axpy_args(8, y, &x), ExecMode::Full)
-                .unwrap();
+            let run = axpy.run_full(axpy_args(8, y, &x)).unwrap();
             y = run.args[1].clone().array();
         }
         assert_eq!(y.as_f64()[0], 7.0, "1 + 3 launches of y += 2x");
@@ -604,10 +631,9 @@ mod tests {
     #[test]
     fn launch_config_respects_version_choice() {
         let r = registry();
-        let h = r.hierarchy();
-        let cfg = |device: DeviceKind| {
-            let level = device.level(h);
-            LaunchConfig::for_device(r.select("axpy", level).unwrap(), h, level)
+        let cfg = |kind: DeviceKind| {
+            let device = device(r.hierarchy(), kind.level_name());
+            *r.prepare("axpy", &device).unwrap().config()
         };
         // gpu version pins 256 threads.
         assert_eq!(cfg(DeviceKind::Gtx480).group_size, 256);
@@ -787,14 +813,10 @@ mod tests {
         format!("{:?}", measured.as_ref().expect("launch runs"))
     }
 
-    /// Stats of the same launch run directly on the device, bypassing the
+    /// Stats of the same launch run by its prepared kernel, bypassing the
     /// launch table.
     fn direct(r: &KernelRegistry, kernel: &str, device: &SimDevice, args: &[ArgValue]) -> String {
-        let ck = r.select(kernel, device.level).unwrap();
-        let run = device
-            .run_kernel(r.hierarchy(), ck, args.to_vec(), ExecMode::sampled())
-            .unwrap();
-        format!("{:?}", run.stats)
+        bits(&r.prepare(kernel, device).unwrap().run_sampled(args))
     }
 
     #[test]
@@ -824,17 +846,106 @@ mod tests {
             for extra_scale in [1.0, 2.5, 0.75] {
                 let args = phantom_args(2048);
                 let (seconds, _) = r.sampled_seconds(&axpy, &args, extra_scale, &device.params);
-                let mode = ExecMode::Sampled { extra_scale };
-                let ck = r.select("axpy", device.level).unwrap();
-                let run = device.run_kernel(r.hierarchy(), ck, args, mode).unwrap();
+                let stats = axpy.run_sampled(&args).unwrap();
+                let direct = axpy.seconds(stats, extra_scale, &device.params);
                 assert_eq!(
                     seconds.unwrap().to_bits(),
-                    run.cost.total_s.to_bits(),
+                    direct.to_bits(),
                     "{} x{extra_scale}",
                     device.level_name
                 );
             }
         }
+    }
+
+    /// `src` registered alone and prepared for the device named `device`.
+    fn prepared(src: &str, device: &str) -> (PreparedKernel, SimDevice) {
+        let mut r = KernelRegistry::new(standard_hierarchy());
+        let (name, _) = r.register(src).unwrap();
+        let device = SimDevice::by_name(r.hierarchy(), device).unwrap();
+        (r.prepare(&name, &device).unwrap(), device)
+    }
+
+    const SCALE2: &str = "perfect void scale2(int n, float[n] a) {
+  foreach (int i in n threads) { a[i] = a[i] * 2.0; }
+}";
+
+    /// `n` and a phantom `a` of length `n`.
+    fn phantom_array(n: u64) -> Vec<ArgValue> {
+        vec![
+            ArgValue::Int(n as i64),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+        ]
+    }
+
+    #[test]
+    fn a_full_run_computes_and_times() {
+        let (scale2, gtx) = prepared(SCALE2, "gtx480");
+        let n = 1024u64;
+        let a = ArrayArg::float(&[n], (0..n).map(|i| i as f64).collect());
+        let run = scale2
+            .run_full(vec![ArgValue::Int(n as i64), ArgValue::Array(a)])
+            .unwrap();
+        assert_eq!(run.args[1].clone().array().as_f64()[3], 6.0);
+        let seconds = scale2.seconds(run.stats, 1.0, &gtx.params);
+        assert!(seconds >= 6e-6, "launch overhead floor: {seconds}");
+    }
+
+    #[test]
+    fn a_sampled_run_stays_within_one_percent_of_a_full_run() {
+        let (scale2, gtx) = prepared(SCALE2, "gtx480");
+        let args = phantom_array(1 << 20);
+        let full = scale2.run_full(args.clone()).unwrap().stats;
+        let sampled = scale2.run_sampled(&args).unwrap();
+        // The sample interpreted far fewer lanes.
+        assert!(sampled.raw_lanes * 100.0 < full.raw_lanes);
+        let full = scale2.seconds(full, 1.0, &gtx.params);
+        let sampled = scale2.seconds(sampled, 1.0, &gtx.params);
+        let rel = (sampled - full).abs() / full;
+        assert!(rel < 0.01, "sampled {sampled} vs full {full}");
+    }
+
+    #[test]
+    fn an_extra_scale_of_ten_multiplies_kernel_time_by_ten() {
+        let (touch, gtx) = prepared(
+            "perfect void touch(int n, float[n] a) {
+  foreach (int i in n threads) { a[i] = a[i] + 1.0; }
+}",
+            "gtx480",
+        );
+        // Large enough that the launch overhead is a small share.
+        let stats = touch.run_sampled(&phantom_array(1 << 22)).unwrap();
+        let launch_s = touch.config().class.launch_overhead_us() * 1e-6;
+        let base = touch.seconds(stats.clone(), 1.0, &gtx.params);
+        let scaled = touch.seconds(stats.clone(), 10.0, &gtx.params);
+        let ratio = (scaled - launch_s) / (base - launch_s);
+        assert!((ratio - 10.0).abs() < 0.2, "ratio {ratio}");
+        // The factor scales the statistics, then the cost model runs.
+        let mut by_hand = stats;
+        by_hand.scale(10.0);
+        let model = estimate_time(&by_hand, &gtx.params, touch.config().class);
+        assert_eq!(scaled.to_bits(), model.total_s.to_bits());
+    }
+
+    #[test]
+    fn faster_devices_run_the_same_kernel_faster() {
+        let work = "perfect void work(int n, float[n] a) {
+  foreach (int i in n threads) {
+    float x = a[i];
+    for (int k = 0; k < 256; k++) { x += x * 0.5; }
+    a[i] = x;
+  }
+}";
+        let time_on = |device: &str| {
+            let (work, device) = prepared(work, device);
+            let stats = work.run_sampled(&phantom_array(1 << 22)).unwrap();
+            work.seconds(stats, 1.0, &device.params)
+        };
+        let gtx480 = time_on("gtx480");
+        let k20 = time_on("k20");
+        let titan = time_on("titan");
+        assert!(k20 < gtx480, "k20 {k20} vs gtx480 {gtx480}");
+        assert!(titan <= k20, "titan {titan} vs k20 {k20}");
     }
 
     #[test]
@@ -904,9 +1015,15 @@ mod tests {
 
         let src = "perfect void table_race(int n) { }";
         let h = standard_hierarchy();
-        let ck = compile(src, &h).unwrap();
-        let config = LaunchConfig::for_device(&ck, &h, DeviceKind::Gtx480.level(&h));
-        let key = LaunchKey::sampled(&KernelSource::new(src), &ck, &config, &[ArgValue::Int(7)]);
+        let mut r = KernelRegistry::new(h.clone());
+        r.register(src).unwrap();
+        let kernel = r.prepare("table_race", &device(&h, "gtx480")).unwrap();
+        let key = LaunchKey::sampled(
+            &KernelSource::new(src),
+            kernel.checked(),
+            kernel.config(),
+            &[ArgValue::Int(7)],
+        );
         let runs = AtomicUsize::new(0);
         let barrier = Barrier::new(2);
         let results: Vec<String> = std::thread::scope(|s| {

@@ -28,7 +28,7 @@ use crate::registry::{KernelRegistry, PreparedKernel};
 use cashmere_des::obs::prof;
 use cashmere_des::trace::{LaneId, SpanKind, Trace};
 use cashmere_des::SimTime;
-use cashmere_devsim::{ExecMode, SimDevice};
+use cashmere_devsim::SimDevice;
 use cashmere_mcl::launch::{arg_signature, arg_signature_matches};
 use cashmere_mcl::value::ArgValue;
 use cashmere_satin::{ClusterApp, Counter, LeafCtx, LeafRuntime, RunReport};
@@ -654,21 +654,17 @@ impl CashmereLeafRuntime {
             };
             (None, total_s)
         } else {
-            let run = slot
-                .sim
-                .run_kernel(
-                    self.registry.hierarchy(),
-                    plan.kernel.checked(),
-                    call.args.clone(),
-                    ExecMode::Full,
-                )
+            // Functional runs apply no calibration factor.
+            let run = plan
+                .kernel
+                .run_full(call.args.clone())
                 .unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-            (Some(run.args), run.cost.total_s)
+            let total_s = plan.kernel.seconds(run.stats, 1.0, &slot.sim.params);
+            (Some(run.args), total_s)
         };
 
-        // Costs are physical; the advisor's virtual speed scale applies at
-        // readout, same as `SimDevice::run_kernel` (the cached paths bypass
-        // it).
+        // Costs are physical; the advisor's virtual speed scale applies
+        // here, at readout, and nowhere else.
         let kernel_time = SimTime::from_secs_f64(total_s / slot.sim.speed_scale);
 
         // Reserve memory until the job leaves the device.
@@ -970,21 +966,19 @@ mod tests {
         (didx, kernel_time)
     }
 
-    /// The uncached derivation: run the job's sampled launch on the device
-    /// directly, bypassing plans and the launch table. Also names the
-    /// launch the run's memo counts: (device, arg signature).
+    /// The uncached derivation: the job's sampled launch prepared afresh
+    /// and run outside plans and the launch table, its seconds on a device
+    /// at its described speed. Also names the launch the run's memo
+    /// counts: (device, arg signature).
     fn uncached(rt: &CashmereLeafRuntime, didx: usize, job: Job) -> ((String, Vec<u64>), SimTime) {
         let sim = &rt.nodes[0].devices[didx].sim;
+        assert_eq!(sim.speed_scale, 1.0);
         let call = ShapeApp.kernel_call(&job);
-        let ck = rt.registry.select(call.kernel, sim.level).unwrap();
+        let kernel = rt.registry.prepare(call.kernel, sim).unwrap();
+        let stats = kernel.run_sampled(&call.args).unwrap();
+        let total_s = kernel.seconds(stats, call.extra_scale, &sim.params);
         let launch = (sim.level_name.clone(), arg_signature(&call.args));
-        let mode = ExecMode::Sampled {
-            extra_scale: call.extra_scale,
-        };
-        let run = sim
-            .run_kernel(rt.registry.hierarchy(), ck, call.args, mode)
-            .unwrap();
-        (launch, run.time)
+        (launch, SimTime::from_secs_f64(total_s))
     }
 
     /// Kernel time of `job` on a fresh one-device runtime, sped up by
@@ -993,6 +987,17 @@ mod tests {
         let mut rt = runtime(&[device]);
         rt.scale_device_speed("*", speed);
         run(&mut rt, job, SimTime::ZERO, &mut RunReport::new(1)).1
+    }
+
+    #[test]
+    fn a_virtual_speed_scale_of_two_halves_kernel_time() {
+        for device in ["gtx480", "xeon_phi"] {
+            let job = (1 << 20, 0.0, 1.0);
+            let base = cold(device, 1.0, job).as_nanos();
+            let fast = cold(device, 2.0, job).as_nanos();
+            // Each readout rounds to the nanosecond once.
+            assert!(base.abs_diff(2 * fast) <= 1, "{device}: {base} vs {fast}");
+        }
     }
 
     #[test]

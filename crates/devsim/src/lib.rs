@@ -6,11 +6,12 @@
 //! with compute (paper Sec. II-C3), plus a [`memory::DeviceMemory`] manager
 //! ("Cashmere automatically manages the available memory on a device").
 //!
-//! Kernel execution is functional *and* timed: the MCPL interpreter from
-//! [`cashmere_mcl`] runs the kernel (fully for correctness, sampled for
-//! paper-scale measurement) and the roofline cost model converts the
-//! collected statistics into virtual execution time on this specific
-//! device.
+//! This crate is the hardware model only: the three engine timelines,
+//! memory, the PCIe link and the virtual speed and link scales. It does
+//! not run kernels. A kernel launch is run and costed by the prepared
+//! kernel of the `cashmere` registry; the runtime then schedules the
+//! modelled time onto [`SimDevice::schedule_exec`], dividing it by the
+//! device's [`SimDevice::speed_scale`].
 
 #![forbid(unsafe_code)]
 
@@ -18,6 +19,6 @@ pub mod device;
 pub mod memory;
 pub mod timeline;
 
-pub use device::{ExecMode, KernelRun, SimDevice};
+pub use device::SimDevice;
 pub use memory::{AllocError, BufferId, DeviceMemory};
 pub use timeline::Timeline;

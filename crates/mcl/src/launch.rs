@@ -292,17 +292,18 @@ mod tests {
 
     #[test]
     fn group_size_clamped_to_unit_max() {
-        // mic `threads` has max 4; a perfect kernel on mic defaults to 64
-        // but a mic-level kernel with threads unit clamps to 4.
+        // mic `threads` has max 64: a mic-level kernel that pins 128
+        // threads gets a group of 64.
         let h = standard_hierarchy();
         let src = "mic void t(int n, float[n] a) {
-  foreach (int c in n / 4 cores) {
-    foreach (int t in 4 threads) { a[c * 4 + t] = 0.0; }
+  foreach (int c in n / 128 cores) {
+    foreach (int t in 128 threads) { a[c * 128 + t] = 0.0; }
   }
 }";
         let ck = compile(src, &h).unwrap();
+        assert_eq!(ck.innermost_unit().max, Some(64));
         let cfg = LaunchConfig::for_device(&ck, &h, DeviceKind::XeonPhi.level(&h));
-        assert_eq!(cfg.group_size, 4);
+        assert_eq!(cfg.group_size, 64);
     }
 
     #[test]

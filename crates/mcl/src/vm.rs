@@ -2963,34 +2963,12 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Execute a compiled program. Entry validation (argument count, kinds,
-/// ranks) mirrors the tree walker's `execute`; declared-dim validation runs
-/// in the program prelude.
-pub fn execute_compiled(
-    prog: &Program,
-    args: Vec<ArgValue>,
-    opts: &ExecOptions,
-) -> Result<ExecResult, ExecError> {
-    launch::<false>(prog, args, opts, Split::Auto, &mut []).map(|(r, _)| r)
-}
-
-/// [`execute_compiled`] that also counts dispatches: element `pc` of the
-/// returned vector is how often `prog.instrs[pc]` ran. For tests and
-/// measurements; every launch the runtime makes takes the uncounted loop.
-pub fn execute_counted(
-    prog: &Program,
-    args: Vec<ArgValue>,
-    opts: &ExecOptions,
-) -> Result<(ExecResult, Vec<u64>), ExecError> {
-    let mut counts = vec![0; prog.instrs.len()];
-    let (r, _) = launch::<true>(prog, args, opts, Split::Auto, &mut counts)?;
-    Ok((r, counts))
-}
-
-/// [`execute_compiled`] under an explicit [`Split`] policy, for tests that
-/// must take the split (or the one-thread) path on any host. With `count`,
-/// also the dispatch counts of [`execute_counted`] (else empty), and in
-/// every case what became of the launch's split loops.
+/// A compiled program run under an explicit [`Split`] policy, for tests
+/// and measurements that must take the split (or the one-thread) path on
+/// any host. With `count`, also the dispatch counts (else empty): element
+/// `pc` is how often `prog.instrs[pc]` ran; every launch [`execute`] makes
+/// takes the uncounted loop. In every case, what became of the launch's
+/// split loops.
 #[doc(hidden)]
 pub fn execute_with(
     prog: &Program,
@@ -3111,14 +3089,16 @@ fn launch<const COUNT: bool>(
 
 /// Compile and execute a checked kernel on the VM — the one execution
 /// route every launch takes. Observably identical to the reference
-/// [`crate::interp::execute`].
+/// [`crate::interp::execute`]. Entry validation (argument count, kinds,
+/// ranks) mirrors the tree walker's; declared-dim validation runs in the
+/// program prelude.
 pub fn execute(
     ck: &CheckedKernel,
     args: Vec<ArgValue>,
     opts: &ExecOptions,
 ) -> Result<ExecResult, ExecError> {
     let prog = compile_program(ck);
-    execute_compiled(&prog, args, opts)
+    launch::<false>(&prog, args, opts, Split::Auto, &mut []).map(|(r, _)| r)
 }
 
 #[cfg(test)]
@@ -3908,7 +3888,7 @@ mod tests {
         };
         diff(src, args.clone(), &opts);
         let prog = compile_program(&ck);
-        let (_, counts) = execute_counted(&prog, args, &opts).expect("runs");
+        let (_, counts, _) = execute_with(&prog, args, &opts, Split::Auto, true).expect("runs");
         // 64 iterations of the `r` loop: eight instructions run once per
         // iteration, the loop test once more per loop entry (4 × 17).
         let per_iter = counts.iter().filter(|&&c| c == 64).count();

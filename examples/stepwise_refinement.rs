@@ -17,10 +17,11 @@
 #![forbid(unsafe_code)]
 
 use cashmere_apps::matmul::{KERNEL_GPU, KERNEL_PERFECT};
-use cashmere_devsim::{ExecMode, SimDevice};
+use cashmere_devsim::SimDevice;
 use cashmere_hwdesc::{standard_hierarchy, DeviceKind};
 use cashmere_mcl::analyze::analyze;
 use cashmere_mcl::codegen::generate_opencl;
+use cashmere_mcl::cost::estimate_time;
 use cashmere_mcl::launch::LaunchConfig;
 use cashmere_mcl::translate::translate_to;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
@@ -40,15 +41,14 @@ fn measure(
         ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n as u64, p as u64])),
         ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[p as u64, m as u64])),
     ];
-    let run = dev
-        .run_kernel(h, ck, args, ExecMode::sampled())
-        .expect("kernel runs");
     let cfg = LaunchConfig::for_device(ck, h, dev.level);
+    let run = cashmere_mcl::execute(ck, args, &cfg.exec_sampled()).expect("kernel runs");
+    let cost = estimate_time(&run.stats, &dev.params, cfg.class);
     let feedback = analyze(ck, h, &run.stats, cfg.class)
         .into_iter()
         .map(|f| f.to_string())
         .collect();
-    let gflops = 2.0 * (n * m * p) as f64 / run.cost.total_s / 1e9;
+    let gflops = 2.0 * (n * m * p) as f64 / cost.total_s / 1e9;
     (gflops, feedback)
 }
 
